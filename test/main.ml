@@ -18,6 +18,7 @@ let () =
       ("workload", Test_workload.suite);
       ("props", Test_props.suite);
       ("check", Test_check.suite);
+      ("check-golden", Test_check_golden.suite);
       ("shard", Test_shard.suite);
       ("shard-check", Test_shard_check.suite);
       ("elr-check", Test_elr_check.suite);
