@@ -1,26 +1,20 @@
-(* Crash-point exploration for the recoverable B-tree.
-
-   Same crash model as {!Explorer} — every write/sync boundary of a
-   recorded run, plus torn variants of each straddling write — but the
-   recovered image is judged structurally: reattach the Rds heap and the
-   tree, run both full invariant checkers, and demand the tree's
-   contents equal some committed snapshot at least as new as the last
-   durable point. A crash that lands mid-split or mid-merge therefore
-   has to recover to a whole tree on both sides of the commit record. *)
+(* Crash-point exploration for the recoverable B-tree on the {!Crash}
+   core. The recovered image is judged structurally: reattach the Rds
+   heap and the tree, run both full invariant checkers, and demand the
+   tree's contents equal some committed snapshot at least as new as the
+   last durable point. A crash that lands mid-split or mid-merge
+   therefore has to recover to a whole tree on both sides of the commit
+   record. *)
 
 open Rvm_core
-module Mem_device = Rvm_disk.Mem_device
-module Trace_device = Rvm_disk.Trace_device
 module Rds = Rvm_alloc.Rds
 module Pbtree = Rvm_pds.Pbtree
 
 type config = {
   heap_len : int;
   log_size : int;
-  sector : int;
+  core : Crash.config;
   degree : int;
-  exhaustive : bool;
-  max_torn_per_write : int;
   group_commit : bool;
 }
 
@@ -28,12 +22,10 @@ let default_config =
   {
     heap_len = 16 * 4096;
     log_size = 256 * 1024;
-    sector = 512;
+    core = { Crash.sector = 512; exhaustive = false; max_torn_per_write = 12 };
     (* Minimum degree 2 (max 3 keys per node): the scripted workload
        reaches splits, borrows and merges within a few dozen keys. *)
     degree = 2;
-    exhaustive = false;
-    max_torn_per_write = 12;
     group_commit = true;
   }
 
@@ -44,30 +36,6 @@ type op =
   | Abort of action list
   | Flush
   | Truncate
-
-type crash_point = { upto : int; torn : int option }
-
-type violation = {
-  crash : crash_point;
-  required : int;  (** snapshot index that had to survive *)
-  commits : int;
-  reason : string;
-}
-
-type outcome = {
-  events : int;
-  writes : int;
-  syncs : int;
-  boundaries : int;
-  torn_variants : int;
-  recoveries : int;
-  commits : int;
-  durable : int;
-  splits : int;  (** structural coverage of the recorded run *)
-  merges : int;
-  borrows : int;
-  violations : violation list;
-}
 
 let key_of i = Printf.sprintf "k%03d" i
 
@@ -114,25 +82,26 @@ let default_ops =
 
 let heap_base = 16 * 4096
 
-let options_of config =
-  {
-    Options.default with
-    Options.truncation_mode = Types.Incremental;
-    group_commit = config.group_commit;
-  }
+(* Open the engine on a log and a segment device and map the heap. *)
+let open_heap ?obs config ~log ~seg =
+  let options =
+    {
+      Options.default with
+      Options.truncation_mode = Types.Incremental;
+      group_commit = config.group_commit;
+    }
+  in
+  let rvm = Rvm.reinitialize ~options ?obs ~log ~resolve:(fun _ -> seg) () in
+  ignore
+    (Rvm.map rvm ~vaddr:heap_base ~seg:1 ~seg_off:0 ~len:config.heap_len ());
+  rvm
 
 (* Build the durable baseline — an empty tree in a fresh heap — on the
    raw devices, so crash point zero recovers to it. Returns the tree's
    heap address (stable across reattachment). *)
 let setup config log_mem seg_mem =
   Rvm.create_log log_mem;
-  let rvm =
-    Rvm.reinitialize ~options:(options_of config) ~log:log_mem
-      ~resolve:(fun _ -> seg_mem)
-      ()
-  in
-  ignore
-    (Rvm.map rvm ~vaddr:heap_base ~seg:1 ~seg_off:0 ~len:config.heap_len ());
+  let rvm = open_heap config ~log:log_mem ~seg:seg_mem in
   let tid = Rvm.begin_transaction rvm ~mode:Types.Restore in
   let heap = Rds.init rvm tid ~base:heap_base ~len:config.heap_len in
   let tree = Pbtree.create rvm heap tid ~degree:config.degree in
@@ -147,32 +116,35 @@ let apply_model m actions =
       | Put (k, v) -> SMap.add k v m | Remove k -> SMap.remove k m)
     m actions
 
-(* Run the ops against traced devices. Returns the recorder, the trace
-   handles, committed snapshots as an array (index 0 = baseline empty
-   tree), durability checkpoints [(event_count, snapshot_index)] and the
-   tree's structural counters. *)
-let run_workload config ops tree_addr log_mem seg_mem =
-  let recorder = Trace_device.create_recorder () in
-  let tlog = Trace_device.wrap recorder log_mem in
-  let tseg = Trace_device.wrap recorder seg_mem in
-  let rvm =
-    Rvm.reinitialize ~options:(options_of config)
-      ~log:(Trace_device.device tlog)
-      ~resolve:(fun _ -> Trace_device.device tseg)
-      ()
-  in
-  ignore
-    (Rvm.map rvm ~vaddr:heap_base ~seg:1 ~seg_off:0 ~len:config.heap_len ());
+(* Reopen the engine and reattach the heap and the tree. *)
+let attach ?obs config tree_addr ~log ~seg =
+  let rvm = open_heap ?obs config ~log ~seg in
   let heap = Rds.attach rvm ~base:heap_base in
-  let tree = Pbtree.attach rvm heap ~addr:tree_addr in
+  (rvm, heap, Pbtree.attach rvm heap ~addr:tree_addr)
+
+(* Recover a crash image pair, reattach, run both structural checkers,
+   and return the recovered contents. *)
+let recover config tree_addr images =
+  let _, heap, tree = attach config tree_addr ~log:images.(0) ~seg:images.(1) in
+  Rds.check heap;
+  Pbtree.check tree;
+  List.rev (Pbtree.fold tree ~init:[] ~f:(fun acc ~key ~value -> (key, value) :: acc))
+
+(* Run the ops against traced devices, keeping the committed snapshots
+   (index 0 = baseline empty tree) and checkpointing the durable snapshot
+   index. *)
+let world config ops rig =
+  let log_mem = Crash.device rig ~name:"btree-log" ~size:config.log_size in
+  let seg_mem =
+    Crash.device rig ~name:"btree-seg" ~size:(config.heap_len + 4096)
+  in
+  let tree_addr = setup config log_mem seg_mem in
+  let log = Crash.trace rig ~label:"log" log_mem in
+  let seg = Crash.trace rig ~label:"seg" seg_mem in
+  let rvm, _, tree = attach config tree_addr ~obs:(Crash.obs rig) ~log ~seg in
   let snapshots = ref [ SMap.empty ] in
   let model = ref SMap.empty in
-  let checkpoints = ref [ (0, 0) ] in
-  let note_durable () =
-    checkpoints :=
-      (Trace_device.event_count recorder, List.length !snapshots - 1)
-      :: !checkpoints
-  in
+  let note_durable () = Crash.durable rig (List.length !snapshots - 1) in
   let apply tid actions =
     List.iter
       (function
@@ -200,94 +172,34 @@ let run_workload config ops tree_addr log_mem seg_mem =
       | Truncate -> Rvm.truncate rvm)
     ops;
   let snapshots = Array.of_list (List.rev !snapshots) in
-  (recorder, tlog, tseg, snapshots, !checkpoints, Pbtree.stats tree)
-
-(* Mount a reconstructed image pair, recover, reattach, and return the
-   structural verdict plus the recovered contents. *)
-let recover_image config tree_addr ~log_img ~seg_img =
-  let log_dev = Mem_device.of_bytes ~name:"btree-replay-log" log_img in
-  let seg_dev = Mem_device.of_bytes ~name:"btree-replay-seg" seg_img in
-  let rvm =
-    Rvm.reinitialize ~options:(options_of config) ~log:log_dev
-      ~resolve:(fun _ -> seg_dev)
-      ()
+  let commits = Array.length snapshots - 1 in
+  let oracle (crash : Crash.crash_point) contents =
+    let required = Crash.required rig ~upto:crash.Crash.upto in
+    let matches i = SMap.bindings snapshots.(i) = contents in
+    let rec scan i = i <= commits && (matches i || scan (i + 1)) in
+    if scan required then None
+    else
+      Some
+        (Printf.sprintf
+           "recovered %d entries match no committed snapshot %d..%d"
+           (List.length contents) required commits)
   in
-  ignore
-    (Rvm.map rvm ~vaddr:heap_base ~seg:1 ~seg_off:0 ~len:config.heap_len ());
-  let heap = Rds.attach rvm ~base:heap_base in
-  let tree = Pbtree.attach rvm heap ~addr:tree_addr in
-  Rds.check heap;
-  Pbtree.check tree;
-  List.rev (Pbtree.fold tree ~init:[] ~f:(fun acc ~key ~value -> (key, value) :: acc))
+  let stats = Pbtree.stats tree in
+  {
+    Crash.recover = recover config tree_addr;
+    oracle;
+    commits;
+    counters =
+      [
+        ( "known durable",
+          Crash.required rig ~upto:(Crash.events_so_far rig) );
+        ("splits", stats.Pbtree.splits);
+        ("merges", stats.Pbtree.merges);
+        ("borrows", stats.Pbtree.borrows);
+      ];
+  }
 
 let run ?(config = default_config) ?(ops = default_ops) () =
-  if config.sector <= 0 then
-    invalid_arg "Btree_check.run: sector must be positive";
-  let log_mem = Mem_device.create ~name:"btree-log" ~size:config.log_size () in
-  let seg_mem =
-    Mem_device.create ~name:"btree-seg" ~size:(config.heap_len + 4096) ()
-  in
-  let tree_addr = setup config log_mem seg_mem in
-  let recorder, tlog, tseg, snapshots, checkpoints, stats =
-    run_workload config ops tree_addr log_mem seg_mem
-  in
-  let events = Trace_device.events recorder in
-  let n = Array.length events in
-  let required_at k =
-    List.fold_left
-      (fun acc (e, d) -> if e <= k then max acc d else acc)
-      0 checkpoints
-  in
-  let commits = Array.length snapshots - 1 in
-  let violations = ref [] in
-  let recoveries = ref 0 in
-  let torn_total = ref 0 in
-  let check crash =
-    incr recoveries;
-    let torn = crash.torn in
-    let log_img = Trace_device.image tlog ~events ~upto:crash.upto ?torn () in
-    let seg_img = Trace_device.image tseg ~events ~upto:crash.upto ?torn () in
-    let required = required_at crash.upto in
-    let fail reason =
-      violations := { crash; required; commits; reason } :: !violations
-    in
-    match recover_image config tree_addr ~log_img ~seg_img with
-    | exception e -> fail ("recovery or reattach raised: " ^ Printexc.to_string e)
-    | contents ->
-      let matches i = SMap.bindings snapshots.(i) = contents in
-      let rec scan i = i <= commits && (matches i || scan (i + 1)) in
-      if not (scan required) then
-        fail
-          (Printf.sprintf
-             "recovered %d entries match no committed snapshot >= %d"
-             (List.length contents) required)
-  in
-  check { upto = 0; torn = None };
-  for k = 0 to n - 1 do
-    (match events.(k).Trace_device.kind with
-    | Trace_device.Write { off; data } ->
-      let len = Bytes.length data in
-      let positions =
-        Explorer.torn_positions ~sector:config.sector
-          ~exhaustive:config.exhaustive
-          ~max_per_write:config.max_torn_per_write ~off ~len
-      in
-      List.iter (fun p -> check { upto = k; torn = Some p }) positions;
-      torn_total := !torn_total + List.length positions
-    | Trace_device.Sync -> ());
-    check { upto = k + 1; torn = None }
-  done;
-  {
-    events = n;
-    writes = Trace_device.write_count recorder;
-    syncs = Trace_device.sync_count recorder;
-    boundaries = n + 1;
-    torn_variants = !torn_total;
-    recoveries = !recoveries;
-    commits;
-    durable = required_at n;
-    splits = stats.Pbtree.splits;
-    merges = stats.Pbtree.merges;
-    borrows = stats.Pbtree.borrows;
-    violations = List.rev !violations;
-  }
+  Crash.run config.core (world config ops)
+
+let violates ?config ops = (run ?config ~ops ()).Crash.violations <> []

@@ -2,11 +2,7 @@ module Options = Rvm_core.Options
 module Clock = Rvm_util.Clock
 module Cost_model = Rvm_util.Cost_model
 module Rng = Rvm_util.Rng
-module Mem_device = Rvm_disk.Mem_device
-module Trace_device = Rvm_disk.Trace_device
-module Device = Rvm_disk.Device
 module Registry = Rvm_obs.Registry
-module Routing = Rvm_shard.Routing
 module Multi = Rvm_shard.Multi
 module Tpca = Rvm_workload.Tpca
 module Request = Rvm_server.Request
@@ -27,9 +23,7 @@ type config = {
   transfer_pct : int;
   rate_tps : float;
   log_size : int;
-  sector : int;
-  exhaustive : bool;
-  max_torn_per_write : int;
+  core : Crash.config;
 }
 
 let default_config =
@@ -44,9 +38,7 @@ let default_config =
     transfer_pct = 30;
     rate_tps = 400.;
     log_size = 256 * 1024;
-    sector = 512;
-    exhaustive = false;
-    max_torn_per_write = 4;
+    core = { Crash.sector = 512; exhaustive = false; max_torn_per_write = 4 };
   }
 
 (* What the recorded run logs through the scheduler hooks. *)
@@ -62,34 +54,7 @@ type ack =
   | Ack_write of { a_id : int; a_event : int }
   | Ack_read of { a_id : int; a_deps : int list; a_event : int }
 
-type crash_point = { upto : int; torn : int option }
-
-type violation = {
-  crash : crash_point;
-  reason : string;
-  tail : Registry.span_event list;
-}
-
-type outcome = {
-  events : int;
-  writes : int;
-  syncs : int;
-  boundaries : int;
-  torn_variants : int;
-  recoveries : int;
-  commits : int;  (* write requests committed by the recorded run *)
-  cross : int;  (* of which cross-shard parallel commits *)
-  reads : int;  (* lookups acked by the recorded run *)
-  elr_released : int;  (* elr.released_early counter of the recorded run *)
-  violations : violation list;
-}
-
 let page_size = 4096
-
-let seg_of_shard s = s + 1
-
-let make_routing shards =
-  Routing.of_table ~shards (List.init shards (fun s -> (seg_of_shard s, s)))
 
 (* Same interleaved placement as the server harness: account i on shard
    i mod n, per-shard teller/branch/audit, segments at disjoint vaddrs. *)
@@ -107,143 +72,15 @@ let make_options () =
      truncation triggers quiet so every device event is commit traffic. *)
   { Options.default with Options.auto_truncate = false }
 
-(* The recorded run: a real server world — sharded engine, lock manager,
-   admission, the ELR scheduler — over recorder-wrapped memory devices,
-   with the scheduler hooks logging commit-spool order and the exact
-   device-event index at which every ack left the server. *)
-let run_workload cfg =
-  let n = cfg.shards in
-  let layouts = shard_layouts cfg in
-  let log_mems =
-    Array.init n (fun s ->
-        Mem_device.create
-          ~name:(Printf.sprintf "elr-log%d" s)
-          ~size:cfg.log_size ())
-  in
-  let seg_mems =
-    Array.init n (fun s ->
-        Mem_device.create
-          ~name:(Printf.sprintf "elr-seg%d" s)
-          ~size:(layouts.(s).Tpca.total_len + page_size)
-          ())
-  in
-  Multi.create_logs log_mems;
-  (* One recorder across every device: a crash is a cut in the global
-     write order, including the inter-shard boundaries of a parallel
-     commit's intent round. Wrap after formatting. *)
-  let recorder = Trace_device.create_recorder () in
-  let tlogs = Array.map (Trace_device.wrap recorder) log_mems in
-  let tsegs = Array.map (Trace_device.wrap recorder) seg_mems in
-  let obs = Registry.create ~trace_capacity:8192 () in
-  let seq_at = Hashtbl.create 256 in
-  let note base =
-    let note_now () =
-      Hashtbl.replace seq_at
-        (Trace_device.event_count recorder)
-        (Registry.trace_seq obs)
-    in
-    Device.layer
-      ~write:(fun b ~off ~buf ~pos ~len ->
-        note_now ();
-        b.Device.write ~off ~buf ~pos ~len)
-      ~sync:(fun b ->
-        note_now ();
-        b.Device.sync ())
-      base
-  in
-  let clock = Clock.simulated () in
-  let routing = make_routing n in
-  let m =
-    Multi.initialize ~options:(make_options ()) ~clock
-      ~model:Cost_model.dec5000 ~obs ~routing
-      ~logs:(Array.map (fun t -> note (Trace_device.device t)) tlogs)
-      ~resolve:(fun seg ->
-        note (Trace_device.device tsegs.(Routing.shard_of routing ~seg)))
-      ()
-  in
+(* Map every shard's layout at its fixed vaddr; the placement over them. *)
+let map_layouts m layouts =
   Array.iteri
     (fun s (l : Tpca.layout) ->
       ignore
-        (Multi.map m ~vaddr:l.Tpca.base ~seg:(seg_of_shard s) ~seg_off:0
-           ~len:l.Tpca.total_len ()))
+        (Multi.map m ~vaddr:l.Tpca.base ~seg:(Shard_check.seg_of_shard s)
+           ~seg_off:0 ~len:l.Tpca.total_len ()))
     layouts;
-  let pl = Placement.make ~layouts in
-  let rng = Rng.create ~seed:cfg.seed in
-  let gen_rng = Rng.split rng in
-  let arrival_rng = Rng.split rng in
-  let backoff_rng = Rng.split rng in
-  let gen =
-    Request.make_gen ~read_pct:cfg.read_pct ~accounts:cfg.accounts
-      ~zipf_s:cfg.zipf_s ~transfer_pct:cfg.transfer_pct ~rng:gen_rng ()
-  in
-  let arrivals =
-    Arrivals.open_loop ~start_us:(Clock.now_us clock) ~rate_tps:cfg.rate_tps
-      ~requests:cfg.requests ~rng:arrival_rng ()
-  in
-  let admission =
-    (* Queue deep enough that nothing sheds: membership checking wants
-       every generated write to either commit or still be in flight at
-       the crash, never refused. *)
-    Admission.create
-      {
-        Admission.max_inflight = 8;
-        max_queue = cfg.requests + 8;
-        backpressure = 0.95;
-      }
-  in
-  let scfg =
-    {
-      Scheduler.default_config with
-      Scheduler.batch_max = cfg.batch_max;
-      elr = true;
-    }
-  in
-  let sched =
-    Scheduler.create ~cfg:scfg ~engine:(Engine.of_multi m) ~clock ~obs
-      ~lock_mgr:(Rvm_layers.Lock_mgr.create ()) ~placement:pl ~admission
-      ~arrivals ~gen ~rng:backoff_rng ()
-  in
-  let spool_order = ref [] (* newest first *) in
-  let acks = ref [] in
-  Scheduler.set_hooks sched
-    ~on_spool:(fun r ->
-      let s = r.Request.spec in
-      let shards_touched =
-        List.sort_uniq compare
-          [ s.Request.account mod n; s.Request.account2 mod n ]
-      in
-      spool_order :=
-        {
-          sp_id = s.Request.id;
-          sp_shards = shards_touched;
-          sp_spec = s;
-          sp_audit = r.Request.audit_addr;
-        }
-        :: !spool_order)
-    ~on_ack:(fun r ->
-      let e = Trace_device.event_count recorder in
-      let id = r.Request.spec.Request.id in
-      match r.Request.spec.Request.kind with
-      | Request.Lookup ->
-        acks :=
-          Ack_read { a_id = id; a_deps = r.Request.dep_writers; a_event = e }
-          :: !acks
-      | Request.Payment | Request.Transfer | Request.Ycsb _ ->
-        acks := Ack_write { a_id = id; a_event = e } :: !acks);
-  let tally = Scheduler.run sched in
-  let elr_released =
-    Rvm_obs.Counter.get (Registry.counter obs "elr.released_early")
-  in
-  ( recorder,
-    tlogs,
-    tsegs,
-    layouts,
-    List.rev !spool_order,
-    List.rev !acks,
-    tally,
-    elr_released,
-    obs,
-    seq_at )
+  Placement.make ~layouts
 
 (* Recover crashed images and read back every balance cell plus the audit
    membership words. *)
@@ -255,33 +92,14 @@ type recovered = {
   r_audit_word : int -> int64;  (* audit vaddr -> slot word at +24 *)
 }
 
-let recover cfg layouts ~log_imgs ~seg_imgs =
+let recover cfg layouts images =
   let n = cfg.shards in
-  let log_devs =
-    Array.mapi
-      (fun s img ->
-        Mem_device.of_bytes ~name:(Printf.sprintf "replay-log%d" s) img)
-      log_imgs
-  in
-  let seg_devs =
-    Array.mapi
-      (fun s img ->
-        Mem_device.of_bytes ~name:(Printf.sprintf "replay-seg%d" s) img)
-      seg_imgs
-  in
-  let routing = make_routing n in
+  let logs, resolve = Shard_check.split n images in
   let m =
-    Multi.reinitialize ~options:(make_options ()) ~routing ~logs:log_devs
-      ~resolve:(fun seg -> seg_devs.(Routing.shard_of routing ~seg))
-      ()
+    Multi.reinitialize ~options:(make_options ())
+      ~routing:(Shard_check.make_routing n) ~logs ~resolve ()
   in
-  Array.iteri
-    (fun s (l : Tpca.layout) ->
-      ignore
-        (Multi.map m ~vaddr:l.Tpca.base ~seg:(seg_of_shard s) ~seg_off:0
-           ~len:l.Tpca.total_len ()))
-    layouts;
-  let pl = Placement.make ~layouts in
+  let pl = map_layouts m layouts in
   let word addr = Multi.get_i64 m ~addr in
   {
     r_accounts =
@@ -335,7 +153,208 @@ let first_mismatch ~what expected actual =
   in
   go 0
 
-let tail_length = 16
+(* The three checks, in order, over one recovered state; the first failing
+   one is the verdict. *)
+let oracle cfg ~spool_order ~acks =
+  let spooled_by_id = Hashtbl.create 64 in
+  List.iter (fun e -> Hashtbl.replace spooled_by_id e.sp_id e) spool_order;
+  fun (crash : Crash.crash_point) rec_state ->
+  (* Membership: a committed write survived iff its audit slot's id
+     word replayed (the slot is written in the same transaction as
+     the balances, so the whole commit stands or falls with it). *)
+  let survives e = rec_state.r_audit_word e.sp_audit = Int64.of_int (e.sp_id + 1) in
+  let survivors = List.filter survives spool_order in
+  let in_s id =
+    match Hashtbl.find_opt spooled_by_id id with
+    | Some e -> survives e
+    | None -> false
+  in
+  (* (a) No ack precedes durability: every write acked before the
+     crash must have been recovered, and every lookup acked before
+     the crash must only have exposed state of recovered writers. *)
+  let ack_violation =
+    List.find_map
+      (fun a ->
+        match a with
+        | Ack_write { a_id; a_event } ->
+          if a_event <= crash.Crash.upto && not (in_s a_id) then
+            Some
+              (Printf.sprintf
+                 "write %d was acked at event %d but did not survive \
+                  the crash"
+                 a_id a_event)
+          else None
+        | Ack_read { a_id; a_deps; a_event } ->
+          if a_event > crash.Crash.upto then None
+          else (
+            match List.find_opt (fun w -> not (in_s w)) a_deps with
+            | Some w ->
+              Some
+                (Printf.sprintf
+                   "lookup %d was acked at event %d but observed \
+                    writer %d, which did not survive the crash"
+                   a_id a_event w)
+            | None -> None))
+      acks
+  in
+  match ack_violation with
+  | Some reason -> Some reason
+  | None -> (
+    (* (b) Prefix closure: per shard, the survivors must be a prefix
+       of the spool (= log append) order; the only legal holes are
+       cross-shard transactions, whose intents recovery may have
+       resolved to aborted. *)
+    let prefix_violation =
+      List.find_map
+        (fun s ->
+          let proj =
+            List.filter (fun e -> List.mem s e.sp_shards) spool_order
+          in
+          let rec scan seen_hole = function
+            | [] -> None
+            | e :: rest ->
+              if survives e then
+                match seen_hole with
+                | Some h ->
+                  Some
+                    (Printf.sprintf
+                       "shard %d: single-shard commit %d is missing \
+                        but later commit %d survived (hole in the \
+                        redo prefix)"
+                       s h e.sp_id)
+                | None -> scan seen_hole rest
+              else
+                scan
+                  (if List.length e.sp_shards > 1 then seen_hole
+                   else (
+                     match seen_hole with
+                     | Some _ -> seen_hole
+                     | None -> Some e.sp_id))
+                  rest
+          in
+          scan None proj)
+        (List.init cfg.shards Fun.id)
+    in
+    match prefix_violation with
+    | Some reason -> Some reason
+    | None ->
+      (* (c) Serial equivalence: recovered balances equal the
+         commutative reference applied to exactly the survivor set —
+         early lock release must never let a successor's update
+         survive a crash its predecessor's didn't feed into. *)
+      let ea, et, eb = expected_balances cfg survivors in
+      let mismatch =
+        match first_mismatch ~what:"account" ea rec_state.r_accounts with
+        | Some m -> Some m
+        | None -> (
+          match first_mismatch ~what:"teller" et rec_state.r_tellers with
+          | Some m -> Some m
+          | None ->
+            first_mismatch ~what:"branch" eb rec_state.r_branches)
+      in
+      Option.map
+        (Printf.sprintf
+           "balances diverge from the %d-survivor serial reference: %s"
+           (List.length survivors))
+        mismatch)
+
+(* The recorded run: a real server world — sharded engine, lock manager,
+   admission, the ELR scheduler — over recorder-wrapped memory devices,
+   with the scheduler hooks logging commit-spool order and the exact
+   device-event index at which every ack left the server. *)
+let world cfg rig =
+  let n = cfg.shards in
+  let layouts = shard_layouts cfg in
+  let logs, resolve =
+    Shard_check.trace_shards rig ~shards:n ~log_size:cfg.log_size
+      ~seg_size:(fun s -> layouts.(s).Tpca.total_len + page_size)
+  in
+  let obs = Crash.obs rig in
+  let clock = Clock.simulated () in
+  let m =
+    Multi.initialize ~options:(make_options ()) ~clock
+      ~model:Cost_model.dec5000 ~obs ~routing:(Shard_check.make_routing n)
+      ~logs ~resolve ()
+  in
+  let pl = map_layouts m layouts in
+  let rng = Rng.create ~seed:cfg.seed in
+  let gen_rng = Rng.split rng in
+  let arrival_rng = Rng.split rng in
+  let backoff_rng = Rng.split rng in
+  let gen =
+    Request.make_gen ~read_pct:cfg.read_pct ~accounts:cfg.accounts
+      ~zipf_s:cfg.zipf_s ~transfer_pct:cfg.transfer_pct ~rng:gen_rng ()
+  in
+  let arrivals =
+    Arrivals.open_loop ~start_us:(Clock.now_us clock) ~rate_tps:cfg.rate_tps
+      ~requests:cfg.requests ~rng:arrival_rng ()
+  in
+  let admission =
+    (* Queue deep enough that nothing sheds: membership checking wants
+       every generated write to either commit or still be in flight at
+       the crash, never refused. *)
+    Admission.create
+      {
+        Admission.max_inflight = 8;
+        max_queue = cfg.requests + 8;
+        backpressure = 0.95;
+      }
+  in
+  let scfg =
+    {
+      Scheduler.default_config with
+      Scheduler.batch_max = cfg.batch_max;
+      elr = true;
+    }
+  in
+  let sched =
+    Scheduler.create ~cfg:scfg ~engine:(Engine.of_multi m) ~clock ~obs
+      ~lock_mgr:(Rvm_layers.Lock_mgr.create ()) ~placement:pl ~admission
+      ~arrivals ~gen ~rng:backoff_rng ()
+  in
+  let spool_order = ref [] (* newest first *) in
+  let acks = ref [] in
+  Scheduler.set_hooks sched
+    ~on_spool:(fun r ->
+      let s = r.Request.spec in
+      let shards_touched =
+        List.sort_uniq compare
+          [ s.Request.account mod n; s.Request.account2 mod n ]
+      in
+      spool_order :=
+        {
+          sp_id = s.Request.id;
+          sp_shards = shards_touched;
+          sp_spec = s;
+          sp_audit = r.Request.audit_addr;
+        }
+        :: !spool_order)
+    ~on_ack:(fun r ->
+      let e = Crash.events_so_far rig in
+      let id = r.Request.spec.Request.id in
+      match r.Request.spec.Request.kind with
+      | Request.Lookup ->
+        acks :=
+          Ack_read { a_id = id; a_deps = r.Request.dep_writers; a_event = e }
+          :: !acks
+      | Request.Payment | Request.Transfer | Request.Ycsb _ ->
+        acks := Ack_write { a_id = id; a_event = e } :: !acks);
+  let tally = Scheduler.run sched in
+  let spool_order = List.rev !spool_order in
+  {
+    Crash.recover = recover cfg layouts;
+    oracle = oracle cfg ~spool_order ~acks:(List.rev !acks);
+    commits = tally.Scheduler.committed;
+    counters =
+      [
+        ( "cross-shard",
+          List.length
+            (List.filter (fun e -> List.length e.sp_shards > 1) spool_order) );
+        ( "early releases",
+          Rvm_obs.Counter.get (Registry.counter obs "elr.released_early") );
+        ("snapshot reads", tally.Scheduler.reads);
+      ];
+  }
 
 let run ?(config = default_config) () =
   if config.shards < 1 then invalid_arg "Elr_check.run: shards must be >= 1";
@@ -344,214 +363,4 @@ let run ?(config = default_config) () =
        per-shard audit capacity (2x accounts per shard) guarantees no
        wrap-around overwrites the membership words the checks read. *)
     invalid_arg "Elr_check.run: accounts must be >= requests";
-  let ( recorder,
-        tlogs,
-        tsegs,
-        layouts,
-        spool_order,
-        acks,
-        tally,
-        elr_released,
-        obs,
-        seq_at ) =
-    run_workload config
-  in
-  let events = Trace_device.events recorder in
-  let n_events = Array.length events in
-  let spans = Array.of_list (Registry.events obs) in
-  let final_seq = Registry.trace_seq obs in
-  let first_idx = final_seq - Array.length spans in
-  let tail_before (crash : crash_point) =
-    let s =
-      if crash.upto >= n_events then final_seq
-      else Option.value (Hashtbl.find_opt seq_at crash.upto) ~default:final_seq
-    in
-    let lo = max first_idx (s - tail_length) in
-    if s <= lo then []
-    else Array.to_list (Array.sub spans (lo - first_idx) (s - lo))
-  in
-  let violations = ref [] in
-  let recoveries = ref 0 in
-  let torn_total = ref 0 in
-  let spooled_by_id =
-    let h = Hashtbl.create 64 in
-    List.iter (fun e -> Hashtbl.replace h e.sp_id e) spool_order;
-    h
-  in
-  let check crash =
-    incr recoveries;
-    let torn = crash.torn in
-    let image t = Trace_device.image t ~events ~upto:crash.upto ?torn () in
-    let log_imgs = Array.map image tlogs in
-    let seg_imgs = Array.map image tsegs in
-    let fail reason =
-      violations :=
-        { crash; reason; tail = tail_before crash } :: !violations
-    in
-    match recover config layouts ~log_imgs ~seg_imgs with
-    | exception e -> fail ("recovery raised: " ^ Printexc.to_string e)
-    | rec_state -> (
-      (* Membership: a committed write survived iff its audit slot's id
-         word replayed (the slot is written in the same transaction as
-         the balances, so the whole commit stands or falls with it). *)
-      let survives e = rec_state.r_audit_word e.sp_audit = Int64.of_int (e.sp_id + 1) in
-      let survivors = List.filter survives spool_order in
-      let in_s id =
-        match Hashtbl.find_opt spooled_by_id id with
-        | Some e -> survives e
-        | None -> false
-      in
-      (* (a) No ack precedes durability: every write acked before the
-         crash must have been recovered, and every lookup acked before
-         the crash must only have exposed state of recovered writers. *)
-      let ack_violation =
-        List.find_map
-          (fun a ->
-            match a with
-            | Ack_write { a_id; a_event } ->
-              if a_event <= crash.upto && not (in_s a_id) then
-                Some
-                  (Printf.sprintf
-                     "write %d was acked at event %d but did not survive \
-                      the crash"
-                     a_id a_event)
-              else None
-            | Ack_read { a_id; a_deps; a_event } ->
-              if a_event > crash.upto then None
-              else (
-                match List.find_opt (fun w -> not (in_s w)) a_deps with
-                | Some w ->
-                  Some
-                    (Printf.sprintf
-                       "lookup %d was acked at event %d but observed \
-                        writer %d, which did not survive the crash"
-                       a_id a_event w)
-                | None -> None))
-          acks
-      in
-      match ack_violation with
-      | Some reason -> fail reason
-      | None -> (
-        (* (b) Prefix closure: per shard, the survivors must be a prefix
-           of the spool (= log append) order; the only legal holes are
-           cross-shard transactions, whose intents recovery may have
-           resolved to aborted. *)
-        let prefix_violation =
-          List.find_map
-            (fun s ->
-              let proj =
-                List.filter (fun e -> List.mem s e.sp_shards) spool_order
-              in
-              let rec scan seen_hole = function
-                | [] -> None
-                | e :: rest ->
-                  if survives e then
-                    match seen_hole with
-                    | Some h ->
-                      Some
-                        (Printf.sprintf
-                           "shard %d: single-shard commit %d is missing \
-                            but later commit %d survived (hole in the \
-                            redo prefix)"
-                           s h e.sp_id)
-                    | None -> scan seen_hole rest
-                  else
-                    scan
-                      (if List.length e.sp_shards > 1 then seen_hole
-                       else (
-                         match seen_hole with
-                         | Some _ -> seen_hole
-                         | None -> Some e.sp_id))
-                      rest
-              in
-              scan None proj)
-            (List.init config.shards Fun.id)
-        in
-        match prefix_violation with
-        | Some reason -> fail reason
-        | None ->
-          (* (c) Serial equivalence: recovered balances equal the
-             commutative reference applied to exactly the survivor set —
-             early lock release must never let a successor's update
-             survive a crash its predecessor's didn't feed into. *)
-          let ea, et, eb = expected_balances config survivors in
-          let mismatch =
-            match first_mismatch ~what:"account" ea rec_state.r_accounts with
-            | Some m -> Some m
-            | None -> (
-              match first_mismatch ~what:"teller" et rec_state.r_tellers with
-              | Some m -> Some m
-              | None ->
-                first_mismatch ~what:"branch" eb rec_state.r_branches)
-          in
-          (match mismatch with
-          | Some m ->
-            fail
-              (Printf.sprintf
-                 "balances diverge from the %d-survivor serial reference: %s"
-                 (List.length survivors) m)
-          | None -> ())))
-  in
-  check { upto = 0; torn = None };
-  for k = 0 to n_events - 1 do
-    (match events.(k).Trace_device.kind with
-    | Trace_device.Write { off; data } ->
-      let len = Bytes.length data in
-      let positions =
-        Explorer.torn_positions ~sector:config.sector
-          ~exhaustive:config.exhaustive
-          ~max_per_write:config.max_torn_per_write ~off ~len
-      in
-      List.iter (fun p -> check { upto = k; torn = Some p }) positions;
-      torn_total := !torn_total + List.length positions
-    | Trace_device.Sync -> ());
-    check { upto = k + 1; torn = None }
-  done;
-  {
-    events = n_events;
-    writes = Trace_device.write_count recorder;
-    syncs = Trace_device.sync_count recorder;
-    boundaries = n_events + 1;
-    torn_variants = !torn_total;
-    recoveries = !recoveries;
-    commits = tally.Scheduler.committed;
-    cross =
-      List.length
-        (List.filter (fun e -> List.length e.sp_shards > 1) spool_order);
-    reads = tally.Scheduler.reads;
-    elr_released;
-    violations = List.rev !violations;
-  }
-
-(* --- reporting --- *)
-
-let pp_crash_point ppf { upto; torn } =
-  match torn with
-  | None -> Format.fprintf ppf "after event %d" upto
-  | Some keep -> Format.fprintf ppf "event %d torn after %d byte(s)" upto keep
-
-let pp_violation ppf v =
-  Format.fprintf ppf "@[<v 2>violation at crash point %a:@ %s" pp_crash_point
-    v.crash v.reason;
-  (match v.tail with
-  | [] -> ()
-  | tail ->
-    Format.fprintf ppf "@ flight recorder (last %d span(s) before the crash):"
-      (List.length tail);
-    List.iter
-      (fun ev -> Format.fprintf ppf "@   %a" Rvm_obs.Trace.pp_span ev)
-      tail);
-  Format.fprintf ppf "@]"
-
-let summary o =
-  Printf.sprintf
-    "%d commits (%d cross-shard, %d early releases) + %d snapshot reads -> \
-     %d device events (%d writes, %d syncs); %d crash boundaries + %d torn \
-     variants = %d recoveries; %d violation(s)"
-    o.commits o.cross o.elr_released o.reads o.events o.writes o.syncs
-    o.boundaries o.torn_variants o.recoveries
-    (List.length o.violations)
-
-let pp_outcome ppf o =
-  Format.fprintf ppf "%s@." (summary o);
-  List.iter (fun v -> Format.fprintf ppf "%a@." pp_violation v) o.violations
+  Crash.run config.core (world config)

@@ -14,9 +14,8 @@
       together with the writer ids whose early-released state they
       observed.
 
-    Then every crash point (each boundary in the global device-write
-    order, plus torn variants of every write) is replayed through
-    recovery and checked:
+    Then every crash point the {!Crash} core enumerates (DESIGN.md §6) is
+    replayed through recovery and checked:
 
     + {b No ack precedes durability} — a write acked before the crash
       must be recovered; a lookup acked before the crash must only have
@@ -52,40 +51,16 @@ type config = {
   transfer_pct : int;
   rate_tps : float;
   log_size : int;
-  sector : int;
-  exhaustive : bool;  (** all torn positions, not a sample *)
-  max_torn_per_write : int;
+  core : Crash.config;
 }
 
 val default_config : config
 (** 1 shard, 32 accounts, 24 requests, batch 4, zipf 0.99, 25% lookups,
-    30% transfers — small enough to explore in well under a second,
+    30% transfers, 512-byte sectors, at most 4 torn variants per write —
+    small enough to explore in well under a second,
     contended enough to exercise stamps, dependencies and parked reads. *)
 
-type crash_point = { upto : int; torn : int option }
-
-type violation = {
-  crash : crash_point;
-  reason : string;
-  tail : Rvm_obs.Registry.span_event list;  (** flight-recorder tail *)
-}
-
-type outcome = {
-  events : int;
-  writes : int;
-  syncs : int;
-  boundaries : int;
-  torn_variants : int;
-  recoveries : int;
-  commits : int;  (** write requests committed by the recorded run *)
-  cross : int;  (** of which cross-shard parallel commits *)
-  reads : int;  (** lookups acked by the recorded run *)
-  elr_released : int;  (** early releases the recorded run performed *)
-  violations : violation list;
-}
-
-val run : ?config:config -> unit -> outcome
-
-val pp_violation : Format.formatter -> violation -> unit
-val summary : outcome -> string
-val pp_outcome : Format.formatter -> outcome -> unit
+val run : ?config:config -> unit -> Crash.outcome
+(** Record the server run and explore every crash point. Counters:
+    ["cross-shard"] parallel commits among the [commits] write requests,
+    ["early releases"] the run performed, ["snapshot reads"] acked. *)

@@ -1,15 +1,9 @@
 open Rvm_core
-module Mem_device = Rvm_disk.Mem_device
-module Trace_device = Rvm_disk.Trace_device
-module Device = Rvm_disk.Device
-module Registry = Rvm_obs.Registry
 
 type config = {
   region_len : int;
   log_size : int;
-  sector : int;
-  exhaustive : bool;
-  max_torn_per_write : int;
+  core : Crash.config;
   truncation_mode : Types.truncation_mode;
   group_commit : bool;
   mid_truncation : bool;
@@ -19,146 +13,55 @@ let default_config =
   {
     region_len = 2 * 4096;
     log_size = 64 * 1024;
-    sector = 512;
-    exhaustive = false;
-    max_torn_per_write = 12;
+    core = { Crash.sector = 512; exhaustive = false; max_torn_per_write = 12 };
     truncation_mode = Types.Epoch;
     group_commit = true;
     mid_truncation = false;
   }
 
-type crash_point = { upto : int; torn : int option }
+let options ~truncation_mode ~group_commit ~mid_truncation =
+  {
+    Options.default with
+    Options.truncation_mode;
+    (* Mid-truncation exploration needs the truncator due after the
+       first couple of commits so [Step] ops actually advance a run. *)
+    truncation_threshold = (if mid_truncation then 0.05 else 0.4);
+    group_commit;
+    (* Mid-truncation exploration drives the truncator from [Step] ops
+       and needs the run left suspended between them, so the inline
+       commit-path trigger (which would run it to completion) is off. *)
+    auto_truncate = not mid_truncation;
+  }
 
-type violation = {
-  crash : crash_point;
-  required : int;
-  commits : int;
-  reason : string;
-  tail : Registry.span_event list;
-}
-
-type write_point = {
-  event : int;
-  dev : string;
-  off : int;
-  len : int;
-  variants : int;
-}
-
-type outcome = {
-  ops : Workload.op list;
-  events : int;
-  writes : int;
-  syncs : int;
-  boundaries : int;
-  torn_variants : int;
-  recoveries : int;
-  commits : int;
-  durable : int;
-  write_points : write_point list;
-  violations : violation list;
-}
-
-(* Torn prefixes for a write of [len] bytes at device offset [off]. A write
-   that does not cross an aligned sector boundary is atomic. *)
-let torn_positions ~sector ~exhaustive ~max_per_write ~off ~len =
-  let first_boundary = ((off / sector) + 1) * sector in
-  if off + len <= first_boundary then []
-  else begin
-    (* Interior sector boundaries, as write-relative positions. *)
-    let bounds = ref [] in
-    let b = ref first_boundary in
-    while !b < off + len do
-      bounds := (!b - off) :: !bounds;
-      b := !b + sector
-    done;
-    let bounds = List.rev !bounds in
-    (* Top up small straddling writes so every tearable write of >= 5
-       bytes gets at least 4 variants. *)
-    let extra =
-      if List.length bounds >= 4 then []
-      else
-        List.filter
-          (fun p -> p > 0 && p < len)
-          (List.init 4 (fun i -> len * (i + 1) / 5))
-    in
-    let all = List.sort_uniq compare (bounds @ extra) in
-    let cap = max 2 max_per_write in
-    if exhaustive || List.length all <= cap then all
-    else begin
-      (* Evenly subsample down to the cap. *)
-      let arr = Array.of_list all in
-      let n = Array.length arr in
-      List.sort_uniq compare
-        (List.init cap (fun i -> arr.(i * (n - 1) / (cap - 1))))
-    end
-  end
-
-(* Run the workload against traced devices, returning the trace handles,
-   the reference model and the durability checkpoints
-   [(events_recorded, commits_durable)]. *)
-let run_workload config ops =
-  let log_mem =
-    Mem_device.create ~name:"check-log" ~size:config.log_size ()
-  in
-  let seg_mem =
-    Mem_device.create ~name:"check-seg" ~size:config.region_len ()
-  in
-  Rvm.create_log log_mem;
-  (* Wrap after formatting: crash point zero is the freshly formatted,
-     empty state, which must recover to the blank region. *)
-  let recorder = Trace_device.create_recorder () in
-  let tlog = Trace_device.wrap recorder log_mem in
-  let tseg = Trace_device.wrap recorder seg_mem in
-  (* The workload runs with its flight recorder on, and [seq_at] maps each
-     device event index to the engine-span cursor when that event was
-     issued — so a violation at any crash point can be reported together
-     with the spans the engine finished just before the crashed write. *)
-  let obs = Registry.create ~trace_capacity:8192 () in
-  let seq_at = Hashtbl.create 256 in
-  let note base =
-    let note_now () =
-      Hashtbl.replace seq_at
-        (Trace_device.event_count recorder)
-        (Registry.trace_seq obs)
-    in
-    Device.layer
-      ~write:(fun b ~off ~buf ~pos ~len ->
-        note_now ();
-        b.Device.write ~off ~buf ~pos ~len)
-      ~sync:(fun b ->
-        note_now ();
-        b.Device.sync ())
-      base
-  in
+(* Open the engine on a log and a segment device; map the region. *)
+let mount ?obs config ~log ~seg =
   let options =
-    {
-      Options.default with
-      Options.truncation_mode = config.truncation_mode;
-      (* Mid-truncation exploration needs the truncator due after the
-         first couple of commits so [Step] ops actually advance a run. *)
-      truncation_threshold = (if config.mid_truncation then 0.05 else 0.4);
-      group_commit = config.group_commit;
-      (* Mid-truncation exploration drives the truncator from [Step] ops
-         and needs the run left suspended between them, so the inline
-         commit-path trigger (which would run it to completion) is off. *)
-      auto_truncate = not config.mid_truncation;
-    }
+    options ~truncation_mode:config.truncation_mode
+      ~group_commit:config.group_commit ~mid_truncation:config.mid_truncation
   in
-  let rvm =
-    Rvm.reinitialize ~options ~obs ~log:(note (Trace_device.device tlog))
-      ~resolve:(fun _ -> note (Trace_device.device tseg))
-      ()
-  in
-  let region = Rvm.map rvm ~seg:1 ~seg_off:0 ~len:config.region_len () in
-  let base = region.Region.vaddr in
+  let rvm = Rvm.reinitialize ~options ?obs ~log ~resolve:(fun _ -> seg) () in
+  (rvm, (Rvm.map rvm ~seg:1 ~seg_off:0 ~len:config.region_len ()).Region.vaddr)
+
+(* Recover the two crash images and read back the region bytes. *)
+let recover config images =
+  let rvm, base = mount config ~log:images.(0) ~seg:images.(1) in
+  Rvm.load rvm ~addr:base ~len:config.region_len
+
+(* Run the workload against traced devices, keeping the reference model
+   and checkpointing the durable commit count. *)
+let world config ops rig =
+  let log_mem = Crash.device rig ~name:"check-log" ~size:config.log_size in
+  let seg_mem = Crash.device rig ~name:"check-seg" ~size:config.region_len in
+  Rvm.create_log log_mem;
+  (* Trace after formatting: crash point zero is the freshly formatted,
+     empty state, which must recover to the blank region. *)
+  let log = Crash.trace rig ~label:"log" log_mem in
+  let seg = Crash.trace rig ~label:"seg" seg_mem in
+  let rvm, base = mount config ~obs:(Crash.obs rig) ~log ~seg in
   let model = Model.create ~region_len:config.region_len in
-  let checkpoints = ref [ (0, 0) ] in
   let note_durable () =
     Model.mark_durable model;
-    checkpoints :=
-      (Trace_device.event_count recorder, Model.durable_count model)
-      :: !checkpoints
+    Crash.durable rig (Model.durable_count model)
   in
   List.iter
     (fun op ->
@@ -197,130 +100,60 @@ let run_workload config ops =
           ignore (Rvm.truncation_step rvm)
         done)
     ops;
-  (recorder, tlog, tseg, model, !checkpoints, obs, seq_at)
-
-(* Mount the two reconstructed images, run recovery, and read back the
-   region bytes. *)
-let recover_image config ~log_img ~seg_img =
-  let log_dev = Mem_device.of_bytes ~name:"check-replay-log" log_img in
-  let seg_dev = Mem_device.of_bytes ~name:"check-replay-seg" seg_img in
-  let options =
-    {
-      Options.default with
-      Options.truncation_mode = config.truncation_mode;
-      truncation_threshold = (if config.mid_truncation then 0.05 else 0.4);
-      group_commit = config.group_commit;
-      auto_truncate = not config.mid_truncation;
-    }
-  in
-  let rvm =
-    Rvm.reinitialize ~options ~log:log_dev ~resolve:(fun _ -> seg_dev) ()
-  in
-  let region = Rvm.map rvm ~seg:1 ~seg_off:0 ~len:config.region_len () in
-  Rvm.load rvm ~addr:region.Region.vaddr ~len:config.region_len
-
-let tail_length = 16
-
-let run ?(config = default_config) ops =
-  if config.sector <= 0 then invalid_arg "Explorer.run: sector must be positive";
-  let recorder, tlog, tseg, model, checkpoints, obs, seq_at =
-    run_workload config ops
-  in
-  let events = Trace_device.events recorder in
-  let n = Array.length events in
-  let required_at k =
-    List.fold_left
-      (fun acc (e, d) -> if e <= k then max acc d else acc)
-      0 checkpoints
-  in
-  (* Flight-recorder tail: the last [tail_length] spans the engine closed
-     before the crash point's device event was issued. The workload is
-     over, so the span set is final. *)
-  let spans = Array.of_list (Registry.events obs) in
-  let final_seq = Registry.trace_seq obs in
-  let first_idx = final_seq - Array.length spans in
-  let tail_before (crash : crash_point) =
-    let s =
-      if crash.upto >= n then final_seq
-      else Option.value (Hashtbl.find_opt seq_at crash.upto) ~default:final_seq
-    in
-    let lo = max first_idx (s - tail_length) in
-    if s <= lo then []
-    else Array.to_list (Array.sub spans (lo - first_idx) (s - lo))
-  in
   let commits = Model.commit_count model in
-  let violations = ref [] in
-  let recoveries = ref 0 in
-  let torn_total = ref 0 in
-  let write_points = ref [] in
-  let check crash =
-    incr recoveries;
-    let torn = crash.torn in
-    let log_img =
-      Trace_device.image tlog ~events ~upto:crash.upto ?torn ()
-    in
-    let seg_img =
-      Trace_device.image tseg ~events ~upto:crash.upto ?torn ()
-    in
-    let required = required_at crash.upto in
-    match recover_image config ~log_img ~seg_img with
-    | exception e ->
-      violations :=
-        {
-          crash;
-          required;
-          commits;
-          reason = "recovery raised: " ^ Printexc.to_string e;
-          tail = tail_before crash;
-        }
-        :: !violations
-    | recovered -> (
-      match Model.matching_prefix model ~min:required recovered with
-      | Some _ -> ()
-      | None ->
-        violations :=
-          {
-            crash;
-            required;
-            commits;
-            reason = Model.describe_mismatch model ~min:required recovered;
-            tail = tail_before crash;
-          }
-          :: !violations)
+  let oracle (crash : Crash.crash_point) recovered =
+    let required = Crash.required rig ~upto:crash.Crash.upto in
+    match Model.matching_prefix model ~min:required recovered with
+    | Some _ -> None
+    | None ->
+      Some
+        (Printf.sprintf "%s (required %d of %d commits durable)"
+           (Model.describe_mismatch model ~min:required recovered)
+           required commits)
   in
-  check { upto = 0; torn = None };
-  for k = 0 to n - 1 do
-    (match events.(k).Trace_device.kind with
-    | Trace_device.Write { off; data } ->
-      let len = Bytes.length data in
-      let positions =
-        torn_positions ~sector:config.sector ~exhaustive:config.exhaustive
-          ~max_per_write:config.max_torn_per_write ~off ~len
-      in
-      List.iter (fun p -> check { upto = k; torn = Some p }) positions;
-      let dev =
-        if events.(k).Trace_device.dev_id = Trace_device.dev_id tlog then
-          "log"
-        else "seg"
-      in
-      let variants = List.length positions in
-      torn_total := !torn_total + variants;
-      write_points := { event = k; dev; off; len; variants } :: !write_points
-    | Trace_device.Sync -> ());
-    check { upto = k + 1; torn = None }
-  done;
   {
-    ops;
-    events = n;
-    writes = Trace_device.write_count recorder;
-    syncs = Trace_device.sync_count recorder;
-    boundaries = n + 1;
-    torn_variants = !torn_total;
-    recoveries = !recoveries;
+    Crash.recover = recover config;
+    oracle;
     commits;
-    durable = Model.durable_count model;
-    write_points = List.rev !write_points;
-    violations = List.rev !violations;
+    counters = [ ("known durable", Model.durable_count model) ];
   }
 
-let violates ?config ops = (run ?config ops).violations <> []
+let run ?(config = default_config) ops = Crash.run config.core (world config ops)
+let violates ?config ops = (run ?config ops).Crash.violations <> []
+
+(* Shrinking edits: drop one range of a commit/abort, then shrink range
+   lengths (halving, then to 1). *)
+let drop_ranges op =
+  let without ranges =
+    List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) ranges) ranges
+  in
+  match op with
+  | Workload.Commit { ranges; mode } when List.length ranges > 1 ->
+    List.map (fun rs -> [ Workload.Commit { ranges = rs; mode } ]) (without ranges)
+  | Workload.Abort ranges when List.length ranges > 1 ->
+    List.map (fun rs -> [ Workload.Abort rs ]) (without ranges)
+  | _ -> []
+
+let shrink_lens op =
+  let shrink_range (off, len, c) =
+    List.filter_map
+      (fun len' -> if len' > 0 && len' < len then Some (off, len', c) else None)
+      [ len / 2; 1 ]
+  in
+  let variants ranges rebuild =
+    List.concat
+      (List.mapi
+         (fun i r ->
+           List.map
+             (fun r' ->
+               [ rebuild (List.mapi (fun j x -> if j = i then r' else x) ranges) ])
+             (shrink_range r))
+         ranges)
+  in
+  match op with
+  | Workload.Commit { ranges; mode } ->
+    variants ranges (fun rs -> Workload.Commit { ranges = rs; mode })
+  | Workload.Abort ranges -> variants ranges (fun rs -> Workload.Abort rs)
+  | _ -> []
+
+let edits = [ drop_ranges; shrink_lens ]

@@ -1,29 +1,18 @@
-(** Deterministic crash-point explorer.
+(** Deterministic crash-point explorer for the single-log engine.
 
-    Runs a scripted workload against trace-recording devices
-    ({!Rvm_disk.Trace_device}), then systematically re-crashes it: for
-    {e every} boundary in the recorded write/sync sequence — and for torn
-    variants of the straddling write — it reconstructs the durable disk
-    images, re-runs [Rvm.reinitialize] recovery on them, and checks the
-    recovered region bytes against the pure {!Model}. One run of the
-    workload yields hundreds of checked crash scenarios, turning the
-    randomized property of [test/test_props.ml] into an exhaustive sweep.
-
-    Crash model: writes reach the platter in issue order (no reordering),
-    so a crash preserves a prefix of the event sequence plus at most a
-    torn fragment of the next write. A write contained in a single aligned
-    hardware sector is atomic — the contract the 512-byte status block is
-    designed around — while larger writes may tear at any byte (strictly
-    conservative: covers sector boundaries and mid-sector power loss). *)
+    Runs a scripted workload against one log and one segment device on
+    the {!Crash} core, which re-crashes it at every recorded write/sync
+    boundary and torn variant (DESIGN.md §6). Each recovered region is
+    checked against the pure {!Model}: the bytes must equal the state
+    after some prefix of the commits at least as long as the last durable
+    point before the crash. One run of the workload yields hundreds of
+    checked crash scenarios, turning the randomized property of
+    [test/test_props.ml] into an exhaustive sweep. *)
 
 type config = {
   region_len : int;  (** bytes of segment 1 mapped by the workload *)
   log_size : int;
-  sector : int;  (** hardware atomicity unit (default 512) *)
-  exhaustive : bool;
-      (** check every admissible torn position instead of capping the
-          variants per write at [max_torn_per_write] *)
-  max_torn_per_write : int;
+  core : Crash.config;  (** sector, torn-variant sampling *)
   truncation_mode : Rvm_core.Types.truncation_mode;
   group_commit : bool;
       (** run the workload with the buffered log tail (the default engine
@@ -37,59 +26,24 @@ type config = {
 }
 
 val default_config : config
+(** 512-byte sectors, at most 12 torn variants per write, epoch
+    truncation, group commit on. *)
 
-type crash_point = {
-  upto : int;  (** events fully on disk *)
-  torn : int option;  (** bytes kept of event [upto], if torn *)
-}
+val options :
+  truncation_mode:Rvm_core.Types.truncation_mode ->
+  group_commit:bool ->
+  mid_truncation:bool ->
+  Rvm_core.Options.t
+(** Engine options an explored run and its recoveries use; shared with
+    {!Shard_check}. *)
 
-type violation = {
-  crash : crash_point;
-  required : int;  (** commits that had to survive *)
-  commits : int;  (** commits issued before the crash enumeration *)
-  reason : string;
-  tail : Rvm_obs.Registry.span_event list;
-      (** flight-recorder tail: the last spans (up to 16) the engine
-          closed before the crashed device event was issued — what the
-          engine was doing when the injected crash hit *)
-}
-
-type write_point = {
-  event : int;
-  dev : string;
-  off : int;
-  len : int;
-  variants : int;  (** torn variants enumerated for this write *)
-}
-
-type outcome = {
-  ops : Workload.op list;
-  events : int;
-  writes : int;
-  syncs : int;
-  boundaries : int;  (** crash points at event boundaries (events + 1) *)
-  torn_variants : int;
-  recoveries : int;  (** total images reconstructed and recovered *)
-  commits : int;
-  durable : int;
-  write_points : write_point list;  (** one per write event, oldest first *)
-  violations : violation list;
-}
-
-val torn_positions :
-  sector:int -> exhaustive:bool -> max_per_write:int -> off:int -> len:int ->
-  int list
-(** Admissible torn prefixes (bytes kept, exclusive of 0 and [len]) for a
-    write of [len] bytes at device offset [off]. Empty when the write fits
-    in one aligned sector (atomic). Otherwise every interior sector
-    boundary, topped up with evenly spaced interior positions so that any
-    tearable write of at least 5 bytes gets at least 4 variants; capped at
-    [max_per_write] (evenly subsampled) unless [exhaustive]. *)
-
-val run : ?config:config -> Workload.op list -> outcome
+val run : ?config:config -> Workload.op list -> Crash.outcome
 (** Execute the workload, enumerate every crash point, and check each
-    recovered image. An exception escaping recovery is itself reported as
-    a violation (recovery must never crash on a reachable disk image). *)
+    recovered image. Counters: ["known durable"] commits. *)
 
 val violates : ?config:config -> Workload.op list -> bool
 (** [run] and test for any violation — the predicate the shrinker reruns. *)
+
+val edits : (Workload.op -> Workload.op list list) list
+(** {!Shrink} edits for this workload: drop one range of a commit or
+    abort, then shrink a range's length (halving, then to 1). *)

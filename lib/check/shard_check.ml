@@ -1,11 +1,6 @@
 module Types = Rvm_core.Types
-module Options = Rvm_core.Options
 module Region = Rvm_core.Region
 module Rng = Rvm_util.Rng
-module Mem_device = Rvm_disk.Mem_device
-module Trace_device = Rvm_disk.Trace_device
-module Device = Rvm_disk.Device
-module Registry = Rvm_obs.Registry
 module Routing = Rvm_shard.Routing
 module Multi = Rvm_shard.Multi
 
@@ -22,9 +17,7 @@ type config = {
   shards : int;
   region_len : int;
   log_size : int;
-  sector : int;
-  exhaustive : bool;
-  max_torn_per_write : int;
+  core : Crash.config;
   truncation_mode : Types.truncation_mode;
   group_commit : bool;
   mid_truncation : bool;
@@ -35,9 +28,7 @@ let default_config =
     shards = 2;
     region_len = 2 * 4096;
     log_size = 64 * 1024;
-    sector = 512;
-    exhaustive = false;
-    max_torn_per_write = 8;
+    core = { Crash.sector = 512; exhaustive = false; max_torn_per_write = 8 };
     truncation_mode = Types.Epoch;
     group_commit = true;
     mid_truncation = false;
@@ -265,27 +256,6 @@ let describe_mismatch m ~requirement ~images =
 
 (* --- crash exploration --- *)
 
-type crash_point = { upto : int; torn : int option }
-
-type violation = {
-  crash : crash_point;
-  reason : string;
-  tail : Registry.span_event list;
-}
-
-type outcome = {
-  ops : op list;
-  events : int;
-  writes : int;
-  syncs : int;
-  boundaries : int;
-  torn_variants : int;
-  recoveries : int;
-  commits : int;  (* total commit entries across shards *)
-  cross : int;  (* cross-shard transactions issued *)
-  violations : violation list;
-}
-
 (* Segment id for shard [s]: control records use the reserved negative
    sentinel, data segments here are 1..N routed one-per-shard. *)
 let seg_of_shard s = s + 1
@@ -293,70 +263,56 @@ let seg_of_shard s = s + 1
 let make_routing shards =
   Routing.of_table ~shards (List.init shards (fun s -> (seg_of_shard s, s)))
 
-let make_options config =
-  {
-    Options.default with
-    Options.truncation_mode = config.truncation_mode;
-    (* Mid-truncation exploration drops the threshold so per-shard
-       truncators come due after a couple of commits and [Step] ops
-       actually advance suspended runs. *)
-    truncation_threshold = (if config.mid_truncation then 0.05 else 0.4);
-    group_commit = config.group_commit;
-    (* [Step] ops drive the per-shard truncators and rely on runs staying
-       suspended between steps — keep the inline trigger quiet. *)
-    auto_truncate = not config.mid_truncation;
-  }
+(* [2 * shards] devices in trace order — every shard's log, then every
+   shard's segment — as [Multi]'s logs and segment resolver. *)
+let split shards devs =
+  let routing = make_routing shards in
+  ( Array.sub devs 0 shards,
+    fun seg -> devs.(shards + Routing.shard_of routing ~seg) )
 
-let run_workload config ops =
-  let shards = config.shards in
-  let log_mems =
+let trace_shards rig ~shards ~log_size ~seg_size =
+  let make kind size =
     Array.init shards (fun s ->
-        Mem_device.create
-          ~name:(Printf.sprintf "check-log%d" s)
-          ~size:config.log_size ())
+        Crash.device rig ~name:(Printf.sprintf "check-%s%d" kind s) ~size:(size s))
   in
-  let seg_mems =
-    Array.init shards (fun s ->
-        Mem_device.create
-          ~name:(Printf.sprintf "check-seg%d" s)
-          ~size:config.region_len ())
-  in
-  Multi.create_logs log_mems;
+  let logs = make "log" (fun _ -> log_size) in
+  let segs = make "seg" seg_size in
+  Multi.create_logs logs;
   (* One shared recorder across every device: a crash is a moment in the
      global write order, and the inter-shard boundaries of the parallel
      commit round are exactly the event boundaries between one shard's
-     force and the next. Wrap after formatting. *)
-  let recorder = Trace_device.create_recorder () in
-  let tlogs = Array.map (Trace_device.wrap recorder) log_mems in
-  let tsegs = Array.map (Trace_device.wrap recorder) seg_mems in
-  let obs = Registry.create ~trace_capacity:8192 () in
-  let seq_at = Hashtbl.create 256 in
-  let note base =
-    let note_now () =
-      Hashtbl.replace seq_at
-        (Trace_device.event_count recorder)
-        (Registry.trace_seq obs)
-    in
-    Device.layer
-      ~write:(fun b ~off ~buf ~pos ~len ->
-        note_now ();
-        b.Device.write ~off ~buf ~pos ~len)
-      ~sync:(fun b ->
-        note_now ();
-        b.Device.sync ())
-      base
+     force and the next. Trace after formatting. *)
+  let trace kind =
+    Array.mapi (fun s d -> Crash.trace rig ~label:(Printf.sprintf "%s%d" kind s) d)
   in
-  let routing = make_routing shards in
+  let logs = trace "log" logs in
+  split shards (Array.append logs (trace "seg" segs))
+
+(* Open the engine on [(logs, resolve)]; map every shard's region. *)
+let mount ?obs config (logs, resolve) =
+  let options =
+    Explorer.options ~truncation_mode:config.truncation_mode
+      ~group_commit:config.group_commit ~mid_truncation:config.mid_truncation
+  in
   let m =
-    Multi.reinitialize ~options:(make_options config) ~obs ~routing
-      ~logs:(Array.map (fun t -> note (Trace_device.device t)) tlogs)
-      ~resolve:(fun seg ->
-        note (Trace_device.device tsegs.(Routing.shard_of routing ~seg)))
-      ()
+    Multi.reinitialize ~options ?obs ~routing:(make_routing config.shards)
+      ~logs ~resolve ()
   in
-  let regions =
-    Array.init shards (fun s ->
-        Multi.map m ~seg:(seg_of_shard s) ~seg_off:0 ~len:config.region_len ())
+  ( m,
+    Array.init config.shards (fun s ->
+        (Multi.map m ~seg:(seg_of_shard s) ~seg_off:0 ~len:config.region_len ())
+          .Region.vaddr) )
+
+let recover config images =
+  let m, bases = mount config (split config.shards images) in
+  Array.map (fun addr -> Multi.load m ~addr ~len:config.region_len) bases
+
+let world config ops rig =
+  let shards = config.shards in
+  let m, bases =
+    mount config ~obs:(Crash.obs rig)
+      (trace_shards rig ~shards ~log_size:config.log_size
+         ~seg_size:(fun _ -> config.region_len))
   in
   let model = model_create ~shards ~region_len:config.region_len in
   (* Durability checkpoints, oldest last: at [event_count], the entries in
@@ -374,8 +330,7 @@ let run_workload config ops =
             | (_, prev, _) :: _ -> prev.(s)
             | [] -> 0)
     in
-    checkpoints :=
-      (Trace_device.event_count recorder, counts, ids) :: !checkpoints
+    checkpoints := (Crash.events_so_far rig, counts, ids) :: !checkpoints
   in
   let write_ranges tid base ranges =
     List.map
@@ -391,7 +346,7 @@ let run_workload config ops =
       | Local { shard; ranges; mode } ->
         let tid = Multi.begin_transaction m ~mode:Types.Restore in
         let writes =
-          write_ranges tid regions.(shard).Region.vaddr ranges
+          write_ranges tid bases.(shard) ranges
         in
         Multi.end_transaction m tid ~mode;
         model_local model ~shard writes;
@@ -404,7 +359,7 @@ let run_workload config ops =
         let writes =
           List.map
             (fun (shard, ranges) ->
-              (shard, write_ranges tid regions.(shard).Region.vaddr ranges))
+              (shard, write_ranges tid bases.(shard) ranges))
             parts
         in
         Multi.end_transaction m tid ~mode;
@@ -431,45 +386,9 @@ let run_workload config ops =
           ignore (Multi.truncation_step m)
         done)
     ops;
-  (recorder, tlogs, tsegs, model, !checkpoints, obs, seq_at)
-
-let recover_images config ~log_imgs ~seg_imgs =
-  let shards = config.shards in
-  let log_devs =
-    Array.mapi
-      (fun s img ->
-        Mem_device.of_bytes ~name:(Printf.sprintf "replay-log%d" s) img)
-      log_imgs
-  in
-  let seg_devs =
-    Array.mapi
-      (fun s img ->
-        Mem_device.of_bytes ~name:(Printf.sprintf "replay-seg%d" s) img)
-      seg_imgs
-  in
-  let routing = make_routing shards in
-  let m =
-    Multi.reinitialize ~options:(make_options config) ~routing ~logs:log_devs
-      ~resolve:(fun seg -> seg_devs.(Routing.shard_of routing ~seg))
-      ()
-  in
-  Array.init shards (fun s ->
-      let r =
-        Multi.map m ~seg:(seg_of_shard s) ~seg_off:0 ~len:config.region_len ()
-      in
-      Multi.load m ~addr:r.Region.vaddr ~len:config.region_len)
-
-let tail_length = 16
-
-let run ?(config = default_config) ops =
-  if config.shards < 1 then invalid_arg "Shard_check.run: shards must be >= 1";
-  let recorder, tlogs, tsegs, model, checkpoints, obs, seq_at =
-    run_workload config ops
-  in
-  let events = Trace_device.events recorder in
-  let n = Array.length events in
+  let checkpoints = !checkpoints in
   let requirement_at k =
-    let counts = Array.make config.shards 0 in
+    let counts = Array.make shards 0 in
     let ids = ref [] in
     List.iter
       (fun (e, c, i) ->
@@ -482,125 +401,20 @@ let run ?(config = default_config) ops =
       checkpoints;
     { req_counts = counts; req_ids = !ids }
   in
-  let spans = Array.of_list (Registry.events obs) in
-  let final_seq = Registry.trace_seq obs in
-  let first_idx = final_seq - Array.length spans in
-  let tail_before (crash : crash_point) =
-    let s =
-      if crash.upto >= n then final_seq
-      else Option.value (Hashtbl.find_opt seq_at crash.upto) ~default:final_seq
-    in
-    let lo = max first_idx (s - tail_length) in
-    if s <= lo then []
-    else Array.to_list (Array.sub spans (lo - first_idx) (s - lo))
+  let oracle (crash : Crash.crash_point) images =
+    let requirement = requirement_at crash.Crash.upto in
+    if matches model ~requirement ~images then None
+    else Some (describe_mismatch model ~requirement ~images)
   in
-  let violations = ref [] in
-  let recoveries = ref 0 in
-  let torn_total = ref 0 in
-  let check crash =
-    incr recoveries;
-    let torn = crash.torn in
-    let image t = Trace_device.image t ~events ~upto:crash.upto ?torn () in
-    let log_imgs = Array.map image tlogs in
-    let seg_imgs = Array.map image tsegs in
-    let requirement = requirement_at crash.upto in
-    match recover_images config ~log_imgs ~seg_imgs with
-    | exception e ->
-      violations :=
-        {
-          crash;
-          reason = "recovery raised: " ^ Printexc.to_string e;
-          tail = tail_before crash;
-        }
-        :: !violations
-    | images ->
-      if not (matches model ~requirement ~images) then
-        violations :=
-          {
-            crash;
-            reason = describe_mismatch model ~requirement ~images;
-            tail = tail_before crash;
-          }
-          :: !violations
-  in
-  check { upto = 0; torn = None };
-  for k = 0 to n - 1 do
-    (match events.(k).Trace_device.kind with
-    | Trace_device.Write { off; data } ->
-      let len = Bytes.length data in
-      let positions =
-        Explorer.torn_positions ~sector:config.sector
-          ~exhaustive:config.exhaustive
-          ~max_per_write:config.max_torn_per_write ~off ~len
-      in
-      List.iter (fun p -> check { upto = k; torn = Some p }) positions;
-      torn_total := !torn_total + List.length positions
-    | Trace_device.Sync -> ());
-    check { upto = k + 1; torn = None }
-  done;
   {
-    ops;
-    events = n;
-    writes = Trace_device.write_count recorder;
-    syncs = Trace_device.sync_count recorder;
-    boundaries = n + 1;
-    torn_variants = !torn_total;
-    recoveries = !recoveries;
-    commits = Array.to_list model.entries |> List.map List.length
-              |> List.fold_left ( + ) 0;
-    cross = model.next_cross;
-    violations = List.rev !violations;
+    Crash.recover = recover config;
+    oracle;
+    commits = Array.fold_left (fun acc e -> acc + List.length e) 0 model.entries;
+    counters = [ ("cross-shard", model.next_cross) ];
   }
 
-let violates ?config ops = (run ?config ops).violations <> []
+let run ?(config = default_config) ops =
+  if config.shards < 1 then invalid_arg "Shard_check.run: shards must be >= 1";
+  Crash.run config.core (world config ops)
 
-(* Greedy op-drop shrinking; ranges inside ops are left alone (the
-   all-or-none property depends on which shards an op touches, so range
-   surgery rarely helps and often un-reproduces). *)
-let minimize ~check ops =
-  let rec pass ops =
-    let n = List.length ops in
-    let rec try_drop i =
-      if i >= n then None
-      else begin
-        let candidate = List.filteri (fun j _ -> j <> i) ops in
-        if check candidate then Some candidate else try_drop (i + 1)
-      end
-    in
-    match try_drop 0 with Some smaller -> pass smaller | None -> ops
-  in
-  pass ops
-
-(* --- reporting --- *)
-
-let pp_crash_point ppf { upto; torn } =
-  match torn with
-  | None -> Format.fprintf ppf "after event %d" upto
-  | Some keep ->
-    Format.fprintf ppf "event %d torn after %d byte(s)" upto keep
-
-let pp_violation ppf v =
-  Format.fprintf ppf "@[<v 2>violation at crash point %a:@ %s" pp_crash_point
-    v.crash v.reason;
-  (match v.tail with
-  | [] -> ()
-  | tail ->
-    Format.fprintf ppf "@ flight recorder (last %d span(s) before the crash):"
-      (List.length tail);
-    List.iter
-      (fun ev -> Format.fprintf ppf "@   %a" Rvm_obs.Trace.pp_span ev)
-      tail);
-  Format.fprintf ppf "@]"
-
-let summary o =
-  Printf.sprintf
-    "%d ops (%d commits, %d cross-shard) -> %d device events (%d writes, %d \
-     syncs); %d crash boundaries + %d torn variants = %d recoveries; %d \
-     violation(s)"
-    (List.length o.ops) o.commits o.cross o.events o.writes o.syncs
-    o.boundaries o.torn_variants o.recoveries
-    (List.length o.violations)
-
-let pp_outcome ppf o =
-  Format.fprintf ppf "%s@." (summary o);
-  List.iter (fun v -> Format.fprintf ppf "%a@." pp_violation v) o.violations
+let violates ?config ops = (run ?config ops).Crash.violations <> []

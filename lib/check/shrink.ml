@@ -26,46 +26,11 @@ let pass ~check ~candidates ops =
 (* Candidates that drop the whole op. *)
 let drop_op _op = [ [] ]
 
-(* Candidates that drop one range of a commit/abort. *)
-let drop_ranges op =
-  let without ranges =
-    List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) ranges) ranges
-  in
-  match op with
-  | Workload.Commit { ranges; mode } when List.length ranges > 1 ->
-    List.map (fun rs -> [ Workload.Commit { ranges = rs; mode } ]) (without ranges)
-  | Workload.Abort ranges when List.length ranges > 1 ->
-    List.map (fun rs -> [ Workload.Abort rs ]) (without ranges)
-  | _ -> []
-
-(* Candidates that shrink range lengths (halving, then to 1). *)
-let shrink_lens op =
-  let shrink_range (off, len, c) =
-    List.filter_map
-      (fun len' -> if len' > 0 && len' < len then Some (off, len', c) else None)
-      [ len / 2; 1 ]
-  in
-  let variants ranges rebuild =
-    List.concat
-      (List.mapi
-         (fun i r ->
-           List.map
-             (fun r' ->
-               [ rebuild (List.mapi (fun j x -> if j = i then r' else x) ranges) ])
-             (shrink_range r))
-         ranges)
-  in
-  match op with
-  | Workload.Commit { ranges; mode } ->
-    variants ranges (fun rs -> Workload.Commit { ranges = rs; mode })
-  | Workload.Abort ranges -> variants ranges (fun rs -> Workload.Abort rs)
-  | _ -> []
-
-let minimize ~check ops =
+let minimize ?(edits = []) ~check ops =
   let step ops =
-    let ops = pass ~check ~candidates:drop_op ops in
-    let ops = pass ~check ~candidates:drop_ranges ops in
-    pass ~check ~candidates:shrink_lens ops
+    List.fold_left
+      (fun ops candidates -> pass ~check ~candidates ops)
+      ops (drop_op :: edits)
   in
   let rec fix ops =
     let ops' = step ops in

@@ -57,8 +57,3 @@ let op_to_string = function
   | Step n -> Printf.sprintf "Step%d" n
 
 let to_string ops = String.concat " " (List.map op_to_string ops)
-
-let pp ppf ops =
-  List.iteri
-    (fun i op -> Format.fprintf ppf "%3d: %s@." i (op_to_string op))
-    ops

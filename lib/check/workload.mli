@@ -34,4 +34,3 @@ val generate :
 
 val op_to_string : op -> string
 val to_string : op list -> string
-val pp : Format.formatter -> op list -> unit

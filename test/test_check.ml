@@ -14,7 +14,7 @@ module Explorer = Rvm_check.Explorer
 module Workload = Rvm_check.Workload
 module Shrink = Rvm_check.Shrink
 module Model = Rvm_check.Model
-module Report = Rvm_check.Report
+module Crash = Rvm_check.Crash
 module Record = Rvm_log.Record
 module Rng = Rvm_util.Rng
 
@@ -25,8 +25,8 @@ let config ?(exhaustive = true) ?(sector = 512)
     ?(mode = Types.Epoch) ?(group_commit = true) () =
   {
     Explorer.default_config with
-    Explorer.exhaustive;
-    sector;
+    Explorer.core =
+      { Explorer.default_config.Explorer.core with Crash.exhaustive; sector };
     truncation_mode = mode;
     group_commit;
   }
@@ -37,8 +37,8 @@ let gen ~seed ~ops =
     ~ops ~region_len:Explorer.default_config.Explorer.region_len ()
 
 let assert_clean outcome =
-  if outcome.Explorer.violations <> [] then
-    Alcotest.failf "explorer found violations:@.%s" (Report.summary outcome)
+  if outcome.Crash.violations <> [] then
+    Alcotest.failf "explorer found violations:@.%s" (Crash.summary outcome)
 
 let test_honest_epoch () =
   List.iter
@@ -47,7 +47,7 @@ let test_honest_epoch () =
       let outcome = Explorer.run ~config:(config ()) ops in
       assert_clean outcome;
       check_bool "explored torn variants" true
-        (outcome.Explorer.torn_variants > 0))
+        (outcome.Crash.torn_variants > 0))
     [ 1L; 2L; 3L; 4L; 5L ]
 
 let test_honest_incremental () =
@@ -83,9 +83,9 @@ let test_honest_group_commit () =
       assert_clean through;
       check_bool
         (Printf.sprintf "buffered %d writes < write-through %d"
-           buffered.Explorer.writes through.Explorer.writes)
+           buffered.Crash.writes through.Crash.writes)
         true
-        (buffered.Explorer.writes <= through.Explorer.writes))
+        (buffered.Crash.writes <= through.Crash.writes))
     [ 11L; 12L ]
 
 (* Mid-truncation exploration: workloads carry [Step] ops that advance the
@@ -119,8 +119,8 @@ let test_honest_mid_truncation () =
       assert_clean o;
       check_bool "truncation steps wrote segment pages" true
         (List.exists
-           (fun (w : Explorer.write_point) -> w.Explorer.dev = "seg")
-           o.Explorer.write_points))
+           (fun (w : Crash.write_point) -> w.Crash.dev = "seg")
+           o.Crash.write_points))
     [
       (Types.Epoch, 3L);
       (Types.Epoch, 5L);
@@ -164,8 +164,8 @@ let test_mid_truncation_interleaved_commits () =
       assert_clean o;
       check_bool "steps performed segment writes" true
         (List.exists
-           (fun (w : Explorer.write_point) -> w.Explorer.dev = "seg")
-           o.Explorer.write_points))
+           (fun (w : Crash.write_point) -> w.Crash.dev = "seg")
+           o.Crash.write_points))
     [ Types.Epoch; Types.Incremental ]
 
 (* Acceptance: for a 20-op generated workload the explorer enumerates every
@@ -175,33 +175,33 @@ let test_enumeration_coverage () =
   let cfg = config () in
   let ops = gen ~seed:1L ~ops:20 in
   let o = Explorer.run ~config:cfg ops in
-  check_int "one crash point per event boundary" (o.Explorer.events + 1)
-    o.Explorer.boundaries;
-  check_int "every write event accounted for" o.Explorer.writes
-    (List.length o.Explorer.write_points);
+  check_int "one crash point per event boundary" (o.Crash.events + 1)
+    o.Crash.boundaries;
+  check_int "every write event accounted for" o.Crash.writes
+    (List.length o.Crash.write_points);
   let straddling = ref 0 in
   List.iter
-    (fun (w : Explorer.write_point) ->
-      let sector = cfg.Explorer.sector in
-      let straddles = w.Explorer.off + w.Explorer.len > (w.Explorer.off / sector + 1) * sector in
-      if straddles && w.Explorer.len >= 5 then begin
+    (fun (w : Crash.write_point) ->
+      let sector = cfg.Explorer.core.Crash.sector in
+      let straddles = w.Crash.off + w.Crash.len > (w.Crash.off / sector + 1) * sector in
+      if straddles && w.Crash.len >= 5 then begin
         incr straddling;
-        if w.Explorer.variants < 4 then
+        if w.Crash.variants < 4 then
           Alcotest.failf "write %d (%s, off %d, len %d) got only %d torn variants"
-            w.Explorer.event w.Explorer.dev w.Explorer.off w.Explorer.len
-            w.Explorer.variants
+            w.Crash.event w.Crash.dev w.Crash.off w.Crash.len
+            w.Crash.variants
       end
       else if not straddles then
-        check_int "single-sector writes are atomic" 0 w.Explorer.variants)
-    o.Explorer.write_points;
+        check_int "single-sector writes are atomic" 0 w.Crash.variants)
+    o.Crash.write_points;
   check_bool "workload produced straddling writes" true (!straddling > 0);
-  check_int "torn variants sum over writes" o.Explorer.torn_variants
+  check_int "torn variants sum over writes" o.Crash.torn_variants
     (List.fold_left
-       (fun a (w : Explorer.write_point) -> a + w.Explorer.variants)
-       0 o.Explorer.write_points)
+       (fun a (w : Crash.write_point) -> a + w.Crash.variants)
+       0 o.Crash.write_points)
 
 let test_torn_positions () =
-  let pos = Explorer.torn_positions ~sector:512 ~exhaustive:true ~max_per_write:12 in
+  let pos = Crash.torn_positions ~sector:512 ~exhaustive:true ~max_per_write:12 in
   check_int "aligned single sector is atomic" 0
     (List.length (pos ~off:0 ~len:512));
   check_int "unaligned but within one sector is atomic" 0
@@ -216,7 +216,7 @@ let test_torn_positions () =
     (List.mem 512 p && List.mem 1024 p);
   (* Capping keeps at least 4 and stays sorted/unique. *)
   let capped =
-    Explorer.torn_positions ~sector:16 ~exhaustive:false ~max_per_write:6
+    Crash.torn_positions ~sector:16 ~exhaustive:false ~max_per_write:6
       ~off:0 ~len:1024
   in
   check_bool "capped size" true (List.length capped <= 6);
@@ -262,8 +262,12 @@ let test_mutation_detected () =
   Record.with_unverified (fun () ->
       (* ... and the mutant does not. *)
       let o = Explorer.run ~config:cfg ops in
-      check_bool "mutation detected" true (o.Explorer.violations <> []);
-      let shrunk = Shrink.minimize ~check:(Explorer.violates ~config:cfg) ops in
+      check_bool "mutation detected" true (o.Crash.violations <> []);
+      let shrunk =
+        Shrink.minimize ~edits:Explorer.edits
+          ~check:(Explorer.violates ~config:cfg)
+          ops
+      in
       check_bool "shrunk workload still violates" true
         (Explorer.violates ~config:cfg shrunk);
       check_bool
@@ -287,26 +291,26 @@ let test_violation_tail () =
   in
   Record.with_unverified (fun () ->
       let o = Explorer.run ~config:cfg ops in
-      check_bool "violations found" true (o.Explorer.violations <> []);
+      check_bool "violations found" true (o.Crash.violations <> []);
       check_bool "a violation carries a full 16-span tail" true
         (List.exists
-           (fun v -> List.length v.Explorer.tail >= 16)
-           o.Explorer.violations);
+           (fun v -> List.length v.Crash.tail >= 16)
+           o.Crash.violations);
       let v =
         List.hd
           (List.sort
              (fun a b ->
-               compare (List.length b.Explorer.tail)
-                 (List.length a.Explorer.tail))
-             o.Explorer.violations)
+               compare (List.length b.Crash.tail)
+                 (List.length a.Crash.tail))
+             o.Crash.violations)
       in
       (* Tail spans come from the engine run that produced the crash
          image: commit spans for the workload's transactions. *)
       check_bool "tail includes engine spans" true
         (List.exists
            (fun s -> s.Rvm_obs.Trace.scope = "txn.commit")
-           v.Explorer.tail);
-      let rendered = Format.asprintf "%a" Report.pp_violation v in
+           v.Crash.tail);
+      let rendered = Format.asprintf "%a" Crash.pp_violation v in
       let contains needle =
         let nl = String.length needle and hl = String.length rendered in
         let rec go i =
@@ -324,12 +328,12 @@ let test_deterministic () =
   let ops = gen ~seed:9L ~ops:15 in
   let o1 = Explorer.run ~config:(config ()) ops
   and o2 = Explorer.run ~config:(config ()) ops in
-  check_int "events" o1.Explorer.events o2.Explorer.events;
-  check_int "boundaries" o1.Explorer.boundaries o2.Explorer.boundaries;
-  check_int "torn variants" o1.Explorer.torn_variants o2.Explorer.torn_variants;
-  check_int "recoveries" o1.Explorer.recoveries o2.Explorer.recoveries;
+  check_int "events" o1.Crash.events o2.Crash.events;
+  check_int "boundaries" o1.Crash.boundaries o2.Crash.boundaries;
+  check_int "torn variants" o1.Crash.torn_variants o2.Crash.torn_variants;
+  check_int "recoveries" o1.Crash.recoveries o2.Crash.recoveries;
   check_int "violations" 0
-    (List.length o1.Explorer.violations + List.length o2.Explorer.violations)
+    (List.length o1.Crash.violations + List.length o2.Crash.violations)
 
 (* The explorer's correctness rests on the recorded trace being a function
    of the workload alone. Interposing extra combinator layers (a stats
@@ -381,41 +385,172 @@ module Btree_check = Rvm_check.Btree_check
 
 let test_btree_clean_and_covered () =
   let o = Btree_check.run () in
-  (if o.Btree_check.violations <> [] then
-     let v = List.hd o.Btree_check.violations in
+  (if o.Crash.violations <> [] then
+     let v = List.hd o.Crash.violations in
      Alcotest.failf "btree explorer: %d violations; first at upto=%d torn=%s: %s"
-       (List.length o.Btree_check.violations)
-       v.Btree_check.crash.Btree_check.upto
-       (match v.Btree_check.crash.Btree_check.torn with
+       (List.length o.Crash.violations)
+       v.Crash.crash.Crash.upto
+       (match v.Crash.crash.Crash.torn with
        | Some t -> string_of_int t
        | None -> "-")
-       v.Btree_check.reason);
-  check_bool "covered splits" true (o.Btree_check.splits > 0);
-  check_bool "covered merges" true (o.Btree_check.merges > 0);
-  check_bool "covered borrows" true (o.Btree_check.borrows > 0);
-  check_bool "torn variants enumerated" true (o.Btree_check.torn_variants > 0);
-  check_int "boundary per event plus start" (o.Btree_check.events + 1)
-    o.Btree_check.boundaries;
-  check_bool "durable prefix advanced" true (o.Btree_check.durable > 0);
-  check_bool "commits recorded" true (o.Btree_check.commits >= 8)
+       v.Crash.reason);
+  check_bool "covered splits" true (Crash.counter o "splits" > 0);
+  check_bool "covered merges" true (Crash.counter o "merges" > 0);
+  check_bool "covered borrows" true (Crash.counter o "borrows" > 0);
+  check_bool "torn variants enumerated" true (o.Crash.torn_variants > 0);
+  check_int "boundary per event plus start" (o.Crash.events + 1)
+    o.Crash.boundaries;
+  check_bool "durable prefix advanced" true (Crash.counter o "known durable" > 0);
+  check_bool "commits recorded" true (o.Crash.commits >= 8)
 
 let test_btree_deterministic () =
   let a = Btree_check.run () and b = Btree_check.run () in
-  check_int "events" a.Btree_check.events b.Btree_check.events;
-  check_int "recoveries" a.Btree_check.recoveries b.Btree_check.recoveries;
-  check_int "torn variants" a.Btree_check.torn_variants
-    b.Btree_check.torn_variants
+  check_int "events" a.Crash.events b.Crash.events;
+  check_int "recoveries" a.Crash.recoveries b.Crash.recoveries;
+  check_int "torn variants" a.Crash.torn_variants
+    b.Crash.torn_variants
 
 let test_btree_small_sector () =
   (* A smaller atomicity unit multiplies torn variants; the tree must
      still recover whole everywhere. *)
   let o =
     Btree_check.run
-      ~config:{ Btree_check.default_config with Btree_check.sector = 64 }
+      ~config:
+        {
+          Btree_check.default_config with
+          Btree_check.core =
+            { Btree_check.default_config.Btree_check.core with Crash.sector = 64 };
+        }
       ()
   in
-  check_int "clean at sector 64" 0 (List.length o.Btree_check.violations);
-  check_bool "more torn variants" true (o.Btree_check.torn_variants > 100)
+  check_int "clean at sector 64" 0 (List.length o.Crash.violations);
+  check_bool "more torn variants" true (o.Crash.torn_variants > 100)
+
+(* Seeded recovery bug (torn records accepted unverified) under 64-byte
+   sectors: the B-tree explorer must flag it, a violation must carry the
+   flight-recorder tail of the engine run, and the op list the core
+   shrinker returns must still violate. *)
+let test_btree_mutation_detected () =
+  let config =
+    {
+      Btree_check.default_config with
+      Btree_check.core =
+        { Btree_check.default_config.Btree_check.core with Crash.sector = 64 };
+    }
+  in
+  Record.with_unverified (fun () ->
+      let o = Btree_check.run ~config () in
+      check_bool "mutation detected" true (o.Crash.violations <> []);
+      check_bool "a violation carries a tail with txn.commit" true
+        (List.exists
+           (fun v ->
+             List.exists
+               (fun s -> s.Rvm_obs.Trace.scope = "txn.commit")
+               v.Crash.tail)
+           o.Crash.violations);
+      let shrunk =
+        Shrink.minimize
+          ~check:(Btree_check.violates ~config)
+          Btree_check.default_ops
+      in
+      check_bool "shrunk workload still violates" true
+        (Btree_check.violates ~config shrunk))
+
+(* A sector size of zero is rejected up front by every explorer, not
+   discovered as a division by zero mid-enumeration. *)
+let test_sector_validated () =
+  let zero (c : Crash.config) = { c with Crash.sector = 0 } in
+  let raises name f =
+    match f () with
+    | (_ : Crash.outcome) -> Alcotest.failf "%s accepted sector 0" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "Explorer" (fun () ->
+      Explorer.run
+        ~config:
+          {
+            Explorer.default_config with
+            Explorer.core = zero Explorer.default_config.Explorer.core;
+          }
+        [ Workload.Flush ]);
+  raises "Shard_check" (fun () ->
+      let module Sc = Rvm_check.Shard_check in
+      Sc.run
+        ~config:
+          { Sc.default_config with Sc.core = zero Sc.default_config.Sc.core }
+        [ Sc.Flush ]);
+  raises "Elr_check" (fun () ->
+      let module Ec = Rvm_check.Elr_check in
+      Ec.run
+        ~config:
+          { Ec.default_config with Ec.core = zero Ec.default_config.Ec.core }
+        ());
+  raises "Btree_check" (fun () ->
+      Btree_check.run
+        ~config:
+          {
+            Btree_check.default_config with
+            Btree_check.core = zero Btree_check.default_config.Btree_check.core;
+          }
+        ())
+
+(* The smallest complete subsystem on the crash core, and the worked
+   example of its API. The world builder makes and formats its devices,
+   traces them, runs flush-mode commits that each stamp their sequence
+   number into byte 0 of the region, and checkpoints durability; recovery
+   reads byte 0 back; the oracle demands a committed value no older than
+   the last durable checkpoint. The core must close the devices it made:
+   their backing stores leave [Mem_device]'s table when [run] returns. *)
+let test_core_closes_devices () =
+  let module Mem_device = Rvm_disk.Mem_device in
+  let made = ref [] in
+  let world rig =
+    let log_mem = Crash.device rig ~name:"tiny-log" ~size:(16 * 1024) in
+    let seg_mem = Crash.device rig ~name:"tiny-seg" ~size:4096 in
+    made := [ log_mem; seg_mem ];
+    Rvm.create_log log_mem;
+    let log = Crash.trace rig ~label:"log" log_mem in
+    let seg = Crash.trace rig ~label:"seg" seg_mem in
+    let rvm =
+      Rvm.reinitialize ~obs:(Crash.obs rig) ~log ~resolve:(fun _ -> seg) ()
+    in
+    let base = (Rvm.map rvm ~seg:1 ~seg_off:0 ~len:4096 ()).Region.vaddr in
+    for i = 1 to 3 do
+      let tid = Rvm.begin_transaction rvm ~mode:Types.Restore in
+      Rvm.modify rvm tid ~addr:base (Bytes.make 1 (Char.chr i));
+      Rvm.end_transaction rvm tid ~mode:Types.Flush;
+      Crash.durable rig i
+    done;
+    let recover images =
+      let rvm =
+        Rvm.reinitialize ~log:images.(0) ~resolve:(fun _ -> images.(1)) ()
+      in
+      let r = Rvm.map rvm ~seg:1 ~seg_off:0 ~len:4096 () in
+      Char.code (Bytes.get (Rvm.load rvm ~addr:r.Region.vaddr ~len:1) 0)
+    in
+    let oracle (crash : Crash.crash_point) v =
+      let required = Crash.required rig ~upto:crash.Crash.upto in
+      if v >= required && v <= 3 then None
+      else Some (Printf.sprintf "recovered commit %d, required %d" v required)
+    in
+    { Crash.recover; oracle; commits = 3; counters = [] }
+  in
+  let o =
+    Crash.run
+      { Crash.sector = 512; exhaustive = true; max_torn_per_write = 12 }
+      world
+  in
+  if o.Crash.violations <> [] then
+    Alcotest.failf "tiny subsystem: %s" (Crash.summary o);
+  check_int "boundary per event plus start" (o.Crash.events + 1)
+    o.Crash.boundaries;
+  check_int "two devices made" 2 (List.length !made);
+  List.iter
+    (fun d ->
+      match Mem_device.snapshot d with
+      | _ -> Alcotest.failf "device %s still registered" d.Rvm_disk.Device.name
+      | exception Invalid_argument _ -> ())
+    !made
 
 let suite =
   [
@@ -437,4 +572,7 @@ let suite =
     ("btree.clean-and-covered", `Quick, test_btree_clean_and_covered);
     ("btree.deterministic", `Quick, test_btree_deterministic);
     ("btree.small-sector", `Quick, test_btree_small_sector);
+    ("btree.mutation-detected", `Quick, test_btree_mutation_detected);
+    ("crash.sector-validated", `Quick, test_sector_validated);
+    ("crash.closes-devices", `Quick, test_core_closes_devices);
   ]

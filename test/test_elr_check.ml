@@ -11,13 +11,14 @@
    ack-dependency check. *)
 
 module Elr_check = Rvm_check.Elr_check
+module Crash = Rvm_check.Crash
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let assert_clean o =
-  if o.Elr_check.violations <> [] then
-    Alcotest.failf "ELR explorer found violations:@.%a" Elr_check.pp_outcome o
+  if o.Crash.violations <> [] then
+    Alcotest.failf "ELR explorer found violations:@.%a" Crash.pp_outcome o
 
 (* Single shard, default mix: the run must actually exercise the machinery
    the checks exist for — early releases, snapshot reads, torn writes —
@@ -28,13 +29,13 @@ let assert_clean o =
 let test_exhaustive_single_shard () =
   let o = Elr_check.run () in
   assert_clean o;
-  check_bool "commits explored" true (o.Elr_check.commits > 0);
-  check_bool "lookups explored" true (o.Elr_check.reads > 0);
-  check_bool "early releases happened" true (o.Elr_check.elr_released > 0);
-  check_bool "torn variants explored" true (o.Elr_check.torn_variants > 0);
+  check_bool "commits explored" true (o.Crash.commits > 0);
+  check_bool "lookups explored" true (Crash.counter o "snapshot reads" > 0);
+  check_bool "early releases happened" true (Crash.counter o "early releases" > 0);
+  check_bool "torn variants explored" true (o.Crash.torn_variants > 0);
   check_int "boundaries = events + 1"
-    (o.Elr_check.events + 1)
-    o.Elr_check.boundaries
+    (o.Crash.events + 1)
+    o.Crash.boundaries
 
 (* Two shards: transfers whose accounts route to different shards commit
    by parallel commit, so crash points now fall between one shard's
@@ -48,8 +49,8 @@ let test_exhaustive_two_shards () =
       ()
   in
   assert_clean o;
-  check_bool "cross-shard commits explored" true (o.Elr_check.cross > 0);
-  check_bool "early releases happened" true (o.Elr_check.elr_released > 0)
+  check_bool "cross-shard commits explored" true (Crash.counter o "cross-shard" > 0);
+  check_bool "early releases happened" true (Crash.counter o "early releases" > 0)
 
 (* A couple more seeds so the explored interleavings aren't one lucky
    schedule; non-exhaustive torn sampling keeps it quick. *)
@@ -63,18 +64,39 @@ let test_more_seeds () =
           shards;
           requests = 16;
           accounts = 32;
-          max_torn_per_write = 2;
+          core =
+            {
+              Elr_check.default_config.Elr_check.core with
+              Crash.max_torn_per_write = 2;
+            };
         }
       in
       assert_clean (Elr_check.run ~config:cfg ()))
     [ (11L, 1); (12L, 2); (13L, 2) ]
 
+(* Seeded recovery bug (torn records accepted unverified) under 64-byte
+   sectors: the real pipeline recovers clean, the mutant must be caught. *)
+let test_mutation_detected () =
+  let config =
+    {
+      Elr_check.default_config with
+      Elr_check.core =
+        { Elr_check.default_config.Elr_check.core with Crash.sector = 64 };
+    }
+  in
+  assert_clean (Elr_check.run ~config ());
+  Rvm_log.Record.with_unverified (fun () ->
+      let o = Elr_check.run ~config () in
+      check_bool "mutation detected" true (o.Crash.violations <> []))
+
 let test_deterministic () =
   let o1 = Elr_check.run () and o2 = Elr_check.run () in
-  check_int "events" o1.Elr_check.events o2.Elr_check.events;
-  check_int "recoveries" o1.Elr_check.recoveries o2.Elr_check.recoveries;
-  check_int "commits" o1.Elr_check.commits o2.Elr_check.commits;
-  check_int "reads" o1.Elr_check.reads o2.Elr_check.reads
+  check_int "events" o1.Crash.events o2.Crash.events;
+  check_int "recoveries" o1.Crash.recoveries o2.Crash.recoveries;
+  check_int "commits" o1.Crash.commits o2.Crash.commits;
+  check_int "reads"
+    (Crash.counter o1 "snapshot reads")
+    (Crash.counter o2 "snapshot reads")
 
 let suite =
   [
@@ -83,5 +105,6 @@ let suite =
       test_exhaustive_single_shard );
     ("elr-explorer.exhaustive-two-shards", `Quick, test_exhaustive_two_shards);
     ("elr-explorer.more-seeds", `Quick, test_more_seeds);
+    ("elr-explorer.mutation-detected", `Quick, test_mutation_detected);
     ("elr-explorer.deterministic", `Quick, test_deterministic);
   ]

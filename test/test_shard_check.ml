@@ -14,6 +14,8 @@
 
 open Rvm_core
 module Shard_check = Rvm_check.Shard_check
+module Crash = Rvm_check.Crash
+module Shrink = Rvm_check.Shrink
 module Record = Rvm_log.Record
 module Routing = Rvm_shard.Routing
 module Multi = Rvm_shard.Multi
@@ -28,8 +30,12 @@ let config ?(shards = 2) ?(exhaustive = true) ?(sector = 512)
   {
     Shard_check.default_config with
     Shard_check.shards;
-    exhaustive;
-    sector;
+    core =
+      {
+        Shard_check.default_config.Shard_check.core with
+        Crash.exhaustive;
+        sector;
+      };
     truncation_mode = mode;
   }
 
@@ -40,9 +46,9 @@ let gen ~seed ~ops ~shards =
     ~region_len:Shard_check.default_config.Shard_check.region_len ()
 
 let assert_clean outcome =
-  if outcome.Shard_check.violations <> [] then
+  if outcome.Crash.violations <> [] then
     Alcotest.failf "shard explorer found violations:@.%a"
-      Shard_check.pp_outcome outcome
+      Crash.pp_outcome outcome
 
 (* Acceptance: exhaustive exploration at 2 shards, several seeds, zero
    counterexamples, and the workloads actually exercised cross-shard
@@ -53,9 +59,9 @@ let test_exhaustive_2shards () =
       let ops = gen ~seed ~ops:10 ~shards:2 in
       let o = Shard_check.run ~config:(config ~shards:2 ()) ops in
       assert_clean o;
-      check_bool "cross-shard txns explored" true (o.Shard_check.cross > 0);
+      check_bool "cross-shard txns explored" true (Crash.counter o "cross-shard" > 0);
       check_bool "torn variants explored" true
-        (o.Shard_check.torn_variants > 0))
+        (o.Crash.torn_variants > 0))
     [ 1L; 2L; 3L ]
 
 let test_exhaustive_3shards () =
@@ -64,7 +70,7 @@ let test_exhaustive_3shards () =
       let ops = gen ~seed ~ops:8 ~shards:3 in
       let o = Shard_check.run ~config:(config ~shards:3 ()) ops in
       assert_clean o;
-      check_bool "cross-shard txns explored" true (o.Shard_check.cross > 0))
+      check_bool "cross-shard txns explored" true (Crash.counter o "cross-shard" > 0))
     [ 4L; 5L ]
 
 (* Hand-built worst case: back-to-back flush-mode cross-shard commits, so
@@ -94,13 +100,13 @@ let test_cross_round_boundaries () =
   in
   let o = Shard_check.run ~config:(config ()) ops in
   assert_clean o;
-  check_int "boundaries = events + 1" (o.Shard_check.events + 1)
-    o.Shard_check.boundaries;
+  check_int "boundaries = events + 1" (o.Crash.events + 1)
+    o.Crash.boundaries;
   (* Each flush-mode cross commit forces both shard logs. *)
   check_bool
-    (Printf.sprintf "per-shard forces recorded (%d syncs)" o.Shard_check.syncs)
+    (Printf.sprintf "per-shard forces recorded (%d syncs)" o.Crash.syncs)
     true
-    (o.Shard_check.syncs >= 6)
+    (o.Crash.syncs >= 6)
 
 let test_incremental_truncation () =
   List.iter
@@ -171,13 +177,13 @@ let test_mutation_detected () =
   assert_clean (Shard_check.run ~config:cfg ops);
   Record.with_unverified (fun () ->
       let o = Shard_check.run ~config:cfg ops in
-      check_bool "mutation detected" true (o.Shard_check.violations <> []);
+      check_bool "mutation detected" true (o.Crash.violations <> []);
       check_bool "violation carries a flight-recorder tail" true
         (List.exists
-           (fun v -> v.Shard_check.tail <> [])
-           o.Shard_check.violations);
+           (fun v -> v.Crash.tail <> [])
+           o.Crash.violations);
       let shrunk =
-        Shard_check.minimize ~check:(Shard_check.violates ~config:cfg) ops
+        Shrink.minimize ~check:(Shard_check.violates ~config:cfg) ops
       in
       check_bool "shrunk workload still violates" true
         (Shard_check.violates ~config:cfg shrunk);
@@ -191,13 +197,13 @@ let test_deterministic () =
   let ops = gen ~seed:9L ~ops:8 ~shards:2 in
   let o1 = Shard_check.run ~config:(config ()) ops
   and o2 = Shard_check.run ~config:(config ()) ops in
-  check_int "events" o1.Shard_check.events o2.Shard_check.events;
-  check_int "recoveries" o1.Shard_check.recoveries o2.Shard_check.recoveries;
-  check_int "torn variants" o1.Shard_check.torn_variants
-    o2.Shard_check.torn_variants;
+  check_int "events" o1.Crash.events o2.Crash.events;
+  check_int "recoveries" o1.Crash.recoveries o2.Crash.recoveries;
+  check_int "torn variants" o1.Crash.torn_variants
+    o2.Crash.torn_variants;
   check_int "violations" 0
-    (List.length o1.Shard_check.violations
-    + List.length o2.Shard_check.violations)
+    (List.length o1.Crash.violations
+    + List.length o2.Crash.violations)
 
 (* --- qcheck properties --- *)
 
@@ -374,8 +380,8 @@ let prop_crash_recovery =
       let workload = gen ~seed:(Int64.of_int seed) ~ops ~shards in
       let cfg = config ~shards ~exhaustive:false () in
       let o = Shard_check.run ~config:cfg workload in
-      if o.Shard_check.violations <> [] then
-        QCheck.Test.fail_reportf "violations:@.%a" Shard_check.pp_outcome o
+      if o.Crash.violations <> [] then
+        QCheck.Test.fail_reportf "violations:@.%a" Crash.pp_outcome o
       else true)
 
 let suite =
