@@ -105,11 +105,60 @@ let micro () =
            if !counter4 mod 4096 = 0 then iv := Rvm_util.Intervals.empty;
            iv := Rvm_util.Intervals.add !iv ~lo:(!counter4 * 7 mod 100_000) ~len:64))
   in
+  (* A 64-record drain of ~352 B records, forced: byte-granular dirty
+     tracking (sector 1), as on every log stack. *)
+  let drain_len = 22 * 1024 in
+  let sim_dev =
+    Rvm_disk.Stack.with_latency ~clock:(Rvm_util.Clock.simulated ())
+      ~disk:Rvm_util.Cost_model.dec5000.Rvm_util.Cost_model.log_disk ()
+      (Rvm_disk.Mem_device.of_bytes (Bytes.make (64 * drain_len) '\000'))
+  in
+  let drain_buf = Bytes.make drain_len 'd' in
+  let counter5 = ref 0 in
+  let test_drain =
+    Test.make ~name:"sim-drain-22KiB-sync"
+      (Staged.stage (fun () ->
+           incr counter5;
+           sim_dev.Rvm_disk.Device.write
+             ~off:(!counter5 mod 64 * drain_len)
+             ~buf:drain_buf ~pos:0 ~len:drain_len;
+           sim_dev.Rvm_disk.Device.sync ()))
+  in
+  (* TPC-A's lock table: ~1.1k keys ever locked, three held per commit. *)
+  let module L = Rvm_layers.Lock_mgr in
+  let lm = L.create () in
+  let lock_keys = Array.init 1100 (fun i -> "k" ^ string_of_int i) in
+  Array.iter (fun key -> ignore (L.try_acquire lm ~owner:0 ~key L.Shared)) lock_keys;
+  L.release_all lm ~owner:0;
+  let counter6 = ref 0 in
+  let test_release =
+    Test.make ~name:"lock-release-all-1.1k-keys"
+      (Staged.stage (fun () ->
+           incr counter6;
+           let owner = !counter6 in
+           for j = 0 to 2 do
+             let key = lock_keys.((owner * 7 + (j * 367)) mod 1100) in
+             ignore (L.try_acquire lm ~owner ~key L.Exclusive)
+           done;
+           L.release_all ~stamp:(owner, owner) lm ~owner))
+  in
+  let module Tr = Rvm_obs.Trace in
+  let tr = Tr.create ~capacity:512 () in
+  for i = 1 to 512 do
+    Tr.enter tr ~now:(float_of_int i) "fill";
+    ignore (Tr.exit tr ~now:(float_of_int i))
+  done;
+  let test_trace =
+    Test.make ~name:"trace-enter-exit-full-ring"
+      (Staged.stage (fun () ->
+           Tr.enter tr ~now:1. "span";
+           ignore (Tr.exit tr ~now:2.)))
+  in
   let tests =
     Test.make_grouped ~name:"rvm" ~fmt:"%s %s"
       [
         test_commit; test_noflush; test_set_range; test_encode; test_decode;
-        test_intervals;
+        test_intervals; test_drain; test_release; test_trace;
       ]
   in
   let ols =
@@ -643,6 +692,7 @@ let truncation_arm ~requests ~load ~log_size ~background () =
         acc + d.Rvm_disk.Device.stats.Rvm_disk.Device.bytes_written)
       0 w.S.log_devs
   in
+  S.release_world w;
   let wraps = float_of_int bytes /. float_of_int log_size in
   let hist name =
     List.assoc_opt name (Rvm_obs.Registry.histograms w.S.obs)

@@ -620,6 +620,7 @@ let serve requests accounts seed loads batches sessions think_ms trace_out
       }
     in
     let world, tally = S.run_with_world cfg in
+    S.release_world world;
     let spans = Rvm_obs.Registry.events world.S.obs in
     Rvm_obs.Export.write_chrome_trace ~process_name:"rvm-server" ~path:out
       spans;

@@ -1,16 +1,17 @@
 module Clock = Rvm_util.Clock
 module Cost_model = Rvm_util.Cost_model
+module Intervals = Rvm_util.Intervals
 
 type t = {
   clock : Clock.t;
   disk : Cost_model.disk;
   seek_fraction : float;
   sector : int;
-  (* Dirty extents accumulated since the last sync, newest first, in units
-     of [sector] bytes. Writes that extend or repeat an extent coalesce, so
-     a streak of sequential appends costs one force while scattered page
-     writes cost one positioning delay per run of pages. *)
-  mutable dirty : (int, unit) Hashtbl.t;  (* dirty sector numbers *)
+  (* Dirty sector numbers accumulated since the last sync, as coalesced
+     runs. A write is one interval insertion, so a streak of sequential
+     appends stays a single run (one force) while scattered page writes
+     cost one positioning delay per run of pages. *)
+  mutable dirty : Intervals.t;
   mutable background : bool;
   mutable ios : int;
   mutable busy : float;
@@ -22,20 +23,11 @@ let charge t us =
   if t.background then Clock.charge_background t.clock us
   else Clock.charge_io t.clock us
 
-(* Runs of consecutive dirty sectors = the extents a sorted write-back
-   sweep would issue. *)
-let sweep_extents t =
-  let sectors = Hashtbl.fold (fun s () acc -> s :: acc) t.dirty [] in
-  let sectors = List.sort compare sectors in
-  let rec runs acc cur_start cur_len = function
-    | [] -> if cur_len > 0 then (cur_start, cur_len) :: acc else acc
-    | s :: rest ->
-      if cur_len > 0 && s = cur_start + cur_len then
-        runs acc cur_start (cur_len + 1) rest
-      else if cur_len > 0 then runs ((cur_start, cur_len) :: acc) s 1 rest
-      else runs acc s 1 rest
-  in
-  runs [] 0 0 sectors
+(* Run lengths, highest start first. The charge order fixes the float sums
+   of [busy] and the clock, so it must not change or every simulated
+   artifact moves in its last bits. *)
+let sweep_lengths t =
+  Intervals.fold t.dirty ~init:[] ~f:(fun acc ~lo:_ ~len -> len :: acc)
 
 (* A latency-charging combinator instance over [base]: forwards every
    operation, then charges the simulated clock what a 1993 disk would
@@ -47,7 +39,7 @@ let create ?(seek_fraction = 1.0) ?(sector = 1) ~base ~clock ~disk () =
       disk;
       seek_fraction;
       sector;
-      dirty = Hashtbl.create 256;
+      dirty = Intervals.empty;
       background = false;
       ios = 0;
       busy = 0.;
@@ -65,21 +57,22 @@ let create ?(seek_fraction = 1.0) ?(sector = 1) ~base ~clock ~disk () =
              ~bytes:len ()))
       ~write:(fun b ~off ~buf ~pos ~len ->
         b.Device.write ~off ~buf ~pos ~len;
-        if len > 0 then
-          for s = off / t.sector to (off + len - 1) / t.sector do
-            Hashtbl.replace t.dirty s ()
-          done)
+        if len > 0 then begin
+          let first = off / t.sector in
+          let last = (off + len - 1) / t.sector in
+          t.dirty <- Intervals.add t.dirty ~lo:first ~len:(last - first + 1)
+        end)
       ~sync:(fun b ->
         b.Device.sync ();
         List.iter
-          (fun (_, slen) ->
+          (fun slen ->
             t.ios <- t.ios + 1;
             charge t
               (Cost_model.disk_service_us t.disk
                  ~seek_fraction:t.seek_fraction
                  ~bytes:(slen * t.sector) ()))
-          (sweep_extents t);
-        Hashtbl.reset t.dirty)
+          (sweep_lengths t);
+        t.dirty <- Intervals.empty)
       base;
   t
 

@@ -2,6 +2,9 @@ type mode = Shared | Exclusive
 
 type t = {
   locks : (string, (int * mode) list ref) Hashtbl.t;
+  held : (int, string list) Hashtbl.t;
+      (* owner -> the keys it holds, each once: release touches only
+         these, never the whole lock table *)
   waits : (int, int list) Hashtbl.t;  (* owner -> owners it waits for *)
   stamps : (string, int * int) Hashtbl.t;
       (* key -> (commit LSN, writer) of the last early-released holder.
@@ -13,6 +16,7 @@ type t = {
 let create () =
   {
     locks = Hashtbl.create 64;
+    held = Hashtbl.create 16;
     waits = Hashtbl.create 16;
     stamps = Hashtbl.create 64;
   }
@@ -38,12 +42,16 @@ let compatible holders ~owner ~mode =
   | Exclusive ->
     if others = [] then Ok () else Error (List.map fst others)
 
+let keys_of t owner = Option.value (Hashtbl.find_opt t.held owner) ~default:[]
+
 let try_acquire t ~owner ~key mode =
   let c = cell t key in
   match compatible !c ~owner ~mode with
   | Error blockers -> `Conflict (List.sort_uniq compare blockers)
   | Ok () ->
     let mine = List.assoc_opt owner !c in
+    if Option.is_none mine then
+      Hashtbl.replace t.held owner (key :: keys_of t owner);
     let merged =
       match (mine, mode) with
       | Some Exclusive, _ -> Exclusive
@@ -80,18 +88,16 @@ let wait_for t ~owner ~key mode =
     end
 
 let release_all ?stamp t ~owner =
-  (match stamp with
-  | None -> ()
-  | Some (lsn, writer) ->
-    (* Stamp every key the owner still holds: LSNs are assigned in commit
-       order, so a plain replace keeps each key's stamp monotone. *)
-    Hashtbl.iter
-      (fun key c ->
-        if List.mem_assoc owner !c then Hashtbl.replace t.stamps key (lsn, writer))
-      t.locks);
-  Hashtbl.iter
-    (fun _ c -> c := List.filter (fun (o, _) -> o <> owner) !c)
-    t.locks;
+  let keys = keys_of t owner in
+  Hashtbl.remove t.held owner;
+  List.iter
+    (fun key ->
+      (* LSNs are assigned in commit order, so a plain replace keeps each
+         key's stamp monotone. *)
+      Option.iter (fun s -> Hashtbl.replace t.stamps key s) stamp;
+      let c = Hashtbl.find t.locks key in
+      c := List.filter (fun (o, _) -> o <> owner) !c)
+    keys;
   Hashtbl.remove t.waits owner;
   (* Drop the reverse edges too — waiters blocked on the released owner.
      Collect first: replacing/removing inside Hashtbl.iter over the same
@@ -120,11 +126,7 @@ let wait_edges t =
 let holders t ~key =
   match Hashtbl.find_opt t.locks key with Some c -> !c | None -> []
 
-let held_keys t ~owner =
-  Hashtbl.fold
-    (fun key c acc -> if List.mem_assoc owner !c then key :: acc else acc)
-    t.locks []
-  |> List.sort compare
+let held_keys t ~owner = List.sort compare (keys_of t owner)
 
 let lock_count t =
   Hashtbl.fold (fun _ c acc -> acc + List.length !c) t.locks 0

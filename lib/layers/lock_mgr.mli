@@ -36,7 +36,9 @@ val release_all : ?stamp:int * int -> t -> owner:int -> unit
     {e early} release at commit-record-spool time: every key the owner
     held is stamped with its commit LSN, and later owners of those keys
     inherit the stamp ({!stamp}) as an acknowledgement dependency — they
-    must not ack before LSN [lsn] is durable. *)
+    must not ack before LSN [lsn] is durable. Costs O(keys [owner]
+    holds + owners currently waiting), however many keys the table has
+    ever seen. *)
 
 val stamp : t -> key:string -> (int * int) option
 (** The [(commit_lsn, writer)] stamp of the last early-released holder of

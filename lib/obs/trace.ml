@@ -13,114 +13,146 @@ type span = {
   attrs : (string * value) list;
 }
 
-type frame = {
-  f_id : int;
-  f_parent : int option;
-  f_scope : string;
-  f_start : float;
-  mutable f_attrs : (string * value) list;  (* newest first *)
+(* Spans stored column-wise: recording one writes ints, unboxed floats and
+   pointers to values that already exist, never a fresh record, so the
+   minor GC finds nothing young in the ring to promote. A [span] is built
+   only when one is read back. *)
+type cols = {
+  ids : int array;
+  parents : int array;  (* 0 = root *)
+  scopes : string array;
+  starts : float array;
+  durs : float array;
+  attrs : (string * value) list array;  (* newest first *)
 }
 
-(* Spans live in a power-agnostic circular array indexed by their global
+let cols n =
+  {
+    ids = Array.make n 0;
+    parents = Array.make n 0;
+    scopes = Array.make n "";
+    starts = Array.make n 0.;
+    durs = Array.make n 0.;
+    attrs = Array.make n [];
+  }
+
+let copy_slot src i dst j =
+  dst.ids.(j) <- src.ids.(i);
+  dst.parents.(j) <- src.parents.(i);
+  dst.scopes.(j) <- src.scopes.(i);
+  dst.starts.(j) <- src.starts.(i);
+  dst.durs.(j) <- src.durs.(i);
+  dst.attrs.(j) <- src.attrs.(i)
+
+(* The ring is a power-agnostic circular buffer indexed by global
    sequence number: span [g] sits at slot [g mod cap], so the retained
    window is always [seq - len, seq) in insertion order and readers never
-   re-sort or re-reverse anything. *)
+   re-sort anything. The open spans form a stack in the same layout,
+   innermost at [depth - 1]. *)
 type t = {
-  mutable ring : span array;
+  mutable ring : cols;
   mutable cap : int;
   mutable len : int;  (* retained spans, <= cap *)
   mutable seq : int;  (* spans ever finished (recorded or not) *)
   mutable next_id : int;
-  mutable stack : frame list;  (* open spans, innermost first *)
+  mutable stack : cols;
+  mutable depth : int;
 }
-
-let dummy =
-  { id = 0; parent = None; scope = ""; start_us = 0.; dur_us = 0.; attrs = [] }
 
 let create ?(capacity = 0) () =
   let capacity = max capacity 0 in
   {
-    ring = Array.make capacity dummy;
+    ring = cols capacity;
     cap = capacity;
     len = 0;
     seq = 0;
     next_id = 1;
-    stack = [];
+    stack = cols 8;
+    depth = 0;
   }
 
 let capacity t = t.cap
 let seq t = t.seq
 let length t = t.len
-let depth t = List.length t.stack
+let depth t = t.depth
 
 let set_capacity t n =
   let n = max n 0 in
   let keep = min t.len n in
-  let ring = Array.make n dummy in
+  let ring = cols n in
   for i = 0 to keep - 1 do
     let g = t.seq - keep + i in
-    ring.(g mod n) <- t.ring.(g mod t.cap)
+    copy_slot t.ring (g mod t.cap) ring (g mod n)
   done;
   t.ring <- ring;
   t.cap <- n;
   t.len <- keep
 
-let record t span =
-  if t.cap > 0 then begin
-    t.ring.(t.seq mod t.cap) <- span;
-    if t.len < t.cap then t.len <- t.len + 1
-  end;
-  t.seq <- t.seq + 1
+let innermost t = if t.depth = 0 then 0 else t.stack.ids.(t.depth - 1)
+let current t = match innermost t with 0 -> None | id -> Some id
 
-let current t = match t.stack with [] -> None | f :: _ -> Some f.f_id
+let span_of c i =
+  {
+    id = c.ids.(i);
+    parent = (match c.parents.(i) with 0 -> None | p -> Some p);
+    scope = c.scopes.(i);
+    start_us = c.starts.(i);
+    dur_us = c.durs.(i);
+    attrs = List.rev c.attrs.(i);
+  }
+
+let fresh_id t =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  id
 
 let enter t ~now ?(attrs = []) scope =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  t.stack <-
-    {
-      f_id = id;
-      f_parent = current t;
-      f_scope = scope;
-      f_start = now;
-      f_attrs = List.rev attrs;
-    }
-    :: t.stack
+  if t.depth = Array.length t.stack.ids then begin
+    let s = cols (2 * t.depth) in
+    for i = 0 to t.depth - 1 do
+      copy_slot t.stack i s i
+    done;
+    t.stack <- s
+  end;
+  let s = t.stack and d = t.depth in
+  s.parents.(d) <- innermost t;
+  s.ids.(d) <- fresh_id t;
+  s.scopes.(d) <- scope;
+  s.starts.(d) <- now;
+  s.attrs.(d) <- List.rev attrs;
+  t.depth <- d + 1
 
 let add_attr t key v =
-  match t.stack with
-  | [] -> ()
-  | f :: _ -> f.f_attrs <- (key, v) :: f.f_attrs
+  if t.depth > 0 then begin
+    let s = t.stack and d = t.depth - 1 in
+    s.attrs.(d) <- (key, v) :: s.attrs.(d)
+  end
 
-let exit t ~now =
-  match t.stack with
-  | [] -> invalid_arg "Trace.exit: no open span"
-  | f :: rest ->
-    t.stack <- rest;
-    let span =
-      {
-        id = f.f_id;
-        parent = f.f_parent;
-        scope = f.f_scope;
-        start_us = f.f_start;
-        dur_us = now -. f.f_start;
-        attrs = List.rev f.f_attrs;
-      }
-    in
-    record t span;
-    span
+(* Pop the innermost open span, record it, and return its stack slot,
+   which stays readable until the next [enter]. *)
+let close t ~now =
+  if t.depth = 0 then invalid_arg "Trace.exit: no open span";
+  let s = t.stack and d = t.depth - 1 in
+  t.depth <- d;
+  s.durs.(d) <- now -. s.starts.(d);
+  if t.cap > 0 then begin
+    copy_slot s d t.ring (t.seq mod t.cap);
+    if t.len < t.cap then t.len <- t.len + 1
+  end;
+  t.seq <- t.seq + 1;
+  d
 
-let instant t ~now ?(attrs = []) scope =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  record t
-    { id; parent = current t; scope; start_us = now; dur_us = 0.; attrs }
+let exit t ~now = span_of t.stack (close t ~now)
+
+let instant t ~now ?attrs scope =
+  enter t ~now ?attrs scope;
+  ignore (close t ~now)
 
 let events_since t since =
   let lo = max since (t.seq - t.len) in
   let acc = ref [] in
   for g = t.seq - 1 downto lo do
-    acc := t.ring.(g mod t.cap) :: !acc
+    acc := span_of t.ring (g mod t.cap) :: !acc
   done;
   (!acc, t.seq)
 

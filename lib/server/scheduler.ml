@@ -137,6 +137,23 @@ type tally = {
   iterations : int;
 }
 
+(* A growable unboxed [float array]: one sample costs a float store, not
+   a boxed float and a cons cell that every minor GC must promote. *)
+type samples = { mutable data : float array; mutable n : int }
+
+let samples () = { data = Array.make 256 0.; n = 0 }
+
+let[@inline] push s x =
+  if s.n = Array.length s.data then begin
+    let d = Array.make (2 * s.n) 0. in
+    Array.blit s.data 0 d 0 s.n;
+    s.data <- d
+  end;
+  s.data.(s.n) <- x;
+  s.n <- s.n + 1
+
+let to_array s = Array.sub s.data 0 s.n
+
 type t = {
   cfg : config;
   eng : Engine.t;
@@ -179,8 +196,8 @@ type t = {
   mutable aborts : int;
   mutable batches : int;
   mutable backpressure_deferrals : int;
-  mutable latencies : float list;  (* newest first *)
-  mutable read_latencies : float list;  (* newest first *)
+  latencies : samples;  (* commit order *)
+  read_latencies : samples;  (* ack order *)
   mutable iterations : int;
   mutable trunc_blocked_at : int option;
   mutable trunc_last_pause_us : float;
@@ -237,8 +254,8 @@ let create ?(plug = fun _ -> []) ~cfg ~engine ~clock ~obs ~lock_mgr ~placement
     aborts = 0;
     batches = 0;
     backpressure_deferrals = 0;
-    latencies = [];
-    read_latencies = [];
+    latencies = samples ();
+    read_latencies = samples ();
     iterations = 0;
     trunc_blocked_at = None;
     trunc_last_pause_us = neg_infinity;
@@ -369,7 +386,7 @@ let finish t (r : Request.t) =
   t.committed <- t.committed + 1;
   Counter.incr t.c_committed;
   let lat = tnow -. r.Request.arrival_us in
-  t.latencies <- lat :: t.latencies;
+  push t.latencies lat;
   Histogram.observe t.h_latency lat;
   t.on_ack r
 
@@ -382,7 +399,7 @@ let finish_read t (r : Request.t) =
   Arrivals.complete t.arr ~now:tnow;
   t.reads <- t.reads + 1;
   let lat = tnow -. r.Request.arrival_us in
-  t.read_latencies <- lat :: t.read_latencies;
+  push t.read_latencies lat;
   Histogram.observe t.h_read_latency lat;
   t.on_ack r
 
@@ -848,8 +865,8 @@ let run t =
     aborts = t.aborts;
     batches = t.batches;
     backpressure_deferrals = t.backpressure_deferrals;
-    latencies_us = Array.of_list (List.rev t.latencies);
-    read_latencies_us = Array.of_list (List.rev t.read_latencies);
+    latencies_us = to_array t.latencies;
+    read_latencies_us = to_array t.read_latencies;
     end_us = now t;
     iterations = t.iterations;
   }

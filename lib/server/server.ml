@@ -114,6 +114,7 @@ type world = {
   obs : Registry.t;
   placement : Placement.t;
   log_devs : Device.t array;  (* stats at the physical-device layer *)
+  seg_devs : Device.t array;
 }
 
 let options_of cfg =
@@ -203,6 +204,7 @@ let build_world cfg =
       obs;
       placement = Placement.make ~layouts:[| layout |];
       log_devs = [| log_outer |];
+      seg_devs = [| seg_dev |];
     }
   end
   else begin
@@ -246,6 +248,7 @@ let build_world cfg =
       obs;
       placement = Placement.make ~layouts;
       log_devs = logs;
+      seg_devs = segs;
     }
   end
 
@@ -348,6 +351,11 @@ let reduce cfg w tally ~log_writes ~log_syncs =
        else float_of_int cross_aborted /. float_of_int total);
   }
 
+(* Memory devices stay registered for snapshots until closed. *)
+let release_world w =
+  Array.iter (fun (d : Device.t) -> d.Device.close ()) w.log_devs;
+  Array.iter (fun (d : Device.t) -> d.Device.close ()) w.seg_devs
+
 let run cfg =
   let w = build_world cfg in
   let sched = scheduler_of cfg w in
@@ -357,6 +365,7 @@ let run cfg =
      attributed per committed request, and the scheduler always closes its
      last batch before the arrival process drains. *)
   let writes1, syncs1 = log_totals w in
+  release_world w;
   reduce cfg w tally ~log_writes:(writes1 - writes0)
     ~log_syncs:(syncs1 - syncs0)
 
@@ -404,6 +413,7 @@ let run_monitored ?window_us ?rules ?(on_window = fun _ _ -> ()) cfg =
   let tally = Scheduler.run sched in
   List.iter (on_window mon) (Monitor.finish mon ~now_us:(Clock.now_us w.clock));
   let writes1, syncs1 = log_totals w in
+  release_world w;
   let result =
     reduce cfg w tally ~log_writes:(writes1 - writes0)
       ~log_syncs:(syncs1 - syncs0)

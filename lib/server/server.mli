@@ -128,13 +128,20 @@ type world = {
   log_devs : Rvm_disk.Device.t array;
       (** outermost log devices — their [stats] count physical
           writes/syncs; one element per shard *)
+  seg_devs : Rvm_disk.Device.t array;  (** outermost segment devices *)
 }
 
 val build_world : config -> world
 val scheduler_of : config -> world -> Scheduler.t
 
 val run_with_world : config -> world * Scheduler.tally
-(** {!run} without the reduction: build, run, hand everything back. *)
+(** {!run} without the reduction: build, run, hand everything back. The
+    world's devices stay open; {!release_world} closes them. *)
+
+val release_world : world -> unit
+(** Close the world's log and segment devices, dropping their memory
+    stores from {!Rvm_disk.Mem_device}'s snapshot registry. {!run} and
+    {!run_monitored} release the worlds they build. *)
 
 val sweep :
   base:config -> loads:load list -> batch_sizes:int list -> result list

@@ -96,6 +96,7 @@ type world = {
   tree : Pbtree.t;
   vm : Vm_sim.t option;
   log_dev : Device.t;
+  seg_dev : Device.t;
 }
 
 let page_size = 4096
@@ -198,7 +199,7 @@ let build_world cfg =
   s.Pbtree.merges <- 0;
   s.Pbtree.borrows <- 0;
   { rvm; engine = Engine.of_rvm rvm; clock; obs; heap; tree; vm;
-    log_dev = log_outer }
+    log_dev = log_outer; seg_dev }
 
 let tree_lock = "btree"
 
@@ -427,7 +428,15 @@ let run_with_world cfg =
   in
   (result, w)
 
-let run cfg = fst (run_with_world cfg)
+(* Memory devices stay registered for snapshots until closed. *)
+let release_world w =
+  w.log_dev.Device.close ();
+  w.seg_dev.Device.close ()
+
+let run cfg =
+  let r, w = run_with_world cfg in
+  release_world w;
+  r
 
 let sweep ~base mixes = List.map (fun mix -> run { base with mix }) mixes
 

@@ -80,6 +80,7 @@ type world = {
   tree : Rvm_pds.Pbtree.t;
   vm : Rvm_vm.Vm_sim.t option;
   log_dev : Rvm_disk.Device.t;
+  seg_dev : Rvm_disk.Device.t;
 }
 
 val build_world : config -> world
@@ -91,7 +92,13 @@ val run : config -> result
 
 val run_with_world : config -> result * world
 (** [run], but also hands back the world for inspection (heap occupancy,
-    registry counters, the tree itself). *)
+    registry counters, the tree itself). The world's devices stay open;
+    {!release_world} closes them. *)
+
+val release_world : world -> unit
+(** Close the world's log and segment devices, dropping their memory
+    stores from {!Rvm_disk.Mem_device}'s snapshot registry. {!run}
+    releases the world it builds. *)
 
 val sweep : base:config -> Rvm_workload.Ycsb.mix list -> result list
 

@@ -496,6 +496,268 @@ let prop_group_commit_image =
       in
       Bytes.equal (drive ~group_commit:true) (drive ~group_commit:false))
 
+(* --- simulated disk: extent tracking vs a per-sector reference --- *)
+
+module Clock = Rvm_util.Clock
+module Cost_model = Rvm_util.Cost_model
+module Sim_device = Rvm_disk.Sim_device
+
+type sim_op = Write of int * int | Again | Sync
+
+(* The reference keeps one table entry per dirty sector and, at sync,
+   sorts them into runs of consecutive sectors, charging the runs highest
+   start first. *)
+let reference_sim ~sector ~seek_fraction ~disk ops =
+  let clock = Clock.simulated () in
+  let dirty = Hashtbl.create 64 in
+  let ios = ref 0 and busy = ref 0. in
+  let last = ref None in
+  let write off len =
+    last := Some (off, len);
+    if len > 0 then
+      for s = off / sector to (off + len - 1) / sector do
+        Hashtbl.replace dirty s ()
+      done
+  in
+  List.iter
+    (function
+      | Write (off, len) -> write off len
+      | Again -> Option.iter (fun (off, len) -> write off len) !last
+      | Sync ->
+        let sectors =
+          List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) dirty [])
+        in
+        let runs =
+          List.fold_left
+            (fun acc s ->
+              match acc with
+              | (start, n) :: rest when start + n = s -> (start, n + 1) :: rest
+              | _ -> (s, 1) :: acc)
+            [] sectors
+        in
+        List.iter
+          (fun (_, n) ->
+            incr ios;
+            let us =
+              Cost_model.disk_service_us disk ~seek_fraction
+                ~bytes:(n * sector) ()
+            in
+            busy := !busy +. us;
+            Clock.charge_io clock us)
+          runs;
+        Hashtbl.reset dirty)
+    ops;
+  (Clock.now_us clock, !ios, !busy)
+
+let prop_sim_device_extents =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 1; 512; 4096 ] >>= fun sector ->
+      bool >>= fun seek ->
+      let unit = max sector 64 in
+      let op =
+        frequency
+          [
+            ( 6,
+              map2
+                (fun off len -> Write (off, len))
+                (int_bound (16 * unit)) (int_bound (3 * unit)) );
+            (1, return Again);
+            (2, return Sync);
+          ]
+      in
+      map
+        (fun ops -> (sector, (if seek then 1.0 else 0.08), ops))
+        (list_size (int_range 1 60) op))
+  in
+  let print (sector, seek, ops) =
+    Printf.sprintf "sector=%d seek=%g [%s]" sector seek
+      (String.concat "; "
+         (List.map
+            (function
+              | Write (o, l) -> Printf.sprintf "W(%d,%d)" o l
+              | Again -> "again"
+              | Sync -> "sync")
+            ops))
+  in
+  QCheck.Test.make ~name:"sim device extents charge like per-sector tracking"
+    ~count:300 (QCheck.make ~print gen) (fun (sector, seek_fraction, ops) ->
+      let disk = Cost_model.dec5000.Cost_model.log_disk in
+      let size = 20 * max sector 64 in
+      let clock = Clock.simulated () in
+      let sim =
+        Sim_device.create ~seek_fraction ~sector
+          ~base:(Mem_device.of_bytes (Bytes.make size '\000'))
+          ~clock ~disk ()
+      in
+      let dev = Sim_device.device sim in
+      let buf = Bytes.make size 'w' in
+      let last = ref None in
+      let write off len =
+        last := Some (off, len);
+        dev.Rvm_disk.Device.write ~off ~buf ~pos:0 ~len
+      in
+      List.iter
+        (function
+          | Write (off, len) -> write off len
+          | Again -> Option.iter (fun (off, len) -> write off len) !last
+          | Sync -> dev.Rvm_disk.Device.sync ())
+        ops;
+      let now, ios, busy = reference_sim ~sector ~seek_fraction ~disk ops in
+      Float.equal (Clock.now_us clock) now
+      && Sim_device.io_count sim = ios
+      && Float.equal (Sim_device.busy_us sim) busy)
+
+(* --- lock manager: held-key index vs a full-table reference --- *)
+
+module Lock_mgr = Rvm_layers.Lock_mgr
+
+(* The reference finds an owner's keys by scanning every lock ever
+   created, the way release worked before the held-key index. *)
+module Lock_ref = struct
+  type t = {
+    locks : (string, (int * Lock_mgr.mode) list) Hashtbl.t;
+    waits : (int, int list) Hashtbl.t;
+    stamps : (string, int * int) Hashtbl.t;
+  }
+
+  let create () =
+    { locks = Hashtbl.create 8; waits = Hashtbl.create 8; stamps = Hashtbl.create 8 }
+
+  let holders t key = Option.value (Hashtbl.find_opt t.locks key) ~default:[]
+
+  let rec reaches t seen src dst =
+    src = dst
+    || (not (List.mem src !seen))
+       && begin
+            seen := src :: !seen;
+            List.exists
+              (fun o -> reaches t seen o dst)
+              (Option.value (Hashtbl.find_opt t.waits src) ~default:[])
+          end
+
+  let wait_for t ~owner ~key mode =
+    let hs = holders t key in
+    let others = List.filter (fun (o, _) -> o <> owner) hs in
+    let blockers =
+      match mode with
+      | Lock_mgr.Shared ->
+        List.filter_map
+          (fun (o, m) -> if m = Lock_mgr.Exclusive then Some o else None)
+          others
+      | Lock_mgr.Exclusive -> List.map fst others
+    in
+    if blockers = [] then begin
+      let merged =
+        match (List.assoc_opt owner hs, mode) with
+        | Some Lock_mgr.Exclusive, _ | _, Lock_mgr.Exclusive -> Lock_mgr.Exclusive
+        | _ -> Lock_mgr.Shared
+      in
+      Hashtbl.replace t.locks key ((owner, merged) :: List.remove_assoc owner hs);
+      Hashtbl.remove t.waits owner;
+      `Granted
+    end
+    else
+      let blockers = List.sort_uniq compare blockers in
+      if List.exists (fun b -> reaches t (ref []) b owner) blockers then `Deadlock
+      else begin
+        Hashtbl.replace t.waits owner blockers;
+        `Wait blockers
+      end
+
+  let held_keys t ~owner =
+    Hashtbl.fold
+      (fun key hs acc -> if List.mem_assoc owner hs then key :: acc else acc)
+      t.locks []
+    |> List.sort compare
+
+  let release_all ?stamp t ~owner =
+    List.iter
+      (fun key ->
+        Option.iter (Hashtbl.replace t.stamps key) stamp;
+        Hashtbl.replace t.locks key (List.remove_assoc owner (holders t key)))
+      (held_keys t ~owner);
+    Hashtbl.remove t.waits owner;
+    Hashtbl.fold (fun o bs acc -> (o, bs) :: acc) t.waits []
+    |> List.iter (fun (o, bs) ->
+           match List.filter (fun b -> b <> owner) bs with
+           | [] -> Hashtbl.remove t.waits o
+           | bs -> Hashtbl.replace t.waits o bs)
+
+  let wait_edges t =
+    Hashtbl.fold (fun o bs acc -> (o, List.sort compare bs) :: acc) t.waits []
+    |> List.sort compare
+end
+
+type lock_op =
+  | Wait_for of int * int * Lock_mgr.mode
+  | Release of int
+  | Release_stamped of int
+
+let prop_lock_mgr_index =
+  let owners = 5 and keys = 6 in
+  let key k = "k" ^ string_of_int k in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 80)
+        (frequency
+           [
+             ( 6,
+               map3
+                 (fun o k x ->
+                   Wait_for (o, k, if x then Lock_mgr.Exclusive else Lock_mgr.Shared))
+                 (int_range 1 owners) (int_bound (keys - 1)) bool );
+             (1, map (fun o -> Release o) (int_range 1 owners));
+             (1, map (fun o -> Release_stamped o) (int_range 1 owners));
+           ]))
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (function
+           | Wait_for (o, k, m) ->
+             Printf.sprintf "wait(%d,%s,%s)" o (key k)
+               (if m = Lock_mgr.Exclusive then "X" else "S")
+           | Release o -> Printf.sprintf "release(%d)" o
+           | Release_stamped o -> Printf.sprintf "release~stamp(%d)" o)
+         ops)
+  in
+  QCheck.Test.make ~name:"lock manager held-key index matches full-table scan"
+    ~count:300 (QCheck.make ~print gen) (fun ops ->
+      let lm = Lock_mgr.create () and r = Lock_ref.create () in
+      let lsn = ref 0 in
+      let agree () =
+        Lock_mgr.wait_edges lm = Lock_ref.wait_edges r
+        && List.for_all
+             (fun k ->
+               Lock_mgr.holders lm ~key:(key k) = Lock_ref.holders r (key k)
+               && Lock_mgr.stamp lm ~key:(key k)
+                  = Hashtbl.find_opt r.Lock_ref.stamps (key k))
+             (List.init keys Fun.id)
+        && List.for_all
+             (fun o -> Lock_mgr.held_keys lm ~owner:o = Lock_ref.held_keys r ~owner:o)
+             (List.init owners (fun o -> o + 1))
+      in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Wait_for (owner, k, mode) ->
+              Lock_mgr.wait_for lm ~owner ~key:(key k) mode
+              = Lock_ref.wait_for r ~owner ~key:(key k) mode
+            | Release owner ->
+              Lock_mgr.release_all lm ~owner;
+              Lock_ref.release_all r ~owner;
+              true
+            | Release_stamped owner ->
+              incr lsn;
+              Lock_mgr.release_all ~stamp:(!lsn, owner) lm ~owner;
+              Lock_ref.release_all ~stamp:(!lsn, owner) r ~owner;
+              true
+          in
+          same && agree ())
+        ops)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -508,4 +770,6 @@ let suite =
       prop_allocator;
       prop_log_manager;
       prop_group_commit_image;
+      prop_sim_device_extents;
+      prop_lock_mgr_index;
     ]

@@ -604,6 +604,24 @@ let prop_elr_serial_balances =
       check_balances cfg w;
       true)
 
+(* The latency layer names itself after the memory device under it, whose
+   store is what the snapshot registry holds. *)
+let backing (d : Rvm_disk.Device.t) =
+  { d with Rvm_disk.Device.name = Filename.chop_suffix d.Rvm_disk.Device.name "+sim" }
+
+let snapshot_raises d =
+  match Rvm_disk.Mem_device.snapshot d with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+let test_release_world () =
+  let w, _ = S.run_with_world { quick_cfg with S.requests = 20 } in
+  let log = backing w.S.log_devs.(0) and seg = backing w.S.seg_devs.(0) in
+  check_bool "run_with_world leaves the log open" false (snapshot_raises log);
+  S.release_world w;
+  check_bool "released log store is gone" true (snapshot_raises log);
+  check_bool "released segment store is gone" true (snapshot_raises seg)
+
 let suite =
   [
     ("admission.caps", `Quick, test_admission_caps);
@@ -637,6 +655,7 @@ let suite =
       `Quick,
       test_background_truncation_run );
     ("server.trace-parents-commits", `Quick, test_trace_parenting);
+    ("server.release-world", `Quick, test_release_world);
     QCheck_alcotest.to_alcotest prop_no_hang_and_serial_balances;
     QCheck_alcotest.to_alcotest prop_elr_serial_balances;
   ]

@@ -76,6 +76,98 @@ let test_ring_resize () =
   check_int "clear drops retained" 0 (List.length (Trace.events t));
   check_int "clear keeps the cursor" 7 (Trace.seq t)
 
+(* Every span the ring hands back — through [events], [events_since]
+   cursors, across wrap-around and both directions of [set_capacity] —
+   equals the one [exit] returned (or the one [instant] described) when
+   it closed. *)
+let test_ring_readback () =
+  let t = Trace.create ~capacity:8 () in
+  let recorded = ref [] (* every finished span, newest first *) in
+  let next_id = ref 1 in
+  let step i =
+    let now = float_of_int (10 * i) in
+    if i mod 5 = 4 then begin
+      let attrs = [ ("i", Trace.Int i); ("tag", Trace.String "pt") ] in
+      Trace.instant t ~now ~attrs "point";
+      recorded :=
+        { Trace.id = !next_id; parent = Trace.current t; scope = "point";
+          start_us = now; dur_us = 0.; attrs }
+        :: !recorded;
+      incr next_id
+    end
+    else begin
+      Trace.enter t ~now ~attrs:[ ("i", Trace.Int i) ] "child";
+      incr next_id;
+      if i mod 3 = 0 then Trace.add_attr t "odd" (Trace.Bool (i mod 2 = 1));
+      recorded := Trace.exit t ~now:(now +. 2.5) :: !recorded
+    end
+  in
+  let newest n =
+    let rec take k = function
+      | x :: r when k > 0 -> x :: take (k - 1) r
+      | _ -> []
+    in
+    List.rev (take n !recorded)
+  in
+  let check_retained what =
+    check_bool what true (Trace.events t = newest (Trace.length t))
+  in
+  Trace.enter t ~now:0. "root";
+  incr next_id;
+  let cursor = ref 0 in
+  for i = 0 to 29 do
+    step i;
+    check_retained (Printf.sprintf "retained after span %d" i);
+    if i mod 4 = 3 then begin
+      let fresh, c = Trace.events_since t !cursor in
+      check_bool "cursor yields exactly the new spans" true
+        (fresh = newest (min (Trace.length t) (c - !cursor)));
+      cursor := c
+    end
+  done;
+  check_int "full ring" 8 (Trace.length t);
+  Trace.set_capacity t 3;
+  check_retained "after shrink";
+  Trace.set_capacity t 16;
+  check_retained "after grow";
+  for i = 30 to 49 do
+    step i
+  done;
+  check_int "refilled after grow" 16 (Trace.length t);
+  check_retained "after refill";
+  let fresh, _ = Trace.events_since t !cursor in
+  check_bool "stale cursor yields everything retained" true
+    (fresh = Trace.events t);
+  let root = Trace.exit t ~now:1000. in
+  check_bool "the root comes back last" true
+    (List.rev (Trace.events t) |> List.hd = root)
+
+(* Recording into a full ring stores fields in place: no per-span record
+   is written into the ring, so the minor GC promotes nothing, and the
+   only allocation left per span is the record [exit] returns. *)
+let test_ring_allocation () =
+  let t = Trace.create ~capacity:512 () in
+  let record n =
+    for i = 1 to n do
+      let now = float_of_int i in
+      Trace.enter t ~now "span";
+      ignore (Sys.opaque_identity (Trace.exit t ~now))
+    done
+  in
+  record 512;
+  Gc.minor ();
+  let minor0 = Gc.minor_words () in
+  let promoted0 = (Gc.quick_stat ()).Gc.promoted_words in
+  record 10_000;
+  Gc.minor ();
+  let minor = Gc.minor_words () -. minor0 in
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. promoted0 in
+  if minor > 20. *. 10_000. then
+    Alcotest.failf "%.0f minor words for 10k spans (bound 20 per span)" minor;
+  if promoted > 1_000. then
+    Alcotest.failf "%.0f words promoted recording 10k spans (bound 1000)"
+      promoted
+
 (* --- simulated-clock spans (Registry.set_time_source) --- *)
 
 let test_sim_clock_nested_spans () =
@@ -339,6 +431,8 @@ let suite =
   [
     ("trace.causality", `Quick, test_causality);
     ("trace.ring-resize", `Quick, test_ring_resize);
+    ("trace.ring-readback", `Quick, test_ring_readback);
+    ("trace.ring-allocation", `Quick, test_ring_allocation);
     ("trace.sim-clock-nested", `Quick, test_sim_clock_nested_spans);
     ("trace.sim-clock-across-drain", `Quick, test_sim_clock_across_drain);
     ("trace.engine-causality", `Quick, test_engine_causality);

@@ -99,6 +99,23 @@ let test_world_gauges () =
   Pbtree.check w.Ycsb_run.tree;
   Rds.check w.Ycsb_run.heap
 
+let test_release_world () =
+  let _, w = Ycsb_run.run_with_world { base with Ycsb_run.requests = 20 } in
+  (* The latency layer is named after the memory device it wraps. *)
+  let log =
+    { w.Ycsb_run.log_dev with
+      Rvm_disk.Device.name =
+        Filename.chop_suffix w.Ycsb_run.log_dev.Rvm_disk.Device.name "+sim" }
+  in
+  let raises () =
+    match Rvm_disk.Mem_device.snapshot log with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "run_with_world leaves the log open" false (raises ());
+  Ycsb_run.release_world w;
+  check_bool "released log store is gone" true (raises ())
+
 let suite =
   [
     ("ycsb_run.mixes-serial-equal", `Quick, test_mixes_serial_equal);
@@ -107,4 +124,5 @@ let suite =
     ("ycsb_run.inserts-grow-tree", `Quick, test_inserts_grow_tree);
     ("ycsb_run.paging-pressure", `Quick, test_paging_pressure);
     ("ycsb_run.world-gauges", `Quick, test_world_gauges);
+    ("ycsb_run.release-world", `Quick, test_release_world);
   ]
