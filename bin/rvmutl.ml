@@ -24,7 +24,7 @@
                         [--log-size BYTES] [--zipf-s S] [--read-pct PCT]
                         [--monitor] [--window-ms MS] [--postmortem FILE]
                         [--workload tpca|ycsb-a..ycsb-f] [--records N]
-     rvmutl benchdiff   OLD.json NEW.json [--tolerance PCT]
+     rvmutl benchdiff   OLD.json NEW.json
 *)
 
 module Device = Rvm_disk.Device
@@ -575,6 +575,17 @@ let serve requests accounts seed loads batches sessions think_ms trace_out
   end;
   (match parse_workload workload with
   | `Ycsb mix ->
+    List.iter
+      (fun (set, flag) ->
+        if set then begin
+          Printf.eprintf "rvmutl: %s is not supported with --workload %s\n"
+            flag workload;
+          exit 2
+        end)
+      [
+        (monitor, "--monitor"); (trace_out <> None, "--trace");
+        (sessions <> None, "--sessions");
+      ];
     if records <= 0 then begin
       Printf.eprintf "rvmutl: --records must be positive (got %d)\n" records;
       exit 2
@@ -657,143 +668,21 @@ let serve requests accounts seed loads batches sessions think_ms trace_out
   Format.printf "%a@?" S.pp_table (rows @ closed_rows)
   end
 
-(* --- benchdiff: metric-by-metric comparison of bench artifacts --- *)
+(* --- benchdiff: the bench artifact regression gate --- *)
 
-(* Direction is inferred from the metric name: a latency or an abort
-   count regressing means growing, a throughput regressing means
-   shrinking. Keys that are run configuration rather than measurement
-   only warn when they drift — rows with different configs are not
-   comparable and the artifact needs regeneration, but that is not a
-   performance regression. *)
-let bd_lower_better =
-  [
-    "latency"; "p50"; "p95"; "p99"; "pause"; "abort"; "shed"; "sync";
-    "write"; "deadlock"; "backpressure"; "defer"; "ns_per"; "us_per";
-    "duration"; "stall"; "retry"; "blocked"; "miss"; "fault"; "eviction";
-    "pageout";
-  ]
-
-let bd_higher_better =
-  [ "tps"; "throughput"; "committed"; "speedup"; "scaling"; "per_sec";
-    "reads"; "hit" ]
-
-let bd_config_keys =
-  [
-    "load"; "offered_tps"; "shards"; "batch_max"; "requests"; "seed";
-    "zipf_s"; "elr"; "read_pct"; "accounts"; "log_size"; "schema";
-    "window_us"; "bytes"; "ops"; "mode"; "label"; "name"; "size";
-    "degree"; "mem_fraction"; "value_len"; "scan_max";
-  ]
-
-let bd_contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-type bd_direction = Lower_better | Higher_better | Config | Unknown
-
-let bd_classify path =
-  let p = String.lowercase_ascii path in
-  let leaf =
-    match String.rindex_opt p '.' with
-    | Some i -> String.sub p (i + 1) (String.length p - i - 1)
-    | None -> p
-  in
-  if List.exists (fun k -> leaf = k || bd_contains leaf k) bd_config_keys then
-    Config
-  else if List.exists (bd_contains p) bd_lower_better then Lower_better
-  else if List.exists (bd_contains p) bd_higher_better then Higher_better
-  else Unknown
-
-let benchdiff old_path new_path tolerance_pct =
+let benchdiff old_path new_path =
   let module J = Rvm_obs.Json in
+  let module Gate = Rvm_obs.Gate in
   let read p =
     try J.read_file ~path:p
     with Sys_error e | J.Parse_error e ->
       Printf.eprintf "rvmutl: %s: %s\n" p e;
       exit 2
   in
-  let old_doc = read old_path and new_doc = read new_path in
-  let tol = tolerance_pct /. 100. in
-  let regressions = ref [] and warnings = ref [] in
-  let improved = ref 0 and compared = ref 0 in
-  let regress path msg = regressions := Printf.sprintf "%s: %s" path msg :: !regressions in
-  let warn path msg = warnings := Printf.sprintf "%s: %s" path msg :: !warnings in
-  let number path a b =
-    incr compared;
-    let rel =
-      if a = 0. && b = 0. then 0.
-      else abs_float (b -. a) /. Float.max (abs_float a) 1e-9
-    in
-    let describe = Printf.sprintf "%.6g -> %.6g (%+.1f%%)" a b (100. *. rel *. (if b >= a then 1. else -1.)) in
-    match bd_classify path with
-    | Config -> if a <> b then warn path ("config drift " ^ describe)
-    | dir ->
-      if rel <= tol then ()
-      else (
-        match dir with
-        | Lower_better ->
-          if b > a then regress path describe else incr improved
-        | Higher_better ->
-          if b < a then regress path describe else incr improved
-        | Unknown | Config ->
-          regress path ("unclassified metric moved " ^ describe))
-  in
-  let rec walk path a b =
-    match (a, b) with
-    | J.Obj fa, J.Obj fb ->
-      List.iter
-        (fun (k, va) ->
-          let p = if path = "" then k else path ^ "." ^ k in
-          match List.assoc_opt k fb with
-          | Some vb -> walk p va vb
-          | None -> regress p "metric missing from new artifact")
-        fa;
-      List.iter
-        (fun (k, _) ->
-          if not (List.mem_assoc k fa) then
-            warn (path ^ "." ^ k) "only in new artifact")
-        fb
-    | J.List la, J.List lb ->
-      if List.length la <> List.length lb then
-        regress path
-          (Printf.sprintf "row count changed: %d -> %d" (List.length la)
-             (List.length lb))
-      else
-        List.iteri
-          (fun i (va, vb) -> walk (Printf.sprintf "%s[%d]" path i) va vb)
-          (List.combine la lb)
-    | (J.Int _ | J.Float _), (J.Int _ | J.Float _) ->
-      let num = function
-        | J.Int i -> float_of_int i
-        | J.Float f -> f
-        | _ -> 0.
-      in
-      number path (num a) (num b)
-    | J.String sa, J.String sb ->
-      if sa <> sb then
-        if bd_classify path = Config then
-          warn path (Printf.sprintf "config drift %S -> %S" sa sb)
-        else regress path (Printf.sprintf "%S -> %S" sa sb)
-    | J.Bool ba, J.Bool bb ->
-      if ba <> bb then warn path (Printf.sprintf "%b -> %b" ba bb)
-    | J.Null, J.Null -> ()
-    | _ -> regress path "value shape changed"
-  in
-  walk "" old_doc new_doc;
-  Printf.printf "benchdiff %s -> %s (tolerance %.1f%%)\n" old_path new_path
-    tolerance_pct;
-  Printf.printf "%d metric(s) compared, %d within tolerance, %d improved\n"
-    !compared
-    (!compared - !improved - List.length !regressions)
-    !improved;
-  List.iter (Printf.printf "warn: %s\n") (List.rev !warnings);
-  if !regressions = [] then print_endline "no regressions"
-  else begin
-    Printf.printf "%d regression(s):\n" (List.length !regressions);
-    List.iter (Printf.printf "  FAIL %s\n") (List.rev !regressions);
-    exit 1
-  end
+  let report = Gate.check ~old:(read old_path) ~new_:(read new_path) in
+  Printf.printf "benchdiff %s -> %s\n" old_path new_path;
+  Format.printf "%a@?" Gate.pp_report report;
+  if report.Gate.failures <> [] then exit 1
 
 (* --- command line --- *)
 
@@ -1204,21 +1093,17 @@ let benchdiff_cmd =
       & pos 1 (some string) None
       & info [] ~docv:"NEW.json" ~doc:"Candidate bench artifact.")
   in
-  let tolerance =
-    Arg.(
-      value & opt float 10.
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:"Relative drift allowed per metric before it counts.")
-  in
   Cmd.v
     (Cmd.info "benchdiff"
        ~doc:
-         "Compare two BENCH_*.json artifacts metric by metric: latencies, \
-          pauses and abort counts may not grow and throughputs may not \
-          shrink beyond the tolerance; configuration keys only warn on \
-          drift. Exits non-zero on regression, so the checked-in artifact \
-          trajectory gates itself in CI.")
-    Term.(const benchdiff $ old_arg $ new_arg $ tolerance)
+         "The bench artifact regression gate: check NEW.json against \
+          OLD.json with the declared table in Rvm_obs.Gate. Every leaf has \
+          a declared direction and may not move the wrong way by more than \
+          10% (configuration keys only warn on drift; undeclared leaves, \
+          missing metrics and changed row counts fail), and NEW.json must \
+          satisfy its artifact's absolute bounds. Exits non-zero on any \
+          failure.")
+    Term.(const benchdiff $ old_arg $ new_arg)
 
 let () =
   let info =

@@ -83,8 +83,8 @@ let to_string_pretty t =
 
    Recursive-descent over the same subset the printer emits (which is all
    of JSON minus surrogate-pair escapes). Exists so tools can read their
-   own artifacts back — the CI baseline gate parses BENCH_baseline.json,
-   tests parse exported Chrome traces — still without a dependency. *)
+   own artifacts back — `rvmutl benchdiff` parses BENCH_*.json, tests
+   parse exported Chrome traces — still without a dependency. *)
 
 exception Parse_error of string
 

@@ -31,5 +31,6 @@ let () =
       ("timeseries", Test_timeseries.suite);
       ("monitor", Test_monitor.suite);
       ("cli", Test_cli.suite);
+      ("gate", Test_gate.suite);
       ("bench-artifacts", Test_bench_artifacts.suite);
     ]

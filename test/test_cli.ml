@@ -92,7 +92,6 @@ let test_header_documents_flags () =
       "--records";
       (* benchdiff *)
       "rvmutl benchdiff";
-      "--tolerance";
     ]
 
 let suite =
