@@ -429,8 +429,15 @@ let server () =
   let module S = Rvm_server.Server in
   let module J = Rvm_obs.Json in
   let base = { S.default_config with S.requests = 400 } in
-  let loads = List.map (fun t -> S.Open_loop t) [ 10.; 20.; 40.; 80.; 160. ] in
-  let results = S.sweep ~base ~loads ~batch_sizes:[ 1; 8 ] in
+  let results =
+    List.concat_map
+      (fun tps ->
+        List.map
+          (fun batch_max ->
+            S.run { base with S.load = S.Open_loop tps; batch_max })
+          [ 1; 8 ])
+      [ 10.; 20.; 40.; 80.; 160. ]
+  in
   print_endline "\n== Transaction server saturation sweep ==";
   Format.printf "%a@?" S.pp_table results;
   let path = "BENCH_server.json" in
@@ -627,23 +634,21 @@ let truncation () =
   let huge_log = 256 * 1024 * 1024 in
   print_endline "\n== Background truncation: p99 vs. the pause pathology ==";
   let arm (name, log_size, background) =
-    let w, tally =
-      S.run_with_world
-        {
-          S.default_config with
-          S.requests;
-          S.load = S.Open_loop load;
-          S.batch_max = 8;
-          S.max_inflight = 16;
-          S.max_queue = 200;
-          S.log_size;
-          S.background_truncation = background;
-        }
+    let cfg =
+      {
+        S.default_config with
+        S.requests;
+        S.load = S.Open_loop load;
+        S.batch_max = 8;
+        S.max_inflight = 16;
+        S.max_queue = 200;
+        S.log_size;
+        S.background_truncation = background;
+      }
     in
-    let module Sch = Rvm_server.Scheduler in
-    let lats = Array.copy tally.Sch.latencies_us in
-    Array.sort compare lats;
-    let p99 = S.percentile lats 99. in
+    let w = S.build_world cfg in
+    let r = S.reduce cfg w (S.serve w (S.scheduler_of cfg w)) in
+    let p99 = r.S.p99_latency_us in
     let bytes =
       Array.fold_left
         (fun acc d ->
@@ -669,16 +674,15 @@ let truncation () =
     Printf.printf
       "  %-10s %6d committed %4d shed  p99 %8.0f us  wraps %5.1f  \
        pauses %4d (max %.0f us)  steps %d\n%!"
-      name tally.Sch.committed tally.Sch.shed p99 wraps pauses pause_max_us
-      steps;
+      name r.S.committed r.S.shed p99 wraps pauses pause_max_us steps;
     ( p99,
       J.Obj
         [
           ("arm", J.String name);
           ("log_size", J.Int log_size);
           ("background_truncation", J.Bool background);
-          ("committed", J.Int tally.Sch.committed);
-          ("shed", J.Int tally.Sch.shed);
+          ("committed", J.Int r.S.committed);
+          ("shed", J.Int r.S.shed);
           ("p99_latency_us", J.Float p99);
           ("log_wraps", J.Float wraps);
           ("truncation_pauses", J.Int pauses);
@@ -744,7 +748,7 @@ let ycsb () =
   in
   let mixes = [ W.A; W.B; W.C; W.D; W.E; W.F ] in
   Printf.printf "\n== YCSB sweep: mixes A-F over %d records ==\n%!" records;
-  let results = Y.sweep ~base mixes in
+  let results = List.map (fun mix -> Y.run { base with Y.mix }) mixes in
   Format.printf "%a@?" Y.pp_table results;
   let path = "BENCH_ycsb.json" in
   J.write_file ~path

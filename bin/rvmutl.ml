@@ -18,12 +18,13 @@
                         [--elr] [--btree]
      rvmutl trace       LOG --out t.json [--txns N] [--accounts N]
                         [--batch B] [--seed S] [--top N]
-     rvmutl serve       [--requests N] [--accounts N] [--seed S]
-                        [--load TPS]... [--batch B]...
-                        [--sessions N --think-ms MS] [--trace FILE]
-                        [--log-size BYTES] [--zipf-s S] [--read-pct PCT]
+     rvmutl serve       [--workload tpca|ycsb-a..ycsb-f] [--requests N]
+                        [--seed S] [--load TPS]... [--batch B]...
+                        [--sessions N --think-ms MS] [--log-size BYTES]
                         [--monitor] [--window-ms MS] [--postmortem FILE]
-                        [--workload tpca|ycsb-a..ycsb-f] [--records N]
+                        tpca: [--accounts N] [--zipf-s S] [--read-pct PCT]
+                              [--trace FILE]
+                        ycsb-*: [--records N]
      rvmutl benchdiff   OLD.json NEW.json
 *)
 
@@ -424,57 +425,13 @@ let trace path out txns accounts batch seed top_n =
     txns accounts batch seed (List.length spans) out;
   Format.printf "%a@." (Rvm_obs.Export.pp_top ~slowest:top_n) spans
 
-(* --- serve: the transaction server's saturation table --- *)
+(* --- serve: the transaction server over any workload --- *)
 
-(* --monitor: one monitored cell (first load x first batch) with windowed
-   telemetry and the SLO monitor on the scheduler's quantum tick,
-   streaming a top-style health line per closed window and ending with
-   the postmortem JSON artifact. *)
-let serve_monitored requests accounts seed loads batches sessions think_ms
-    log_size zipf_s read_pct window_ms postmortem_out =
-  let module S = Rvm_server.Server in
+(* The monitor's verdict at the end of a --monitor run. *)
+let print_verdict mon =
   let module M = Rvm_obs.Monitor in
-  let module Ts = Rvm_obs.Timeseries in
-  let module J = Rvm_obs.Json in
-  let load =
-    match (loads, sessions) with
-    | t :: _, _ -> S.Open_loop t
-    | [], Some n -> S.Closed_loop { sessions = n; think_us = think_ms *. 1e3 }
-    | [], None -> S.Open_loop 40.
-  in
-  let batch = match batches with b :: _ -> b | [] -> 8 in
-  let cfg =
-    {
-      S.default_config with
-      S.requests;
-      accounts;
-      seed = Int64.of_int seed;
-      load;
-      batch_max = batch;
-      log_size;
-      zipf_s;
-      read_pct;
-      (* the incident flight recorder needs a live span ring *)
-      trace_capacity = 256;
-    }
-  in
-  Printf.printf
-    "monitored serve: %d requests, %s, batch %d, log %d B, seed %d, window \
-     %.0fms\n\n"
-    requests (S.load_name load) batch log_size seed window_ms;
-  let result, mon =
-    S.run_monitored ~window_us:(window_ms *. 1e3)
-      ~on_window:(fun mon _w ->
-        match M.health_line mon with
-        | Some line -> print_endline line
-        | None -> ())
-      cfg
-  in
   let incs = M.incidents mon in
-  Printf.printf "\n%d committed, %.1f tps, run p99 %.0f us, %d shed\n"
-    result.S.committed result.S.throughput_tps result.S.p99_latency_us
-    result.S.shed;
-  let windows = Ts.completed (M.timeseries mon) in
+  let windows = Rvm_obs.Timeseries.completed (M.timeseries mon) in
   if incs = [] then
     Printf.printf "monitor: healthy - zero incidents over %d windows\n"
       windows
@@ -494,179 +451,141 @@ let serve_monitored requests accounts seed loads batches sessions think_ms
         | r :: _ -> Printf.printf "      %s\n" r
         | [] -> ())
       incs
-  end;
-  let run_meta =
-    [
-      ("tool", J.String "rvmutl serve --monitor");
-      ("load", J.String (S.load_name load));
-      ("requests", J.Int requests);
-      ("accounts", J.Int accounts);
-      ("batch_max", J.Int batch);
-      ("log_size", J.Int log_size);
-      ("seed", J.Int seed);
-      ("zipf_s", J.Float zipf_s);
-      ("read_pct", J.Int read_pct);
-      ("committed", J.Int result.S.committed);
-      ("throughput_tps", J.Float result.S.throughput_tps);
-      ("p99_latency_us", J.Float result.S.p99_latency_us);
-    ]
-  in
-  J.write_file ~path:postmortem_out (M.postmortem ~run:run_meta mon);
-  Printf.printf "wrote postmortem %s\n" postmortem_out
-
-(* --workload ycsb-a..f: the key-value mixes over the recoverable B-tree,
-   swept across the offered loads like the TPC-A table. Each row carries
-   its serial-reference verdict, and the heap/paging gauges land in the
-   run's registry. *)
-let serve_ycsb mix requests records seed loads batches log_size =
-  let module Y = Rvm_server.Ycsb_run in
-  let module S = Rvm_server.Server in
-  let module Ycsb = Rvm_workload.Ycsb in
-  let batch =
-    match batches with b :: _ -> b | [] -> Y.default_config.Y.batch_max
-  in
-  let loads = if loads = [] then [ 10.; 20.; 40.; 80. ] else loads in
-  let base =
-    {
-      Y.default_config with
-      Y.mix;
-      records;
-      requests;
-      seed = Int64.of_int seed;
-      batch_max = batch;
-      log_size;
-    }
-  in
-  Printf.printf
-    "YCSB %s: %d records, %d requests per cell, batch %d, seed %d\n\n"
-    (Ycsb.mix_name mix) records requests batch seed;
-  let rows =
-    List.map (fun tps -> Y.run { base with Y.load = S.Open_loop tps }) loads
-  in
-  Format.printf "%a@?" Y.pp_table rows;
-  if List.exists (fun (r : Y.result) -> not r.Y.serial_equal) rows then begin
-    print_endline "serial-reference mismatch";
-    exit 1
   end
 
-let parse_workload s =
-  let module Ycsb = Rvm_workload.Ycsb in
-  match s with
-  | "tpca" -> `Tpca
-  | _ ->
-    let tail =
-      if String.length s > 5 && String.sub s 0 5 = "ycsb-" then
-        String.sub s 5 (String.length s - 5)
-      else s
-    in
-    (match Ycsb.mix_of_string tail with
-    | Some mix -> `Ycsb mix
-    | None ->
-      Printf.eprintf
-        "rvmutl: unknown --workload %S (expected tpca or ycsb-a..ycsb-f)\n" s;
-      exit 2)
+(* --trace (TPC-A): one cell with the span ring sized to hold everything,
+   exported as Chrome trace_event JSON — the background truncator's steps
+   show up interleaved with the commit batches that triggered them. *)
+let serve_traced cfg out =
+  let module S = Rvm_server.Server in
+  let cfg = { cfg with S.trace_capacity = max 16384 (cfg.S.requests * 24) } in
+  let world, tally = S.run_with_world cfg in
+  S.release_world world;
+  let spans = Rvm_obs.Registry.events world.S.obs in
+  Rvm_obs.Export.write_chrome_trace ~process_name:"rvm-server" ~path:out spans;
+  Printf.printf
+    "traced %d request(s) (%s, batch %d, log %d B, seed %Ld): %d span(s)\n\
+     wrote %s (load in Perfetto or chrome://tracing)\n\n"
+    tally.Rvm_server.Scheduler.committed (S.load_name cfg.S.load)
+    cfg.S.batch_max cfg.S.log_size cfg.S.seed (List.length spans) out
 
+(* Every workload is served one way. The sweep crosses every --load (open
+   loop) and the --sessions closed loop with every --batch, on one default
+   grid. --monitor serves one cell instead, the first load (else the
+   closed loop, else 40 tps) x the first batch (else 8), streaming a
+   health line per closed window and ending with the row, the verdict and
+   the postmortem JSON. A workload brings its per-cell config builder,
+   its run functions and its table. *)
 let serve requests accounts seed loads batches sessions think_ms trace_out
     log_size zipf_s read_pct monitor window_ms postmortem_out workload records
     =
-  if requests <= 0 then begin
-    Printf.eprintf "rvmutl: --requests must be positive (got %d)\n" requests;
-    exit 2
-  end;
-  (match parse_workload workload with
-  | `Ycsb mix ->
-    List.iter
-      (fun (set, flag) ->
-        if set then begin
-          Printf.eprintf "rvmutl: %s is not supported with --workload %s\n"
-            flag workload;
-          exit 2
-        end)
-      [
-        (monitor, "--monitor"); (trace_out <> None, "--trace");
-        (sessions <> None, "--sessions");
-      ];
-    if records <= 0 then begin
-      Printf.eprintf "rvmutl: --records must be positive (got %d)\n" records;
-      exit 2
-    end;
-    serve_ycsb mix requests records seed loads batches log_size;
-    exit 0
-  | `Tpca -> ());
-  if read_pct < 0 || read_pct > 100 then begin
-    Printf.eprintf "rvmutl: --read-pct must be in [0, 100] (got %d)\n"
-      read_pct;
-    exit 2
-  end;
-  if monitor && window_ms <= 0. then begin
-    Printf.eprintf "rvmutl: --window-ms must be positive (got %g)\n" window_ms;
-    exit 2
-  end;
-  if monitor then
-    serve_monitored requests accounts seed loads batches sessions think_ms
-      log_size zipf_s read_pct window_ms postmortem_out
-  else begin
   let module S = Rvm_server.Server in
-  (* --trace: one run (first load x first batch) with the span ring
-     sized to hold everything, exported as Chrome trace_event JSON —
-     the background truncator's steps show up interleaved with the
-     commit batches that triggered them. *)
-  (match trace_out with
-  | None -> ()
-  | Some out ->
-    let load = match loads with t :: _ -> t | [] -> 40. in
-    let batch = match batches with b :: _ -> b | [] -> 8 in
-    let cfg =
+  let module Y = Rvm_server.Ycsb_run in
+  let module J = Rvm_obs.Json in
+  let usage fmt =
+    Printf.ksprintf (fun m -> prerr_endline ("rvmutl: " ^ m); exit 2) fmt
+  in
+  if requests <= 0 then usage "--requests must be positive (got %d)" requests;
+  if read_pct < 0 || read_pct > 100 then
+    usage "--read-pct must be in [0, 100] (got %d)" read_pct;
+  if monitor && window_ms <= 0. then
+    usage "--window-ms must be positive (got %g)" window_ms;
+  let seed = Int64.of_int seed in
+  let closed =
+    Option.map
+      (fun n -> S.Closed_loop { sessions = n; think_us = think_ms *. 1e3 })
+      sessions
+  in
+  let grid =
+    let loads = if loads = [] then [ 10.; 20.; 40.; 80.; 160. ] else loads in
+    let batches = if batches = [] then [ 1; 8 ] else batches in
+    List.concat_map
+      (fun load -> List.map (fun b -> (load, b)) batches)
+      (List.map (fun t -> S.Open_loop t) loads @ Option.to_list closed)
+  in
+  let one =
+    ( (match (loads, closed) with
+      | t :: _, _ -> S.Open_loop t
+      | [], Some l -> l
+      | [], None -> S.default_config.S.load),
+      match batches with b :: _ -> b | [] -> S.default_config.S.batch_max )
+  in
+  let window_us = window_ms *. 1e3 in
+  let on_window mon _ =
+    Option.iter print_endline (Rvm_obs.Monitor.health_line mon)
+  in
+  (* [ok] is the row's serial-reference verdict, where it has one *)
+  let serve_workload ~cell ~run ~run_monitored ~pp_table ~to_json ~ok =
+    if monitor then begin
+      let result, mon = run_monitored (cell one) in
+      Format.printf "@\n%a@?" pp_table [ result ];
+      print_verdict mon;
+      let args = List.tl (Array.to_list Sys.argv) in
+      J.write_file ~path:postmortem_out
+        (Rvm_obs.Monitor.postmortem mon
+           ~run:
+             [
+               ("tool", J.String "rvmutl serve --monitor");
+               (* the flags, so the postmortem names its own rerun *)
+               ("args", J.List (List.map (fun a -> J.String a) args));
+               ("result", to_json result);
+             ]);
+      Printf.printf "wrote postmortem %s\n" postmortem_out
+    end
+    else begin
+      let rows = List.map (fun c -> run (cell c)) grid in
+      Format.printf "%a@?" pp_table rows;
+      if not (List.for_all ok rows) then begin
+        print_endline "serial-reference mismatch";
+        exit 1
+      end
+    end
+  in
+  let module W = Rvm_workload.Ycsb in
+  let mix =
+    List.find_opt (fun m -> W.mix_name m = workload) W.[ A; B; C; D; E; F ]
+  in
+  match mix with
+  | None when workload <> "tpca" ->
+    usage "unknown --workload %S (expected tpca or ycsb-a..ycsb-f)" workload
+  | None ->
+    let cell (load, batch_max) =
       {
         S.default_config with
         S.requests;
         accounts;
-        seed = Int64.of_int seed;
-        load = S.Open_loop load;
-        batch_max = batch;
+        seed;
+        load;
+        batch_max;
         log_size;
         zipf_s;
         read_pct;
-        trace_capacity = max 16384 (requests * 24);
       }
     in
-    let world, tally = S.run_with_world cfg in
-    S.release_world world;
-    let spans = Rvm_obs.Registry.events world.S.obs in
-    Rvm_obs.Export.write_chrome_trace ~process_name:"rvm-server" ~path:out
-      spans;
-    Printf.printf
-      "traced %d request(s) (load %.0f tps, batch %d, log %d B, seed %d): \
-       %d span(s)\nwrote %s (load in Perfetto or chrome://tracing)\n\n"
-      tally.Rvm_server.Scheduler.committed load batch log_size seed
-      (List.length spans) out);
-  let loads = if loads = [] then [ 10.; 20.; 40.; 80.; 160. ] else loads in
-  let batches = if batches = [] then [ 1; 8 ] else batches in
-  let base =
-    {
-      S.default_config with
-      S.requests;
-      accounts;
-      seed = Int64.of_int seed;
-      zipf_s;
-      read_pct;
-    }
-  in
-  let rows =
-    S.sweep ~base
-      ~loads:(List.map (fun t -> S.Open_loop t) loads)
-      ~batch_sizes:batches
-  in
-  let closed_rows =
-    match sessions with
-    | Some n ->
-      S.sweep ~base
-        ~loads:[ S.Closed_loop { sessions = n; think_us = think_ms *. 1e3 } ]
-        ~batch_sizes:batches
-    | None -> []
-  in
-  Format.printf "%a@?" S.pp_table (rows @ closed_rows)
-  end
+    if not monitor then Option.iter (serve_traced (cell one)) trace_out;
+    serve_workload ~cell ~run:S.run
+      ~run_monitored:(S.run_monitored ~window_us ~on_window)
+      ~pp_table:S.pp_table ~to_json:S.result_to_json ~ok:(fun _ -> true)
+  | Some mix ->
+    if trace_out <> None then
+      usage "--trace is not supported with --workload %s" workload;
+    if records <= 0 then usage "--records must be positive (got %d)" records;
+    let cell (load, batch_max) =
+      {
+        Y.default_config with
+        Y.mix;
+        records;
+        requests;
+        seed;
+        load;
+        batch_max;
+        log_size;
+      }
+    in
+    serve_workload ~cell ~run:Y.run
+      ~run_monitored:(Y.run_monitored ~window_us ~on_window)
+      ~pp_table:Y.pp_table ~to_json:Y.result_to_json ~ok:(fun r ->
+        r.Y.serial_equal)
 
 (* --- benchdiff: the bench artifact regression gate --- *)
 
@@ -978,7 +897,9 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "sessions" ] ~docv:"N"
-          ~doc:"Also run a closed-loop row with $(docv) client sessions.")
+          ~doc:
+            "Also run closed-loop rows with $(docv) client sessions, one \
+             per --batch; with --monitor and no --load, the monitored cell.")
   in
   let think_ms =
     Arg.(
@@ -992,10 +913,10 @@ let serve_cmd =
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "Before the sweep, run one cell (first load x first batch) \
-             with causal tracing on and export Chrome trace_event JSON to \
-             $(docv) — background truncation steps appear interleaved \
-             with the commit batches on their own track.")
+            "TPC-A only: before the sweep, run one cell (first load x first \
+             batch) with causal tracing on and export Chrome trace_event \
+             JSON to $(docv) — background truncation steps appear \
+             interleaved with the commit batches on their own track.")
   in
   let log_size =
     Arg.(
@@ -1003,8 +924,8 @@ let serve_cmd =
       & opt int (4 * 1024 * 1024)
       & info [ "log-size" ] ~docv:"BYTES"
           ~doc:
-            "Log capacity for the traced run; small enough that the \
-             workload wraps it and background truncation fires.")
+            "Log capacity of every served cell; a small log makes the \
+             workload wrap it and background truncation fire.")
   in
   let zipf_s =
     Arg.(
@@ -1069,12 +990,13 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run the simulated transaction server (Zipf-skewed TPC-A requests \
+         "Run the simulated transaction server (a workload's requests \
           through the cooperative scheduler, admission control and commit \
           batcher) across a load sweep and print the saturation table: \
           throughput, shed and abort counts, latency percentiles, and \
-          device syncs per committed transaction. With --monitor, run one \
-          cell under the SLO health monitor instead.")
+          device syncs per committed transaction. Every workload takes \
+          the same load, batch, session and monitor flags. With --monitor, \
+          run one cell under the SLO health monitor instead.")
     Term.(
       const serve $ requests $ accounts $ seed $ loads $ batches $ sessions
       $ think_ms $ trace_out $ log_size $ zipf_s $ read_pct $ monitor

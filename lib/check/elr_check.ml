@@ -1,16 +1,14 @@
 module Options = Rvm_core.Options
 module Clock = Rvm_util.Clock
 module Cost_model = Rvm_util.Cost_model
-module Rng = Rvm_util.Rng
 module Registry = Rvm_obs.Registry
 module Multi = Rvm_shard.Multi
 module Tpca = Rvm_workload.Tpca
 module Request = Rvm_server.Request
 module Placement = Rvm_server.Placement
 module Engine = Rvm_server.Engine
-module Admission = Rvm_server.Admission
-module Arrivals = Rvm_server.Arrivals
 module Scheduler = Rvm_server.Scheduler
+module Server = Rvm_server.Server
 
 type config = {
   shards : int;
@@ -55,17 +53,6 @@ type ack =
   | Ack_read of { a_id : int; a_deps : int list; a_event : int }
 
 let page_size = 4096
-
-(* Same interleaved placement as the server harness: account i on shard
-   i mod n, per-shard teller/branch/audit, segments at disjoint vaddrs. *)
-let shard_layouts cfg =
-  let n = cfg.shards in
-  let next_base = ref (16 * page_size) in
-  Array.init n (fun s ->
-      let accts = (cfg.accounts + n - 1 - s) / n in
-      let l = Tpca.layout ~accounts:accts ~base:!next_base ~page_size in
-      next_base := !next_base + l.Tpca.total_len + (16 * page_size);
-      l)
 
 let make_options () =
   (* The workloads are small enough that the log never fills; keep both
@@ -123,22 +110,9 @@ let expected_balances cfg (survivors : spooled list) =
   let accounts = Array.make cfg.accounts 0L in
   let tellers = Array.make (n * Tpca.tellers) 0L in
   let branches = Array.make (n * Tpca.branches) 0L in
-  let add arr i d = arr.(i) <- Int64.add arr.(i) d in
   List.iter
     (fun e ->
-      let s = e.sp_spec in
-      match s.Request.kind with
-      | Request.Payment ->
-        let sh = s.Request.account mod n in
-        add accounts s.Request.account s.Request.delta;
-        add tellers ((sh * Tpca.tellers) + s.Request.teller) s.Request.delta;
-        add branches
-          ((sh * Tpca.branches) + (s.Request.teller mod Tpca.branches))
-          s.Request.delta
-      | Request.Transfer ->
-        add accounts s.Request.account s.Request.delta;
-        add accounts s.Request.account2 (Int64.neg s.Request.delta)
-      | Request.Lookup | Request.Ycsb _ -> ())
+      Request.apply_model ~shards:n e.sp_spec ~accounts ~tellers ~branches)
     survivors;
   (accounts, tellers, branches)
 
@@ -258,13 +232,35 @@ let oracle cfg ~spool_order ~acks =
            (List.length survivors))
         mismatch)
 
-(* The recorded run: a real server world — sharded engine, lock manager,
-   admission, the ELR scheduler — over recorder-wrapped memory devices,
-   with the scheduler hooks logging commit-spool order and the exact
-   device-event index at which every ack left the server. *)
+(* The recorded run: the server harness's TPC-A scheduler (DESIGN.md
+   §9, "One harness, many workloads") over a sharded engine on
+   recorder-wrapped memory devices, with the scheduler hooks logging
+   commit-spool order and the exact device-event index at which every
+   ack left the server. *)
 let world cfg rig =
   let n = cfg.shards in
-  let layouts = shard_layouts cfg in
+  let serving =
+    {
+      Server.default_config with
+      Server.accounts = cfg.accounts;
+      shards = n;
+      zipf_s = cfg.zipf_s;
+      transfer_pct = cfg.transfer_pct;
+      read_pct = cfg.read_pct;
+      requests = cfg.requests;
+      seed = cfg.seed;
+      load = Server.Open_loop cfg.rate_tps;
+      batch_max = cfg.batch_max;
+      (* Queue deep enough that nothing sheds: membership checking wants
+         every generated write to either commit or still be in flight at
+         the crash, never refused. *)
+      max_inflight = 8;
+      max_queue = cfg.requests + 8;
+      backpressure = 0.95;
+      elr = true;
+    }
+  in
+  let layouts = Server.shard_layouts serving in
   let logs, resolve =
     Shard_check.trace_shards rig ~shards:n ~log_size:cfg.log_size
       ~seg_size:(fun s -> layouts.(s).Tpca.total_len + page_size)
@@ -276,41 +272,17 @@ let world cfg rig =
       ~model:Cost_model.dec5000 ~obs ~routing:(Shard_check.make_routing n)
       ~logs ~resolve ()
   in
-  let pl = map_layouts m layouts in
-  let rng = Rng.create ~seed:cfg.seed in
-  let gen_rng = Rng.split rng in
-  let arrival_rng = Rng.split rng in
-  let backoff_rng = Rng.split rng in
-  let gen =
-    Request.make_gen ~read_pct:cfg.read_pct ~accounts:cfg.accounts
-      ~zipf_s:cfg.zipf_s ~transfer_pct:cfg.transfer_pct ~rng:gen_rng ()
-  in
-  let arrivals =
-    Arrivals.open_loop ~start_us:(Clock.now_us clock) ~rate_tps:cfg.rate_tps
-      ~requests:cfg.requests ~rng:arrival_rng ()
-  in
-  let admission =
-    (* Queue deep enough that nothing sheds: membership checking wants
-       every generated write to either commit or still be in flight at
-       the crash, never refused. *)
-    Admission.create
-      {
-        Admission.max_inflight = 8;
-        max_queue = cfg.requests + 8;
-        backpressure = 0.95;
-      }
-  in
-  let scfg =
-    {
-      Scheduler.default_config with
-      Scheduler.batch_max = cfg.batch_max;
-      elr = true;
-    }
-  in
   let sched =
-    Scheduler.create ~cfg:scfg ~engine:(Engine.of_multi m) ~clock ~obs
-      ~lock_mgr:(Rvm_layers.Lock_mgr.create ()) ~placement:pl ~admission
-      ~arrivals ~gen ~rng:backoff_rng ()
+    Server.scheduler_of serving
+      {
+        Server.engine = Engine.of_multi m;
+        backend = Server.Sharded m;
+        clock;
+        obs;
+        placement = map_layouts m layouts;
+        log_devs = logs;
+        seg_devs = Array.init n (fun s -> resolve (Shard_check.seg_of_shard s));
+      }
   in
   let spool_order = ref [] (* newest first *) in
   let acks = ref [] in

@@ -1,10 +1,11 @@
 (** Crash explorer for the early-lock-release commit pipeline.
 
     The recorded run is a {e real server world} — the sharded engine
-    behind {!Rvm_server.Engine}, the lock manager, admission control and
-    the ELR scheduler — driving a seeded TPC-A mix (payments, transfers,
-    lookups) over recorder-wrapped memory devices. Scheduler hooks log
-    two orders the checks need:
+    behind {!Rvm_server.Engine} and the server harness's TPC-A scheduler
+    ({!Rvm_server.Server.scheduler_of}: lock manager, admission control,
+    ELR) — driving a seeded TPC-A mix (payments, transfers, lookups)
+    over recorder-wrapped memory devices. Scheduler hooks log two orders
+    the checks need:
 
     - {e commit-spool order}: each write request the moment its commit
       record reaches the log spool (the instant ELR drops its locks),

@@ -107,14 +107,17 @@ let make spec ~arrival_us =
 (* Serial reference model: the ops are per-cell additions, so any
    serializable execution of a request set lands on the same balances as
    applying the specs in any order — what the interleaving property
-   checks the scheduler against. *)
-let apply_model spec ~accounts ~tellers ~branches =
+   checks the scheduler against. A payment's teller and branch live on
+   its account's shard. *)
+let apply_model ~shards spec ~accounts ~tellers ~branches =
   let add arr i d = arr.(i) <- Int64.add arr.(i) d in
   match spec.kind with
   | Payment ->
+    let s = spec.account mod shards in
     add accounts spec.account spec.delta;
-    add tellers spec.teller spec.delta;
-    add branches (spec.teller mod Tpca.branches) spec.delta
+    add tellers ((s * Tpca.tellers) + spec.teller) spec.delta;
+    add branches ((s * Tpca.branches) + (spec.teller mod Tpca.branches))
+      spec.delta
   | Transfer ->
     add accounts spec.account spec.delta;
     add accounts spec.account2 (Int64.neg spec.delta)

@@ -89,10 +89,14 @@ type t = {
 val make : spec -> arrival_us:float -> t
 
 val apply_model :
+  shards:int ->
   spec ->
   accounts:int64 array ->
   tellers:int64 array ->
   branches:int64 array ->
   unit
 (** Apply the request to plain in-memory balance arrays — the serial
-    reference execution the scheduler's results are checked against. *)
+    reference execution the scheduler's results are checked against.
+    Tellers and branches are shard-major: a payment updates teller
+    [shard * Tpca.tellers + teller] (likewise its branch) on its
+    account's shard [account mod shards]. *)

@@ -12,6 +12,8 @@ module Lock_mgr = Rvm_layers.Lock_mgr
 module Tpca = Rvm_workload.Tpca
 module Registry = Rvm_obs.Registry
 module Json = Rvm_obs.Json
+module Timeseries = Rvm_obs.Timeseries
+module Monitor = Rvm_obs.Monitor
 
 type load = Open_loop of float | Closed_loop of { sessions : int; think_us : float }
 
@@ -156,6 +158,22 @@ let shard_layouts cfg =
       next_base := !next_base + l.Tpca.total_len + (16 * page_size);
       l)
 
+(* The dec5000 disks under every server world: the log disk and the data
+   disk, each a latency layer over a memory store named [log<suffix>] or
+   [seg<suffix>]. *)
+let devices ~clock ~suffix ~log_size ~seg_size =
+  let model = Cost_model.dec5000 in
+  let log =
+    Stack.with_latency ~clock ~disk:model.Cost_model.log_disk ()
+      (Mem_device.create ~name:("log" ^ suffix) ~size:log_size ())
+  in
+  let seg =
+    Stack.with_latency ~seek_fraction:0.08 ~sector:page_size ~clock
+      ~disk:model.Cost_model.data_disk ()
+      (Mem_device.create ~name:("seg" ^ suffix) ~size:seg_size ())
+  in
+  (log, seg)
+
 let build_world cfg =
   if cfg.shards < 1 then invalid_arg "Server: shards must be positive";
   if cfg.shards > cfg.accounts then
@@ -164,103 +182,71 @@ let build_world cfg =
   let model = Cost_model.dec5000 in
   let obs = Registry.create ~trace_capacity:cfg.trace_capacity () in
   let options = options_of cfg in
-  let seg_stack dev =
-    Stack.compose
-      [ Stack.with_latency ~seek_fraction:0.08 ~sector:page_size ~clock
-          ~disk:model.Cost_model.data_disk () ]
-      dev
-  in
   (* World construction — formatting the logs, cold recovery scans,
      mapping the segments in — is setup, not served load: suspend the
      clock so the sweep measures steady-state serving from t=0 and the
      per-shard recovery reads don't bill the sharded configurations for
      scanning [shards] times as many log devices. *)
   Clock.suspend clock @@ fun () ->
-  if cfg.shards = 1 then begin
-    let base_vaddr = 16 * page_size in
-    let layout =
-      Tpca.layout ~accounts:cfg.accounts ~base:base_vaddr ~page_size
-    in
-    let seg_size = layout.Tpca.total_len + page_size in
-    let log_outer =
-      Stack.compose
-        [ Stack.with_latency ~clock ~disk:model.Cost_model.log_disk () ]
-        (Mem_device.create ~name:"log" ~size:cfg.log_size ())
-    in
-    let seg_dev = seg_stack (Mem_device.create ~name:"seg" ~size:seg_size ()) in
-    Rvm.create_log log_outer;
-    let rvm =
-      Rvm.initialize ~options ~clock ~model ~obs ~log:log_outer
-        ~resolve:(fun _ -> seg_dev)
-        ()
-    in
-    ignore
-      (Rvm.map rvm ~vaddr:base_vaddr ~seg:1 ~seg_off:0
-         ~len:layout.Tpca.total_len ());
-    {
-      engine = Engine.of_rvm rvm;
-      backend = Single rvm;
-      clock;
-      obs;
-      placement = Placement.make ~layouts:[| layout |];
-      log_devs = [| log_outer |];
-      seg_devs = [| seg_dev |];
-    }
-  end
-  else begin
-    let n = cfg.shards in
-    let layouts = shard_layouts cfg in
-    let logs =
-      Array.init n (fun s ->
-          Stack.compose
-            [ Stack.with_latency ~clock ~disk:model.Cost_model.log_disk () ]
-            (Mem_device.create
-               ~name:("log" ^ string_of_int s)
-               ~size:cfg.log_size ()))
-    in
-    let segs =
-      Array.init n (fun s ->
-          seg_stack
-            (Mem_device.create
-               ~name:("seg" ^ string_of_int s)
-               ~size:(layouts.(s).Tpca.total_len + page_size)
-               ()))
-    in
-    let routing =
-      Routing.of_table ~shards:n (List.init n (fun s -> (s + 1, s)))
-    in
-    Multi.create_logs logs;
-    let m =
-      Multi.initialize ~options ~clock ~model ~obs ~routing ~logs
-        ~resolve:(fun seg -> segs.(seg - 1))
-        ()
-    in
-    Array.iteri
-      (fun s (l : Tpca.layout) ->
-        ignore
-          (Multi.map m ~vaddr:l.Tpca.base ~seg:(s + 1) ~seg_off:0
-             ~len:l.Tpca.total_len ()))
-      layouts;
-    {
-      engine = Engine.of_multi m;
-      backend = Sharded m;
-      clock;
-      obs;
-      placement = Placement.make ~layouts;
-      log_devs = logs;
-      seg_devs = segs;
-    }
-  end
+  let n = cfg.shards in
+  let layouts = shard_layouts cfg in
+  let devs =
+    Array.init n (fun s ->
+        devices ~clock
+          ~suffix:(if n = 1 then "" else string_of_int s)
+          ~log_size:cfg.log_size
+          ~seg_size:(layouts.(s).Tpca.total_len + page_size))
+  in
+  let log_devs = Array.map fst devs and seg_devs = Array.map snd devs in
+  let engine, backend =
+    if n = 1 then begin
+      Rvm.create_log log_devs.(0);
+      let rvm =
+        Rvm.initialize ~options ~clock ~model ~obs ~log:log_devs.(0)
+          ~resolve:(fun _ -> seg_devs.(0))
+          ()
+      in
+      ignore
+        (Rvm.map rvm ~vaddr:layouts.(0).Tpca.base ~seg:1 ~seg_off:0
+           ~len:layouts.(0).Tpca.total_len ());
+      (Engine.of_rvm rvm, Single rvm)
+    end
+    else begin
+      let routing =
+        Routing.of_table ~shards:n (List.init n (fun s -> (s + 1, s)))
+      in
+      Multi.create_logs log_devs;
+      let m =
+        Multi.initialize ~options ~clock ~model ~obs ~routing ~logs:log_devs
+          ~resolve:(fun seg -> seg_devs.(seg - 1))
+          ()
+      in
+      Array.iteri
+        (fun s (l : Tpca.layout) ->
+          ignore
+            (Multi.map m ~vaddr:l.Tpca.base ~seg:(s + 1) ~seg_off:0
+               ~len:l.Tpca.total_len ()))
+        layouts;
+      (Engine.of_multi m, Sharded m)
+    end
+  in
+  {
+    engine;
+    backend;
+    clock;
+    obs;
+    placement = Placement.make ~layouts;
+    log_devs;
+    seg_devs;
+  }
 
-let scheduler_of cfg w =
+(* {2 The serving half, shared by every workload} *)
+
+let scheduler ?plug cfg w ~gen =
   let rng = Rng.create ~seed:cfg.seed in
   let gen_rng = Rng.split rng in
   let arrival_rng = Rng.split rng in
   let backoff_rng = Rng.split rng in
-  let gen =
-    Request.make_gen ~read_pct:cfg.read_pct ~accounts:cfg.accounts
-      ~zipf_s:cfg.zipf_s ~transfer_pct:cfg.transfer_pct ~rng:gen_rng ()
-  in
   let start_us = Clock.now_us w.clock in
   let arrivals =
     match cfg.load with
@@ -289,9 +275,42 @@ let scheduler_of cfg w =
       elr = cfg.elr;
     }
   in
-  Scheduler.create ~cfg:scfg ~engine:w.engine ~clock:w.clock ~obs:w.obs
+  Scheduler.create ?plug ~cfg:scfg ~engine:w.engine ~clock:w.clock ~obs:w.obs
     ~lock_mgr:(Lock_mgr.create ()) ~placement:w.placement ~admission ~arrivals
-    ~gen ~rng:backoff_rng ()
+    ~gen:(gen gen_rng) ~rng:backoff_rng ()
+
+let scheduler_of cfg w =
+  scheduler cfg w ~gen:(fun rng ->
+      Request.make_gen ~read_pct:cfg.read_pct ~accounts:cfg.accounts
+        ~zipf_s:cfg.zipf_s ~transfer_pct:cfg.transfer_pct ~rng ())
+
+(* {2 Monitoring}
+
+   The monitor reads the same registry the engine already reports into;
+   the extra wiring is gauges (instantaneous signals that have no
+   counter) plus the scheduler's quantum hook driving the windowing
+   tick. Nothing here charges the simulated clock, so a monitored run
+   is byte-identical to a bare one. *)
+
+let default_window_us = 500_000.
+
+let monitor_of ?(window_us = default_window_us) ?rules w =
+  let eng = w.engine in
+  let rules =
+    match rules with
+    | Some r -> r
+    | None -> Monitor.default_rules ~shards:eng.Engine.shards ()
+  in
+  let ts = Timeseries.create ~window_us w.obs in
+  Timeseries.gauge ts "spool.pressure" eng.Engine.spool_pressure;
+  Timeseries.gauge ts "log.occupancy" eng.Engine.log_occupancy;
+  Timeseries.gauge ts "lsn.commit" (fun () ->
+      float_of_int (eng.Engine.commit_lsn ()));
+  Timeseries.gauge ts "lsn.durable" (fun () ->
+      float_of_int (eng.Engine.durable_lsn ()));
+  Timeseries.gauge ts "truncation.due" (fun () ->
+      if eng.Engine.truncation_due () then 1. else 0.);
+  Monitor.create ~rules ts w.obs
 
 let log_totals w =
   Array.fold_left
@@ -299,7 +318,25 @@ let log_totals w =
       (ws + d.Device.stats.Device.writes, ss + d.Device.stats.Device.syncs))
     (0, 0) w.log_devs
 
-let reduce cfg w tally ~log_writes ~log_syncs =
+(* Leave any final no-flush residue where the run left it: syncs are
+   attributed per committed request, and the scheduler always closes its
+   last batch before the arrival process drains. *)
+let serve ?monitor w sched =
+  let emit close =
+    Option.iter
+      (fun (mon, on_window) ->
+        List.iter on_window (close mon ~now_us:(Clock.now_us w.clock)))
+      monitor
+  in
+  if Option.is_some monitor then
+    Scheduler.set_on_quantum sched (fun () -> emit Monitor.tick);
+  let writes0, syncs0 = log_totals w in
+  let tally = Scheduler.run sched in
+  emit Monitor.finish;
+  let writes1, syncs1 = log_totals w in
+  (tally, writes1 - writes0, syncs1 - syncs0)
+
+let reduce cfg w (tally, log_writes, log_syncs) =
   let cross_committed, cross_aborted =
     match w.backend with
     | Single _ -> (0, 0)
@@ -356,83 +393,25 @@ let release_world w =
   Array.iter (fun (d : Device.t) -> d.Device.close ()) w.log_devs;
   Array.iter (fun (d : Device.t) -> d.Device.close ()) w.seg_devs
 
+(* {2 TPC-A runs} *)
+
 let run cfg =
   let w = build_world cfg in
-  let sched = scheduler_of cfg w in
-  let writes0, syncs0 = log_totals w in
-  let tally = Scheduler.run sched in
-  (* Leave any final no-flush residue where the run left it: syncs are
-     attributed per committed request, and the scheduler always closes its
-     last batch before the arrival process drains. *)
-  let writes1, syncs1 = log_totals w in
+  let served = serve w (scheduler_of cfg w) in
   release_world w;
-  reduce cfg w tally ~log_writes:(writes1 - writes0)
-    ~log_syncs:(syncs1 - syncs0)
-
-(* {2 Monitored runs}
-
-   The monitor reads the same registry the engine already reports into;
-   the extra wiring is gauges (instantaneous signals that have no
-   counter) plus the scheduler's quantum hook driving the windowing
-   tick. Nothing here charges the simulated clock, so a monitored run
-   is byte-identical to a bare one. *)
-
-module Timeseries = Rvm_obs.Timeseries
-module Monitor = Rvm_obs.Monitor
-
-let register_gauges w ts =
-  let eng = w.engine in
-  Timeseries.gauge ts "spool.pressure" eng.Engine.spool_pressure;
-  Timeseries.gauge ts "log.occupancy" eng.Engine.log_occupancy;
-  Timeseries.gauge ts "lsn.commit" (fun () ->
-      float_of_int (eng.Engine.commit_lsn ()));
-  Timeseries.gauge ts "lsn.durable" (fun () ->
-      float_of_int (eng.Engine.durable_lsn ()));
-  Timeseries.gauge ts "truncation.due" (fun () ->
-      if eng.Engine.truncation_due () then 1. else 0.)
-
-let default_window_us = 500_000.
-
-let monitor_of ?(window_us = default_window_us) ?rules w =
-  let rules =
-    match rules with
-    | Some r -> r
-    | None -> Monitor.default_rules ~shards:w.engine.Engine.shards ()
-  in
-  let ts = Timeseries.create ~window_us w.obs in
-  register_gauges w ts;
-  Monitor.create ~rules ts w.obs
+  reduce cfg w served
 
 let run_monitored ?window_us ?rules ?(on_window = fun _ _ -> ()) cfg =
   let w = build_world cfg in
   let sched = scheduler_of cfg w in
   let mon = monitor_of ?window_us ?rules w in
-  Scheduler.set_on_quantum sched (fun () ->
-      List.iter (on_window mon) (Monitor.tick mon ~now_us:(Clock.now_us w.clock)));
-  let writes0, syncs0 = log_totals w in
-  let tally = Scheduler.run sched in
-  List.iter (on_window mon) (Monitor.finish mon ~now_us:(Clock.now_us w.clock));
-  let writes1, syncs1 = log_totals w in
+  let served = serve ~monitor:(mon, on_window mon) w sched in
   release_world w;
-  let result =
-    reduce cfg w tally ~log_writes:(writes1 - writes0)
-      ~log_syncs:(syncs1 - syncs0)
-  in
-  (result, mon)
+  (reduce cfg w served, mon)
 
 let run_with_world cfg =
   let w = build_world cfg in
-  let sched = scheduler_of cfg w in
-  let tally = Scheduler.run sched in
-  (w, tally)
-
-let sweep ~base ~loads ~batch_sizes =
-  List.concat_map
-    (fun load ->
-      List.map
-        (fun batch_max -> run { base with load; batch_max })
-        batch_sizes)
-    loads
+  (w, Scheduler.run (scheduler_of cfg w))
 
 let result_to_json r =
   let c = r.cfg in

@@ -5,7 +5,8 @@
     reduces the outcome to a {!result} row. Two results from equal
     configs are byte-identical: every stochastic choice (request mix,
     Zipf keys, arrival times, backoff jitter) flows from [seed] through
-    split {!Rvm_util.Rng} streams, and all timing is simulated. *)
+    split {!Rvm_util.Rng} streams, and all timing is simulated. TPC-A,
+    {!Ycsb_run} and the ELR crash explorer share its serving half. *)
 
 type load =
   | Open_loop of float  (** Poisson arrivals at this offered tps *)
@@ -143,10 +144,51 @@ val release_world : world -> unit
     stores from {!Rvm_disk.Mem_device}'s snapshot registry. {!run} and
     {!run_monitored} release the worlds they build. *)
 
-val sweep :
-  base:config -> loads:load list -> batch_sizes:int list -> result list
-(** The saturation grid: every load crossed with every batch size, rows
-    in [loads]-major order. *)
+val shard_layouts : config -> Rvm_workload.Tpca.layout array
+(** Shard [s] holds the accounts [≡ s (mod shards)] and its own tellers,
+    branches and audit trail, at disjoint vaddrs. *)
+
+val devices :
+  clock:Rvm_util.Clock.t ->
+  suffix:string ->
+  log_size:int ->
+  seg_size:int ->
+  Rvm_disk.Device.t * Rvm_disk.Device.t
+(** Memory stores [log<suffix>] and [seg<suffix>] under the dec5000
+    log-disk and data-disk latency layers. *)
+
+(** {1 The serving half}
+
+    Every workload runs through these. It brings a world, a request
+    generator and, for its own request kinds, a step plug; only the
+    serving fields of the {!config} are read (seed, load, requests and
+    the admission, scheduler and ELR knobs). *)
+
+val scheduler :
+  ?plug:(Request.spec -> Scheduler.step list) ->
+  config ->
+  world ->
+  gen:(Rvm_util.Rng.t -> Request.gen) ->
+  Scheduler.t
+(** Splits [seed] into the request, arrival and backoff streams, then
+    builds arrivals, admission and the scheduler over the world. *)
+
+val monitor_of :
+  ?window_us:float ->
+  ?rules:Rvm_obs.Monitor.rule list ->
+  world ->
+  Rvm_obs.Monitor.t
+
+val serve :
+  ?monitor:Rvm_obs.Monitor.t * (Rvm_obs.Timeseries.window -> unit) ->
+  world ->
+  Scheduler.t ->
+  Scheduler.tally * int * int
+(** Run to completion: the tally and the log devices' write and sync
+    deltas. [monitor] ticks from the quantum hook and every window it
+    closes goes to the callback. *)
+
+val reduce : config -> world -> Scheduler.tally * int * int -> result
 
 val result_to_json : result -> Rvm_obs.Json.t
 val pp_table : Format.formatter -> result list -> unit

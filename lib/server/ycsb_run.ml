@@ -1,9 +1,6 @@
 module Clock = Rvm_util.Clock
 module Cost_model = Rvm_util.Cost_model
-module Rng = Rvm_util.Rng
-module Mem_device = Rvm_disk.Mem_device
 module Device = Rvm_disk.Device
-module Stack = Rvm_disk.Stack
 module Rvm = Rvm_core.Rvm
 module Options = Rvm_core.Options
 module Types = Rvm_core.Types
@@ -111,15 +108,6 @@ let heap_len_of cfg =
   let raw = (cfg.records * per_record) + (1 lsl 20) in
   ((raw / page_size) + 1) * page_size
 
-let options_of () =
-  {
-    Options.default with
-    (* Inline reclamation during the load; the scheduler's background
-       slot takes over for the measured run (see Server.options_of). *)
-    Options.auto_truncate = true;
-    truncation_mode = Types.Incremental;
-  }
-
 (* Bulk-load [records] keys in ascending order, batched [No_flush] with a
    single force at the end — the tree is built before the clock starts,
    so the sweep measures steady-state serving over a warm store. *)
@@ -144,16 +132,9 @@ let build_world cfg =
   let model = Cost_model.dec5000 in
   let obs = Registry.create () in
   let heap_len = heap_len_of cfg in
-  let log_outer =
-    Stack.compose
-      [ Stack.with_latency ~clock ~disk:model.Cost_model.log_disk () ]
-      (Mem_device.create ~name:"log" ~size:cfg.log_size ())
-  in
-  let seg_dev =
-    Stack.compose
-      [ Stack.with_latency ~seek_fraction:0.08 ~sector:page_size ~clock
-          ~disk:model.Cost_model.data_disk () ]
-      (Mem_device.create ~name:"seg" ~size:(heap_len + page_size) ())
+  let log_dev, seg_dev =
+    Server.devices ~clock ~suffix:"" ~log_size:cfg.log_size
+      ~seg_size:(heap_len + page_size)
   in
   (* The paging pressure the paper's section 7.1 asks about: physical
      frames are a fraction of the heap's pages, so the Zipf-cold tail of
@@ -176,10 +157,18 @@ let build_world cfg =
            })
   in
   Clock.suspend clock @@ fun () ->
-  Rvm.create_log log_outer;
+  Rvm.create_log log_dev;
+  (* Inline reclamation during the load; the scheduler's background slot
+     takes over for the measured run (see Server.options_of). *)
+  let options =
+    {
+      Options.default with
+      Options.auto_truncate = true;
+      truncation_mode = Types.Incremental;
+    }
+  in
   let rvm =
-    Rvm.initialize ~options:(options_of ()) ~clock ~model ~obs ?vm
-      ~log:log_outer
+    Rvm.initialize ~options ~clock ~model ~obs ?vm ~log:log_dev
       ~resolve:(fun _ -> seg_dev)
       ()
   in
@@ -198,8 +187,8 @@ let build_world cfg =
   s.Pbtree.splits <- 0;
   s.Pbtree.merges <- 0;
   s.Pbtree.borrows <- 0;
-  { rvm; engine = Engine.of_rvm rvm; clock; obs; heap; tree; vm;
-    log_dev = log_outer; seg_dev }
+  { rvm; engine = Engine.of_rvm rvm; clock; obs; heap; tree; vm; log_dev;
+    seg_dev }
 
 let tree_lock = "btree"
 
@@ -264,64 +253,54 @@ let plug_of cfg (tree : Pbtree.t) =
         ])
     | _ -> []
 
-let scheduler_of cfg w =
-  let rng = Rng.create ~seed:cfg.seed in
-  let gen_rng = Rng.split rng in
-  let arrival_rng = Rng.split rng in
-  let backoff_rng = Rng.split rng in
+(* The harness's view of the world. The placement is TPC-A machinery
+   the plug never touches; a one-account layout satisfies the
+   scheduler's interface. *)
+let server_world w =
+  {
+    Server.engine = w.engine;
+    backend = Server.Single w.rvm;
+    clock = w.clock;
+    obs = w.obs;
+    placement =
+      Placement.make
+        ~layouts:
+          [| Rvm_workload.Tpca.layout ~accounts:1 ~base:heap_base ~page_size |];
+    log_devs = [| w.log_dev |];
+    seg_devs = [| w.seg_dev |];
+  }
+
+(* The serving fields, as the harness reads them. *)
+let serving cfg =
+  {
+    Server.default_config with
+    Server.requests = cfg.requests;
+    seed = cfg.seed;
+    load = cfg.load;
+    batch_max = cfg.batch_max;
+    max_inflight = cfg.max_inflight;
+    max_queue = cfg.max_queue;
+    backpressure = cfg.backpressure;
+    backoff_base_us = cfg.backoff_base_us;
+    cpu_per_op_us = cfg.cpu_per_op_us;
+    background_truncation = cfg.background_truncation;
+    elr = cfg.elr;
+  }
+
+let gen cfg rng =
   let g =
-    Ycsb.create ~rng:gen_rng ~mix:cfg.mix ~records:cfg.records
+    Ycsb.create ~rng ~mix:cfg.mix ~records:cfg.records
       ~value_len:cfg.value_len ~scan_max:cfg.scan_max
   in
-  let gen =
-    Request.of_fn (fun ~id ->
-        {
-          Request.id;
-          kind = Request.Ycsb (Ycsb.next g);
-          account = 0;
-          account2 = 0;
-          teller = 0;
-          delta = 0L;
-        })
-  in
-  let start_us = Clock.now_us w.clock in
-  let arrivals =
-    match cfg.load with
-    | Server.Open_loop rate_tps ->
-      Arrivals.open_loop ~start_us ~rate_tps ~requests:cfg.requests
-        ~rng:arrival_rng ()
-    | Server.Closed_loop { sessions; think_us } ->
-      Arrivals.closed_loop ~start_us ~sessions ~think_us
-        ~requests:cfg.requests ~rng:arrival_rng ()
-  in
-  let admission =
-    Admission.create ~obs:w.obs
+  Request.of_fn (fun ~id ->
       {
-        Admission.max_inflight = cfg.max_inflight;
-        max_queue = cfg.max_queue;
-        backpressure = cfg.backpressure;
-      }
-  in
-  let scfg =
-    {
-      Scheduler.default_config with
-      Scheduler.batch_max = cfg.batch_max;
-      backoff_base_us = cfg.backoff_base_us;
-      cpu_per_op_us = cfg.cpu_per_op_us;
-      background_truncation = cfg.background_truncation;
-      elr = cfg.elr;
-    }
-  in
-  (* The placement is TPC-A machinery the plug never touches; a
-     one-account layout satisfies the scheduler's interface. *)
-  let placement =
-    Placement.make
-      ~layouts:
-        [| Rvm_workload.Tpca.layout ~accounts:1 ~base:heap_base ~page_size |]
-  in
-  Scheduler.create ~plug:(plug_of cfg w.tree) ~cfg:scfg ~engine:w.engine
-    ~clock:w.clock ~obs:w.obs ~lock_mgr:(Lock_mgr.create ()) ~placement
-    ~admission ~arrivals ~gen ~rng:backoff_rng ()
+        Request.id;
+        kind = Request.Ycsb (Ycsb.next g);
+        account = 0;
+        account2 = 0;
+        teller = 0;
+        delta = 0L;
+      })
 
 (* Serial reference: replay the committed ops in commit (spool/LSN)
    order against the plain hash-table model and demand the recoverable
@@ -338,8 +317,7 @@ let serial_check cfg w committed_ops =
          ok && Hashtbl.find_opt model key = Some value)
 
 (* Heap occupancy and paging pressure, published as counters so they
-   land in the registry dump (`rvmutl serve`'s --stats output) next to
-   the engine's own counters. *)
+   land in the registry next to the engine's own counters. *)
 let publish_gauges w =
   let set name v = Counter.add (Registry.counter w.obs name) v in
   (* vm counters first: the rds occupancy walk below faults in every
@@ -355,90 +333,77 @@ let publish_gauges w =
   set "rds.free.list.length" (Rds.free_list_length w.heap);
   set "rds.blocks" (Rds.block_count w.heap)
 
-let run_with_world cfg =
-  let w = build_world cfg in
-  let sched = scheduler_of cfg w in
+(* Serve the mix over a built world and reduce it to a row. The spool
+   hook records the committed ops in commit order for the serial check. *)
+let serve ?monitor cfg w =
+  let sw = server_world w in
+  let scfg = serving cfg in
+  let sched =
+    Server.scheduler ~plug:(plug_of cfg w.tree) scfg sw ~gen:(gen cfg)
+  in
   let ops = ref [] in
   Scheduler.set_hooks sched
     ~on_spool:(fun r ->
       match r.Request.spec.Request.kind with
       | Request.Ycsb op -> ops := op :: !ops
       | _ -> ())
-    ~on_ack:(fun _ -> ());
-  let writes0 = w.log_dev.Device.stats.Device.writes in
-  let syncs0 = w.log_dev.Device.stats.Device.syncs in
-  let tally = Scheduler.run sched in
-  let log_writes = w.log_dev.Device.stats.Device.writes - writes0 in
-  let log_syncs = w.log_dev.Device.stats.Device.syncs - syncs0 in
+    ~on_ack:ignore;
+  let s = Server.reduce scfg sw (Server.serve ?monitor sw sched) in
   (* Paging counters are sampled first: the gauge pass below walks every
      heap block and the serial-reference replay walks every leaf — both
      would otherwise be charged to the run. *)
-  let vm_faults = match w.vm with Some vm -> Vm_sim.faults vm | None -> 0 in
-  let vm_evictions =
-    match w.vm with Some vm -> Vm_sim.evictions vm | None -> 0
-  in
-  let vm_pageouts =
-    match w.vm with Some vm -> Vm_sim.pageouts vm | None -> 0
-  in
+  let vm_count f = match w.vm with Some vm -> f vm | None -> 0 in
+  let vm_faults = vm_count Vm_sim.faults in
+  let vm_evictions = vm_count Vm_sim.evictions in
+  let vm_pageouts = vm_count Vm_sim.pageouts in
   publish_gauges w;
-  let lat = Array.copy tally.Scheduler.latencies_us in
-  Array.sort compare lat;
-  let n = Array.length lat in
-  let committed = tally.Scheduler.committed in
   let ts = Pbtree.stats w.tree in
   let serial_equal = serial_check cfg w (List.rev !ops) in
-  let result =
-    {
-      cfg;
-      committed;
-      shed = tally.Scheduler.shed;
-      aborts = tally.Scheduler.aborts;
-      abort_rate =
-        (let total = tally.Scheduler.aborts + committed in
-         if total = 0 then 0.
-         else float_of_int tally.Scheduler.aborts /. float_of_int total);
-      batches = tally.Scheduler.batches;
-      duration_us = tally.Scheduler.end_us;
-      throughput_tps =
-        (if tally.Scheduler.end_us > 0. then
-           float_of_int committed /. (tally.Scheduler.end_us /. 1e6)
-         else 0.);
-      mean_latency_us =
-        (if n = 0 then 0.
-         else Array.fold_left ( +. ) 0. lat /. float_of_int n);
-      p50_latency_us = Server.percentile lat 50.;
-      p95_latency_us = Server.percentile lat 95.;
-      p99_latency_us = Server.percentile lat 99.;
-      log_writes;
-      log_syncs;
-      syncs_per_commit =
-        (if committed = 0 then 0.
-         else float_of_int log_syncs /. float_of_int committed);
-      vm_faults;
-      vm_evictions;
-      vm_pageouts;
-      heap_allocated_bytes = Rds.allocated_bytes w.heap;
-      heap_free_bytes = Rds.free_bytes w.heap;
-      heap_free_list = Rds.free_list_length w.heap;
-      tree_length = Pbtree.length w.tree;
-      splits = ts.Pbtree.splits;
-      merges = ts.Pbtree.merges;
-      serial_equal;
-    }
-  in
-  (result, w)
+  {
+    cfg;
+    committed = s.Server.committed;
+    shed = s.Server.shed;
+    aborts = s.Server.aborts;
+    abort_rate = s.Server.abort_rate;
+    batches = s.Server.batches;
+    duration_us = s.Server.duration_us;
+    throughput_tps = s.Server.throughput_tps;
+    mean_latency_us = s.Server.mean_latency_us;
+    p50_latency_us = s.Server.p50_latency_us;
+    p95_latency_us = s.Server.p95_latency_us;
+    p99_latency_us = s.Server.p99_latency_us;
+    log_writes = s.Server.log_writes;
+    log_syncs = s.Server.log_syncs;
+    syncs_per_commit = s.Server.syncs_per_commit;
+    vm_faults;
+    vm_evictions;
+    vm_pageouts;
+    heap_allocated_bytes = Rds.allocated_bytes w.heap;
+    heap_free_bytes = Rds.free_bytes w.heap;
+    heap_free_list = Rds.free_list_length w.heap;
+    tree_length = Pbtree.length w.tree;
+    splits = ts.Pbtree.splits;
+    merges = ts.Pbtree.merges;
+    serial_equal;
+  }
 
-(* Memory devices stay registered for snapshots until closed. *)
-let release_world w =
-  w.log_dev.Device.close ();
-  w.seg_dev.Device.close ()
+let run_with_world cfg =
+  let w = build_world cfg in
+  (serve cfg w, w)
+
+let release_world w = Server.release_world (server_world w)
 
 let run cfg =
   let r, w = run_with_world cfg in
   release_world w;
   r
 
-let sweep ~base mixes = List.map (fun mix -> run { base with mix }) mixes
+let run_monitored ?window_us ?(on_window = fun _ _ -> ()) cfg =
+  let w = build_world cfg in
+  let mon = Server.monitor_of ?window_us (server_world w) in
+  let r = serve ~monitor:(mon, on_window mon) cfg w in
+  release_world w;
+  (r, mon)
 
 let result_to_json r =
   let c = r.cfg in
@@ -483,17 +448,17 @@ let result_to_json r =
 
 let pp_table fmt results =
   Format.fprintf fmt
-    "%-7s %8s | %9s %9s %6s %6s | %9s %9s %9s | %9s %8s %6s %6s@\n" "mix"
-    "records" "committed" "tps" "shed" "abort" "p50(ms)" "p95(ms)" "p99(ms)"
-    "syncs/txn" "faults" "splits" "serial";
-  Format.fprintf fmt "%s@\n" (String.make 118 '-');
+    "%-7s %8s %-18s %5s | %9s %9s %6s %6s | %9s %9s %9s | %9s %8s %6s %6s@\n"
+    "mix" "records" "load" "batch" "committed" "tps" "shed" "abort" "p50(ms)"
+    "p95(ms)" "p99(ms)" "syncs/txn" "faults" "splits" "serial";
+  Format.fprintf fmt "%s@\n" (String.make 143 '-');
   List.iter
     (fun r ->
       Format.fprintf fmt
-        "%-7s %8d | %9d %9.1f %6d %6d | %9.2f %9.2f %9.2f | %9.3f %8d %6d \
-         %6s@\n"
-        (Ycsb.mix_name r.cfg.mix) r.cfg.records r.committed r.throughput_tps
-        r.shed r.aborts
+        "%-7s %8d %-18s %5d | %9d %9.1f %6d %6d | %9.2f %9.2f %9.2f | %9.3f \
+         %8d %6d %6s@\n"
+        (Ycsb.mix_name r.cfg.mix) r.cfg.records (Server.load_name r.cfg.load)
+        r.cfg.batch_max r.committed r.throughput_tps r.shed r.aborts
         (r.p50_latency_us /. 1e3)
         (r.p95_latency_us /. 1e3)
         (r.p99_latency_us /. 1e3)

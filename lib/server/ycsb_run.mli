@@ -1,7 +1,7 @@
 (** The YCSB harness: the server's second workload, running the standard
     key-value mixes A–F ({!Rvm_workload.Ycsb}) against a recoverable
     B-tree ({!Rvm_pds.Pbtree}) in an {!Rvm_alloc.Rds} heap, through the
-    same scheduler/admission/arrival machinery as the TPC-A {!Server}.
+    serving half of {!Server}.
 
     One call builds the world (latency-wrapped log and segment devices
     over the dec5000 model, optional {!Rvm_vm.Vm_sim} paging pressure),
@@ -97,10 +97,16 @@ val run_with_world : config -> result * world
 
 val release_world : world -> unit
 (** Close the world's log and segment devices, dropping their memory
-    stores from {!Rvm_disk.Mem_device}'s snapshot registry. {!run}
-    releases the world it builds. *)
+    stores from {!Rvm_disk.Mem_device}'s snapshot registry. {!run} and
+    {!run_monitored} release the worlds they build. *)
 
-val sweep : base:config -> Rvm_workload.Ycsb.mix list -> result list
+val run_monitored :
+  ?window_us:float ->
+  ?on_window:(Rvm_obs.Monitor.t -> Rvm_obs.Timeseries.window -> unit) ->
+  config ->
+  result * Rvm_obs.Monitor.t
+(** {!run} under {!Server.run_monitored}'s monitor with the default
+    rules; same result. *)
 
 val result_to_json : result -> Rvm_obs.Json.t
 val pp_table : Format.formatter -> result list -> unit

@@ -13,6 +13,7 @@ module Timeseries = Rvm_obs.Timeseries
 module Monitor = Rvm_obs.Monitor
 module Json = Rvm_obs.Json
 module S = Rvm_server.Server
+module Y = Rvm_server.Ycsb_run
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -201,11 +202,27 @@ let test_postmortem_pinpoints_windows () =
   check_bool "postmortem round-trips" true (Json.member "schema" reparsed
                                             = Json.member "schema" doc)
 
+(* YCSB runs through the same harness, so the same promise holds for it:
+   mix A over a paged heap, offered past its knee. *)
+let ycsb_cfg =
+  {
+    Y.default_config with
+    Y.records = 2_000;
+    requests = 400;
+    load = S.Open_loop 80.;
+  }
+
 let test_monitoring_never_perturbs () =
   let bare = S.run overload_cfg in
   let monitored, _mon = S.run_monitored overload_cfg in
   check_bool "monitored result is byte-identical to the bare run" true
-    (bare = monitored)
+    (bare = monitored);
+  let bare = Y.run ycsb_cfg in
+  let monitored, mon = Y.run_monitored ycsb_cfg in
+  check_bool "monitored YCSB result is byte-identical to the bare run" true
+    (bare = monitored);
+  check_bool "monitored YCSB run closed windows" true
+    (Timeseries.completed (Monitor.timeseries mon) > 0)
 
 (* The tiny-log run: background truncation bursts inflate some windows'
    p99 far past others. The cumulative histogram averages the bursts

@@ -259,25 +259,6 @@ let replay_specs cfg =
   in
   List.init cfg.S.requests (fun _ -> Request.fresh gen)
 
-(* Serial reference generalized over placement: teller and branch records
-   are per-shard (the Payment's updates land on its account's shard), so
-   the reference keys them by (shard, index). With shards = 1 this is
-   exactly [Request.apply_model]. *)
-let apply_sharded spec ~shards ~accounts ~tellers ~branches =
-  let add arr i d = arr.(i) <- Int64.add arr.(i) d in
-  match spec.Request.kind with
-  | Request.Payment ->
-    let s = spec.Request.account mod shards in
-    add accounts spec.Request.account spec.Request.delta;
-    add tellers ((s * Tpca.tellers) + spec.Request.teller) spec.Request.delta;
-    add branches
-      ((s * Tpca.branches) + (spec.Request.teller mod Tpca.branches))
-      spec.Request.delta
-  | Request.Transfer ->
-    add accounts spec.Request.account spec.Request.delta;
-    add accounts spec.Request.account2 (Int64.neg spec.Request.delta)
-  | Request.Lookup | Request.Ycsb _ -> ()
-
 let check_balances cfg (w : S.world) =
   let pl = w.S.placement in
   let n = cfg.S.shards in
@@ -288,7 +269,8 @@ let check_balances cfg (w : S.world) =
   let tellers = Array.make (n * Tpca.tellers) 0L in
   let branches = Array.make (n * Tpca.branches) 0L in
   List.iter
-    (fun spec -> apply_sharded spec ~shards:n ~accounts ~tellers ~branches)
+    (fun spec ->
+      Request.apply_model ~shards:n spec ~accounts ~tellers ~branches)
     (replay_specs cfg);
   Array.iteri
     (fun i expected ->

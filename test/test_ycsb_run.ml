@@ -20,18 +20,22 @@ let base =
     mem_fraction = 0.;
   }
 
+(* Every mix open loop, plus a closed-loop row: sessions re-issue only as
+   their previous request completes, a second arrival path through the
+   same harness. *)
 let test_mixes_serial_equal () =
   List.iter
-    (fun mix ->
-      let r = Ycsb_run.run { base with Ycsb_run.mix } in
-      let name = Ycsb.mix_name mix in
+    (fun (mix, load) ->
+      let r = Ycsb_run.run { base with Ycsb_run.mix; load } in
+      let name = Ycsb.mix_name mix ^ " " ^ Server.load_name load in
       check_bool (name ^ " serial equal") true r.Ycsb_run.serial_equal;
       check_int
         (name ^ " all requests accounted")
         base.Ycsb_run.requests
         (r.Ycsb_run.committed + r.Ycsb_run.shed);
       check_bool (name ^ " made progress") true (r.Ycsb_run.committed > 0))
-    [ Ycsb.A; B; C; D; E; F ]
+    (List.map (fun mix -> (mix, base.Ycsb_run.load)) [ Ycsb.A; B; C; D; E; F ]
+    @ [ (Ycsb.F, Server.Closed_loop { sessions = 8; think_us = 5_000. }) ])
 
 let test_determinism () =
   let cfg = { base with Ycsb_run.mix = Ycsb.F } in
