@@ -29,6 +29,21 @@ let run_table2 () = Harness.Table2.print (Harness.Table2.run ())
    path. These measure the implementation itself, not the simulated 1993
    hardware. --- *)
 
+(* Bechamel's [Toolkit.Instance.minor_allocated] reads [Gc.quick_stat],
+   whose minor-word count OCaml 5 advances only at a minor collection, so
+   a short run reads as zero words. [Gc.minor_words] counts every word
+   allocated so far. *)
+module Minor_words = struct
+  type witness = unit
+
+  let label () = "minor-words"
+  let unit () = "words"
+  let make () = ()
+  let load () = ()
+  let unload () = ()
+  let get () = Gc.minor_words ()
+end
+
 let micro () =
   let open Bechamel in
   let open Toolkit in
@@ -165,47 +180,62 @@ let micro () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
-  let instances = Instance.[ monotonic_clock ] in
+  (* Host time and words allocated on the minor heap, each an OLS estimate
+     per run. *)
+  let clock = Instance.monotonic_clock in
+  let words =
+    Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+  in
+  let instances = [ clock; words ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let raw_results = Benchmark.all cfg instances tests in
   let results =
     List.map (fun instance -> Analyze.all ols instance raw_results) instances
   in
   let results = Analyze.merge ols instances results in
-  let estimates = ref [] in
-  print_endline "\n== Micro-benchmarks (host time per operation) ==";
-  Hashtbl.iter
-    (fun _ per_instance ->
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] ->
-            estimates := (name, Some est) :: !estimates;
-            Printf.printf "  %-28s %10.1f ns/op\n" name est
-          | Some _ | None ->
-            estimates := (name, None) :: !estimates;
-            Printf.printf "  %-28s (no estimate)\n" name)
-        per_instance)
-    results;
+  let estimate instance name =
+    match
+      Option.bind (Hashtbl.find_opt results (Measure.label instance))
+        (fun per_test -> Hashtbl.find_opt per_test name)
+    with
+    | Some r -> (
+      match Analyze.OLS.estimates r with Some [ est ] -> Some est | _ -> None)
+    | None -> None
+  in
+  let names =
+    Hashtbl.fold (fun name _ acc -> name :: acc)
+      (Hashtbl.find results (Measure.label clock))
+      []
+    |> List.sort compare
+  in
+  let cell = function Some v -> Printf.sprintf "%10.1f" v | None -> "         -" in
+  print_endline "\n== Micro-benchmarks (host time and minor words per operation) ==";
+  Printf.printf "  %-28s %10s %10s\n" "" "ns/op" "words/op";
+  List.iter
+    (fun name ->
+      Printf.printf "  %-28s %s %s\n" name (cell (estimate clock name))
+        (cell (estimate words name)))
+    names;
   flush stdout;
   let module J = Rvm_obs.Json in
+  let num = function None -> J.Null | Some v -> J.Float v in
   let entries =
     List.map
-      (fun (name, est) ->
+      (fun name ->
         J.Obj
           [
             ("name", J.String name);
-            ( "ns_per_op",
-              match est with None -> J.Null | Some v -> J.Float v );
+            ("ns_per_op", num (estimate clock name));
+            ("words_per_op", num (estimate words name));
           ])
-      (List.sort compare !estimates)
+      names
   in
   let path = "BENCH_micro.json" in
   J.write_file ~path
     (J.Obj
        [
          ("artifact", J.String "micro");
-         ("unit", J.String "ns/op");
+         ("unit", J.String "ns/op, minor words/op");
          ("results", J.List entries);
        ]);
   Printf.printf "wrote %s\n%!" path

@@ -235,16 +235,15 @@ let append_record t record =
   end;
   (* The sequence number is assigned exactly once, after any wrap marker
      has consumed its own. *)
-  let record = { record with Record.seqno = t.next_seqno } in
+  let seqno = t.next_seqno in
   let off = t.tail in
   (match t.spool with
   | Some sp ->
-    Record.encode_into (Tail_buffer.buf sp) record;
+    Record.encode_into ~seqno (Tail_buffer.buf sp) record;
     Rvm_obs.Counter.add t.c_spool_bytes size
   | None ->
-    Device.write_bytes t.dev ~off (Record.encode record);
+    Device.write_bytes t.dev ~off (Record.encode ~seqno record);
     t.dirty <- true);
-  let seqno = t.next_seqno in
   t.tail <- t.tail + size;
   t.used <- t.used + size;
   t.next_seqno <- t.next_seqno + 1;

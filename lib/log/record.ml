@@ -65,12 +65,13 @@ let data_bytes t = List.fold_left (fun a r -> a + Bytes.length r.data) 0 t.range
    exactly once — region buffer into the spool — with no intermediate
    per-record [Bytes]. Positions in the record format are record-relative,
    hence the [rec_start] rebasing. *)
-let encode_into b t =
+let encode_into ?seqno b t =
+  let seqno = Option.value seqno ~default:t.seqno in
   let rec_start = B.length b in
   let total = encoded_size t in
   B.u32 b record_magic;
   B.u8 b (kind_code t.kind);
-  B.u64 b (Int64.of_int t.seqno);
+  B.u64 b (Int64.of_int seqno);
   B.u64 b (Int64.of_int t.tid);
   B.u64 b (Int64.of_int t.timestamp_us);
   B.u16 b t.flags;
@@ -99,13 +100,13 @@ let encode_into b t =
   let crc = B.checksum b ~pos:rec_start ~len:body_len in
   B.i32 b crc;
   B.u32 b total;
-  B.u64 b (Int64.of_int t.seqno);
+  B.u64 b (Int64.of_int seqno);
   B.u32 b end_magic;
   assert (B.length b - rec_start = total)
 
-let encode t =
+let encode ?seqno t =
   let b = B.create ~capacity:(encoded_size t) () in
-  encode_into b t;
+  encode_into ?seqno b t;
   B.contents b
 
 let decode bytes ~pos =

@@ -13,6 +13,7 @@ type t = {
   (* One lookup per span instead of two concats + two lookups: a span
      scope resolves its [.count] / [.us] handles once. *)
   span_handles : (string, Counter.t * Histogram.t) Hashtbl.t;
+  instant_handles : (string, Counter.t) Hashtbl.t;
   mutable now_us : unit -> float;
   trace : Trace.t;
 }
@@ -24,6 +25,7 @@ let create ?(trace_capacity = 0) () =
     counters = Hashtbl.create 32;
     histograms = Hashtbl.create 16;
     span_handles = Hashtbl.create 16;
+    instant_handles = Hashtbl.create 8;
     now_us = default_now;
     trace = Trace.create ~capacity:trace_capacity ();
   }
@@ -56,26 +58,34 @@ let span_handles t name =
     Hashtbl.add t.span_handles name ch;
     ch
 
+let finish_span t c h =
+  Histogram.observe h (Trace.close t.trace ~now:(t.now_us ()));
+  Counter.incr c
+
 let span ?attrs t name f =
   let c, h = span_handles t name in
   Trace.enter t.trace ~now:(t.now_us ()) ?attrs name;
-  let finish () =
-    let sp = Trace.exit t.trace ~now:(t.now_us ()) in
-    Counter.incr c;
-    Histogram.observe h sp.Trace.dur_us
-  in
   match f () with
   | x ->
-    finish ();
+    finish_span t c h;
     x
   | exception e ->
-    finish ();
+    finish_span t c h;
     raise e
 
 let add_attr t key v = Trace.add_attr t.trace key v
 
+(* An instant owns only the counter: no [.us] histogram appears for it. *)
 let instant ?attrs t name =
-  Counter.incr (counter t (name ^ ".count"));
+  let c =
+    match Hashtbl.find_opt t.instant_handles name with
+    | Some c -> c
+    | None ->
+      let c = counter t (name ^ ".count") in
+      Hashtbl.add t.instant_handles name c;
+      c
+  in
+  Counter.incr c;
   Trace.instant t.trace ~now:(t.now_us ()) ?attrs name
 
 let current_span t = Trace.current t.trace

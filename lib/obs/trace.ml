@@ -130,7 +130,7 @@ let add_attr t key v =
 
 (* Pop the innermost open span, record it, and return its stack slot,
    which stays readable until the next [enter]. *)
-let close t ~now =
+let pop t ~now =
   if t.depth = 0 then invalid_arg "Trace.exit: no open span";
   let s = t.stack and d = t.depth - 1 in
   t.depth <- d;
@@ -142,11 +142,12 @@ let close t ~now =
   t.seq <- t.seq + 1;
   d
 
-let exit t ~now = span_of t.stack (close t ~now)
+let exit t ~now = span_of t.stack (pop t ~now)
+let close t ~now = t.stack.durs.(pop t ~now)
 
 let instant t ~now ?attrs scope =
   enter t ~now ?attrs scope;
-  ignore (close t ~now)
+  ignore (pop t ~now)
 
 let events_since t since =
   let lo = max since (t.seq - t.len) in

@@ -61,6 +61,10 @@ val exit : t -> now:float -> span
 (** Close the innermost open span, record it, and return it. Raises
     [Invalid_argument] when no span is open. *)
 
+val close : t -> now:float -> float
+(** {!exit} returning only the span's duration: nothing is allocated for
+    a span record. *)
+
 val instant : t -> now:float -> ?attrs:(string * value) list -> string -> unit
 (** Record a zero-duration span (a point event) under {!current}. *)
 

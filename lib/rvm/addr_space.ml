@@ -3,10 +3,18 @@ module M = Map.Make (Int)
 type t = {
   page_size : int;
   mutable by_vaddr : Region.t M.t;
+  mutable ordered : Region.t list;
+      (* [by_vaddr]'s regions in order, rebuilt on map and unmap so every
+         drained record's page bookkeeping reads it without allocating *)
 }
 
-let create ~page_size = { page_size; by_vaddr = M.empty }
+let create ~page_size = { page_size; by_vaddr = M.empty; ordered = [] }
+
 let page_size t = t.page_size
+
+let set t by_vaddr =
+  t.by_vaddr <- by_vaddr;
+  t.ordered <- List.map snd (M.bindings by_vaddr)
 
 let overlaps a_lo a_len b_lo b_len = a_lo < b_lo + b_len && b_lo < a_lo + a_len
 
@@ -36,9 +44,9 @@ let add t (r : Region.t) =
           (Segment.id r.Region.seg) r.Region.seg_off
           (r.Region.seg_off + r.Region.length))
     t.by_vaddr;
-  t.by_vaddr <- M.add r.Region.vaddr r t.by_vaddr
+  set t (M.add r.Region.vaddr r t.by_vaddr)
 
-let remove t (r : Region.t) = t.by_vaddr <- M.remove r.Region.vaddr t.by_vaddr
+let remove t (r : Region.t) = set t (M.remove r.Region.vaddr t.by_vaddr)
 
 let find_opt t ~addr =
   match M.find_last_opt (fun v -> v <= addr) t.by_vaddr with
@@ -54,7 +62,7 @@ let find t ~addr ~len =
       (addr + len) r.Region.vaddr
   | None -> Types.error "address %#x is not in any mapped region" addr
 
-let regions t = M.fold (fun _ r acc -> r :: acc) t.by_vaddr [] |> List.rev
+let regions t = t.ordered
 let region_count t = M.cardinal t.by_vaddr
 
 let suggest_vaddr t ~len =

@@ -1,0 +1,78 @@
+module Intervals = Rvm_util.Intervals
+
+type t = int array
+
+(* Triple [i] (a multiple of 3) orders before triple [j] by segment, then
+   by start. *)
+let before a i j = a.(i) < a.(j) || (a.(i) = a.(j) && a.(i + 1) < a.(j + 1))
+
+let swap a i j =
+  for k = 0 to 2 do
+    let x = a.(i + k) in
+    a.(i + k) <- a.(j + k);
+    a.(j + k) <- x
+  done
+
+let of_parts parts =
+  let n =
+    List.fold_left (fun n (_, _, iv) -> n + Intervals.interval_count iv) 0 parts
+  in
+  let a = Array.make (3 * n) 0 in
+  let k = ref 0 in
+  List.iter
+    (fun (seg, base, iv) ->
+      Intervals.iter iv ~f:(fun ~lo ~len ->
+          a.(!k) <- seg;
+          a.(!k + 1) <- base + lo;
+          a.(!k + 2) <- base + lo + len;
+          k := !k + 3))
+    parts;
+  (* Insertion sort: the parts usually arrive in order already, and a
+     transaction touches a handful of intervals. *)
+  for i = 1 to n - 1 do
+    let j = ref (3 * i) in
+    while !j > 0 && before a !j (!j - 3) do
+      swap a !j (!j - 3);
+      j := !j - 3
+    done
+  done;
+  (* Coalesce in place: a triple that overlaps or meets its predecessor in
+     the same segment extends it. *)
+  let w = ref 0 in
+  for i = 0 to n - 1 do
+    let seg = a.(3 * i) and lo = a.((3 * i) + 1) and hi = a.((3 * i) + 2) in
+    if !w > 0 && a.(!w - 3) = seg && a.(!w - 1) >= lo then
+      a.(!w - 1) <- max a.(!w - 1) hi
+    else begin
+      a.(!w) <- seg;
+      a.(!w + 1) <- lo;
+      a.(!w + 2) <- hi;
+      w := !w + 3
+    end
+  done;
+  if !w = Array.length a then a else Array.sub a 0 !w
+
+(* Both sides are coalesced, so an older interval is covered only if it
+   lies inside a single newer one: the first newer triple of its segment
+   that ends past its start. Older triples are sorted, so the newer
+   cursor never moves back. *)
+let subsumes ~newer ~older =
+  let nn = Array.length newer and no = Array.length older in
+  let i = ref 0 and j = ref 0 and ok = ref true in
+  while !ok && !i < no do
+    let seg = older.(!i) and lo = older.(!i + 1) and hi = older.(!i + 2) in
+    while
+      !j < nn
+      && (newer.(!j) < seg || (newer.(!j) = seg && newer.(!j + 2) <= lo))
+    do
+      j := !j + 3
+    done;
+    ok :=
+      !j < nn && newer.(!j) = seg && newer.(!j + 1) <= lo
+      && hi <= newer.(!j + 2);
+    i := !i + 3
+  done;
+  !ok
+
+let to_list t =
+  List.init (Array.length t / 3) (fun i -> (t.(3 * i), t.((3 * i) + 1), t.((3 * i) + 2)))

@@ -24,13 +24,12 @@ type tid = int
    and commit records can be spooled rather than forced to the log"). *)
 type spool_entry = {
   sp_lsn : int;  (* logical commit LSN assigned at spool time *)
-  sp_tid : int;
-  sp_timestamp_us : int;
-  sp_flags : int;
-  sp_ranges : Record.range list;
-  sp_covered : (int * Intervals.t) list;  (* seg id -> covered, for inter-opt *)
-  sp_pages : (Region.t * int) list;  (* uncommitted refs released at write *)
+  sp_record : Record.t;  (* the commit record; the log stamps its seqno *)
   sp_size : int;  (* encoded record size *)
+  sp_covered : Covered.t;  (* its bytes in segment coordinates, for inter-opt *)
+  sp_regions : Txn.per_region list;
+      (* the transaction's covered sets: the uncommitted page refs released
+         when the record is written or dropped *)
 }
 
 type t = {
@@ -74,11 +73,12 @@ type t = {
          resolution: the shard layer answers [`Pending] for transactions
          mid-protocol in this process. [None] = single-log engine, every
          unresolved intent is an orphan. *)
-  pending_pages : (string, (Region.t * int) list) Hashtbl.t;
-      (* gid -> uncommitted page refs held by that transaction's intent on
-         this shard, released when the resolution record is appended. While
-         held they block incremental truncation from writing those pages
-         out, which is what keeps the intent's evidence in the log. *)
+  pending_pages : (string, Txn.per_region list) Hashtbl.t;
+      (* gid -> covered sets of that transaction's intent on this shard,
+         whose uncommitted page refs are released when the resolution
+         record is appended. While held they block incremental truncation
+         from writing those pages out, which is what keeps the intent's
+         evidence in the log. *)
   live_resolutions : (string, Pcommit.decision) Hashtbl.t;
       (* Resolutions appended on this shard but not yet known durable on
          every participant. Truncation must keep them in the log — other
@@ -134,11 +134,20 @@ let vm_touch t (region : Region.t) ~region_off ~len ~write =
       ~f:(fun p ->
         Vm_sim.touch vm ~page:(Region.vm_page region ~region_page:p) ~write)
 
-let release_page_refs pages =
+(* A transaction holds one uncommitted reference on every page its covered
+   intervals reach, however many of them a page holds. *)
+let release_page_refs regions =
   List.iter
-    (fun ((region : Region.t), page) ->
-      Page_table.decr_uncommitted region.Region.pages page)
-    pages
+    (fun (pr : Txn.per_region) ->
+      let region = pr.Txn.region in
+      let ps = region.Region.page_size in
+      let next = ref 0 in
+      Intervals.iter pr.Txn.covered ~f:(fun ~lo ~len ->
+          for p = max (lo / ps) !next to (lo + len - 1) / ps do
+            Page_table.decr_uncommitted region.Region.pages p
+          done;
+          next := ((lo + len - 1) / ps) + 1))
+    regions
 
 let truncator t =
   match t.trunc with Some tr -> tr | None -> assert false
@@ -187,16 +196,15 @@ let append_with_retry t record =
   in
   go false
 
-(* Write one commit record to the log (no force) and do the page-vector
-   bookkeeping. Returns the record's sequence number. *)
-let write_commit_record t ~txn_tid ~timestamp_us ~flags ~ranges ~pages =
-  let record = Record.commit ~seqno:0 ~tid:txn_tid ~timestamp_us ~flags ranges in
-  let size = Record.encoded_size record in
+(* Write one commit record of [size] encoded bytes to the log (no force)
+   and do the page-vector bookkeeping. Returns the record's sequence
+   number. *)
+let write_commit_record t (record : Record.t) ~size ~regions =
   let off, seqno = append_with_retry t record in
   cpu t (t.model.Cost_model.log_record_us +. checksum_cost t size);
   C.add t.live.Lv.bytes_logged size;
-  note_logged_ranges t ~log_off:off ~seqno ranges;
-  release_page_refs pages;
+  note_logged_ranges t ~log_off:off ~seqno record.Record.ranges;
+  release_page_refs regions;
   seqno
 
 (* Write every spooled record (commit order) without forcing. *)
@@ -207,8 +215,7 @@ let drain_spool t =
   List.iter
     (fun e ->
       let seqno =
-        write_commit_record t ~txn_tid:e.sp_tid ~timestamp_us:e.sp_timestamp_us
-          ~flags:e.sp_flags ~ranges:e.sp_ranges ~pages:e.sp_pages
+        write_commit_record t e.sp_record ~size:e.sp_size ~regions:e.sp_regions
       in
       Queue.push (e.sp_lsn, seqno) t.lsn_pending)
     entries
@@ -447,16 +454,26 @@ let set_range t tid ~addr ~len =
   if len > 0 then begin
     let region = Addr_space.find t.space ~addr ~len in
     let pr = Txn.per_region txn region in
-    if Intervals.is_empty pr.Txn.covered then
+    let old = pr.Txn.covered in
+    if Intervals.is_empty old then
       region.Region.active_txns <- region.Region.active_txns + 1;
     let region_off = Region.to_region_off region ~addr in
     pr.Txn.raw_calls <- (region_off, len) :: pr.Txn.raw_calls;
     (* What an unoptimized implementation would log for this call: one
        range header plus the full payload. *)
     pr.Txn.naive_bytes <- pr.Txn.naive_bytes + 32 + len;
-    let gaps, covered =
-      Intervals.add_uncovered pr.Txn.covered ~lo:region_off ~len
-    in
+    (* Uncommitted reference counts (incremental truncation must not write
+       these pages until the transaction resolves): one per page the
+       covered set reaches, so a page gains a reference when the old set
+       had no byte in it. *)
+    let ps = region.Region.page_size in
+    for p = region_off / ps to (region_off + len - 1) / ps do
+      if
+        Intervals.is_empty old
+        || not (Intervals.inter_nonempty old ~lo:(p * ps) ~len:ps)
+      then Page_table.incr_uncommitted region.Region.pages p
+    done;
+    let gaps, covered = Intervals.add_uncovered old ~lo:region_off ~len in
     pr.Txn.covered <- covered;
     (* Old values are saved only for newly covered bytes: a duplicate
        set_range is harmless (section 5.2). Skipped entirely in no-restore
@@ -469,12 +486,6 @@ let set_range t tid ~addr ~len =
             { Txn.region; region_off = lo; old_value } :: txn.Txn.saved;
           cpu t (copy_cost t glen))
         gaps;
-    (* Uncommitted reference counts (incremental truncation must not write
-       these pages until the transaction resolves). *)
-    Page.iter_pages ~page_size:region.Region.page_size ~off:region_off ~len
-      ~f:(fun p ->
-        if Txn.touch_page txn region ~region_page:p then
-          Page_table.incr_uncommitted region.Region.pages p);
     vm_touch t region ~region_off ~len ~write:true
   end
 
@@ -512,55 +523,13 @@ let build_ranges t txn =
     (Txn.regions txn);
   (List.rev !ranges, !logged_bytes, !naive_bytes)
 
-let covered_by_seg txn =
-  List.filter_map
-    (fun (pr : Txn.per_region) ->
-      if Intervals.is_empty pr.Txn.covered then None
-      else
-        let region = pr.Txn.region in
-        let shifted =
-          Intervals.fold pr.Txn.covered ~init:Intervals.empty
-            ~f:(fun acc ~lo ~len ->
-              Intervals.add acc ~lo:(Region.to_seg_off region ~region_off:lo)
-                ~len)
-        in
-        Some (Segment.id region.Region.seg, shifted))
-    (Txn.regions txn)
-
-(* Merge by segment id (a transaction can touch several regions of one
-   segment). *)
-let merge_covered l =
-  let tbl = Hashtbl.create 4 in
-  List.iter
-    (fun (seg, iv) ->
-      let cur =
-        Option.value (Hashtbl.find_opt tbl seg) ~default:Intervals.empty
-      in
-      Hashtbl.replace tbl seg
-        (Intervals.fold iv ~init:cur ~f:(fun acc ~lo ~len ->
-             Intervals.add acc ~lo ~len)))
-    l;
-  Hashtbl.fold (fun seg iv acc -> (seg, iv) :: acc) tbl []
-
-let subsumes_entry ~newer ~older =
-  List.for_all
-    (fun (seg, iv) ->
-      match List.assoc_opt seg newer with
-      | Some niv -> Intervals.subsumes niv iv
-      | None -> Intervals.is_empty iv)
-    older
-
-let txn_pages txn =
-  let acc = ref [] in
-  Txn.iter_pages txn ~f:(fun ~vaddr ~region_page ->
-      match
-        List.find_opt
-          (fun (pr : Txn.per_region) -> pr.Txn.region.Region.vaddr = vaddr)
-          (Txn.regions txn)
-      with
-      | Some pr -> acc := (pr.Txn.region, region_page) :: !acc
-      | None -> assert false);
-  !acc
+let covered txn =
+  Covered.of_parts
+    (List.map
+       (fun (pr : Txn.per_region) ->
+         let region = pr.Txn.region in
+         (Segment.id region.Region.seg, region.Region.seg_off, pr.Txn.covered))
+       (Txn.regions txn))
 
 let finish_txn t (txn : Txn.t) status =
   txn.Txn.status <- status;
@@ -581,7 +550,7 @@ let end_transaction_inner t tid txn ~mode =
         Registry.add_attr t.obs "bytes" (Trace.Int logged_bytes);
         r)
   in
-  let pages = txn_pages txn in
+  let regions = Txn.regions txn in
   let flags =
     (match mode with Types.No_flush -> Record.Flags.no_flush | Types.Flush -> 0)
     lor
@@ -593,7 +562,7 @@ let end_transaction_inner t tid txn ~mode =
   (match ranges with
   | [] ->
     (* Nothing modified: no record at all. *)
-    release_page_refs pages
+    release_page_refs regions
   | _ -> begin
     t.commit_lsn <- t.commit_lsn + 1;
     let lsn = t.commit_lsn in
@@ -601,47 +570,46 @@ let end_transaction_inner t tid txn ~mode =
     | Types.Flush ->
       (* Spooled records precede this one in commit order. *)
       drain_spool t;
+      let record =
+        Record.commit ~seqno:0 ~tid ~timestamp_us:(now_us t) ~flags ranges
+      in
       let seqno =
-        write_commit_record t ~txn_tid:tid ~timestamp_us:(now_us t) ~flags
-          ~ranges ~pages
+        write_commit_record t record ~size:(Record.encoded_size record)
+          ~regions
       in
       Queue.push (lsn, seqno) t.lsn_pending;
       force_log t
     | Types.No_flush ->
       Registry.span t.obs "commit.no_flush" (fun () ->
+          let record =
+            Record.commit ~seqno:0 ~tid ~timestamp_us:(now_us t) ~flags ranges
+          in
           let entry =
             {
               sp_lsn = lsn;
-              sp_tid = tid;
-              sp_timestamp_us = now_us t;
-              sp_flags = flags;
-              sp_ranges = ranges;
-              sp_covered = merge_covered (covered_by_seg txn);
-              sp_pages = pages;
-              sp_size =
-                Record.encoded_size
-                  (Record.commit ~seqno:0 ~tid ~flags ranges);
+              sp_record = record;
+              sp_size = Record.encoded_size record;
+              sp_covered = covered txn;
+              sp_regions = regions;
             }
           in
           (* Inter-transaction optimization (section 5.2): a no-flush commit
              whose modifications subsume an earlier unflushed transaction's
              makes the older spooled records redundant — recovery applies
-             newest-first. *)
-          if t.opts.Options.inter_optimization then begin
-            let kept, dropped =
-              List.partition
-                (fun old ->
-                  not
-                    (subsumes_entry ~newer:entry.sp_covered
-                       ~older:old.sp_covered))
-                t.spool
-            in
+             newest-first. The scan allocates nothing; the spool is rebuilt
+             only when something is dropped. *)
+          let subsumed old =
+            Covered.subsumes ~newer:entry.sp_covered ~older:old.sp_covered
+          in
+          if t.opts.Options.inter_optimization && List.exists subsumed t.spool
+          then begin
+            let dropped, kept = List.partition subsumed t.spool in
             List.iter
               (fun old ->
                 t.spool_bytes <- t.spool_bytes - old.sp_size;
                 C.add t.live.Lv.inter_saved old.sp_size;
                 C.incr t.live.Lv.records_dropped;
-                release_page_refs old.sp_pages)
+                release_page_refs old.sp_regions)
               dropped;
             t.spool <- kept
           end;
@@ -701,7 +669,7 @@ let end_transaction_intent t tid ~gid ~shard =
             Registry.add_attr t.obs "bytes" (Trace.Int logged_bytes);
             r)
       in
-      let pages = txn_pages txn in
+      let regions = Txn.regions txn in
       let flags =
         Record.Flags.intent
         lor
@@ -727,13 +695,13 @@ let end_transaction_intent t tid ~gid ~shard =
       cpu t (t.model.Cost_model.log_record_us +. checksum_cost t size);
       C.add t.live.Lv.bytes_logged size;
       note_logged_ranges t ~log_off:off ~seqno ranges;
-      (match pages with
+      (match regions with
       | [] -> ()
       | _ ->
         let held =
           Option.value (Hashtbl.find_opt t.pending_pages gid) ~default:[]
         in
-        Hashtbl.replace t.pending_pages gid (pages @ held));
+        Hashtbl.replace t.pending_pages gid (regions @ held));
       finish_txn t txn Txn.Committed;
       C.incr t.live.Lv.txns_committed)
 
@@ -806,7 +774,7 @@ let abort_transaction t tid =
             (Bytes.length old_value);
           cpu t (copy_cost t (Bytes.length old_value)))
         txn.Txn.saved;
-      release_page_refs (txn_pages txn);
+      release_page_refs (Txn.regions txn);
       finish_txn t txn Txn.Aborted;
       C.incr t.live.Lv.txns_aborted);
   (* Aborts are rare and usually surprising: dump the flight recorder so

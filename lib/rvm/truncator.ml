@@ -104,7 +104,7 @@ type run = Epoch of epoch_run | Incremental of incr_run
 type t = {
   env : env;
   queue : descriptor Queue.t;
-  queued : (int * int, unit) Hashtbl.t;  (* (vaddr, page) in queue *)
+  queued : (int, unit) Hashtbl.t;  (* VM page numbers in the queue *)
   mutable run : run option;
   mutable paced : bool;
       (* true while a background driver is stepping this machine:
@@ -159,7 +159,7 @@ let note_logged_ranges t ~log_off ~seqno ranges =
               Rvm_vm.Page.iter_pages ~page_size:r.Region.page_size
                 ~off:(lo - r.Region.seg_off) ~len:(hi - lo) ~f:(fun p ->
                   Page_table.set_dirty r.Region.pages p true;
-                  let key = (r.Region.vaddr, p) in
+                  let key = Region.vm_page r ~region_page:p in
                   if not (Hashtbl.mem t.queued key) then begin
                     Hashtbl.add t.queued key ();
                     Queue.add
@@ -480,7 +480,8 @@ and incr_advance t (i : incr_run) =
              [truncation.incremental.step.count]. *)
           Registry.span env.obs "truncation.incremental.step" (fun () ->
               ignore (Queue.pop t.queue);
-              Hashtbl.remove t.queued (d.d_region.Region.vaddr, d.d_page);
+              Hashtbl.remove t.queued
+                (Region.vm_page d.d_region ~region_page:d.d_page);
               seg_write_page t d.d_region d.d_page;
               Page_table.set_dirty pages d.d_page false;
               Page_table.release pages d.d_page;

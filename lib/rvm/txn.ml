@@ -14,49 +14,33 @@ type t = {
   mode : Types.restore_mode;
   started_us : int;
   mutable status : status;
-  by_region : (int, per_region) Hashtbl.t;
+  mutable regions : per_region list;
   mutable saved : saved list;
-  touched_pages : (int * int, unit) Hashtbl.t;
 }
 
 let create ~tid ~mode ~started_us =
-  {
-    tid;
-    mode;
-    started_us;
-    status = Active;
-    by_region = Hashtbl.create 4;
-    saved = [];
-    touched_pages = Hashtbl.create 16;
-  }
+  { tid; mode; started_us; status = Active; regions = []; saved = [] }
+
+let rec find vaddr = function
+  | [] -> None
+  | pr :: rest ->
+    if pr.region.Region.vaddr = vaddr then Some pr else find vaddr rest
+
+let rec insert pr = function
+  | p :: rest when p.region.Region.vaddr < pr.region.Region.vaddr ->
+    p :: insert pr rest
+  | l -> pr :: l
 
 let per_region t (region : Region.t) =
-  let key = region.Region.vaddr in
-  match Hashtbl.find_opt t.by_region key with
+  match find region.Region.vaddr t.regions with
   | Some pr -> pr
   | None ->
     let pr =
       { region; covered = Rvm_util.Intervals.empty; raw_calls = [];
         naive_bytes = 0 }
     in
-    Hashtbl.add t.by_region key pr;
+    t.regions <- insert pr t.regions;
     pr
 
-let regions t =
-  Hashtbl.fold (fun _ pr acc -> pr :: acc) t.by_region []
-  |> List.sort (fun a b ->
-         compare a.region.Region.vaddr b.region.Region.vaddr)
-
-let touch_page t (region : Region.t) ~region_page =
-  let key = (region.Region.vaddr, region_page) in
-  if Hashtbl.mem t.touched_pages key then false
-  else begin
-    Hashtbl.add t.touched_pages key ();
-    true
-  end
-
-let iter_pages t ~f =
-  Hashtbl.iter (fun (vaddr, region_page) () -> f ~vaddr ~region_page)
-    t.touched_pages
-
+let regions t = t.regions
 let is_active t = t.status = Active

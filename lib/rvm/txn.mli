@@ -3,9 +3,10 @@
     A transaction accumulates, per region, the set of byte ranges declared
     by [set_range] (an interval set, which is what makes the
     intra-transaction optimization automatic: duplicate, overlapping and
-    adjacent declarations collapse into coalesced intervals), the saved old
-    values needed to undo on abort (skipped in no-restore mode), and the
-    set of pages it references (the page vector's uncommitted counts). *)
+    adjacent declarations collapse into coalesced intervals) and the saved
+    old values needed to undo on abort (skipped in no-restore mode). The
+    pages it holds an uncommitted reference on (the page vector's counts)
+    are exactly the pages its covered intervals reach. *)
 
 type status = Active | Committed | Aborted
 
@@ -32,10 +33,9 @@ type t = {
   mode : Types.restore_mode;
   started_us : int;
   mutable status : status;
-  by_region : (int, per_region) Hashtbl.t;  (** keyed by region vaddr *)
+  mutable regions : per_region list;
+      (** increasing vaddr; a transaction touches a handful of regions *)
   mutable saved : saved list;  (** newest first *)
-  touched_pages : (int * int, unit) Hashtbl.t;
-      (** (region vaddr, region page) holding an uncommitted reference *)
 }
 
 val create : tid:int -> mode:Types.restore_mode -> started_us:int -> t
@@ -45,9 +45,4 @@ val per_region : t -> Region.t -> per_region
 val regions : t -> per_region list
 (** In increasing vaddr order (deterministic log layout). *)
 
-val touch_page : t -> Region.t -> region_page:int -> bool
-(** Remember the page; [true] if this is the first touch (the caller then
-    increments the page vector's uncommitted count). *)
-
-val iter_pages : t -> f:(vaddr:int -> region_page:int -> unit) -> unit
 val is_active : t -> bool

@@ -70,15 +70,14 @@ let covers t ~lo ~len =
 
 let mem t x = covers t ~lo:x ~len:1
 
+(* Only the last interval starting before [lo + len] can reach [lo]: every
+   earlier one ends before that one starts. *)
 let inter_nonempty t ~lo ~len =
-  if len <= 0 then false
-  else
-    let hi = lo + len in
-    (match pred_interval t lo with Some (_, phi) -> phi > lo | None -> false)
-    ||
-    match M.find_first_opt (fun k -> k >= lo) t with
-    | Some (klo, _) -> klo < hi
-    | None -> false
+  len > 0
+  &&
+  match M.find_last_opt (fun k -> k < lo + len) t with
+  | Some (_, khi) -> khi > lo
+  | None -> false
 
 let to_list t = M.fold (fun lo hi acc -> (lo, hi - lo) :: acc) t [] |> List.rev
 

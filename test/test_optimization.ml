@@ -169,6 +169,60 @@ let test_inter_subsume_requires_all_segments () =
   Rvm.end_transaction rvm t2 ~mode:Types.No_flush;
   check_int "t1 kept" 2 (Rvm.query rvm).Rvm.spool_records
 
+(* Two adjacent regions of one segment. The older transaction's bytes
+   straddle the boundary: the last 64 bytes of the first region and the
+   first 64 of the second, one interval in segment coordinates. A newer
+   transaction covering both halves drops it; one byte short at either
+   end keeps it. *)
+let test_inter_multi_region_same_segment () =
+  let spool_after ~newer_lo ~newer_hi =
+    let log_dev = Mem_device.create ~name:"log" ~size:(256 * 1024) () in
+    Rvm.create_log log_dev;
+    let seg_dev = Mem_device.create ~name:"seg" ~size:(64 * 1024) () in
+    let options = { Options.default with Options.auto_truncate = false } in
+    let rvm =
+      Rvm.initialize ~options ~log:log_dev ~resolve:(fun _ -> seg_dev) ()
+    in
+    let ra = Rvm.map rvm ~seg:1 ~seg_off:0 ~len:ps () in
+    let rb = Rvm.map rvm ~seg:1 ~seg_off:ps ~len:ps () in
+    (* Segment offset [off] through whichever region maps it. *)
+    let addr off =
+      if off < ps then ra.Region.vaddr + off else rb.Region.vaddr + off - ps
+    in
+    let write tid ~lo ~hi c =
+      if lo < ps then Rvm.modify rvm tid ~addr:(addr lo) (Bytes.make (ps - lo) c);
+      if hi > ps then Rvm.modify rvm tid ~addr:(addr ps) (Bytes.make (hi - ps) c)
+    in
+    let t1 = Rvm.begin_transaction rvm ~mode:Types.Restore in
+    write t1 ~lo:(ps - 64) ~hi:(ps + 64) '1';
+    Rvm.end_transaction rvm t1 ~mode:Types.No_flush;
+    let t2 = Rvm.begin_transaction rvm ~mode:Types.Restore in
+    write t2 ~lo:newer_lo ~hi:newer_hi '2';
+    Rvm.end_transaction rvm t2 ~mode:Types.No_flush;
+    let spooled = (Rvm.query rvm).Rvm.spool_records in
+    let dropped = (Rvm.stats rvm).Statistics.records_dropped in
+    Rvm.flush rvm;
+    check_int "every page reference released" 0
+      (List.fold_left
+         (fun acc (r : Region.t) ->
+           acc + Rvm_vm.Page_table.uncommitted r.Region.pages 0)
+         0 [ ra; rb ]);
+    (spooled, dropped)
+  in
+  let check name ~newer_lo ~newer_hi ~spooled ~dropped =
+    let s, d = spool_after ~newer_lo ~newer_hi in
+    check_int (name ^ ": spool records") spooled s;
+    check_int (name ^ ": records dropped") dropped d
+  in
+  check "covers both halves" ~newer_lo:(ps - 64) ~newer_hi:(ps + 64) ~spooled:1
+    ~dropped:1;
+  check "covers more" ~newer_lo:(ps - 100) ~newer_hi:(ps + 100) ~spooled:1
+    ~dropped:1;
+  check "one byte short at the end" ~newer_lo:(ps - 64) ~newer_hi:(ps + 63)
+    ~spooled:2 ~dropped:0;
+  check "one byte short at the start" ~newer_lo:(ps - 63) ~newer_hi:(ps + 64)
+    ~spooled:2 ~dropped:0
+
 let test_statistics_fractions () =
   let s = Statistics.create () in
   s.Statistics.bytes_logged <- 600;
@@ -190,5 +244,8 @@ let suite =
     ("inter.flush-only", `Quick, test_inter_only_for_no_flush);
     ("inter.ablation", `Quick, test_inter_disabled_ablation);
     ("inter.multi-segment", `Quick, test_inter_subsume_requires_all_segments);
+    ( "inter.multi-region-same-segment",
+      `Quick,
+      test_inter_multi_region_same_segment );
     ("stats.fractions", `Quick, test_statistics_fractions);
   ]

@@ -209,9 +209,20 @@ let prop_intervals =
           (match !cur with Some g -> model_gaps := g :: !model_gaps | None -> ());
           let gaps, iv' = Intervals.add_uncovered !iv ~lo ~len in
           iv := iv';
+          let model_inter q qlen =
+            let hit = ref false in
+            for x = max q 0 to min (q + qlen) n - 1 do
+              if bitmap.(x) then hit := true
+            done;
+            !hit
+          in
           gaps = List.rev !model_gaps
           && Intervals.byte_count !iv
-             = Array.fold_left (fun a b -> if b then a + 1 else a) 0 bitmap)
+             = Array.fold_left (fun a b -> if b then a + 1 else a) 0 bitmap
+          && List.for_all
+               (fun (q, qlen) ->
+                 Intervals.inter_nonempty !iv ~lo:q ~len:qlen = model_inter q qlen)
+               [ (lo - 3, 3); (lo + len, 7); (lo, 1); (0, 16); (150, 40); (260, 0) ])
         ops)
 
 (* --- log record round-trip --- *)
@@ -689,6 +700,263 @@ module Lock_ref = struct
     |> List.sort compare
 end
 
+(* --- inter-transaction subsumption: flat triples vs interval maps --- *)
+
+(* The reference check: each region's covered set shifted to segment
+   offsets, merged per segment into one interval map, and compared
+   segment by segment. *)
+module Subsumption_ref = struct
+  let merge_covered l =
+    let tbl = Hashtbl.create 4 in
+    List.iter
+      (fun (seg, iv) ->
+        let cur =
+          Option.value (Hashtbl.find_opt tbl seg) ~default:Intervals.empty
+        in
+        Hashtbl.replace tbl seg
+          (Intervals.fold iv ~init:cur ~f:(fun acc ~lo ~len ->
+               Intervals.add acc ~lo ~len)))
+      l;
+    Hashtbl.fold (fun seg iv acc -> (seg, iv) :: acc) tbl []
+
+  let subsumes_entry ~newer ~older =
+    List.for_all
+      (fun (seg, iv) ->
+        match List.assoc_opt seg newer with
+        | Some niv -> Intervals.subsumes niv iv
+        | None -> Intervals.is_empty iv)
+      older
+
+  let covered parts =
+    merge_covered
+      (List.map
+         (fun (seg, base, iv) ->
+           ( seg,
+             Intervals.fold iv ~init:Intervals.empty ~f:(fun acc ~lo ~len ->
+                 Intervals.add acc ~lo:(base + lo) ~len) ))
+         parts)
+end
+
+(* Regions of [sub_len] bytes, three per segment at adjacent offsets, so
+   intervals that end at a region's edge meet the next region's in
+   segment coordinates. A part is one region's region-relative
+   intervals. *)
+let sub_len = 8
+
+let gen_part =
+  QCheck.Gen.(
+    map3
+      (fun seg r ivs -> (seg, r * sub_len, ivs))
+      (int_range 1 2) (int_bound 2)
+      (list_size (int_range 1 3)
+         (int_bound (sub_len - 1) >>= fun lo ->
+          map (fun len -> (lo, len)) (int_range 1 (sub_len - lo)))))
+
+(* An older set drawn from the newer one — some intervals dropped, the
+   rest trimmed or grown by a byte at an end — makes both answers
+   common; independent draws cover segments the newer never touched. *)
+let gen_derived newer =
+  QCheck.Gen.(
+    let tweak (lo, len) =
+      frequency
+        [
+          (3, return (Some (lo, len)));
+          (1, return None);
+          (1, return (if len > 1 then Some (lo + 1, len - 1) else None));
+          (1, return (if lo + len < sub_len then Some (lo, len + 1) else None));
+          (1, return (if lo > 0 then Some (lo - 1, len + 1) else None));
+        ]
+    in
+    flatten_l
+      (List.map
+         (fun (seg, base, ivs) ->
+           map
+             (fun ivs -> (seg, base, List.filter_map Fun.id ivs))
+             (flatten_l (List.map tweak ivs)))
+         newer))
+
+let gen_covered_pair =
+  QCheck.Gen.(
+    list_size (int_range 0 4) gen_part >>= fun newer ->
+    frequency
+      [
+        (3, gen_derived newer);
+        (1, list_size (int_range 0 4) gen_part);
+      ]
+    >|= fun older -> (newer, older))
+
+let prop_covered_subsumption =
+  let to_iv (seg, base, ivs) =
+    ( seg,
+      base,
+      List.fold_left (fun acc (lo, len) -> Intervals.add acc ~lo ~len)
+        Intervals.empty ivs )
+  in
+  let print (newer, older) =
+    let side parts =
+      String.concat " "
+        (List.map
+           (fun (seg, base, ivs) ->
+             Printf.sprintf "s%d@%d{%s}" seg base
+               (String.concat ","
+                  (List.map (fun (lo, len) -> Printf.sprintf "%d+%d" lo len) ivs)))
+           parts)
+    in
+    Printf.sprintf "newer: %s / older: %s" (side newer) (side older)
+  in
+  QCheck.Test.make
+    ~name:"covered-set subsumption agrees with per-segment interval maps"
+    ~count:1000 (QCheck.make ~print gen_covered_pair) (fun (newer, older) ->
+      let newer = List.map to_iv newer and older = List.map to_iv older in
+      let flat parts =
+        List.sort compare (Subsumption_ref.covered parts)
+        |> List.concat_map (fun (seg, iv) ->
+               List.map (fun (lo, len) -> (seg, lo, lo + len)) (Intervals.to_list iv))
+      in
+      Covered.to_list (Covered.of_parts newer) = flat newer
+      && Covered.to_list (Covered.of_parts older) = flat older
+      && Covered.subsumes ~newer:(Covered.of_parts newer)
+           ~older:(Covered.of_parts older)
+         = Subsumption_ref.subsumes_entry
+             ~newer:(Subsumption_ref.covered newer)
+             ~older:(Subsumption_ref.covered older))
+
+(* --- uncommitted page references vs a reference count --- *)
+
+type ref_op =
+  | Begin of Types.restore_mode
+  | Set of int * int * int * int  (* active txn pick, region, offset, len *)
+  | End of int * Types.commit_mode
+  | Abort_txn of int
+  | Flush_all
+
+(* Two adjacent regions of one segment, four small pages each: segment
+   page [p] is page [p mod 4] of region [p / 4]. *)
+let ref_ps = 256
+let ref_region_len = 4 * ref_ps
+
+let gen_ref_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 60)
+      (frequency
+         [
+           ( 2,
+             map
+               (fun r -> Begin (if r then Types.Restore else Types.No_restore))
+               bool );
+           ( 6,
+             int_bound 7 >>= fun k ->
+             int_bound 1 >>= fun r ->
+             int_bound (ref_region_len - 1) >>= fun off ->
+             int_range 1 (min (2 * ref_ps) (ref_region_len - off)) >|= fun len ->
+             Set (k, r, off, len) );
+           ( 3,
+             map2
+               (fun k f -> End (k, if f then Types.Flush else Types.No_flush))
+               (int_bound 7) bool );
+           (1, map (fun k -> Abort_txn k) (int_bound 7));
+           (1, return Flush_all);
+         ]))
+
+let show_ref_op = function
+  | Begin m -> if m = Types.Restore then "begin" else "begin~nr"
+  | Set (k, r, off, len) -> Printf.sprintf "set(#%d,r%d,%d+%d)" k r off len
+  | End (k, m) -> Printf.sprintf "end(#%d%s)" k (if m = Types.Flush then "!" else "~")
+  | Abort_txn k -> Printf.sprintf "abort(#%d)" k
+  | Flush_all -> "flush"
+
+(* After every step, each page's uncommitted count equals the number of
+   active transactions plus undrained, unsubsumed no-flush commits with a
+   covered byte in that page; once everything resolves and flushes, every
+   count is zero. The model tracks covered bytes as a segment bitmap and
+   drops a spooled commit when a newer one covers all of its bytes. *)
+let prop_uncommitted_refs =
+  let seg_len = 2 * ref_region_len in
+  QCheck.Test.make ~name:"uncommitted page references match a reference count"
+    ~count:200
+    (QCheck.make gen_ref_ops ~print:(fun ops ->
+         String.concat " " (List.map show_ref_op ops)))
+    (fun ops ->
+      let log_dev = Mem_device.create ~name:"ulog" ~size:(1024 * 1024) () in
+      Rvm.create_log log_dev;
+      let seg_dev = Mem_device.create ~name:"useg" ~size:seg_len () in
+      let options =
+        { Options.default with Options.page_size = ref_ps; auto_truncate = false }
+      in
+      let rvm =
+        Rvm.initialize ~options ~log:log_dev ~resolve:(fun _ -> seg_dev) ()
+      in
+      let regions =
+        Array.init 2 (fun r ->
+            Rvm.map rvm ~seg:1 ~seg_off:(r * ref_region_len) ~len:ref_region_len
+              ())
+      in
+      let active = ref [] and spool = ref [] in
+      let touches cov p =
+        Bytes.exists (fun c -> c <> '\000') (Bytes.sub cov (p * ref_ps) ref_ps)
+      in
+      let is_empty cov = not (Bytes.exists (fun c -> c <> '\000') cov) in
+      let subset a b =
+        let ok = ref true in
+        Bytes.iteri (fun i c -> if c <> '\000' && Bytes.get b i = '\000' then ok := false) a;
+        !ok
+      in
+      let counts () =
+        List.init (seg_len / ref_ps) (fun p ->
+            let r = regions.(p / 4) in
+            ( Rvm_vm.Page_table.uncommitted r.Region.pages (p mod 4),
+              List.length (List.filter (fun (_, _, cov) -> touches cov p) !active)
+              + List.length (List.filter (fun cov -> touches cov p) !spool) ))
+      in
+      let agree () =
+        List.for_all (fun (got, want) -> got = want) (counts ())
+        && (Rvm.query rvm).Rvm.spool_records = List.length !spool
+      in
+      let pick k =
+        match !active with
+        | [] -> None
+        | l -> Some (List.nth l (k mod List.length l))
+      in
+      let remove tid = active := List.filter (fun (t, _, _) -> t <> tid) !active in
+      let step = function
+        | Begin mode ->
+          let tid = Rvm.begin_transaction rvm ~mode in
+          active := (tid, mode, Bytes.make seg_len '\000') :: !active
+        | Set (k, r, off, len) -> (
+          match pick k with
+          | None -> ()
+          | Some (tid, _, cov) ->
+            Rvm.set_range rvm tid ~addr:(regions.(r).Region.vaddr + off) ~len;
+            Bytes.fill cov ((r * ref_region_len) + off) len '\001')
+        | End (k, mode) -> (
+          match pick k with
+          | None -> ()
+          | Some (tid, _, cov) ->
+            Rvm.end_transaction rvm tid ~mode;
+            remove tid;
+            if not (is_empty cov) then
+              spool :=
+                match mode with
+                | Types.Flush -> []
+                | Types.No_flush ->
+                  cov :: List.filter (fun old -> not (subset old cov)) !spool)
+        | Abort_txn k -> (
+          match pick k with
+          | Some (tid, Types.Restore, _) ->
+            Rvm.abort_transaction rvm tid;
+            remove tid
+          | _ -> ())
+        | Flush_all ->
+          Rvm.flush rvm;
+          spool := []
+      in
+      let ok = List.for_all (fun op -> step op; agree ()) ops in
+      List.iter
+        (fun (tid, _, _) -> Rvm.end_transaction rvm tid ~mode:Types.No_flush)
+        !active;
+      Rvm.flush rvm;
+      ok && List.for_all (fun (got, _) -> got = 0) (counts ()))
+
 type lock_op =
   | Wait_for of int * int * Lock_mgr.mode
   | Release of int
@@ -772,4 +1040,6 @@ let suite =
       prop_group_commit_image;
       prop_sim_device_extents;
       prop_lock_mgr_index;
+      prop_covered_subsumption;
+      prop_uncommitted_refs;
     ]

@@ -470,6 +470,54 @@ let test_stats_match_registry () =
     (Rvm.stats w.rvm).Statistics.txns_committed;
   check_int "reset zeroes the registry" 0 (g "txn.committed")
 
+(* A no-flush commit allocates for the bytes it logs, not for the depth of
+   the no-flush spool or the pages the transaction touched. Cycles of 64
+   No_restore transactions, two 128-byte ranges each, committed No_flush
+   with a Flush per cycle: the spool runs 0 to 63 deep and no commit
+   subsumes another. About 32 words of payload per commit; the bounds
+   leave headroom for allocation differences between compiler versions. *)
+let test_no_flush_commit_allocation () =
+  let options = { Options.default with Options.auto_truncate = false } in
+  let w = make_world ~options ~log_size:(1024 * 1024) () in
+  let r = Rvm.map w.rvm ~seg:1 ~seg_off:0 ~len:(16 * ps) () in
+  let data = Bytes.make 128 'x' in
+  let end_words = ref 0. in
+  let cycle () =
+    for i = 0 to 63 do
+      let base = r.Region.vaddr + (i * 1024) in
+      let tid = Rvm.begin_transaction w.rvm ~mode:Types.No_restore in
+      Rvm.set_range w.rvm tid ~addr:base ~len:128;
+      Rvm.store w.rvm ~addr:base data;
+      Rvm.set_range w.rvm tid ~addr:(base + 512) ~len:128;
+      Rvm.store w.rvm ~addr:(base + 512) data;
+      let w0 = Gc.minor_words () in
+      Rvm.end_transaction w.rvm tid ~mode:Types.No_flush;
+      end_words := !end_words +. (Gc.minor_words () -. w0)
+    done;
+    Rvm.flush w.rvm
+  in
+  for _ = 1 to 4 do
+    cycle ()
+  done;
+  end_words := 0.;
+  let cycles = 16 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to cycles do
+    cycle ()
+  done;
+  let commits = float_of_int (64 * cycles) in
+  let per_cycle = (Gc.minor_words () -. w0) /. commits in
+  let per_end = !end_words /. commits in
+  check_int "nothing subsumed" 0 (Rvm.stats w.rvm).Statistics.records_dropped;
+  if per_end > 400. then
+    Alcotest.failf "%.0f minor words per No_flush end_transaction (bound 400)"
+      per_end;
+  if per_cycle > 900. then
+    Alcotest.failf
+      "%.0f minor words per begin + 2 set_range/store + end + flush/64 \
+       (bound 900)"
+      per_cycle
+
 let suite =
   [
     ("map.basic", `Quick, test_map_basic);
@@ -498,4 +546,5 @@ let suite =
     ("misc.set-options", `Quick, test_set_options);
     ("map.demand-mode", `Quick, test_demand_map_mode);
     ("stats.match-registry", `Quick, test_stats_match_registry);
+    ("txn.no-flush-allocation", `Quick, test_no_flush_commit_allocation);
   ]

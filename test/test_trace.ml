@@ -143,8 +143,9 @@ let test_ring_readback () =
     (List.rev (Trace.events t) |> List.hd = root)
 
 (* Recording into a full ring stores fields in place: no per-span record
-   is written into the ring, so the minor GC promotes nothing, and the
-   only allocation left per span is the record [exit] returns. *)
+   is written into the ring, so the minor GC promotes nothing. Here the
+   allocation left per span is the record [exit] returns; a registry span
+   closes through [close], which returns only the duration. *)
 let test_ring_allocation () =
   let t = Trace.create ~capacity:512 () in
   let record n =
