@@ -19,6 +19,9 @@ type t = {
   spool : Tail_buffer.t option;
   max_spool_bytes : int;  (* watermark: drain early past this *)
   mutable scratch : Bytes.t;  (* cached live-window image, sized on demand *)
+  mutable image : bool;
+      (* [scratch] is the open scan's image, live window included, until
+         the first data-area write or head move *)
   mutable dirty : bool;  (* device writes issued since the last sync *)
   mutable unforced_records : int;  (* appends since the last sync *)
   mutable forced_seqno : int;
@@ -56,8 +59,6 @@ let forced_seqno t = t.forced_seqno
 let spooled_bytes t =
   match t.spool with None -> 0 | Some sp -> Tail_buffer.bytes sp
 
-let spool_capacity t = t.max_spool_bytes
-
 let unflushed t = t.dirty || spooled_bytes t > 0
 
 let format dev =
@@ -66,42 +67,53 @@ let format dev =
     invalid_arg "Log_manager.format: device too small for a log";
   Status.write dev (Status.initial ~log_size:size)
 
-(* Read the whole data area once; scans decode against this image. Used at
-   open time, when the tail is not yet known. *)
-let read_area dev =
-  Device.read_bytes dev ~off:0 ~len:dev.Device.size
+(* The image is stale once the device or the window changes; a log must
+   not hold a device-sized buffer for its lifetime anyway. *)
+let drop_image t =
+  if t.image then begin
+    t.image <- false;
+    t.scratch <- Bytes.empty
+  end
 
-(* Read only the live window [head, tail) (two spans when wrapped) into the
-   cached device-sized scratch buffer, so iteration costs I/O proportional
-   to the live log and allocates nothing after the first call. Spooled
-   records are overlaid on top, so scans observe appends that have not
-   reached the device yet. Reusing the scratch across calls is sound: any
-   stale record left beyond the live window carries a sequence number
-   strictly below [next_seqno], so the forward scan's continuity check
-   stops exactly at the tail. *)
+let note_write t =
+  t.dirty <- true;
+  drop_image t
+
+(* The live window [head, tail) in a device-sized buffer indexed by device
+   offset, spooled records overlaid so scans see appends not yet on the
+   device. The open-time image needs no I/O; otherwise the window (two
+   spans when wrapped) is read into the cached scratch buffer. Bytes past
+   the tail are stale; the forward scan stops at [next_seqno]. *)
 let read_live t =
-  if Bytes.length t.scratch <> t.dev.Device.size then
-    t.scratch <- Bytes.make t.dev.Device.size '\000';
-  let buf = t.scratch in
-  let head = t.status.Status.head in
-  let data_start = t.status.Status.data_start in
-  let log_size = t.status.Status.log_size in
-  if t.used > 0 then begin
-    if t.tail > head then
-      t.dev.Device.read ~off:head ~buf ~pos:head ~len:(t.tail - head)
-    else begin
-      t.dev.Device.read ~off:head ~buf ~pos:head ~len:(log_size - head);
-      if t.tail > data_start then
-        t.dev.Device.read ~off:data_start ~buf ~pos:data_start
-          ~len:(t.tail - data_start)
+  if not t.image then begin
+    if Bytes.length t.scratch <> t.dev.Device.size then
+      t.scratch <- Bytes.make t.dev.Device.size '\000';
+    let buf = t.scratch in
+    let head = t.status.Status.head in
+    let data_start = t.status.Status.data_start in
+    let log_size = t.status.Status.log_size in
+    if t.used > 0 then begin
+      if t.tail > head then
+        t.dev.Device.read ~off:head ~buf ~pos:head ~len:(t.tail - head)
+      else begin
+        t.dev.Device.read ~off:head ~buf ~pos:head ~len:(log_size - head);
+        if t.tail > data_start then
+          t.dev.Device.read ~off:data_start ~buf ~pos:data_start
+            ~len:(t.tail - data_start)
+      end
     end
   end;
-  (match t.spool with Some sp -> Tail_buffer.overlay sp buf | None -> ());
-  buf
+  (match t.spool with
+  | Some sp -> Tail_buffer.overlay sp t.scratch
+  | None -> ());
+  t.scratch
 
-(* Walk live records from [head] expecting consecutive sequence numbers.
-   Returns (tail, next_seqno, used, records) and calls [f] per record. *)
-let scan area (st : Status.t) ~f =
+(* Walk live records from [head] expecting consecutive sequence numbers
+   below [stop]. [fill ~off] runs before each decode at [off] and must
+   leave every byte the decode looks at in [area]. Returns (tail,
+   next_seqno, used, records) and calls [f] per record. *)
+let scan ?(fill = fun ~off:_ -> ()) ?(stop = max_int) area (st : Status.t) ~f
+    =
   let log_size = st.Status.log_size in
   let data_start = st.Status.data_start in
   let rec go off seqno used records =
@@ -111,7 +123,14 @@ let scan area (st : Status.t) ~f =
       go_at data_start seqno (used + (log_size - off)) records
     else go_at off seqno used records
   and go_at off seqno used records =
-    match Record.decode area ~pos:off with
+    let decoded =
+      if seqno >= stop then None
+      else begin
+        fill ~off;
+        Record.decode area ~pos:off
+      end
+    in
+    match decoded with
     | Some (r, total) when r.Record.seqno = seqno -> begin
       f ~off r;
       match r.Record.kind with
@@ -124,7 +143,38 @@ let scan area (st : Status.t) ~f =
   in
   go st.Status.head st.Status.head_seqno 0 0
 
+let open_chunk = 256 * 1024
+
+(* The open scan's reader: [open_chunk] reads from the start of the lap
+   the scan is on — the head, then [data_start] once it wraps — have
+   filled [area] up to [hi]. A decode at [off] waits until the record's
+   {!Record.extent} is in, so the scan stops exactly where a scan of the
+   whole device would. *)
+let chunked_fill (dev : Device.t) (st : Status.t) area =
+  let log_size = st.Status.log_size in
+  let lap = ref st.Status.head and hi = ref st.Status.head in
+  fun ~off ->
+    if off < !lap then begin
+      lap := off;
+      hi := off
+    end;
+    let rec loop () =
+      let avail = !hi - off in
+      if !hi < log_size && off + Record.extent area ~pos:off ~avail > !hi
+      then begin
+        let len = min open_chunk (log_size - !hi) in
+        dev.Device.read ~off:!hi ~buf:area ~pos:!hi ~len;
+        hi := !hi + len;
+        loop ()
+      end
+    in
+    loop ()
+
 let open_log ?obs ?(group_commit = true) ?(max_spool_bytes = 256 * 1024) dev =
+  let obs =
+    match obs with Some o -> o | None -> Rvm_obs.Registry.create ()
+  in
+  Rvm_obs.Registry.span obs "log.open" @@ fun () ->
   match Status.read dev with
   | Error _ as e -> e
   | Ok st ->
@@ -133,12 +183,9 @@ let open_log ?obs ?(group_commit = true) ?(max_spool_bytes = 256 * 1024) dev =
         (Printf.sprintf "log size mismatch: formatted for %d, device is %d"
            st.Status.log_size dev.Device.size)
     else begin
-      let area = read_area dev in
+      let area = Bytes.make dev.Device.size '\000' in
       let tail, next_seqno, used, records =
-        scan area st ~f:(fun ~off:_ _ -> ())
-      in
-      let obs =
-        match obs with Some o -> o | None -> Rvm_obs.Registry.create ()
+        scan ~fill:(chunked_fill dev st area) area st ~f:(fun ~off:_ _ -> ())
       in
       Ok
         {
@@ -155,7 +202,8 @@ let open_log ?obs ?(group_commit = true) ?(max_spool_bytes = 256 * 1024) dev =
                     ~log_size:st.Status.log_size)
              else None);
           max_spool_bytes;
-          scratch = Bytes.empty;
+          scratch = (if used > 0 then area else Bytes.empty);
+          image = used > 0;
           dirty = false;
           unforced_records = 0;
           forced_seqno = next_seqno - 1;
@@ -189,7 +237,7 @@ let drain t =
           Rvm_obs.Registry.add_attr t.obs "writes" (Rvm_obs.Trace.Int writes);
           Rvm_obs.Counter.add t.c_drain_writes writes);
       Rvm_obs.Histogram.observe t.h_drain_bytes (float_of_int bytes);
-      t.dirty <- true
+      note_write t
     end
 
 let append_record t record =
@@ -224,7 +272,7 @@ let append_record t record =
       | Some sp -> Record.encode_into (Tail_buffer.buf sp) marker
       | None ->
         Device.write_bytes t.dev ~off:t.tail (Record.encode marker);
-        t.dirty <- true);
+        note_write t);
       t.next_seqno <- t.next_seqno + 1;
       t.records <- t.records + 1;
       t.unforced_records <- t.unforced_records + 1
@@ -243,7 +291,7 @@ let append_record t record =
     Rvm_obs.Counter.add t.c_spool_bytes size
   | None ->
     Device.write_bytes t.dev ~off (Record.encode ~seqno record);
-    t.dirty <- true);
+    note_write t);
   t.tail <- t.tail + size;
   t.used <- t.used + size;
   t.next_seqno <- t.next_seqno + 1;
@@ -271,20 +319,18 @@ let force t =
   t.forced_seqno <- t.next_seqno - 1;
   t.dirty <- false
 
-let iter_live t ~f =
-  let area = read_live t in
-  ignore (scan area t.status ~f)
+(* Valid until the next append, drain or head move. *)
+type view = { log : t; area : Bytes.t }
 
-let live_records t =
-  let acc = ref [] in
-  iter_live t ~f:(fun ~off r -> acc := (off, r) :: !acc);
-  List.rev !acc
+let view t = { log = t; area = read_live t }
 
-let iter_live_backward t ~f =
+let iter { log = t; area } ~f =
+  ignore (scan ~stop:t.next_seqno area t.status ~f)
+
+let iter_backward { log = t; area } ~f =
   (* Walk trailers back from the tail. The wrap marker pads to the end of
      the data area, so stepping back from [data_start] continues at
      [log_size]. Stop once the head is reached. *)
-  let area = read_live t in
   let log_size = t.status.Status.log_size in
   let data_start = t.status.Status.data_start in
   let head = t.status.Status.head in
@@ -296,9 +342,16 @@ let iter_live_backward t ~f =
       if start <> head then go start
     | None ->
       (* The live area was validated by the forward scan at open time. *)
-      invalid_arg "Log_manager.iter_live_backward: corrupt live area"
+      invalid_arg "Log_manager.iter_backward: corrupt live area"
   in
   if t.records > 0 then go t.tail
+
+let iter_live t ~f = iter (view t) ~f
+
+let live_records t =
+  let acc = ref [] in
+  iter_live t ~f:(fun ~off r -> acc := (off, r) :: !acc);
+  List.rev !acc
 
 let move_head t ~new_head ~new_head_seqno =
   (* Materialize the spool first: the status block must never point into a
@@ -329,6 +382,7 @@ let move_head t ~new_head ~new_head_seqno =
   in
   Status.write t.dev status;
   (* Status.write syncs the device, so everything drained is durable. *)
+  drop_image t;
   t.dirty <- false;
   t.unforced_records <- 0;
   t.forced_seqno <- t.next_seqno - 1;

@@ -9,7 +9,7 @@
 
     The manager knows nothing about transactions or segments; it moves
     validated records. Commit semantics, recovery and truncation live in
-    [Rvm_core] on top of {!iter_live} / {!append} / {!move_head}. *)
+    [Rvm_core] on top of {!view} / {!append} / {!move_head}. *)
 
 exception Log_full
 (** Raised by {!append} when the record does not fit in the free space.
@@ -28,6 +28,13 @@ val open_log :
   Rvm_disk.Device.t ->
   (t, string) result
 (** Open a formatted log, scanning to locate the tail.
+
+    The scan, under a [log.open] span, reads forward from the head in
+    {!open_chunk} reads and decodes a record only once every byte it
+    claims is in, so it stops where a scan of the whole device would,
+    at most one chunk past the tail. A non-empty log keeps what it read
+    as the image its first {!view} uses without I/O, until the first
+    data-area write (a drain or a write-through append) or head move.
 
     With [group_commit] (the default), appends encode into an in-memory
     spool at the log tail instead of writing the device per record; the
@@ -49,6 +56,9 @@ val open_log :
     [log.force.absorbed] (records made durable beyond the first per sync);
     {!move_head} bumps [log.truncations]. Without it a private registry is
     created (reachable via {!obs}). *)
+
+val open_chunk : int
+(** Bytes per device read of the open scan (256 KiB). *)
 
 val obs : t -> Rvm_obs.Registry.t
 
@@ -100,22 +110,28 @@ val drain : t -> unit
 val spooled_bytes : t -> int
 (** Bytes sitting in the tail spool, not yet written to the device. *)
 
-val spool_capacity : t -> int
-(** The [max_spool_bytes] watermark the tail spool drains at — with
-    {!spooled_bytes}, the fill fraction admission control keys
-    backpressure off. *)
-
 val unflushed : t -> bool
 (** Whether any appended record might not yet be durable — spooled bytes
     exist or device writes were issued since the last sync. Truncation
     uses this to force the log before applying records to segments,
     preserving write-ahead ordering. *)
 
-val iter_live : t -> f:(off:int -> Record.t -> unit) -> unit
+type view
+(** One read of the live window, spooled records included. Valid until
+    the next append, drain or head move. *)
+
+val view : t -> view
+(** Read the live window: from the open-time image while the log holds
+    it, else from the device. Passes over a view cost no further I/O. *)
+
+val iter : view -> f:(off:int -> Record.t -> unit) -> unit
 (** Visit live records oldest-first. Wrap markers are included. *)
 
-val iter_live_backward : t -> f:(off:int -> Record.t -> unit) -> unit
+val iter_backward : view -> f:(off:int -> Record.t -> unit) -> unit
 (** Visit live records newest-first, walking the reverse displacements. *)
+
+val iter_live : t -> f:(off:int -> Record.t -> unit) -> unit
+(** [iter (view t)]. *)
 
 val live_records : t -> (int * Record.t) list
 (** Oldest-first [(offset, record)] list. *)

@@ -64,8 +64,6 @@ let control_range c =
   { Record.seg = control_seg; off = 0; data = encode_control c }
 
 let is_control (r : Record.range) = r.seg = control_seg
-let data_ranges (t : Record.t) = List.filter (fun r -> not (is_control r)) t.ranges
-
 let control_flags =
   Record.Flags.(intent lor stage lor resolution)
 

@@ -35,9 +35,6 @@ val control_range : control -> Record.range
 
 val is_control : Record.range -> bool
 
-val data_ranges : Record.t -> Record.range list
-(** The record's ranges minus any control range — what recovery applies. *)
-
 val classify :
   Record.t -> [ `Plain | `Control of control | `Malformed ]
 (** [`Plain] for ordinary commit records; [`Control] when a parallel-commit

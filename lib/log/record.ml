@@ -181,6 +181,25 @@ let decode bytes ~pos =
           end
     with B.Underflow -> None
 
+(* The header and each range header name how long the rest of the record
+   is, so the bytes [decode] will touch are known range by range. A range
+   header missing from the [avail] bytes read is where the answer stops. *)
+let extent bytes ~pos ~avail =
+  let u32 p =
+    Int32.to_int (Bytes.get_int32_le bytes (pos + p)) land 0xffffffff
+  in
+  if avail < header_size then header_size
+  else if u32 0 <> record_magic || u32 31 > 0xffffff then 0
+  else
+    let n_ranges = u32 31 and pad = u32 35 in
+    let rec walk i p =
+      if i = n_ranges then p + pad + trailer_size
+      else if avail < p + range_header_size then p + range_header_size
+      else if u32 p <> range_magic then 0
+      else walk (i + 1) (p + range_header_size + u32 (p + 28))
+    in
+    walk 0 header_size
+
 let decode_backward bytes ~end_pos =
   if end_pos < trailer_size || end_pos > Bytes.length bytes then None
   else

@@ -98,6 +98,15 @@ val decode : Bytes.t -> pos:int -> (t * int) option
     its total length, or [None] if the bytes do not form a valid record
     (bad magic, bad checksum, truncated). *)
 
+val extent : Bytes.t -> pos:int -> avail:int -> int
+(** [extent b ~pos ~avail], given that the [avail] bytes from [pos] have
+    been read: how many bytes from [pos] {!decode} will look at, as far as
+    those bytes tell. A result [<= avail] is final — decoding now gives
+    the same answer as decoding with every later byte present ([0] when
+    the prefix is already malformed). A larger result is the number of
+    bytes to read before asking again. The chunked scan that opens a log
+    reads no further than this. *)
+
 val decode_backward : Bytes.t -> end_pos:int -> (t * int) option
 (** [decode_backward b ~end_pos] parses the record that {e ends} at
     [end_pos] (exclusive), returning it with its start position. *)

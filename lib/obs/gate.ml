@@ -15,7 +15,7 @@ let directions =
       "batch_max"; "sessions"; "seed"; "load"; "offered_tps"; "shards";
       "zipf_s"; "elr"; "records"; "value_len"; "degree"; "mem_fraction";
       "mix"; "scan_max"; "arm"; "log_size"; "background_truncation";
-      "gate_max_ratio";
+      "gate_max_ratio"; "live_log_bytes";
     ]
   @ all Lower
       [
@@ -29,6 +29,7 @@ let directions =
         "truncation_steps"; "p99_ratio_background_over_disabled"; "vm_faults";
         "vm_evictions"; "vm_pageouts"; "heap_allocated_bytes";
         "heap_free_bytes"; "heap_free_list"; "splits"; "merges";
+        "log_bytes_read"; "seg_bytes_written"; "recovery_sim_s";
       ]
   @ all Higher
       [
@@ -101,13 +102,30 @@ let every_mix prop doc =
       List.map (Printf.sprintf "%s: %s" mix) (prop r))
     (rows "results" doc)
 
+let log_open_chunk = 256 * 1024
+
+let metric name doc =
+  match Json.member "metrics" doc with
+  | Some m -> (
+    match Json.member name m with Some r -> r | None -> raise (Missing name))
+  | None -> raise (Missing "metrics")
+
 let bounds =
   let bound artifact name violations =
     { artifact; name = artifact ^ "." ^ name; violations }
   in
+  let baseline = bound "baseline" in
   let contention = bound "contention" and truncation = bound "truncation" in
   let ycsb = bound "ycsb" in
   [
+    baseline "recovery_reads_live_once" (fun doc ->
+        let r = metric "recovery" doc in
+        let read = num "log_bytes_read" r and live = num "live_log_bytes" r in
+        unless
+          (read <= live +. float_of_int log_open_chunk)
+          "recovery read %.0f log bytes, more than %.0f live plus one \
+           %d-byte chunk"
+          read live log_open_chunk);
     contention "elr_fewer_aborts"
       (at_hot_skews (fun ~off ~on ->
            let a = num "abort_rate" on and b = num "abort_rate" off in

@@ -30,6 +30,10 @@ type bound = {
 val bounds : bound list
 (** Absolute properties, checked on the new artifact only. *)
 
+val log_open_chunk : int
+(** The log open scan's read size ([Rvm_log.Log_manager.open_chunk]):
+    baseline's recovery may read the live log plus at most this much. *)
+
 type report = {
   compared : int;  (** [Lower]/[Higher] leaves compared *)
   improved : int;  (** of those, moved the right way beyond {!tolerance} *)

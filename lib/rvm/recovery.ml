@@ -16,16 +16,24 @@ type outcome = {
   preserved : Record.t list;
 }
 
-type seg_state = { seg : Segment.t; mutable covered : Intervals.t }
+type plan = {
+  plan_writes : (int * int * Bytes.t) list;
+  plan_preserved : Record.t list;
+  plan_records_seen : int;
+}
 
-let apply_live ?obs ?before_seqno ?(intent_decision = fun _ -> `Abort)
-    ~resolve ~clock ~model log =
-  (* Pass 1: collect explicit resolution records over the whole log (not
-     just the frozen epoch — a resolution appended after the epoch boundary
-     still tells the truth about an intent inside it). In-log resolutions
-     take precedence over the caller's callback. *)
+let plan_live ?before_seqno ?(intent_decision = fun _ -> `Abort) log =
+  (* One read of the live window, two passes over it. The first collects
+     explicit resolution records over the whole log (not just the frozen
+     window — a resolution appended after the epoch boundary still tells
+     the truth about an intent inside it); in-log resolutions take
+     precedence over the caller's callback. The second scans newest-first
+     with per-segment covered intervals and returns the gap writes, whose
+     data is copied out of the decoded records: the plan stays valid while
+     new commits append past the frozen window. *)
+  let live = Log_manager.view log in
   let resolutions : (string, Pcommit.decision) Hashtbl.t = Hashtbl.create 4 in
-  Log_manager.iter_live_backward log ~f:(fun ~off:_ r ->
+  Log_manager.iter_backward live ~f:(fun ~off:_ r ->
       if
         r.Record.kind = Record.Commit
         && Record.Flags.(has r.Record.flags resolution)
@@ -34,118 +42,6 @@ let apply_live ?obs ?before_seqno ?(intent_decision = fun _ -> `Abort)
         | `Control (Pcommit.Resolution { gid; decision }) ->
           (* Backward scan: the newest resolution for a gid wins (they never
              disagree when written by this engine, but be deterministic). *)
-          if not (Hashtbl.mem resolutions gid) then
-            Hashtbl.add resolutions gid decision
-        | _ -> ());
-  let decide gid =
-    match Hashtbl.find_opt resolutions gid with
-    | Some Pcommit.Committed -> `Commit
-    | Some Pcommit.Aborted -> `Abort
-    | None -> intent_decision gid
-  in
-  let states : (int, seg_state) Hashtbl.t = Hashtbl.create 8 in
-  let state_of seg_id =
-    match Hashtbl.find_opt states seg_id with
-    | Some s -> s
-    | None ->
-      let s = { seg = resolve seg_id; covered = Intervals.empty } in
-      Hashtbl.add states seg_id s;
-      s
-  in
-  let records_seen = ref 0 in
-  let bytes_applied = ref 0 in
-  let preserved = ref [] in
-  let wanted (r : Record.t) =
-    r.Record.kind = Record.Commit
-    && match before_seqno with None -> true | Some b -> r.Record.seqno < b
-  in
-  let apply_ranges ranges =
-    List.iter
-      (fun (range : Record.range) ->
-        if not (Pcommit.is_control range) then begin
-          let len = Bytes.length range.Record.data in
-          let st = state_of range.Record.seg in
-          let gaps, covered =
-            Intervals.add_uncovered st.covered ~lo:range.Record.off ~len
-          in
-          st.covered <- covered;
-          List.iter
-            (fun (lo, glen) ->
-              Segment.write st.seg ~off:lo ~buf:range.Record.data
-                ~pos:(lo - range.Record.off) ~len:glen;
-              bytes_applied := !bytes_applied + glen;
-              Clock.charge_cpu clock
-                (float_of_int glen *. model.Cost_model.cpu_per_byte_copy_us))
-            gaps
-        end)
-      ranges
-  in
-  Log_manager.iter_live_backward log ~f:(fun ~off:_ r ->
-      if wanted r then begin
-        incr records_seen;
-        match Pcommit.classify r with
-        | `Plain -> apply_ranges r.Record.ranges
-        | `Control (Pcommit.Stage _) | `Control (Pcommit.Resolution _) ->
-          (* Control-only records; nothing to apply. *)
-          ()
-        | `Control (Pcommit.Intent { gid; _ }) -> (
-          match decide gid with
-          | `Commit -> apply_ranges r.Record.ranges
-          | `Abort -> ()
-          | `Pending ->
-            (* Mid-protocol intent: neither committed nor orphaned. The
-               caller must re-append it past the truncation point so the
-               eventual resolution still finds its evidence. *)
-            preserved := r :: !preserved)
-        | `Malformed ->
-          (* A parallel-commit flag with missing or corrupt evidence: treat
-             as unresolvable, toward abort — never apply its ranges. *)
-          L.warn (fun m ->
-              m "malformed parallel-commit record seqno=%d dropped"
-                r.Record.seqno)
-      end);
-  let touched = Hashtbl.fold (fun _ s acc -> s.seg :: acc) states [] in
-  (* Segment sync before the caller moves the head: the write ordering that
-     makes head movement safe. *)
-  let sync_one seg =
-    match obs with
-    | Some reg ->
-      Rvm_obs.Registry.span reg "segment.sync" (fun () -> Segment.sync seg)
-    | None -> Segment.sync seg
-  in
-  List.iter sync_one touched;
-  L.debug (fun m ->
-      m "applied %d records, %d bytes, %d segments, %d preserved"
-        !records_seen !bytes_applied (List.length touched)
-        (List.length !preserved));
-  {
-    records_seen = !records_seen;
-    bytes_applied = !bytes_applied;
-    segments_touched = touched;
-    preserved = List.rev !preserved (* oldest first, ready to re-append *);
-  }
-
-type plan = {
-  plan_writes : (int * int * Bytes.t) list;
-  plan_preserved : Record.t list;
-  plan_records_seen : int;
-}
-
-let plan_live ?before_seqno ?(intent_decision = fun _ -> `Abort) log =
-  (* Same two passes as {!apply_live} — resolutions over the whole log,
-     then a newest-first scan with per-segment covered intervals — but the
-     gap writes are returned instead of performed, so a resumable epoch
-     truncation can execute them one bounded step at a time. The plan's
-     data is copied out of the decoded records: it stays valid while new
-     commits append past the frozen window. *)
-  let resolutions : (string, Pcommit.decision) Hashtbl.t = Hashtbl.create 4 in
-  Log_manager.iter_live_backward log ~f:(fun ~off:_ r ->
-      if
-        r.Record.kind = Record.Commit
-        && Record.Flags.(has r.Record.flags resolution)
-      then
-        match Pcommit.classify r with
-        | `Control (Pcommit.Resolution { gid; decision }) ->
           if not (Hashtbl.mem resolutions gid) then
             Hashtbl.add resolutions gid decision
         | _ -> ());
@@ -187,29 +83,72 @@ let plan_live ?before_seqno ?(intent_decision = fun _ -> `Abort) log =
         end)
       ranges
   in
-  Log_manager.iter_live_backward log ~f:(fun ~off:_ r ->
+  Log_manager.iter_backward live ~f:(fun ~off:_ r ->
       if wanted r then begin
         incr records_seen;
         match Pcommit.classify r with
         | `Plain -> plan_ranges r.Record.ranges
-        | `Control (Pcommit.Stage _) | `Control (Pcommit.Resolution _) -> ()
+        | `Control (Pcommit.Stage _) | `Control (Pcommit.Resolution _) ->
+          (* Control-only records; nothing to apply. *)
+          ()
         | `Control (Pcommit.Intent { gid; _ }) -> (
           match decide gid with
           | `Commit -> plan_ranges r.Record.ranges
           | `Abort -> ()
-          | `Pending -> preserved := r :: !preserved)
+          | `Pending ->
+            (* Mid-protocol intent: neither committed nor orphaned. The
+               caller must re-append it past the truncation point so the
+               eventual resolution still finds its evidence. Prepending
+               while walking newest-first leaves the list oldest first. *)
+            preserved := r :: !preserved)
         | `Malformed ->
+          (* A parallel-commit flag with missing or corrupt evidence: treat
+             as unresolvable, toward abort — never apply its ranges. *)
           L.warn (fun m ->
               m "malformed parallel-commit record seqno=%d dropped"
                 r.Record.seqno)
       end);
   {
     plan_writes = List.rev !writes;
-    plan_preserved = List.rev !preserved;
+    plan_preserved = !preserved;
     plan_records_seen = !records_seen;
   }
 
 let recover ?obs ?intent_decision ~resolve ~clock ~model log =
-  let outcome = apply_live ?obs ?intent_decision ~resolve ~clock ~model log in
-  Log_manager.reset_empty log;
-  outcome
+  let span name f =
+    match obs with Some reg -> Rvm_obs.Registry.span reg name f | None -> f ()
+  in
+  let plan = span "recovery.plan" (fun () -> plan_live ?intent_decision log) in
+  let bytes_applied = ref 0 in
+  let touched =
+    span "recovery.apply" @@ fun () ->
+    let segs = Hashtbl.create 8 in
+    List.iter
+      (fun (id, off, data) ->
+        if not (Hashtbl.mem segs id) then Hashtbl.add segs id (resolve id);
+        let len = Bytes.length data in
+        Segment.write (Hashtbl.find segs id) ~off ~buf:data ~pos:0 ~len;
+        bytes_applied := !bytes_applied + len;
+        Clock.charge_cpu clock
+          (float_of_int len *. model.Cost_model.cpu_per_byte_copy_us))
+      plan.plan_writes;
+    let touched = Hashtbl.fold (fun _ s acc -> s :: acc) segs [] in
+    (* Segment sync before the head moves: the write ordering that makes
+       head movement safe. *)
+    List.iter (fun seg -> span "segment.sync" (fun () -> Segment.sync seg))
+      touched;
+    touched
+  in
+  (* Declaring the log empty is the last step: recovery is idempotent
+     until it happens. *)
+  span "recovery.reset" (fun () -> Log_manager.reset_empty log);
+  L.debug (fun m ->
+      m "applied %d records, %d bytes, %d segments, %d preserved"
+        plan.plan_records_seen !bytes_applied (List.length touched)
+        (List.length plan.plan_preserved));
+  {
+    records_seen = plan.plan_records_seen;
+    bytes_applied = !bytes_applied;
+    segments_touched = touched;
+    preserved = plan.plan_preserved;
+  }

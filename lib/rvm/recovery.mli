@@ -1,4 +1,4 @@
-(** Crash recovery and the shared log-application scanner (section 5.1.2).
+(** Crash recovery and the one live-log planner (section 5.1.2).
 
     "Crash recovery consists of RVM first reading the log from tail to
     head, then constructing an in-memory tree of the latest committed
@@ -8,12 +8,14 @@
     empty log. The idempotency of recovery is achieved by delaying this
     step until all other recovery actions are complete."
 
-    We scan newest-first and keep, per segment, an interval set of bytes
-    already applied; older records only contribute their not-yet-covered
-    gaps, so each byte is written once with its latest committed value —
-    the same effect as the paper's trees. Epoch truncation (Figure 6)
-    reuses exactly this scanner on a frozen prefix of the log, which is how
-    the original implementation minimized effort too.
+    {!plan_live} is the only code that decides what live log records
+    mean. It scans newest-first, keeping per segment an interval set of
+    bytes already planned; older records only contribute their
+    not-yet-covered gaps, so each byte is written once with its latest
+    committed value — the same effect as the paper's trees. {!recover}
+    executes a plan of the whole log; epoch truncation (Figure 6) executes
+    one over a frozen prefix, step by step; an incremental head move takes
+    only its pending intents.
 
     Parallel commit (DESIGN.md section 10) adds a status-resolution wrinkle:
     {e intent} records carry a cross-shard transaction's ranges but apply
@@ -21,44 +23,20 @@
     precedence order, an in-log resolution record, the caller's
     [intent_decision] callback, or the orphan default ([`Abort]). A
     [`Pending] answer (the transaction is mid-protocol in this process)
-    neither applies nor discards: the record is returned in [preserved] for
-    the caller to re-append past the truncation point. *)
-
-type outcome = {
-  records_seen : int;
-  bytes_applied : int;
-  segments_touched : Segment.t list;
-  preserved : Rvm_log.Record.t list;
-      (** Intent records still pending at scan time, oldest first — the
-          caller must re-append them (fresh seqnos) after moving the head,
-          or their evidence is lost. Always empty without a callback that
-          answers [`Pending]. *)
-}
-
-val apply_live :
-  ?obs:Rvm_obs.Registry.t ->
-  ?before_seqno:int ->
-  ?intent_decision:(string -> [ `Commit | `Abort | `Pending ]) ->
-  resolve:(int -> Segment.t) ->
-  clock:Rvm_util.Clock.t ->
-  model:Rvm_util.Cost_model.t ->
-  Rvm_log.Log_manager.t ->
-  outcome
-(** Apply live committed records (newest first, latest value wins) to their
-    external data segments and sync those segments. Does {e not} move the
-    log head — the caller does, as its own last, idempotency-preserving
-    step. [before_seqno] restricts application to records with a strictly
-    smaller sequence number (the frozen epoch of a truncation); resolution
-    records are still collected from the whole log. [intent_decision]
-    answers for intents with no in-log resolution; default [`Abort]
-    (orphans). *)
+    neither applies nor discards: the record is returned in the plan's
+    preserved list for the caller to re-append past the truncation
+    point. *)
 
 type plan = {
   plan_writes : (int * int * Bytes.t) list;
-      (** [(seg id, seg offset, final bytes)], disjoint per segment — the
-          newest committed value of every live byte in the frozen window. *)
+      (** [(seg id, seg offset, final bytes)], disjoint per segment, newest
+          record first — the newest committed value of every live byte in
+          the planned window. *)
   plan_preserved : Rvm_log.Record.t list;
-      (** As {!outcome.preserved}: pending intents, oldest first. *)
+      (** Intent records still pending at scan time, oldest first — the
+          caller must re-append them (fresh seqnos) before moving the head
+          past them, or their evidence is lost. Always empty without a
+          callback that answers [`Pending]. *)
   plan_records_seen : int;
 }
 
@@ -67,12 +45,22 @@ val plan_live :
   ?intent_decision:(string -> [ `Commit | `Abort | `Pending ]) ->
   Rvm_log.Log_manager.t ->
   plan
-(** The planning half of {!apply_live}: the same newest-first scan and
-    latest-value-wins gap computation, but the segment writes are returned
-    rather than performed and nothing is synced. {!Truncator} freezes an
-    epoch by taking a plan, then executes one write per resumable step —
-    the plan stays valid while new commits append past [before_seqno],
-    because its data was copied out of the frozen records. *)
+(** One read of the live window ({!Rvm_log.Log_manager.view}), two
+    passes: resolutions are collected from the whole log, then records
+    with a sequence number below [before_seqno] (all by default) are
+    planned newest-first. Nothing is written. [intent_decision] answers
+    for intents with no in-log resolution; default [`Abort] (orphans).
+    The plan's data is copied out of the records, so it stays valid while
+    new commits append past [before_seqno]. *)
+
+type outcome = {
+  records_seen : int;
+  bytes_applied : int;
+  segments_touched : Segment.t list;
+  preserved : Rvm_log.Record.t list;
+      (** The plan's pending intents, oldest first: the caller re-appends
+          them to the emptied log. *)
+}
 
 val recover :
   ?obs:Rvm_obs.Registry.t ->
@@ -82,5 +70,8 @@ val recover :
   model:Rvm_util.Cost_model.t ->
   Rvm_log.Log_manager.t ->
   outcome
-(** Full crash recovery: {!apply_live} on everything, then declare the log
-    empty. *)
+(** Full crash recovery: plan the whole log, write the plan's gaps in
+    order (charging [cpu_per_byte_copy_us] per byte), sync the touched
+    segments, then declare the log empty — the last, idempotency-preserving
+    step. With [obs] these run under [recovery.plan], [recovery.apply]
+    (with [segment.sync] spans) and [recovery.reset] spans. *)

@@ -331,11 +331,13 @@ let initialize ?(options = Options.default) ?(clock = Clock.null)
         | outcome ->
           (* Intents still pending at initialize time (only possible when
              the caller's oracle says so) go back into the emptied log. *)
-          List.iter
-            (fun (r : Record.t) ->
-              ignore (Log_manager.append_record lm r))
-            outcome.Recovery.preserved;
-          if outcome.Recovery.preserved <> [] then Log_manager.force lm;
+          if outcome.Recovery.preserved <> [] then
+            Registry.span t.obs "recovery.preserve" (fun () ->
+                List.iter
+                  (fun (r : Record.t) ->
+                    ignore (Log_manager.append_record lm r))
+                  outcome.Recovery.preserved;
+                Log_manager.force lm);
           L.info (fun m ->
               m "recovery applied %d records (%d bytes)"
                 outcome.Recovery.records_seen outcome.Recovery.bytes_applied)

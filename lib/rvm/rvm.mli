@@ -46,7 +46,10 @@ val initialize :
     supplies the metrics registry (a private one is created otherwise; see
     {!obs}): engine counters, causal [txn.*] / [commit.*] / [log.*] /
     [truncation.*] / [recovery] spans, and per-layer [disk.log.*] /
-    [disk.seg.*] device accounting all land there. The registry's span
+    [disk.seg.*] device accounting all land there. On a simulated clock
+    the [log.open] span and the [recovery] span (whose [recovery.plan],
+    [recovery.apply], [recovery.reset] and [recovery.preserve] children
+    cover it) account for all the time this call takes. The registry's span
     ring doubles as an always-on flight recorder: when the caller left it
     unsized, the engine keeps the last 512 spans, and dumps the tail on
     transaction abort and on failed recovery.

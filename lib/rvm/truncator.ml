@@ -17,7 +17,9 @@
      page's new values reach the external data segment;
    - an epoch run freezes its window by *planning* ({!Recovery.plan_live})
      — the planned writes carry data copied out of the frozen records, so
-     post-freeze commits can overwrite the region buffers freely;
+     post-freeze commits can overwrite the region buffers freely. The
+     incremental head move asks the same planner which pending intents
+     lie below the new head;
    - the head target of an incremental run is captured before the live
      resolutions are re-appended, so the fresh resolution copies always
      land past the new head and stay live;
@@ -38,7 +40,6 @@
 
 module Log_manager = Rvm_log.Log_manager
 module Record = Rvm_log.Record
-module Pcommit = Rvm_log.Pcommit
 module Clock = Rvm_util.Clock
 module Cost_model = Rvm_util.Cost_model
 module Page_table = Rvm_vm.Page_table
@@ -187,55 +188,32 @@ let rebuild_queue t =
       if r.Record.kind = Record.Commit then
         note_logged_ranges t ~log_off:off ~seqno:r.Record.seqno r.Record.ranges)
 
-(* Re-append (without forcing) every still-undecided parallel-commit
-   intent an incremental head move to [upto] would reclaim. Undecided on
-   this shard does not mean abortable: if every participant's intent and
-   the staged record are durable on the other logs, recovery judges the
-   group committed, so this shard's intent must stay continuously
-   durable until its resolution retires. The fresh copies land at the
-   tail — past [upto] — and the caller forces them before the move.
-   An epoch run gets the same records from its plan ([plan_preserved]);
-   this scan serves the incremental path, whose head moves to a queue
-   descriptor rather than a frozen tail. Returns whether anything was
-   appended. *)
-let preserve_pending_intents t ~upto =
+(* Evidence a head move would reclaim must stay continuously durable, so
+   fresh copies go to the tail — past the new head, where the move keeps
+   them live — and are forced while the status block still points at the
+   old copies. Two kinds:
+
+   - unretired resolutions: the run applied their intents, so a recovery
+     that finds another participant's intent may have no other evidence
+     of the decision;
+   - still-pending parallel-commit intents inside the reclaimed window:
+     undecided *here*, but possibly already implicitly committed — if
+     every participant's intent and the staged record are durable on the
+     other logs, recovery judges the group committed, and reclaiming this
+     shard's intent without a live copy would flip that judgment (or lose
+     this shard's ranges, which the run deliberately did not apply).
+
+   Returns whether anything was appended; the force was then the step's
+   unit of work. *)
+let reappend_evidence t pending =
   let env = t.env in
-  match env.intent_decision with
-  | None ->
-    (* No liveness callback means no parallel-commit machinery above this
-       engine — nothing can be pending, and the log scans below are pure
-       (charged) device reads. *)
-    false
-  | Some decide ->
-    (* In-log resolutions take precedence over the liveness callback, as
-       in {!Recovery.plan_live}: an intent whose decision survives in the
-       log needs no preservation — the resolution machinery carries it. *)
-    let resolutions = Hashtbl.create 4 in
-    Log_manager.iter_live env.log ~f:(fun ~off:_ r ->
-        if
-          r.Record.kind = Record.Commit
-          && Record.Flags.(has r.Record.flags resolution)
-        then
-          match Pcommit.classify r with
-          | `Control (Pcommit.Resolution { gid; _ }) ->
-            Hashtbl.replace resolutions gid ()
-          | _ -> ());
-    let pending gid =
-      (not (Hashtbl.mem resolutions gid)) && decide gid = `Pending
-    in
-    let doomed = ref [] in
-    (try
-       Log_manager.iter_live env.log ~f:(fun ~off r ->
-           if off = upto then raise Exit;
-           match Pcommit.classify r with
-           | `Control (Pcommit.Intent { gid; _ }) when pending gid ->
-             doomed := r :: !doomed
-           | _ -> ())
-     with Exit -> ());
-    List.iter
-      (fun (r : Record.t) -> ignore (Log_manager.append_record env.log r))
-      (List.rev !doomed);
-    !doomed <> []
+  let resolutions = env.reappend_live_resolutions () in
+  List.iter
+    (fun (r : Record.t) -> ignore (Log_manager.append_record env.log r))
+    pending;
+  let appended = resolutions || pending <> [] in
+  if appended then Log_manager.force env.log;
+  appended
 
 let copy_cost t bytes =
   float_of_int bytes *. t.env.model.Cost_model.cpu_per_byte_copy_us
@@ -386,29 +364,8 @@ let rec epoch_advance t (e : epoch_run) =
           Segment.sync (env.segment seg_id));
       `Progress)
   | `Resolutions ->
-    (* Evidence the head move would reclaim must stay continuously
-       durable, so fresh copies go to the tail — past [e_freeze_tail],
-       where the move keeps them live — and are forced while the status
-       block still points at the old copies. Two kinds:
-
-       - unretired resolutions: the plan writes applied their intents, so
-         a recovery that finds another participant's intent may have no
-         other evidence of the decision;
-       - pending parallel-commit intents: undecided *here*, but possibly
-         already implicitly committed — if every participant's intent and
-         the staged record are durable on the other logs, recovery judges
-         the group committed, and reclaiming this shard's intent without
-         a live copy would flip that judgment (or lose this shard's
-         ranges, which the plan deliberately did not apply). *)
     e.e_stage <- `Move_head;
-    let resolutions = env.reappend_live_resolutions () in
-    List.iter
-      (fun (r : Record.t) -> ignore (Log_manager.append_record env.log r))
-      e.e_preserved;
-    if resolutions || e.e_preserved <> [] then begin
-      Log_manager.force env.log;
-      `Progress
-    end
+    if reappend_evidence t e.e_preserved then `Progress
     else epoch_advance t e
   | `Move_head ->
     Log_manager.move_head env.log ~new_head:e.e_freeze_tail
@@ -527,19 +484,19 @@ and incr_advance t (i : incr_run) =
     | Some nh ->
       i.i_new_head <- Some nh;
       i.i_stage <- `Move_head;
-      (* The head move reclaims cross-shard commit evidence whose decision
-         other shards still depend on: append fresh copies of the
-         unretired resolutions and of the still-pending intents inside
-         the reclaimed window at the tail (past the new head) and force
-         them while the old copies are still inside the live window, so
-         some copy is durable at every crash point. *)
-      let resolutions = env.reappend_live_resolutions () in
-      let intents = preserve_pending_intents t ~upto:(fst nh) in
-      if resolutions || intents then begin
-        Log_manager.force env.log;
-        `Progress
-      end
-      else incr_advance t i)
+      (* The pending intents the move reclaims are exactly the plan's
+         preserved records below the new head's seqno. Without a liveness
+         callback there is no parallel-commit machinery above this engine,
+         nothing can be pending, and the log is not read. *)
+      let pending =
+        match env.intent_decision with
+        | None -> []
+        | Some _ as intent_decision ->
+          (Recovery.plan_live ~before_seqno:(snd nh) ?intent_decision
+             env.log)
+            .Recovery.plan_preserved
+      in
+      if reappend_evidence t pending then `Progress else incr_advance t i)
   | `Move_head ->
     (match i.i_new_head with
     | Some (new_head, new_head_seqno) ->

@@ -127,7 +127,7 @@ type ev = {
   mutable e_resolved_on : int list;  (* shards already holding a resolution *)
 }
 
-let resolve_statuses logs =
+let resolve_statuses ~obs logs =
   let evidence : (string, ev) Hashtbl.t = Hashtbl.create 8 in
   let ev gid =
     match Hashtbl.find_opt evidence gid with
@@ -146,6 +146,9 @@ let resolve_statuses logs =
   let managers =
     Array.mapi
       (fun i dev ->
+        (* Through the same accounting layer the shard engines put on
+           their logs, so [disk.log.*] counts every recovery read. *)
+        let dev = Rvm_disk.Stack.with_stats ~obs ~prefix:"disk.log" () dev in
         match Log_manager.open_log dev with
         | Error e -> Types.error "shard %d: open_log: %s" i e
         | Ok lm ->
@@ -216,15 +219,20 @@ let initialize ?(options = Options.default) ?(clock = Clock.null)
   let intent_decision gid =
     if Hashtbl.mem in_flight gid then `Pending else `Abort
   in
-  (* Cross-shard status resolution strictly before any shard recovers. *)
-  resolve_statuses logs;
+  (* Cross-shard status resolution strictly before any shard recovers.
+     After it the shards recover independently, each on its own lane:
+     recovery costs about the slowest shard, not the sum. *)
+  resolve_statuses ~obs logs;
+  let lanes = Array.init n (fun _ -> Clock.lane ()) in
   let shards =
-    Array.map
-      (fun log ->
-        Rvm.initialize ~options ~clock ~model ~obs ~intent_decision ~log
-          ~resolve ())
+    Array.mapi
+      (fun i log ->
+        Clock.on_lane clock lanes.(i) (fun () ->
+            Rvm.initialize ~options ~clock ~model ~obs ~intent_decision ~log
+              ~resolve ()))
       logs
   in
+  Clock.join_lanes clock (Array.to_list lanes);
   (* Seqnos only grow across recoveries of the same image, so folding them
      into the gid makes every incarnation's gids distinct from whatever an
      earlier run left in the logs — without consulting wall-clock time
@@ -249,7 +257,7 @@ let initialize ?(options = Options.default) ?(clock = Clock.null)
     unresolved = [];
     retirable = [];
     force_epoch = Array.make (Array.length shards) 0;
-    lanes = Array.init (Array.length shards) (fun _ -> Clock.lane ());
+    lanes;
     shard_committed =
       Array.init (Array.length shards) (fun i ->
           Registry.counter obs (Printf.sprintf "shard.%d.committed" i));

@@ -36,8 +36,10 @@ val initialize :
   t
 (** One log device per shard ([Array.length logs = Routing.shards routing]).
     Runs the cross-shard status-resolution pass, then per-shard crash
-    recovery. All shards share [obs] (counters merge into engine totals)
-    and the clock. *)
+    recovery, each shard on its own clock lane: the clock advances by the
+    slowest shard's recovery, not the sum. All shards share [obs]
+    (counters merge into engine totals, and [disk.log.*] counts the
+    resolution pass's reads as well as the engines') and the clock. *)
 
 val reinitialize :
   ?options:Rvm_core.Options.t ->

@@ -23,7 +23,6 @@ let () =
       ("shard-check", Test_shard_check.suite);
       ("elr-check", Test_elr_check.suite);
       ("harness", Test_harness.suite);
-      ("pds", Test_pds.suite);
       ("pbtree", Test_pbtree.suite);
       ("ycsb", Test_ycsb.suite);
       ("ycsb_run", Test_ycsb_run.suite);

@@ -83,11 +83,23 @@ let test_every_leaf_declared () =
         (List.exists (mem name) docs))
     Gate.directions
 
+(* The baseline recovery row with [log_bytes_read] set to its live bytes
+   plus one open chunk plus [extra]. *)
+let recovery_reads ~extra =
+  map_member "metrics"
+    (map_member "recovery" (fun r ->
+         let live = num (Option.get (J.member "live_log_bytes" r)) in
+         set "log_bytes_read"
+           (J.Float (live +. float_of_int Gate.log_open_chunk +. extra))
+           r))
+
 (* (c) Each mutation moves one artifact just past one bound; the gate
    must fail under exactly that bound's name. *)
 let bound_cases =
   let off key doc = field "results" ~where:(hot ~elr:false) key doc in
   [
+    ( "baseline.recovery_reads_live_once", "baseline",
+      recovery_reads ~extra:1. );
     ( "contention.elr_fewer_aborts", "contention",
       fun doc ->
         map_rows "results" ~where:(hot ~elr:true)
@@ -135,6 +147,9 @@ let test_every_bound_tested () =
 
 (* ... and the thresholds themselves still pass. *)
 let test_bounds_at_threshold () =
+  let b = recovery_reads ~extra:0. (load "baseline") in
+  Alcotest.check names "recovery reads at the threshold" []
+    (failure_names ~old:b b);
   let t = load "truncation" in
   List.iter
     (fun doc ->
@@ -196,6 +211,10 @@ let suite =
     Alcotest.test_case "bounds pass at their thresholds" `Quick
       test_bounds_at_threshold;
     Alcotest.test_case "trajectory directions" `Quick test_trajectory;
+    Alcotest.test_case "recovery bound uses the log's open chunk" `Quick
+      (fun () ->
+        Alcotest.(check int) "chunk" Rvm_log.Log_manager.open_chunk
+          Gate.log_open_chunk);
   ]
   @ List.map
       (fun ((name, _, _) as case) ->

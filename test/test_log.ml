@@ -217,7 +217,8 @@ let test_log_backward_iteration () =
   done;
   let fwd = ref [] and bwd = ref [] in
   Log_manager.iter_live l ~f:(fun ~off:_ r -> fwd := r.Record.tid :: !fwd);
-  Log_manager.iter_live_backward l ~f:(fun ~off:_ r -> bwd := r.Record.tid :: !bwd);
+  Log_manager.(iter_backward (view l)) ~f:(fun ~off:_ r ->
+      bwd := r.Record.tid :: !bwd);
   Alcotest.(check (list int)) "backward = reverse forward" !fwd (List.rev !bwd)
 
 let test_log_backward_across_wrap () =
@@ -234,7 +235,7 @@ let test_log_backward_across_wrap () =
     ignore (Log_manager.append l ~tid:(100 + i) [ range 1 0 (String.make 200 'y') ])
   done;
   let bwd = ref [] in
-  Log_manager.iter_live_backward l ~f:(fun ~off:_ r ->
+  Log_manager.(iter_backward (view l)) ~f:(fun ~off:_ r ->
       if r.Record.kind = Record.Commit then bwd := r.Record.tid :: !bwd);
   Alcotest.(check (list int)) "wrapped backward scan"
     [ 101; 102; 103; 104; 105; 106 ] !bwd

@@ -431,6 +431,136 @@ let prop_log_manager =
           check_agreement ())
         ops)
 
+(* --- bounded open: the chunked scan must stop exactly where a scan of
+   the whole device stops. The reference below is that whole-device scan
+   (read every byte, then walk from the head), run on the same image at
+   every reopen: after crashes that lose the spool, after a torn final
+   record, on wrapped logs several chunks long whose records straddle
+   chunk boundaries and leave stale records past the tail. --- *)
+
+let whole_device_scan (dev : Rvm_disk.Device.t) =
+  let st = Result.get_ok (Rvm_log.Status.read dev) in
+  let area =
+    Rvm_disk.Device.read_bytes dev ~off:0 ~len:dev.Rvm_disk.Device.size
+  in
+  let log_size = st.Rvm_log.Status.log_size in
+  let data_start = st.Rvm_log.Status.data_start in
+  let seen = ref [] in
+  let rec go off seqno used records =
+    if log_size - off < Record.wrap_size then
+      go_at data_start seqno (used + (log_size - off)) records
+    else go_at off seqno used records
+  and go_at off seqno used records =
+    match Record.decode area ~pos:off with
+    | Some (r, total) when r.Record.seqno = seqno -> (
+      seen := (off, seqno) :: !seen;
+      match r.Record.kind with
+      | Record.Wrap -> go data_start (seqno + 1) (used + total) (records + 1)
+      | Record.Commit ->
+        go (off + total) (seqno + 1) (used + total) (records + 1))
+    | _ -> (off, seqno, used, records)
+  in
+  let found =
+    go st.Rvm_log.Status.head st.Rvm_log.Status.head_seqno 0 0
+  in
+  (found, List.rev !seen)
+
+let prop_bounded_open =
+  (* [lead] 100 KB records are appended and all but the last reclaimed
+     first, so the head starts anywhere in the first lap and the ops wrap
+     the log often. Some records are longer than a chunk. *)
+  let gen =
+    QCheck.Gen.(
+      pair (int_bound 9)
+        (list_size (int_range 1 40)
+           (frequency
+              [
+                (4, map (fun n -> `Append (1 + n)) (int_bound 2_000));
+                (3, map (fun n -> `Append (1 + n)) (int_bound 100_000));
+                (1, map (fun n -> `Append (200_000 + n)) (int_bound 150_000));
+                (2, return `Force);
+                (1, map (fun k -> `Reclaim k) (int_bound 6));
+                (1, return `Crash);
+                (1, map (fun f -> `Tear f) (float_bound_exclusive 1.));
+              ])))
+  in
+  QCheck.Test.make ~name:"bounded open finds the whole-device scan's tail"
+    ~count:60 (QCheck.make gen) (fun (lead, ops) ->
+      let module LM = Rvm_log.Log_manager in
+      let dev = Mem_device.create ~name:"blog" ~size:(1024 * 1024) () in
+      LM.format dev;
+      let lm = ref (Result.get_ok (LM.open_log dev)) in
+      let agree = ref true in
+      (* Reopen from the device (a crash: the spool is lost) and compare
+         with the reference scan of the same image; the opened log's live
+         records, read from the kept image, must be the reference's too. *)
+      let reopen () =
+        let (tail, next_seqno, used, records), seen = whole_device_scan dev in
+        let l = Result.get_ok (LM.open_log dev) in
+        let live = ref [] in
+        LM.iter_live l ~f:(fun ~off r ->
+            live := (off, r.Record.seqno) :: !live);
+        agree :=
+          !agree && LM.tail l = tail
+          && LM.next_seqno l = next_seqno
+          && LM.used_bytes l = used
+          && LM.record_count l = records
+          && List.rev !live = seen;
+        lm := l
+      in
+      let commits () =
+        let acc = ref [] in
+        LM.iter_live !lm ~f:(fun ~off r ->
+            if r.Record.kind = Record.Commit then acc := (off, r) :: !acc);
+        List.rev !acc
+      in
+      let reclaim k =
+        match List.filteri (fun i _ -> i >= k) (commits ()) with
+        | (off, r) :: _ ->
+          LM.move_head !lm ~new_head:off ~new_head_seqno:r.Record.seqno
+        | [] -> LM.reset_empty !lm
+      in
+      let tid = ref 0 in
+      let ops =
+        List.init lead (fun _ -> `Append 100_000)
+        @ (if lead > 1 then [ `Force; `Reclaim (lead - 1) ] else [])
+        @ ops
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | `Append size ->
+            incr tid;
+            let data = Bytes.make size (Char.chr (65 + (!tid mod 26))) in
+            let rec go attempts =
+              let range = { Record.seg = 1; off = 0; data } in
+              match LM.append !lm ~tid:!tid [ range ] with
+              | _ -> ()
+              | exception LM.Log_full ->
+                if attempts < 4 && not (LM.is_empty !lm) then begin
+                  reclaim ((List.length (commits ()) + 1) / 2);
+                  go (attempts + 1)
+                end
+            in
+            go 0
+          | `Force -> LM.force !lm
+          | `Reclaim k -> reclaim k
+          | `Crash -> reopen ()
+          | `Tear frac -> (
+            LM.force !lm;
+            match List.rev (commits ()) with
+            | (off, r) :: _ ->
+              let size = float_of_int (Record.encoded_size r) in
+              let pos = off + int_of_float (frac *. size) in
+              let b = Rvm_disk.Device.read_bytes dev ~off:pos ~len:1 in
+              Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x5a));
+              Rvm_disk.Device.write_bytes dev ~off:pos b;
+              reopen ()
+            | [] -> ()))
+        ops;
+      reopen ();
+      !agree)
+
 (* --- buffered log tail: the spool must be invisible in the bytes that
    reach the device. Any append/force/reclaim history — including wraps,
    pad-to-end records, the unwritten implicit-wrap sliver and watermark
@@ -1037,6 +1167,7 @@ let suite =
       prop_intra_equivalence;
       prop_allocator;
       prop_log_manager;
+      prop_bounded_open;
       prop_group_commit_image;
       prop_sim_device_extents;
       prop_lock_mgr_index;

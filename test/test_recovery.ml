@@ -198,6 +198,159 @@ let test_recovery_after_many_wraps () =
         (read w ~addr:(a + (slot * slot_len)) ~len:slot_len))
     model
 
+(* --- bounded reads: opening a log reads its live window in whole
+   chunks, and recovery reads nothing more. Every count comes from a
+   [Stack.with_stats] layer over the log device. --- *)
+
+module Stack = Rvm_disk.Stack
+module Mem_device = Rvm_disk.Mem_device
+module Log_manager = Rvm_log.Log_manager
+module Clock = Rvm_util.Clock
+module Cost_model = Rvm_util.Cost_model
+module Registry = Rvm_obs.Registry
+
+let chunk = Log_manager.open_chunk
+let marker = "LAST-COMMIT"
+
+(* Log and segment images after [txns] flushed commits of [len] bytes,
+   the last of which writes [marker] at offset 0 of the region and
+   nothing else does. *)
+let image ~txns ~len =
+  let log = Mem_device.create ~size:(4 * 1024 * 1024) () in
+  let seg = Mem_device.create ~size:(256 * 1024) () in
+  Rvm.create_log log;
+  let options = { Options.default with Options.auto_truncate = false } in
+  let rvm = Rvm.initialize ~options ~log ~resolve:(fun _ -> seg) () in
+  let base = (Rvm.map rvm ~seg:1 ~seg_off:0 ~len:(64 * 1024) ()).Region.vaddr in
+  let commit ~addr data =
+    let tid = Rvm.begin_transaction rvm ~mode:Types.No_restore in
+    Rvm.modify rvm tid ~addr data;
+    Rvm.end_transaction rvm tid ~mode:Types.Flush
+  in
+  for i = 1 to txns - 1 do
+    commit
+      ~addr:(base + 64 + (i * 97 mod (60 * 1024)))
+      (Bytes.make len (Char.chr (65 + (i mod 26))))
+  done;
+  commit ~addr:base (Bytes.of_string marker);
+  (Mem_device.snapshot log, Mem_device.snapshot seg)
+
+let live_bytes log =
+  Log_manager.used_bytes
+    (Result.get_ok (Log_manager.open_log (Mem_device.of_bytes log)))
+
+(* Recover copies of the images through a stats layer: the bytes read from
+   the log and the recovered marker slot. *)
+let recover_counted (log, seg) =
+  let dev = Stack.with_stats () (Mem_device.of_bytes log) in
+  let seg = Mem_device.of_bytes seg in
+  let rvm = Rvm.initialize ~log:dev ~resolve:(fun _ -> seg) () in
+  let r = Rvm.map rvm ~seg:1 ~seg_off:0 ~len:(64 * 1024) () in
+  ( dev.Device.stats.Device.bytes_read,
+    Bytes.to_string
+      (Rvm.load rvm ~addr:r.Region.vaddr ~len:(String.length marker)) )
+
+let test_recovery_reads_live_once () =
+  let ((log, _) as img) = image ~txns:3000 ~len:256 in
+  let live = live_bytes log in
+  check_bool "live log spans several chunks" true (live > 3 * chunk);
+  let read, slot = recover_counted img in
+  check_str "recovered" marker slot;
+  check_bool
+    (Printf.sprintf "read %d <= live %d + one chunk" read live)
+    true
+    (read <= live + chunk);
+  (* Recovery's plan runs on the open scan's image: a bare open reads
+     exactly as much. *)
+  let dev = Stack.with_stats () (Mem_device.of_bytes log) in
+  ignore (Result.get_ok (Log_manager.open_log dev));
+  check_int "recovery reads what the open scan reads"
+    dev.Device.stats.Device.bytes_read read
+
+let test_empty_open_reads_one_chunk () =
+  let base = Mem_device.create ~size:(4 * 1024 * 1024) () in
+  Log_manager.format base;
+  let dev = Stack.with_stats () base in
+  let lm = Result.get_ok (Log_manager.open_log dev) in
+  check_bool "empty" true (Log_manager.is_empty lm);
+  let st = dev.Device.stats in
+  check_int "status block and one chunk"
+    (Rvm_log.Status.size + chunk)
+    st.Device.bytes_read;
+  check_int "two reads" 2 st.Device.reads
+
+let test_torn_final_record_bounded () =
+  let log, seg = image ~txns:3000 ~len:256 in
+  (* Tear the final record: flip a byte in its middle. *)
+  let last = ref (0, 0) in
+  Log_manager.iter_live
+    (Result.get_ok (Log_manager.open_log (Mem_device.of_bytes log)))
+    ~f:(fun ~off r -> last := (off, Rvm_log.Record.encoded_size r));
+  let off, size = !last in
+  let mid = off + (size / 2) in
+  Bytes.set log mid (Char.chr (Char.code (Bytes.get log mid) lxor 0xff));
+  let live = live_bytes log in
+  let read, slot = recover_counted (log, seg) in
+  check_str "torn final record discarded"
+    (String.make (String.length marker) '\000')
+    slot;
+  check_bool
+    (Printf.sprintf "read %d <= live %d + one chunk" read live)
+    true
+    (read <= live + chunk)
+
+(* Every simulated microsecond of a recovering [initialize] is inside a
+   span: the open scan, then recovery's plan, apply (segment syncs
+   included) and log reset. *)
+let test_recovery_spans_sum () =
+  let log, seg = image ~txns:400 ~len:200 in
+  let clock = Clock.simulated () in
+  let dec = Cost_model.dec5000 in
+  let log =
+    Stack.with_latency ~clock ~disk:dec.Cost_model.log_disk ()
+      (Mem_device.of_bytes log)
+  in
+  let seg =
+    Stack.with_latency ~seek_fraction:0.08 ~sector:4096 ~clock
+      ~disk:dec.Cost_model.data_disk () (Mem_device.of_bytes seg)
+  in
+  let obs = Registry.create () in
+  let t0 = Clock.now_us clock in
+  ignore
+    (Rvm.initialize ~clock ~model:dec ~obs ~log ~resolve:(fun _ -> seg) ());
+  let advance = Clock.now_us clock -. t0 in
+  let events = Registry.events obs in
+  (* Device-level [disk.*] spans nest inside the phases; leave them out. *)
+  let children parent =
+    List.filter
+      (fun (e : Registry.span_event) ->
+        e.parent = parent && not (String.starts_with ~prefix:"disk." e.scope))
+      events
+  in
+  let names = List.map (fun (e : Registry.span_event) -> e.scope) in
+  let total =
+    List.fold_left (fun a (e : Registry.span_event) -> a +. e.dur_us) 0.
+  in
+  let near what a b =
+    check_bool (Printf.sprintf "%s: %.3f ~ %.3f us" what a b) true
+      (abs_float (a -. b) <= 1.)
+  in
+  let roots = children None in
+  Alcotest.(check (list string)) "root spans" [ "log.open"; "recovery" ]
+    (names roots);
+  check_bool "recovery took simulated time" true (advance > 0.);
+  near "roots cover initialize" (total roots) advance;
+  let recovery = List.nth roots 1 in
+  let phases = children (Some recovery.Registry.id) in
+  Alcotest.(check (list string)) "recovery phases"
+    [ "recovery.plan"; "recovery.apply"; "recovery.reset" ]
+    (names phases);
+  near "phases cover recovery" (total phases) recovery.Registry.dur_us;
+  let plan = List.hd phases and apply = List.nth phases 1 in
+  near "the plan reads nothing" plan.Registry.dur_us 0.;
+  Alcotest.(check (list string)) "apply syncs the segment" [ "segment.sync" ]
+    (names (children (Some apply.Registry.id)))
+
 let suite =
   [
     ("recover.committed", `Quick, test_committed_survives_crash);
@@ -208,4 +361,8 @@ let suite =
     ("recover.double-crash", `Quick, test_double_crash_during_recovery);
     ("recover.torn-record", `Quick, test_torn_final_record_discarded);
     ("recover.wrapped-log", `Quick, test_recovery_after_many_wraps);
+    ("recover.reads-live-once", `Quick, test_recovery_reads_live_once);
+    ("recover.empty-open-one-chunk", `Quick, test_empty_open_reads_one_chunk);
+    ("recover.torn-record-bounded", `Quick, test_torn_final_record_bounded);
+    ("recover.spans-sum", `Quick, test_recovery_spans_sum);
   ]

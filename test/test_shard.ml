@@ -565,6 +565,224 @@ let test_twopc_decisions_survive_reset () =
   check_bool "decision durable across reset" true
     (Twopc.lookup_decision coord "gid-keep" = Some Twopc.Committed)
 
+(* --- sharded recovery reads and lanes --- *)
+
+module Stack = Rvm_disk.Stack
+module Registry = Rvm_obs.Registry
+module Cost_model = Rvm_util.Cost_model
+
+(* Crash images (log and segment bytes) of a 2-shard world whose logs
+   both hold records: one cross-shard commit, then [extra.(i)] flushed
+   single-shard commits through segment [i + 1]. *)
+let two_shard_images ~extra =
+  let logs =
+    Array.init 2 (fun i ->
+        Mem_device.create ~name:(Printf.sprintf "log%d" i)
+          ~size:(1024 * 1024) ())
+  in
+  Multi.create_logs logs;
+  let segs = Array.init 2 (fun _ -> Mem_device.create ~size:(64 * 1024) ()) in
+  let routing = Routing.modulo ~shards:2 in
+  let m =
+    Multi.initialize ~routing ~logs ~resolve:(fun id -> segs.(id - 1)) ()
+  in
+  let v =
+    Array.init 2 (fun i ->
+        (Multi.map m ~seg:(i + 1) ~seg_off:0 ~len:(2 * ps) ()).Region.vaddr)
+  in
+  let g = Multi.begin_transaction m ~mode:Types.Restore in
+  write_all m g v "XSHRD";
+  Multi.end_transaction m g ~mode:Types.Flush;
+  Array.iteri
+    (fun i n ->
+      for k = 1 to n do
+        let g = Multi.begin_transaction m ~mode:Types.No_restore in
+        Multi.modify m g
+          ~addr:(v.(i) + 8 + (k mod 100 * 64))
+          (Bytes.make 64 (Char.chr (97 + (k mod 26))));
+        Multi.end_transaction m g ~mode:Types.Flush
+      done)
+    extra;
+  (Array.map Mem_device.snapshot logs, Array.map Mem_device.snapshot segs,
+   routing)
+
+let test_recovery_reads_and_lanes () =
+  let logs, segs, routing = two_shard_images ~extra:[| 200; 600 |] in
+  let live =
+    Array.map
+      (fun b ->
+        Log_manager.used_bytes
+          (Result.get_ok (Log_manager.open_log (Mem_device.of_bytes b))))
+      logs
+  in
+  Array.iter (fun l -> check_bool "log non-empty" true (l > 0)) live;
+  let clock = Clock.simulated () in
+  let dec = Cost_model.dec5000 in
+  let bases = Array.map (fun b -> Mem_device.of_bytes b) logs in
+  let log_devs =
+    Array.map (Stack.with_latency ~clock ~disk:dec.Cost_model.log_disk ()) bases
+  in
+  let seg_devs =
+    Array.map
+      (fun b ->
+        Stack.with_latency ~clock ~disk:dec.Cost_model.data_disk ()
+          (Mem_device.of_bytes b))
+      segs
+  in
+  let obs = Registry.create () in
+  ignore
+    (Multi.initialize ~clock ~model:dec ~obs ~routing ~logs:log_devs
+       ~resolve:(fun id -> seg_devs.(id - 1))
+       ());
+  (* Every read of a log device — the resolution pass's and the shard
+     engines' — reaches the registry's disk.log layer. *)
+  let device_read =
+    Array.map (fun (d : Device.t) -> d.Device.stats.Device.bytes_read) bases
+  in
+  check_int "disk.log.bytes_read counts every log read"
+    (Array.fold_left ( + ) 0 device_read)
+    (Rvm_obs.Counter.get (Registry.counter obs "disk.log.bytes_read"));
+  Array.iteri
+    (fun i r ->
+      check_bool
+        (Printf.sprintf "log %d read %d <= 2 x (live %d + one chunk)" i r
+           live.(i))
+        true
+        (r <= 2 * (live.(i) + Log_manager.open_chunk)))
+    device_read;
+  (* The shards open and recover on their own lanes from the end of the
+     resolution pass: the clock advances by the slower one. *)
+  let roots scope =
+    List.filter
+      (fun (e : Registry.span_event) -> e.parent = None && e.scope = scope)
+      (Registry.events obs)
+  in
+  let opens = roots "log.open" and recoveries = roots "recovery" in
+  check_int "one open per shard" 2 (List.length opens);
+  check_int "one recovery per shard" 2 (List.length recoveries);
+  let start = (List.hd opens).Registry.start_us in
+  List.iter
+    (fun (e : Registry.span_event) ->
+      check_bool "shards start together" true
+        (abs_float (e.start_us -. start) <= 1.))
+    opens;
+  let per_shard =
+    List.map2
+      (fun (o : Registry.span_event) (r : Registry.span_event) ->
+        o.dur_us +. r.dur_us)
+      opens recoveries
+  in
+  let slowest = List.fold_left Float.max 0. per_shard in
+  let sum = List.fold_left ( +. ) 0. per_shard in
+  let advance = Clock.now_us clock -. start in
+  check_bool
+    (Printf.sprintf "advance %.1f us is the slower shard's %.1f us" advance
+       slowest)
+    true
+    (abs_float (advance -. slowest) <= 1.);
+  check_bool "not the sum" true (sum -. advance > 1.)
+
+(* --- the incremental head move re-appends the pending intents it
+   reclaims --- *)
+
+(* The pre-planner incremental head move's two scans, kept as the
+   reference: resolutions over the whole live log, then the intents in
+   [head, upto) that no resolution settles and [decide] calls pending,
+   oldest first. *)
+let reference_pending_intents lm ~decide ~upto =
+  let resolutions = Hashtbl.create 4 in
+  Log_manager.iter_live lm ~f:(fun ~off:_ r ->
+      if
+        r.Record.kind = Record.Commit
+        && Record.Flags.(has r.Record.flags resolution)
+      then
+        match Pcommit.classify r with
+        | `Control (Pcommit.Resolution { gid; _ }) ->
+          Hashtbl.replace resolutions gid ()
+        | _ -> ());
+  let pending gid =
+    (not (Hashtbl.mem resolutions gid)) && decide gid = `Pending
+  in
+  let doomed = ref [] in
+  (try
+     Log_manager.iter_live lm ~f:(fun ~off r ->
+         if off = upto then raise Exit;
+         match Pcommit.classify r with
+         | `Control (Pcommit.Intent { gid; _ }) when pending gid ->
+           doomed := r :: !doomed
+         | _ -> ())
+   with Exit -> ());
+  List.rev !doomed
+
+let test_incremental_head_move_keeps_pending_intents () =
+  let options =
+    {
+      Options.default with
+      Options.truncation_mode = Types.Incremental;
+      auto_truncate = false;
+    }
+  in
+  let logs =
+    Array.init 2 (fun i ->
+        Mem_device.create ~name:(Printf.sprintf "log%d" i)
+          ~size:(512 * 1024) ())
+  in
+  Multi.create_logs logs;
+  let segs = Array.init 2 (fun _ -> Mem_device.create ~size:(64 * 1024) ()) in
+  let m =
+    Multi.initialize ~options ~routing:(Routing.modulo ~shards:2) ~logs
+      ~resolve:(fun id -> segs.(id - 1))
+      ()
+  in
+  (* Segment 1 lives on shard 1, segment 2 on shard 0. *)
+  let on1 = (Multi.map m ~seg:1 ~seg_off:0 ~len:(2 * ps) ()).Region.vaddr in
+  let on0 = (Multi.map m ~seg:2 ~seg_off:0 ~len:(2 * ps) ()).Region.vaddr in
+  let commit_on1 s =
+    let g = Multi.begin_transaction m ~mode:Types.Restore in
+    Multi.modify m g ~addr:on1 (Bytes.of_string s);
+    Multi.end_transaction m g ~mode:Types.Flush
+  in
+  commit_on1 "before";
+  (* Two no-flush cross-shard rounds still in flight (no global flush has
+     resolved them). Their shard-1 branches write nothing, so their
+     intents there hold no page and the incremental run can reclaim them. *)
+  for i = 1 to 2 do
+    let g = Multi.begin_transaction m ~mode:Types.Restore in
+    Multi.modify m g ~addr:(on0 + (8 * i)) (Bytes.of_string "cross");
+    Multi.set_range m g ~addr:on1 ~len:0;
+    Multi.end_transaction m g ~mode:Types.No_flush
+  done;
+  commit_on1 "after";
+  let shard1 = Multi.shard m 1 in
+  let lm = Rvm.log_manager shard1 in
+  (* Every gid without a resolution is in flight here. *)
+  let expected =
+    reference_pending_intents lm ~decide:(fun _ -> `Pending)
+      ~upto:(Log_manager.tail lm)
+  in
+  check_int "two pending intents in the reclaimed window" 2
+    (List.length expected);
+  let old_tail = Log_manager.tail lm in
+  Rvm.truncate shard1;
+  check_int "the head moved to the old tail" old_tail (Log_manager.head lm);
+  let reappended =
+    List.filter_map
+      (fun (_, r) ->
+        match Pcommit.classify r with
+        | `Control (Pcommit.Intent _) -> Some r
+        | _ -> None)
+      (Log_manager.live_records lm)
+  in
+  let unstamped =
+    List.map (fun (r : Record.t) -> { r with Record.seqno = 0 })
+  in
+  check_bool "the planner re-appends exactly the reference's intents" true
+    (unstamped reappended = unstamped expected);
+  (* The protocol still completes: the global flush resolves both. *)
+  Multi.flush m;
+  check_str "cross writes visible" "cross"
+    (read m ~addr:(on0 + 8) ~len:5)
+
 let suite =
   [
     Alcotest.test_case "routing: modulo" `Quick test_routing_modulo;
@@ -611,6 +829,10 @@ let suite =
     Alcotest.test_case "clock: fork_join null" `Quick test_fork_join_null_clock;
     Alcotest.test_case "wrapping log, background truncation, crash recovery"
       `Slow test_wrapping_background_truncation_recovery;
+    Alcotest.test_case "recovery: every log read counted, shards on lanes"
+      `Quick test_recovery_reads_and_lanes;
+    Alcotest.test_case "incremental head move keeps pending intents" `Quick
+      test_incremental_head_move_keeps_pending_intents;
     Alcotest.test_case "twopc: recover twice, no leak" `Quick
       test_twopc_recover_twice_no_leak;
     Alcotest.test_case "twopc: decisions survive reset" `Quick
