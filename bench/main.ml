@@ -801,10 +801,10 @@ let ycsb () =
    Writes and syncs per committed transaction for every-commit flush and
    64-commit groups, on memory devices, so host speed is irrelevant. Then
    the recovery of the grouped case's log and segment images: bytes read
-   from the log against its live bytes, segment bytes written and
-   simulated seconds. No other artifact measures the engine's own device
-   traffic; `rvmutl benchdiff` gates BENCH_baseline.json like every other
-   artifact. *)
+   from the log against its live bytes, segment bytes written, and
+   simulated seconds in all and per phase. No other artifact measures the
+   engine's own device traffic; `rvmutl benchdiff` gates
+   BENCH_baseline.json like every other artifact. *)
 
 (* Recover copies of the two images through the dec5000 latency stack on
    a fresh simulated clock. The data disk writes back whole 4 KiB pages,
@@ -837,6 +837,10 @@ let recovery_row ~log_dev ~seg_dev =
   let count name =
     Rvm_obs.Counter.get (Rvm_obs.Registry.counter obs name)
   in
+  let span_s name =
+    Rvm_obs.Histogram.sum (Rvm_obs.Registry.histogram obs (name ^ ".us"))
+    /. 1e6
+  in
   let read = count "disk.log.bytes_read" in
   let sim_s = Rvm_util.Clock.now_us clock /. 1e6 in
   Printf.printf "  recovery %d log bytes read for %d live, %.4f s simulated\n%!"
@@ -847,6 +851,10 @@ let recovery_row ~log_dev ~seg_dev =
       ("live_log_bytes", J.Int live);
       ("seg_bytes_written", J.Int (count "disk.seg.bytes_written"));
       ("recovery_sim_s", J.Float sim_s);
+      ("open_sim_s", J.Float (span_s "log.open"));
+      ("plan_sim_s", J.Float (span_s "recovery.plan"));
+      ("apply_sim_s", J.Float (span_s "recovery.apply"));
+      ("reset_sim_s", J.Float (span_s "recovery.reset"));
     ]
 
 let baseline () =

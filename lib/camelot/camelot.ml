@@ -281,7 +281,6 @@ let truncate t =
         +. (float_of_int len
            *. t.model.Cost_model.data_disk.Cost_model.transfer_us_per_byte)
         +. t.config.page_batch_settle_us);
-      Page_table.set_dirty region.Region.pages d.d_page false;
       t.pages_written <- t.pages_written + 1;
       Hashtbl.replace touched (Segment.id region.Region.seg) region.Region.seg)
     sweep;
@@ -331,13 +330,12 @@ let end_transaction t tid =
   if ranges <> [] then begin
     let off, seqno = Log_manager.append t.log ~tid ranges in
     Log_manager.force t.log;
-    (* Mark pages dirty and queue them for the Disk Manager, earliest
-       record first, no duplicates. *)
+    (* Queue the pages for the Disk Manager, earliest record first, no
+       duplicates. *)
     List.iter
       (fun ((region : Region.t), lo, len) ->
         Page.iter_pages ~page_size:region.Region.page_size ~off:lo ~len
           ~f:(fun p ->
-            Page_table.set_dirty region.Region.pages p true;
             let key = (region.Region.vaddr, p) in
             if not (Hashtbl.mem t.queued key) then begin
               Hashtbl.add t.queued key ();

@@ -30,6 +30,7 @@ let directions =
         "vm_evictions"; "vm_pageouts"; "heap_allocated_bytes";
         "heap_free_bytes"; "heap_free_list"; "splits"; "merges";
         "log_bytes_read"; "seg_bytes_written"; "recovery_sim_s";
+        "open_sim_s"; "plan_sim_s"; "apply_sim_s"; "reset_sim_s";
       ]
   @ all Higher
       [
@@ -104,6 +105,11 @@ let every_mix prop doc =
 
 let log_open_chunk = 256 * 1024
 
+(* The recovery row's phase leaves: the open scan, then recovery's plan,
+   apply and reset spans. *)
+let recovery_phases =
+  [ "open_sim_s"; "plan_sim_s"; "apply_sim_s"; "reset_sim_s" ]
+
 let metric name doc =
   match Json.member "metrics" doc with
   | Some m -> (
@@ -126,6 +132,15 @@ let bounds =
           "recovery read %.0f log bytes, more than %.0f live plus one \
            %d-byte chunk"
           read live log_open_chunk);
+    baseline "recovery_phases_sum" (fun doc ->
+        let r = metric "recovery" doc in
+        let phases =
+          List.fold_left (fun acc k -> acc +. num k r) 0. recovery_phases
+        and total = num "recovery_sim_s" r in
+        unless
+          (abs_float (phases -. total) <= 1e-6)
+          "recovery phases sum to %.7f s, not the %.7f s recovery_sim_s"
+          phases total);
     contention "elr_fewer_aborts"
       (at_hot_skews (fun ~off ~on ->
            let a = num "abort_rate" on and b = num "abort_rate" off in

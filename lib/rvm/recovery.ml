@@ -13,7 +13,6 @@ type outcome = {
   records_seen : int;
   bytes_applied : int;
   segments_touched : Segment.t list;
-  preserved : Record.t list;
 }
 
 type plan = {
@@ -114,11 +113,11 @@ let plan_live ?before_seqno ?(intent_decision = fun _ -> `Abort) log =
     plan_records_seen = !records_seen;
   }
 
-let recover ?obs ?intent_decision ~resolve ~clock ~model log =
+let recover ?obs ~resolve ~clock ~model log =
   let span name f =
     match obs with Some reg -> Rvm_obs.Registry.span reg name f | None -> f ()
   in
-  let plan = span "recovery.plan" (fun () -> plan_live ?intent_decision log) in
+  let plan = span "recovery.plan" (fun () -> plan_live log) in
   let bytes_applied = ref 0 in
   let touched =
     span "recovery.apply" @@ fun () ->
@@ -143,12 +142,10 @@ let recover ?obs ?intent_decision ~resolve ~clock ~model log =
      until it happens. *)
   span "recovery.reset" (fun () -> Log_manager.reset_empty log);
   L.debug (fun m ->
-      m "applied %d records, %d bytes, %d segments, %d preserved"
-        plan.plan_records_seen !bytes_applied (List.length touched)
-        (List.length plan.plan_preserved));
+      m "applied %d records, %d bytes, %d segments" plan.plan_records_seen
+        !bytes_applied (List.length touched));
   {
     records_seen = plan.plan_records_seen;
     bytes_applied = !bytes_applied;
     segments_touched = touched;
-    preserved = plan.plan_preserved;
   }

@@ -57,14 +57,10 @@ type outcome = {
   records_seen : int;
   bytes_applied : int;
   segments_touched : Segment.t list;
-  preserved : Rvm_log.Record.t list;
-      (** The plan's pending intents, oldest first: the caller re-appends
-          them to the emptied log. *)
 }
 
 val recover :
   ?obs:Rvm_obs.Registry.t ->
-  ?intent_decision:(string -> [ `Commit | `Abort | `Pending ]) ->
   resolve:(int -> Segment.t) ->
   clock:Rvm_util.Clock.t ->
   model:Rvm_util.Cost_model.t ->
@@ -74,4 +70,10 @@ val recover :
     order (charging [cpu_per_byte_copy_us] per byte), sync the touched
     segments, then declare the log empty — the last, idempotency-preserving
     step. With [obs] these run under [recovery.plan], [recovery.apply]
-    (with [segment.sync] spans) and [recovery.reset] spans. *)
+    (with [segment.sync] spans) and [recovery.reset] spans.
+
+    There is no [intent_decision] here: nothing is mid-protocol when a log
+    recovers. The shard layer recovers its shards before anything enters
+    its in-flight table, and its status-resolution pass has already
+    appended a resolution for every gid to every log holding evidence for
+    it. An intent with no in-log resolution is an orphan and aborts. *)

@@ -68,11 +68,6 @@ type t = {
   obs : Registry.t;
   live : Lv.live;
   mutable terminated : bool;
-  intent_decision : (string -> [ `Commit | `Abort | `Pending ]) option;
-      (* Status oracle for parallel-commit intents with no in-log
-         resolution: the shard layer answers [`Pending] for transactions
-         mid-protocol in this process. [None] = single-log engine, every
-         unresolved intent is an orphan. *)
   pending_pages : (string, Txn.per_region list) Hashtbl.t;
       (* gid -> covered sets of that transaction's intent on this shard,
          whose uncommitted page refs are released when the resolution
@@ -298,7 +293,6 @@ let initialize ?(options = Options.default) ?(clock = Clock.null)
       obs;
       live = Lv.create obs;
       terminated = false;
-      intent_decision;
       pending_pages = Hashtbl.create 4;
       live_resolutions = Hashtbl.create 4;
     }
@@ -325,19 +319,10 @@ let initialize ?(options = Options.default) ?(clock = Clock.null)
   if not (Log_manager.is_empty lm) then
     Registry.span t.obs "recovery" (fun () ->
         match
-          Recovery.recover ~obs ?intent_decision
-            ~resolve:(fun id -> segment t id) ~clock ~model lm
+          Recovery.recover ~obs ~resolve:(fun id -> segment t id) ~clock
+            ~model lm
         with
         | outcome ->
-          (* Intents still pending at initialize time (only possible when
-             the caller's oracle says so) go back into the emptied log. *)
-          if outcome.Recovery.preserved <> [] then
-            Registry.span t.obs "recovery.preserve" (fun () ->
-                List.iter
-                  (fun (r : Record.t) ->
-                    ignore (Log_manager.append_record lm r))
-                  outcome.Recovery.preserved;
-                Log_manager.force lm);
           L.info (fun m ->
               m "recovery applied %d records (%d bytes)"
                 outcome.Recovery.records_seen outcome.Recovery.bytes_applied)

@@ -48,18 +48,21 @@ val initialize :
     [truncation.*] / [recovery] spans, and per-layer [disk.log.*] /
     [disk.seg.*] device accounting all land there. On a simulated clock
     the [log.open] span and the [recovery] span (whose [recovery.plan],
-    [recovery.apply], [recovery.reset] and [recovery.preserve] children
-    cover it) account for all the time this call takes. The registry's span
-    ring doubles as an always-on flight recorder: when the caller left it
-    unsized, the engine keeps the last 512 spans, and dumps the tail on
-    transaction abort and on failed recovery.
+    [recovery.apply] and [recovery.reset] children cover it) account for
+    all the time this call takes. The registry's span ring doubles as an
+    always-on flight recorder: when the caller left it unsized, the engine
+    keeps the last 512 spans, and dumps the tail on transaction abort and
+    on failed recovery.
 
     [intent_decision] is the status oracle for parallel-commit intent
-    records found in the log with no in-log resolution (see
-    {!end_transaction_intent} and {!Rvm_log.Pcommit}): the shard layer
-    answers [`Pending] for transactions mid-protocol in this process.
-    Omitted (the single-log engine), every unresolved intent is an orphan
-    and aborts. *)
+    records with no in-log resolution that a truncation finds in the
+    window it reclaims (see {!end_transaction_intent} and
+    {!Rvm_log.Pcommit}): the shard layer answers [`Pending] for
+    transactions mid-protocol in this process, and the truncator
+    re-appends those. Recovery never asks: nothing is mid-protocol while
+    a log recovers, so an unresolved intent found then is an orphan and
+    aborts. Omitted (the single-log engine), every unresolved intent is
+    an orphan. *)
 
 val reinitialize :
   ?options:Options.t ->

@@ -6,8 +6,14 @@
    sweep. This module carries the same two algorithms, but each run is an
    explicit state machine whose [step] does one bounded unit of work —
    freeze the live window, write one page, sync one segment, re-append
-   live 2PC resolutions, move the head — and can be suspended between any
+   live 2PC evidence, move the head — and can be suspended between any
    two steps while new commits keep appending to the tail.
+
+   The two algorithms differ only in which bytes reach the segments and
+   where the head lands, so a run is one record with a [source]: an
+   epoch's frozen [Plan] (Figure 6) or an incremental sweep of the page
+   [Queue] (Figure 7). Each source has its own [`Write] stage; both then
+   pass through one [`Sync] -> [`Evidence] -> [`Move_head] tail.
 
    WAL ordering is re-established at every step rather than once per run:
 
@@ -31,12 +37,13 @@
      the other participants' evidence already adds up to an implicit
      commit; the mid-truncation crash explorer found the window.)
 
-   At epoch completion the page queue is rebuilt from the records still
-   live in the log (there are few right after a truncation): descriptors
-   cannot be filtered by the freeze seqno, because the no-duplicate rule
-   means a page dirtied both before and after the freeze carries only its
-   pre-freeze descriptor — dropping it by seqno would lose the post-freeze
-   reference and a later head move could pass the unapplied record. *)
+   The page queue restarts at an epoch's freeze: the run applies every
+   record below it, and every later append (commits, and the intents the
+   run re-appends) is noted in log order as it lands, so the queue at
+   completion describes exactly the records still live without reading
+   them. Filtering the old queue by freeze seqno would not do: under the
+   no-duplicate rule a page dirtied both before and after the freeze
+   carries only its pre-freeze descriptor. *)
 
 module Log_manager = Rvm_log.Log_manager
 module Record = Rvm_log.Record
@@ -71,36 +78,28 @@ type env = {
   reappend_live_resolutions : unit -> bool;
 }
 
-(* An epoch run (Figure 6), frozen at start: the plan's writes and the
-   preserved pending intents belong to records with seqno < freeze_seqno,
-   and the head will move to exactly the frozen tail. *)
-type epoch_run = {
-  e_freeze_tail : int;
-  e_freeze_seqno : int;
-  mutable e_writes : (int * int * Bytes.t) list;  (* (seg, off, data) chunks *)
-  mutable e_syncs : int list;  (* segment ids touched by the plan *)
-  e_preserved : Record.t list;
-  mutable e_stage : [ `Write | `Sync | `Resolutions | `Move_head | `Complete ];
-  mutable e_unsynced : int;  (* bytes written since the last interim sync *)
-  mutable e_unsynced_segs : int list;
+(* An epoch writes its frozen plan and moves the head to the freeze
+   point; an incremental sweep drains the page queue head until the log
+   drops below [target] occupancy or the head is blocked, then moves the
+   head to the earliest still-queued record. *)
+type frozen = {
+  mutable chunks : (int * int * Bytes.t) list;
+      (* (seg, off, data), at most a page each *)
+  pending : Record.t list;  (* the plan's pending intents, oldest first *)
+  freeze : int * int;  (* frozen tail and next seqno *)
 }
 
-(* An incremental run (Figure 7): drain the page queue head until the log
-   drops below [i_target] occupancy or the head is blocked, then sync the
-   touched segments and move the head to the earliest still-queued
-   record. *)
-type incr_run = {
-  i_target : float;
-  i_touched : (int, unit) Hashtbl.t;
-  mutable i_blocked : bool;
-  mutable i_syncs : int list;
-  mutable i_new_head : (int * int) option;
-  mutable i_stage : [ `Pages | `Sync | `Resolutions | `Move_head ];
-  mutable i_unsynced : int;  (* bytes written since the last interim sync *)
-  mutable i_unsynced_segs : int list;
-}
+type sweep = { target : float; mutable blocked : bool }
+type source = Plan of frozen | Queue of sweep
 
-type run = Epoch of epoch_run | Incremental of incr_run
+type run = {
+  source : source;
+  mutable stage :
+    [ `Write | `Sync | `Evidence | `Move_head of int * int | `Complete ];
+  mutable written : int list;  (* segment ids written, ascending *)
+  mutable unsynced : int;  (* bytes written since the last interim sync *)
+  mutable unsynced_segs : int list;
+}
 
 type t = {
   env : env;
@@ -134,11 +133,10 @@ let due t =
 
 let urgent t = occupancy t >= (t.env.options ()).Options.truncation_critical
 
-(* Mark the pages covered by freshly logged ranges dirty and enqueue them
-   for incremental truncation, each at the earliest record that references
-   it (Figure 7's "no duplicate page references" rule). Ranges are
-   segment-relative; each is projected onto the mapped regions it
-   intersects. *)
+(* Enqueue the pages covered by freshly logged ranges for incremental
+   truncation, each at the earliest record that references it (Figure 7's
+   "no duplicate page references" rule). Ranges are segment-relative; each
+   is projected onto the mapped regions it intersects. *)
 let note_logged_ranges t ~log_off ~seqno ranges =
   let regions = t.env.regions () in
   List.iter
@@ -159,7 +157,6 @@ let note_logged_ranges t ~log_off ~seqno ranges =
               in
               Rvm_vm.Page.iter_pages ~page_size:r.Region.page_size
                 ~off:(lo - r.Region.seg_off) ~len:(hi - lo) ~f:(fun p ->
-                  Page_table.set_dirty r.Region.pages p true;
                   let key = Region.vm_page r ~region_page:p in
                   if not (Hashtbl.mem t.queued key) then begin
                     Hashtbl.add t.queued key ();
@@ -171,22 +168,6 @@ let note_logged_ranges t ~log_off ~seqno ranges =
             end)
           regions)
     ranges
-
-(* Rebuild the page queue and dirty bits from the records still live in
-   the log — the post-epoch state. See the header comment for why this is
-   a rebuild and not a seqno filter. *)
-let rebuild_queue t =
-  Queue.clear t.queue;
-  Hashtbl.reset t.queued;
-  List.iter
-    (fun (r : Region.t) ->
-      List.iter
-        (fun p -> Page_table.set_dirty r.Region.pages p false)
-        (Page_table.dirty_pages r.Region.pages))
-    (t.env.regions ());
-  Log_manager.iter_live t.env.log ~f:(fun ~off r ->
-      if r.Record.kind = Record.Commit then
-        note_logged_ranges t ~log_off:off ~seqno:r.Record.seqno r.Record.ranges)
 
 (* Evidence a head move would reclaim must stay continuously durable, so
    fresh copies go to the tail — past the new head, where the move keeps
@@ -203,13 +184,17 @@ let rebuild_queue t =
      shard's intent without a live copy would flip that judgment (or lose
      this shard's ranges, which the run deliberately did not apply).
 
-   Returns whether anything was appended; the force was then the step's
-   unit of work. *)
+   A re-appended intent is noted like any fresh record: its ranges are
+   still unapplied, and after an epoch its new copy is the only live
+   record that references them. Returns whether anything was appended;
+   the force was then the step's unit of work. *)
 let reappend_evidence t pending =
   let env = t.env in
   let resolutions = env.reappend_live_resolutions () in
   List.iter
-    (fun (r : Record.t) -> ignore (Log_manager.append_record env.log r))
+    (fun (r : Record.t) ->
+      let log_off, seqno = Log_manager.append_record env.log r in
+      note_logged_ranges t ~log_off ~seqno r.Record.ranges)
     pending;
   let appended = resolutions || pending <> [] in
   if appended then Log_manager.force env.log;
@@ -234,10 +219,14 @@ let seg_write_page t (region : Region.t) page =
 
 (* --- starting runs --- *)
 
+let new_run source =
+  { source; stage = `Write; written = []; unsynced = 0; unsynced_segs = [] }
+
 (* Freeze an epoch (the first step of an epoch run): force any unflushed
    tail, capture the frozen window, and plan its application. The plan's
    data is copied out of the frozen records, so commits appending past
-   [freeze_seqno] while the run is suspended cannot disturb it. *)
+   the freeze while the run is suspended cannot disturb it. The page
+   queue restarts here (see the header comment). *)
 let start_epoch t =
   let env = t.env in
   if not (Log_manager.is_empty env.log) then begin
@@ -246,10 +235,9 @@ let start_epoch t =
        crash between the plan-write steps and the head movement would
        leave segment data whose log records never survived. *)
     if Log_manager.unflushed env.log then Log_manager.force env.log;
-    let freeze_tail = Log_manager.tail env.log in
-    let freeze_seqno = Log_manager.next_seqno env.log in
+    let freeze = (Log_manager.tail env.log, Log_manager.next_seqno env.log) in
     let plan =
-      Recovery.plan_live ~before_seqno:freeze_seqno
+      Recovery.plan_live ~before_seqno:(snd freeze)
         ?intent_decision:env.intent_decision env.log
     in
     (* One plan write per step, bounded by the page size. *)
@@ -267,38 +255,21 @@ let start_epoch t =
           go 0 [])
         plan.Recovery.plan_writes
     in
-    let syncs =
-      List.sort_uniq compare (List.map (fun (seg, _, _) -> seg) chunks)
-    in
+    Queue.clear t.queue;
+    Hashtbl.reset t.queued;
     t.run <-
       Some
-        (Epoch
-           {
-             e_freeze_tail = freeze_tail;
-             e_freeze_seqno = freeze_seqno;
-             e_writes = chunks;
-             e_syncs = syncs;
-             e_preserved = plan.Recovery.plan_preserved;
-             e_stage = `Write;
-             e_unsynced = 0;
-             e_unsynced_segs = [];
-           })
+        (new_run
+           (Plan { chunks; pending = plan.Recovery.plan_preserved; freeze }))
   end
 
-let start_incremental t ~target =
-  t.run <-
-    Some
-      (Incremental
-         {
-           i_target = target;
-           i_touched = Hashtbl.create 4;
-           i_blocked = false;
-           i_syncs = [];
-           i_new_head = None;
-           i_stage = `Pages;
-           i_unsynced = 0;
-           i_unsynced_segs = [];
-         })
+(* Start a run in the configured mode; [target] is an incremental run's
+   occupancy goal. *)
+let start t ~target =
+  match (t.env.options ()).Options.truncation_mode with
+  | Types.Epoch -> start_epoch t
+  | Types.Incremental ->
+    t.run <- Some (new_run (Queue { target; blocked = false }))
 
 (* --- advancing runs --- *)
 
@@ -321,242 +292,206 @@ let sync_batch t =
   if t.paced then sync_batch_pages * (t.env.options ()).Options.page_size
   else max_int
 
-let interim_sync env segs =
-  List.iter
-    (fun seg_id ->
-      Registry.span env.obs "segment.sync" (fun () ->
-          Segment.sync (env.segment seg_id)))
-    segs
+let sync_segment t seg_id =
+  Registry.span t.env.obs "segment.sync" (fun () ->
+      Segment.sync (t.env.segment seg_id))
 
-let rec epoch_advance t (e : epoch_run) =
-  let env = t.env in
-  match e.e_stage with
-  | `Write ->
-    if e.e_unsynced >= sync_batch t then begin
-      interim_sync env e.e_unsynced_segs;
-      e.e_unsynced <- 0;
-      e.e_unsynced_segs <- [];
-      `Progress
-    end
-    else begin
-      match e.e_writes with
-      | [] ->
-        e.e_stage <- `Sync;
-        epoch_advance t e
-      | (seg_id, off, data) :: rest ->
-        e.e_writes <- rest;
-        let len = Bytes.length data in
-        Segment.write (env.segment seg_id) ~off ~buf:data ~pos:0 ~len;
-        Clock.charge_cpu env.clock (copy_cost t len);
-        e.e_unsynced <- e.e_unsynced + len;
-        if not (List.mem seg_id e.e_unsynced_segs) then
-          e.e_unsynced_segs <- seg_id :: e.e_unsynced_segs;
-        `Progress
-    end
-  | `Sync -> (
-    match e.e_syncs with
-    | [] ->
-      e.e_stage <- `Resolutions;
-      epoch_advance t e
-    | seg_id :: rest ->
-      e.e_syncs <- rest;
-      Registry.span env.obs "segment.sync" (fun () ->
-          Segment.sync (env.segment seg_id));
-      `Progress)
-  | `Resolutions ->
-    e.e_stage <- `Move_head;
-    if reappend_evidence t e.e_preserved then `Progress
-    else epoch_advance t e
-  | `Move_head ->
-    Log_manager.move_head env.log ~new_head:e.e_freeze_tail
-      ~new_head_seqno:e.e_freeze_seqno;
-    e.e_stage <- `Complete;
-    `Progress
-  | `Complete ->
-    (* The span bumps [truncation.epoch.count] — the same counter behind
-       [Statistics.epoch_truncations] — exactly once per completed run.
-       The preserved pending intents were re-appended (and forced) by the
-       [`Resolutions] stage, before the head moved: "a crash after the
-       move merely orphan-aborts them" is not true, because an intent
-       undecided here may already be implicitly committed by the evidence
-       on the other participants' logs. *)
-    Registry.span env.obs "truncation.epoch" (fun () -> rebuild_queue t);
-    t.run <- None;
-    `Progress
+let interim_sync t r =
+  List.iter (sync_segment t) r.unsynced_segs;
+  r.unsynced <- 0;
+  r.unsynced_segs <- []
 
-and incr_advance t (i : incr_run) =
-  let env = t.env in
-  let below_target () =
-    float_of_int (Log_manager.used_bytes env.log)
-    <= i.i_target *. float_of_int (Log_manager.capacity env.log)
-  in
-  match i.i_stage with
-  | `Pages ->
-    if below_target () then begin
-      incr_finish_pages t i;
-      `Progress
-    end
-    else if Log_manager.unflushed env.log then begin
-      (* Re-checked before every page write, not once per run: commits may
-         have spooled records into the tail while the machine was
-         suspended, and the write-out below must not expose new values
-         whose log records are not yet durable. The force is this step's
-         whole unit of work. *)
-      Log_manager.force env.log;
-      `Progress
-    end
-    else if i.i_unsynced >= sync_batch t then begin
-      interim_sync env i.i_unsynced_segs;
-      i.i_unsynced <- 0;
-      i.i_unsynced_segs <- [];
-      `Progress
-    end
-    else begin
-      match Queue.peek_opt t.queue with
-      | None ->
-        incr_finish_pages t i;
-        `Progress
-      | Some d ->
-        let pages = d.d_region.Region.pages in
-        if
-          (not d.d_region.Region.mapped)
-          || Page_table.uncommitted pages d.d_page > 0
-          || not (Page_table.reserve pages d.d_page)
-        then begin
-          C.incr env.live.Lv.incremental_blocked;
-          i.i_blocked <- true;
-          incr_finish_pages t i;
-          (* [`Blocked] only when the machine went idle: if sync/head-move
-             steps remain, or the critical fallback chained an epoch run,
-             the driver should keep stepping. *)
-          if active t then `Progress else `Blocked
-        end
-        else
-          (* Span only around an actual page write-out; blocked and empty
-             probes are not steps. Bumps
-             [truncation.incremental.step.count]. *)
-          Registry.span env.obs "truncation.incremental.step" (fun () ->
-              ignore (Queue.pop t.queue);
-              Hashtbl.remove t.queued
-                (Region.vm_page d.d_region ~region_page:d.d_page);
-              seg_write_page t d.d_region d.d_page;
-              Page_table.set_dirty pages d.d_page false;
-              Page_table.release pages d.d_page;
-              let seg_id = Segment.id d.d_region.Region.seg in
-              Hashtbl.replace i.i_touched seg_id ();
-              i.i_unsynced <-
-                i.i_unsynced + (env.options ()).Options.page_size;
-              if not (List.mem seg_id i.i_unsynced_segs) then
-                i.i_unsynced_segs <- seg_id :: i.i_unsynced_segs;
-              `Progress)
-    end
-  | `Sync -> (
-    match i.i_syncs with
-    | [] ->
-      i.i_stage <- `Resolutions;
-      incr_advance t i
-    | seg_id :: rest ->
-      i.i_syncs <- rest;
-      Registry.span env.obs "segment.sync" (fun () ->
-          Segment.sync (env.segment seg_id));
-      `Progress)
-  | `Resolutions -> (
-    (* The head target is captured before the re-append below, so the
-       fresh resolution copies land past the new head and stay live. The
-       queue head is stable across suspension (only this machine pops),
-       and a tail captured from an emptied queue can only precede records
-       appended later — moving the head to it stays safe. *)
-    let new_head =
+let wrote r seg_id bytes =
+  r.unsynced <- r.unsynced + bytes;
+  if not (List.mem seg_id r.unsynced_segs) then
+    r.unsynced_segs <- seg_id :: r.unsynced_segs;
+  if not (List.mem seg_id r.written) then
+    r.written <- List.merge compare [ seg_id ] r.written
+
+(* The head target ([None]: the head stays) and the pending intents a
+   move to it would reclaim. The queue head is stable across suspension
+   (only this machine pops), and a tail captured from an emptied queue can
+   only precede records appended later — moving the head to it stays
+   safe. *)
+let head_target t r =
+  let log = t.env.log in
+  match r.source with
+  | Plan p -> (Some p.freeze, p.pending)
+  | Queue _ -> (
+    let head =
       match Queue.peek_opt t.queue with
       | Some d ->
-        if d.d_log_off <> Log_manager.head env.log then
+        if d.d_log_off <> Log_manager.head log then
           Some (d.d_log_off, d.d_seqno)
         else None
       | None ->
-        if not (Log_manager.is_empty env.log) then
-          Some (Log_manager.tail env.log, Log_manager.next_seqno env.log)
+        if not (Log_manager.is_empty log) then
+          Some (Log_manager.tail log, Log_manager.next_seqno log)
         else None
     in
-    match new_head with
-    | None ->
-      incr_finish t i;
+    (* The pending intents the move reclaims are exactly the plan's
+       preserved records below the new head's seqno. Without a liveness
+       callback there is no parallel-commit machinery above this engine,
+       nothing can be pending, and the log is not read. *)
+    match (head, t.env.intent_decision) with
+    | Some (_, seqno), (Some _ as intent_decision) ->
+      ( head,
+        (Recovery.plan_live ~before_seqno:seqno ?intent_decision log)
+          .Recovery.plan_preserved )
+    | _ -> (head, []))
+
+let rec advance t r =
+  match r.stage with
+  | `Write -> (
+    match r.source with
+    | Plan p -> write_plan t r p
+    | Queue q -> write_queue t r q)
+  | `Sync -> (
+    match r.written with
+    | [] ->
+      r.stage <- `Evidence;
+      advance t r
+    | seg_id :: rest ->
+      r.written <- rest;
+      sync_segment t seg_id;
+      `Progress)
+  | `Evidence -> (
+    match head_target t r with
+    | None, _ ->
+      finish t r;
       `Progress
-    | Some nh ->
-      i.i_new_head <- Some nh;
-      i.i_stage <- `Move_head;
-      (* The pending intents the move reclaims are exactly the plan's
-         preserved records below the new head's seqno. Without a liveness
-         callback there is no parallel-commit machinery above this engine,
-         nothing can be pending, and the log is not read. *)
-      let pending =
-        match env.intent_decision with
-        | None -> []
-        | Some _ as intent_decision ->
-          (Recovery.plan_live ~before_seqno:(snd nh) ?intent_decision
-             env.log)
-            .Recovery.plan_preserved
-      in
-      if reappend_evidence t pending then `Progress else incr_advance t i)
-  | `Move_head ->
-    (match i.i_new_head with
-    | Some (new_head, new_head_seqno) ->
-      Log_manager.move_head env.log ~new_head ~new_head_seqno
-    | None -> assert false);
-    incr_finish t i;
+    | Some (new_head, new_head_seqno), pending ->
+      r.stage <- `Move_head (new_head, new_head_seqno);
+      if reappend_evidence t pending then `Progress else advance t r)
+  | `Move_head (new_head, new_head_seqno) ->
+    Log_manager.move_head t.env.log ~new_head ~new_head_seqno;
+    (match r.source with
+    | Plan _ -> r.stage <- `Complete
+    | Queue _ -> finish t r);
+    `Progress
+  | `Complete ->
+    finish t r;
     `Progress
 
-(* Leaving the page-drain stage: segment syncs and the head move happen
-   only when a page was actually written out or the queue drained —
-   a run blocked on its first descriptor must leave the log intact. *)
-and incr_finish_pages t i =
-  if Hashtbl.length i.i_touched > 0 || Queue.is_empty t.queue then begin
-    i.i_syncs <- Hashtbl.fold (fun id () acc -> id :: acc) i.i_touched [];
-    i.i_stage <- `Sync
+and write_plan t r p =
+  if r.unsynced >= sync_batch t then begin
+    interim_sync t r;
+    `Progress
   end
-  else incr_finish t i
+  else
+    match p.chunks with
+    | [] ->
+      r.stage <- `Sync;
+      advance t r
+    | (seg_id, off, data) :: rest ->
+      p.chunks <- rest;
+      let len = Bytes.length data in
+      Segment.write (t.env.segment seg_id) ~off ~buf:data ~pos:0 ~len;
+      Clock.charge_cpu t.env.clock (copy_cost t len);
+      wrote r seg_id len;
+      `Progress
 
-(* Long-running transactions can block incremental truncation with the
-   log critically full: revert to epoch truncation (section 5.1.2). The
-   chained run is stepped by whoever was driving this one. *)
-and incr_finish t i =
-  t.run <- None;
+and write_queue t r q =
+  let env = t.env in
   if
-    i.i_blocked
-    && occupancy t >= (t.env.options ()).Options.truncation_critical
-  then start_epoch t
+    float_of_int (Log_manager.used_bytes env.log)
+    <= q.target *. float_of_int (Log_manager.capacity env.log)
+  then begin
+    end_writes t r;
+    `Progress
+  end
+  else if Log_manager.unflushed env.log then begin
+    (* Re-checked before every page write, not once per run: commits may
+       have spooled records into the tail while the machine was
+       suspended, and the write-out below must not expose new values
+       whose log records are not yet durable. The force is this step's
+       whole unit of work. *)
+    Log_manager.force env.log;
+    `Progress
+  end
+  else if r.unsynced >= sync_batch t then begin
+    interim_sync t r;
+    `Progress
+  end
+  else
+    match Queue.peek_opt t.queue with
+    | None ->
+      end_writes t r;
+      `Progress
+    | Some d ->
+      let pages = d.d_region.Region.pages in
+      if
+        (not d.d_region.Region.mapped)
+        || Page_table.uncommitted pages d.d_page > 0
+        || not (Page_table.reserve pages d.d_page)
+      then begin
+        C.incr env.live.Lv.incremental_blocked;
+        q.blocked <- true;
+        end_writes t r;
+        (* [`Blocked] only when the machine went idle: if sync/head-move
+           steps remain, or the critical fallback chained an epoch run,
+           the driver should keep stepping. *)
+        if active t then `Progress else `Blocked
+      end
+      else
+        (* Span only around an actual page write-out; blocked and empty
+           probes are not steps. Bumps
+           [truncation.incremental.step.count]. *)
+        Registry.span env.obs "truncation.incremental.step" (fun () ->
+            ignore (Queue.pop t.queue);
+            Hashtbl.remove t.queued
+              (Region.vm_page d.d_region ~region_page:d.d_page);
+            seg_write_page t d.d_region d.d_page;
+            Page_table.release pages d.d_page;
+            wrote r
+              (Segment.id d.d_region.Region.seg)
+              (env.options ()).Options.page_size;
+            `Progress)
 
-let advance t =
-  match t.run with
-  | None -> `Idle
-  | Some (Epoch e) -> epoch_advance t e
-  | Some (Incremental i) -> incr_advance t i
+(* Leaving the page drain: segment syncs and the head move happen only
+   when a page was actually written out or the queue drained — a run
+   blocked on its first descriptor must leave the log intact. *)
+and end_writes t r =
+  if r.written <> [] || Queue.is_empty t.queue then r.stage <- `Sync
+  else finish t r
+
+(* An epoch's completion bumps [truncation.epoch.count] — the counter
+   behind [Statistics.epoch_truncations] — exactly once per run. Long-
+   running transactions can block incremental truncation with the log
+   critically full: revert to epoch truncation (section 5.1.2). The
+   chained run is stepped by whoever was driving this one. *)
+and finish t r =
+  t.run <- None;
+  match r.source with
+  | Plan _ -> Registry.span t.env.obs "truncation.epoch" ignore
+  | Queue q ->
+    if
+      q.blocked
+      && occupancy t >= (t.env.options ()).Options.truncation_critical
+    then start_epoch t
 
 let step t =
   t.paced <- true;
   match t.run with
-  | Some _ -> advance t
+  | Some r -> advance t r
   | None ->
-    let opts = t.env.options () in
-    if occupancy t >= opts.Options.truncation_threshold then begin
-      (match opts.Options.truncation_mode with
-      | Types.Epoch -> start_epoch t
-      | Types.Incremental ->
-        start_incremental t
-          ~target:(opts.Options.truncation_threshold /. 2.));
+    let threshold = (t.env.options ()).Options.truncation_threshold in
+    if occupancy t < threshold then `Idle
+    else begin
+      start t ~target:(threshold /. 2.);
       match t.run with
-      | Some (Epoch _) ->
+      | Some { source = Plan _; _ } ->
         (* The freeze itself (force + frozen-window plan) was this step's
            unit of work. *)
         `Progress
-      | Some (Incremental _) -> advance t
+      | Some r -> advance t r
       | None -> `Idle
     end
-    else `Idle
 
 let complete t =
   t.paced <- false;
   while active t do
-    ignore (advance t)
+    Option.iter (fun r -> ignore (advance t r)) t.run
   done
 
 (* --- the synchronous entry points (the pre-refactor API) --- *)
@@ -567,18 +502,13 @@ let maybe_truncate t =
     opts.Options.auto_truncate && (not (active t))
     && occupancy t >= opts.Options.truncation_threshold
   then begin
-    (match opts.Options.truncation_mode with
-    | Types.Epoch -> start_epoch t
-    | Types.Incremental ->
-      start_incremental t ~target:(opts.Options.truncation_threshold /. 2.));
+    start t ~target:(opts.Options.truncation_threshold /. 2.);
     complete t
   end
 
 let truncate_now t =
   complete t;
-  (match (t.env.options ()).Options.truncation_mode with
-  | Types.Epoch -> start_epoch t
-  | Types.Incremental -> start_incremental t ~target:0.0);
+  start t ~target:0.0;
   complete t
 
 let sync_epoch t =

@@ -1,18 +1,22 @@
 (** Log reclamation as a resumable state machine (sections 5.1.2, Figures
     6 and 7).
 
-    One instance owns the incremental-truncation page queue and all
+    One instance owns the incremental-truncation page queue and the one
     epoch/incremental mode dispatch for a single-log engine. A {e run} —
     one epoch truncation or one incremental sweep — is an explicit state
     machine advanced by {!step}: each step performs one bounded unit of
     work (freeze the live window, write one page-sized chunk, sync one
-    segment, re-append the live parallel-commit resolutions, move the log
+    segment, re-append the live parallel-commit evidence, move the log
     head) and the machine can be suspended between any two steps while new
-    commits keep appending to the log tail. WAL ordering is re-established
-    per step: a page write-out spends its step forcing the tail instead
-    whenever suspended commits left unflushed records, an epoch freezes by
-    planning against data copied out of the frozen records, and the
-    resolution re-append + force precedes every head move.
+    commits keep appending to the log tail. Both algorithms are one run
+    shape: an epoch writes its frozen plan, an incremental sweep writes
+    pages off the queue head, and both then sync, re-append evidence and
+    move the head. WAL ordering is re-established per step: a page
+    write-out spends its step forcing the tail instead whenever suspended
+    commits left unflushed records, an epoch freezes by planning against
+    data copied out of the frozen records, and the evidence re-append +
+    force precedes every head move. An epoch's freeze restarts the page
+    queue; nothing reads the log after the freeze.
 
     The engine drives it two ways: the pre-refactor synchronous entries
     ({!maybe_truncate} on the commit path, {!truncate_now},
@@ -44,9 +48,9 @@ val create : env -> t
 val note_logged_ranges :
   t -> log_off:int -> seqno:int -> Rvm_log.Record.range list -> unit
 (** The engine calls this for every freshly logged record's data ranges:
-    marks the covered pages dirty and enqueues each for incremental
-    truncation at the earliest record referencing it (Figure 7's
-    no-duplicate rule). *)
+    enqueues each covered page for incremental truncation at the earliest
+    record referencing it (Figure 7's no-duplicate rule). The truncator
+    does the same for the pending intents it re-appends. *)
 
 val active : t -> bool
 (** A run is in flight (suspended between steps or executing). The commit

@@ -10,45 +10,24 @@ module Histogram = Rvm_obs.Histogram
 
 exception Stuck of string
 
-type config = {
-  batch_max : int;
-  backoff_base_us : float;
-  backoff_cap : int;
-  cpu_per_op_us : float;
-  max_iterations : int;
-  truncation_steps_per_quantum : int;
-  truncation_spool_trigger : float;
-  truncation_min_gap_us : float;
-  background_truncation : bool;
-  elr : bool;
-}
+type config = { batch_max : int; background_truncation : bool; elr : bool }
 
 let default_config =
-  {
-    batch_max = 8;
-    backoff_base_us = 1_000.;
-    backoff_cap = 6;
-    cpu_per_op_us = 25.;
-    max_iterations = 20_000_000;
-    truncation_steps_per_quantum = 1;
-    truncation_spool_trigger = 0.5;
-    truncation_min_gap_us = 200_000.;
-    background_truncation = true;
-    elr = true;
-  }
+  { batch_max = 8; background_truncation = true; elr = true }
 
-let validate_config c =
-  if c.batch_max <= 0 then invalid_arg "Scheduler: batch_max";
-  if c.backoff_base_us <= 0. then invalid_arg "Scheduler: backoff_base_us";
-  if c.backoff_cap < 0 then invalid_arg "Scheduler: backoff_cap";
-  if c.cpu_per_op_us < 0. then invalid_arg "Scheduler: cpu_per_op_us";
-  if c.max_iterations <= 0 then invalid_arg "Scheduler: max_iterations";
-  if c.truncation_steps_per_quantum <= 0 then
-    invalid_arg "Scheduler: truncation_steps_per_quantum";
-  if c.truncation_spool_trigger <= 0. then
-    invalid_arg "Scheduler: truncation_spool_trigger";
-  if c.truncation_min_gap_us < 0. then
-    invalid_arg "Scheduler: truncation_min_gap_us"
+let backoff_base_us = 1_000.  (* first-retry backoff before jitter *)
+let backoff_cap = 6  (* max doublings of the backoff base *)
+let cpu_per_op_us = 25.  (* CPU charge per lock/update step *)
+let max_iterations = 20_000_000  (* hang guard for property tests *)
+
+(* The background slot's pacing (see [background_truncation]): truncator
+   steps per quantum that may charge device time (sync/force steps; steps
+   that charge nothing run up to 16x this cap for free), the spool
+   pressure at which that budget doubles, and the minimum simulated time
+   between device-charging bursts (halved under spool pressure). *)
+let truncation_steps_per_quantum = 1
+let truncation_spool_trigger = 0.5
+let truncation_min_gap_us = 200_000.
 
 (* The executable form of a request: lock acquisitions interleaved with
    the recoverable-memory updates they cover, consumed front to back. *)
@@ -200,13 +179,13 @@ type t = {
   read_latencies : samples;  (* ack order *)
   mutable iterations : int;
   mutable trunc_blocked_at : int option;
+      (* [committed] tally when the truncator last reported [`Blocked]:
+         stepping again before another commit resolves would stall on the
+         same pinned page, so the slot stays quiet until the tally moves. *)
   mutable trunc_last_pause_us : float;
       (* when the slot last charged device time: pausing bursts are spread
          at least [truncation_min_gap_us] apart so one reclaim cycle's
          syncs and forces don't cluster into a single effective stall *)
-      (* [committed] tally when the truncator last reported [`Blocked]:
-         stepping again before another commit resolves would stall on the
-         same pinned page, so the slot stays quiet until the tally moves. *)
   (* observability handles *)
   c_committed : Counter.t;
   c_shed : Counter.t;
@@ -225,7 +204,7 @@ type t = {
 
 let create ?(plug = fun _ -> []) ~cfg ~engine ~clock ~obs ~lock_mgr ~placement
     ~admission ~arrivals ~gen ~rng () =
-  validate_config cfg;
+  if cfg.batch_max <= 0 then invalid_arg "Scheduler: batch_max";
   {
     cfg;
     eng = engine;
@@ -286,7 +265,7 @@ let set_hooks t ~on_spool ~on_ack =
 let set_on_quantum t f = t.on_quantum <- f
 
 let now t = Clock.now_us t.clock
-let charge t = Clock.charge_cpu t.clock t.cfg.cpu_per_op_us
+let charge t = Clock.charge_cpu t.clock cpu_per_op_us
 
 (* --- recoverable-memory updates (addresses per Placement) --- *)
 
@@ -539,9 +518,9 @@ let abort_retry t (r : Request.t) =
   Counter.incr t.c_retry;
   Hashtbl.replace t.steps r.Request.spec.Request.id
     (steps_of t r.Request.spec);
-  let exp = min (r.Request.attempts - 1) t.cfg.backoff_cap in
+  let exp = min (r.Request.attempts - 1) backoff_cap in
   let jitter = 0.5 +. Rng.float t.rng 1.0 in
-  let delay = t.cfg.backoff_base_us *. float_of_int (1 lsl exp) *. jitter in
+  let delay = backoff_base_us *. float_of_int (1 lsl exp) *. jitter in
   r.Request.status <- Request.Backoff;
   insert_retry t (now t +. delay) r;
   wake_parked t
@@ -731,11 +710,11 @@ let background_truncation t =
       | None -> false
     in
     let pressured =
-      t.eng.Engine.spool_pressure () >= t.cfg.truncation_spool_trigger
+      t.eng.Engine.spool_pressure () >= truncation_spool_trigger
     in
     let gap =
-      if pressured then t.cfg.truncation_min_gap_us /. 2.
-      else t.cfg.truncation_min_gap_us
+      if pressured then truncation_min_gap_us /. 2.
+      else truncation_min_gap_us
     in
     let gap_open = now t -. t.trunc_last_pause_us >= gap in
     if
@@ -751,8 +730,8 @@ let background_truncation t =
          this slot exists to avoid. Free steps still get a cap so one
          quantum cannot spin unboundedly. *)
       let budget =
-        if pressured then 2 * t.cfg.truncation_steps_per_quantum
-        else t.cfg.truncation_steps_per_quantum
+        if pressured then 2 * truncation_steps_per_quantum
+        else truncation_steps_per_quantum
       in
       let free_cap = 16 * budget in
       let t0 = now t in
@@ -812,7 +791,7 @@ let next_event_at t =
 let run t =
   let rec loop () =
     t.iterations <- t.iterations + 1;
-    if t.iterations > t.cfg.max_iterations then
+    if t.iterations > max_iterations then
       raise (Stuck (diagnose t "iteration budget exhausted"));
     t.on_quantum ();
     process_due t;

@@ -36,17 +36,22 @@
     list that drains at every force.
 
     Everything advances the simulated clock: lock and update steps charge
-    [cpu_per_op_us] each, device time comes from the engine's cost model,
+    25 µs of CPU each, device time comes from the engine's cost model,
     and idle gaps skip to the next arrival or retry deadline via
     {!Rvm_util.Clock.advance_to}.
 
     The loop also owns a background-task slot: when the engine reports
-    truncation due, up to [truncation_steps_per_quantum] resumable
-    truncator steps run between scheduling decisions (doubled under
-    spool pressure, charged to the clock's background lane); when the
-    engine reports it urgent the slot falls back to one synchronous
-    truncation. Pauses land in the [truncation.pause.us] and
-    [truncation.steps.per.quantum] histograms. *)
+    truncation due, resumable truncator steps run between scheduling
+    decisions until one of them has charged device time (two under spool
+    pressure; CPU rides the clock's background lane), with at least
+    200 ms of simulated time between such bursts; when the engine reports
+    it urgent the slot falls back to one synchronous truncation. Pauses
+    land in the [truncation.pause.us] and [truncation.steps.per.quantum]
+    histograms.
+
+    Retry backoff (1 ms base, at most 6 doublings, jittered), the step
+    charge, the slot's pacing and the 20,000,000-iteration hang guard are
+    constants of the implementation; {!config} holds what callers set. *)
 
 exception Stuck of string
 (** The loop proved it can make no progress (or exceeded its iteration
@@ -56,24 +61,6 @@ exception Stuck of string
 
 type config = {
   batch_max : int;  (** commit batch bound; 1 = unbatched *)
-  backoff_base_us : float;  (** first-retry backoff before jitter *)
-  backoff_cap : int;  (** max doublings of the backoff base *)
-  cpu_per_op_us : float;  (** CPU charge per lock/update step *)
-  max_iterations : int;  (** hang guard for property tests *)
-  truncation_steps_per_quantum : int;
-      (** background truncator steps per scheduling quantum that may
-          charge device time (sync/force steps); steps that charge
-          nothing — write-back page writes — run up to 16x this cap for
-          free, so a fragmented plan drains in bursts without stalling
-          the quantum *)
-  truncation_spool_trigger : float;
-      (** spool pressure at which the step budget doubles *)
-  truncation_min_gap_us : float;
-      (** minimum simulated time between device-charging truncation
-          bursts; spreads one reclaim cycle's syncs and forces across
-          the cycle instead of clustering them into a single effective
-          stall (halved under spool pressure; ignored when truncation
-          is urgent) *)
   background_truncation : bool;
       (** false disables the background slot entirely (the engine's
           inline commit-path trigger is then expected to reclaim) *)

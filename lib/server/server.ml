@@ -34,8 +34,6 @@ type config = {
   max_inflight : int;
   max_queue : int;
   backpressure : float;
-  backoff_base_us : float;
-  cpu_per_op_us : float;
   log_size : int;
   trace_capacity : int;
   spool_max_bytes : int option;
@@ -58,8 +56,6 @@ let default_config =
     max_inflight = Admission.default.Admission.max_inflight;
     max_queue = Admission.default.Admission.max_queue;
     backpressure = Admission.default.Admission.backpressure;
-    backoff_base_us = Scheduler.default_config.Scheduler.backoff_base_us;
-    cpu_per_op_us = Scheduler.default_config.Scheduler.cpu_per_op_us;
     log_size = 4 * 1024 * 1024;
     trace_capacity = 0;
     spool_max_bytes = None;
@@ -267,10 +263,7 @@ let scheduler ?plug cfg w ~gen =
   in
   let scfg =
     {
-      Scheduler.default_config with
       Scheduler.batch_max = cfg.batch_max;
-      backoff_base_us = cfg.backoff_base_us;
-      cpu_per_op_us = cfg.cpu_per_op_us;
       background_truncation = cfg.background_truncation;
       elr = cfg.elr;
     }

@@ -35,8 +35,6 @@ type config = {
   max_inflight : int;
   max_queue : int;
   backpressure : float;  (** spool-pressure admission threshold *)
-  backoff_base_us : float;
-  cpu_per_op_us : float;
   log_size : int;
   trace_capacity : int;  (** 0 = tracing off *)
   spool_max_bytes : int option;  (** engine spool watermark override *)

@@ -26,8 +26,6 @@ type config = {
   max_inflight : int;
   max_queue : int;
   backpressure : float;
-  backoff_base_us : float;
-  cpu_per_op_us : float;
   log_size : int;
   mem_fraction : float;
   background_truncation : bool;
@@ -48,8 +46,6 @@ let default_config =
     max_inflight = Admission.default.Admission.max_inflight;
     max_queue = Admission.default.Admission.max_queue;
     backpressure = Admission.default.Admission.backpressure;
-    backoff_base_us = Scheduler.default_config.Scheduler.backoff_base_us;
-    cpu_per_op_us = Scheduler.default_config.Scheduler.cpu_per_op_us;
     log_size = 8 * 1024 * 1024;
     mem_fraction = 0.25;
     background_truncation = true;
@@ -281,8 +277,6 @@ let serving cfg =
     max_inflight = cfg.max_inflight;
     max_queue = cfg.max_queue;
     backpressure = cfg.backpressure;
-    backoff_base_us = cfg.backoff_base_us;
-    cpu_per_op_us = cfg.cpu_per_op_us;
     background_truncation = cfg.background_truncation;
     elr = cfg.elr;
   }

@@ -30,8 +30,6 @@ type config = {
   max_inflight : int;
   max_queue : int;
   backpressure : float;
-  backoff_base_us : float;
-  cpu_per_op_us : float;
   log_size : int;
   mem_fraction : float;
       (** physical frames as a fraction of the heap's pages; outside

@@ -1,23 +1,17 @@
 type t = {
-  dirty : Bytes.t;  (* one byte per page; avoids Bool array boxing concerns *)
-  reserved : Bytes.t;
+  reserved : Bytes.t;  (* one byte per page *)
   uncommitted : int array;
   mutable uncommitted_total : int;
 }
 
 let create ~pages =
   {
-    dirty = Bytes.make pages '\000';
     reserved = Bytes.make pages '\000';
     uncommitted = Array.make pages 0;
     uncommitted_total = 0;
   }
 
 let pages t = Array.length t.uncommitted
-let dirty t p = Bytes.get t.dirty p <> '\000'
-
-let set_dirty t p v = Bytes.set t.dirty p (if v then '\001' else '\000')
-
 let uncommitted t p = t.uncommitted.(p)
 
 let incr_uncommitted t p =
@@ -40,12 +34,5 @@ let reserve t p =
   end
 
 let release t p = Bytes.set t.reserved p '\000'
-
-let dirty_pages t =
-  let acc = ref [] in
-  for p = pages t - 1 downto 0 do
-    if dirty t p then acc := p :: !acc
-  done;
-  !acc
 
 let any_uncommitted t = t.uncommitted_total > 0

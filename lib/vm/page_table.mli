@@ -3,15 +3,14 @@
     "The page vector is loosely analogous to a VM page table: the entry for
     a page contains a dirty bit and an uncommitted reference count"; a
     reserved bit serves as an internal lock during incremental truncation.
-    Pages are indexed from 0 within the region. *)
+    There is no dirty bit: the truncator's page queue records which pages
+    still have unapplied log records. Pages are indexed from 0 within the
+    region. *)
 
 type t
 
 val create : pages:int -> t
 val pages : t -> int
-
-val dirty : t -> int -> bool
-val set_dirty : t -> int -> bool -> unit
 
 val uncommitted : t -> int -> int
 val incr_uncommitted : t -> int -> unit
@@ -25,8 +24,5 @@ val reserve : t -> int -> bool
 (** Attempt to set the reserved bit; [false] if it was already set. *)
 
 val release : t -> int -> unit
-
-val dirty_pages : t -> int list
-(** Indices of dirty pages, increasing. *)
 
 val any_uncommitted : t -> bool

@@ -93,6 +93,14 @@ let recovery_reads ~extra =
            (J.Float (live +. float_of_int Gate.log_open_chunk +. extra))
            r))
 
+(* The baseline recovery row with [open_sim_s] moved by [by] seconds. *)
+let recovery_open ~by =
+  map_member "metrics"
+    (map_member "recovery" (fun r ->
+         set "open_sim_s"
+           (J.Float (num (Option.get (J.member "open_sim_s" r)) +. by))
+           r))
+
 (* (c) Each mutation moves one artifact just past one bound; the gate
    must fail under exactly that bound's name. *)
 let bound_cases =
@@ -100,6 +108,7 @@ let bound_cases =
   [
     ( "baseline.recovery_reads_live_once", "baseline",
       recovery_reads ~extra:1. );
+    ("baseline.recovery_phases_sum", "baseline", recovery_open ~by:2e-6);
     ( "contention.elr_fewer_aborts", "contention",
       fun doc ->
         map_rows "results" ~where:(hot ~elr:true)
@@ -149,6 +158,9 @@ let test_every_bound_tested () =
 let test_bounds_at_threshold () =
   let b = recovery_reads ~extra:0. (load "baseline") in
   Alcotest.check names "recovery reads at the threshold" []
+    (failure_names ~old:b b);
+  let b = recovery_open ~by:0.9e-6 (load "baseline") in
+  Alcotest.check names "recovery phases within a microsecond" []
     (failure_names ~old:b b);
   let t = load "truncation" in
   List.iter

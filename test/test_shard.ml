@@ -783,6 +783,68 @@ let test_incremental_head_move_keeps_pending_intents () =
   check_str "cross writes visible" "cross"
     (read m ~addr:(on0 + 8) ~len:5)
 
+(* An epoch on one shard re-appends the intents still in flight there,
+   and the re-appended copies must reach the page queue: after the epoch
+   they are the only live records referencing their ranges. The
+   incremental run that later empties the log must write those pages,
+   or recovery loses the committed bytes. *)
+let test_epoch_reappended_intents_are_queued () =
+  let options =
+    {
+      Options.default with
+      Options.truncation_mode = Types.Incremental;
+      auto_truncate = false;
+    }
+  in
+  let logs =
+    Array.init 2 (fun i ->
+        Mem_device.create ~name:(Printf.sprintf "log%d" i)
+          ~size:(512 * 1024) ())
+  in
+  Multi.create_logs logs;
+  let segs = Array.init 2 (fun _ -> Mem_device.create ~size:(64 * 1024) ()) in
+  let open_world () =
+    let m =
+      Multi.initialize ~options ~routing:(Routing.modulo ~shards:2) ~logs
+        ~resolve:(fun id -> segs.(id - 1))
+        ()
+    in
+    (* Segment 1 lives on shard 1, segment 2 on shard 0. *)
+    let on1 = (Multi.map m ~seg:1 ~seg_off:0 ~len:(2 * ps) ()).Region.vaddr in
+    let on0 = (Multi.map m ~seg:2 ~seg_off:0 ~len:(2 * ps) ()).Region.vaddr in
+    (m, on0, on1)
+  in
+  let m, on0, on1 = open_world () in
+  let g = Multi.begin_transaction m ~mode:Types.Restore in
+  Multi.modify m g ~addr:(on0 + 100) (Bytes.of_string "intent-on-0");
+  Multi.modify m g ~addr:(on1 + ps + 100) (Bytes.of_string "intent-on-1");
+  Multi.end_transaction m g ~mode:Types.No_flush;
+  let shard0 = Multi.shard m 0 in
+  let lm = Rvm.log_manager shard0 in
+  let old_tail = Log_manager.tail lm in
+  Rvm.set_options shard0 (fun o ->
+      { o with Options.truncation_mode = Types.Epoch });
+  Rvm.truncate shard0;
+  check_int "the epoch moved the head to its freeze" old_tail
+    (Log_manager.head lm);
+  check_bool "the pending intent was re-appended" true
+    (List.exists
+       (fun (_, r) ->
+         match Pcommit.classify r with
+         | `Control (Pcommit.Intent _) -> true
+         | _ -> false)
+       (Log_manager.live_records lm));
+  Multi.flush m;
+  check_str "committed" "intent-on-0" (read m ~addr:(on0 + 100) ~len:11);
+  Rvm.set_options shard0 (fun o ->
+      { o with Options.truncation_mode = Types.Incremental });
+  Multi.truncate m;
+  let m2, on0', on1' = open_world () in
+  check_str "shard 0's bytes survive" "intent-on-0"
+    (read m2 ~addr:(on0' + 100) ~len:11);
+  check_str "shard 1's bytes survive" "intent-on-1"
+    (read m2 ~addr:(on1' + ps + 100) ~len:11)
+
 let suite =
   [
     Alcotest.test_case "routing: modulo" `Quick test_routing_modulo;
@@ -833,6 +895,8 @@ let suite =
       `Quick test_recovery_reads_and_lanes;
     Alcotest.test_case "incremental head move keeps pending intents" `Quick
       test_incremental_head_move_keeps_pending_intents;
+    Alcotest.test_case "epoch queues re-appended intents" `Quick
+      test_epoch_reappended_intents_are_queued;
     Alcotest.test_case "twopc: recover twice, no leak" `Quick
       test_twopc_recover_twice_no_leak;
     Alcotest.test_case "twopc: decisions survive reset" `Quick

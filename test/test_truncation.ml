@@ -11,7 +11,13 @@ let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 let ps = 4096
 
-type world = { rvm : Rvm.t; seg_dev : Device.t; region : Region.t }
+type world = {
+  rvm : Rvm.t;
+  seg_dev : Device.t;
+  region : Region.t;
+  reopen : unit -> Rvm.t * Region.t;
+      (* mount the same devices again without terminating: a crash *)
+}
 
 let make ?(mode = Types.Epoch) ?(auto = false) ?(log_size = 64 * 1024)
     ?(threshold = 0.5) () =
@@ -26,9 +32,14 @@ let make ?(mode = Types.Epoch) ?(auto = false) ?(log_size = 64 * 1024)
       truncation_threshold = threshold;
     }
   in
-  let rvm = Rvm.initialize ~options ~log:log_dev ~resolve:(fun _ -> seg_dev) () in
-  let region = Rvm.map rvm ~seg:1 ~seg_off:0 ~len:(8 * ps) () in
-  { rvm; seg_dev; region }
+  let reopen () =
+    let rvm =
+      Rvm.initialize ~options ~log:log_dev ~resolve:(fun _ -> seg_dev) ()
+    in
+    (rvm, Rvm.map rvm ~seg:1 ~seg_off:0 ~len:(8 * ps) ())
+  in
+  let rvm, region = reopen () in
+  { rvm; seg_dev; region; reopen }
 
 let commit w ~addr s =
   let tid = Rvm.begin_transaction w.rvm ~mode:Types.Restore in
@@ -212,6 +223,56 @@ let test_background_fallback_pinned_head () =
   let recovered = Bytes.to_string (Rvm.load rvm2 ~addr:a2 ~len:(8 * ps)) in
   check_bool "crash recovery byte-identical" true (String.equal live recovered)
 
+(* A paced epoch reads the log once, at its freeze, however many commits
+   land between its steps. The page queue restarts at the freeze and
+   notes every later append as it happens, so the run's completion reads
+   nothing: afterwards the queue holds exactly the pages the post-freeze
+   commits wrote. An incremental run then writes those pages and no
+   others, and a crash recovers the committed image. *)
+let test_paced_epoch_reads_window_once () =
+  let w = make ~mode:Types.Epoch ~threshold:0.001 () in
+  let a = w.region.Region.vaddr in
+  for p = 0 to 5 do
+    commit w ~addr:(a + (p * ps)) (Printf.sprintf "pre-freeze-%d" p)
+  done;
+  let lm = Rvm.log_manager w.rvm in
+  let counter name =
+    Rvm_obs.Counter.get (Rvm_obs.Registry.counter (Rvm.obs w.rvm) name)
+  in
+  let live = Log_manager.used_bytes lm in
+  let read0 = counter "disk.log.bytes_read" in
+  check_bool "the first step freezes" true
+    (Rvm.truncation_step w.rvm = `Progress);
+  check_bool "epoch in flight" true (Rvm.truncation_active w.rvm);
+  (* Pages 0 and 2 were queued before the freeze; 6 and 7 are new. *)
+  let post = ref [ 0; 6; 2; 7 ] in
+  let steps = ref 1 in
+  while Rvm.truncation_active w.rvm do
+    (match !post with
+    | p :: rest ->
+      commit w ~addr:(a + (p * ps) + 64) (Printf.sprintf "post-freeze-%d" p);
+      post := rest
+    | [] -> ());
+    ignore (Rvm.truncation_step w.rvm);
+    incr steps
+  done;
+  check_bool "every commit landed mid-run" true (!post = [] && !steps > 5);
+  check_int "one epoch" 1 (Rvm.stats w.rvm).Statistics.epoch_truncations;
+  check_int "the run read its frozen window once" live
+    (counter "disk.log.bytes_read" - read0);
+  Rvm.set_options w.rvm (fun o ->
+      { o with Options.truncation_mode = Types.Incremental });
+  let written0 = (Rvm.stats w.rvm).Statistics.incremental_steps in
+  Rvm.truncate w.rvm;
+  check_int "the incremental run wrote the post-freeze pages" 4
+    ((Rvm.stats w.rvm).Statistics.incremental_steps - written0);
+  check_bool "log empty" true (Log_manager.is_empty lm);
+  let image = Rvm.load w.rvm ~addr:a ~len:(8 * ps) in
+  let rvm2, region2 = w.reopen () in
+  check_bool "crash recovery returns the committed image" true
+    (Bytes.equal image
+       (Rvm.load rvm2 ~addr:region2.Region.vaddr ~len:(8 * ps)))
+
 let test_truncation_counter_in_status () =
   let w = make ~mode:Types.Epoch () in
   let a = w.region.Region.vaddr in
@@ -277,6 +338,7 @@ let suite =
     ( "background.fallback-pinned-head",
       `Quick,
       test_background_fallback_pinned_head );
+    ("epoch.paced-reads-once", `Quick, test_paced_epoch_reads_window_once);
     ("status.counter", `Quick, test_truncation_counter_in_status);
     ("truncate.empty", `Quick, test_truncate_empty_log_is_noop);
     ("stats.span-backed", `Quick, test_truncation_counters_match_registry);

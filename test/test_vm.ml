@@ -32,10 +32,6 @@ let test_pages_spanning () =
 
 let test_page_table () =
   let pt = Page_table.create ~pages:4 in
-  check_bool "clean initially" false (Page_table.dirty pt 0);
-  Page_table.set_dirty pt 0 true;
-  check_bool "dirty" true (Page_table.dirty pt 0);
-  Alcotest.(check (list int)) "dirty list" [ 0 ] (Page_table.dirty_pages pt);
   Page_table.incr_uncommitted pt 2;
   Page_table.incr_uncommitted pt 2;
   check_int "refcount" 2 (Page_table.uncommitted pt 2);
