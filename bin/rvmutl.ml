@@ -453,29 +453,29 @@ let print_verdict mon =
       incs
   end
 
-(* --trace (TPC-A): one cell with the span ring sized to hold everything,
-   exported as Chrome trace_event JSON — the background truncator's steps
-   show up interleaved with the commit batches that triggered them. *)
-let serve_traced cfg out =
-  let module S = Rvm_server.Server in
-  let cfg = { cfg with S.trace_capacity = max 16384 (cfg.S.requests * 24) } in
-  let world, tally = S.run_with_world cfg in
-  S.release_world world;
-  let spans = Rvm_obs.Registry.events world.S.obs in
+(* --trace: one cell of any workload, its world's span ring resized to
+   hold everything, exported as Chrome trace_event JSON — the background
+   truncator's steps show up interleaved with the commit batches that
+   triggered them. [obs] is the built world's registry; [serve] serves
+   the world and answers the committed count. *)
+let serve_traced (obs, serve) ~requests ~label out =
+  Rvm_obs.Registry.set_trace_capacity obs (max 16384 (requests * 24));
+  let committed = serve () in
+  let spans = Rvm_obs.Registry.events obs in
   Rvm_obs.Export.write_chrome_trace ~process_name:"rvm-server" ~path:out spans;
   Printf.printf
-    "traced %d request(s) (%s, batch %d, log %d B, seed %Ld): %d span(s)\n\
+    "traced %d request(s) (%s): %d span(s)\n\
      wrote %s (load in Perfetto or chrome://tracing)\n\n"
-    tally.Rvm_server.Scheduler.committed (S.load_name cfg.S.load)
-    cfg.S.batch_max cfg.S.log_size cfg.S.seed (List.length spans) out
+    committed label (List.length spans) out
 
 (* Every workload is served one way. The sweep crosses every --load (open
    loop) and the --sessions closed loop with every --batch, on one default
    grid. --monitor serves one cell instead, the first load (else the
    closed loop, else 40 tps) x the first batch (else 8), streaming a
    health line per closed window and ending with the row, the verdict and
-   the postmortem JSON. A workload brings its per-cell config builder,
-   its run functions and its table. *)
+   the postmortem JSON. --trace (without --monitor) first serves that one
+   cell traced. A workload brings its per-cell config builder, its run
+   functions, its traced world and its table. *)
 let serve requests accounts seed loads batches sessions think_ms trace_out
     log_size zipf_s read_pct monitor window_ms postmortem_out workload records
     =
@@ -515,7 +515,7 @@ let serve requests accounts seed loads batches sessions think_ms trace_out
     Option.iter print_endline (Rvm_obs.Monitor.health_line mon)
   in
   (* [ok] is the row's serial-reference verdict, where it has one *)
-  let serve_workload ~cell ~run ~run_monitored ~pp_table ~to_json ~ok =
+  let serve_workload ~cell ~run ~run_monitored ~world ~pp_table ~to_json ~ok =
     if monitor then begin
       let result, mon = run_monitored (cell one) in
       Format.printf "@\n%a@?" pp_table [ result ];
@@ -533,6 +533,15 @@ let serve requests accounts seed loads batches sessions think_ms trace_out
       Printf.printf "wrote postmortem %s\n" postmortem_out
     end
     else begin
+      let load, batch = one in
+      Option.iter
+        (fun out ->
+          serve_traced (world (cell one)) ~requests
+            ~label:
+              (Printf.sprintf "%s, batch %d, log %d B, seed %Ld"
+                 (S.load_name load) batch log_size seed)
+            out)
+        trace_out;
       let rows = List.map (fun c -> run (cell c)) grid in
       Format.printf "%a@?" pp_table rows;
       if not (List.for_all ok rows) then begin
@@ -562,13 +571,17 @@ let serve requests accounts seed loads batches sessions think_ms trace_out
         read_pct;
       }
     in
-    if not monitor then Option.iter (serve_traced (cell one)) trace_out;
     serve_workload ~cell ~run:S.run
       ~run_monitored:(S.run_monitored ~window_us ~on_window)
+      ~world:(fun c ->
+        let w = S.build_world c in
+        ( w.S.obs,
+          fun () ->
+            let tally, _, _ = S.serve w (S.scheduler_of c w) in
+            S.release_world w;
+            tally.Rvm_server.Scheduler.committed ))
       ~pp_table:S.pp_table ~to_json:S.result_to_json ~ok:(fun _ -> true)
   | Some mix ->
-    if trace_out <> None then
-      usage "--trace is not supported with --workload %s" workload;
     if records <= 0 then usage "--records must be positive (got %d)" records;
     let cell (load, batch_max) =
       {
@@ -584,6 +597,13 @@ let serve requests accounts seed loads batches sessions think_ms trace_out
     in
     serve_workload ~cell ~run:Y.run
       ~run_monitored:(Y.run_monitored ~window_us ~on_window)
+      ~world:(fun c ->
+        let w = Y.build_world c in
+        ( w.Y.obs,
+          fun () ->
+            let r = Y.serve c w in
+            Y.release_world w;
+            r.Y.committed ))
       ~pp_table:Y.pp_table ~to_json:Y.result_to_json ~ok:(fun r ->
         r.Y.serial_equal)
 
@@ -913,10 +933,11 @@ let serve_cmd =
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "TPC-A only: before the sweep, run one cell (first load x first \
-             batch) with causal tracing on and export Chrome trace_event \
-             JSON to $(docv) — background truncation steps appear \
-             interleaved with the commit batches on their own track.")
+            "Before the sweep, run one cell (first load x first batch) of \
+             the workload with causal tracing on and export Chrome \
+             trace_event JSON to $(docv) — background truncation steps \
+             appear interleaved with the commit batches on their own \
+             track.")
   in
   let log_size =
     Arg.(

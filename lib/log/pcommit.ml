@@ -60,29 +60,30 @@ let decode_control bytes =
       | _ -> None
   with B.Underflow -> None
 
-let control_range c =
-  { Record.seg = control_seg; off = 0; data = encode_control c }
+(* The record flag that announces each control. *)
+let flag = function
+  | Intent _ -> Record.Flags.intent
+  | Stage _ -> Record.Flags.stage
+  | Resolution _ -> Record.Flags.resolution
+
+let record ?(tid = 0) ?timestamp_us ?(flags = 0) ?(ranges = []) c =
+  Record.commit ~seqno:0 ~tid ?timestamp_us ~flags:(flags lor flag c)
+    ({ Record.seg = control_seg; off = 0; data = encode_control c } :: ranges)
 
 let is_control (r : Record.range) = r.seg = control_seg
 let control_flags =
   Record.Flags.(intent lor stage lor resolution)
 
+(* The flag and the payload tag must agree — a record claiming to be an
+   intent but carrying a stage payload is corruption. *)
 let classify (t : Record.t) =
   if t.flags land control_flags = 0 then `Plain
   else
     match List.find_opt is_control t.ranges with
-    | None -> `Malformed
     | Some r -> (
       match decode_control r.data with
-      | None -> `Malformed
-      | Some c -> (
-        (* The flag and the payload tag must agree — a record claiming to
-           be an intent but carrying a stage payload is corruption. *)
-        match (c, ()) with
-        | Intent _, _ when Record.Flags.(has t.flags intent) -> `Control c
-        | Stage _, _ when Record.Flags.(has t.flags stage) -> `Control c
-        | Resolution _, _ when Record.Flags.(has t.flags resolution) ->
-          `Control c
-        | _ -> `Malformed))
+      | Some c when Record.Flags.has t.flags (flag c) -> `Control c
+      | _ -> `Malformed)
+    | None -> `Malformed
 
 let decision_to_string = function Committed -> "commit" | Aborted -> "abort"

@@ -12,13 +12,11 @@
 
     On the wire these are ordinary {!Record.t}s flagged with
     {!Record.Flags.intent} / [stage] / [resolution], carrying one control
-    range whose segment id is the reserved {!control_seg}. Intent records
-    additionally carry the branch's real data ranges; recovery applies those
-    only when the transaction's status resolves to committed. *)
-
-val control_seg : int
-(** Reserved segment id ([-1]) marking a control range. Never a real
-    segment: segment registration rejects negative ids. *)
+    range on a reserved negative segment id that no real segment can
+    have. Intent records additionally carry the branch's real data ranges;
+    recovery applies those only when the transaction's status resolves to
+    committed. This module is the only one that knows the format: every
+    control record is built by {!record} and read by {!classify}. *)
 
 type decision = Committed | Aborted
 
@@ -27,20 +25,27 @@ type control =
   | Stage of { gid : string; participants : int list }
   | Resolution of { gid : string; decision : decision }
 
-val encode_control : control -> Bytes.t
-val decode_control : Bytes.t -> control option
-
-val control_range : control -> Record.range
-(** The control payload packaged as a range on {!control_seg}. *)
+val record :
+  ?tid:int ->
+  ?timestamp_us:int ->
+  ?flags:int ->
+  ?ranges:Record.range list ->
+  control ->
+  Record.t
+(** The commit record for [control]: the control range first, then
+    [ranges] (an intent's data, default none), with the control's own
+    flag ORed into [flags] (default 0). [tid] defaults to 0 and
+    [timestamp_us] to {!Record.commit}'s default. *)
 
 val is_control : Record.range -> bool
+(** The range is a control payload, not data. *)
 
 val classify :
   Record.t -> [ `Plain | `Control of control | `Malformed ]
 (** [`Plain] for ordinary commit records; [`Control] when a parallel-commit
-    flag is set and the control payload parses and agrees with the flag;
-    [`Malformed] when a flag is set but the payload is missing, undecodable,
-    or contradicts the flag (treated by recovery as missing evidence, i.e.
-    toward abort). *)
+    flag is set and the control payload parses and its tag's flag is among
+    the record's flags; [`Malformed] when a flag is set but the payload is
+    missing, undecodable, or names a control the flags do not (treated by
+    recovery as missing evidence, i.e. toward abort). *)
 
 val decision_to_string : decision -> string

@@ -45,15 +45,18 @@ type t = {
   reg : Registry.t;
   states : state list;
   mutable incidents : incident list;  (* newest first *)
-  max_incident_windows : int;
-  tail_len : int;
 }
+
+(* An incident keeps at most this many triggering windows, and this many
+   flight-recorder spans from the moment it opened. *)
+let max_incident_windows = 16
+let tail_len = 16
 
 (* {2 Rule constructors}
 
-   Metric names default to the transaction server's registry schema;
-   every constructor takes the names as parameters so other harnesses
-   can reuse the rule shapes. *)
+   Metric names and thresholds are fixed to the transaction server's
+   registry schema: the [server.*] counters and histograms, and the
+   gauges the monitored server registers. *)
 
 let rule ?(severity = Page) ?(open_after = 2) ?(close_after = 3) name probe =
   if open_after <= 0 || close_after <= 0 then
@@ -63,9 +66,9 @@ let rule ?(severity = Page) ?(open_after = 2) ?(close_after = 3) name probe =
 (* Commit p99 against a rolling (EMA) baseline of healthy windows: the
    baseline learns during [warmup] windows with traffic, then freezes
    whenever the window breaches so an incident cannot drag its own
-   threshold up. [floor_us] suppresses noise when everything is fast. *)
-let commit_latency_rule ?(hist = "server.latency.us") ?(ratio = 3.)
-    ?(floor_us = 0.) ?(min_count = 8) ?(warmup = 3) () =
+   threshold up. *)
+let commit_latency_rule () =
+  let warmup = 3 and ratio = 3. in
   let baseline = ref 0. and warm = ref 0 in
   let learn p99 =
     if !warm = 0 then baseline := p99
@@ -73,38 +76,34 @@ let commit_latency_rule ?(hist = "server.latency.us") ?(ratio = 3.)
     if !warm < warmup then incr warm
   in
   rule "commit-p99-burst" ~severity:Page (fun w ->
-      match Timeseries.hist_stats w hist with
+      match Timeseries.hist_stats w "server.latency.us" with
       | None -> Healthy
-      | Some s when s.Histogram.w_count < min_count -> Healthy
+      | Some s when s.Histogram.w_count < 8 -> Healthy
       | Some s ->
         let p99 = s.Histogram.w_p99 in
         if !warm < warmup then begin
           learn p99;
           Healthy
         end
+        else if p99 > ratio *. !baseline then
+          Breach
+            (Printf.sprintf
+               "window p99 %.0fus exceeds %.1fx rolling baseline %.0fus" p99
+               ratio !baseline)
         else begin
-          let limit = Float.max floor_us (ratio *. !baseline) in
-          if p99 > limit then
-            Breach
-              (Printf.sprintf
-                 "window p99 %.0fus exceeds %.1fx rolling baseline %.0fus"
-                 p99 ratio !baseline)
-          else begin
-            learn p99;
-            Healthy
-          end
+          learn p99;
+          Healthy
         end)
 
-let abort_rate_rule ?(committed = "server.committed")
-    ?(retried = "server.retry") ?(max_rate = 0.5) ?(min_ops = 16) () =
+let abort_rate_rule () =
   rule "abort-rate" ~severity:Page (fun w ->
-      let c = Timeseries.counter_delta w committed in
-      let r = Timeseries.counter_delta w retried in
+      let c = Timeseries.counter_delta w "server.committed" in
+      let r = Timeseries.counter_delta w "server.retry" in
       let ops = c + r in
-      if ops < min_ops then Healthy
+      if ops < 16 then Healthy
       else
         let rate = float_of_int r /. float_of_int ops in
-        if rate > max_rate then
+        if rate > 0.5 then
           Breach
             (Printf.sprintf "abort rate %.2f (%d retries / %d ops)" rate r ops)
         else Healthy)
@@ -114,24 +113,24 @@ let abort_rate_rule ?(committed = "server.committed")
    stays internally healthy precisely because admission turns the excess
    away, so the SLO breach lives in the shed counter, not the latency
    histogram. *)
-let shed_rate_rule ?(shed = "server.shed") ?(committed = "server.committed")
-    ?(max_rate = 0.25) ?(min_arrivals = 16) () =
+let shed_rate_rule () =
   rule "admission-shed" ~severity:Page (fun w ->
-      let s = Timeseries.counter_delta w shed in
-      let c = Timeseries.counter_delta w committed in
+      let s = Timeseries.counter_delta w "server.shed" in
+      let c = Timeseries.counter_delta w "server.committed" in
       let arrivals = s + c in
-      if arrivals < min_arrivals then Healthy
+      if arrivals < 16 then Healthy
       else
         let rate = float_of_int s /. float_of_int arrivals in
-        if rate > max_rate then
+        if rate > 0.25 then
           Breach
             (Printf.sprintf "shed rate %.2f (%d shed / %d arrivals)" rate s
                arrivals)
         else Healthy)
 
-let spool_pressure_rule ?(gauge = "spool.pressure") ?(watermark = 0.9) () =
+let spool_pressure_rule () =
+  let watermark = 0.9 in
   rule "spool-pressure" ~severity:Warn (fun w ->
-      match Timeseries.gauge_value w gauge with
+      match Timeseries.gauge_value w "spool.pressure" with
       | Some p when p >= watermark ->
         Breach
           (Printf.sprintf "spool pressure %.2f at/above watermark %.2f" p
@@ -140,15 +139,16 @@ let spool_pressure_rule ?(gauge = "spool.pressure") ?(watermark = 0.9) () =
 
 (* Truncation is due but no truncation work ran for the whole window —
    the background state machine is starved. *)
-let truncation_starvation_rule ?(due = "truncation.due")
-    ?(steps =
-      [
-        "truncation.epoch.count";
-        "truncation.incremental.step.count";
-        "truncation.emergency.count";
-      ]) () =
+let truncation_starvation_rule () =
+  let steps =
+    [
+      "truncation.epoch.count";
+      "truncation.incremental.step.count";
+      "truncation.emergency.count";
+    ]
+  in
   rule "truncation-starvation" ~severity:Page ~open_after:3 (fun w ->
-      match Timeseries.gauge_value w due with
+      match Timeseries.gauge_value w "truncation.due" with
       | Some d when d >= 0.5 ->
         let work =
           List.fold_left (fun a n -> a + Timeseries.counter_delta w n) 0 steps
@@ -161,10 +161,12 @@ let truncation_starvation_rule ?(due = "truncation.due")
 (* The durable-LSN horizon must keep moving while commits are ahead of
    it; a frozen horizon with a positive gap means nothing is reaching
    the disk. *)
-let durable_stall_rule ?(commit = "lsn.commit") ?(durable = "lsn.durable") () =
+let durable_stall_rule () =
   let prev = ref neg_infinity in
   rule "durable-lsn-stall" ~severity:Page (fun w ->
-      match (Timeseries.gauge_value w commit, Timeseries.gauge_value w durable)
+      match
+        ( Timeseries.gauge_value w "lsn.commit",
+          Timeseries.gauge_value w "lsn.durable" )
       with
       | Some c, Some d ->
         let stalled = d = !prev && c > d in
@@ -178,33 +180,29 @@ let durable_stall_rule ?(commit = "lsn.commit") ?(durable = "lsn.durable") () =
 
 (* Per-shard committed deltas: one shard racing ahead of (or starving
    behind) the others means routing skew is defeating the sharding. *)
-let shard_imbalance_rule ?(prefix = "shard.") ?(suffix = ".committed")
-    ?(shards = 0) ?(max_skew = 4.) ?(min_per_window = 8) () =
+let shard_imbalance_rule ~shards =
+  let max_skew = 4. and min_per_window = 8 in
   rule "shard-imbalance" ~severity:Warn (fun w ->
-      if shards < 2 then Healthy
-      else begin
-        let deltas =
-          List.init shards (fun i ->
-              Timeseries.counter_delta w
-                (prefix ^ string_of_int i ^ suffix))
+      let deltas =
+        List.init shards (fun i ->
+            Timeseries.counter_delta w
+              ("shard." ^ string_of_int i ^ ".committed"))
+      in
+      let total = List.fold_left ( + ) 0 deltas in
+      if total < min_per_window * shards then Healthy
+      else
+        let mx = List.fold_left max min_int deltas in
+        let mn = List.fold_left min max_int deltas in
+        let skewed =
+          if mn = 0 then mx >= min_per_window
+          else float_of_int mx /. float_of_int mn > max_skew
         in
-        let total = List.fold_left ( + ) 0 deltas in
-        if total < min_per_window * shards then Healthy
-        else
-          let mx = List.fold_left max min_int deltas in
-          let mn = List.fold_left min max_int deltas in
-          let skewed =
-            if mn = 0 then mx >= min_per_window
-            else float_of_int mx /. float_of_int mn > max_skew
-          in
-          if skewed then
-            Breach
-              (Printf.sprintf
-                 "per-shard committed deltas %s skew beyond %.1fx"
-                 (String.concat "/" (List.map string_of_int deltas))
-                 max_skew)
-          else Healthy
-      end)
+        if skewed then
+          Breach
+            (Printf.sprintf "per-shard committed deltas %s skew beyond %.1fx"
+               (String.concat "/" (List.map string_of_int deltas))
+               max_skew)
+        else Healthy)
 
 let default_rules ?(shards = 1) () =
   [
@@ -215,11 +213,11 @@ let default_rules ?(shards = 1) () =
     truncation_starvation_rule ();
     durable_stall_rule ();
   ]
-  @ (if shards > 1 then [ shard_imbalance_rule ~shards () ] else [])
+  @ if shards > 1 then [ shard_imbalance_rule ~shards ] else []
 
 (* {2 Monitor} *)
 
-let create ?(max_incident_windows = 16) ?(tail_len = 16) ~rules ts reg =
+let create ~rules ts reg =
   {
     ts;
     reg;
@@ -235,8 +233,6 @@ let create ?(max_incident_windows = 16) ?(tail_len = 16) ~rules ts reg =
           })
         rules;
     incidents = [];
-    max_incident_windows;
-    tail_len;
   }
 
 let timeseries t = t.ts
@@ -247,7 +243,7 @@ let flight_tail t =
   let rec drop k l =
     if k <= 0 then l else match l with [] -> [] | _ :: r -> drop (k - 1) r
   in
-  drop (n - t.tail_len) evs
+  drop (n - tail_len) evs
 
 let eval_window t (w : Timeseries.window) =
   List.iter
@@ -287,7 +283,7 @@ let eval_window t (w : Timeseries.window) =
         (match inc with
         | Some inc ->
           s.open_inc <- Some inc;
-          if List.length inc.i_windows < t.max_incident_windows then begin
+          if List.length inc.i_windows < max_incident_windows then begin
             inc.i_windows <- inc.i_windows @ [ w ];
             inc.i_reasons <- inc.i_reasons @ [ reason ]
           end

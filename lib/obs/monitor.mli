@@ -35,62 +35,32 @@ val rule :
 
 (** {2 The standard rule set}
 
-    Metric names default to the transaction server's registry schema
-    ([server.*] counters/histograms and the [spool.pressure] /
-    [lsn.commit] / [lsn.durable] / [log.occupancy] / [truncation.due]
-    gauges registered by the monitored server); every name is a
-    parameter so other harnesses can reuse the shapes. *)
+    Metric names and thresholds are fixed to the transaction server's
+    registry schema: [server.*] counters and histograms, the
+    [spool.pressure] / [lsn.commit] / [lsn.durable] / [log.occupancy] /
+    [truncation.due] gauges registered by the monitored server, and the
+    sharded engine's [shard.<i>.committed] counters. *)
 
-val commit_latency_rule :
-  ?hist:string ->
-  ?ratio:float ->
-  ?floor_us:float ->
-  ?min_count:int ->
-  ?warmup:int ->
-  unit ->
-  rule
-(** Window p99 above [ratio] (default 3x) times a rolling EMA baseline
-    of healthy windows. The baseline learns over [warmup] windows with
-    at least [min_count] commits and freezes while breaching, so an
-    incident cannot drag its own threshold up. [floor_us] suppresses
-    breaches while everything is faster than it. *)
-
-val abort_rate_rule :
-  ?committed:string -> ?retried:string -> ?max_rate:float -> ?min_ops:int ->
-  unit -> rule
-
-val shed_rate_rule :
-  ?shed:string -> ?committed:string -> ?max_rate:float -> ?min_arrivals:int ->
-  unit -> rule
-(** Admission control turning away more than [max_rate] (default 0.25)
-    of a window's arrivals — the overload signature past the saturation
+val shed_rate_rule : unit -> rule
+(** Admission control turning away more than a quarter of a window's
+    arrivals (at least 16) — the overload signature past the saturation
     knee, where shedding keeps the inside of the server healthy. *)
 
-val spool_pressure_rule : ?gauge:string -> ?watermark:float -> unit -> rule
-
-val truncation_starvation_rule :
-  ?due:string -> ?steps:string list -> unit -> rule
+val truncation_starvation_rule : unit -> rule
 (** Truncation reported due for a whole window while zero truncation
-    steps (epoch, incremental, emergency) ran. *)
+    steps (epoch, incremental, emergency) ran; opens after three such
+    windows. *)
 
-val durable_stall_rule : ?commit:string -> ?durable:string -> unit -> rule
+val durable_stall_rule : unit -> rule
 (** The durable-LSN gauge frozen across a window while the commit LSN
     sits ahead of it. *)
 
-val shard_imbalance_rule :
-  ?prefix:string ->
-  ?suffix:string ->
-  ?shards:int ->
-  ?max_skew:float ->
-  ?min_per_window:int ->
-  unit ->
-  rule
-(** Max/min per-shard committed delta beyond [max_skew] (or a shard
-    fully starved) in a window with enough volume. *)
-
 val default_rules : ?shards:int -> unit -> rule list
-(** The six engine rules, plus {!shard_imbalance_rule} when
-    [shards > 1]. *)
+(** The six engine rules: the three above, plus a commit p99 above three
+    times a rolling baseline of healthy windows, more than half of a
+    window's operations retried, and spool pressure at 0.9 or more. When
+    [shards > 1], also a per-shard committed skew beyond 4x (or a
+    starved shard) in a window with at least 8 commits per shard. *)
 
 (** {2 Incidents} *)
 
@@ -107,15 +77,10 @@ type incident = {
 
 type t
 
-val create :
-  ?max_incident_windows:int ->
-  ?tail_len:int ->
-  rules:rule list ->
-  Timeseries.t ->
-  Registry.t ->
-  t
+val create : rules:rule list -> Timeseries.t -> Registry.t -> t
 (** The registry supplies the flight-recorder tail (enable a trace
-    capacity on it for non-empty tails). *)
+    capacity on it for non-empty tails). An incident keeps at most 16
+    triggering windows and the last 16 spans at its opening. *)
 
 val timeseries : t -> Timeseries.t
 

@@ -16,7 +16,6 @@ type window = {
 type t = {
   reg : Registry.t;
   window_us : float;
-  capacity : int;
   mutable epoch_us : float;
   mutable started : bool;
   mutable completed : int;
@@ -27,13 +26,14 @@ type t = {
   mutable gauge_fns : (string * (unit -> float)) list;
 }
 
-let create ?(capacity = 512) ~window_us reg =
+(* Closed windows retained in the ring. *)
+let capacity = 512
+
+let create ~window_us reg =
   if window_us <= 0. then invalid_arg "Timeseries.create: window_us <= 0";
-  if capacity <= 0 then invalid_arg "Timeseries.create: capacity <= 0";
   {
     reg;
     window_us;
-    capacity;
     epoch_us = 0.;
     started = false;
     completed = 0;
@@ -90,7 +90,7 @@ let close_window t ~t0_us ~t1_us =
   t.completed <- t.completed + 1;
   Queue.push w t.ring;
   t.last_closed <- Some w;
-  if Queue.length t.ring > t.capacity then ignore (Queue.pop t.ring);
+  if Queue.length t.ring > capacity then ignore (Queue.pop t.ring);
   w
 
 let tick t ~now_us =
@@ -106,8 +106,8 @@ let tick t ~now_us =
     (* A huge clock jump (idle gap, end-of-run drain) would materialize
        millions of empty windows; skip ahead so at most a ring's worth
        is closed — the skipped empties would have been evicted anyway. *)
-    if target - t.completed > t.capacity then
-      t.completed <- target - t.capacity;
+    if target - t.completed > capacity then
+      t.completed <- target - capacity;
     let closed = ref [] in
     while t.completed < target do
       let t0 = t.epoch_us +. (float_of_int t.completed *. t.window_us) in

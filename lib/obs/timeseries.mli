@@ -21,9 +21,9 @@ type window = {
 
 type t
 
-val create : ?capacity:int -> window_us:float -> Registry.t -> t
-(** [capacity] (default 512) bounds the retained ring. Raises
-    [Invalid_argument] on a non-positive window or capacity. *)
+val create : window_us:float -> Registry.t -> t
+(** The retained ring holds the last 512 closed windows. Raises
+    [Invalid_argument] on a non-positive window. *)
 
 val window_us : t -> float
 

@@ -18,6 +18,14 @@ let set t by_vaddr =
 
 let overlaps a_lo a_len b_lo b_len = a_lo < b_lo + b_len && b_lo < a_lo + a_len
 
+let check_free t ~vaddr ~len =
+  M.iter
+    (fun _ (q : Region.t) ->
+      if overlaps vaddr len q.Region.vaddr q.Region.length then
+        Types.error "map: [%#x, %#x) overlaps existing mapping at %#x" vaddr
+          (vaddr + len) q.Region.vaddr)
+    t.by_vaddr
+
 let add t (r : Region.t) =
   if not (Rvm_vm.Page.is_aligned ~page_size:t.page_size r.Region.vaddr) then
     Types.error "map: virtual address %#x is not page-aligned" r.Region.vaddr;
@@ -27,12 +35,9 @@ let add t (r : Region.t) =
   if r.Region.length mod t.page_size <> 0 then
     Types.error "map: length %d is not a multiple of the page size"
       r.Region.length;
+  check_free t ~vaddr:r.Region.vaddr ~len:r.Region.length;
   M.iter
     (fun _ (q : Region.t) ->
-      if overlaps r.Region.vaddr r.Region.length q.Region.vaddr q.Region.length
-      then
-        Types.error "map: [%#x, %#x) overlaps existing mapping at %#x"
-          r.Region.vaddr (Region.end_vaddr r) q.Region.vaddr;
       if
         Segment.id q.Region.seg = Segment.id r.Region.seg
         && overlaps r.Region.seg_off r.Region.length q.Region.seg_off

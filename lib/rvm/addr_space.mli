@@ -10,9 +10,14 @@ type t
 val create : page_size:int -> t
 val page_size : t -> int
 
+val check_free : t -> vaddr:int -> len:int -> unit
+(** Raises {!Types.Rvm_error} if [vaddr, vaddr+len) overlaps a mapped
+    region: the virtual-overlap check of {!add}, for a caller that must
+    reject a range before it creates the region. *)
+
 val add : t -> Region.t -> unit
-(** Raises {!Types.Rvm_error} on overlap (virtual or segment-range) or
-    misalignment. *)
+(** Raises {!Types.Rvm_error} on overlap (virtual, as {!check_free}, or
+    segment-range) or misalignment. *)
 
 val remove : t -> Region.t -> unit
 

@@ -33,17 +33,13 @@ let plan_live ?before_seqno ?(intent_decision = fun _ -> `Abort) log =
   let live = Log_manager.view log in
   let resolutions : (string, Pcommit.decision) Hashtbl.t = Hashtbl.create 4 in
   Log_manager.iter_backward live ~f:(fun ~off:_ r ->
-      if
-        r.Record.kind = Record.Commit
-        && Record.Flags.(has r.Record.flags resolution)
-      then
-        match Pcommit.classify r with
-        | `Control (Pcommit.Resolution { gid; decision }) ->
-          (* Backward scan: the newest resolution for a gid wins (they never
-             disagree when written by this engine, but be deterministic). *)
-          if not (Hashtbl.mem resolutions gid) then
-            Hashtbl.add resolutions gid decision
-        | _ -> ());
+      match Pcommit.classify r with
+      | `Control (Pcommit.Resolution { gid; decision }) ->
+        (* Backward scan: the newest resolution for a gid wins (they never
+           disagree when written by this engine, but be deterministic). *)
+        if not (Hashtbl.mem resolutions gid) then
+          Hashtbl.add resolutions gid decision
+      | _ -> ());
   let decide gid =
     match Hashtbl.find_opt resolutions gid with
     | Some Pcommit.Committed -> `Commit

@@ -74,13 +74,6 @@ type t = {
          record is appended. While held they block incremental truncation
          from writing those pages out, which is what keeps the intent's
          evidence in the log. *)
-  live_resolutions : (string, Pcommit.decision) Hashtbl.t;
-      (* Resolutions appended on this shard but not yet known durable on
-         every participant. Truncation must keep them in the log — other
-         shards' recoveries may depend on this copy of the decision once
-         the intent and staged evidence have been truncated away — so they
-         are re-appended past every head movement until the shard layer
-         retires them ({!retire_resolution}). *)
 }
 
 type query_result = {
@@ -149,33 +142,12 @@ let truncator t =
 
 (* --- log writing --- *)
 
-let note_logged_ranges t ~log_off ~seqno ranges =
-  Truncator.note_logged_ranges (truncator t) ~log_off ~seqno ranges
-
-(* Re-append every unretired resolution record past the current head. A
-   truncation that reclaims a cross-shard transaction's intent and staged
-   records destroys the evidence other participants' recoveries may need
-   to re-derive the decision; the explicit resolution must therefore stay
-   in some log until the shard layer has made every participant's own
-   copy durable and retired it. Returns whether any were appended — the
-   truncator forces them before moving the head. *)
-let reappend_live_resolutions t =
-  if Hashtbl.length t.live_resolutions = 0 then false
-  else begin
-    Hashtbl.iter
-      (fun gid decision ->
-        let record =
-          Record.commit ~seqno:0 ~tid:0 ~timestamp_us:(now_us t)
-            ~flags:Record.Flags.resolution
-            [ Pcommit.control_range (Pcommit.Resolution { gid; decision }) ]
-        in
-        ignore (Log_manager.append_record t.log record))
-      t.live_resolutions;
-    true
-  end
-
-let append_with_retry t record =
-  let rec go retried =
+(* The one way a record of [size] encoded bytes reaches this engine's log
+   (no force): append, charge the record's CPU, count its bytes and queue
+   the pages its data ranges cover for incremental truncation (control
+   ranges cover none). Returns the record's sequence number. *)
+let log_record t (record : Record.t) ~size =
+  let rec append retried =
     try Log_manager.append_record t.log record
     with Log_manager.Log_full ->
       if retried then
@@ -186,19 +158,19 @@ let append_with_retry t record =
         (* Reclaim space synchronously and retry once — completing any
            suspended background run first, then a full epoch. *)
         Truncator.sync_epoch (truncator t);
-        go true
+        append true
       end
   in
-  go false
-
-(* Write one commit record of [size] encoded bytes to the log (no force)
-   and do the page-vector bookkeeping. Returns the record's sequence
-   number. *)
-let write_commit_record t (record : Record.t) ~size ~regions =
-  let off, seqno = append_with_retry t record in
+  let log_off, seqno = append false in
   cpu t (t.model.Cost_model.log_record_us +. checksum_cost t size);
   C.add t.live.Lv.bytes_logged size;
-  note_logged_ranges t ~log_off:off ~seqno record.Record.ranges;
+  Truncator.note_logged_ranges (truncator t) ~log_off ~seqno
+    record.Record.ranges;
+  seqno
+
+(* Write one commit record and release its transaction's page refs. *)
+let write_commit_record t record ~size ~regions =
+  let seqno = log_record t record ~size in
   release_page_refs regions;
   seqno
 
@@ -294,7 +266,6 @@ let initialize ?(options = Options.default) ?(clock = Clock.null)
       live = Lv.create obs;
       terminated = false;
       pending_pages = Hashtbl.create 4;
-      live_resolutions = Hashtbl.create 4;
     }
   in
   t.trunc <-
@@ -311,7 +282,6 @@ let initialize ?(options = Options.default) ?(clock = Clock.null)
            regions = (fun () -> Addr_space.regions t.space);
            segment = (fun id -> segment t id);
            intent_decision;
-           reappend_live_resolutions = (fun () -> reappend_live_resolutions t);
          });
   (* Crash recovery before anything is mapped: mapped data must be the
      committed image. The span bumps [recovery.count] — the counter behind
@@ -528,7 +498,18 @@ let finish_txn t (txn : Txn.t) status =
           pr.Txn.region.Region.active_txns - 1)
     (Txn.regions txn)
 
-let end_transaction_inner t tid txn ~mode =
+(* The commit body, for a local commit ([intent = None]) or for this
+   shard's branch of a cross-shard transaction ([Some (gid, shard)],
+   DESIGN.md section 10). An intent commits as a Flush commit does — one
+   record, written at once after the spool — with three differences: the
+   record carries the control payload before the branch's ranges and is
+   written even when the branch modified nothing (status resolution counts
+   evidence per participant); it is not forced (the shard layer forces
+   all participants in one concurrent round); and its uncommitted page
+   refs stay held under [gid] until {!append_resolution}, which keeps
+   incremental truncation from writing the pages out (and the head from
+   moving past the intent) while the transaction's fate is open. *)
+let commit t tid txn ~mode ~intent =
   cpu t t.model.Cost_model.txn_overhead_us;
   let ranges, logged_bytes, naive_bytes =
     Registry.span t.obs "commit.encode" (fun () ->
@@ -546,26 +527,38 @@ let end_transaction_inner t tid txn ~mode =
     | Types.Restore -> 0
   in
   C.add t.live.Lv.intra_saved (naive_bytes - logged_bytes);
-  (match ranges with
-  | [] ->
+  (match (intent, ranges) with
+  | None, [] ->
     (* Nothing modified: no record at all. *)
     release_page_refs regions
   | _ -> begin
     t.commit_lsn <- t.commit_lsn + 1;
     let lsn = t.commit_lsn in
     match mode with
-    | Types.Flush ->
+    | Types.Flush -> (
       (* Spooled records precede this one in commit order. *)
       drain_spool t;
-      let record =
-        Record.commit ~seqno:0 ~tid ~timestamp_us:(now_us t) ~flags ranges
-      in
-      let seqno =
-        write_commit_record t record ~size:(Record.encoded_size record)
-          ~regions
-      in
-      Queue.push (lsn, seqno) t.lsn_pending;
-      force_log t
+      let timestamp_us = now_us t in
+      match intent with
+      | None ->
+        let record = Record.commit ~seqno:0 ~tid ~timestamp_us ~flags ranges in
+        let seqno =
+          write_commit_record t record ~size:(Record.encoded_size record)
+            ~regions
+        in
+        Queue.push (lsn, seqno) t.lsn_pending;
+        force_log t
+      | Some (gid, shard) ->
+        let record =
+          Pcommit.record ~tid ~timestamp_us ~flags ~ranges
+            (Pcommit.Intent { gid; shard })
+        in
+        let seqno = log_record t record ~size:(Record.encoded_size record) in
+        Queue.push (lsn, seqno) t.lsn_pending;
+        if regions <> [] then
+          Hashtbl.replace t.pending_pages gid
+            (regions
+            @ Option.value (Hashtbl.find_opt t.pending_pages gid) ~default:[]))
     | Types.No_flush ->
       Registry.span t.obs "commit.no_flush" (fun () ->
           let record =
@@ -610,8 +603,7 @@ let end_transaction_inner t tid txn ~mode =
           end)
   end);
   finish_txn t txn Txn.Committed;
-  C.incr t.live.Lv.txns_committed;
-  maybe_truncate t
+  C.incr t.live.Lv.txns_committed
 
 let end_transaction t tid ~mode =
   check_live t;
@@ -631,66 +623,18 @@ let end_transaction t tid ~mode =
             | Types.Flush -> "flush"
             | Types.No_flush -> "no-flush") );
       ]
-    (fun () -> end_transaction_inner t tid txn ~mode)
+    (fun () ->
+      commit t tid txn ~mode ~intent:None;
+      maybe_truncate t)
 
 (* --- parallel commit (DESIGN.md section 10) --- *)
 
-(* Commit this shard's branch of a cross-shard transaction: one intent
-   record carrying the branch's new-value ranges plus the control payload.
-   Not forced — the shard layer forces all participants in one concurrent
-   round. The branch's uncommitted page refs are NOT released here: they
-   are held under [gid] until {!append_resolution}, which keeps incremental
-   truncation from writing the pages out (and the head from moving past the
-   intent) while the transaction's fate is still open. *)
 let end_transaction_intent t tid ~gid ~shard =
   check_live t;
   let txn = find_txn t tid in
   Registry.span t.obs "txn.intent"
     ~attrs:[ ("txn_id", Trace.Int tid); ("gid", Trace.String gid) ]
-    (fun () ->
-      cpu t t.model.Cost_model.txn_overhead_us;
-      let ranges, logged_bytes, naive_bytes =
-        Registry.span t.obs "commit.encode" (fun () ->
-            let ((ranges, logged_bytes, _) as r) = build_ranges t txn in
-            Registry.add_attr t.obs "ranges" (Trace.Int (List.length ranges));
-            Registry.add_attr t.obs "bytes" (Trace.Int logged_bytes);
-            r)
-      in
-      let regions = Txn.regions txn in
-      let flags =
-        Record.Flags.intent
-        lor
-        match txn.Txn.mode with
-        | Types.No_restore -> Record.Flags.no_restore
-        | Types.Restore -> 0
-      in
-      C.add t.live.Lv.intra_saved (naive_bytes - logged_bytes);
-      (* Spooled no-flush records precede the intent in commit order. An
-         intent is written even when the branch modified nothing: status
-         resolution counts evidence per participant. *)
-      drain_spool t;
-      let all_ranges =
-        Pcommit.control_range (Pcommit.Intent { gid; shard }) :: ranges
-      in
-      let record =
-        Record.commit ~seqno:0 ~tid ~timestamp_us:(now_us t) ~flags all_ranges
-      in
-      let size = Record.encoded_size record in
-      let off, seqno = append_with_retry t record in
-      t.commit_lsn <- t.commit_lsn + 1;
-      Queue.push (t.commit_lsn, seqno) t.lsn_pending;
-      cpu t (t.model.Cost_model.log_record_us +. checksum_cost t size);
-      C.add t.live.Lv.bytes_logged size;
-      note_logged_ranges t ~log_off:off ~seqno ranges;
-      (match regions with
-      | [] -> ()
-      | _ ->
-        let held =
-          Option.value (Hashtbl.find_opt t.pending_pages gid) ~default:[]
-        in
-        Hashtbl.replace t.pending_pages gid (regions @ held));
-      finish_txn t txn Txn.Committed;
-      C.incr t.live.Lv.txns_committed)
+    (fun () -> commit t tid txn ~mode:Types.Flush ~intent:(Some (gid, shard)))
 
 (* The staged transaction record, written to the coordinating shard's log:
    names the participants so status resolution knows whose intents to
@@ -698,36 +642,28 @@ let end_transaction_intent t tid ~gid ~shard =
 let append_stage t ~gid ~participants =
   check_live t;
   let record =
-    Record.commit ~seqno:0 ~tid:0 ~timestamp_us:(now_us t)
-      ~flags:Record.Flags.stage
-      [ Pcommit.control_range (Pcommit.Stage { gid; participants }) ]
+    Pcommit.record ~timestamp_us:(now_us t)
+      (Pcommit.Stage { gid; participants })
   in
-  let size = Record.encoded_size record in
-  ignore (append_with_retry t record);
-  cpu t (t.model.Cost_model.log_record_us +. checksum_cost t size);
-  C.add t.live.Lv.bytes_logged size
+  ignore (log_record t record ~size:(Record.encoded_size record))
 
 (* The explicit commit-or-abort decision, converting an implicit commit to
    an explicit one (or recording an orphan abort). Releases the pages the
    gid's intent held on this shard. Not forced: the decision is
    recomputable from the intents and staged record, so losing an
-   unforced resolution is safe. The resolution stays "live" — re-appended
-   past every truncation — until {!retire_resolution}, because once a
-   truncation applies the intent and reclaims the staged evidence, this
-   record may be the only durable copy of the decision any participant's
-   recovery can find. *)
+   unforced resolution is safe. The truncator carries the record —
+   re-appended past every head move — until {!retire_resolution}, because
+   once a truncation applies the intent and reclaims the staged evidence,
+   this record may be the only durable copy of the decision any
+   participant's recovery can find. *)
 let append_resolution t ~gid ~decision =
   check_live t;
-  Hashtbl.replace t.live_resolutions gid decision;
   let record =
-    Record.commit ~seqno:0 ~tid:0 ~timestamp_us:(now_us t)
-      ~flags:Record.Flags.resolution
-      [ Pcommit.control_range (Pcommit.Resolution { gid; decision }) ]
+    Pcommit.record ~timestamp_us:(now_us t)
+      (Pcommit.Resolution { gid; decision })
   in
-  let size = Record.encoded_size record in
-  ignore (append_with_retry t record);
-  cpu t (t.model.Cost_model.log_record_us +. checksum_cost t size);
-  C.add t.live.Lv.bytes_logged size;
+  Truncator.hold_resolution (truncator t) ~gid record;
+  ignore (log_record t record ~size:(Record.encoded_size record));
   (match Hashtbl.find_opt t.pending_pages gid with
   | Some pages ->
     Hashtbl.remove t.pending_pages gid;
@@ -741,7 +677,7 @@ let append_resolution t ~gid ~decision =
    transaction), so this shard no longer carries it across truncations. *)
 let retire_resolution t ~gid =
   check_live t;
-  Hashtbl.remove t.live_resolutions gid
+  Truncator.retire_resolution (truncator t) ~gid
 
 let abort_transaction t tid =
   check_live t;

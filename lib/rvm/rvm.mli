@@ -130,11 +130,13 @@ val abort_transaction : t -> tid -> unit
 
 val end_transaction_intent : t -> tid -> gid:string -> shard:int -> unit
 (** Commit transaction [tid]'s branch on this shard as an intent record for
-    cross-shard transaction [gid]: new-value ranges plus the control
-    payload, written (not forced) to this shard's log. The branch's page
-    refs stay held under [gid] until {!append_resolution}, blocking
-    incremental truncation from discarding the intent's evidence. An
-    intent is written even if the branch modified nothing. *)
+    cross-shard transaction [gid], through the same commit path as
+    {!end_transaction} in [Flush] mode: spooled no-flush records are
+    written first, then one record carrying the control payload and the
+    branch's new-value ranges. Unlike a local commit, the intent is not
+    forced, is written even if the branch modified nothing, and holds the
+    branch's page refs under [gid] until {!append_resolution}, blocking
+    incremental truncation from discarding the intent's evidence. *)
 
 val append_stage : t -> gid:string -> participants:int list -> unit
 (** Write the staged transaction record naming [gid]'s participant shards
@@ -145,10 +147,11 @@ val append_resolution :
 (** Write the explicit status-resolution record for [gid] and release the
     pages its intent held on this shard. Not forced: the decision is
     recomputable from the surviving intents and staged record. The
-    resolution is kept {e live} — re-appended past every truncation, since
-    a truncation that applies the intent and reclaims the staged record
-    may leave this copy as the only durable evidence of the decision any
-    participant's recovery can find — until {!retire_resolution}. *)
+    truncator holds the record ({!Truncator.hold_resolution}) and
+    re-appends that same record past every head move, since a truncation
+    that applies the intent and reclaims the staged record may leave this
+    copy as the only durable evidence of the decision any participant's
+    recovery can find — until {!retire_resolution}. *)
 
 val retire_resolution : t -> gid:string -> unit
 (** Stop carrying [gid]'s resolution across truncations. Call only once

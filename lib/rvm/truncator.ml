@@ -75,7 +75,6 @@ type env = {
   regions : unit -> Region.t list;
   segment : int -> Segment.t;
   intent_decision : (string -> [ `Commit | `Abort | `Pending ]) option;
-  reappend_live_resolutions : unit -> bool;
 }
 
 (* An epoch writes its frozen plan and moves the head to the freeze
@@ -106,6 +105,10 @@ type t = {
   queue : descriptor Queue.t;
   queued : (int, unit) Hashtbl.t;  (* VM page numbers in the queue *)
   mutable run : run option;
+  resolutions : (string, Record.t) Hashtbl.t;
+      (* gid -> the resolution record appended on this log but not yet
+         known durable on every participant; re-appended past every head
+         move until retired *)
   mutable paced : bool;
       (* true while a background driver is stepping this machine:
          interim sync batching (pause splitting) applies only then —
@@ -119,6 +122,7 @@ let create env =
     queue = Queue.create ();
     queued = Hashtbl.create 64;
     run = None;
+    resolutions = Hashtbl.create 4;
     paced = false;
   }
 
@@ -174,9 +178,10 @@ let note_logged_ranges t ~log_off ~seqno ranges =
    them live — and are forced while the status block still points at the
    old copies. Two kinds:
 
-   - unretired resolutions: the run applied their intents, so a recovery
-     that finds another participant's intent may have no other evidence
-     of the decision;
+   - unretired resolutions, the records themselves as the engine handed
+     them to [hold_resolution]: the run applied their intents, so a
+     recovery that finds another participant's intent may have no other
+     evidence of the decision;
    - still-pending parallel-commit intents inside the reclaimed window:
      undecided *here*, but possibly already implicitly committed — if
      every participant's intent and the staged record are durable on the
@@ -189,16 +194,20 @@ let note_logged_ranges t ~log_off ~seqno ranges =
    record that references them. Returns whether anything was appended;
    the force was then the step's unit of work. *)
 let reappend_evidence t pending =
-  let env = t.env in
-  let resolutions = env.reappend_live_resolutions () in
+  let log = t.env.log in
+  Hashtbl.iter (fun _ r -> ignore (Log_manager.append_record log r))
+    t.resolutions;
   List.iter
     (fun (r : Record.t) ->
-      let log_off, seqno = Log_manager.append_record env.log r in
+      let log_off, seqno = Log_manager.append_record log r in
       note_logged_ranges t ~log_off ~seqno r.Record.ranges)
     pending;
-  let appended = resolutions || pending <> [] in
-  if appended then Log_manager.force env.log;
+  let appended = Hashtbl.length t.resolutions > 0 || pending <> [] in
+  if appended then Log_manager.force log;
   appended
+
+let hold_resolution t ~gid record = Hashtbl.replace t.resolutions gid record
+let retire_resolution t ~gid = Hashtbl.remove t.resolutions gid
 
 let copy_cost t bytes =
   float_of_int bytes *. t.env.model.Cost_model.cpu_per_byte_copy_us

@@ -37,13 +37,23 @@ type env = {
   regions : unit -> Region.t list;  (** currently mapped regions. *)
   segment : int -> Segment.t;
   intent_decision : (string -> [ `Commit | `Abort | `Pending ]) option;
-  reappend_live_resolutions : unit -> bool;
-      (** Append (unforced) a fresh copy of every unretired parallel-commit
-          resolution; [true] if any were appended — the truncator then
-          forces them before moving the head. *)
 }
 
 val create : env -> t
+
+val hold_resolution : t -> gid:string -> Rvm_log.Record.t -> unit
+(** Carry a parallel-commit resolution record the engine has just
+    appended: until {!retire_resolution}, every head move first
+    re-appends this very record (so each copy keeps the decision's
+    timestamp) and forces it together with any pending intents. Once a
+    run has applied the gid's intent and reclaimed the staged evidence,
+    a live copy of the decision may be the only one another
+    participant's recovery can find. Replaces any record held for
+    [gid]. *)
+
+val retire_resolution : t -> gid:string -> unit
+(** Stop carrying [gid]'s resolution: every participant's own copy is
+    durable. *)
 
 val note_logged_ranges :
   t -> log_off:int -> seqno:int -> Rvm_log.Record.range list -> unit

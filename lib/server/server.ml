@@ -35,7 +35,6 @@ type config = {
   max_queue : int;
   backpressure : float;
   log_size : int;
-  trace_capacity : int;
   spool_max_bytes : int option;
   log_spool_max_bytes : int option;
   background_truncation : bool;
@@ -57,7 +56,6 @@ let default_config =
     max_queue = Admission.default.Admission.max_queue;
     backpressure = Admission.default.Admission.backpressure;
     log_size = 4 * 1024 * 1024;
-    trace_capacity = 0;
     spool_max_bytes = None;
     log_spool_max_bytes = None;
     background_truncation = true;
@@ -176,7 +174,7 @@ let build_world cfg =
     invalid_arg "Server: more shards than accounts";
   let clock = Clock.simulated () in
   let model = Cost_model.dec5000 in
-  let obs = Registry.create ~trace_capacity:cfg.trace_capacity () in
+  let obs = Registry.create () in
   let options = options_of cfg in
   (* World construction — formatting the logs, cold recovery scans,
      mapping the segments in — is setup, not served load: suspend the
@@ -287,13 +285,8 @@ let scheduler_of cfg w =
 
 let default_window_us = 500_000.
 
-let monitor_of ?(window_us = default_window_us) ?rules w =
+let monitor_of ?(window_us = default_window_us) w =
   let eng = w.engine in
-  let rules =
-    match rules with
-    | Some r -> r
-    | None -> Monitor.default_rules ~shards:eng.Engine.shards ()
-  in
   let ts = Timeseries.create ~window_us w.obs in
   Timeseries.gauge ts "spool.pressure" eng.Engine.spool_pressure;
   Timeseries.gauge ts "log.occupancy" eng.Engine.log_occupancy;
@@ -303,7 +296,8 @@ let monitor_of ?(window_us = default_window_us) ?rules w =
       float_of_int (eng.Engine.durable_lsn ()));
   Timeseries.gauge ts "truncation.due" (fun () ->
       if eng.Engine.truncation_due () then 1. else 0.);
-  Monitor.create ~rules ts w.obs
+  Monitor.create ~rules:(Monitor.default_rules ~shards:eng.Engine.shards ()) ts
+    w.obs
 
 let log_totals w =
   Array.fold_left
@@ -394,10 +388,10 @@ let run cfg =
   release_world w;
   reduce cfg w served
 
-let run_monitored ?window_us ?rules ?(on_window = fun _ _ -> ()) cfg =
+let run_monitored ?window_us ?(on_window = fun _ _ -> ()) cfg =
   let w = build_world cfg in
   let sched = scheduler_of cfg w in
-  let mon = monitor_of ?window_us ?rules w in
+  let mon = monitor_of ?window_us w in
   let served = serve ~monitor:(mon, on_window mon) w sched in
   release_world w;
   (reduce cfg w served, mon)

@@ -36,7 +36,6 @@ type config = {
   max_queue : int;
   backpressure : float;  (** spool-pressure admission threshold *)
   log_size : int;
-  trace_capacity : int;  (** 0 = tracing off *)
   spool_max_bytes : int option;  (** engine spool watermark override *)
   log_spool_max_bytes : int option;  (** log tail watermark override *)
   background_truncation : bool;
@@ -101,11 +100,10 @@ val default_window_us : float
 
 val run_monitored :
   ?window_us:float ->
-  ?rules:Rvm_obs.Monitor.rule list ->
   ?on_window:(Rvm_obs.Monitor.t -> Rvm_obs.Timeseries.window -> unit) ->
   config ->
   result * Rvm_obs.Monitor.t
-(** [rules] defaults to {!Rvm_obs.Monitor.default_rules} (with the
+(** The monitor runs {!Rvm_obs.Monitor.default_rules} (with the
     shard-imbalance rule when [cfg.shards > 1]); [on_window] streams
     every closed window as the run progresses (the [serve --monitor]
     health line). *)
@@ -171,11 +169,9 @@ val scheduler :
 (** Splits [seed] into the request, arrival and backoff streams, then
     builds arrivals, admission and the scheduler over the world. *)
 
-val monitor_of :
-  ?window_us:float ->
-  ?rules:Rvm_obs.Monitor.rule list ->
-  world ->
-  Rvm_obs.Monitor.t
+val monitor_of : ?window_us:float -> world -> Rvm_obs.Monitor.t
+(** The world's monitor: {!Rvm_obs.Monitor.default_rules} over a
+    timeseries of the world's registry with the engine's gauges. *)
 
 val serve :
   ?monitor:Rvm_obs.Monitor.t * (Rvm_obs.Timeseries.window -> unit) ->

@@ -329,7 +329,7 @@ let publish_gauges w =
 
 (* Serve the mix over a built world and reduce it to a row. The spool
    hook records the committed ops in commit order for the serial check. *)
-let serve ?monitor cfg w =
+let serve_with ?monitor cfg w =
   let sw = server_world w in
   let scfg = serving cfg in
   let sched =
@@ -381,6 +381,8 @@ let serve ?monitor cfg w =
     serial_equal;
   }
 
+let serve cfg w = serve_with cfg w
+
 let run_with_world cfg =
   let w = build_world cfg in
   (serve cfg w, w)
@@ -395,7 +397,7 @@ let run cfg =
 let run_monitored ?window_us ?(on_window = fun _ _ -> ()) cfg =
   let w = build_world cfg in
   let mon = Server.monitor_of ?window_us (server_world w) in
-  let r = serve ~monitor:(mon, on_window mon) cfg w in
+  let r = serve_with ~monitor:(mon, on_window mon) cfg w in
   release_world w;
   (r, mon)
 

@@ -86,6 +86,12 @@ val build_world : config -> world
     clock; paging counters are reset so the run starts cold-measured but
     warm-resident. *)
 
+val serve : config -> world -> result
+(** Serve the mix over a built world through the scheduler and reduce it
+    to a row, serial-reference verdict included. {!run} is {!build_world}
+    then [serve]; a caller that needs the world first (to resize its span
+    ring for a trace, say) builds it itself. *)
+
 val run : config -> result
 
 val run_with_world : config -> result * world

@@ -1,9 +1,10 @@
 module Device = Rvm_disk.Device
 module Log_manager = Rvm_log.Log_manager
-module Record = Rvm_log.Record
 module Pcommit = Rvm_log.Pcommit
 module Rvm = Rvm_core.Rvm
 module Region = Rvm_core.Region
+module Segment = Rvm_core.Segment
+module Addr_space = Rvm_core.Addr_space
 module Options = Rvm_core.Options
 module Types = Rvm_core.Types
 module Statistics = Rvm_core.Statistics
@@ -24,16 +25,14 @@ type txn = {
   mutable order : int list;  (* shards in first-touch order, newest first *)
 }
 
-type mapping = { m_lo : int; m_hi : int; m_shard : int; m_region : Region.t }
-
 type t = {
   routing : Routing.t;
   shards : Rvm.t array;
   clock : Clock.t;
   obs : Registry.t;
-  page_size : int;
-  mutable mappings : mapping list;
-  mutable next_vaddr : int;
+  space : Addr_space.t;
+      (* every shard's regions: one address space, so no two shards can
+         map overlapping ranges (section 4.1) *)
   txns : (gtid, txn) Hashtbl.t;
   mutable next_gtid : int;
   incarnation : int;
@@ -194,12 +193,7 @@ let resolve_statuses ~obs logs =
           if not (List.mem s e.e_resolved_on) then begin
             ignore
               (Log_manager.append_record managers.(s)
-                 (Record.commit ~seqno:0 ~tid:0
-                    ~flags:Record.Flags.resolution
-                    [
-                      Pcommit.control_range
-                        (Pcommit.Resolution { gid; decision });
-                    ]));
+                 (Pcommit.record (Pcommit.Resolution { gid; decision })));
             Hashtbl.replace to_force s ()
           end)
         e.e_holders)
@@ -247,9 +241,7 @@ let initialize ?(options = Options.default) ?(clock = Clock.null)
     shards;
     clock;
     obs;
-    page_size = options.Options.page_size;
-    mappings = [];
-    next_vaddr = options.Options.page_size;
+    space = Addr_space.create ~page_size:options.Options.page_size;
     txns = Hashtbl.create 16;
     next_gtid = 1;
     incarnation;
@@ -279,66 +271,49 @@ let shard_of_seg t seg = Routing.shard_of t.routing ~seg
 
 let map t ?vaddr ~seg ~seg_off ~len () =
   check_live t;
-  let shard = shard_of_seg t seg in
   let vaddr =
     match vaddr with
     | Some v -> v
-    | None ->
-      let v = t.next_vaddr in
-      let pages = (len + t.page_size - 1) / t.page_size in
-      (* One guard page between regions, as Addr_space.suggest_vaddr does. *)
-      t.next_vaddr <- v + ((pages + 1) * t.page_size);
-      v
+    | None -> Addr_space.suggest_vaddr t.space ~len
   in
-  let region = Rvm.map t.shards.(shard) ~vaddr ~seg ~seg_off ~len () in
-  t.mappings <-
-    { m_lo = vaddr; m_hi = vaddr + len; m_shard = shard; m_region = region }
-    :: t.mappings;
-  if vaddr + len > t.next_vaddr then
-    t.next_vaddr <-
-      (vaddr + len + (2 * t.page_size) - 1) / t.page_size * t.page_size;
+  Addr_space.check_free t.space ~vaddr ~len;
+  let region =
+    Rvm.map t.shards.(shard_of_seg t seg) ~vaddr ~seg ~seg_off ~len ()
+  in
+  Addr_space.add t.space region;
   region
 
-let mapping_of_addr t ~addr ~len =
-  match
-    List.find_opt (fun m -> addr >= m.m_lo && addr + len <= m.m_hi) t.mappings
-  with
-  | Some m -> m
-  | None -> Types.error "shard: [%#x, %#x) is not mapped" addr (addr + len)
+(* The shard owning the region that holds [addr, addr+len). *)
+let shard_at t ~addr ~len =
+  let region = Addr_space.find t.space ~addr ~len in
+  shard_of_seg t (Segment.id region.Region.seg)
 
-let shard_of_addr t ~addr = (mapping_of_addr t ~addr ~len:1).m_shard
+let shard_of_addr t ~addr = shard_at t ~addr ~len:1
 
-let unmap t region =
+let unmap t (region : Region.t) =
   check_live t;
-  let shard =
-    match
-      List.find_opt (fun m -> m.m_region == region) t.mappings
-    with
-    | Some m -> m.m_shard
-    | None -> Types.error "shard: unmap of unknown region"
-  in
-  Rvm.unmap t.shards.(shard) region;
-  t.mappings <- List.filter (fun m -> m.m_region != region) t.mappings
+  (match Addr_space.find_opt t.space ~addr:region.Region.vaddr with
+  | Some r when r == region -> ()
+  | _ -> Types.error "shard: unmap of unknown region");
+  Rvm.unmap t.shards.(shard_of_seg t (Segment.id region.Region.seg)) region;
+  Addr_space.remove t.space region
 
 let load t ~addr ~len =
-  let m = mapping_of_addr t ~addr ~len in
-  Clock.on_lane t.clock t.lanes.(m.m_shard) (fun () ->
-      Rvm.load t.shards.(m.m_shard) ~addr ~len)
+  let s = shard_at t ~addr ~len in
+  Clock.on_lane t.clock t.lanes.(s) (fun () -> Rvm.load t.shards.(s) ~addr ~len)
 
 let store t ~addr bytes =
-  let m = mapping_of_addr t ~addr ~len:(Bytes.length bytes) in
-  Clock.on_lane t.clock t.lanes.(m.m_shard) (fun () ->
-      Rvm.store t.shards.(m.m_shard) ~addr bytes)
+  let s = shard_at t ~addr ~len:(Bytes.length bytes) in
+  Clock.on_lane t.clock t.lanes.(s) (fun () ->
+      Rvm.store t.shards.(s) ~addr bytes)
 
 let get_i64 t ~addr =
-  let m = mapping_of_addr t ~addr ~len:8 in
-  Clock.on_lane t.clock t.lanes.(m.m_shard) (fun () ->
-      Rvm.get_i64 t.shards.(m.m_shard) ~addr)
+  let s = shard_at t ~addr ~len:8 in
+  Clock.on_lane t.clock t.lanes.(s) (fun () -> Rvm.get_i64 t.shards.(s) ~addr)
 
 let set_i64 t ~addr v =
-  let m = mapping_of_addr t ~addr ~len:8 in
-  Clock.on_lane t.clock t.lanes.(m.m_shard) (fun () ->
-      Rvm.set_i64 t.shards.(m.m_shard) ~addr v)
+  let s = shard_at t ~addr ~len:8 in
+  Clock.on_lane t.clock t.lanes.(s) (fun () -> Rvm.set_i64 t.shards.(s) ~addr v)
 
 (* --- transactions --- *)
 
@@ -367,10 +342,9 @@ let local_tid t txn shard =
 let set_range t gtid ~addr ~len =
   check_live t;
   let txn = find_txn t gtid in
-  let m = mapping_of_addr t ~addr ~len in
-  Clock.on_lane t.clock t.lanes.(m.m_shard) (fun () ->
-      let tid = local_tid t txn m.m_shard in
-      Rvm.set_range t.shards.(m.m_shard) tid ~addr ~len)
+  let s = shard_at t ~addr ~len in
+  Clock.on_lane t.clock t.lanes.(s) (fun () ->
+      Rvm.set_range t.shards.(s) (local_tid t txn s) ~addr ~len)
 
 let modify t gtid ~addr bytes =
   set_range t gtid ~addr ~len:(Bytes.length bytes);

@@ -64,9 +64,12 @@ val shard_of_addr : t -> addr:int -> int
 
 val map :
   t -> ?vaddr:int -> seg:int -> seg_off:int -> len:int -> unit -> Rvm_core.Region.t
-(** Map through the segment's shard. When [vaddr] is omitted the instance
-    allocates from a global, cross-shard address allocator (per-shard
-    allocators could collide). *)
+(** Map through the segment's shard. Every shard's regions live in one
+    address space ({!Rvm_core.Addr_space}): a range overlapping any
+    shard's mapping raises {!Rvm_core.Types.Rvm_error} before a shard maps
+    it, and an omitted [vaddr] is a free address in that space. Loads,
+    stores and [set_range] find the region there and route to its
+    segment's shard. *)
 
 val unmap : t -> Rvm_core.Region.t -> unit
 

@@ -374,6 +374,78 @@ let test_log_free_space_accounting () =
   Log_manager.reset_empty l;
   check_int "reset restores space" cap (Log_manager.free_bytes l)
 
+(* --- Parallel-commit control records --- *)
+
+let decoded r =
+  match Record.decode (Record.encode r) ~pos:0 with
+  | Some (r', _) -> r'
+  | None -> Alcotest.fail "control record does not decode"
+
+(* Every control [Pcommit.record] builds survives the wire and classifies
+   back as itself; an intent keeps its data ranges after the control. *)
+let test_pcommit_roundtrip () =
+  let data = [ range 3 64 "branch"; range 4 0 "data" ] in
+  let controls =
+    Pcommit.
+      [
+        Intent { gid = "p1.7"; shard = 2 };
+        Stage { gid = "p1.7"; participants = [ 0; 2; 5 ] };
+        Resolution { gid = "p1.7"; decision = Committed };
+        Resolution { gid = "p1.8"; decision = Aborted };
+      ]
+  in
+  List.iter
+    (fun c ->
+      let ranges = match c with Pcommit.Intent _ -> data | _ -> [] in
+      let r =
+        decoded
+          (Pcommit.record ~tid:9 ~flags:Record.Flags.no_restore ~ranges c)
+      in
+      check_bool "classifies as itself" true (Pcommit.classify r = `Control c);
+      check_bool "caller's flags kept" true
+        Record.Flags.(has r.Record.flags no_restore);
+      check_int "tid" 9 r.Record.tid;
+      match r.Record.ranges with
+      | control :: rest ->
+        check_bool "control range first" true (Pcommit.is_control control);
+        let fields = List.map (fun g -> Record.(g.seg, g.off, g.data)) in
+        check_bool "data ranges follow" true (fields rest = fields ranges)
+      | [] -> Alcotest.fail "no control range")
+    controls;
+  check_bool "plain record" true
+    (Pcommit.classify (decoded (mk_commit [ range 1 0 "x" ])) = `Plain)
+
+(* A parallel-commit flag with missing, corrupt or contradicting evidence
+   is malformed, never a control. *)
+let test_pcommit_malformed () =
+  let malformed what r =
+    check_bool what true (Pcommit.classify (decoded r) = `Malformed)
+  in
+  let intent =
+    Pcommit.record ~ranges:[ range 1 0 "data" ]
+      (Pcommit.Intent { gid = "g"; shard = 0 })
+  in
+  malformed "intent payload under the stage flag"
+    { intent with Record.flags = Record.Flags.stage };
+  malformed "stage payload under the resolution flag"
+    {
+      (Pcommit.record (Pcommit.Stage { gid = "g"; participants = [ 0 ] })) with
+      Record.flags = Record.Flags.resolution;
+    };
+  malformed "no control range"
+    (mk_commit ~flags:Record.Flags.intent [ range 1 0 "data" ]);
+  malformed "corrupt payload"
+    {
+      intent with
+      Record.ranges =
+        List.map
+          (fun g ->
+            if Pcommit.is_control g then
+              { g with Record.data = Bytes.of_string "junk" }
+            else g)
+          intent.Record.ranges;
+    }
+
 let suite =
   [
     ("record.roundtrip", `Quick, test_record_roundtrip);
@@ -397,4 +469,6 @@ let suite =
     ("log.spool.watermark", `Quick, test_log_spool_watermark);
     ("log.spool.image-identical", `Quick, test_log_spool_image_identical);
     ("log.free-space", `Quick, test_log_free_space_accounting);
+    ("pcommit.roundtrip", `Quick, test_pcommit_roundtrip);
+    ("pcommit.malformed", `Quick, test_pcommit_malformed);
   ]

@@ -151,15 +151,12 @@ let test_durable_stall_rule () =
 
 (* --- end to end: healthy baseline vs seeded overload --- *)
 
-let healthy_cfg = { S.default_config with S.trace_capacity = 64 }
+(* The flight recorder's spans come from the engine's default span ring
+   (512). *)
+let healthy_cfg = S.default_config
 
 let overload_cfg =
-  {
-    S.default_config with
-    S.requests = 800;
-    load = S.Open_loop 400.;
-    trace_capacity = 64;
-  }
+  { S.default_config with S.requests = 800; load = S.Open_loop 400. }
 
 let test_healthy_run_zero_incidents () =
   let _result, mon = S.run_monitored healthy_cfg in

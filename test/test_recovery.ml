@@ -351,6 +351,43 @@ let test_recovery_spans_sum () =
   Alcotest.(check (list string)) "apply syncs the segment" [ "segment.sync" ]
     (names (children (Some apply.Registry.id)))
 
+(* The planner applies no data range of a malformed parallel-commit
+   record, even where a well-formed intent would commit. *)
+let test_plan_skips_malformed_intent () =
+  let module Record = Rvm_log.Record in
+  let module Pcommit = Rvm_log.Pcommit in
+  let dev = Mem_device.create ~size:(64 * 1024) () in
+  Log_manager.format dev;
+  let lm = Result.get_ok (Log_manager.open_log dev) in
+  let intent off =
+    Pcommit.record
+      ~ranges:[ { Record.seg = 1; off; data = Bytes.of_string "branch" } ]
+      (Pcommit.Intent { gid = "g"; shard = 0 })
+  in
+  let bad = intent 100 in
+  List.iter
+    (fun r -> ignore (Log_manager.append_record lm r))
+    [
+      intent 0;
+      { bad with Record.flags = Record.Flags.stage };
+      {
+        bad with
+        Record.ranges =
+          List.map
+            (fun (g : Record.range) ->
+              if Pcommit.is_control g then
+                { g with Record.data = Bytes.of_string "junk" }
+              else g)
+            bad.Record.ranges;
+      };
+      { bad with Record.ranges = List.tl bad.Record.ranges };
+    ];
+  Log_manager.force lm;
+  let plan = Recovery.plan_live ~intent_decision:(fun _ -> `Commit) lm in
+  Alcotest.(check (list (pair int int)))
+    "only the well-formed intent's range" [ (1, 0) ]
+    (List.map (fun (seg, off, _) -> (seg, off)) plan.Recovery.plan_writes)
+
 let suite =
   [
     ("recover.committed", `Quick, test_committed_survives_crash);
@@ -365,4 +402,5 @@ let suite =
     ("recover.empty-open-one-chunk", `Quick, test_empty_open_reads_one_chunk);
     ("recover.torn-record-bounded", `Quick, test_torn_final_record_bounded);
     ("recover.spans-sum", `Quick, test_recovery_spans_sum);
+    ("plan.malformed-intent", `Quick, test_plan_skips_malformed_intent);
   ]

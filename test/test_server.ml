@@ -463,10 +463,10 @@ let test_background_truncation_run () =
 (* --- end-to-end: req.root parents txn.commit in the trace --- *)
 
 let test_trace_parenting () =
-  let cfg =
-    { quick_cfg with S.requests = 40; S.trace_capacity = 65536 }
-  in
-  let w, tally = S.run_with_world cfg in
+  let cfg = { quick_cfg with S.requests = 40 } in
+  let w = S.build_world cfg in
+  Registry.set_trace_capacity w.S.obs 65536;
+  let tally = Scheduler.run (S.scheduler_of cfg w) in
   check_int "all committed" 40 tally.Scheduler.committed;
   let events = Registry.events w.S.obs in
   let by_id = Hashtbl.create 256 in

@@ -117,6 +117,24 @@ let test_single_shard_abort () =
   check_str "restored" "\000\000\000\000" (read m ~addr:v.(0) ~len:4);
   check_int "not a cross abort" 0 (Multi.cross_aborted m)
 
+(* All shards map into one address space (section 4.1): a range already
+   mapped on one shard is rejected on another, and routing is unchanged. *)
+let test_map_rejects_cross_shard_overlap () =
+  let m, v, _ = make_world ~shards:2 () in
+  (* v.(1) is segment 2's region, on shard 0; segment 3 routes to shard 1. *)
+  check_int "segment 2 on shard 0" 0 (Multi.shard_of_addr m ~addr:v.(1));
+  let g = Multi.begin_transaction m ~mode:Types.Restore in
+  Multi.modify m g ~addr:v.(1) (Bytes.of_string "shard-0");
+  Multi.end_transaction m g ~mode:Types.Flush;
+  (match Multi.map m ~vaddr:v.(1) ~seg:3 ~seg_off:0 ~len:(2 * ps) () with
+  | exception Types.Rvm_error _ -> ()
+  | _ -> Alcotest.fail "overlapping map on another shard accepted");
+  check_int "shard 1 mapped nothing" 1
+    (List.length (Rvm.regions (Multi.shard m 1)));
+  check_int "still routed to shard 0" 0 (Multi.shard_of_addr m ~addr:v.(1));
+  check_str "loads still reach shard 0" "shard-0" (read m ~addr:v.(1) ~len:7);
+  Multi.terminate m
+
 (* --- cross-shard commit --- *)
 
 let test_cross_shard_commit () =
@@ -853,6 +871,8 @@ let suite =
     Alcotest.test_case "single-shard commit" `Quick test_single_shard_commit;
     Alcotest.test_case "single-shard durable" `Quick test_single_shard_durable;
     Alcotest.test_case "single-shard abort" `Quick test_single_shard_abort;
+    Alcotest.test_case "map rejects a cross-shard overlap" `Quick
+      test_map_rejects_cross_shard_overlap;
     Alcotest.test_case "cross-shard commit" `Quick test_cross_shard_commit;
     Alcotest.test_case "cross-shard durable before resolutions" `Quick
       test_cross_shard_durable_without_resolutions;

@@ -94,33 +94,34 @@ let test_gauges () =
   | Some v -> check_float "gauge resampled per window" 0.75 v
   | None -> Alcotest.fail "expected gauge in window"
 
+(* The ring retains the last 512 closed windows. *)
 let test_ring_bound () =
   let reg = Registry.create () in
-  let ts = Timeseries.create ~capacity:4 ~window_us:100. reg in
+  let ts = Timeseries.create ~window_us:100. reg in
   ignore (Timeseries.tick ts ~now_us:0.);
-  for i = 1 to 10 do
+  for i = 1 to 520 do
     ignore (Timeseries.tick ts ~now_us:(float_of_int i *. 100.))
   done;
-  check_int "all windows counted" 10 (Timeseries.completed ts);
+  check_int "all windows counted" 520 (Timeseries.completed ts);
   let retained = Timeseries.windows ts in
-  check_int "ring bounded" 4 (List.length retained);
-  check_int "oldest retained is window 6" 6
+  check_int "ring bounded" 512 (List.length retained);
+  check_int "oldest retained is window 8" 8
     (List.hd retained).Timeseries.index;
   match Timeseries.last ts with
-  | Some w -> check_int "last is window 9" 9 w.Timeseries.index
+  | Some w -> check_int "last is window 519" 519 w.Timeseries.index
   | None -> Alcotest.fail "expected a last window"
 
 let test_clock_jump_skips () =
   let reg = Registry.create () in
-  let ts = Timeseries.create ~capacity:8 ~window_us:100. reg in
+  let ts = Timeseries.create ~window_us:100. reg in
   ignore (Timeseries.tick ts ~now_us:0.);
-  (* jump 1000 windows ahead: the leading empties are skipped, not
-     materialized one by one *)
+  (* jump 1000 windows ahead, past the 512-window ring: the leading
+     empties are skipped, not materialized one by one *)
   let closed = Timeseries.tick ts ~now_us:100_000. in
   check_bool "at most a ring of windows materialized" true
-    (List.length closed <= 8);
+    (List.length closed <= 512);
   check_bool "ring still bounded" true
-    (List.length (Timeseries.windows ts) <= 8);
+    (List.length (Timeseries.windows ts) <= 512);
   match Timeseries.last ts with
   | Some w -> check_int "window indices caught up" 999 w.Timeseries.index
   | None -> Alcotest.fail "expected a last window"
