@@ -156,7 +156,8 @@ let micro () =
              let key = lock_keys.((owner * 7 + (j * 367)) mod 1100) in
              ignore (L.try_acquire lm ~owner ~key L.Exclusive)
            done;
-           L.release_all ~stamp:(owner, owner) lm ~owner))
+           L.stamp_held lm ~owner (owner, owner);
+           L.release_all lm ~owner))
   in
   let module Tr = Rvm_obs.Trace in
   let tr = Tr.create ~capacity:512 () in

@@ -792,8 +792,8 @@ let check_cmd =
       & info [ "elr" ]
           ~doc:
             "Explore the early-lock-release commit pipeline instead: a real \
-             server run (ELR scheduler, lock manager, version-cache \
-             lookups) over recorder-wrapped devices, re-crashed at every \
+             server run (ELR scheduler, lock manager, snapshot lookups) \
+             over recorder-wrapped devices, re-crashed at every \
              write/sync boundary and torn variant, checking that no write \
              ack or lookup ack ever preceded the durability of the state \
              it vouches for, that survivors form per-shard spool-order \

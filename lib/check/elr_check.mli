@@ -46,7 +46,8 @@ type config = {
   accounts : int;
   requests : int;  (** must be [<= accounts] (audit-wrap guard) *)
   seed : int64;
-  batch_max : int;  (** > 1, or ELR never engages *)
+  batch_max : int;
+      (** > 1 for ELR to engage; 1 explores the unbatched commit path *)
   zipf_s : float;
   read_pct : int;
   transfer_pct : int;

@@ -7,7 +7,7 @@ type t = {
          these, never the whole lock table *)
   waits : (int, int list) Hashtbl.t;  (* owner -> owners it waits for *)
   stamps : (string, int * int) Hashtbl.t;
-      (* key -> (commit LSN, writer) of the last early-released holder.
+      (* key -> (commit LSN, writer) of the key's last committed holder.
          The early-lock-release dependency rule: the next owner to touch
          the key inherits the stamp as an ack dependency — it must not
          acknowledge before the stamped commit is durable. *)
@@ -87,14 +87,16 @@ let wait_for t ~owner ~key mode =
       `Wait blockers
     end
 
-let release_all ?stamp t ~owner =
+(* LSNs are assigned in commit order, so a plain replace keeps each key's
+   stamp monotone. *)
+let stamp_held t ~owner s =
+  List.iter (fun key -> Hashtbl.replace t.stamps key s) (keys_of t owner)
+
+let release_all t ~owner =
   let keys = keys_of t owner in
   Hashtbl.remove t.held owner;
   List.iter
     (fun key ->
-      (* LSNs are assigned in commit order, so a plain replace keeps each
-         key's stamp monotone. *)
-      Option.iter (fun s -> Hashtbl.replace t.stamps key s) stamp;
       let c = Hashtbl.find t.locks key in
       c := List.filter (fun (o, _) -> o <> owner) !c)
     keys;

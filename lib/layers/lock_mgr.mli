@@ -29,20 +29,24 @@ val wait_for :
     transaction), [`Wait blockers] otherwise (the caller retries after the
     blockers release — no real blocking, the engine is single-threaded). *)
 
-val release_all : ?stamp:int * int -> t -> owner:int -> unit
+val release_all : t -> owner:int -> unit
 (** Drop every lock and wait edge of [owner] — both directions: edges the
     owner recorded and edges other waiters hold toward it — the phase-two
-    release at commit or abort. With [~stamp:(lsn, writer)] this is the
-    {e early} release at commit-record-spool time: every key the owner
-    held is stamped with its commit LSN, and later owners of those keys
-    inherit the stamp ({!stamp}) as an acknowledgement dependency — they
-    must not ack before LSN [lsn] is durable. Costs O(keys [owner]
-    holds + owners currently waiting), however many keys the table has
-    ever seen. *)
+    release at commit or abort. Costs O(keys [owner] holds + owners
+    currently waiting), however many keys the table has ever seen. *)
+
+val stamp_held : t -> owner:int -> int * int -> unit
+(** [stamp_held t ~owner (lsn, writer)] stamps every key [owner] holds
+    with its commit: called when the commit record reaches the spool,
+    before the locks drop (then under early release, or at the force).
+    Later owners of those keys inherit the stamp ({!stamp}) as an
+    acknowledgement dependency — they must not ack before LSN [lsn] is
+    durable — and lock-free readers resolve keys through it. Costs
+    O(keys [owner] holds). *)
 
 val stamp : t -> key:string -> (int * int) option
-(** The [(commit_lsn, writer)] stamp of the last early-released holder of
-    [key], if any holder was ever released with [~stamp]. *)
+(** The [(commit_lsn, writer)] stamp of the last committed holder of
+    [key], if any holder was ever stamped with {!stamp_held}. *)
 
 val wait_edges : t -> (int * int list) list
 (** The wait-for graph as sorted [(waiter, blockers)] pairs — for

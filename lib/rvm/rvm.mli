@@ -266,8 +266,8 @@ val region_of_addr : t -> addr:int -> Region.t option
 (** {1 Introspection} *)
 
 val stats : t -> Statistics.t
-(** A materialized snapshot of the engine counters (the registry is the
-    source of truth; mutating the returned record affects nothing). *)
+(** A read-only snapshot of the engine counters, taken now (the registry
+    is the source of truth). *)
 
 val reset_stats : t -> unit
 (** Zero every engine counter (measurement-window bookkeeping). *)

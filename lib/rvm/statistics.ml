@@ -1,53 +1,19 @@
 type t = {
-  mutable txns_committed : int;
-  mutable txns_aborted : int;
-  mutable set_ranges : int;
-  mutable bytes_logged : int;
-  mutable bytes_spooled : int;
-  mutable intra_saved : int;
-  mutable inter_saved : int;
-  mutable forces : int;
-  mutable flushes : int;
-  mutable epoch_truncations : int;
-  mutable incremental_steps : int;
-  mutable incremental_blocked : int;
-  mutable recoveries : int;
-  mutable records_dropped : int;
+  txns_committed : int;
+  txns_aborted : int;
+  set_ranges : int;
+  bytes_logged : int;
+  bytes_spooled : int;
+  intra_saved : int;
+  inter_saved : int;
+  forces : int;
+  flushes : int;
+  epoch_truncations : int;
+  incremental_steps : int;
+  incremental_blocked : int;
+  recoveries : int;
+  records_dropped : int;
 }
-
-let create () =
-  {
-    txns_committed = 0;
-    txns_aborted = 0;
-    set_ranges = 0;
-    bytes_logged = 0;
-    bytes_spooled = 0;
-    intra_saved = 0;
-    inter_saved = 0;
-    forces = 0;
-    flushes = 0;
-    epoch_truncations = 0;
-    incremental_steps = 0;
-    incremental_blocked = 0;
-    recoveries = 0;
-    records_dropped = 0;
-  }
-
-let reset t =
-  t.txns_committed <- 0;
-  t.txns_aborted <- 0;
-  t.set_ranges <- 0;
-  t.bytes_logged <- 0;
-  t.bytes_spooled <- 0;
-  t.intra_saved <- 0;
-  t.inter_saved <- 0;
-  t.forces <- 0;
-  t.flushes <- 0;
-  t.epoch_truncations <- 0;
-  t.incremental_steps <- 0;
-  t.incremental_blocked <- 0;
-  t.recoveries <- 0;
-  t.records_dropped <- 0
 
 let original_bytes t = t.bytes_logged + t.intra_saved + t.inter_saved
 

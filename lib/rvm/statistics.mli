@@ -3,28 +3,25 @@
     by each technique" (section 7.3). *)
 
 type t = {
-  mutable txns_committed : int;
-  mutable txns_aborted : int;
-  mutable set_ranges : int;
-  mutable bytes_logged : int;  (** record bytes actually appended *)
-  mutable bytes_spooled : int;
-  mutable intra_saved : int;
-      (** record bytes eliminated by set-range coalescing *)
-  mutable inter_saved : int;
+  txns_committed : int;
+  txns_aborted : int;
+  set_ranges : int;
+  bytes_logged : int;  (** record bytes actually appended *)
+  bytes_spooled : int;
+  intra_saved : int;  (** record bytes eliminated by set-range coalescing *)
+  inter_saved : int;
       (** record bytes eliminated by dropping subsumed spooled records *)
-  mutable forces : int;
-  mutable flushes : int;
-  mutable epoch_truncations : int;
-  mutable incremental_steps : int;
-  mutable incremental_blocked : int;
+  forces : int;
+  flushes : int;
+  epoch_truncations : int;
+  incremental_steps : int;
+  incremental_blocked : int;
       (** times an incremental step found its queue head referenced by an
           uncommitted or unflushed transaction *)
-  mutable recoveries : int;
-  mutable records_dropped : int;  (** spool entries killed by inter-opt *)
+  recoveries : int;
+  records_dropped : int;  (** spool entries killed by inter-opt *)
 }
-
-val create : unit -> t
-val reset : t -> unit
+(** A read-only snapshot of the counters ({!Live.snapshot}). *)
 
 val original_bytes : t -> int
 (** What would have been logged with no optimizations:

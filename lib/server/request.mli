@@ -9,11 +9,12 @@
     serializable schedule produces the balances of the serial reference
     ({!apply_model}). A {e lookup} is the read-only class (balance lookup
     on the skew-drawn account plus its teller's branch): it writes
-    nothing, takes no locks on the multi-version fast path, and is a
-    no-op in the serial reference. A {e ycsb} request carries one
-    {!Rvm_workload.Ycsb.op} against the recoverable ordered map — the
-    second workload family; its steps come from the scheduler's workload
-    plug-in and it never touches the TPC-A arrays. *)
+    nothing, takes no locks (TPC-A compiles it into one lock-free
+    [Read] of the commit stamps), and is a no-op in the serial
+    reference. A {e ycsb} request carries one {!Rvm_workload.Ycsb.op}
+    against the recoverable ordered map — the second workload family;
+    its steps come from the YCSB layer's step function and it never
+    touches the TPC-A arrays. *)
 
 type kind = Payment | Transfer | Lookup | Ycsb of Rvm_workload.Ycsb.op
 
@@ -74,9 +75,9 @@ type t = {
       (** logical commit LSN assigned when this request's commit record
           spooled; 0 until then *)
   mutable dep_lsn : int;
-      (** ack dependency: the highest commit LSN of early-released state
-          this request observed (through a lock it inherited or a version
-          it read) — the ack must wait until the engine's durable horizon
+      (** ack dependency: the highest commit LSN this request observed
+          through a key's commit stamp (a lock it acquired or a key it
+          read) — the ack must wait until the engine's durable horizon
           covers it *)
   mutable dep_writers : int list;
       (** request ids behind [dep_lsn] — the writers whose durability this

@@ -2,7 +2,6 @@ module Types = Rvm_core.Types
 module Clock = Rvm_util.Clock
 module Rng = Rvm_util.Rng
 module Lock_mgr = Rvm_layers.Lock_mgr
-module Tpca = Rvm_workload.Tpca
 module Registry = Rvm_obs.Registry
 module Trace = Rvm_obs.Trace
 module Counter = Rvm_obs.Counter
@@ -17,7 +16,7 @@ let default_config =
 
 let backoff_base_us = 1_000.  (* first-retry backoff before jitter *)
 let backoff_cap = 6  (* max doublings of the backoff base *)
-let cpu_per_op_us = 25.  (* CPU charge per lock/update step *)
+let cpu_per_op_us = 25.  (* CPU charge per step *)
 let max_iterations = 20_000_000  (* hang guard for property tests *)
 
 (* The background slot's pacing (see [background_truncation]): truncator
@@ -29,79 +28,14 @@ let truncation_steps_per_quantum = 1
 let truncation_spool_trigger = 0.5
 let truncation_min_gap_us = 200_000.
 
-(* The executable form of a request: lock acquisitions interleaved with
-   the recoverable-memory updates they cover, consumed front to back. *)
-type update =
-  | Upd_account of int * int64
-  | Upd_teller of int * int64
-  | Upd_branch of int * int64
-  | Upd_audit
-
-type step = Lock of Lock_mgr.mode * string | Update of update | Run of (Request.t -> int -> unit)
-
-let acct_key i = "a:" ^ string_of_int i
-let teller_key i = "t:" ^ string_of_int i
-let branch_key i = "b:" ^ string_of_int i
-
-(* Lock identities come from the placement: on a sharded world teller 3 of
-   shard 0 and teller 3 of shard 1 are distinct records and must not
-   serialize against each other. *)
-let tpca_steps_of pl (s : Request.spec) =
-  match s.kind with
-  | Request.Payment ->
-    (* TPC-A reads the teller and branch rows (the balance fetch precedes
-       the update) before writing them: those read steps take Shared mode
-       and upgrade to Exclusive only at the write — two payments on one
-       hot teller overlap their read phases instead of serializing from
-       the first touch. The upgrade is where the two-shared-holders
-       deadlock lives; the lock manager hands the second upgrader
-       [`Deadlock] and the retry path resolves it. *)
-    let branch = s.teller mod Tpca.branches in
-    let anchor = s.account in
-    let tk = teller_key (Placement.teller_id pl ~anchor s.teller) in
-    let bk = branch_key (Placement.branch_id pl ~anchor branch) in
-    [
-      Lock (Lock_mgr.Exclusive, acct_key s.account);
-      Update (Upd_account (s.account, s.delta));
-      Lock (Lock_mgr.Shared, tk);
-      Lock (Lock_mgr.Shared, bk);
-      Lock (Lock_mgr.Exclusive, tk);
-      Update (Upd_teller (s.teller, s.delta));
-      Lock (Lock_mgr.Exclusive, bk);
-      Update (Upd_branch (branch, s.delta));
-      Update Upd_audit;
-    ]
-  | Request.Transfer ->
-    [
-      Lock (Lock_mgr.Exclusive, acct_key s.account);
-      Update (Upd_account (s.account, s.delta));
-      Lock (Lock_mgr.Exclusive, acct_key s.account2);
-      Update (Upd_account (s.account2, Int64.neg s.delta));
-      Update Upd_audit;
-    ]
-  | Request.Lookup -> []  (* read-only fast path: never enters the step loop *)
-  | Request.Ycsb _ -> []  (* routed to the workload plug, not here *)
-
-(* The balance cells a request writes, as (lock key, address) pairs — the
-   entries the version cache publishes at commit-spool time. *)
-let written_cells pl (s : Request.spec) =
-  match s.kind with
-  | Request.Payment ->
-    let branch = s.teller mod Tpca.branches in
-    let anchor = s.account in
-    [
-      (acct_key s.account, Placement.account_addr pl s.account);
-      ( teller_key (Placement.teller_id pl ~anchor s.teller),
-        Placement.teller_addr pl ~anchor s.teller );
-      ( branch_key (Placement.branch_id pl ~anchor branch),
-        Placement.branch_addr pl ~anchor branch );
-    ]
-  | Request.Transfer ->
-    [
-      (acct_key s.account, Placement.account_addr pl s.account);
-      (acct_key s.account2, Placement.account_addr pl s.account2);
-    ]
-  | Request.Lookup | Request.Ycsb _ -> []
+(* The executable form of a request, compiled by its workload and consumed
+   front to back: lock acquisitions, work run under the locks taken so
+   far, and lock-free reads that resolve keys through their commit
+   stamps. *)
+type step =
+  | Lock of Lock_mgr.mode * string
+  | Run of (Request.t -> int -> unit)
+  | Read of string list
 
 type tally = {
   committed : int;
@@ -111,7 +45,7 @@ type tally = {
   batches : int;
   backpressure_deferrals : int;
   latencies_us : float array;  (** one per committed request, commit order *)
-  read_latencies_us : float array;  (** one per completed lookup, ack order *)
+  read_latencies_us : float array;  (** one per answered read, ack order *)
   end_us : float;
   iterations : int;
 }
@@ -139,21 +73,16 @@ type t = {
   clock : Clock.t;
   obs : Registry.t;
   lm : Lock_mgr.t;
-  pl : Placement.t;
-  plug : Request.spec -> step list;
-      (* step source for non-TPC-A request kinds (the YCSB workload):
-         locks at the granularity the workload chooses, interleaved with
-         [Run] closures that execute against its own recoverable state *)
+  steps_of : Request.spec -> step list;  (* the workload's compiler *)
   adm : Request.t Admission.t;
   arr : Arrivals.t;
   gen : Request.gen;
   rng : Rng.t;  (* backoff jitter stream *)
-  vc : Version_cache.t;
   runnable : Request.t Queue.t;
   mutable parked : Request.t list;
   mutable retries : (float * Request.t) list;  (* sorted by (due, id) *)
   mutable pending_reads : Request.t list;
-      (* lookups whose snapshot observed a spooled-but-unforced commit:
+      (* read-only requests that observed a spooled-but-unforced commit:
          the ack-dependency rule holds their completion until the
          engine's durable horizon covers [dep_lsn] (newest first) *)
   batch : Request.t Batcher.t;
@@ -202,8 +131,8 @@ type t = {
   h_trunc_steps : Histogram.t;
 }
 
-let create ?(plug = fun _ -> []) ~cfg ~engine ~clock ~obs ~lock_mgr ~placement
-    ~admission ~arrivals ~gen ~rng () =
+let create ~cfg ~steps ~engine ~clock ~obs ~lock_mgr ~admission ~arrivals ~gen
+    ~rng =
   if cfg.batch_max <= 0 then invalid_arg "Scheduler: batch_max";
   {
     cfg;
@@ -211,13 +140,11 @@ let create ?(plug = fun _ -> []) ~cfg ~engine ~clock ~obs ~lock_mgr ~placement
     clock;
     obs;
     lm = lock_mgr;
-    pl = placement;
-    plug;
+    steps_of = steps;
     adm = admission;
     arr = arrivals;
     gen;
     rng;
-    vc = Version_cache.create ();
     runnable = Queue.create ();
     parked = [];
     retries = [];
@@ -253,11 +180,6 @@ let create ?(plug = fun _ -> []) ~cfg ~engine ~clock ~obs ~lock_mgr ~placement
     h_trunc_steps = Registry.histogram obs "truncation.steps.per.quantum";
   }
 
-let steps_of t (s : Request.spec) =
-  match s.Request.kind with
-  | Request.Ycsb _ -> t.plug s
-  | _ -> tpca_steps_of t.pl s
-
 let set_hooks t ~on_spool ~on_ack =
   t.on_spool <- on_spool;
   t.on_ack <- on_ack
@@ -266,68 +188,6 @@ let set_on_quantum t f = t.on_quantum <- f
 
 let now t = Clock.now_us t.clock
 let charge t = Clock.charge_cpu t.clock cpu_per_op_us
-
-(* --- recoverable-memory updates (addresses per Placement) --- *)
-
-let read_i64 t ~addr = Bytes.get_int64_le (t.eng.Engine.load ~addr ~len:8) 0
-
-let write_i64 t ~addr v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  t.eng.Engine.store ~addr b
-
-(* Teller, branch and audit structures are placed on the shard of the
-   request's primary account (its "anchor"), so Payments stay single-shard
-   and only a Transfer whose accounts route to different shards crosses.
-
-   Each balance write first primes the version cache with the cell's
-   pre-image: under 2PL the writer holds the exclusive lock, so the value
-   read here is the last committed one — a lock-free reader arriving
-   mid-transaction finds that committed version, never the in-place
-   uncommitted bytes. *)
-let do_update t (r : Request.t) tid u =
-  let anchor = r.Request.spec.Request.account in
-  match u with
-  | Upd_account (i, d) ->
-    let addr = Placement.account_addr t.pl i in
-    t.eng.Engine.set_range tid ~addr ~len:Tpca.account_size;
-    let v = read_i64 t ~addr in
-    Version_cache.prime t.vc ~key:(acct_key i) ~value:v;
-    write_i64 t ~addr (Int64.add v d);
-    write_i64 t ~addr:(addr + 8) (Int64.of_int r.Request.spec.Request.id)
-  | Upd_teller (i, d) ->
-    let addr = Placement.teller_addr t.pl ~anchor i in
-    t.eng.Engine.set_range tid ~addr ~len:Tpca.balance_size;
-    let v = read_i64 t ~addr in
-    Version_cache.prime t.vc
-      ~key:(teller_key (Placement.teller_id t.pl ~anchor i))
-      ~value:v;
-    write_i64 t ~addr (Int64.add v d)
-  | Upd_branch (i, d) ->
-    let addr = Placement.branch_addr t.pl ~anchor i in
-    t.eng.Engine.set_range tid ~addr ~len:Tpca.balance_size;
-    let v = read_i64 t ~addr in
-    Version_cache.prime t.vc
-      ~key:(branch_key (Placement.branch_id t.pl ~anchor i))
-      ~value:v;
-    write_i64 t ~addr (Int64.add v d)
-  | Upd_audit ->
-    (* The slot is drawn at write time and the write is followed by the
-       commit within the same scheduler turn, so no two live transactions
-       ever hold set_ranges over one slot, even after wrap-around. *)
-    let addr = Placement.audit_next t.pl ~anchor in
-    t.eng.Engine.set_range tid ~addr ~len:Tpca.audit_size;
-    r.Request.audit_addr <- addr;
-    let s = r.Request.spec in
-    let e = Bytes.create Tpca.audit_size in
-    Bytes.set_int64_le e 0 (Int64.of_int s.Request.account);
-    Bytes.set_int64_le e 8 (Int64.of_int s.Request.teller);
-    Bytes.set_int64_le e 16 s.Request.delta;
-    (* id + 1, so a zeroed (never-written) slot is distinguishable from
-       request 0's entry — the crash explorer tests recovered membership
-       by reading this word back *)
-    Bytes.set_int64_le e 24 (Int64.of_int (s.Request.id + 1));
-    t.eng.Engine.store ~addr e
 
 (* --- lifecycle --- *)
 
@@ -369,8 +229,8 @@ let finish t (r : Request.t) =
   Histogram.observe t.h_latency lat;
   t.on_ack r
 
-(* A lookup's snapshot is covered by the durable horizon: its values can
-   no longer be lost to a crash, so the answer may leave the server. *)
+(* A read's snapshot is covered by the durable horizon: its values can no
+   longer be lost to a crash, so the answer may leave the server. *)
 let finish_read t (r : Request.t) =
   let tnow = now t in
   r.Request.status <- Request.Committed;
@@ -394,29 +254,21 @@ let complete_reads t =
     List.iter (finish_read t) (List.rev ready)
   end
 
-(* Publish the committed values of every cell the request wrote, under
-   its commit LSN. Runs at commit-spool time, before the locks release —
-   so the cache always holds the latest committed version and a lock-free
-   reader can never observe a gap. *)
-let publish_versions t (r : Request.t) =
-  let id = r.Request.spec.Request.id in
-  List.iter
-    (fun (key, addr) ->
-      Version_cache.put t.vc ~key ~value:(read_i64 t ~addr)
-        ~lsn:r.Request.commit_lsn ~writer:id)
-    (written_cells t.pl r.Request.spec)
-
 (* Commit a request whose steps are exhausted. Batched configurations
    commit no-flush immediately and park the request in the batcher until
    the closing force; unbatched ones force the log right here.
 
-   Early lock release: the commit record is in the spool, so commit order
-   is fixed and — redo-only logging, no undo ever — nothing can roll it
-   back except a crash, which rolls back every later conflicting
-   transaction with it. The locks therefore drop now, stamped with this
-   commit's LSN: a successor touching the same keys inherits the stamp as
-   an ack dependency ([dep_lsn]) and cannot acknowledge before this
-   record is forced. With [elr = false] the locks ride until
+   Either way the commit record now fixes the request's place in commit
+   order, so every key it holds is stamped with its commit LSN while the
+   locks are still held: a successor touching those keys inherits the
+   stamp as an ack dependency ([dep_lsn]), and a lock-free reader
+   resolves them to this commit.
+
+   Early lock release: the commit record is in the spool and — redo-only
+   logging, no undo ever — nothing can roll it back except a crash, which
+   rolls back every later conflicting transaction with it. The locks
+   therefore drop now, and the stamp keeps a successor from acknowledging
+   before this record is forced. With [elr = false] the locks ride until
    {!flush_batch} — the contention the optimization removes. *)
 let commit_ready t (r : Request.t) =
   let tid =
@@ -425,12 +277,14 @@ let commit_ready t (r : Request.t) =
     | None -> invalid_arg "commit_ready: no live transaction"
   in
   let id = r.Request.spec.Request.id in
-  if t.cfg.batch_max = 1 then begin
-    Registry.span t.obs "req.root" ~attrs:(req_attrs r) (fun () ->
-        t.eng.Engine.end_txn tid ~mode:Types.Flush);
-    r.Request.tid <- None;
-    r.Request.commit_lsn <- t.eng.Engine.commit_lsn ();
-    publish_versions t r;
+  let unbatched = t.cfg.batch_max = 1 in
+  Registry.span t.obs "req.root" ~attrs:(req_attrs r) (fun () ->
+      t.eng.Engine.end_txn tid
+        ~mode:(if unbatched then Types.Flush else Types.No_flush));
+  r.Request.tid <- None;
+  r.Request.commit_lsn <- t.eng.Engine.commit_lsn ();
+  Lock_mgr.stamp_held t.lm ~owner:id (r.Request.commit_lsn, id);
+  if unbatched then begin
     t.on_spool r;
     Lock_mgr.release_all t.lm ~owner:id;
     Admission.release t.adm;
@@ -441,16 +295,11 @@ let commit_ready t (r : Request.t) =
     complete_reads t
   end
   else begin
-    Registry.span t.obs "req.root" ~attrs:(req_attrs r) (fun () ->
-        t.eng.Engine.end_txn tid ~mode:Types.No_flush);
-    r.Request.tid <- None;
-    r.Request.commit_lsn <- t.eng.Engine.commit_lsn ();
-    publish_versions t r;
     r.Request.status <- Request.Ready;
     t.on_spool r;
     if t.cfg.elr then begin
       Counter.incr t.c_elr;
-      Lock_mgr.release_all t.lm ~stamp:(r.Request.commit_lsn, id) ~owner:id
+      Lock_mgr.release_all t.lm ~owner:id
     end;
     Admission.release t.adm;
     Batcher.add t.batch r;
@@ -459,7 +308,7 @@ let commit_ready t (r : Request.t) =
 
 (* Close the open batch: one force makes every no-flush commit in it
    durable, then the requests finish together. The force is also the ack
-   barrier: nothing in the batch (nor any pending lookup) is released to
+   barrier: nothing in the batch (nor any pending read) is released to
    its client before the durable horizon covers its commit and every
    dependency it inherited through an early-released lock. *)
 let flush_batch t =
@@ -508,8 +357,9 @@ let abort_retry t (r : Request.t) =
   | Some tid -> t.eng.Engine.abort tid
   | None -> ());
   r.Request.tid <- None;
-  (* No stamp: an aborted transaction published nothing, so its locks
-     carry no dependency. Deps inherited during the attempt die with it. *)
+  (* No stamp: an aborted transaction committed nothing, so its keys keep
+     their last committer's stamps. Deps inherited during the attempt die
+     with it. *)
   Lock_mgr.release_all t.lm ~owner:r.Request.spec.Request.id;
   r.Request.dep_lsn <- 0;
   r.Request.dep_writers <- [];
@@ -517,7 +367,7 @@ let abort_retry t (r : Request.t) =
   t.aborts <- t.aborts + 1;
   Counter.incr t.c_retry;
   Hashtbl.replace t.steps r.Request.spec.Request.id
-    (steps_of t r.Request.spec);
+    (t.steps_of r.Request.spec);
   let exp = min (r.Request.attempts - 1) backoff_cap in
   let jitter = 0.5 +. Rng.float t.rng 1.0 in
   let delay = backoff_base_us *. float_of_int (1 lsl exp) *. jitter in
@@ -525,38 +375,28 @@ let abort_retry t (r : Request.t) =
   insert_retry t (now t +. delay) r;
   wake_parked t
 
+(* The commit-LSN dependency rule, for lock grants and lock-free reads
+   alike: a key's stamp names its last committed holder, so a request that
+   observes the key must not acknowledge before that commit is durable. *)
+let inherit_stamp t (r : Request.t) key =
+  match Lock_mgr.stamp t.lm ~key with
+  | Some (lsn, writer) ->
+    if lsn > r.Request.dep_lsn then r.Request.dep_lsn <- lsn;
+    if not (List.mem writer r.Request.dep_writers) then
+      r.Request.dep_writers <- writer :: r.Request.dep_writers
+  | None -> ()
+
 (* The lock-free read-only fast path: one quantum, no engine transaction,
-   no wait-for graph. Each cell resolves through the version cache — the
-   last committed value even while a writer holds the lock mid-update —
-   and the read's ack dependency is the max of the observed commit LSNs:
-   if any of them sits above the durable horizon (an early-released,
-   not-yet-forced commit), the answer parks in [pending_reads] until a
-   force covers it. A cell with no version was never written; its durable
-   image is read directly. *)
-let exec_read t (r : Request.t) =
+   no wait-for graph. A key's stamp is set at commit-spool time while its
+   committer still holds the lock, so each key resolves to its last commit
+   even while a later writer holds the lock mid-update. The read's ack
+   dependency is the max of the observed commit LSNs: if any of them sits
+   above the durable horizon (an early-released, not-yet-forced commit),
+   the answer parks in [pending_reads] until a force covers it. *)
+let exec_read t (r : Request.t) keys =
   charge t;
-  let s = r.Request.spec in
-  let anchor = s.Request.account in
-  let branch = s.Request.teller mod Tpca.branches in
-  let cells =
-    [
-      (acct_key s.Request.account, Placement.account_addr t.pl s.Request.account);
-      ( branch_key (Placement.branch_id t.pl ~anchor branch),
-        Placement.branch_addr t.pl ~anchor branch );
-    ]
-  in
-  List.iter
-    (fun (key, addr) ->
-      match Version_cache.find t.vc ~key with
-      | Some v ->
-        if v.Version_cache.lsn > r.Request.dep_lsn then
-          r.Request.dep_lsn <- v.Version_cache.lsn;
-        if
-          v.Version_cache.writer >= 0
-          && not (List.mem v.Version_cache.writer r.Request.dep_writers)
-        then r.Request.dep_writers <- v.Version_cache.writer :: r.Request.dep_writers
-      | None -> ignore (read_i64 t ~addr))
-    cells;
+  Hashtbl.remove t.steps r.Request.spec.Request.id;
+  List.iter (inherit_stamp t r) keys;
   Counter.incr t.c_snapshot;
   Admission.release t.adm;
   if r.Request.dep_lsn <= t.eng.Engine.durable_lsn () then finish_read t r
@@ -565,59 +405,55 @@ let exec_read t (r : Request.t) =
     t.pending_reads <- r :: t.pending_reads
   end
 
-(* One cooperative scheduling quantum: a single lock or update step.
-   Requests that can continue go back to the tail of the run queue, so
-   in-flight transactions interleave round-robin — which is what makes
-   lock conflicts (and transfer-order deadlocks) reachable at all. A
+(* The step ran: the rest of the plan waits for the request's next turn. *)
+let advance t (r : Request.t) rest =
+  Hashtbl.replace t.steps r.Request.spec.Request.id rest;
+  Queue.push r t.runnable
+
+(* One cooperative scheduling quantum: a single step. Requests that can
+   continue go back to the tail of the run queue, so in-flight
+   transactions interleave round-robin — which is what makes lock
+   conflicts (and transfer-order deadlocks) reachable at all. A
    transaction that ran to commit in one quantum could never be caught
-   holding a lock. *)
+   holding a lock. A plan that is one [Read] and nothing else is
+   read-only and never begins an engine transaction. *)
 let exec t (r : Request.t) =
-  if r.Request.spec.Request.kind = Request.Lookup then exec_read t r
-  else begin
-    let id = r.Request.spec.Request.id in
-    (match r.Request.tid with
-    | None -> r.Request.tid <- Some (t.eng.Engine.begin_txn ~mode:Types.Restore)
-    | Some _ -> ());
-    match Hashtbl.find_opt t.steps id with
+  let id = r.Request.spec.Request.id in
+  match Hashtbl.find_opt t.steps id with
+  | Some [ Read keys ] when Option.is_none r.Request.tid -> exec_read t r keys
+  | plan -> (
+    let tid =
+      match r.Request.tid with
+      | Some tid -> tid
+      | None ->
+        let tid = t.eng.Engine.begin_txn ~mode:Types.Restore in
+        r.Request.tid <- Some tid;
+        tid
+    in
+    match plan with
     | None | Some [] -> commit_ready t r
     | Some (step :: rest) -> (
+      charge t;
       match step with
       | Lock (mode, key) -> (
-        charge t;
         match Lock_mgr.wait_for t.lm ~owner:id ~key mode with
         | `Granted ->
-          (* Inherit the key's early-release stamp: if the last writer of
-             this cell released at spool time, our ack now waits for its
-             force too (the commit-LSN dependency rule). *)
-          (match Lock_mgr.stamp t.lm ~key with
-          | Some (lsn, writer) when writer <> id ->
-            if lsn > r.Request.dep_lsn then r.Request.dep_lsn <- lsn;
-            if writer >= 0 && not (List.mem writer r.Request.dep_writers)
-            then r.Request.dep_writers <- writer :: r.Request.dep_writers
-          | _ -> ());
-          Hashtbl.replace t.steps id rest;
-          Queue.push r t.runnable
+          inherit_stamp t r key;
+          advance t r rest
         | `Wait _ ->
           r.Request.status <- Request.Parked key;
           t.parked <- r :: t.parked;
           Registry.instant t.obs "server.park"
             ~attrs:[ ("req", Trace.Int id); ("key", Trace.String key) ]
         | `Deadlock -> abort_retry t r)
-      | Update u ->
-        let tid = Option.get r.Request.tid in
-        charge t;
-        do_update t r tid u;
-        Hashtbl.replace t.steps id rest;
-        Queue.push r t.runnable
       | Run f ->
-        (* A workload-plug step: runs with every lock of the preceding
-           [Lock] steps held, inside the request's engine transaction. *)
-        let tid = Option.get r.Request.tid in
-        charge t;
+        (* Runs with every lock of the preceding [Lock] steps held,
+           inside the request's engine transaction. *)
         f r tid;
-        Hashtbl.replace t.steps id rest;
-        Queue.push r t.runnable)
-  end
+        advance t r rest
+      | Read keys ->
+        List.iter (inherit_stamp t r) keys;
+        advance t r rest))
 
 (* --- arrivals, admission, retries --- *)
 
@@ -628,7 +464,7 @@ let start t (r : Request.t) =
     (r.Request.admitted_us -. r.Request.arrival_us);
   Counter.incr t.c_admitted;
   Hashtbl.replace t.steps r.Request.spec.Request.id
-    (steps_of t r.Request.spec);
+    (t.steps_of r.Request.spec);
   Queue.push r t.runnable
 
 let shed t (r : Request.t) =
@@ -815,7 +651,7 @@ let run t =
       loop ()
     end
     else if t.pending_reads <> [] then begin
-      (* Only parked lookups remain: their dependencies are spooled
+      (* Only parked reads remain: their dependencies are spooled
          commits with no batch left to close, so force the engine and
          release them. *)
       t.eng.Engine.flush ();

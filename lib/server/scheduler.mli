@@ -1,13 +1,14 @@
 (** The cooperative transaction scheduler — the server's core loop.
 
-    Requests execute as step lists (exclusive lock acquisitions
-    interleaved with the recoverable-memory updates they protect) under
-    the engine's [Restore]-mode transactions. A request runs until it
-    commits, parks on a lock ({!Rvm_layers.Lock_mgr.wait_for} returning
-    [`Wait]), or loses a deadlock ([`Deadlock] → abort, release all
-    locks, retry after seeded jittered exponential backoff). Parked
-    requests wake whenever any lock is released; wake order is by request
-    id, so a seeded run schedules identically every time.
+    The scheduler knows no workload. Each request executes as the step
+    list its workload compiles for it ({!step}: lock acquisitions
+    interleaved with the work they protect) under the engine's
+    [Restore]-mode transactions. A request runs until it commits, parks
+    on a lock ({!Rvm_layers.Lock_mgr.wait_for} returning [`Wait]), or
+    loses a deadlock ([`Deadlock] → abort, release all locks, retry
+    after seeded jittered exponential backoff). Parked requests wake
+    whenever any lock is released; wake order is by request id, so a
+    seeded run schedules identically every time.
 
     Commits route through the {!Batcher}: with [batch_max = 1] each
     commit forces the log itself; otherwise ready transactions commit
@@ -19,25 +20,27 @@
     {b Early lock release} ([elr], on by default): a batched commit drops
     its locks the moment its record reaches the log spool — redo-only
     logging has no cascading undo, so commit order is fixed there — and
-    only the {e acknowledgement} waits for the batch force. Released
-    locks carry a (commit LSN, writer) stamp; a successor acquiring a
-    stamped key inherits it as an ack dependency, and {!run} enforces
+    only the {e acknowledgement} waits for the batch force. Whenever a
+    commit record reaches the spool, every key its request holds is
+    stamped with (commit LSN, writer) in the lock manager
+    ({!Rvm_layers.Lock_mgr.stamp_held}); a successor acquiring a stamped
+    key inherits the stamp as an ack dependency, and {!run} enforces
     that no request finishes while its own commit LSN or any inherited
     dependency sits above the engine's durable horizon. With
     [elr = false] locks ride until the force, which is the contended
     baseline `bench contention` measures against.
 
-    {b Snapshot reads}: [Lookup] requests never enter the step loop or
-    the wait-for graph. They resolve each cell through the per-key
-    version cache (pre-image primed before a cell's first write,
-    committed values published at commit-spool under their LSN), take the
-    max observed LSN as their ack dependency, and complete immediately if
-    the durable horizon covers it — otherwise they park in a pending-read
-    list that drains at every force.
+    {b Snapshot reads}: a request whose whole plan is one [Read] step is
+    read-only. It never begins an engine transaction or enters the
+    wait-for graph: in one quantum it resolves each key through the lock
+    manager's commit stamps, takes the max observed LSN as its ack
+    dependency, and completes immediately if the durable horizon covers
+    it — otherwise it parks in a pending-read list that drains at every
+    force.
 
-    Everything advances the simulated clock: lock and update steps charge
-    25 µs of CPU each, device time comes from the engine's cost model,
-    and idle gaps skip to the next arrival or retry deadline via
+    Everything advances the simulated clock: every step charges 25 µs of
+    CPU, device time comes from the engine's cost model, and idle gaps
+    skip to the next arrival or retry deadline via
     {!Rvm_util.Clock.advance_to}.
 
     The loop also owns a background-task slot: when the engine reports
@@ -72,14 +75,14 @@ type config = {
 val default_config : config
 
 type tally = {
-  committed : int;  (** write requests committed (lookups not included) *)
-  reads : int;  (** lookups answered *)
+  committed : int;  (** write requests committed (reads not included) *)
+  reads : int;  (** read-only requests answered *)
   shed : int;
   aborts : int;  (** deadlock aborts (every one is retried) *)
   batches : int;  (** log forces issued for commits *)
   backpressure_deferrals : int;
   latencies_us : float array;  (** per committed request, commit order *)
-  read_latencies_us : float array;  (** per answered lookup, ack order *)
+  read_latencies_us : float array;  (** per answered read, ack order *)
   end_us : float;  (** simulated completion time *)
   iterations : int;
 }
@@ -88,48 +91,43 @@ type t
 
 (** {1 Workload steps}
 
-    The executable form of a request: lock acquisitions interleaved with
-    the work they cover, consumed one step per scheduler quantum. TPC-A
-    requests compile to [Lock]/[Update] steps internally; other workloads
-    supply their own step lists through the [plug] — [Lock] steps at
-    whatever key granularity the workload chooses (the YCSB layer locks
-    B-tree leaf nodes), and [Run] closures that execute against the
-    workload's own recoverable state with all previously acquired locks
-    held, inside the request's engine transaction. A [`Deadlock] on any
-    [Lock] step aborts the transaction and re-enters the full step list
-    after backoff, so plugged workloads inherit the abort-retry path
-    unchanged. *)
-
-type update =
-  | Upd_account of int * int64
-  | Upd_teller of int * int64
-  | Upd_branch of int * int64
-  | Upd_audit
+    The executable form of a request, consumed one step per scheduler
+    quantum. Each workload supplies a step function to {!create}: [Lock]
+    steps at whatever key granularity the workload chooses (TPC-A locks
+    balance records, the YCSB layer B-tree leaf nodes), and [Run]
+    closures that execute against the workload's own recoverable state
+    with all previously acquired locks held, inside the request's engine
+    transaction. A [`Deadlock] on any [Lock] step aborts the transaction
+    and re-enters the full step list after backoff, so every workload
+    inherits the abort-retry path unchanged. *)
 
 type step =
   | Lock of Rvm_layers.Lock_mgr.mode * string
-  | Update of update
   | Run of (Request.t -> int -> unit)
       (** [Run f] calls [f request engine_tid] in one quantum *)
+  | Read of string list
+      (** fold each key's commit stamp into the request's ack
+          dependency, taking no lock; a plan that is exactly one [Read]
+          is a read-only request *)
 
 val create :
-  ?plug:(Request.spec -> step list) ->
   cfg:config ->
+  steps:(Request.spec -> step list) ->
   engine:Engine.t ->
   clock:Rvm_util.Clock.t ->
   obs:Rvm_obs.Registry.t ->
   lock_mgr:Rvm_layers.Lock_mgr.t ->
-  placement:Placement.t ->
   admission:Request.t Admission.t ->
   arrivals:Arrivals.t ->
   gen:Request.gen ->
   rng:Rvm_util.Rng.t ->
-  unit ->
   t
-(** [rng] is the backoff-jitter stream; keep it distinct from the
-    request-generator and arrival streams so the three draws never
-    interleave nondeterministically. [plug] supplies the step lists for
-    {!Request.Ycsb} requests (default: none, they commit vacuously). *)
+(** [steps] compiles a request into its plan; it is called when the
+    request starts and again after every deadlock abort, so anything a
+    plan must draw only once (TPC-A's audit slot) is drawn inside a
+    [Run] closure. [rng] is the backoff-jitter stream; keep it distinct
+    from the request-generator and arrival streams so the three draws
+    never interleave nondeterministically. *)
 
 val set_hooks :
   t -> on_spool:(Request.t -> unit) -> on_ack:(Request.t -> unit) -> unit
@@ -137,7 +135,7 @@ val set_hooks :
     request's commit record reaches the spool (logical commit, locks
     about to release under ELR); [on_ack] fires when its outcome is
     released to the client — after durability for writes, after the
-    dependency check for lookups. Defaults are no-ops. *)
+    dependency check for read-only requests. Defaults are no-ops. *)
 
 val set_on_quantum : t -> (unit -> unit) -> unit
 (** Hook fired once at the top of every scheduler quantum — the

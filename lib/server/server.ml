@@ -35,8 +35,6 @@ type config = {
   max_queue : int;
   backpressure : float;
   log_size : int;
-  spool_max_bytes : int option;
-  log_spool_max_bytes : int option;
   background_truncation : bool;
   elr : bool;
   read_pct : int;
@@ -56,8 +54,6 @@ let default_config =
     max_queue = Admission.default.Admission.max_queue;
     backpressure = Admission.default.Admission.backpressure;
     log_size = 4 * 1024 * 1024;
-    spool_max_bytes = None;
-    log_spool_max_bytes = None;
     background_truncation = true;
     elr = true;
     read_pct = 0;
@@ -128,15 +124,7 @@ let options_of cfg =
      maintained online at commit time, so its steps only write pages
      already in memory; epoch remains the blocked-queue critical
      fallback. *)
-  let o = { o with Options.truncation_mode = Rvm_core.Types.Incremental } in
-  let o =
-    match cfg.spool_max_bytes with
-    | Some v -> { o with Options.spool_max_bytes = v }
-    | None -> o
-  in
-  match cfg.log_spool_max_bytes with
-  | Some v -> { o with Options.log_spool_max_bytes = v }
-  | None -> o
+  { o with Options.truncation_mode = Rvm_core.Types.Incremental }
 
 (* Shard s holds the accounts with index ≡ s (mod shards) plus its own
    teller array, branch array and audit trail, in its own segment on its
@@ -236,7 +224,7 @@ let build_world cfg =
 
 (* {2 The serving half, shared by every workload} *)
 
-let scheduler ?plug cfg w ~gen =
+let scheduler cfg w ~gen ~steps =
   let rng = Rng.create ~seed:cfg.seed in
   let gen_rng = Rng.split rng in
   let arrival_rng = Rng.split rng in
@@ -266,12 +254,117 @@ let scheduler ?plug cfg w ~gen =
       elr = cfg.elr;
     }
   in
-  Scheduler.create ?plug ~cfg:scfg ~engine:w.engine ~clock:w.clock ~obs:w.obs
-    ~lock_mgr:(Lock_mgr.create ()) ~placement:w.placement ~admission ~arrivals
-    ~gen:(gen gen_rng) ~rng:backoff_rng ()
+  Scheduler.create ~cfg:scfg ~steps ~engine:w.engine ~clock:w.clock ~obs:w.obs
+    ~lock_mgr:(Lock_mgr.create ()) ~admission ~arrivals ~gen:(gen gen_rng)
+    ~rng:backoff_rng
+
+(* {2 TPC-A as scheduler steps} *)
+
+let acct_key i = "a:" ^ string_of_int i
+let teller_key i = "t:" ^ string_of_int i
+let branch_key i = "b:" ^ string_of_int i
+
+let store_i64 (eng : Engine.t) ~addr v =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 v;
+  eng.Engine.store ~addr b
+
+(* Add [d] to the balance leading the [len]-byte record at [addr]. *)
+let add (eng : Engine.t) tid ~addr ~len d =
+  eng.Engine.set_range tid ~addr ~len;
+  let v = Bytes.get_int64_le (eng.Engine.load ~addr ~len:8) 0 in
+  store_i64 eng ~addr (Int64.add v d)
+
+(* An account update also records the request that made it. *)
+let account_step eng pl (s : Request.spec) i d =
+  let addr = Placement.account_addr pl i in
+  Scheduler.Run
+    (fun _ tid ->
+      add eng tid ~addr ~len:Tpca.account_size d;
+      store_i64 eng ~addr:(addr + 8) (Int64.of_int s.Request.id))
+
+let balance_step eng addr d =
+  Scheduler.Run (fun _ tid -> add eng tid ~addr ~len:Tpca.balance_size d)
+
+let audit_step (eng : Engine.t) pl (s : Request.spec) =
+  Scheduler.Run
+    (fun r tid ->
+      (* The slot is drawn at write time, never when the steps are built
+         (they are rebuilt after every abort), and the write is followed
+         by the commit within the same scheduler turn, so no two live
+         transactions ever hold set_ranges over one slot, even after
+         wrap-around. *)
+      let addr = Placement.audit_next pl ~anchor:s.Request.account in
+      eng.Engine.set_range tid ~addr ~len:Tpca.audit_size;
+      r.Request.audit_addr <- addr;
+      let e = Bytes.create Tpca.audit_size in
+      Bytes.set_int64_le e 0 (Int64.of_int s.Request.account);
+      Bytes.set_int64_le e 8 (Int64.of_int s.Request.teller);
+      Bytes.set_int64_le e 16 s.Request.delta;
+      (* id + 1, so a zeroed (never-written) slot is distinguishable from
+         request 0's entry — the crash explorer tests recovered membership
+         by reading this word back *)
+      Bytes.set_int64_le e 24 (Int64.of_int (s.Request.id + 1));
+      eng.Engine.store ~addr e)
+
+(* TPC-A's requests as lock acquisitions interleaved with the balance
+   updates they cover, against the world's engine and placement. Teller,
+   branch and audit structures are placed on the shard of the request's
+   primary account (its "anchor"), so Payments stay single-shard and only
+   a Transfer whose accounts route to different shards crosses. Lock
+   identities come from the placement too: on a sharded world teller 3 of
+   shard 0 and teller 3 of shard 1 are distinct records and must not
+   serialize against each other. *)
+let tpca_steps w (s : Request.spec) =
+  let eng = w.engine and pl = w.placement in
+  let anchor = s.Request.account in
+  let branch = s.Request.teller mod Tpca.branches in
+  match s.Request.kind with
+  | Request.Payment ->
+    (* TPC-A reads the teller and branch rows (the balance fetch precedes
+       the update) before writing them: those read steps take Shared mode
+       and upgrade to Exclusive only at the write — two payments on one
+       hot teller overlap their read phases instead of serializing from
+       the first touch. The upgrade is where the two-shared-holders
+       deadlock lives; the lock manager hands the second upgrader
+       [`Deadlock] and the retry path resolves it. *)
+    let tk = teller_key (Placement.teller_id pl ~anchor s.Request.teller) in
+    let bk = branch_key (Placement.branch_id pl ~anchor branch) in
+    [
+      Scheduler.Lock (Lock_mgr.Exclusive, acct_key s.Request.account);
+      account_step eng pl s s.Request.account s.Request.delta;
+      Scheduler.Lock (Lock_mgr.Shared, tk);
+      Scheduler.Lock (Lock_mgr.Shared, bk);
+      Scheduler.Lock (Lock_mgr.Exclusive, tk);
+      balance_step eng
+        (Placement.teller_addr pl ~anchor s.Request.teller)
+        s.Request.delta;
+      Scheduler.Lock (Lock_mgr.Exclusive, bk);
+      balance_step eng
+        (Placement.branch_addr pl ~anchor branch)
+        s.Request.delta;
+      audit_step eng pl s;
+    ]
+  | Request.Transfer ->
+    [
+      Scheduler.Lock (Lock_mgr.Exclusive, acct_key s.Request.account);
+      account_step eng pl s s.Request.account s.Request.delta;
+      Scheduler.Lock (Lock_mgr.Exclusive, acct_key s.Request.account2);
+      account_step eng pl s s.Request.account2 (Int64.neg s.Request.delta);
+      audit_step eng pl s;
+    ]
+  | Request.Lookup ->
+    [
+      Scheduler.Read
+        [
+          acct_key s.Request.account;
+          branch_key (Placement.branch_id pl ~anchor branch);
+        ];
+    ]
+  | Request.Ycsb _ -> invalid_arg "Server: a YCSB request in a TPC-A world"
 
 let scheduler_of cfg w =
-  scheduler cfg w ~gen:(fun rng ->
+  scheduler cfg w ~steps:(tpca_steps w) ~gen:(fun rng ->
       Request.make_gen ~read_pct:cfg.read_pct ~accounts:cfg.accounts
         ~zipf_s:cfg.zipf_s ~transfer_pct:cfg.transfer_pct ~rng ())
 

@@ -36,8 +36,6 @@ type config = {
   max_queue : int;
   backpressure : float;  (** spool-pressure admission threshold *)
   log_size : int;
-  spool_max_bytes : int option;  (** engine spool watermark override *)
-  log_spool_max_bytes : int option;  (** log tail watermark override *)
   background_truncation : bool;
       (** true (default): the engine's inline commit-path truncation
           trigger is disabled and the scheduler reclaims the log from its
@@ -50,8 +48,8 @@ type config = {
           false: locks ride until the batch force (the contended
           baseline) *)
   read_pct : int;
-      (** % of requests that are read-only balance lookups served from
-          the version-cache snapshot fast path (default 0) *)
+      (** % of requests that are read-only balance lookups, served
+          lock-free from the commit stamps (default 0) *)
 }
 
 val default_config : config
@@ -129,7 +127,13 @@ type world = {
 }
 
 val build_world : config -> world
+
 val scheduler_of : config -> world -> Scheduler.t
+(** The TPC-A scheduler over [w]: {!scheduler} with TPC-A's request
+    generator and its step function, which compiles payments and
+    transfers into lock and balance-update steps and lookups into one
+    lock-free [Read] of the account and branch keys. The steps update
+    balances through [w.engine] at the addresses [w.placement] gives. *)
 
 val run_with_world : config -> world * Scheduler.tally
 (** {!run} without the reduction: build, run, hand everything back. The
@@ -156,15 +160,16 @@ val devices :
 (** {1 The serving half}
 
     Every workload runs through these. It brings a world, a request
-    generator and, for its own request kinds, a step plug; only the
-    serving fields of the {!config} are read (seed, load, requests and
-    the admission, scheduler and ELR knobs). *)
+    generator and a step function that compiles each of its requests
+    into scheduler steps; only the serving fields of the {!config} are
+    read (seed, load, requests and the admission, scheduler and ELR
+    knobs). *)
 
 val scheduler :
-  ?plug:(Request.spec -> Scheduler.step list) ->
   config ->
   world ->
   gen:(Rvm_util.Rng.t -> Request.gen) ->
+  steps:(Request.spec -> Scheduler.step list) ->
   Scheduler.t
 (** Splits [seed] into the request, arrival and backoff streams, then
     builds arrivals, admission and the scheduler over the world. *)

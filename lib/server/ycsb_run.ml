@@ -188,7 +188,7 @@ let build_world cfg =
 
 let tree_lock = "btree"
 
-(* Step lists for each YCSB op, compiled by the scheduler plug.
+(* The step function: the step list for each YCSB op.
 
    Lock granularity: in mixes with no inserts (A/B/C/F) every leaf
    address is stable for the whole run — replacing a value never moves a
@@ -199,7 +199,7 @@ let tree_lock = "btree"
    shared. Read-modify-write takes the leaf Shared for the read and
    upgrades to Exclusive for the write; two RMWs on one leaf deadlock on
    the upgrade and resolve through the scheduler's abort-retry path. *)
-let plug_of cfg (tree : Pbtree.t) =
+let steps_of cfg (tree : Pbtree.t) =
   let structural = match cfg.mix with Ycsb.D | Ycsb.E -> true | _ -> false in
   let stash : (int, string option) Hashtbl.t = Hashtbl.create 64 in
   let lk key =
@@ -249,9 +249,8 @@ let plug_of cfg (tree : Pbtree.t) =
         ])
     | _ -> []
 
-(* The harness's view of the world. The placement is TPC-A machinery
-   the plug never touches; a one-account layout satisfies the
-   scheduler's interface. *)
+(* The harness's view of the world. The placement is TPC-A machinery the
+   steps never touch; a one-account layout fills [Server.world]. *)
 let server_world w =
   {
     Server.engine = w.engine;
@@ -333,7 +332,7 @@ let serve_with ?monitor cfg w =
   let sw = server_world w in
   let scfg = serving cfg in
   let sched =
-    Server.scheduler ~plug:(plug_of cfg w.tree) scfg sw ~gen:(gen cfg)
+    Server.scheduler scfg sw ~gen:(gen cfg) ~steps:(steps_of cfg w.tree)
   in
   let ops = ref [] in
   Scheduler.set_hooks sched

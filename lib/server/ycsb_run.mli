@@ -6,8 +6,8 @@
     One call builds the world (latency-wrapped log and segment devices
     over the dec5000 model, optional {!Rvm_vm.Vm_sim} paging pressure),
     bulk-loads [records] keys off the clock, serves the seeded mix
-    through the scheduler's workload plug, and reduces to a {!result}
-    row that includes a serial-reference verdict: the committed
+    through the scheduler with its own step function, and reduces to a
+    {!result} row that includes a serial-reference verdict: the committed
     operations replayed in commit order against a plain hash table must
     reproduce the tree's final contents byte-for-byte.
 

@@ -1,7 +1,7 @@
 (* The early-lock-release crash explorer.
 
-   A real server world (ELR scheduler, lock manager, admission, version
-   cache) runs a seeded TPC-A mix over recorder-wrapped devices; every
+   A real server world (ELR scheduler, lock manager and its commit stamps,
+   admission) runs a seeded TPC-A mix over recorder-wrapped devices; every
    crash boundary and torn-write variant is replayed through recovery and
    checked against the scheduler's own spool/ack records. Zero
    counterexamples is the acceptance bar for the ELR pipeline — in
@@ -53,15 +53,18 @@ let test_exhaustive_two_shards () =
   check_bool "early releases happened" true (Crash.counter o "early releases" > 0)
 
 (* A couple more seeds so the explored interleavings aren't one lucky
-   schedule; non-exhaustive torn sampling keeps it quick. *)
+   schedule; non-exhaustive torn sampling keeps it quick. [batch_max = 1]
+   explores the unbatched commit path, where every commit forces the log
+   and its locks drop only after the force, on one and two shards. *)
 let test_more_seeds () =
   List.iter
-    (fun (seed, shards) ->
+    (fun (seed, shards, batch_max) ->
       let cfg =
         {
           Elr_check.default_config with
           Elr_check.seed;
           shards;
+          batch_max;
           requests = 16;
           accounts = 32;
           core =
@@ -71,8 +74,13 @@ let test_more_seeds () =
             };
         }
       in
-      assert_clean (Elr_check.run ~config:cfg ()))
-    [ (11L, 1); (12L, 2); (13L, 2) ]
+      let o = Elr_check.run ~config:cfg () in
+      assert_clean o;
+      check_bool "commits explored" true (o.Crash.commits > 0);
+      check_bool "lookups explored" true (Crash.counter o "snapshot reads" > 0);
+      check_bool "early releases only when batched" (batch_max > 1)
+        (Crash.counter o "early releases" > 0))
+    [ (11L, 1, 4); (12L, 2, 4); (13L, 2, 4); (7L, 1, 1); (7L, 2, 1) ]
 
 (* Seeded recovery bug (torn records accepted unverified) under 64-byte
    sectors: the real pipeline recovers clean, the mutant must be caught. *)

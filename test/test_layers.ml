@@ -345,32 +345,36 @@ let test_locks_release_during_many_waiters () =
     Lock_mgr.release_all lm ~owner:o
   done
 
-(* Early-release stamps: release_all ~stamp marks every held key with the
-   committer's (LSN, writer); later holders read it as an ack dependency.
-   Plain releases leave stamps alone (an aborted successor vouched for
-   nothing new), and a later stamped release overwrites monotonically. *)
+(* Commit stamps: stamp_held marks every key the owner holds with the
+   committer's (LSN, writer), visible at once — before the locks drop —
+   to lock-free readers and to later holders as an ack dependency. Plain
+   releases leave stamps alone (an aborted successor vouched for nothing
+   new), and a later committer's stamp overwrites monotonically. *)
 let test_locks_stamps () =
   let lm = Lock_mgr.create () in
+  let check_stamp msg expected key =
+    Alcotest.(check (option (pair int int))) msg expected
+      (Lock_mgr.stamp lm ~key)
+  in
   ignore (Lock_mgr.try_acquire lm ~owner:1 ~key:"k1" Lock_mgr.Exclusive);
   ignore (Lock_mgr.try_acquire lm ~owner:1 ~key:"k2" Lock_mgr.Shared);
-  Alcotest.(check (option (pair int int))) "unstamped" None
-    (Lock_mgr.stamp lm ~key:"k1");
-  Lock_mgr.release_all ~stamp:(5, 1) lm ~owner:1;
-  Alcotest.(check (option (pair int int))) "k1 stamped" (Some (5, 1))
-    (Lock_mgr.stamp lm ~key:"k1");
-  Alcotest.(check (option (pair int int))) "k2 stamped" (Some (5, 1))
-    (Lock_mgr.stamp lm ~key:"k2");
+  check_stamp "unstamped" None "k1";
+  Lock_mgr.stamp_held lm ~owner:1 (5, 1);
+  check_stamp "k1 stamped while held" (Some (5, 1)) "k1";
+  check_stamp "k2 stamped while held" (Some (5, 1)) "k2";
+  check_bool "stamping releases nothing" true
+    (Lock_mgr.held_keys lm ~owner:1 = [ "k1"; "k2" ]);
+  Lock_mgr.release_all lm ~owner:1;
+  check_stamp "k1 stamp survives its owner's release" (Some (5, 1)) "k1";
   (* A successor that aborts (plain release) must not disturb the stamp. *)
   ignore (Lock_mgr.try_acquire lm ~owner:2 ~key:"k1" Lock_mgr.Exclusive);
   Lock_mgr.release_all lm ~owner:2;
-  Alcotest.(check (option (pair int int))) "stamp survives plain release"
-    (Some (5, 1))
-    (Lock_mgr.stamp lm ~key:"k1");
+  check_stamp "stamp survives plain release" (Some (5, 1)) "k1";
   (* A later committer overwrites with its (higher) LSN. *)
   ignore (Lock_mgr.try_acquire lm ~owner:3 ~key:"k1" Lock_mgr.Exclusive);
-  Lock_mgr.release_all ~stamp:(7, 3) lm ~owner:3;
-  Alcotest.(check (option (pair int int))) "stamp overwritten" (Some (7, 3))
-    (Lock_mgr.stamp lm ~key:"k1")
+  Lock_mgr.stamp_held lm ~owner:3 (7, 3);
+  check_stamp "stamp overwritten" (Some (7, 3)) "k1";
+  check_stamp "unheld key keeps its stamp" (Some (5, 1)) "k2"
 
 (* qcheck regression: with n >= 2 shared holders of one key, the first
    S->X upgrader must park on exactly the other sharers (never a phantom

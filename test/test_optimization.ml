@@ -224,10 +224,15 @@ let test_inter_multi_region_same_segment () =
     ~spooled:2 ~dropped:0
 
 let test_statistics_fractions () =
-  let s = Statistics.create () in
-  s.Statistics.bytes_logged <- 600;
-  s.Statistics.intra_saved <- 300;
-  s.Statistics.inter_saved <- 100;
+  let zero = Statistics.Live.(snapshot (create (Rvm_obs.Registry.create ()))) in
+  let s =
+    {
+      zero with
+      Statistics.bytes_logged = 600;
+      intra_saved = 300;
+      inter_saved = 100;
+    }
+  in
   Alcotest.(check (float 1e-9)) "intra" 0.3 (Statistics.intra_fraction s);
   Alcotest.(check (float 1e-9)) "inter" 0.1 (Statistics.inter_fraction s);
   Alcotest.(check (float 1e-9)) "total" 0.4 (Statistics.total_fraction s);

@@ -812,10 +812,12 @@ module Lock_ref = struct
       t.locks []
     |> List.sort compare
 
-  let release_all ?stamp t ~owner =
+  let stamp_held t ~owner s =
+    List.iter (fun key -> Hashtbl.replace t.stamps key s) (held_keys t ~owner)
+
+  let release_all t ~owner =
     List.iter
       (fun key ->
-        Option.iter (Hashtbl.replace t.stamps key) stamp;
         Hashtbl.replace t.locks key (List.remove_assoc owner (holders t key)))
       (held_keys t ~owner);
     Hashtbl.remove t.waits owner;
@@ -1117,7 +1119,7 @@ let prop_lock_mgr_index =
              Printf.sprintf "wait(%d,%s,%s)" o (key k)
                (if m = Lock_mgr.Exclusive then "X" else "S")
            | Release o -> Printf.sprintf "release(%d)" o
-           | Release_stamped o -> Printf.sprintf "release~stamp(%d)" o)
+           | Release_stamped o -> Printf.sprintf "stamp+release(%d)" o)
          ops)
   in
   QCheck.Test.make ~name:"lock manager held-key index matches full-table scan"
@@ -1149,8 +1151,10 @@ let prop_lock_mgr_index =
               true
             | Release_stamped owner ->
               incr lsn;
-              Lock_mgr.release_all ~stamp:(!lsn, owner) lm ~owner;
-              Lock_ref.release_all ~stamp:(!lsn, owner) r ~owner;
+              Lock_mgr.stamp_held lm ~owner (!lsn, owner);
+              Lock_mgr.release_all lm ~owner;
+              Lock_ref.stamp_held r ~owner (!lsn, owner);
+              Lock_ref.release_all r ~owner;
               true
           in
           same && agree ())

@@ -13,6 +13,7 @@ module Batcher = Rvm_server.Batcher
 module Arrivals = Rvm_server.Arrivals
 module Engine = Rvm_server.Engine
 module Placement = Rvm_server.Placement
+module Lock_mgr = Rvm_layers.Lock_mgr
 module Multi = Rvm_shard.Multi
 module Tpca = Rvm_workload.Tpca
 module Registry = Rvm_obs.Registry
@@ -209,8 +210,6 @@ let bp_cfg =
     S.batch_max = 32;
     S.max_inflight = 4;
     S.max_queue = 48;
-    S.spool_max_bytes = Some 65536;
-    S.log_spool_max_bytes = Some 65536;
     S.backpressure = 0.01;
   }
 
@@ -325,27 +324,113 @@ let read_cfg =
     S.max_queue = 1000;
   }
 
+(* Serve [cfg] watching every ack leave the server: none may vouch for a
+   commit, its own or an inherited one, that the durable horizon does not
+   cover yet. Returns the world, the tally, the first late ack (if any)
+   and how many lookups acked with a writer dependency. *)
+let serve_checking_acks cfg =
+  let w = S.build_world cfg in
+  let sched = S.scheduler_of cfg w in
+  let late = ref None and dependent_reads = ref 0 in
+  Scheduler.set_hooks sched ~on_spool:ignore ~on_ack:(fun r ->
+      let d = w.S.engine.Engine.durable_lsn () in
+      if (r.Request.commit_lsn > d || r.Request.dep_lsn > d) && !late = None
+      then
+        late :=
+          Some
+            (Printf.sprintf "request %d acked at lsn %d dep %d, durable %d"
+               r.Request.spec.Request.id r.Request.commit_lsn
+               r.Request.dep_lsn d);
+      if
+        r.Request.spec.Request.kind = Request.Lookup
+        && r.Request.dep_writers <> []
+      then incr dependent_reads);
+  let tally = Scheduler.run sched in
+  (w, tally, !late, !dependent_reads)
+
+(* Lookups resolve through the commit stamps on both commit paths: locks
+   released at the spool (ELR) or at the force (ELR off, or unbatched).
+   Either way a lookup that reads a recently committed key must carry
+   that writer as a dependency, and no ack may outrun durability. *)
 let test_snapshot_reads () =
-  let w, tally = S.run_with_world read_cfg in
-  check_bool "lookups answered" true (tally.Scheduler.reads > 0);
-  check_int "every request committed, answered or shed" read_cfg.S.requests
-    (tally.Scheduler.committed + tally.Scheduler.reads + tally.Scheduler.shed);
-  check_balances read_cfg w;
-  let counters = Registry.counters w.S.obs in
-  check_bool "snapshot counter tracks" true
-    (List.assoc_opt "mvcc.snapshot_reads" counters
-    = Some tally.Scheduler.reads);
-  check_bool "early releases under load" true
-    (match List.assoc_opt "elr.released_early" counters with
-    | Some n -> n > 0
-    | None -> false);
+  let reads =
+    List.map
+      (fun (elr, batch_max) ->
+        let cfg = { read_cfg with S.elr; batch_max } in
+        let name = Printf.sprintf "elr=%b batch=%d: " elr batch_max in
+        let w, tally, late, dependent_reads = serve_checking_acks cfg in
+        check_bool (name ^ "lookups answered") true (tally.Scheduler.reads > 0);
+        check_int
+          (name ^ "every request committed, answered or shed")
+          cfg.S.requests
+          (tally.Scheduler.committed + tally.Scheduler.reads
+         + tally.Scheduler.shed);
+        check_balances cfg w;
+        let counters = Registry.counters w.S.obs in
+        check_bool (name ^ "snapshot counter tracks") true
+          (List.assoc_opt "mvcc.snapshot_reads" counters
+          = Some tally.Scheduler.reads);
+        check_bool
+          (name ^ "early releases exactly when ELR engages")
+          (elr && batch_max > 1)
+          (match List.assoc_opt "elr.released_early" counters with
+          | Some n -> n > 0
+          | None -> false);
+        Alcotest.(check (option string)) (name ^ "no ack before durability")
+          None late;
+        check_bool (name ^ "lookups observe committed writers") true
+          (dependent_reads > 0);
+        S.release_world w;
+        tally.Scheduler.reads)
+    (* the first configuration is [read_cfg] itself *)
+    [ (true, 8); (false, 8); (true, 1); (false, 1) ]
+  in
   (* lock-free lookups must ack faster than locked writes at the tail *)
   let r = S.run read_cfg in
-  check_bool "reads reported" true (r.S.reads = tally.Scheduler.reads);
+  check_bool "reads reported" true (r.S.reads = List.hd reads);
   check_bool "snapshot fraction reported" true
     (r.S.snapshot_read_fraction > 0.);
   check_bool "read p99 below write p99" true
     (r.S.read_p99_latency_us < r.S.p99_latency_us)
+
+(* --- end-to-end: the scheduler runs whatever steps a workload compiles --- *)
+
+(* A caller's step function over a TPC-A world: every request, lookups
+   included, locks one counter key and increments an 8-byte cell. The
+   scheduler interprets no request kind, so the generator's lookups
+   commit as writes and none is answered as a read. *)
+let test_custom_steps () =
+  let cfg = { quick_cfg with S.read_pct = 20 } in
+  let w = S.build_world cfg in
+  let eng = w.S.engine in
+  let addr = Placement.account_addr w.S.placement 0 in
+  let counter () =
+    Int64.to_int (Bytes.get_int64_le (eng.Engine.load ~addr ~len:8) 0)
+  in
+  let lookups = Hashtbl.create 16 in
+  let steps (s : Request.spec) =
+    if s.Request.kind = Request.Lookup then
+      Hashtbl.replace lookups s.Request.id ();
+    [
+      Scheduler.Lock (Lock_mgr.Exclusive, "counter");
+      Scheduler.Run
+        (fun _ tid ->
+          eng.Engine.set_range tid ~addr ~len:8;
+          let b = Bytes.create 8 in
+          Bytes.set_int64_le b 0 (Int64.of_int (counter () + 1));
+          eng.Engine.store ~addr b);
+    ]
+  in
+  let gen rng =
+    Request.make_gen ~read_pct:cfg.S.read_pct ~accounts:cfg.S.accounts
+      ~zipf_s:cfg.S.zipf_s ~transfer_pct:cfg.S.transfer_pct ~rng ()
+  in
+  let tally = Scheduler.run (S.scheduler cfg w ~gen ~steps) in
+  check_bool "the generator drew lookups" true (Hashtbl.length lookups > 0);
+  check_int "every request committed" cfg.S.requests tally.Scheduler.committed;
+  check_int "no request answered as a read" 0 tally.Scheduler.reads;
+  check_int "counter = committed" tally.Scheduler.committed (counter ());
+  S.release_world w
 
 (* --- end-to-end: the sharded server --- *)
 
@@ -576,14 +661,16 @@ let prop_elr_serial_balances =
     ~count:40
     (QCheck.make ~print:print_elr_cfg gen_elr_cfg)
     (fun cfg ->
-      let w, tally = S.run_with_world cfg in
+      let w, tally, late, _ = serve_checking_acks cfg in
       if
         tally.Scheduler.committed + tally.Scheduler.reads <> cfg.S.requests
       then
         QCheck.Test.fail_reportf "committed %d + reads %d <> %d (shed %d)"
           tally.Scheduler.committed tally.Scheduler.reads cfg.S.requests
           tally.Scheduler.shed;
+      Option.iter (QCheck.Test.fail_reportf "ack before durability: %s") late;
       check_balances cfg w;
+      S.release_world w;
       true)
 
 (* The latency layer names itself after the memory device under it, whose
@@ -620,6 +707,7 @@ let suite =
     ("server.backpressure-defers", `Quick, test_backpressure_defers);
     ("server.deadlock-abort-retry", `Quick, test_deadlock_abort_retry);
     ("server.snapshot-reads", `Quick, test_snapshot_reads);
+    ("server.custom-steps", `Quick, test_custom_steps);
     ( "server.balances-match-serial-reference",
       `Quick,
       test_balances_match_serial_reference );
