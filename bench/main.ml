@@ -650,17 +650,14 @@ let contention () =
    commit-path trigger: the crossing transaction pays the whole sweep, the
    Camelot pathology the paper attacks), and "disabled" (a log so large
    occupancy never reaches the threshold — the no-truncation floor the
-   headline p99 ratio, bounded at 2x in Rvm_obs.Gate, compares against). *)
+   headline p99 ratio, bounded at 1.25x in Rvm_obs.Gate, compares
+   against). *)
 
 let truncation () =
   let module S = Rvm_server.Server in
   let module H = Rvm_obs.Histogram in
   let module J = Rvm_obs.Json in
-  let requests =
-    match Sys.getenv_opt "BENCH_TRUNCATION_REQUESTS" with
-    | Some s -> int_of_string s
-    | None -> 100_000
-  in
+  let requests = 100_000 in
   let load = 160. in
   let small_log = 4 * 1024 * 1024 in
   let huge_log = 256 * 1024 * 1024 in
@@ -743,7 +740,7 @@ let truncation () =
          ("offered_tps", J.Float load);
          ("arms", J.List (List.map snd arms));
          ("p99_ratio_background_over_disabled", J.Float ratio);
-         ("gate_max_ratio", J.Float 2.0);
+         ("gate_max_ratio", J.Float 1.25);
        ]);
   Printf.printf "wrote %s\n%!" path
 

@@ -12,7 +12,6 @@ type t = {
      appends stays a single run (one force) while scattered page writes
      cost one positioning delay per run of pages. *)
   mutable dirty : Intervals.t;
-  mutable background : bool;
   mutable ios : int;
   mutable busy : float;
   mutable dev : Device.t;
@@ -20,8 +19,7 @@ type t = {
 
 let charge t us =
   t.busy <- t.busy +. us;
-  if t.background then Clock.charge_background t.clock us
-  else Clock.charge_io t.clock us
+  Clock.charge_io t.clock us
 
 (* Run lengths, highest start first. The charge order fixes the float sums
    of [busy] and the clock, so it must not change or every simulated
@@ -40,7 +38,6 @@ let create ?(seek_fraction = 1.0) ?(sector = 1) ~base ~clock ~disk () =
       seek_fraction;
       sector;
       dirty = Intervals.empty;
-      background = false;
       ios = 0;
       busy = 0.;
       dev = base;
@@ -77,6 +74,5 @@ let create ?(seek_fraction = 1.0) ?(sector = 1) ~base ~clock ~disk () =
   t
 
 let device t = t.dev
-let set_background t b = t.background <- b
 let io_count t = t.ios
 let busy_us t = t.busy

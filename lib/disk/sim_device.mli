@@ -10,9 +10,8 @@
     delay each. Reads are synchronous device accesses (region data caching
     is the job of the VM simulator, not the disk).
 
-    Charges go to the foreground by default; {!set_background} reroutes them
-    to the clock's background backlog, which is how work done by a separate
-    task (Camelot's Disk Manager, RVM's truncation daemon) is modelled. *)
+    Charges are I/O waits; work of a separate task, such as RVM's
+    truncation daemon, runs under {!Rvm_util.Clock.on_lane}. *)
 
 type t
 
@@ -32,7 +31,6 @@ val create :
     sweep batch scattered small writes into page-sized I/Os. *)
 
 val device : t -> Device.t
-val set_background : t -> bool -> unit
 val io_count : t -> int
 (** Number of physical accesses charged (reads + syncs with dirty data). *)
 

@@ -162,9 +162,10 @@ let bounds =
     truncation "disabled_wraps_below_1" (fun doc ->
         let w = num "log_wraps" (arm "disabled" doc) in
         unless (w < 1.) "disabled log_wraps %.3g is not below 1" w);
-    truncation "p99_ratio_2x" (fun doc ->
+    truncation "p99_ratio_1.25x" (fun doc ->
         let r = num "p99_ratio_background_over_disabled" doc in
-        unless (r <= 2.) "p99_ratio_background_over_disabled %.4g exceeds 2" r);
+        unless (r <= 1.25)
+          "p99_ratio_background_over_disabled %.4g exceeds 1.25" r);
     ycsb "serial_equal"
       (every_mix (fun r ->
            unless (is "serial_equal" (Json.Bool true) r)

@@ -175,12 +175,14 @@ val truncation_step : t -> [ `Progress | `Blocked | `Idle ]
     one segment, re-append live 2PC resolutions, or move the log head —
     starting a run if occupancy has crossed the threshold. New commits may
     append freely between steps; WAL ordering is re-established per step.
-    [`Blocked]: the run ended stalled on an uncommitted page with the log
-    still over target (stepping again before a transaction resolves will
-    stall again). [`Idle]: nothing to do. The transaction server drives
-    this from a background slot on its scheduler's quantum loop, with
-    [auto_truncate] turned off so the inline commit-path trigger stays
-    quiet. *)
+    A segment sync runs on the truncator's own data-disk lane and leaves
+    the caller's clock alone. [`Blocked]: the run ended stalled on an
+    uncommitted page with the log still over target (stepping again
+    before a transaction resolves will stall again). [`Idle]: nothing to
+    do now — no run is due, or its syncs are still in flight. The
+    transaction server drives this from a background slot on its
+    scheduler's quantum loop, with [auto_truncate] turned off so the
+    inline commit-path trigger stays quiet. *)
 
 val truncation_due : t -> bool
 (** A truncation run is in flight or log occupancy has reached the

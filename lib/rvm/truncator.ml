@@ -15,6 +15,11 @@
    [Queue] (Figure 7). Each source has its own [`Write] stage; both then
    pass through one [`Sync] -> [`Evidence] -> [`Move_head] tail.
 
+   Segment syncs run on the machine's own data-disk {!Clock.lane}: they
+   occupy the disk, not the caller, and the head moves only once the
+   clock has passed the last sync's completion. Log-disk work stays on
+   the caller's clock, so no batch acks before a WAL-ordering force ends.
+
    WAL ordering is re-established at every step rather than once per run:
 
    - an incremental page write-out first checks for an unflushed tail and
@@ -96,8 +101,6 @@ type run = {
   mutable stage :
     [ `Write | `Sync | `Evidence | `Move_head of int * int | `Complete ];
   mutable written : int list;  (* segment ids written, ascending *)
-  mutable unsynced : int;  (* bytes written since the last interim sync *)
-  mutable unsynced_segs : int list;
 }
 
 type t = {
@@ -109,11 +112,7 @@ type t = {
       (* gid -> the resolution record appended on this log but not yet
          known durable on every participant; re-appended past every head
          move until retired *)
-  mutable paced : bool;
-      (* true while a background driver is stepping this machine:
-         interim sync batching (pause splitting) applies only then —
-         synchronous run-to-completion drivers keep the one-sync-per-
-         segment cost structure of the pre-refactor inline path *)
+  disk : Clock.lane;  (* the data disk: segment syncs run here *)
 }
 
 let create env =
@@ -123,7 +122,7 @@ let create env =
     queued = Hashtbl.create 64;
     run = None;
     resolutions = Hashtbl.create 4;
-    paced = false;
+    disk = Clock.lane ();
   }
 
 let active t = Option.is_some t.run
@@ -228,8 +227,7 @@ let seg_write_page t (region : Region.t) page =
 
 (* --- starting runs --- *)
 
-let new_run source =
-  { source; stage = `Write; written = []; unsynced = 0; unsynced_segs = [] }
+let new_run source = { source; stage = `Write; written = [] }
 
 (* Freeze an epoch (the first step of an epoch run): force any unflushed
    tail, capture the frozen window, and plan its application. The plan's
@@ -282,38 +280,15 @@ let start t ~target =
 
 (* --- advancing runs --- *)
 
-(* Interim segment syncs keep every step's device charge bounded. The
-   segment devices are write-back: a write dirties an extent, and sync
-   pays seek + transfer for everything dirty. Without interim syncs a
-   run's whole write-out accumulates and the final per-segment sync pays
-   for all of it in one step — a multi-second stall at 1993 transfer
-   rates, which is exactly the pause this machine exists to eliminate.
-   Syncing every [sync_batch_pages] pages caps a step's device time at
-   roughly one positioning delay plus one batch of transfer (~25 ms on
-   the modelled data disk — comparable to one log force, so truncation
-   never charges a quantum much more than a commit does). Early syncs
-   are always WAL-safe: the records backing these values were forced
-   before the writes (epoch: at freeze; incremental: the per-step
-   unflushed check). *)
-let sync_batch_pages = 8
-
-let sync_batch t =
-  if t.paced then sync_batch_pages * (t.env.options ()).Options.page_size
-  else max_int
-
+(* On the disk lane, the span is the disk's busy interval. The records
+   backing the synced values were forced before the writes (epoch: at
+   freeze; incremental: the per-step unflushed check). *)
 let sync_segment t seg_id =
-  Registry.span t.env.obs "segment.sync" (fun () ->
-      Segment.sync (t.env.segment seg_id))
+  Clock.on_lane t.env.clock t.disk (fun () ->
+      Registry.span t.env.obs "segment.sync" (fun () ->
+          Segment.sync (t.env.segment seg_id)))
 
-let interim_sync t r =
-  List.iter (sync_segment t) r.unsynced_segs;
-  r.unsynced <- 0;
-  r.unsynced_segs <- []
-
-let wrote r seg_id bytes =
-  r.unsynced <- r.unsynced + bytes;
-  if not (List.mem seg_id r.unsynced_segs) then
-    r.unsynced_segs <- seg_id :: r.unsynced_segs;
+let wrote r seg_id =
   if not (List.mem seg_id r.written) then
     r.written <- List.merge compare [ seg_id ] r.written
 
@@ -357,13 +332,16 @@ let rec advance t r =
     | Queue q -> write_queue t r q)
   | `Sync -> (
     match r.written with
-    | [] ->
-      r.stage <- `Evidence;
-      advance t r
     | seg_id :: rest ->
       r.written <- rest;
       sync_segment t seg_id;
-      `Progress)
+      `Progress
+    | [] when !(t.disk) > Clock.now_us t.env.clock ->
+      (* The head waits for the last sync to complete. *)
+      `Idle
+    | [] ->
+      r.stage <- `Evidence;
+      advance t r)
   | `Evidence -> (
     match head_target t r with
     | None, _ ->
@@ -383,22 +361,17 @@ let rec advance t r =
     `Progress
 
 and write_plan t r p =
-  if r.unsynced >= sync_batch t then begin
-    interim_sync t r;
+  match p.chunks with
+  | [] ->
+    r.stage <- `Sync;
+    advance t r
+  | (seg_id, off, data) :: rest ->
+    p.chunks <- rest;
+    let len = Bytes.length data in
+    Segment.write (t.env.segment seg_id) ~off ~buf:data ~pos:0 ~len;
+    Clock.charge_cpu t.env.clock (copy_cost t len);
+    wrote r seg_id;
     `Progress
-  end
-  else
-    match p.chunks with
-    | [] ->
-      r.stage <- `Sync;
-      advance t r
-    | (seg_id, off, data) :: rest ->
-      p.chunks <- rest;
-      let len = Bytes.length data in
-      Segment.write (t.env.segment seg_id) ~off ~buf:data ~pos:0 ~len;
-      Clock.charge_cpu t.env.clock (copy_cost t len);
-      wrote r seg_id len;
-      `Progress
 
 and write_queue t r q =
   let env = t.env in
@@ -416,10 +389,6 @@ and write_queue t r q =
        whose log records are not yet durable. The force is this step's
        whole unit of work. *)
     Log_manager.force env.log;
-    `Progress
-  end
-  else if r.unsynced >= sync_batch t then begin
-    interim_sync t r;
     `Progress
   end
   else
@@ -452,9 +421,7 @@ and write_queue t r q =
               (Region.vm_page d.d_region ~region_page:d.d_page);
             seg_write_page t d.d_region d.d_page;
             Page_table.release pages d.d_page;
-            wrote r
-              (Segment.id d.d_region.Region.seg)
-              (env.options ()).Options.page_size;
+            wrote r (Segment.id d.d_region.Region.seg);
             `Progress)
 
 (* Leaving the page drain: segment syncs and the head move happen only
@@ -480,7 +447,6 @@ and finish t r =
     then start_epoch t
 
 let step t =
-  t.paced <- true;
   match t.run with
   | Some r -> advance t r
   | None ->
@@ -497,9 +463,11 @@ let step t =
       | None -> `Idle
     end
 
+(* A synchronous driver waits out the data disk before every step: it
+   pays each sync in full, in order. *)
 let complete t =
-  t.paced <- false;
   while active t do
+    Clock.join_lanes t.env.clock [ t.disk ];
     Option.iter (fun r -> ignore (advance t r)) t.run
   done
 

@@ -18,11 +18,14 @@
     force precedes every head move. An epoch's freeze restarts the page
     queue; nothing reads the log after the freeze.
 
-    The engine drives it two ways: the pre-refactor synchronous entries
-    ({!maybe_truncate} on the commit path, {!truncate_now},
-    {!sync_epoch}) run a whole machine to completion in place, and the
-    transaction server's scheduler calls {!step} from a background slot on
-    its quantum loop, checking {!due} / {!urgent} to pace it. *)
+    Segment syncs run on the machine's own data-disk
+    {!Rvm_util.Clock.lane}, and the head moves only once the clock has
+    passed the last one's completion. The engine drives it two ways: the
+    pre-refactor synchronous entries ({!maybe_truncate} on the commit
+    path, {!truncate_now}, {!sync_epoch}) join that lane and run a whole
+    machine to completion in place, and the transaction server's
+    scheduler calls {!step} from a background slot on its quantum loop,
+    checking {!due} / {!urgent} to pace it. *)
 
 type t
 
@@ -87,7 +90,8 @@ val step : t -> [ `Progress | `Blocked | `Idle ]
     synchronous fallback). [`Blocked] means the run ended stalled on its
     queue head with the log still over target — stepping again before a
     transaction resolves will just stall again. [`Idle] means there is
-    nothing to do. *)
+    nothing to do now: no run is due, or the run is waiting for its syncs
+    to complete (it stays {!due}). *)
 
 val maybe_truncate : t -> unit
 (** The inline commit-path trigger: when [auto_truncate] is on, no run is

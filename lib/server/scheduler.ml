@@ -20,8 +20,8 @@ let cpu_per_op_us = 25.  (* CPU charge per step *)
 let max_iterations = 20_000_000  (* hang guard for property tests *)
 
 (* The background slot's pacing (see [background_truncation]): truncator
-   steps per quantum that may charge device time (sync/force steps; steps
-   that charge nothing run up to 16x this cap for free), the spool
+   steps per quantum that may charge device time (log forces, page-ins;
+   steps that charge nothing run up to 16x this cap for free), the spool
    pressure at which that budget doubles, and the minimum simulated time
    between device-charging bursts (halved under spool pressure). *)
 let truncation_steps_per_quantum = 1
@@ -520,13 +520,13 @@ let admit_from_queue t =
 (* The background-task slot: spend a bounded amount of truncation work
    between scheduling decisions. Step CPU is charged via the clock's
    background lane ({!Clock.background}) so it rides the dispatcher's
-   idle capacity, but device time the steps force — segment syncs,
-   WAL-ordering log forces — still advances the simulated clock; that
-   wall-clock delta is the honest per-quantum commit-path pause and
-   lands in [truncation.pause.us]. The step budget doubles when spool
-   pressure crosses [truncation_spool_trigger] (a loaded spool means the
-   next drain will append a burst, so reclaim harder while it builds).
-   If occupancy has already reached [truncation_critical], background
+   idle capacity, and segment syncs run on the truncator's own disk lane,
+   but log forces and page-ins the steps cause still advance the
+   simulated clock; that wall-clock delta is the honest per-quantum
+   commit-path pause and lands in [truncation.pause.us]. The step budget
+   doubles when spool pressure crosses [truncation_spool_trigger] (a
+   loaded spool means the next drain will append a burst, so reclaim
+   harder while it builds). If occupancy has already reached [truncation_critical], background
    pacing lost the race: fall back to one synchronous truncation — the
    exact stall the paper charges to Camelot — recorded under the
    [truncation.emergency] span and the same pause histogram. *)
@@ -557,14 +557,14 @@ let background_truncation t =
       (not blocked_fresh) && gap_open && t.eng.Engine.truncation_due ()
     then begin
       (* The budget counts *device-pausing* steps — steps that advanced
-         the simulated clock (a segment sync, a WAL-ordering log force).
-         Steps that charge nothing foreground (truncator page writes land
-         in write-back device caches and their CPU rides the background
+         the simulated clock (a log force, a page-in). Steps that charge
+         nothing foreground (page writes land in write-back device
+         caches, syncs run on the disk lane, CPU rides the background
          lane) are nearly free, and a plan can hold thousands of them;
-         metering those at the same rate as syncs starves reclamation
-         until the emergency fallback fires, which is the exact pause
-         this slot exists to avoid. Free steps still get a cap so one
-         quantum cannot spin unboundedly. *)
+         metering those like forces starves reclamation until the
+         emergency fallback fires, which is the exact pause this slot
+         exists to avoid. Free steps still get a cap so one quantum
+         cannot spin unboundedly. *)
       let budget =
         if pressured then 2 * truncation_steps_per_quantum
         else truncation_steps_per_quantum

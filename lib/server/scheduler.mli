@@ -48,9 +48,10 @@
     decisions until one of them has charged device time (two under spool
     pressure; CPU rides the clock's background lane), with at least
     200 ms of simulated time between such bursts; when the engine reports
-    it urgent the slot falls back to one synchronous truncation. Pauses
-    land in the [truncation.pause.us] and [truncation.steps.per.quantum]
-    histograms.
+    it urgent the slot falls back to one synchronous truncation. Segment
+    syncs run on the truncator's own disk lane and charge no pause.
+    Pauses land in the [truncation.pause.us] and
+    [truncation.steps.per.quantum] histograms.
 
     Retry backoff (1 ms base, at most 6 doublings, jittered), the step
     charge, the slot's pacing and the 20,000,000-iteration hang guard are

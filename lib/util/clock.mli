@@ -45,7 +45,8 @@ val background : t -> (unit -> 'a) -> 'a
     time), while I/O waits still advance the wall clock — a daemon doing a
     disk write really does occupy the device. The scheduler wraps each
     background truncation step in this, so truncation CPU is paid from
-    otherwise-idle time and only its device traffic shows up as pause. *)
+    otherwise-idle time and only its log-disk traffic shows up as pause
+    (its segment syncs run on a {!lane}). *)
 
 val advance_to : t -> float -> unit
 (** Idle wait: move wall time forward to an absolute microsecond timestamp
@@ -66,11 +67,11 @@ val fork_join : t -> (unit -> unit) list -> unit
     On a null clock the branches simply run in order. *)
 
 type lane = float ref
-(** A worker lane: the busy-until wall time of one simulated worker core.
-    The sharded transaction server models one worker per shard — engine
-    work dispatched to a shard runs on its lane, so the lanes advance
-    independently and only synchronization points (a cross-shard commit
-    round, a global force) make one lane wait for another. *)
+(** A worker lane: the busy-until wall time of one simulated worker core
+    or disk. The sharded transaction server models one worker per shard —
+    engine work dispatched to a shard runs on its lane, so the lanes
+    advance independently and only synchronization points (a cross-shard
+    commit round, a global force) make one lane wait for another. *)
 
 val lane : unit -> lane
 (** A fresh idle lane (busy-until 0, i.e. free immediately). *)

@@ -255,18 +255,6 @@ let test_sim_write_buffering () =
   dev.Device.sync ();
   Alcotest.(check (float 1e-6)) "clean sync free" t1 (Clock.now_us clock)
 
-let test_sim_background_routing () =
-  let base = Mem_device.create ~size:65536 () in
-  let clock = Clock.simulated () in
-  let disk = Cost_model.dec5000.Cost_model.data_disk in
-  let sim = Sim_device.create ~base ~clock ~disk () in
-  let dev = Sim_device.device sim in
-  Sim_device.set_background sim true;
-  ignore (Device.read_bytes dev ~off:0 ~len:4096);
-  Alcotest.(check (float 0.)) "background read does not block" 0.
-    (Clock.now_us clock);
-  check_bool "accrues backlog" true (Clock.backlog_us clock > 0.)
-
 let test_mem_snapshot () =
   let dev = Mem_device.create ~size:32 () in
   Device.write_string dev ~off:0 "snapshot";
@@ -378,7 +366,6 @@ let suite =
     ("crash.fail-stop", `Quick, test_fail_stop);
     ("sim.charges-reads", `Quick, test_sim_charges_reads);
     ("sim.write-buffering", `Quick, test_sim_write_buffering);
-    ("sim.background", `Quick, test_sim_background_routing);
     ("mem.snapshot", `Quick, test_mem_snapshot);
     ("crash.forwards-close", `Quick, test_crash_forwards_close);
     ("stack.composition", `Quick, test_stack_composition);

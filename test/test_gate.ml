@@ -133,8 +133,8 @@ let bound_cases =
         (set "log_wraps" (J.Float 2.999)) );
     ( "truncation.disabled_wraps_below_1", "truncation",
       map_rows "arms" ~where:(arm "disabled") (set "log_wraps" (J.Float 1.0)) );
-    ( "truncation.p99_ratio_2x", "truncation",
-      set "p99_ratio_background_over_disabled" (J.Float 2.001) );
+    ( "truncation.p99_ratio_1.25x", "truncation",
+      set "p99_ratio_background_over_disabled" (J.Float 1.251) );
     ( "ycsb.serial_equal", "ycsb",
       map_rows "results" ~where:(fun i _ -> i = 2)
         (set "serial_equal" (J.Bool false)) );
@@ -172,7 +172,7 @@ let test_bounds_at_threshold () =
       map_rows "arms" ~where:(arm "disabled")
         (set "log_wraps" (J.Float 0.999))
         t;
-      set "p99_ratio_background_over_disabled" (J.Float 2.) t;
+      set "p99_ratio_background_over_disabled" (J.Float 1.25) t;
     ]
 
 (* Directions against the checked-in copy. *)

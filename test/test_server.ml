@@ -545,6 +545,44 @@ let test_background_truncation_run () =
   check_balances off w_off;
   check_int "no background steps when disabled" 0 (steps_hist w_off)
 
+(* Background truncation keeps the tail of an unwrapped run: the
+   truncator's segment syncs occupy its data disk, not the dispatcher, so
+   a log that wraps several times serves within 1.25x of the p99 of one
+   that never truncates. *)
+let test_truncation_tail () =
+  let serve log_size =
+    let cfg =
+      {
+        S.default_config with
+        S.requests = 200;
+        S.load = S.Open_loop 80.;
+        S.batch_max = 4;
+        S.log_size;
+      }
+    in
+    let w = S.build_world cfg in
+    let r = S.reduce cfg w (S.serve w (S.scheduler_of cfg w)) in
+    S.release_world w;
+    let steps =
+      match
+        List.assoc_opt "truncation.steps.per.quantum"
+          (Registry.histograms w.S.obs)
+      with
+      | Some h -> Rvm_obs.Histogram.count h
+      | None -> 0
+    in
+    (r.S.p99_latency_us, steps)
+  in
+  let wrapped, wrapped_steps = serve (64 * 1024) in
+  let unwrapped, unwrapped_steps = serve (4 * 1024 * 1024) in
+  check_bool "the small log ran truncation steps" true (wrapped_steps > 0);
+  check_int "the large log ran none" 0 unwrapped_steps;
+  check_bool
+    (Printf.sprintf "p99 %.0f us within 1.25x of the unwrapped %.0f us"
+       wrapped unwrapped)
+    true
+    (wrapped <= 1.25 *. unwrapped)
+
 (* --- end-to-end: req.root parents txn.commit in the trace --- *)
 
 let test_trace_parenting () =
@@ -724,6 +762,7 @@ let suite =
     ( "server.background-truncation-run",
       `Quick,
       test_background_truncation_run );
+    ("server.truncation-tail", `Quick, test_truncation_tail);
     ("server.trace-parents-commits", `Quick, test_trace_parenting);
     ("server.release-world", `Quick, test_release_world);
     QCheck_alcotest.to_alcotest prop_no_hang_and_serial_balances;

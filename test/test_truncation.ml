@@ -326,6 +326,72 @@ let test_truncation_counters_match_registry () =
        (Rvm_obs.Registry.histogram reg2 "segment.sync.us"));
   check_bool "segment sync happened" true (g2 "segment.sync.count" > 0)
 
+(* Segment syncs run on the truncator's own data-disk lane: stepping a
+   run leaves the caller's clock alone, and the head moves only once the
+   clock has passed the last sync's completion. A synchronous truncation
+   joins the lane and pays the same syncs in full. With a zero cost model
+   and a plain memory log, any clock advance is data-disk time. *)
+let test_disk_lane () =
+  let world () =
+    let clock = Rvm_util.Clock.simulated () in
+    let log_dev = Mem_device.create ~name:"lane-log" ~size:(64 * 1024) () in
+    Rvm.create_log log_dev;
+    let seg_dev =
+      Rvm_disk.Stack.with_latency ~sector:4096 ~clock
+        ~disk:Rvm_util.Cost_model.dec5000.Rvm_util.Cost_model.data_disk ()
+        (Mem_device.create ~name:"lane-seg" ~size:(64 * 1024) ())
+    in
+    let options =
+      {
+        Options.default with
+        Options.truncation_mode = Types.Incremental;
+        auto_truncate = false;
+        truncation_threshold = 0.001;
+      }
+    in
+    let rvm =
+      Rvm.initialize ~options ~clock ~model:Rvm_util.Cost_model.zero
+        ~log:log_dev ~resolve:(fun _ -> seg_dev) ()
+    in
+    let a = (Rvm.map rvm ~seg:1 ~seg_off:0 ~len:(8 * ps) ()).Region.vaddr in
+    List.iter
+      (fun p ->
+        let tid = Rvm.begin_transaction rvm ~mode:Types.Restore in
+        Rvm.modify rvm tid ~addr:(a + (p * ps)) (Bytes.of_string "lane");
+        Rvm.end_transaction rvm tid ~mode:Types.Flush)
+      [ 0; 2; 4; 6 ];
+    (rvm, clock)
+  in
+  let sync_sum rvm =
+    Rvm_obs.Histogram.sum
+      (Rvm_obs.Registry.histogram (Rvm.obs rvm) "segment.sync.us")
+  in
+  let rvm, clock = world () in
+  let lm = Rvm.log_manager rvm in
+  let t0 = Rvm_util.Clock.now_us clock in
+  let rec drive n =
+    if n > 100 then Alcotest.fail "the run never stopped making progress"
+    else if Rvm.truncation_step rvm = `Progress then drive (n + 1)
+  in
+  drive 0;
+  Alcotest.(check (float 0.)) "steps leave the caller's clock alone" t0
+    (Rvm_util.Clock.now_us clock);
+  let synced = sync_sum rvm in
+  check_bool "the data disk was busy" true (synced > 0.);
+  check_bool "the run waits for the disk" true (Rvm.truncation_active rvm);
+  check_bool "the head has not moved" false (Log_manager.is_empty lm);
+  Rvm_util.Clock.advance_to clock (t0 +. synced);
+  drive 0;
+  check_bool "the run completed" false (Rvm.truncation_active rvm);
+  check_bool "the head moved" true (Log_manager.is_empty lm);
+  let rvm, clock = world () in
+  let t0 = Rvm_util.Clock.now_us clock in
+  Rvm.truncate rvm;
+  Alcotest.(check (float 1e-6)) "a synchronous run pays every sync"
+    (sync_sum rvm)
+    (Rvm_util.Clock.now_us clock -. t0);
+  check_bool "log empty" true (Log_manager.is_empty (Rvm.log_manager rvm))
+
 let suite =
   [
     ("epoch.applies", `Quick, test_epoch_applies_and_empties);
@@ -342,4 +408,5 @@ let suite =
     ("status.counter", `Quick, test_truncation_counter_in_status);
     ("truncate.empty", `Quick, test_truncate_empty_log_is_noop);
     ("stats.span-backed", `Quick, test_truncation_counters_match_registry);
+    ("truncation.disk-lane", `Quick, test_disk_lane);
   ]
