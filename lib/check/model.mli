@@ -1,47 +1,57 @@
 (** Pure in-memory reference model of the recovery contract.
 
-    The model tracks the committed transactions of one mapped region in
-    commit order, plus how many of them the implementation has promised are
-    durable (everything up to the latest log force). The contract checked
-    against a recovered image is the paper's permanence/atomicity guarantee
-    restated over commit prefixes:
+    The model keeps, per shard, the committed transactions that wrote that
+    shard's region, in commit order. A cross-shard transaction contributes
+    one entry to each participant, all sharing one decision. The contract
+    checked against the recovered regions is the paper's
+    permanence/atomicity guarantee restated over commit prefixes
+    (section 5.1.1):
 
     - every commit known durable at the crash point is present;
     - no-flush commits may survive or vanish, but only as a {e prefix} of
-      commit order (bounded persistence, section 5.1.1);
-    - no transaction is ever partially present (atomicity).
+      each shard's commit order (bounded persistence);
+    - no transaction is ever partially present: a cross-shard transaction
+      is applied on every participant or on none.
 
-    Equivalently: the recovered region bytes must equal the state after
-    the first [k] commits, for some [k] between the durable count and the
-    total commit count. *)
+    Equivalently: there exist per-shard prefix lengths, at least the
+    durable ones, and one set of decided-committed cross-shard
+    transactions, containing every durably decided one, whose state
+    equals every recovered region. On one shard this is the single-log
+    contract: the recovered bytes equal the state after the first [k]
+    commits, for some [k] between the durable count and the total. *)
 
 type t
 
-val create : region_len:int -> t
-(** Fresh model of a region of [region_len] bytes, initially zeroed (the
-    image of a freshly created external data segment). *)
+val create : shards:int -> region_len:int -> t
+(** Fresh model of [shards] regions of [region_len] bytes, initially zeroed
+    (the image of a freshly created external data segment). *)
 
-val commit : t -> (int * Bytes.t) list -> unit
-(** Record a committed transaction as its region-relative writes, applied
-    in list order. *)
+val commit : t -> shard:int -> (int * Bytes.t) list -> unit
+(** Record a committed single-shard transaction as its region-relative
+    writes, applied in list order. *)
 
-val mark_durable : t -> unit
-(** Every commit recorded so far is now guaranteed durable (called after a
-    log force). *)
+val cross : t -> (int * (int * Bytes.t) list) list -> int
+(** Record a committed cross-shard transaction as its writes per
+    participant shard; returns its id. Ids count up from 0. *)
 
-val commit_count : t -> int
-val durable_count : t -> int
+val entries : t -> int -> int
+(** Commit entries recorded on a shard. *)
 
-val state : t -> k:int -> Bytes.t
-(** Region bytes after applying the first [k] commits to the zeroed
-    initial image. *)
+val crosses : t -> int
+(** Cross-shard transactions recorded. *)
 
-val matching_prefix : t -> min:int -> Bytes.t -> int option
-(** [matching_prefix t ~min img] is the largest [k] with
-    [min <= k <= commit_count t] such that [state t ~k] equals [img], if
-    any — the witness that [img] satisfies the contract with at least
-    [min] commits durable. *)
+type requirement = {
+  counts : int array;  (** per shard: entries that must survive *)
+  ids : int list;  (** cross-shard transactions that must be committed *)
+}
 
-val describe_mismatch : t -> min:int -> Bytes.t -> string
-(** Human-readable account of why no prefix matched: for the closest
-    prefix, the first differing offset and byte values. *)
+val matches : t -> requirement -> Bytes.t array -> bool
+(** Whether some per-shard prefixes and cross-shard decisions meeting the
+    requirement explain the recovered regions, one per shard. A decided
+    transaction must fall inside the surviving prefix of every
+    participant; an undecided one is applied on none. *)
+
+val describe_mismatch : t -> requirement -> Bytes.t array -> string
+(** Human-readable account of why nothing matched: per shard, the first
+    offset where the recovered region differs from the all-committed
+    state. *)
