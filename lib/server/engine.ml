@@ -8,6 +8,7 @@ type t = {
   set_range : int -> addr:int -> len:int -> unit;
   load : addr:int -> len:int -> Bytes.t;
   store : addr:int -> Bytes.t -> unit;
+  crosses : int -> bool;
   end_txn : int -> mode:Types.commit_mode -> unit;
   abort : int -> unit;
   flush : unit -> unit;
@@ -29,6 +30,7 @@ let of_rvm rvm =
     set_range = (fun tid ~addr ~len -> Rvm.set_range rvm tid ~addr ~len);
     load = (fun ~addr ~len -> Rvm.load rvm ~addr ~len);
     store = (fun ~addr b -> Rvm.store rvm ~addr b);
+    crosses = (fun _ -> false);
     end_txn = (fun tid ~mode -> Rvm.end_transaction rvm tid ~mode);
     abort = (fun tid -> Rvm.abort_transaction rvm tid);
     flush = (fun () -> Rvm.flush rvm);
@@ -54,6 +56,9 @@ let of_multi m =
     set_range = (fun tid ~addr ~len -> Multi.set_range m tid ~addr ~len);
     load = (fun ~addr ~len -> Multi.load m ~addr ~len);
     store = (fun ~addr b -> Multi.store m ~addr b);
+    crosses =
+      (fun tid ->
+        match Multi.touched_shards m tid with _ :: _ :: _ -> true | _ -> false);
     end_txn = (fun tid ~mode -> Multi.end_transaction m tid ~mode);
     abort = (fun tid -> Multi.abort_transaction m tid);
     flush = (fun () -> Multi.flush m);

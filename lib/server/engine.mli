@@ -25,6 +25,10 @@ type t = {
   set_range : int -> addr:int -> len:int -> unit;
   load : addr:int -> len:int -> Bytes.t;
   store : addr:int -> Bytes.t -> unit;
+  crosses : int -> bool;
+      (** whether the live transaction has written more than one shard, so
+          that its commit is a parallel-commit round; always [false] on
+          the single-log engine *)
   end_txn : int -> mode:Rvm_core.Types.commit_mode -> unit;
   abort : int -> unit;
   flush : unit -> unit;

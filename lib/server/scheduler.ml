@@ -86,6 +86,9 @@ type t = {
          the ack-dependency rule holds their completion until the
          engine's durable horizon covers [dep_lsn] (newest first) *)
   batch : Request.t Batcher.t;
+  mutable riding : int list;
+      (* ids in the open batch whose locks ride to its force under ELR:
+         the cross-shard commits *)
   steps : (int, step list) Hashtbl.t;
   mutable on_spool : Request.t -> unit;
       (* fired when a commit record reaches the spool (logical commit);
@@ -150,6 +153,7 @@ let create ~cfg ~steps ~engine ~clock ~obs ~lock_mgr ~admission ~arrivals ~gen
     retries = [];
     pending_reads = [];
     batch = Batcher.create ~max:cfg.batch_max;
+    riding = [];
     steps = Hashtbl.create 64;
     on_spool = ignore;
     on_ack = ignore;
@@ -266,9 +270,15 @@ let complete_reads t =
 
    Early lock release: the commit record is in the spool and — redo-only
    logging, no undo ever — nothing can roll it back except a crash, which
-   rolls back every later conflicting transaction with it. The locks
-   therefore drop now, and the stamp keeps a successor from acknowledging
-   before this record is forced. With [elr = false] the locks ride until
+   rolls back every later conflicting transaction with it, because the
+   successor's record sits later in the same spool. The locks therefore
+   drop now, and the stamp keeps a successor from acknowledging before
+   this record is forced. That argument needs one spool: a commit that
+   wrote several shards is decided by every participant's force, and a
+   crash between two of them aborts it while a single-shard successor's
+   record on a forced shard survives, carrying what it read. Such a
+   commit keeps its locks until the batch force, its implicit-commit
+   point. With [elr = false] every commit's locks ride until
    {!flush_batch} — the contention the optimization removes. *)
 let commit_ready t (r : Request.t) =
   let tid =
@@ -278,6 +288,8 @@ let commit_ready t (r : Request.t) =
   in
   let id = r.Request.spec.Request.id in
   let unbatched = t.cfg.batch_max = 1 in
+  (* Asked before [end_txn]: the engine forgets the transaction there. *)
+  let early = t.cfg.elr && (not unbatched) && not (t.eng.Engine.crosses tid) in
   Registry.span t.obs "req.root" ~attrs:(req_attrs r) (fun () ->
       t.eng.Engine.end_txn tid
         ~mode:(if unbatched then Types.Flush else Types.No_flush));
@@ -297,20 +309,22 @@ let commit_ready t (r : Request.t) =
   else begin
     r.Request.status <- Request.Ready;
     t.on_spool r;
-    if t.cfg.elr then begin
+    if early then begin
       Counter.incr t.c_elr;
       Lock_mgr.release_all t.lm ~owner:id
-    end;
+    end
+    else if t.cfg.elr then t.riding <- id :: t.riding;
     Admission.release t.adm;
     Batcher.add t.batch r;
-    if t.cfg.elr then wake_parked t
+    if early then wake_parked t
   end
 
 (* Close the open batch: one force makes every no-flush commit in it
    durable, then the requests finish together. The force is also the ack
    barrier: nothing in the batch (nor any pending read) is released to
    its client before the durable horizon covers its commit and every
-   dependency it inherited through an early-released lock. *)
+   dependency it inherited through an early-released lock. Locks that
+   rode to the force drop here. *)
 let flush_batch t =
   let reqs = Batcher.take t.batch in
   if reqs <> [] then begin
@@ -321,21 +335,23 @@ let flush_batch t =
       ~attrs:[ ("size", Trace.Int size) ]
       (fun () -> t.eng.Engine.flush ());
     let d = t.eng.Engine.durable_lsn () in
+    let held = (not t.cfg.elr) || t.riding <> [] in
     List.iter
       (fun (r : Request.t) ->
-        if not t.cfg.elr then
-          Lock_mgr.release_all t.lm ~owner:r.Request.spec.Request.id;
+        let id = r.Request.spec.Request.id in
+        if (not t.cfg.elr) || List.mem id t.riding then
+          Lock_mgr.release_all t.lm ~owner:id;
         if r.Request.commit_lsn > d || r.Request.dep_lsn > d then
           raise
             (Stuck
                (Printf.sprintf
                   "ack-dependency violated: req %d (lsn %d dep %d) past \
                    durable horizon %d"
-                  r.Request.spec.Request.id r.Request.commit_lsn
-                  r.Request.dep_lsn d));
+                  id r.Request.commit_lsn r.Request.dep_lsn d));
         finish t r)
       reqs;
-    if not t.cfg.elr then wake_parked t
+    t.riding <- [];
+    if held then wake_parked t
   end;
   complete_reads t
 
