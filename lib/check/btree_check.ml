@@ -10,24 +10,17 @@ open Rvm_core
 module Rds = Rvm_alloc.Rds
 module Pbtree = Rvm_pds.Pbtree
 
-type config = {
-  heap_len : int;
-  log_size : int;
-  core : Crash.config;
-  degree : int;
-  group_commit : bool;
-}
+type config = { core : Crash.config }
 
 let default_config =
-  {
-    heap_len = 16 * 4096;
-    log_size = 256 * 1024;
-    core = { Crash.sector = 512; exhaustive = false; max_torn_per_write = 12 };
-    (* Minimum degree 2 (max 3 keys per node): the scripted workload
-       reaches splits, borrows and merges within a few dozen keys. *)
-    degree = 2;
-    group_commit = true;
-  }
+  { core = { Crash.sector = 512; exhaustive = false; max_torn_per_write = 12 } }
+
+(* Minimum degree 2 (max 3 keys per node): the scripted workload reaches
+   splits, borrows and merges within a few dozen keys, in a 64 KiB heap
+   over a 256 KiB log. *)
+let degree = 2
+let heap_len = 16 * 4096
+let log_size = 256 * 1024
 
 type action = Put of string * string | Remove of string
 
@@ -83,28 +76,23 @@ let default_ops =
 let heap_base = 16 * 4096
 
 (* Open the engine on a log and a segment device and map the heap. *)
-let open_heap ?obs config ~log ~seg =
+let open_heap ?obs ~log ~seg () =
   let options =
-    {
-      Options.default with
-      Options.truncation_mode = Types.Incremental;
-      group_commit = config.group_commit;
-    }
+    { Options.default with Options.truncation_mode = Types.Incremental }
   in
   let rvm = Rvm.reinitialize ~options ?obs ~log ~resolve:(fun _ -> seg) () in
-  ignore
-    (Rvm.map rvm ~vaddr:heap_base ~seg:1 ~seg_off:0 ~len:config.heap_len ());
+  ignore (Rvm.map rvm ~vaddr:heap_base ~seg:1 ~seg_off:0 ~len:heap_len ());
   rvm
 
 (* Build the durable baseline — an empty tree in a fresh heap — on the
    raw devices, so crash point zero recovers to it. Returns the tree's
    heap address (stable across reattachment). *)
-let setup config log_mem seg_mem =
+let setup log_mem seg_mem =
   Rvm.create_log log_mem;
-  let rvm = open_heap config ~log:log_mem ~seg:seg_mem in
+  let rvm = open_heap ~log:log_mem ~seg:seg_mem () in
   let tid = Rvm.begin_transaction rvm ~mode:Types.Restore in
-  let heap = Rds.init rvm tid ~base:heap_base ~len:config.heap_len in
-  let tree = Pbtree.create rvm heap tid ~degree:config.degree in
+  let heap = Rds.init rvm tid ~base:heap_base ~len:heap_len in
+  let tree = Pbtree.create rvm heap tid ~degree in
   Rvm.end_transaction rvm tid ~mode:Types.Flush;
   Pbtree.address tree
 
@@ -117,15 +105,15 @@ let apply_model m actions =
     m actions
 
 (* Reopen the engine and reattach the heap and the tree. *)
-let attach ?obs config tree_addr ~log ~seg =
-  let rvm = open_heap ?obs config ~log ~seg in
+let attach ?obs tree_addr ~log ~seg =
+  let rvm = open_heap ?obs ~log ~seg () in
   let heap = Rds.attach rvm ~base:heap_base in
   (rvm, heap, Pbtree.attach rvm heap ~addr:tree_addr)
 
 (* Recover a crash image pair, reattach, run both structural checkers,
    and return the recovered contents. *)
-let recover config tree_addr images =
-  let _, heap, tree = attach config tree_addr ~log:images.(0) ~seg:images.(1) in
+let recover tree_addr images =
+  let _, heap, tree = attach tree_addr ~log:images.(0) ~seg:images.(1) in
   Rds.check heap;
   Pbtree.check tree;
   List.rev (Pbtree.fold tree ~init:[] ~f:(fun acc ~key ~value -> (key, value) :: acc))
@@ -133,15 +121,13 @@ let recover config tree_addr images =
 (* Run the ops against traced devices, keeping the committed snapshots
    (index 0 = baseline empty tree) and checkpointing the durable snapshot
    index. *)
-let world config ops rig =
-  let log_mem = Crash.device rig ~name:"btree-log" ~size:config.log_size in
-  let seg_mem =
-    Crash.device rig ~name:"btree-seg" ~size:(config.heap_len + 4096)
-  in
-  let tree_addr = setup config log_mem seg_mem in
+let world ops rig =
+  let log_mem = Crash.device rig ~name:"btree-log" ~size:log_size in
+  let seg_mem = Crash.device rig ~name:"btree-seg" ~size:(heap_len + 4096) in
+  let tree_addr = setup log_mem seg_mem in
   let log = Crash.trace rig ~label:"log" log_mem in
   let seg = Crash.trace rig ~label:"seg" seg_mem in
-  let rvm, _, tree = attach config tree_addr ~obs:(Crash.obs rig) ~log ~seg in
+  let rvm, _, tree = attach tree_addr ~obs:(Crash.obs rig) ~log ~seg in
   let snapshots = ref [ SMap.empty ] in
   let model = ref SMap.empty in
   let note_durable () = Crash.durable rig (List.length !snapshots - 1) in
@@ -186,7 +172,7 @@ let world config ops rig =
   in
   let stats = Pbtree.stats tree in
   {
-    Crash.recover = recover config tree_addr;
+    Crash.recover = recover tree_addr;
     oracle;
     commits;
     counters =
@@ -200,6 +186,6 @@ let world config ops rig =
   }
 
 let run ?(config = default_config) ?(ops = default_ops) () =
-  Crash.run config.core (world config ops)
+  Crash.run config.core (world ops)
 
 let violates ?config ops = (run ?config ~ops ()).Crash.violations <> []

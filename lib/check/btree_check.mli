@@ -12,16 +12,15 @@
     transaction, value replaces, and mid-history truncations, so crash
     points land inside every rebalancing shape the tree has. *)
 
-type config = {
-  heap_len : int;
-  log_size : int;
-  core : Crash.config;
-  degree : int;  (** B-tree minimum degree for the scripted tree *)
-  group_commit : bool;
-}
+type config = { core : Crash.config }
 
 val default_config : config
-(** 512-byte sectors, at most 12 torn variants per write, degree 2. *)
+(** 512-byte sectors, at most 12 torn variants per write. *)
+
+val degree : int
+(** Minimum degree of the scripted tree: 2, so a few dozen keys reach
+    splits, borrows and merges. The tree lives in a 64 KiB heap over a
+    256 KiB log with group commit and incremental truncation. *)
 
 type action = Put of string * string | Remove of string
 

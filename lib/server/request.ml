@@ -86,7 +86,6 @@ type t = {
   mutable commit_lsn : int;
   mutable dep_lsn : int;
   mutable dep_writers : int list;
-  mutable audit_addr : int;
 }
 
 let make spec ~arrival_us =
@@ -101,7 +100,6 @@ let make spec ~arrival_us =
     commit_lsn = 0;
     dep_lsn = 0;
     dep_writers = [];
-    audit_addr = -1;
   }
 
 (* Serial reference model: the ops are per-cell additions, so any

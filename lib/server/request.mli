@@ -82,9 +82,6 @@ type t = {
   mutable dep_writers : int list;
       (** request ids behind [dep_lsn] — the writers whose durability this
           request's ack vouches for (what the crash explorer checks) *)
-  mutable audit_addr : int;
-      (** address of the audit slot this request wrote, [-1] if none (set
-          at execution; lets the explorer test recovered membership) *)
 }
 
 val make : spec -> arrival_us:float -> t

@@ -288,7 +288,7 @@ let balance_step eng addr d =
 
 let audit_step (eng : Engine.t) pl (s : Request.spec) =
   Scheduler.Run
-    (fun r tid ->
+    (fun _ tid ->
       (* The slot is drawn at write time, never when the steps are built
          (they are rebuilt after every abort), and the write is followed
          by the commit within the same scheduler turn, so no two live
@@ -296,14 +296,13 @@ let audit_step (eng : Engine.t) pl (s : Request.spec) =
          wrap-around. *)
       let addr = Placement.audit_next pl ~anchor:s.Request.account in
       eng.Engine.set_range tid ~addr ~len:Tpca.audit_size;
-      r.Request.audit_addr <- addr;
       let e = Bytes.create Tpca.audit_size in
       Bytes.set_int64_le e 0 (Int64.of_int s.Request.account);
       Bytes.set_int64_le e 8 (Int64.of_int s.Request.teller);
       Bytes.set_int64_le e 16 s.Request.delta;
       (* id + 1, so a zeroed (never-written) slot is distinguishable from
-         request 0's entry — the crash explorer tests recovered membership
-         by reading this word back *)
+         request 0's entry — the crash explorer reads recovered membership
+         back from these words *)
       Bytes.set_int64_le e 24 (Int64.of_int (s.Request.id + 1));
       eng.Engine.store ~addr e)
 

@@ -25,10 +25,8 @@ type config = {
   batch_max : int;
   max_inflight : int;
   max_queue : int;
-  backpressure : float;
   log_size : int;
   mem_fraction : float;
-  background_truncation : bool;
   elr : bool;
 }
 
@@ -45,10 +43,8 @@ let default_config =
     batch_max = Scheduler.default_config.Scheduler.batch_max;
     max_inflight = Admission.default.Admission.max_inflight;
     max_queue = Admission.default.Admission.max_queue;
-    backpressure = Admission.default.Admission.backpressure;
     log_size = 8 * 1024 * 1024;
     mem_fraction = 0.25;
-    background_truncation = true;
     elr = true;
   }
 
@@ -174,8 +170,7 @@ let build_world cfg =
   let tree = Pbtree.create rvm heap tid ~degree:cfg.degree in
   Rvm.end_transaction rvm tid ~mode:Types.Flush;
   load_tree cfg rvm tree;
-  Rvm.set_options rvm (fun o ->
-      { o with Options.auto_truncate = not cfg.background_truncation });
+  Rvm.set_options rvm (fun o -> { o with Options.auto_truncate = false });
   Option.iter Vm_sim.reset_counters vm;
   (* Structural counters and paging counters restart at zero: the result
      row reports what the measured run did, not the bulk load. *)
@@ -275,8 +270,6 @@ let serving cfg =
     batch_max = cfg.batch_max;
     max_inflight = cfg.max_inflight;
     max_queue = cfg.max_queue;
-    backpressure = cfg.backpressure;
-    background_truncation = cfg.background_truncation;
     elr = cfg.elr;
   }
 

@@ -29,12 +29,10 @@ type config = {
   batch_max : int;
   max_inflight : int;
   max_queue : int;
-  backpressure : float;
   log_size : int;
   mem_fraction : float;
       (** physical frames as a fraction of the heap's pages; outside
           (0, 1) disables the paging simulation *)
-  background_truncation : bool;
   elr : bool;
 }
 
