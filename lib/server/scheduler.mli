@@ -20,7 +20,10 @@
     {b Early lock release} ([elr], on by default): a batched commit drops
     its locks the moment its record reaches the log spool — redo-only
     logging has no cascading undo, so commit order is fixed there — and
-    only the {e acknowledgement} waits for the batch force. Whenever a
+    only the {e acknowledgement} waits for the batch force. A commit that
+    wrote more than one shard ({!Engine.t.crosses}) is the exception: a
+    crash between its shards' forces aborts it, so its locks ride to the
+    batch force, its implicit-commit point. Whenever a
     commit record reaches the spool, every key its request holds is
     stamped with (commit LSN, writer) in the lock manager
     ({!Rvm_layers.Lock_mgr.stamp_held}); a successor acquiring a stamped
@@ -69,8 +72,9 @@ type config = {
       (** false disables the background slot entirely (the engine's
           inline commit-path trigger is then expected to reclaim) *)
   elr : bool;
-      (** release locks at commit-spool time (stamped, ack-deferred)
-          instead of at the batch force; no effect when [batch_max = 1] *)
+      (** release a single-shard commit's locks at commit-spool time
+          (stamped, ack-deferred) instead of at the batch force; no effect
+          when [batch_max = 1] *)
 }
 
 val default_config : config
@@ -133,10 +137,11 @@ val create :
 val set_hooks :
   t -> on_spool:(Request.t -> unit) -> on_ack:(Request.t -> unit) -> unit
 (** Instrumentation taps for the crash explorer. [on_spool] fires when a
-    request's commit record reaches the spool (logical commit, locks
-    about to release under ELR); [on_ack] fires when its outcome is
-    released to the client — after durability for writes, after the
-    dependency check for read-only requests. Defaults are no-ops. *)
+    request's commit record reaches the spool (logical commit; under ELR
+    a single-shard commit's locks release right after); [on_ack] fires
+    when its outcome is released to the client — after durability for
+    writes, after the dependency check for read-only requests. Defaults
+    are no-ops. *)
 
 val set_on_quantum : t -> (unit -> unit) -> unit
 (** Hook fired once at the top of every scheduler quantum — the
