@@ -800,34 +800,37 @@ let ycsb () =
    64-commit groups, on memory devices, so host speed is irrelevant. Then
    the recovery of the grouped case's log and segment images: bytes read
    from the log against its live bytes, segment bytes written, and
-   simulated seconds in all and per phase. No other artifact measures the
+   simulated seconds in all and per phase; and the same for the grouped
+   pattern on two shards, per log. No other artifact measures the
    engine's own device traffic; `rvmutl benchdiff` gates
    BENCH_baseline.json like every other artifact. *)
 
-(* Recover copies of the two images through the dec5000 latency stack on
-   a fresh simulated clock. The data disk writes back whole 4 KiB pages,
-   as the repo benchmark's crash-recover stack does. *)
+let copy (d : Rvm_disk.Device.t) =
+  Rvm_disk.Mem_device.of_bytes
+    (Rvm_disk.Device.read_bytes d ~off:0 ~len:d.Rvm_disk.Device.size)
+
+let live_bytes log_dev =
+  match Rvm_log.Log_manager.open_log (copy log_dev) with
+  | Ok lm -> Rvm_log.Log_manager.used_bytes lm
+  | Error e -> failwith e
+
+(* A copy of a log and of a segment image behind the dec5000 latency
+   stacks on [clock]. The data disk writes back whole 4 KiB pages, as the
+   repo benchmark's crash-recover stack does. *)
+let recovery_stacks ~clock ~log_dev ~seg_dev =
+  let module Cm = Rvm_util.Cost_model in
+  ( Rvm_disk.Stack.with_latency ~clock ~disk:Cm.dec5000.Cm.log_disk ()
+      (copy log_dev),
+    Rvm_disk.Stack.with_latency ~seek_fraction:0.08 ~sector:4096 ~clock
+      ~disk:Cm.dec5000.Cm.data_disk () (copy seg_dev) )
+
+(* Recover copies of the two images on a fresh simulated clock. *)
 let recovery_row ~log_dev ~seg_dev =
   let module J = Rvm_obs.Json in
   let module Cm = Rvm_util.Cost_model in
-  let copy (d : Rvm_disk.Device.t) =
-    Rvm_disk.Mem_device.of_bytes
-      (Rvm_disk.Device.read_bytes d ~off:0 ~len:d.Rvm_disk.Device.size)
-  in
-  let live =
-    match Rvm_log.Log_manager.open_log (copy log_dev) with
-    | Ok lm -> Rvm_log.Log_manager.used_bytes lm
-    | Error e -> failwith e
-  in
+  let live = live_bytes log_dev in
   let clock = Rvm_util.Clock.simulated () in
-  let log =
-    Rvm_disk.Stack.with_latency ~clock ~disk:Cm.dec5000.Cm.log_disk ()
-      (copy log_dev)
-  in
-  let seg =
-    Rvm_disk.Stack.with_latency ~seek_fraction:0.08 ~sector:4096 ~clock
-      ~disk:Cm.dec5000.Cm.data_disk () (copy seg_dev)
-  in
+  let log, seg = recovery_stacks ~clock ~log_dev ~seg_dev in
   let obs = Rvm_obs.Registry.create () in
   ignore
     (Rvm_core.Rvm.initialize ~clock ~model:Cm.dec5000 ~obs ~log
@@ -853,6 +856,90 @@ let recovery_row ~log_dev ~seg_dev =
       ("plan_sim_s", J.Float (span_s "recovery.plan"));
       ("apply_sim_s", J.Float (span_s "recovery.apply"));
       ("reset_sim_s", J.Float (span_s "recovery.reset"));
+    ]
+
+(* The same recovery on two shards. The grouped pattern runs on a
+   2-shard engine whose every tenth commit is cross-shard, then one more
+   no-flush cross-shard commit is made durable by a flushed commit on each
+   shard, so recovery has resolutions to append. Copies of the crash
+   images (nothing is terminated) recover through [Multi.initialize]:
+   each log's reads against its live bytes, and the whole recovery's
+   segment bytes and simulated seconds. *)
+let sharded_recovery_row ~txns ~batch =
+  let module J = Rvm_obs.Json in
+  let module Multi = Rvm_shard.Multi in
+  let module T = Rvm_core.Types in
+  let mem size = Rvm_disk.Mem_device.create ~size () in
+  let logs = Array.init 2 (fun _ -> mem (8 * 1024 * 1024)) in
+  let segs = Array.init 2 (fun _ -> mem (1024 * 1024)) in
+  Multi.create_logs logs;
+  let routing = Rvm_shard.Routing.of_table ~shards:2 [ (1, 0); (2, 1) ] in
+  let m =
+    Multi.initialize ~routing ~logs ~resolve:(fun id -> segs.(id - 1)) ()
+  in
+  let base =
+    Array.init 2 (fun s ->
+        (Multi.map m ~seg:(s + 1) ~seg_off:0 ~len:(512 * 1024) ())
+          .Rvm_core.Region.vaddr)
+  in
+  let payload = Bytes.make 256 'g' in
+  let commit i shards ~mode =
+    let g = Multi.begin_transaction m ~mode:T.No_restore in
+    List.iter
+      (fun s -> Multi.modify m g ~addr:(base.(s) + (i mod 1000 * 320)) payload)
+      shards;
+    Multi.end_transaction m g ~mode
+  in
+  for i = 1 to txns do
+    commit i (if i mod 10 = 0 then [ 0; 1 ] else [ i mod 2 ]) ~mode:T.No_flush;
+    if i mod batch = 0 then Multi.flush m
+  done;
+  commit 0 [ 0; 1 ] ~mode:T.No_flush;
+  commit 1 [ 0 ] ~mode:T.Flush;
+  commit 2 [ 1 ] ~mode:T.Flush;
+  let live = Array.map live_bytes logs in
+  let clock = Rvm_util.Clock.simulated () in
+  let stacks =
+    Array.map2 (fun log_dev seg_dev -> recovery_stacks ~clock ~log_dev ~seg_dev)
+      logs segs
+  in
+  let obs = Rvm_obs.Registry.create () in
+  ignore
+    (Multi.initialize ~clock ~model:Rvm_util.Cost_model.dec5000 ~obs ~routing
+       ~logs:(Array.map fst stacks)
+       ~resolve:(fun id -> snd stacks.(id - 1))
+       ());
+  let read =
+    Array.map
+      (fun ((log : Rvm_disk.Device.t), _) ->
+        log.Rvm_disk.Device.stats.Rvm_disk.Device.bytes_read)
+      stacks
+  in
+  let sim_s = Rvm_util.Clock.now_us clock /. 1e6 in
+  Array.iteri
+    (fun i r ->
+      Printf.printf "  shard %d recovery %d log bytes read for %d live\n%!" i r
+        live.(i))
+    read;
+  Printf.printf "  2-shard recovery %.4f s simulated\n%!" sim_s;
+  J.Obj
+    [
+      ( "logs",
+        J.List
+          (Array.to_list
+             (Array.mapi
+                (fun i r ->
+                  J.Obj
+                    [
+                      ("log_bytes_read", J.Int r);
+                      ("live_log_bytes", J.Int live.(i));
+                    ])
+                read)) );
+      ( "seg_bytes_written",
+        J.Int
+          (Rvm_obs.Counter.get
+             (Rvm_obs.Registry.counter obs "disk.seg.bytes_written")) );
+      ("recovery_sim_s", J.Float sim_s);
     ]
 
 let baseline () =
@@ -881,6 +968,8 @@ let baseline () =
       [ ("flush", 1); ("grouped", 64) ]
   in
   let log_dev, seg_dev = Option.get !grouped in
+  let recovery = recovery_row ~log_dev ~seg_dev in
+  let sharded_recovery = sharded_recovery_row ~txns ~batch:64 in
   let path = "BENCH_baseline.json" in
   J.write_file ~path
     (J.Obj
@@ -888,7 +977,12 @@ let baseline () =
          ("artifact", J.String "baseline");
          ("txns", J.Int txns);
          ( "metrics",
-           J.Obj (cases @ [ ("recovery", recovery_row ~log_dev ~seg_dev) ]) );
+           J.Obj
+             (cases
+             @ [
+                 ("recovery", recovery);
+                 ("sharded_recovery", sharded_recovery);
+               ]) );
        ]);
   Printf.printf "wrote %s\n%!" path
 

@@ -21,7 +21,7 @@ type t = {
   mutable scratch : Bytes.t;  (* cached live-window image, sized on demand *)
   mutable image : bool;
       (* [scratch] is the open scan's image, live window included, until
-         the first data-area write or head move *)
+         a write-through append or a head move; drains overlay it *)
   mutable dirty : bool;  (* device writes issued since the last sync *)
   mutable unforced_records : int;  (* appends since the last sync *)
   mutable forced_seqno : int;
@@ -42,9 +42,6 @@ type t = {
   h_drain_bytes : Rvm_obs.Histogram.t;
 }
 
-let obs t = t.obs
-
-let device t = t.dev
 let status t = t.status
 let capacity t = t.status.Status.log_size - t.status.Status.data_start
 let used_bytes t = t.used
@@ -53,6 +50,7 @@ let is_empty t = t.used = 0
 let head t = t.status.Status.head
 let tail t = t.tail
 let next_seqno t = t.next_seqno
+let max_spool_bytes t = t.max_spool_bytes
 let record_count t = t.records
 let forced_seqno t = t.forced_seqno
 
@@ -67,8 +65,8 @@ let format dev =
     invalid_arg "Log_manager.format: device too small for a log";
   Status.write dev (Status.initial ~log_size:size)
 
-(* The image is stale once the device or the window changes; a log must
-   not hold a device-sized buffer for its lifetime anyway. *)
+(* A head move or a write-through append makes the image stale; a log
+   must not hold a device-sized buffer for its lifetime anyway. *)
 let drop_image t =
   if t.image then begin
     t.image <- false;
@@ -226,6 +224,9 @@ let drain t =
   | None -> ()
   | Some sp ->
     if not (Tail_buffer.is_empty sp) then begin
+      (* The open-time image stays valid: the drained bytes land in it at
+         the offsets they land on the device. *)
+      if t.image then Tail_buffer.overlay sp t.scratch;
       let bytes = Tail_buffer.bytes sp in
       Rvm_obs.Registry.span t.obs "log.drain"
         ~attrs:[ ("bytes", Rvm_obs.Trace.Int bytes) ]
@@ -237,7 +238,7 @@ let drain t =
           Rvm_obs.Registry.add_attr t.obs "writes" (Rvm_obs.Trace.Int writes);
           Rvm_obs.Counter.add t.c_drain_writes writes);
       Rvm_obs.Histogram.observe t.h_drain_bytes (float_of_int bytes);
-      note_write t
+      t.dirty <- true
     end
 
 let append_record t record =

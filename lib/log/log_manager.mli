@@ -33,8 +33,10 @@ val open_log :
     {!open_chunk} reads and decodes a record only once every byte it
     claims is in, so it stops where a scan of the whole device would,
     at most one chunk past the tail. A non-empty log keeps what it read
-    as the image its first {!view} uses without I/O, until the first
-    data-area write (a drain or a write-through append) or head move.
+    as the image its {!view}s use without I/O, until the first head move
+    or write-through append. The log's own drains keep it: they write
+    the drained bytes into the image too, so records appended after the
+    open cost no read either.
 
     With [group_commit] (the default), appends encode into an in-memory
     spool at the log tail instead of writing the device per record; the
@@ -55,14 +57,11 @@ val open_log :
     histogram; {!force} runs under a [log.force] span and counts
     [log.force.absorbed] (records made durable beyond the first per sync);
     {!move_head} bumps [log.truncations]. Without it a private registry is
-    created (reachable via {!obs}). *)
+    created. *)
 
 val open_chunk : int
 (** Bytes per device read of the open scan (256 KiB). *)
 
-val obs : t -> Rvm_obs.Registry.t
-
-val device : t -> Rvm_disk.Device.t
 val status : t -> Status.t
 
 val capacity : t -> int
@@ -74,6 +73,9 @@ val is_empty : t -> bool
 val head : t -> int
 val tail : t -> int
 val next_seqno : t -> int
+
+val max_spool_bytes : t -> int
+(** The buffered tail's drain watermark ([open_log]'s [max_spool_bytes]). *)
 
 val forced_seqno : t -> int
 (** Highest sequence number known durable: every record with
@@ -103,10 +105,6 @@ val force : t -> unit
 (** Drain the spool and synchronously flush everything appended so far
     (the log force of a flush-mode commit). *)
 
-val drain : t -> unit
-(** Write spooled records to the device without syncing. A no-op when the
-    spool is empty or group commit is off. *)
-
 val spooled_bytes : t -> int
 (** Bytes sitting in the tail spool, not yet written to the device. *)
 
@@ -124,14 +122,12 @@ val view : t -> view
 (** Read the live window: from the open-time image while the log holds
     it, else from the device. Passes over a view cost no further I/O. *)
 
-val iter : view -> f:(off:int -> Record.t -> unit) -> unit
-(** Visit live records oldest-first. Wrap markers are included. *)
-
 val iter_backward : view -> f:(off:int -> Record.t -> unit) -> unit
 (** Visit live records newest-first, walking the reverse displacements. *)
 
 val iter_live : t -> f:(off:int -> Record.t -> unit) -> unit
-(** [iter (view t)]. *)
+(** Visit live records oldest-first through one {!view}. Wrap markers
+    are included. *)
 
 val live_records : t -> (int * Record.t) list
 (** Oldest-first [(offset, record)] list. *)

@@ -110,6 +110,14 @@ let log_open_chunk = 256 * 1024
 let recovery_phases =
   [ "open_sim_s"; "plan_sim_s"; "apply_sim_s"; "reset_sim_s" ]
 
+(* A recovery row read its log's live bytes plus at most one open chunk. *)
+let reads_live_once what r =
+  let read = num "log_bytes_read" r and live = num "live_log_bytes" r in
+  unless
+    (read <= live +. float_of_int log_open_chunk)
+    "%s read %.0f log bytes, more than %.0f live plus one %d-byte chunk" what
+    read live log_open_chunk
+
 let metric name doc =
   match Json.member "metrics" doc with
   | Some m -> (
@@ -125,13 +133,12 @@ let bounds =
   let ycsb = bound "ycsb" in
   [
     baseline "recovery_reads_live_once" (fun doc ->
-        let r = metric "recovery" doc in
-        let read = num "log_bytes_read" r and live = num "live_log_bytes" r in
-        unless
-          (read <= live +. float_of_int log_open_chunk)
-          "recovery read %.0f log bytes, more than %.0f live plus one \
-           %d-byte chunk"
-          read live log_open_chunk);
+        reads_live_once "recovery" (metric "recovery" doc));
+    baseline "sharded_recovery_reads_live_once" (fun doc ->
+        List.concat
+          (List.mapi
+             (fun i -> reads_live_once (Printf.sprintf "shard %d recovery" i))
+             (rows "logs" (metric "sharded_recovery" doc))));
     baseline "recovery_phases_sum" (fun doc ->
         let r = metric "recovery" doc in
         let phases =

@@ -32,7 +32,8 @@ val bounds : bound list
 
 val log_open_chunk : int
 (** The log open scan's read size ([Rvm_log.Log_manager.open_chunk]):
-    baseline's recovery may read the live log plus at most this much. *)
+    baseline's recovery rows may read each log's live bytes plus at most
+    this much. *)
 
 type report = {
   compared : int;  (** [Lower]/[Higher] leaves compared *)

@@ -8,7 +8,6 @@ type t = {
   auto_truncate : bool;
   spool_max_bytes : int;
   group_commit : bool;
-  log_spool_max_bytes : int;
   intra_optimization : bool;
   inter_optimization : bool;
   map_mode : map_mode;
@@ -23,7 +22,6 @@ let default =
     auto_truncate = true;
     spool_max_bytes = 1 lsl 20;
     group_commit = true;
-    log_spool_max_bytes = 256 * 1024;
     intra_optimization = true;
     inter_optimization = true;
     map_mode = Copy;
@@ -44,7 +42,4 @@ let validate t =
     Types.error "options: truncation_critical %f outside [threshold, 1)"
       t.truncation_critical;
   if t.spool_max_bytes < 0 then
-    Types.error "options: spool_max_bytes %d negative" t.spool_max_bytes;
-  if t.log_spool_max_bytes < 0 then
-    Types.error "options: log_spool_max_bytes %d negative"
-      t.log_spool_max_bytes
+    Types.error "options: spool_max_bytes %d negative" t.spool_max_bytes

@@ -29,10 +29,9 @@ type t = {
       (** buffer the log tail in memory and reach the device as at most two
           sequential writes per force, absorbing intervening forces into
           one sync (section 5.1's "one sequential write plus one
-          synchronous I/O"); off = one device write per appended record *)
-  log_spool_max_bytes : int;
-      (** watermark on the buffered log tail: spooled bytes beyond this
-          drain to the device early (without syncing) *)
+          synchronous I/O"); off = one device write per appended record.
+          The buffered tail drains early past the log's own 256 KiB
+          watermark ({!Rvm_log.Log_manager.max_spool_bytes}). *)
   intra_optimization : bool;
       (** coalesce duplicate/overlapping/adjacent set_ranges (section 5.2);
           disabled only for the ablation benchmarks *)

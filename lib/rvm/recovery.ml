@@ -21,6 +21,15 @@ type plan = {
   plan_records_seen : int;
 }
 
+let controls live =
+  (* Prepending while walking newest-first leaves the list oldest first. *)
+  let acc = ref [] in
+  Log_manager.iter_backward live ~f:(fun ~off:_ r ->
+      match Pcommit.classify r with
+      | `Control c -> acc := c :: !acc
+      | `Plain | `Malformed -> ());
+  !acc
+
 let plan_live ?before_seqno ?(intent_decision = fun _ -> `Abort) log =
   (* One read of the live window, two passes over it. The first collects
      explicit resolution records over the whole log (not just the frozen
@@ -32,14 +41,14 @@ let plan_live ?before_seqno ?(intent_decision = fun _ -> `Abort) log =
      new commits append past the frozen window. *)
   let live = Log_manager.view log in
   let resolutions : (string, Pcommit.decision) Hashtbl.t = Hashtbl.create 4 in
-  Log_manager.iter_backward live ~f:(fun ~off:_ r ->
-      match Pcommit.classify r with
-      | `Control (Pcommit.Resolution { gid; decision }) ->
-        (* Backward scan: the newest resolution for a gid wins (they never
+  List.iter
+    (function
+      | Pcommit.Resolution { gid; decision } ->
+        (* Oldest first: the newest resolution for a gid wins (they never
            disagree when written by this engine, but be deterministic). *)
-        if not (Hashtbl.mem resolutions gid) then
-          Hashtbl.add resolutions gid decision
-      | _ -> ());
+        Hashtbl.replace resolutions gid decision
+      | Pcommit.Intent _ | Pcommit.Stage _ -> ())
+    (controls live);
   let decide gid =
     match Hashtbl.find_opt resolutions gid with
     | Some Pcommit.Committed -> `Commit

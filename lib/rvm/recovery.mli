@@ -40,18 +40,26 @@ type plan = {
   plan_records_seen : int;
 }
 
+val controls : Rvm_log.Log_manager.view -> Rvm_log.Pcommit.control list
+(** Every live control record the view holds (intents, staged records
+    and resolutions), oldest first; malformed ones are left out. This is
+    the one classification of control records: {!plan_live} takes its
+    resolutions from it, and the shard layer's status-resolution pass
+    judges each cross-shard transaction from every shard log's list. *)
+
 val plan_live :
   ?before_seqno:int ->
   ?intent_decision:(string -> [ `Commit | `Abort | `Pending ]) ->
   Rvm_log.Log_manager.t ->
   plan
 (** One read of the live window ({!Rvm_log.Log_manager.view}), two
-    passes: resolutions are collected from the whole log, then records
-    with a sequence number below [before_seqno] (all by default) are
-    planned newest-first. Nothing is written. [intent_decision] answers
-    for intents with no in-log resolution; default [`Abort] (orphans).
-    The plan's data is copied out of the records, so it stays valid while
-    new commits append past [before_seqno]. *)
+    passes: resolutions are collected from the whole log ({!controls}),
+    then records with a sequence number below [before_seqno] (all by
+    default) are planned newest-first. Nothing is written.
+    [intent_decision] answers for intents with no in-log resolution;
+    default [`Abort] (orphans). The plan's data is copied out of the
+    records, so it stays valid while new commits append past
+    [before_seqno]. *)
 
 type outcome = {
   records_seen : int;
@@ -75,5 +83,6 @@ val recover :
     There is no [intent_decision] here: nothing is mid-protocol when a log
     recovers. The shard layer recovers its shards before anything enters
     its in-flight table, and its status-resolution pass has already
-    appended a resolution for every gid to every log holding evidence for
-    it. An intent with no in-log resolution is an orphan and aborts. *)
+    appended and forced a resolution for every gid to every log holding
+    evidence for it. An intent with no in-log resolution is an orphan and
+    aborts. *)

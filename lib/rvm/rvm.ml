@@ -221,7 +221,7 @@ let log_occupancy t = Truncator.occupancy (truncator t)
 
 let create_log dev = Log_manager.format dev
 
-let initialize ?(options = Options.default) ?(clock = Clock.null)
+let attach ?(options = Options.default) ?(clock = Clock.null)
     ?(model = Cost_model.dec5000) ?obs ?vm ?intent_decision ~log ~resolve () =
   Options.validate options;
   let obs = match obs with Some o -> o | None -> Registry.create () in
@@ -238,8 +238,7 @@ let initialize ?(options = Options.default) ?(clock = Clock.null)
   let resolve id = Stack.with_stats ~obs ~prefix:"disk.seg" () (resolve id) in
   let lm =
     match
-      Log_manager.open_log ~obs ~group_commit:options.Options.group_commit
-        ~max_spool_bytes:options.Options.log_spool_max_bytes log
+      Log_manager.open_log ~obs ~group_commit:options.Options.group_commit log
     with
     | Ok lm -> lm
     | Error e -> Types.error "initialize: %s" e
@@ -283,14 +282,17 @@ let initialize ?(options = Options.default) ?(clock = Clock.null)
            segment = (fun id -> segment t id);
            intent_decision;
          });
-  (* Crash recovery before anything is mapped: mapped data must be the
-     committed image. The span bumps [recovery.count] — the counter behind
-     [Statistics.recoveries]. *)
-  if not (Log_manager.is_empty lm) then
+  t
+
+(* Crash recovery before anything is mapped: mapped data must be the
+   committed image. The span bumps [recovery.count] — the counter behind
+   [Statistics.recoveries]. *)
+let recover t =
+  if not (Log_manager.is_empty t.log) then
     Registry.span t.obs "recovery" (fun () ->
         match
-          Recovery.recover ~obs ~resolve:(fun id -> segment t id) ~clock
-            ~model lm
+          Recovery.recover ~obs:t.obs ~resolve:(fun id -> segment t id)
+            ~clock:t.clock ~model:t.model t.log
         with
         | outcome ->
           L.info (fun m ->
@@ -302,7 +304,14 @@ let initialize ?(options = Options.default) ?(clock = Clock.null)
           L.err (fun m ->
               m "recovery failed: %s@,%a" (Printexc.to_string e)
                 (Registry.pp_tail ?n:None) t.obs);
-          raise e);
+          raise e)
+
+let initialize ?options ?clock ?model ?obs ?vm ?intent_decision ~log ~resolve
+    () =
+  let t =
+    attach ?options ?clock ?model ?obs ?vm ?intent_decision ~log ~resolve ()
+  in
+  recover t;
   t
 
 let reinitialize ?options ?obs ?intent_decision ~log ~resolve () =
@@ -816,7 +825,7 @@ let spool_pressure (t : t) =
     t.spool_bytes + Log_manager.spooled_bytes t.log
   in
   let watermark =
-    t.opts.Options.spool_max_bytes + t.opts.Options.log_spool_max_bytes
+    t.opts.Options.spool_max_bytes + Log_manager.max_spool_bytes t.log
   in
   float_of_int unflushed /. float_of_int (max 1 watermark)
 

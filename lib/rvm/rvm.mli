@@ -38,10 +38,11 @@ val initialize :
   resolve:(int -> Rvm_disk.Device.t) ->
   unit ->
   t
-(** Open the log and run crash recovery: every committed transaction in the
-    log is applied to its external data segment (obtained through
-    [resolve]) before this returns, so subsequent [map]s read pure
-    committed images. [clock]/[model]/[vm] instrument the instance for the
+(** {!attach} followed by {!recover}: open the log and run crash
+    recovery. Every committed transaction in the log is applied to its
+    external data segment (obtained through [resolve]) before this
+    returns, so subsequent [map]s read pure committed images.
+    [clock]/[model]/[vm] instrument the instance for the
     simulated performance evaluation; omit them for production use. [obs]
     supplies the metrics registry (a private one is created otherwise; see
     {!obs}): engine counters, causal [txn.*] / [commit.*] / [log.*] /
@@ -63,6 +64,30 @@ val initialize :
     a log recovers, so an unresolved intent found then is an orphan and
     aborts. Omitted (the single-log engine), every unresolved intent is
     an orphan. *)
+
+val attach :
+  ?options:Options.t ->
+  ?clock:Rvm_util.Clock.t ->
+  ?model:Rvm_util.Cost_model.t ->
+  ?obs:Rvm_obs.Registry.t ->
+  ?vm:Rvm_vm.Vm_sim.t ->
+  ?intent_decision:(string -> [ `Commit | `Abort | `Pending ]) ->
+  log:Rvm_disk.Device.t ->
+  resolve:(int -> Rvm_disk.Device.t) ->
+  unit ->
+  t
+(** The first half of {!initialize}: open the log under a [log.open] span
+    and build the instance, without recovering. The log keeps what its
+    open read, so appends and forces through {!log_manager} before
+    {!recover} cost recovery no second read. The shard layer attaches
+    every shard, appends its status-resolution records, then recovers.
+    Raises {!Types.Rvm_error} on an unopenable log. *)
+
+val recover : t -> unit
+(** The second half of {!initialize}: apply every committed transaction
+    in the log to its segment and empty the log, under a [recovery]
+    span. Call it once, after {!attach} and before the first {!map}:
+    mapped data must be the committed image. A no-op on an empty log. *)
 
 val reinitialize :
   ?options:Options.t ->

@@ -1,8 +1,8 @@
-module Device = Rvm_disk.Device
 module Log_manager = Rvm_log.Log_manager
 module Pcommit = Rvm_log.Pcommit
 module Rvm = Rvm_core.Rvm
 module Region = Rvm_core.Region
+module Recovery = Rvm_core.Recovery
 module Segment = Rvm_core.Segment
 module Addr_space = Rvm_core.Addr_space
 module Options = Rvm_core.Options
@@ -108,97 +108,63 @@ let durable_lsn t =
 let create_logs devices = Array.iter Rvm.create_log devices
 
 (* --- recovery-time status resolution (the ParallelCommits.tla recovery
-   action). Runs on the raw devices BEFORE any per-shard engine recovers:
-   collect every gid's surviving evidence across all logs, judge it with
-   the pure protocol core, and append + force an explicit resolution
-   record to every log holding evidence. Only then may the per-shard
-   recoveries apply and empty their logs — once a shard's log is emptied
-   its intents are gone, so the cross-shard decision must already be
-   durable everywhere else. Crashing anywhere inside this pass is safe:
-   the judgment is deterministic in the surviving evidence, and in-log
-   resolutions take precedence on the next attempt. *)
+   action). Judges every gid from the surviving evidence in all the
+   attached shards' logs with the pure protocol core; {!initialize} then
+   appends and forces an explicit resolution record to every log holding
+   evidence, and only then lets the shards apply and empty their logs —
+   once a shard's log is emptied its intents are gone, so the cross-shard
+   decision must already be durable everywhere else. Crashing anywhere in
+   between is safe: the judgment is deterministic in the surviving
+   evidence, and in-log resolutions take precedence on the next attempt. *)
 
-type ev = {
-  mutable e_staged : int list option;
-  mutable e_intents : int list;
-  mutable e_resolutions : Pcommit.decision list;
-  mutable e_holders : int list;  (* shards with any evidence for the gid *)
-  mutable e_resolved_on : int list;  (* shards already holding a resolution *)
-}
-
-let resolve_statuses ~obs logs =
-  let evidence : (string, ev) Hashtbl.t = Hashtbl.create 8 in
-  let ev gid =
-    match Hashtbl.find_opt evidence gid with
-    | Some e -> e
-    | None ->
-      let e =
-        { e_staged = None; e_intents = []; e_resolutions = [];
-          e_holders = []; e_resolved_on = [] }
-      in
-      Hashtbl.add evidence gid e;
-      e
+(* Per shard, the resolution records its log lacks: one for every gid it
+   holds evidence for but no resolution of. No I/O: each log still holds
+   what its open read. *)
+let judge shards =
+  (* gid -> (its evidence, the shards holding any, those holding a
+     resolution) *)
+  let found = Hashtbl.create 8 in
+  let note i (c : Pcommit.control) =
+    let (Intent { gid; _ } | Stage { gid; _ } | Resolution { gid; _ }) = c in
+    let (e : Twopc.Parallel.evidence), holders, resolved =
+      Option.value (Hashtbl.find_opt found gid)
+        ~default:(Twopc.Parallel.no_evidence, [], [])
+    in
+    let holders = if List.mem i holders then holders else i :: holders in
+    Hashtbl.replace found gid
+      (match c with
+      | Intent { shard; _ } when not (List.mem shard e.intents) ->
+        ({ e with intents = shard :: e.intents }, holders, resolved)
+      | Intent _ -> (e, holders, resolved)
+      | Stage { participants; _ } ->
+        ({ e with staged = Some participants }, holders, resolved)
+      | Resolution { decision; _ } ->
+        ({ e with resolutions = decision :: e.resolutions }, holders,
+         i :: resolved))
   in
-  let add_holder e s = if not (List.mem s e.e_holders) then
-      e.e_holders <- s :: e.e_holders
-  in
-  let managers =
-    Array.mapi
-      (fun i dev ->
-        (* Through the same accounting layer the shard engines put on
-           their logs, so [disk.log.*] counts every recovery read. *)
-        let dev = Rvm_disk.Stack.with_stats ~obs ~prefix:"disk.log" () dev in
-        match Log_manager.open_log dev with
-        | Error e -> Types.error "shard %d: open_log: %s" i e
-        | Ok lm ->
-          Log_manager.iter_live lm ~f:(fun ~off:_ r ->
-              match Pcommit.classify r with
-              | `Control (Pcommit.Intent { gid; shard }) ->
-                let e = ev gid in
-                if not (List.mem shard e.e_intents) then
-                  e.e_intents <- shard :: e.e_intents;
-                add_holder e i
-              | `Control (Pcommit.Stage { gid; participants }) ->
-                let e = ev gid in
-                e.e_staged <- Some participants;
-                add_holder e i
-              | `Control (Pcommit.Resolution { gid; decision }) ->
-                let e = ev gid in
-                e.e_resolutions <- decision :: e.e_resolutions;
-                e.e_resolved_on <- i :: e.e_resolved_on;
-                add_holder e i
-              | `Plain | `Malformed -> ());
-          lm)
-      logs
-  in
-  let to_force = Hashtbl.create 4 in
+  Array.iteri
+    (fun i r ->
+      List.iter (note i)
+        (Recovery.controls (Log_manager.view (Rvm.log_manager r))))
+    shards;
+  let verdicts = Array.make (Array.length shards) [] in
   Hashtbl.iter
-    (fun gid e ->
-      let decision =
-        Twopc.Parallel.resolve
-          {
-            Twopc.Parallel.staged = e.e_staged;
-            intents = e.e_intents;
-            resolutions = e.e_resolutions;
-          }
-      in
+    (fun gid ((e : Twopc.Parallel.evidence), holders, resolved) ->
+      let decision = Twopc.Parallel.resolve e in
       L.info (fun m ->
           m "status resolution: %s -> %s (intents on %d shards, staged %b)"
             gid
             (Pcommit.decision_to_string decision)
-            (List.length e.e_intents)
-            (e.e_staged <> None));
+            (List.length e.intents) (e.staged <> None));
       List.iter
         (fun s ->
-          if not (List.mem s e.e_resolved_on) then begin
-            ignore
-              (Log_manager.append_record managers.(s)
-                 (Pcommit.record (Pcommit.Resolution { gid; decision })));
-            Hashtbl.replace to_force s ()
-          end)
-        e.e_holders)
-    evidence;
-  Hashtbl.iter (fun s () -> Log_manager.force managers.(s)) to_force
+          if not (List.mem s resolved) then
+            verdicts.(s) <-
+              Pcommit.record (Pcommit.Resolution { gid; decision })
+              :: verdicts.(s))
+        holders)
+    found;
+  Array.map List.rev verdicts
 
 (* --- initialization --- *)
 
@@ -213,20 +179,35 @@ let initialize ?(options = Options.default) ?(clock = Clock.null)
   let intent_decision gid =
     if Hashtbl.mem in_flight gid then `Pending else `Abort
   in
-  (* Cross-shard status resolution strictly before any shard recovers.
-     After it the shards recover independently, each on its own lane:
-     recovery costs about the slowest shard, not the sum. *)
-  resolve_statuses ~obs logs;
+  (* Recovery in three rounds, each shard on its own lane and every round
+     joined before the next, so each costs the slowest shard, not the sum:
+     open every log once, append and force the verdicts on the shards
+     whose logs lack them, then recover every shard. *)
   let lanes = Array.init n (fun _ -> Clock.lane ()) in
-  let shards =
-    Array.mapi
-      (fun i log ->
-        Clock.on_lane clock lanes.(i) (fun () ->
-            Rvm.initialize ~options ~clock ~model ~obs ~intent_decision ~log
-              ~resolve ()))
-      logs
+  let round f =
+    let results =
+      Array.mapi (fun i lane -> Clock.on_lane clock lane (fun () -> f i)) lanes
+    in
+    Clock.join_lanes clock (Array.to_list lanes);
+    results
   in
-  Clock.join_lanes clock (Array.to_list lanes);
+  let shards =
+    round (fun i ->
+        try
+          Rvm.attach ~options ~clock ~model ~obs ~intent_decision
+            ~log:logs.(i) ~resolve ()
+        with Types.Rvm_error e -> Types.error "shard %d: %s" i e)
+  in
+  let verdicts = judge shards in
+  ignore
+    (round (fun i ->
+         if verdicts.(i) <> [] then begin
+           let lm = Rvm.log_manager shards.(i) in
+           List.iter (fun r -> ignore (Log_manager.append_record lm r))
+             verdicts.(i);
+           Log_manager.force lm
+         end));
+  ignore (round (fun i -> Rvm.recover shards.(i)));
   (* Seqnos only grow across recoveries of the same image, so folding them
      into the gid makes every incarnation's gids distinct from whatever an
      earlier run left in the logs — without consulting wall-clock time
@@ -379,22 +360,6 @@ let resolve_unresolved t =
     (List.rev t.unresolved);
   t.unresolved <- []
 
-(* One overlapped force round over the shards that actually hold
-   undurable state. Skipping clean shards keeps the sharded group-commit
-   cost proportional to the work batched — a singleton batch on one shard
-   costs one sync, not one per shard. *)
-let force_unflushed t =
-  let dirty =
-    Array.to_list t.shards
-    |> List.mapi (fun s r -> (s, r))
-    |> List.filter (fun (_, r) -> Rvm.unflushed r)
-  in
-  if dirty <> [] then begin
-    Clock.fork_join t.clock
-      (List.map (fun (_, r) () -> Rvm.flush r) dirty);
-    List.iter (fun (s, _) -> t.force_epoch.(s) <- t.force_epoch.(s) + 1) dirty
-  end
-
 (* Retire every resolved gid whose resolution copies are all durable: a
    participant forced past its append epoch has the record on the device.
    Purely bookkeeping — retirement never issues a force; copies not yet
@@ -416,10 +381,20 @@ let retire_durable t =
 let flush t =
   check_live t;
   (* The global force is a synchronization point: wait for every worker
-     to drain, then run the overlapped force round with them quiesced. *)
-  Clock.join_lanes t.clock (Array.to_list t.lanes);
-  force_unflushed t;
-  Array.iter (fun l -> l := Clock.now_us t.clock) t.lanes;
+     to drain, then force every shard holding undurable state on its own
+     lane and wait for the slowest. Skipping clean shards keeps the
+     sharded group-commit cost proportional to the work batched — a
+     singleton batch on one shard costs one sync, not one per shard. *)
+  let lanes = Array.to_list t.lanes in
+  Clock.join_lanes t.clock lanes;
+  Array.iteri
+    (fun s r ->
+      if Rvm.unflushed r then begin
+        Clock.on_lane t.clock t.lanes.(s) (fun () -> Rvm.flush r);
+        t.force_epoch.(s) <- t.force_epoch.(s) + 1
+      end)
+    t.shards;
+  Clock.join_lanes t.clock lanes;
   retire_durable t;
   (* Resolutions appended below are deliberately not forced here: the
      decision is recomputable from the intents and staged record the

@@ -35,11 +35,18 @@ val initialize :
   unit ->
   t
 (** One log device per shard ([Array.length logs = Routing.shards routing]).
-    Runs the cross-shard status-resolution pass, then per-shard crash
-    recovery, each shard on its own clock lane: the clock advances by the
-    slowest shard's recovery, not the sum. All shards share [obs]
-    (counters merge into engine totals, and [disk.log.*] counts the
-    resolution pass's reads as well as the engines') and the clock. *)
+    Recovers in three rounds, each shard on its own clock lane and every
+    round joined before the next: every shard opens its log once
+    ({!Rvm_core.Rvm.attach}); the status-resolution pass judges each
+    cross-shard transaction from every log's control records
+    ({!Rvm_core.Recovery.controls}, no I/O) and each shard whose log
+    holds evidence but no resolution appends and forces the verdict;
+    then every shard recovers ({!Rvm_core.Rvm.recover}). So every
+    holder's resolution is durable before any shard empties its log, each
+    log is read once, and the clock advances by the slowest shard of each
+    round, not the sum. An unopenable log raises
+    {!Rvm_core.Types.Rvm_error} naming its shard. All shards share [obs]
+    (counters merge into engine totals) and the clock. *)
 
 val reinitialize :
   ?options:Rvm_core.Options.t ->

@@ -99,20 +99,6 @@ let join_lanes t lanes =
     List.iter (fun l -> l := finish) lanes
   end
 
-let fork_join t branches =
-  if not t.enabled then List.iter (fun f -> f ()) branches
-  else begin
-    let start = t.now in
-    let finish = ref start in
-    List.iter
-      (fun f ->
-        t.now <- start;
-        f ();
-        if t.now > !finish then finish := t.now)
-      branches;
-    t.now <- !finish
-  end
-
 let cpu_us t = t.cpu
 let io_us t = t.io
 let backlog_us t = t.backlog

@@ -58,14 +58,6 @@ val advance_to : t -> float -> unit
 val drain_backlog : t -> unit
 (** Pay any remaining background backlog as wall time (end of a run). *)
 
-val fork_join : t -> (unit -> unit) list -> unit
-(** Run each branch as if concurrently: every branch starts at the current
-    wall time, and when all have run the wall clock stands at the {e latest}
-    finish time rather than the sum. CPU and I/O accumulators still sum over
-    branches (total device busy time), only wall time overlaps — this is how
-    the sharded engine models N per-shard log forces issued in one round.
-    On a null clock the branches simply run in order. *)
-
 type lane = float ref
 (** A worker lane: the busy-until wall time of one simulated worker core
     or disk. The sharded transaction server models one worker per shard —
@@ -80,12 +72,14 @@ val on_lane : t -> lane -> (unit -> 'a) -> 'a
 (** Run [f] on the lane's worker: it starts at [max now lane] (when the
     worker is free and the dispatch has happened), every charge inside
     advances the lane, and the dispatcher's own wall time is left where it
-    was — dispatch is asynchronous. On a null clock just runs [f]. *)
+    was — dispatch is asynchronous. Only wall time overlaps: the CPU and
+    I/O totals sum over lanes. On a null clock just runs [f]. *)
 
 val join_lanes : t -> lane list -> unit
 (** Block the dispatcher until every lane has drained: wall time moves to
     the latest busy-until, and the lanes are synchronized there. The
-    global group-commit force joins all lanes first. *)
+    sharded engine's global force and each round of its recovery are one
+    dispatch per shard lane followed by a join of all lanes. *)
 
 val cpu_us : t -> float
 (** Total CPU charged, foreground + background (the Figure 9 metric). *)

@@ -106,6 +106,9 @@ let goldens =
     ( "--elr --shards 2 --seed 11",
       (fun () -> elr ~shards:2 ~seed:11 ()),
       [ 48; 24; 24; 49; 72; 121; 20; 0 ] );
+    ( "--shards 4 --ops 16 --seed 5",
+      (fun () -> engine ~shards:4 ~ops:16 ~seed:5 ()),
+      [ 91; 54; 37; 92; 56; 148; 20; 0 ] );
   ]
 
 let suite =

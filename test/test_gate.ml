@@ -93,6 +93,17 @@ let recovery_reads ~extra =
            (J.Float (live +. float_of_int Gate.log_open_chunk +. extra))
            r))
 
+(* The baseline sharded recovery row with shard 1's [log_bytes_read] one
+   byte over its live bytes plus one open chunk. *)
+let sharded_recovery_reads =
+  map_member "metrics"
+    (map_member "sharded_recovery"
+       (map_rows "logs" ~where:(fun i _ -> i = 1) (fun r ->
+            let live = num (Option.get (J.member "live_log_bytes" r)) in
+            set "log_bytes_read"
+              (J.Float (live +. float_of_int Gate.log_open_chunk +. 1.))
+              r)))
+
 (* The baseline recovery row with [open_sim_s] moved by [by] seconds. *)
 let recovery_open ~by =
   map_member "metrics"
@@ -108,6 +119,8 @@ let bound_cases =
   [
     ( "baseline.recovery_reads_live_once", "baseline",
       recovery_reads ~extra:1. );
+    ( "baseline.sharded_recovery_reads_live_once", "baseline",
+      sharded_recovery_reads );
     ("baseline.recovery_phases_sum", "baseline", recovery_open ~by:2e-6);
     ( "contention.elr_fewer_aborts", "contention",
       fun doc ->

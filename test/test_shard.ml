@@ -135,6 +135,19 @@ let test_map_rejects_cross_shard_overlap () =
   check_str "loads still reach shard 0" "shard-0" (read m ~addr:v.(1) ~len:7);
   Multi.terminate m
 
+(* A log that cannot be opened fails the mount and names its shard. *)
+let test_unopenable_log_names_its_shard () =
+  let logs = Array.init 2 (fun _ -> Mem_device.create ~size:(64 * 1024) ()) in
+  Rvm.create_log logs.(0);
+  match
+    Multi.initialize ~routing:(Routing.modulo ~shards:2) ~logs
+      ~resolve:(fun _ -> Alcotest.fail "no segment is resolved")
+      ()
+  with
+  | exception Types.Rvm_error msg ->
+    check_str "the error" "shard 1: initialize: status block: bad magic" msg
+  | _ -> Alcotest.fail "an unformatted log mounted"
+
 (* --- cross-shard commit --- *)
 
 let test_cross_shard_commit () =
@@ -391,24 +404,28 @@ let test_state_machine_illegal_moves () =
   illegal (Explicit Pcommit.Committed) (Resolve Pcommit.Aborted);
   illegal Pending All_durable
 
-(* --- clock fork/join --- *)
+(* --- clock lanes --- *)
 
-let test_fork_join_overlaps () =
+let test_lanes_overlap () =
   let c = Clock.simulated () in
   Clock.charge_cpu c 10.;
-  Clock.fork_join c
-    [
-      (fun () -> Clock.charge_io c 100.);
-      (fun () -> Clock.charge_io c 40.);
-      (fun () -> Clock.charge_io c 70.);
-    ];
-  (* Wall time = start + max branch; io = sum of branches. *)
+  let lanes = List.init 3 (fun _ -> Clock.lane ()) in
+  List.iter2
+    (fun lane us -> Clock.on_lane c lane (fun () -> Clock.charge_io c us))
+    lanes [ 100.; 40.; 70. ];
+  check_int "the dispatcher's clock waits for the join" 10
+    (int_of_float (Clock.now_us c));
+  Clock.join_lanes c lanes;
+  (* Wall time = start + the slowest lane; io = sum of the lanes. *)
   check_int "wall" 110 (int_of_float (Clock.now_us c));
   check_int "io total" 210 (int_of_float (Clock.io_us c))
 
-let test_fork_join_null_clock () =
+let test_lanes_null_clock () =
   let hits = ref 0 in
-  Clock.fork_join Clock.null [ (fun () -> incr hits); (fun () -> incr hits) ];
+  let lanes = [ Clock.lane (); Clock.lane () ] in
+  List.iter (fun lane -> Clock.on_lane Clock.null lane (fun () -> incr hits))
+    lanes;
+  Clock.join_lanes Clock.null lanes;
   check_int "branches ran" 2 !hits
 
 (* --- long-run wrapping under background truncation (ISSUE 7 satellite,
@@ -591,7 +608,10 @@ module Cost_model = Rvm_util.Cost_model
 
 (* Crash images (log and segment bytes) of a 2-shard world whose logs
    both hold records: one cross-shard commit, then [extra.(i)] flushed
-   single-shard commits through segment [i + 1]. *)
+   single-shard commits through segment [i + 1], then a no-flush
+   cross-shard commit made durable by one flushed commit on each shard.
+   The last one has no resolution, so recovery has one to append to
+   each log. *)
 let two_shard_images ~extra =
   let logs =
     Array.init 2 (fun i ->
@@ -621,6 +641,15 @@ let two_shard_images ~extra =
         Multi.end_transaction m g ~mode:Types.Flush
       done)
     extra;
+  let g = Multi.begin_transaction m ~mode:Types.Restore in
+  write_all m g v "NOFLU";
+  Multi.end_transaction m g ~mode:Types.No_flush;
+  Array.iter
+    (fun a ->
+      let g = Multi.begin_transaction m ~mode:Types.Restore in
+      Multi.modify m g ~addr:(a + ps) (Bytes.of_string "force");
+      Multi.end_transaction m g ~mode:Types.Flush)
+    v;
   (Array.map Mem_device.snapshot logs, Array.map Mem_device.snapshot segs,
    routing)
 
@@ -648,12 +677,21 @@ let test_recovery_reads_and_lanes () =
       segs
   in
   let obs = Registry.create () in
-  ignore
-    (Multi.initialize ~clock ~model:dec ~obs ~routing ~logs:log_devs
-       ~resolve:(fun id -> seg_devs.(id - 1))
-       ());
-  (* Every read of a log device — the resolution pass's and the shard
-     engines' — reaches the registry's disk.log layer. *)
+  let m =
+    Multi.initialize ~clock ~model:dec ~obs ~routing ~logs:log_devs
+      ~resolve:(fun id -> seg_devs.(id - 1))
+      ()
+  in
+  let recovered = Clock.now_us clock in
+  let v =
+    Array.init 2 (fun i ->
+        (Multi.map m ~seg:(i + 1) ~seg_off:0 ~len:(2 * ps) ()).Region.vaddr)
+  in
+  Array.iter
+    (fun a -> check_str "the unresolved commit" "NOFLU" (read m ~addr:a ~len:5))
+    v;
+  (* Every read of a log device reaches the registry's disk.log layer, and
+     each log is read once: by its shard's open. *)
   let device_read =
     Array.map (fun (d : Device.t) -> d.Device.stats.Device.bytes_read) bases
   in
@@ -663,41 +701,54 @@ let test_recovery_reads_and_lanes () =
   Array.iteri
     (fun i r ->
       check_bool
-        (Printf.sprintf "log %d read %d <= 2 x (live %d + one chunk)" i r
-           live.(i))
+        (Printf.sprintf "log %d read %d <= live %d + one chunk" i r live.(i))
         true
-        (r <= 2 * (live.(i) + Log_manager.open_chunk)))
+        (r <= live.(i) + Log_manager.open_chunk))
     device_read;
-  (* The shards open and recover on their own lanes from the end of the
-     resolution pass: the clock advances by the slower one. *)
+  (* Three rounds on the shard lanes, each joined before the next: the
+     clock advances by the slowest open, then the slowest resolution round
+     (a shard's appends cost nothing; its drain and force do), then the
+     slowest recovery. *)
   let roots scope =
     List.filter
       (fun (e : Registry.span_event) -> e.parent = None && e.scope = scope)
       (Registry.events obs)
   in
   let opens = roots "log.open" and recoveries = roots "recovery" in
+  let drains = roots "log.drain" and forces = roots "log.force" in
   check_int "one open per shard" 2 (List.length opens);
+  check_int "one resolution force per shard" 2 (List.length forces);
   check_int "one recovery per shard" 2 (List.length recoveries);
   let start = (List.hd opens).Registry.start_us in
-  List.iter
-    (fun (e : Registry.span_event) ->
-      check_bool "shards start together" true
-        (abs_float (e.start_us -. start) <= 1.))
-    opens;
-  let per_shard =
-    List.map2
-      (fun (o : Registry.span_event) (r : Registry.span_event) ->
-        o.dur_us +. r.dur_us)
-      opens recoveries
+  let finish (e : Registry.span_event) = e.start_us +. e.dur_us in
+  let slowest f l = List.fold_left (fun acc e -> Float.max acc (f e)) 0. l in
+  let starts_at what t =
+    List.iter
+      (fun (e : Registry.span_event) ->
+        check_bool
+          (Printf.sprintf "%s starts at %.1f us, not %.1f" what t e.start_us)
+          true
+          (abs_float (e.start_us -. t) <= 1.))
   in
-  let slowest = List.fold_left Float.max 0. per_shard in
-  let sum = List.fold_left ( +. ) 0. per_shard in
-  let advance = Clock.now_us clock -. start in
+  starts_at "every open" start opens;
+  let resolving = start +. slowest (fun e -> e.Registry.dur_us) opens in
+  starts_at "every resolution round" resolving drains;
+  let rounds = List.map (fun e -> finish e -. resolving) forces in
+  let recovering = resolving +. List.fold_left Float.max 0. rounds in
+  starts_at "every recovery" recovering recoveries;
+  let advance = recovered -. start in
+  let phases =
+    recovering -. start +. slowest (fun e -> e.Registry.dur_us) recoveries
+  in
   check_bool
-    (Printf.sprintf "advance %.1f us is the slower shard's %.1f us" advance
-       slowest)
+    (Printf.sprintf "advance %.1f us is the slowest phases' %.1f us" advance
+       phases)
     true
-    (abs_float (advance -. slowest) <= 1.);
+    (abs_float (advance -. phases) <= 1.);
+  let sum =
+    List.fold_left ( +. ) 0.
+      (List.map (fun e -> e.Registry.dur_us) (opens @ recoveries) @ rounds)
+  in
   check_bool "not the sum" true (sum -. advance > 1.)
 
 (* --- the incremental head move re-appends the pending intents it
@@ -873,6 +924,8 @@ let suite =
     Alcotest.test_case "single-shard abort" `Quick test_single_shard_abort;
     Alcotest.test_case "map rejects a cross-shard overlap" `Quick
       test_map_rejects_cross_shard_overlap;
+    Alcotest.test_case "an unopenable log names its shard" `Quick
+      test_unopenable_log_names_its_shard;
     Alcotest.test_case "cross-shard commit" `Quick test_cross_shard_commit;
     Alcotest.test_case "cross-shard durable before resolutions" `Quick
       test_cross_shard_durable_without_resolutions;
@@ -906,9 +959,9 @@ let suite =
       test_state_machine_orphan_abort;
     Alcotest.test_case "state machine: illegal moves" `Quick
       test_state_machine_illegal_moves;
-    Alcotest.test_case "clock: fork_join overlaps" `Quick
-      test_fork_join_overlaps;
-    Alcotest.test_case "clock: fork_join null" `Quick test_fork_join_null_clock;
+    Alcotest.test_case "clock: lanes overlap" `Quick test_lanes_overlap;
+    Alcotest.test_case "clock: lanes on a null clock" `Quick
+      test_lanes_null_clock;
     Alcotest.test_case "wrapping log, background truncation, crash recovery"
       `Slow test_wrapping_background_truncation_recovery;
     Alcotest.test_case "recovery: every log read counted, shards on lanes"

@@ -10,7 +10,8 @@
    deterministic tests fix: shard counts, routing tables and transaction
    arrival orders never hang and agree with a serial reference, and
    randomly crash-truncated multi-log images recover to a commit-prefix
-   state per shard. *)
+   state per shard. Sharded recovery is itself crash-checked: a crash at
+   any of its own device events must recover as if it never happened. *)
 
 open Rvm_core
 module Explorer = Rvm_check.Explorer
@@ -236,6 +237,116 @@ let test_deterministic () =
     (List.length o1.Crash.violations
     + List.length o2.Crash.violations)
 
+(* --- crash points inside sharded recovery --- *)
+
+(* Log and segment bytes of a 2-shard world (segment [s + 1] on shard
+   [s]) holding three cross-shard transactions of 600-byte values, longer
+   than a sector, so recovery's segment writes tear:
+   - 'A': flush-mode, resolved on both shards;
+   - 'B': no-flush, made durable by a flushed commit on each shard
+     ('C', 'D'), with no resolution: recovery must commit it on both;
+   - 'E': no-flush, an orphan: only the coordinator's (shard 0's) log
+     is forced, by a flushed commit 'F' there. Recovery must abort it. *)
+let recovery_images () =
+  let routing = Routing.of_table ~shards:2 [ (1, 0); (2, 1) ] in
+  let logs = Array.init 2 (fun _ -> Mem_device.create ~size:(64 * 1024) ()) in
+  Multi.create_logs logs;
+  let segs = Array.init 2 (fun _ -> Mem_device.create ~size:(16 * 1024) ()) in
+  let m =
+    Multi.initialize ~routing ~logs ~resolve:(fun id -> segs.(id - 1)) ()
+  in
+  let v =
+    Array.init 2 (fun s ->
+        (Multi.map m ~seg:(s + 1) ~seg_off:0 ~len:8192 ()).Region.vaddr)
+  in
+  let commit ~mode writes =
+    let g = Multi.begin_transaction m ~mode:Types.Restore in
+    List.iter
+      (fun (s, off, c) ->
+        Multi.modify m g ~addr:(v.(s) + off) (Bytes.make 600 c))
+      writes;
+    Multi.end_transaction m g ~mode
+  in
+  commit ~mode:Types.Flush [ (0, 0, 'A'); (1, 0, 'A') ];
+  commit ~mode:Types.No_flush [ (0, 1024, 'B'); (1, 1024, 'B') ];
+  commit ~mode:Types.Flush [ (0, 2048, 'C') ];
+  commit ~mode:Types.Flush [ (1, 2048, 'D') ];
+  commit ~mode:Types.No_flush [ (0, 3072, 'E'); (1, 3072, 'E') ];
+  commit ~mode:Types.Flush [ (0, 4096, 'F') ];
+  ( routing,
+    Array.map Mem_device.snapshot logs,
+    Array.map Mem_device.snapshot segs )
+
+(* Both shards' regions after recovering [logs] and [segs] (shard order). *)
+let recovered_regions routing (logs : Rvm_disk.Device.t array) segs =
+  let m =
+    Multi.reinitialize ~routing ~logs ~resolve:(fun id -> segs.(id - 1)) ()
+  in
+  Array.init 2 (fun s ->
+      let r = Multi.map m ~seg:(s + 1) ~seg_off:0 ~len:8192 () in
+      Bytes.to_string (Multi.load m ~addr:r.Region.vaddr ~len:8192))
+
+(* Record [Multi.reinitialize] itself on the images: every write and
+   sync of the verdict round and of both shards' recoveries is a crash
+   point, and recovering again from any of them must give the regions one
+   uninterrupted recovery gives. *)
+let test_recovery_crash_points () =
+  let routing, logs, segs = recovery_images () in
+  let mount images = Array.map Mem_device.of_bytes images in
+  let expected = recovered_regions routing (mount logs) (mount segs) in
+  let at s off = String.sub expected.(s) off 600 in
+  List.iter
+    (fun (what, s, off, c) ->
+      Alcotest.(check string) what (String.make 600 c) (at s off))
+    [
+      ("resolved commit on shard 0", 0, 0, 'A');
+      ("resolved commit on shard 1", 1, 0, 'A');
+      ("implicit commit on shard 0", 0, 1024, 'B');
+      ("implicit commit on shard 1", 1, 1024, 'B');
+      ("orphan aborted on shard 0", 0, 3072, '\000');
+      ("orphan aborted on shard 1", 1, 3072, '\000');
+    ];
+  let world rig =
+    let traced kind =
+      Array.mapi (fun i b ->
+          let d =
+            Crash.device rig ~name:(Printf.sprintf "%s%d" kind i)
+              ~size:(Bytes.length b)
+          in
+          Rvm_disk.Device.write_bytes d ~off:0 b;
+          Crash.trace rig ~label:(Printf.sprintf "%s%d" kind i) d)
+    in
+    let logs = traced "log" logs and segs = traced "seg" segs in
+    ignore
+      (Multi.reinitialize ~obs:(Crash.obs rig) ~routing ~logs
+         ~resolve:(fun id -> segs.(id - 1))
+         ());
+    {
+      Crash.recover =
+        (fun images ->
+          recovered_regions routing (Array.sub images 0 2)
+            (Array.sub images 2 2));
+      oracle =
+        (fun _ regions ->
+          if regions = expected then None
+          else Some "recovered regions differ from one uninterrupted recovery");
+      commits = 0;
+      counters = [];
+    }
+  in
+  let o =
+    Crash.run
+      { Crash.sector = 512; exhaustive = true; max_torn_per_write = 8 }
+      world
+  in
+  assert_clean o;
+  check_int "events" 17 o.Crash.events;
+  check_int "writes" 11 o.Crash.writes;
+  check_int "syncs" 6 o.Crash.syncs;
+  check_int "boundaries" 18 o.Crash.boundaries;
+  check_int "torn variants" 40 o.Crash.torn_variants;
+  check_int "recoveries" 58 o.Crash.recoveries
+
 (* --- qcheck properties --- *)
 
 (* (a) Random shard counts, routing tables and arrival orders: the engine
@@ -428,6 +539,7 @@ let suite =
     ("shard-explorer.mid-truncation-2shards", `Quick, test_mid_truncation_2shards);
     ("shard-explorer.mutation-detected", `Quick, test_mutation_detected);
     ("shard-explorer.deterministic", `Quick, test_deterministic);
+    ("shard-recovery.crash-points", `Quick, test_recovery_crash_points);
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_balances; prop_crash_recovery ]
   @ [ ("shard-explorer.aborts", `Quick, test_aborts) ]
