@@ -37,6 +37,10 @@ type step =
   | Run of (Request.t -> int -> unit)
   | Read of string list
 
+(* Which tally an acknowledged request lands in: a committed transaction,
+   writer or read-only, or a lock-free read answered from the stamps. *)
+type outcome = Commit | Answer
+
 type tally = {
   committed : int;
   reads : int;
@@ -81,21 +85,24 @@ type t = {
   runnable : Request.t Queue.t;
   mutable parked : Request.t list;
   mutable retries : (float * Request.t) list;  (* sorted by (due, id) *)
-  mutable pending_reads : Request.t list;
-      (* read-only requests that observed a spooled-but-unforced commit:
-         the ack-dependency rule holds their completion until the
-         engine's durable horizon covers [dep_lsn] (newest first) *)
+  mutable pending : (outcome * Request.t) list;
+      (* read-only requests — lock-free reads and commits that wrote
+         nothing — that observed a spooled-but-unforced commit: the
+         ack-dependency rule holds their completion until the engine's
+         durable horizon covers [dep_lsn] (newest first) *)
   batch : Request.t Batcher.t;
   mutable riding : int list;
       (* ids in the open batch whose locks ride to its force under ELR:
          the cross-shard commits *)
   steps : (int, step list) Hashtbl.t;
   mutable on_spool : Request.t -> unit;
-      (* fired when a commit record reaches the spool (logical commit);
-         the crash explorer hangs its commit-order recorder here *)
+      (* fired at a transaction's commit point: its record reaches the
+         spool, or a read-only commit returns without one; the crash
+         explorer hangs its commit-order recorder here *)
   mutable on_ack : Request.t -> unit;
       (* fired when a request's outcome is released to the client — after
-         durability for writes, after the dependency check for reads *)
+         durability for writes, after the dependency check for read-only
+         requests *)
   mutable on_quantum : unit -> unit;
       (* fired once per scheduler quantum, after the clock may have
          advanced: the monitoring tick. Must not charge simulated time —
@@ -151,7 +158,7 @@ let create ~cfg ~steps ~engine ~clock ~obs ~lock_mgr ~admission ~arrivals ~gen
     runnable = Queue.create ();
     parked = [];
     retries = [];
-    pending_reads = [];
+    pending = [];
     batch = Batcher.create ~max:cfg.batch_max;
     riding = [];
     steps = Hashtbl.create 64;
@@ -216,46 +223,49 @@ let req_attrs (r : Request.t) =
     ("attempts", Trace.Int r.Request.attempts);
   ]
 
-(* A request's commit is durable: account its latency, let a closed-loop
+(* A request's outcome is durable — its own commit, if it wrote, and
+   every commit it observed: account its latency, let a closed-loop
    session move on. The admission slot was already freed at the commit
    point — in-flight counts transactions that are executing, not ones
    parked in the batcher awaiting the force. *)
-let finish t (r : Request.t) =
-  let tnow = now t in
-  r.Request.status <- Request.Committed;
-  r.Request.done_us <- tnow;
-  Hashtbl.remove t.steps r.Request.spec.Request.id;
-  Arrivals.complete t.arr ~now:tnow;
-  t.committed <- t.committed + 1;
-  Counter.incr t.c_committed;
-  let lat = tnow -. r.Request.arrival_us in
-  push t.latencies lat;
-  Histogram.observe t.h_latency lat;
-  t.on_ack r
-
-(* A read's snapshot is covered by the durable horizon: its values can no
-   longer be lost to a crash, so the answer may leave the server. *)
-let finish_read t (r : Request.t) =
+let finish t outcome (r : Request.t) =
   let tnow = now t in
   r.Request.status <- Request.Committed;
   r.Request.done_us <- tnow;
   Arrivals.complete t.arr ~now:tnow;
-  t.reads <- t.reads + 1;
   let lat = tnow -. r.Request.arrival_us in
-  push t.read_latencies lat;
-  Histogram.observe t.h_read_latency lat;
+  (match outcome with
+  | Commit ->
+    t.committed <- t.committed + 1;
+    Counter.incr t.c_committed;
+    push t.latencies lat;
+    Histogram.observe t.h_latency lat
+  | Answer ->
+    t.reads <- t.reads + 1;
+    push t.read_latencies lat;
+    Histogram.observe t.h_read_latency lat);
   t.on_ack r
 
-let complete_reads t =
-  if t.pending_reads <> [] then begin
+(* A read-only request wrote nothing, so only what it observed can be
+   lost: it finishes now if the durable horizon covers [dep_lsn], else at
+   the force that does. *)
+let await t outcome (r : Request.t) =
+  if r.Request.dep_lsn <= t.eng.Engine.durable_lsn () then finish t outcome r
+  else begin
+    r.Request.status <- Request.Ready;
+    t.pending <- (outcome, r) :: t.pending
+  end
+
+let complete_pending t =
+  if t.pending <> [] then begin
     let d = t.eng.Engine.durable_lsn () in
     let ready, waiting =
       List.partition
-        (fun (r : Request.t) -> r.Request.dep_lsn <= d)
-        t.pending_reads
+        (fun (_, (r : Request.t)) -> r.Request.dep_lsn <= d)
+        t.pending
     in
-    t.pending_reads <- waiting;
-    List.iter (finish_read t) (List.rev ready)
+    t.pending <- waiting;
+    List.iter (fun (outcome, r) -> finish t outcome r) (List.rev ready)
   end
 
 (* Commit a request whose steps are exhausted. Batched configurations
@@ -279,7 +289,14 @@ let complete_reads t =
    record on a forced shard survives, carrying what it read. Such a
    commit keeps its locks until the batch force, its implicit-commit
    point. With [elr = false] every commit's locks ride until
-   {!flush_batch} — the contention the optimization removes. *)
+   {!flush_batch} — the contention the optimization removes.
+
+   A transaction that declared no range wrote nothing: the engine spools
+   no record and its commit LSN does not move. There is then nothing to
+   stamp, force or hold a lock for, in any configuration. Its locks drop
+   at once and it waits only for what it observed, like a lock-free
+   read; it still counts toward closing the batch, so writers behind a
+   stream of read-only commits wait no longer than [batch_max] commits. *)
 let commit_ready t (r : Request.t) =
   let tid =
     match r.Request.tid with
@@ -290,41 +307,55 @@ let commit_ready t (r : Request.t) =
   let unbatched = t.cfg.batch_max = 1 in
   (* Asked before [end_txn]: the engine forgets the transaction there. *)
   let early = t.cfg.elr && (not unbatched) && not (t.eng.Engine.crosses tid) in
+  let before = t.eng.Engine.commit_lsn () in
   Registry.span t.obs "req.root" ~attrs:(req_attrs r) (fun () ->
       t.eng.Engine.end_txn tid
         ~mode:(if unbatched then Types.Flush else Types.No_flush));
   r.Request.tid <- None;
-  r.Request.commit_lsn <- t.eng.Engine.commit_lsn ();
-  Lock_mgr.stamp_held t.lm ~owner:id (r.Request.commit_lsn, id);
-  if unbatched then begin
+  Hashtbl.remove t.steps id;
+  let lsn = t.eng.Engine.commit_lsn () in
+  if lsn = before then begin
     t.on_spool r;
     Lock_mgr.release_all t.lm ~owner:id;
     Admission.release t.adm;
-    t.batches <- t.batches + 1;
-    Histogram.observe t.h_batch_size 1.;
-    finish t r;
+    if not unbatched then Batcher.note t.batch;
     wake_parked t;
-    complete_reads t
+    await t Commit r
   end
   else begin
-    r.Request.status <- Request.Ready;
-    t.on_spool r;
-    if early then begin
-      Counter.incr t.c_elr;
-      Lock_mgr.release_all t.lm ~owner:id
+    r.Request.commit_lsn <- lsn;
+    Lock_mgr.stamp_held t.lm ~owner:id (lsn, id);
+    if unbatched then begin
+      t.on_spool r;
+      Lock_mgr.release_all t.lm ~owner:id;
+      Admission.release t.adm;
+      t.batches <- t.batches + 1;
+      Histogram.observe t.h_batch_size 1.;
+      finish t Commit r;
+      wake_parked t;
+      complete_pending t
     end
-    else if t.cfg.elr then t.riding <- id :: t.riding;
-    Admission.release t.adm;
-    Batcher.add t.batch r;
-    if early then wake_parked t
+    else begin
+      r.Request.status <- Request.Ready;
+      t.on_spool r;
+      if early then begin
+        Counter.incr t.c_elr;
+        Lock_mgr.release_all t.lm ~owner:id
+      end
+      else if t.cfg.elr then t.riding <- id :: t.riding;
+      Admission.release t.adm;
+      Batcher.add t.batch r;
+      if early then wake_parked t
+    end
   end
 
 (* Close the open batch: one force makes every no-flush commit in it
    durable, then the requests finish together. The force is also the ack
-   barrier: nothing in the batch (nor any pending read) is released to
-   its client before the durable horizon covers its commit and every
-   dependency it inherited through an early-released lock. Locks that
-   rode to the force drop here. *)
+   barrier: nothing in the batch (nor any pending read-only request) is
+   released to its client before the durable horizon covers its commit
+   and every dependency it inherited through an early-released lock.
+   Locks that rode to the force drop here. A batch that counted only
+   read-only commits closes without a force. *)
 let flush_batch t =
   let reqs = Batcher.take t.batch in
   if reqs <> [] then begin
@@ -348,12 +379,12 @@ let flush_batch t =
                   "ack-dependency violated: req %d (lsn %d dep %d) past \
                    durable horizon %d"
                   id r.Request.commit_lsn r.Request.dep_lsn d));
-        finish t r)
+        finish t Commit r)
       reqs;
     t.riding <- [];
     if held then wake_parked t
   end;
-  complete_reads t
+  complete_pending t
 
 let insert_retry t due (r : Request.t) =
   let key = (due, r.Request.spec.Request.id) in
@@ -408,18 +439,14 @@ let inherit_stamp t (r : Request.t) key =
    even while a later writer holds the lock mid-update. The read's ack
    dependency is the max of the observed commit LSNs: if any of them sits
    above the durable horizon (an early-released, not-yet-forced commit),
-   the answer parks in [pending_reads] until a force covers it. *)
+   the answer parks in [pending] until a force covers it. *)
 let exec_read t (r : Request.t) keys =
   charge t;
   Hashtbl.remove t.steps r.Request.spec.Request.id;
   List.iter (inherit_stamp t r) keys;
   Counter.incr t.c_snapshot;
   Admission.release t.adm;
-  if r.Request.dep_lsn <= t.eng.Engine.durable_lsn () then finish_read t r
-  else begin
-    r.Request.status <- Request.Ready;
-    t.pending_reads <- r :: t.pending_reads
-  end
+  await t Answer r
 
 (* The step ran: the rest of the plan waits for the request's next turn. *)
 let advance t (r : Request.t) rest =
@@ -617,13 +644,13 @@ let background_truncation t =
 let diagnose t reason =
   Format.asprintf
     "scheduler stuck (%s): iter=%d now=%.0fus runnable=%d parked=%d \
-     retries=%d pending_reads=%d batch=%d inflight=%d queued=%d \
+     retries=%d pending=%d batch=%d inflight=%d queued=%d \
      committed=%d reads=%d shed=%d aborts=%d wait_edges=%s"
     reason t.iterations (now t)
     (Queue.length t.runnable)
     (List.length t.parked)
     (List.length t.retries)
-    (List.length t.pending_reads)
+    (List.length t.pending)
     (Batcher.size t.batch) (Admission.inflight t.adm) (Admission.queued t.adm)
     t.committed t.reads t.shed t.aborts
     (String.concat ";"
@@ -662,17 +689,18 @@ let run t =
     end
     else if not (Batcher.is_empty t.batch) then begin
       (* No request can advance before the next timed event: close the
-         partial batch now rather than letting latency ride on arrivals. *)
+         partial batch now rather than letting latency ride on arrivals.
+         With no writer in it this only restarts the count. *)
       flush_batch t;
       loop ()
     end
-    else if t.pending_reads <> [] then begin
-      (* Only parked reads remain: their dependencies are spooled
-         commits with no batch left to close, so force the engine and
-         release them. *)
+    else if t.pending <> [] then begin
+      (* Only parked read-only requests remain: their dependencies are
+         spooled commits with no batch left to close, so force the engine
+         and release them. *)
       t.eng.Engine.flush ();
-      complete_reads t;
-      if t.pending_reads <> [] then
+      complete_pending t;
+      if t.pending <> [] then
         raise (Stuck (diagnose t "pending reads survived a force"));
       loop ()
     end

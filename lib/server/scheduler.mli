@@ -12,10 +12,19 @@
 
     Commits route through the {!Batcher}: with [batch_max = 1] each
     commit forces the log itself; otherwise ready transactions commit
-    [No_flush] immediately and the closing {!Engine.t.flush} fires when
-    the batch fills or no other request can make progress. Each request's
-    life is wrapped in a [req.root] span, so the engine's [txn.commit]
-    spans nest under the request that caused them.
+    [No_flush] immediately and the closing {!Engine.t.flush} fires after
+    [batch_max] commits or as soon as no other request can make progress.
+    Each request's life is wrapped in a [req.root] span, so the engine's
+    [txn.commit] spans nest under the request that caused them.
+
+    {b Read-only commits}: a transaction that declared no range leaves
+    the engine's commit LSN where it was — no record spooled. It stamps
+    no key, takes no batch slot and causes no force, in every
+    configuration; its locks drop at once and it acknowledges through
+    the snapshot reads' dependency check below. It still counts toward
+    the [batch_max] commits that close a batch, so a saturated server,
+    which never idles, keeps each writer's wait for its force bounded by
+    [batch_max] commits however much read traffic runs beside it.
 
     {b Early lock release} ([elr], on by default): a batched commit drops
     its locks the moment its record reaches the log spool — redo-only
@@ -30,16 +39,17 @@
     key inherits the stamp as an ack dependency, and {!run} enforces
     that no request finishes while its own commit LSN or any inherited
     dependency sits above the engine's durable horizon. With
-    [elr = false] locks ride until the force, which is the contended
-    baseline `bench contention` measures against.
+    [elr = false] a writer's locks ride until the force, which is the
+    contended baseline `bench contention` measures against.
 
     {b Snapshot reads}: a request whose whole plan is one [Read] step is
     read-only. It never begins an engine transaction or enters the
     wait-for graph: in one quantum it resolves each key through the lock
     manager's commit stamps, takes the max observed LSN as its ack
     dependency, and completes immediately if the durable horizon covers
-    it — otherwise it parks in a pending-read list that drains at every
-    force.
+    it — otherwise it parks in the pending list that drains at every
+    force. Read-only commits wait in the same list; the two differ only
+    in the tally they land in.
 
     Everything advances the simulated clock: every step charges 25 µs of
     CPU, device time comes from the engine's cost model, and idle gaps
@@ -80,11 +90,17 @@ type config = {
 val default_config : config
 
 type tally = {
-  committed : int;  (** write requests committed (reads not included) *)
-  reads : int;  (** read-only requests answered *)
+  committed : int;
+      (** transactions committed, read-only ones included (YCSB's reads
+          and scans count here); [Read]-plan requests are not *)
+  reads : int;  (** [Read]-plan requests answered *)
   shed : int;
   aborts : int;  (** deadlock aborts (every one is retried) *)
-  batches : int;  (** log forces issued for commits *)
+  batches : int;
+      (** log forces that made commits durable: one per closed batch
+          holding a writer, one per writer when unbatched. Read-only
+          commits force nothing and count in none; each force's writer
+          count is a [server.batch.size] sample *)
   backpressure_deferrals : int;
   latencies_us : float array;  (** per committed request, commit order *)
   read_latencies_us : float array;  (** per answered read, ack order *)
@@ -136,11 +152,14 @@ val create :
 
 val set_hooks :
   t -> on_spool:(Request.t -> unit) -> on_ack:(Request.t -> unit) -> unit
-(** Instrumentation taps for the crash explorer. [on_spool] fires when a
-    request's commit record reaches the spool (logical commit; under ELR
-    a single-shard commit's locks release right after); [on_ack] fires
-    when its outcome is released to the client — after durability for
-    writes, after the dependency check for read-only requests. Defaults
+(** Instrumentation taps for the crash explorer. [on_spool] fires at a
+    transaction's commit point: when its commit record reaches the spool
+    (logical commit; under ELR a single-shard commit's locks release
+    right after), or, for a read-only commit, when [end_txn] returns
+    without one. [on_ack] fires when a request's outcome is released to
+    the client — after durability for writes, after the dependency check
+    for read-only commits and [Read]-plan requests. Only writers are
+    stamped, so a request's [dep_writers] name writers alone. Defaults
     are no-ops. *)
 
 val set_on_quantum : t -> (unit -> unit) -> unit

@@ -58,15 +58,17 @@ val default_config : config
 
 type result = {
   cfg : config;
-  committed : int;  (** write requests committed (lookups counted apart) *)
+  committed : int;
+      (** transactions committed, read-only ones included (lookups
+          counted apart) *)
   reads : int;  (** lookups answered from the snapshot fast path *)
   shed : int;
   aborts : int;
   abort_rate : float;  (** aborts / (aborts + committed), 0 if none *)
-  batches : int;
+  batches : int;  (** commit forces ({!Scheduler.tally}) *)
   backpressure_deferrals : int;
   duration_us : float;
-  throughput_tps : float;  (** committed writes per second *)
+  throughput_tps : float;  (** committed transactions per second *)
   mean_latency_us : float;
   p50_latency_us : float;  (** exact (nearest-rank over raw samples) *)
   p95_latency_us : float;

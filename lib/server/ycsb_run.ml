@@ -193,7 +193,12 @@ let tree_lock = "btree"
    back to one tree-level lock: inserts exclusive, reads and scans
    shared. Read-modify-write takes the leaf Shared for the read and
    upgrades to Exclusive for the write; two RMWs on one leaf deadlock on
-   the upgrade and resolve through the scheduler's abort-retry path. *)
+   the upgrade and resolve through the scheduler's abort-retry path.
+
+   Reads and scans declare no range, so they commit read-only: their
+   Shared locks drop at the commit point, and each acknowledges as soon
+   as the writers it observed through its lock's commit stamp are
+   durable, with no force and no batch slot of its own. *)
 let steps_of cfg (tree : Pbtree.t) =
   let structural = match cfg.mix with Ycsb.D | Ycsb.E -> true | _ -> false in
   let stash : (int, string option) Hashtbl.t = Hashtbl.create 64 in

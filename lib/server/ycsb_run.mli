@@ -15,7 +15,9 @@
     A/B/C/F lock the key's leaf) and tree-granular where inserts can
     split nodes (D/E); read-modify-write upgrades Shared to Exclusive on
     its leaf, and upgrade deadlocks resolve through the scheduler's
-    abort-retry path. *)
+    abort-retry path. Reads and scans write nothing, so they commit
+    read-only: no log force, no batch slot, and an ack as soon as the
+    writers they observed are durable. *)
 
 type config = {
   mix : Rvm_workload.Ycsb.mix;

@@ -395,42 +395,168 @@ let test_snapshot_reads () =
 
 (* --- end-to-end: the scheduler runs whatever steps a workload compiles --- *)
 
-(* A caller's step function over a TPC-A world: every request, lookups
-   included, locks one counter key and increments an 8-byte cell. The
-   scheduler interprets no request kind, so the generator's lookups
-   commit as writes and none is answered as a read. *)
-let test_custom_steps () =
-  let cfg = { quick_cfg with S.read_pct = 20 } in
+(* A caller's step function over a TPC-A world: every write request
+   takes one counter key Exclusive and increments an 8-byte cell. With
+   [read_lookups] a lookup takes the key Shared and only reads the cell,
+   so its transaction declares no range and commits read-only; without,
+   it increments like every other request. Returns the world, the
+   scheduler, the ids compiled as lookups and a reader of the cell. *)
+let counter_server ~read_lookups cfg =
   let w = S.build_world cfg in
   let eng = w.S.engine in
   let addr = Placement.account_addr w.S.placement 0 in
   let counter () =
     Int64.to_int (Bytes.get_int64_le (eng.Engine.load ~addr ~len:8) 0)
   in
-  let lookups = Hashtbl.create 16 in
+  let lookups = Hashtbl.create 64 in
   let steps (s : Request.spec) =
-    if s.Request.kind = Request.Lookup then
-      Hashtbl.replace lookups s.Request.id ();
-    [
-      Scheduler.Lock (Lock_mgr.Exclusive, "counter");
-      Scheduler.Run
-        (fun _ tid ->
-          eng.Engine.set_range tid ~addr ~len:8;
-          let b = Bytes.create 8 in
-          Bytes.set_int64_le b 0 (Int64.of_int (counter () + 1));
-          eng.Engine.store ~addr b);
-    ]
+    let lookup = s.Request.kind = Request.Lookup in
+    if lookup then Hashtbl.replace lookups s.Request.id ();
+    if lookup && read_lookups then
+      [
+        Scheduler.Lock (Lock_mgr.Shared, "counter");
+        Scheduler.Run (fun _ _ -> ignore (counter ()));
+      ]
+    else
+      [
+        Scheduler.Lock (Lock_mgr.Exclusive, "counter");
+        Scheduler.Run
+          (fun _ tid ->
+            eng.Engine.set_range tid ~addr ~len:8;
+            let b = Bytes.create 8 in
+            Bytes.set_int64_le b 0 (Int64.of_int (counter () + 1));
+            eng.Engine.store ~addr b);
+      ]
   in
   let gen rng =
     Request.make_gen ~read_pct:cfg.S.read_pct ~accounts:cfg.S.accounts
       ~zipf_s:cfg.S.zipf_s ~transfer_pct:cfg.S.transfer_pct ~rng ()
   in
-  let tally = Scheduler.run (S.scheduler cfg w ~gen ~steps) in
+  (w, S.scheduler cfg w ~gen ~steps, lookups, counter)
+
+(* The scheduler interprets no request kind, so the generator's lookups
+   compiled as increments commit as writes and none is answered as a
+   read. *)
+let test_custom_steps () =
+  let cfg = { quick_cfg with S.read_pct = 20 } in
+  let w, sched, lookups, counter = counter_server ~read_lookups:false cfg in
+  let tally = Scheduler.run sched in
   check_bool "the generator drew lookups" true (Hashtbl.length lookups > 0);
   check_int "every request committed" cfg.S.requests tally.Scheduler.committed;
   check_int "no request answered as a read" 0 tally.Scheduler.reads;
   check_int "counter = committed" tally.Scheduler.committed (counter ());
   S.release_world w
+
+(* --- end-to-end: transactions that write nothing --- *)
+
+let readonly_cfg =
+  (* about half the requests read the counter under a Shared lock, right
+     behind writers whose early-released commits are not yet forced *)
+  {
+    S.default_config with
+    S.requests = 400;
+    S.read_pct = 50;
+    S.load = S.Open_loop 60.;
+    S.max_queue = 1000;
+  }
+
+(* A transaction that declared no range commits read-only: it stamps no
+   key, takes no batch slot and forces nothing, but its ack still waits
+   for every commit it observed. Every ack is checked as it leaves: no
+   commit it vouches for may sit above the durable horizon, and no
+   read-only request may be named as a writer. Only writers land in the
+   batch-size histogram, so its samples sum to the writer count. *)
+let test_readonly_commits () =
+  List.iter
+    (fun (elr, batch_max, tps) ->
+      let cfg =
+        { readonly_cfg with S.elr; batch_max; load = S.Open_loop tps }
+      in
+      let name = Printf.sprintf "elr=%b batch=%d %.0f tps: " elr batch_max tps in
+      let w, sched, lookups, counter = counter_server ~read_lookups:true cfg in
+      let durable = w.S.engine.Engine.durable_lsn in
+      let late = ref 0 and vouching = ref 0 in
+      Scheduler.set_hooks sched ~on_spool:ignore ~on_ack:(fun r ->
+          let d = durable () in
+          if r.Request.commit_lsn > d || r.Request.dep_lsn > d then incr late;
+          if List.exists (Hashtbl.mem lookups) r.Request.dep_writers then
+            incr vouching);
+      let tally = Scheduler.run sched in
+      let writers = cfg.S.requests - Hashtbl.length lookups in
+      check_bool (name ^ "the generator drew lookups") true
+        (Hashtbl.length lookups > 0);
+      check_int (name ^ "acks past the durable horizon") 0 !late;
+      check_int (name ^ "acks naming a read-only writer") 0 !vouching;
+      check_int
+        (name ^ "batch sizes sum to the writers")
+        writers
+        (int_of_float
+           (Rvm_obs.Histogram.sum
+              (Registry.histogram w.S.obs "server.batch.size")));
+      check_int (name ^ "counter = writers") writers (counter ());
+      check_int (name ^ "every request committed") cfg.S.requests
+        tally.Scheduler.committed;
+      S.release_world w)
+    [
+      (true, 8, 60.);
+      (false, 8, 60.);
+      (true, 1, 60.);
+      (false, 1, 60.);
+      (true, 8, 200.);
+    ]
+
+(* Read-only commits force nothing but count toward closing the batch:
+   under saturation (closed-loop sessions, no think time, so the
+   dispatcher never idles) a batch that counted only writers would hold
+   each writer while any number of read-only commits went by. Every
+   writer must ack before [batch_max] commits, its own included, have
+   spooled. *)
+let test_readonly_batch_rule () =
+  let batch_max = 8 in
+  let cfg =
+    {
+      readonly_cfg with
+      S.batch_max;
+      load = S.Closed_loop { sessions = 16; think_us = 0. };
+    }
+  in
+  let w, sched, lookups, counter = counter_server ~read_lookups:true cfg in
+  let spooled = ref 0 and spooled_at = Hashtbl.create 64 and worst = ref 0 in
+  Scheduler.set_hooks sched
+    ~on_spool:(fun r ->
+      incr spooled;
+      let id = r.Request.spec.Request.id in
+      if not (Hashtbl.mem lookups id) then Hashtbl.replace spooled_at id !spooled)
+    ~on_ack:(fun r ->
+      match Hashtbl.find_opt spooled_at r.Request.spec.Request.id with
+      | Some k -> worst := max !worst (!spooled - k + 1)
+      | None -> ());
+  let tally = Scheduler.run sched in
+  check_int "every request committed" cfg.S.requests tally.Scheduler.committed;
+  check_int "counter = writers"
+    (cfg.S.requests - Hashtbl.length lookups)
+    (counter ());
+  if !worst > batch_max then
+    Alcotest.failf "a writer acked %d commits into its batch (batch_max %d)"
+      !worst batch_max;
+  S.release_world w
+
+(* The allocation budget of one scheduler quantum: minor words per
+   [Scheduler.run] iteration over a whole read-heavy run on the counter
+   world, engine commits and forces included. 182 words over 1,752
+   iterations on OCaml 5.1.1; the bound leaves headroom for allocation
+   differences between compiler versions. *)
+let test_quantum_allocation () =
+  let w, sched, _, _ = counter_server ~read_lookups:true readonly_cfg in
+  let w0 = Gc.minor_words () in
+  let tally = Scheduler.run sched in
+  let per_iteration =
+    (Gc.minor_words () -. w0) /. float_of_int tally.Scheduler.iterations
+  in
+  S.release_world w;
+  if per_iteration > 400. then
+    Alcotest.failf "%.0f minor words per scheduler quantum (bound 400)"
+      per_iteration
 
 (* --- end-to-end: the sharded server --- *)
 
@@ -746,6 +872,9 @@ let suite =
     ("server.deadlock-abort-retry", `Quick, test_deadlock_abort_retry);
     ("server.snapshot-reads", `Quick, test_snapshot_reads);
     ("server.custom-steps", `Quick, test_custom_steps);
+    ("server.readonly-commits", `Quick, test_readonly_commits);
+    ("server.readonly-batch-rule", `Quick, test_readonly_batch_rule);
+    ("server.quantum-allocation", `Quick, test_quantum_allocation);
     ( "server.balances-match-serial-reference",
       `Quick,
       test_balances_match_serial_reference );

@@ -88,6 +88,17 @@ let test_paging_pressure () =
   check_bool "faults charged" true (r.Ycsb_run.vm_faults > 0);
   check_bool "serial equal" true r.Ycsb_run.serial_equal
 
+(* Mix C only reads: no transaction declares a range, so serving spools
+   no commit record and never forces the log, and every read still
+   commits and replays serially. *)
+let test_read_only_mix_forces_nothing () =
+  let r = Ycsb_run.run { base with Ycsb_run.mix = Ycsb.C } in
+  check_int "log syncs while serving" 0 r.Ycsb_run.log_syncs;
+  check_int "force batches" 0 r.Ycsb_run.batches;
+  check_int "every request committed" base.Ycsb_run.requests
+    r.Ycsb_run.committed;
+  check_bool "serial equal" true r.Ycsb_run.serial_equal
+
 let test_world_gauges () =
   let r, w = Ycsb_run.run_with_world { base with Ycsb_run.mix = Ycsb.A } in
   check_bool "run ok" true r.Ycsb_run.serial_equal;
@@ -127,6 +138,9 @@ let suite =
     ("ycsb_run.rmw-upgrade-aborts", `Quick, test_rmw_upgrade_aborts);
     ("ycsb_run.inserts-grow-tree", `Quick, test_inserts_grow_tree);
     ("ycsb_run.paging-pressure", `Quick, test_paging_pressure);
+    ( "ycsb_run.read-only-mix-forces-nothing",
+      `Quick,
+      test_read_only_mix_forces_nothing );
     ("ycsb_run.world-gauges", `Quick, test_world_gauges);
     ("ycsb_run.release-world", `Quick, test_release_world);
   ]
