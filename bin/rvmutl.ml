@@ -352,6 +352,10 @@ let trace path out txns accounts batch seed top_n =
     Printf.eprintf "rvmutl: --txns must be positive (got %d)\n" txns;
     exit 2
   end;
+  if accounts <= 0 then begin
+    Printf.eprintf "rvmutl: --accounts must be positive (got %d)\n" accounts;
+    exit 2
+  end;
   let module Tpca = Rvm_workload.Tpca in
   let module Driver = Rvm_workload.Driver in
   let module Registry = Rvm_obs.Registry in
@@ -470,6 +474,17 @@ let serve requests accounts seed loads batches sessions think_ms trace_out
   if requests <= 0 then usage "--requests must be positive (got %d)" requests;
   if read_pct < 0 || read_pct > 100 then
     usage "--read-pct must be in [0, 100] (got %d)" read_pct;
+  List.iter
+    (fun b -> if b <= 0 then usage "--batch must be positive (got %d)" b)
+    batches;
+  List.iter
+    (fun t -> if t <= 0. then usage "--load must be positive (got %g)" t)
+    loads;
+  Option.iter
+    (fun n -> if n <= 0 then usage "--sessions must be positive (got %d)" n)
+    sessions;
+  if think_ms < 0. then
+    usage "--think-ms must be non-negative (got %g)" think_ms;
   if monitor && window_ms <= 0. then
     usage "--window-ms must be positive (got %g)" window_ms;
   let seed = Int64.of_int seed in
@@ -540,6 +555,8 @@ let serve requests accounts seed loads batches sessions think_ms trace_out
   | None when workload <> "tpca" ->
     usage "unknown --workload %S (expected tpca or ycsb-a..ycsb-f)" workload
   | None ->
+    if accounts <= 0 then usage "--accounts must be positive (got %d)" accounts;
+    if zipf_s < 0. then usage "--zipf-s must be non-negative (got %g)" zipf_s;
     let cell (load, batch_max) =
       {
         S.default_config with
@@ -956,10 +973,11 @@ let serve_cmd =
           ~doc:
             "Run one monitored cell (first load x first batch) instead of \
              the sweep: windowed telemetry on the scheduler's quantum tick, \
-             SLO rules (commit-p99 burst, abort rate, spool pressure, \
-             truncation starvation, durable-LSN stall) opening typed \
-             incidents, a top-style health line per window, and a \
-             postmortem JSON artifact at exit.")
+             SLO rules (commit-p99-burst, abort-rate, admission-shed, \
+             truncation-starvation, durable-lsn-stall, and shard-imbalance \
+             on a sharded engine) opening typed incidents, a top-style \
+             health line per window, and a postmortem JSON artifact at \
+             exit.")
   in
   let window_ms =
     Arg.(

@@ -266,7 +266,6 @@ let world cfg rig =
          the crash, never refused. *)
       max_inflight = 8;
       max_queue = cfg.requests + 8;
-      backpressure = 0.95;
       elr = true;
     }
   in

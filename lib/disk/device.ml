@@ -38,11 +38,6 @@ let write_bytes t ~off b = t.write ~off ~buf:b ~pos:0 ~len:(Bytes.length b)
 let write_string t ~off s =
   t.write ~off ~buf:(Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "reads=%d (%d B) writes=%d (%d B) syncs=%d" s.reads s.bytes_read s.writes
-    s.bytes_written s.syncs
-
 (* --- constructors ---
 
    Every device in the tree is built by [make] (a base device over real

@@ -39,8 +39,6 @@ val read_bytes : t -> off:int -> len:int -> Bytes.t
 val write_bytes : t -> off:int -> Bytes.t -> unit
 val write_string : t -> off:int -> string -> unit
 
-val pp_stats : Format.formatter -> stats -> unit
-
 (** {1 Constructors}
 
     Build every device through these: range checking ([Io_error] outside

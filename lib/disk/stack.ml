@@ -9,7 +9,6 @@ type faults = { mutable fail_in : int option }
 let faults () = { fail_in = None }
 let fail_after f ~ops = f.fail_in <- Some ops
 let disarm f = f.fail_in <- None
-let armed f = f.fail_in <> None
 
 let tick f =
   match f.fail_in with

@@ -32,7 +32,6 @@ val fail_after : faults -> ops:int -> unit
     or syncs through the layer) have completed. *)
 
 val disarm : faults -> unit
-val armed : faults -> bool
 
 val with_faults : faults -> layer
 

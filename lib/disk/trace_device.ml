@@ -58,8 +58,6 @@ let event_count r = r.count
 let write_count r = r.writes
 let sync_count r = r.syncs
 
-let initial_image t = Bytes.copy t.initial
-
 let image t ~events ~upto ?torn () =
   if upto < 0 || upto > Array.length events then
     invalid_arg "Trace_device.image: upto outside the trace";

@@ -46,9 +46,6 @@ val event_count : recorder -> int
 val write_count : recorder -> int
 val sync_count : recorder -> int
 
-val initial_image : t -> Bytes.t
-(** Copy of the device contents when {!wrap} was called. *)
-
 val image : t -> events:event array -> upto:int -> ?torn:int -> unit -> Bytes.t
 (** [image t ~events ~upto ()] is the durable contents of [t]'s device
     after the first [upto] events of the global trace have reached disk.

@@ -1,5 +1,4 @@
 let pct v = Printf.sprintf "%.1f%%" v
-let f1 v = Printf.sprintf "%.1f" v
 
 let table ~title ~header ~rows =
   let all = header :: rows in

@@ -13,5 +13,3 @@ val series :
 (** Print named (x, y) series — the textual equivalent of a figure. *)
 
 val pct : float -> string
-val f1 : float -> string
-(** One decimal place. *)

@@ -50,7 +50,6 @@ let is_empty t = t.used = 0
 let head t = t.status.Status.head
 let tail t = t.tail
 let next_seqno t = t.next_seqno
-let max_spool_bytes t = t.max_spool_bytes
 let record_count t = t.records
 let forced_seqno t = t.forced_seqno
 

@@ -74,9 +74,6 @@ val head : t -> int
 val tail : t -> int
 val next_seqno : t -> int
 
-val max_spool_bytes : t -> int
-(** The buffered tail's drain watermark ([open_log]'s [max_spool_bytes]). *)
-
 val forced_seqno : t -> int
 (** Highest sequence number known durable: every record with
     [seqno <= forced_seqno] survives any crash. Advances at {!force} and

@@ -20,9 +20,9 @@ let directions =
   @ all Lower
       [
         "device_writes_per_txn"; "device_syncs_per_txn"; "shed"; "aborts";
-        "abort_rate"; "batches"; "backpressure_deferrals"; "duration_us";
-        "mean_latency_us"; "p50_latency_us"; "p95_latency_us";
-        "p99_latency_us"; "read_p99_latency_us"; "log_writes"; "log_syncs";
+        "abort_rate"; "batches"; "duration_us"; "mean_latency_us";
+        "p50_latency_us"; "p95_latency_us"; "p99_latency_us";
+        "read_p99_latency_us"; "log_writes"; "log_syncs";
         "syncs_per_commit"; "writes_per_commit"; "cross_aborted";
         "cross_abort_rate"; "log_wraps"; "truncation_pauses";
         "truncation_pause_max_us"; "truncation_pause_p99_us";

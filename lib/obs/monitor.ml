@@ -127,16 +127,6 @@ let shed_rate_rule () =
                arrivals)
         else Healthy)
 
-let spool_pressure_rule () =
-  let watermark = 0.9 in
-  rule "spool-pressure" ~severity:Warn (fun w ->
-      match Timeseries.gauge_value w "spool.pressure" with
-      | Some p when p >= watermark ->
-        Breach
-          (Printf.sprintf "spool pressure %.2f at/above watermark %.2f" p
-             watermark)
-      | _ -> Healthy)
-
 (* Truncation is due but no truncation work ran for the whole window —
    the background state machine is starved. *)
 let truncation_starvation_rule () =
@@ -209,7 +199,6 @@ let default_rules ?(shards = 1) () =
     commit_latency_rule ();
     abort_rate_rule ();
     shed_rate_rule ();
-    spool_pressure_rule ();
     truncation_starvation_rule ();
     durable_stall_rule ();
   ]
@@ -337,11 +326,11 @@ let health_line t =
     Some
       (Printf.sprintf
          "w%03d t=%6.2fs tps=%6.1f p99=%8.0fus aborts=%3d shed=%3d \
-          spool=%4.2f occ=%4.2f lag=%d inc=%d%s"
+          occ=%4.2f lag=%d inc=%d%s"
          w.index (w.t1_us /. 1e6) (rate w "server.committed") p99
          (counter_delta w "server.retry")
          (counter_delta w "server.shed")
-         (g "spool.pressure") (g "log.occupancy")
+         (g "log.occupancy")
          (int_of_float (g "lsn.commit" -. g "lsn.durable"))
          n_open
          (if n_open > 0 then " !" else ""))

@@ -37,9 +37,9 @@ val rule :
 
     Metric names and thresholds are fixed to the transaction server's
     registry schema: [server.*] counters and histograms, the
-    [spool.pressure] / [lsn.commit] / [lsn.durable] / [log.occupancy] /
-    [truncation.due] gauges registered by the monitored server, and the
-    sharded engine's [shard.<i>.committed] counters. *)
+    [lsn.commit] / [lsn.durable] / [log.occupancy] / [truncation.due]
+    gauges registered by the monitored server, and the sharded engine's
+    [shard.<i>.committed] counters. *)
 
 val shed_rate_rule : unit -> rule
 (** Admission control turning away more than a quarter of a window's
@@ -56,11 +56,11 @@ val durable_stall_rule : unit -> rule
     sits ahead of it. *)
 
 val default_rules : ?shards:int -> unit -> rule list
-(** The six engine rules: the three above, plus a commit p99 above three
-    times a rolling baseline of healthy windows, more than half of a
-    window's operations retried, and spool pressure at 0.9 or more. When
-    [shards > 1], also a per-shard committed skew beyond 4x (or a
-    starved shard) in a window with at least 8 commits per shard. *)
+(** The five engine rules: the three above, plus a commit p99 above three
+    times a rolling baseline of healthy windows and more than half of a
+    window's operations retried. When [shards > 1], also a per-shard
+    committed skew beyond 4x (or a starved shard) in a window with at
+    least 8 commits per shard. *)
 
 (** {2 Incidents} *)
 
@@ -104,8 +104,7 @@ val healthy : t -> bool
 val health_line : t -> string option
 (** Top-style one-liner for the last closed window ([None] before the
     first close): window index, simulated time, commit rate, window
-    p99, aborts, sheds, spool pressure, log occupancy, LSN lag and open
-    incident count. *)
+    p99, aborts, sheds, log occupancy, LSN lag and open incident count. *)
 
 val incident_json : incident -> Json.t
 

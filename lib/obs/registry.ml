@@ -88,7 +88,6 @@ let instant ?attrs t name =
   Counter.incr c;
   Trace.instant t.trace ~now:(t.now_us ()) ?attrs name
 
-let current_span t = Trace.current t.trace
 let events t = Trace.events t.trace
 let events_since t cursor = Trace.events_since t.trace cursor
 let trace_seq t = Trace.seq t.trace

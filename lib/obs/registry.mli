@@ -58,9 +58,6 @@ val instant : ?attrs:(string * Trace.value) list -> t -> string -> unit
 (** Record a zero-duration point event under the current span and bump
     [name ^ ".count"]. *)
 
-val current_span : t -> int option
-(** Id of the innermost open span, if any. *)
-
 val set_trace_capacity : t -> int -> unit
 val trace_capacity : t -> int
 

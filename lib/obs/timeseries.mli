@@ -28,8 +28,8 @@ val create : window_us:float -> Registry.t -> t
 val window_us : t -> float
 
 val gauge : t -> string -> (unit -> float) -> unit
-(** Register a gauge sampled at every window close (spool pressure, LSN
-    horizons, log occupancy...). Idempotent per name. *)
+(** Register a gauge sampled at every window close (LSN horizons, log
+    occupancy...). Idempotent per name. *)
 
 val tick : t -> now_us:float -> window list
 (** Close every window that has fully elapsed at [now_us]; returns them

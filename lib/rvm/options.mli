@@ -31,7 +31,8 @@ type t = {
           one sync (section 5.1's "one sequential write plus one
           synchronous I/O"); off = one device write per appended record.
           The buffered tail drains early past the log's own 256 KiB
-          watermark ({!Rvm_log.Log_manager.max_spool_bytes}). *)
+          watermark ({!Rvm_log.Log_manager.open_log}'s
+          [max_spool_bytes]). *)
   intra_optimization : bool;
       (** coalesce duplicate/overlapping/adjacent set_ranges (section 5.2);
           disabled only for the ablation benchmarks *)

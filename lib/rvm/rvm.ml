@@ -815,20 +815,6 @@ let durable_lsn (t : t) =
   drain ();
   t.durable_lsn
 
-let spool_pressure (t : t) =
-  (* Commit bytes not yet on the device sit in two places: the engine's
-     no-flush record spool and the log's buffered tail. Pressure is their
-     combined fill fraction against the combined watermark — 1.0 means a
-     drain/flush is imminent, and an admission controller should stop
-     letting new work amplify the backlog. *)
-  let unflushed =
-    t.spool_bytes + Log_manager.spooled_bytes t.log
-  in
-  let watermark =
-    t.opts.Options.spool_max_bytes + Log_manager.max_spool_bytes t.log
-  in
-  float_of_int unflushed /. float_of_int (max 1 watermark)
-
 let stats t = Lv.snapshot t.live
 let reset_stats t = Lv.reset t.live
 let obs t = t.obs

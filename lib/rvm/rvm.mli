@@ -249,13 +249,6 @@ val unflushed : t -> bool
     force — the shard layer uses this to skip clean shards in its
     overlapped force rounds. *)
 
-val spool_pressure : t -> float
-(** Fill fraction of the unflushed-commit backlog: bytes spooled in the
-    engine's no-flush record spool plus the log's buffered tail, over
-    their combined watermarks. 0 means everything appended has reached the
-    device; values approaching 1 mean a drain is imminent. The admission
-    controller of [Rvm_server] uses this as its backpressure signal. *)
-
 val commit_lsn : t -> int
 (** The logical commit counter: incremented once per committed transaction
     at the moment its commit record is spooled (or appended), i.e. at

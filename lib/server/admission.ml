@@ -1,15 +1,10 @@
-type config = {
-  max_inflight : int;
-  max_queue : int;
-  backpressure : float;
-}
+type config = { max_inflight : int; max_queue : int }
 
-let default = { max_inflight = 8; max_queue = 16; backpressure = 0.9 }
+let default = { max_inflight = 8; max_queue = 16 }
 
 let validate c =
   if c.max_inflight <= 0 then invalid_arg "Admission: max_inflight";
-  if c.max_queue < 0 then invalid_arg "Admission: max_queue";
-  if c.backpressure <= 0. then invalid_arg "Admission: backpressure"
+  if c.max_queue < 0 then invalid_arg "Admission: max_queue"
 
 type 'a t = {
   cfg : config;
@@ -28,11 +23,8 @@ let inflight t = t.inflight
 let queued t = Queue.length t.queue
 let double_releases t = t.double_releases
 
-let has_capacity t ~pressure =
-  t.inflight < t.cfg.max_inflight && pressure < t.cfg.backpressure
-
-let submit t ~pressure x =
-  if Queue.is_empty t.queue && has_capacity t ~pressure then begin
+let submit t x =
+  if Queue.is_empty t.queue && t.inflight < t.cfg.max_inflight then begin
     t.inflight <- t.inflight + 1;
     `Admitted
   end
@@ -42,10 +34,9 @@ let submit t ~pressure x =
   end
   else `Overload
 
-let pop_ready t ~pressure =
+let pop_ready t =
   if Queue.is_empty t.queue then `Empty
   else if t.inflight >= t.cfg.max_inflight then `At_capacity
-  else if pressure >= t.cfg.backpressure then `Backpressure
   else begin
     t.inflight <- t.inflight + 1;
     `Admit (Queue.pop t.queue)

@@ -1,24 +1,21 @@
 (** Admission control: bounded concurrency, bounded queueing, explicit
     load shedding.
 
-    Two caps and one signal: at most [max_inflight] transactions execute
-    concurrently; arrivals beyond that wait in a FIFO of depth at most
-    [max_queue]; anything further is refused outright ([`Overload] — the
-    caller reports it to the client rather than letting latency grow
-    without bound). Admission from the queue additionally stops while the
-    engine's unflushed-commit backlog ({!Rvm_core.Rvm.spool_pressure})
-    sits above the [backpressure] fraction: new work would only amplify a
-    drain that is already due. *)
+    Two caps: at most [max_inflight] transactions execute concurrently;
+    arrivals beyond that wait in a FIFO of depth at most [max_queue];
+    anything further is refused outright ([`Overload] — the caller
+    reports it to the client rather than letting latency grow without
+    bound). The engine's unforced backlog needs no third cap: the
+    server's batcher forces the log every [batch_max] commits, so no
+    more than one batch of commit records is ever waiting for a force. *)
 
 type config = {
   max_inflight : int;  (** concurrent transactions cap (> 0) *)
   max_queue : int;  (** waiting-request cap (>= 0) *)
-  backpressure : float;
-      (** spool-pressure threshold above which queued work is held back *)
 }
 
 val default : config
-(** 8 in flight, 16 queued, backpressure at 0.9. *)
+(** 8 in flight, 16 queued. *)
 
 type 'a t
 
@@ -35,16 +32,14 @@ val double_releases : 'a t -> int
     flight). Shed/abort races make this reachable; it is counted, not
     fatal. *)
 
-val submit : 'a t -> pressure:float -> 'a -> [ `Admitted | `Queued | `Overload ]
+val submit : 'a t -> 'a -> [ `Admitted | `Queued | `Overload ]
 (** Offer an arriving request. [`Admitted] takes an in-flight slot
     immediately (only when the queue is empty — FIFO order is never
     bypassed); [`Queued] parks it; [`Overload] sheds it. *)
 
-val pop_ready :
-  'a t -> pressure:float -> [ `Admit of 'a | `Empty | `At_capacity | `Backpressure ]
-(** Admit the head of the queue if a slot is free and pressure allows.
-    The non-[`Admit] results say why nothing was admitted — [`Backpressure]
-    is counted by the server as a deferral. *)
+val pop_ready : 'a t -> [ `Admit of 'a | `Empty | `At_capacity ]
+(** Admit the head of the queue if a slot is free. The non-[`Admit]
+    results say why nothing was admitted. *)
 
 val release : 'a t -> unit
 (** Return an in-flight slot (request committed or aborted for good).

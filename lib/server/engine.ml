@@ -14,7 +14,6 @@ type t = {
   flush : unit -> unit;
   commit_lsn : unit -> int;
   durable_lsn : unit -> int;
-  spool_pressure : unit -> float;
   log_occupancy : unit -> float;
   truncation_step : unit -> [ `Progress | `Blocked | `Idle ];
   truncation_due : unit -> bool;
@@ -36,7 +35,6 @@ let of_rvm rvm =
     flush = (fun () -> Rvm.flush rvm);
     commit_lsn = (fun () -> Rvm.commit_lsn rvm);
     durable_lsn = (fun () -> Rvm.durable_lsn rvm);
-    spool_pressure = (fun () -> Rvm.spool_pressure rvm);
     log_occupancy = (fun () -> Rvm.log_occupancy rvm);
     truncation_step = (fun () -> Rvm.truncation_step rvm);
     truncation_due = (fun () -> Rvm.truncation_due rvm);
@@ -64,7 +62,6 @@ let of_multi m =
     flush = (fun () -> Multi.flush m);
     commit_lsn = (fun () -> Multi.commit_lsn m);
     durable_lsn = (fun () -> Multi.durable_lsn m);
-    spool_pressure = (fun () -> Multi.spool_pressure m);
     log_occupancy = (fun () -> Multi.log_occupancy m);
     truncation_step = (fun () -> Multi.truncation_step m);
     truncation_due = (fun () -> Multi.truncation_due m);

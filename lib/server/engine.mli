@@ -7,8 +7,8 @@
     [end_txn]. [flush] is the batch-closing force: one log force on the
     single engine, one overlapped round of per-shard forces (plus
     resolution of the cross-shard commits it made durable) on the sharded
-    one. [spool_pressure] feeds admission control; the sharded engine
-    reports the hottest shard. [commit_lsn] / [durable_lsn] expose the
+    one. [log_occupancy] feeds the monitor's gauge; the sharded engine
+    reports the fullest shard. [commit_lsn] / [durable_lsn] expose the
     engine's logical-commit counter and durable horizon — the gap between
     them is the early-lock-release window: locks released, acks pending.
 
@@ -34,7 +34,6 @@ type t = {
   flush : unit -> unit;
   commit_lsn : unit -> int;
   durable_lsn : unit -> int;
-  spool_pressure : unit -> float;
   log_occupancy : unit -> float;
   truncation_step : unit -> [ `Progress | `Blocked | `Idle ];
   truncation_due : unit -> bool;

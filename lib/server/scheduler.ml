@@ -19,13 +19,10 @@ let backoff_cap = 6  (* max doublings of the backoff base *)
 let cpu_per_op_us = 25.  (* CPU charge per step *)
 let max_iterations = 20_000_000  (* hang guard for property tests *)
 
-(* The background slot's pacing (see [background_truncation]): truncator
-   steps per quantum that may charge device time (log forces, page-ins;
-   steps that charge nothing run up to 16x this cap for free), the spool
-   pressure at which that budget doubles, and the minimum simulated time
-   between device-charging bursts (halved under spool pressure). *)
-let truncation_steps_per_quantum = 1
-let truncation_spool_trigger = 0.5
+(* The background slot's pacing (see [background_truncation]): the most
+   truncator steps one quantum runs, and the minimum simulated time
+   between bursts that charged device time. *)
+let truncation_max_steps = 16
 let truncation_min_gap_us = 200_000.
 
 (* The executable form of a request, compiled by its workload and consumed
@@ -47,7 +44,6 @@ type tally = {
   shed : int;
   aborts : int;
   batches : int;
-  backpressure_deferrals : int;
   latencies_us : float array;  (** one per committed request, commit order *)
   read_latencies_us : float array;  (** one per answered read, ack order *)
   end_us : float;
@@ -113,7 +109,6 @@ type t = {
   mutable shed : int;
   mutable aborts : int;
   mutable batches : int;
-  mutable backpressure_deferrals : int;
   latencies : samples;  (* commit order *)
   read_latencies : samples;  (* ack order *)
   mutable iterations : int;
@@ -130,7 +125,6 @@ type t = {
   c_shed : Counter.t;
   c_retry : Counter.t;
   c_admitted : Counter.t;
-  c_backpressure : Counter.t;
   c_elr : Counter.t;
   c_snapshot : Counter.t;
   h_latency : Histogram.t;
@@ -170,7 +164,6 @@ let create ~cfg ~steps ~engine ~clock ~obs ~lock_mgr ~admission ~arrivals ~gen
     shed = 0;
     aborts = 0;
     batches = 0;
-    backpressure_deferrals = 0;
     latencies = samples ();
     read_latencies = samples ();
     iterations = 0;
@@ -180,7 +173,6 @@ let create ~cfg ~steps ~engine ~clock ~obs ~lock_mgr ~admission ~arrivals ~gen
     c_shed = Registry.counter obs "server.shed";
     c_retry = Registry.counter obs "server.retry";
     c_admitted = Registry.counter obs "server.admitted";
-    c_backpressure = Registry.counter obs "server.backpressure.defer";
     c_elr = Registry.counter obs "elr.released_early";
     c_snapshot = Registry.counter obs "mvcc.snapshot_reads";
     h_latency = Registry.histogram obs "server.latency.us";
@@ -526,8 +518,7 @@ let process_due t =
       ignore (Arrivals.pop t.arr);
       let spec = Request.fresh t.gen in
       let r = Request.make spec ~arrival_us:at in
-      let pressure = t.eng.Engine.spool_pressure () in
-      (match Admission.submit t.adm ~pressure r with
+      (match Admission.submit t.adm r with
       | `Admitted -> start t r
       | `Queued -> ()
       | `Overload -> shed t r);
@@ -546,19 +537,12 @@ let process_due t =
   in
   retries ()
 
-let admit_from_queue t =
-  let rec go () =
-    let pressure = t.eng.Engine.spool_pressure () in
-    match Admission.pop_ready t.adm ~pressure with
-    | `Admit r ->
-      start t r;
-      go ()
-    | `Backpressure ->
-      t.backpressure_deferrals <- t.backpressure_deferrals + 1;
-      Counter.incr t.c_backpressure
-    | `Empty | `At_capacity -> ()
-  in
-  go ()
+let rec admit_from_queue t =
+  match Admission.pop_ready t.adm with
+  | `Admit r ->
+    start t r;
+    admit_from_queue t
+  | `Empty | `At_capacity -> ()
 
 (* The background-task slot: spend a bounded amount of truncation work
    between scheduling decisions. Step CPU is charged via the clock's
@@ -566,13 +550,11 @@ let admit_from_queue t =
    idle capacity, and segment syncs run on the truncator's own disk lane,
    but log forces and page-ins the steps cause still advance the
    simulated clock; that wall-clock delta is the honest per-quantum
-   commit-path pause and lands in [truncation.pause.us]. The step budget
-   doubles when spool pressure crosses [truncation_spool_trigger] (a
-   loaded spool means the next drain will append a burst, so reclaim
-   harder while it builds). If occupancy has already reached [truncation_critical], background
-   pacing lost the race: fall back to one synchronous truncation — the
-   exact stall the paper charges to Camelot — recorded under the
-   [truncation.emergency] span and the same pause histogram. *)
+   commit-path pause and lands in [truncation.pause.us]. If occupancy has
+   already reached [truncation_critical], background pacing lost the
+   race: fall back to one synchronous truncation — the exact stall the
+   paper charges to Camelot — recorded under the [truncation.emergency]
+   span and the same pause histogram. *)
 let background_truncation t =
   if not t.cfg.background_truncation then ()
   else if t.eng.Engine.truncation_urgent () then begin
@@ -588,36 +570,24 @@ let background_truncation t =
       | Some c -> c = t.committed
       | None -> false
     in
-    let pressured =
-      t.eng.Engine.spool_pressure () >= truncation_spool_trigger
-    in
-    let gap =
-      if pressured then truncation_min_gap_us /. 2.
-      else truncation_min_gap_us
-    in
-    let gap_open = now t -. t.trunc_last_pause_us >= gap in
+    let gap_open = now t -. t.trunc_last_pause_us >= truncation_min_gap_us in
     if
       (not blocked_fresh) && gap_open && t.eng.Engine.truncation_due ()
     then begin
-      (* The budget counts *device-pausing* steps — steps that advanced
-         the simulated clock (a log force, a page-in). Steps that charge
-         nothing foreground (page writes land in write-back device
-         caches, syncs run on the disk lane, CPU rides the background
-         lane) are nearly free, and a plan can hold thousands of them;
-         metering those like forces starves reclamation until the
-         emergency fallback fires, which is the exact pause this slot
+      (* The quantum ends at the first *device-pausing* step — one that
+         advanced the simulated clock (a log force, a page-in). Steps
+         that charge nothing foreground (page writes land in write-back
+         device caches, syncs run on the disk lane, CPU rides the
+         background lane) are nearly free, and a plan can hold thousands
+         of them; metering those like forces starves reclamation until
+         the emergency fallback fires, which is the exact pause this slot
          exists to avoid. Free steps still get a cap so one quantum
          cannot spin unboundedly. *)
-      let budget =
-        if pressured then 2 * truncation_steps_per_quantum
-        else truncation_steps_per_quantum
-      in
-      let free_cap = 16 * budget in
       let t0 = now t in
       let steps = ref 0 in
-      let pauses = ref 0 in
+      let paused = ref false in
       let continue = ref true in
-      while !continue && !pauses < budget && !steps - !pauses < free_cap do
+      while !continue && !steps < truncation_max_steps do
         let before = now t in
         (match
            Clock.background t.clock (fun () ->
@@ -631,9 +601,12 @@ let background_truncation t =
           t.trunc_blocked_at <- Some t.committed;
           continue := false
         | `Idle -> continue := false);
-        if now t > before then incr pauses
+        if now t > before then begin
+          paused := true;
+          continue := false
+        end
       done;
-      if !pauses > 0 then t.trunc_last_pause_us <- now t;
+      if !paused then t.trunc_last_pause_us <- now t;
       if !steps > 0 then begin
         Histogram.observe t.h_trunc_pause (now t -. t0);
         Histogram.observe t.h_trunc_steps (float_of_int !steps)
@@ -723,7 +696,6 @@ let run t =
     shed = t.shed;
     aborts = t.aborts;
     batches = t.batches;
-    backpressure_deferrals = t.backpressure_deferrals;
     latencies_us = to_array t.latencies;
     read_latencies_us = to_array t.read_latencies;
     end_us = now t;

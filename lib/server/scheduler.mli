@@ -58,9 +58,9 @@
 
     The loop also owns a background-task slot: when the engine reports
     truncation due, resumable truncator steps run between scheduling
-    decisions until one of them has charged device time (two under spool
-    pressure; CPU rides the clock's background lane), with at least
-    200 ms of simulated time between such bursts; when the engine reports
+    decisions until one of them has charged device time or 16 have run
+    (CPU rides the clock's background lane), with at least 200 ms of
+    simulated time between bursts that charged it; when the engine reports
     it urgent the slot falls back to one synchronous truncation. Segment
     syncs run on the truncator's own disk lane and charge no pause.
     Pauses land in the [truncation.pause.us] and
@@ -101,7 +101,6 @@ type tally = {
           holding a writer, one per writer when unbatched. Read-only
           commits force nothing and count in none; each force's writer
           count is a [server.batch.size] sample *)
-  backpressure_deferrals : int;
   latencies_us : float array;  (** per committed request, commit order *)
   read_latencies_us : float array;  (** per answered read, ack order *)
   end_us : float;  (** simulated completion time *)

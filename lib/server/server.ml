@@ -33,7 +33,6 @@ type config = {
   batch_max : int;
   max_inflight : int;
   max_queue : int;
-  backpressure : float;
   log_size : int;
   background_truncation : bool;
   elr : bool;
@@ -52,7 +51,6 @@ let default_config =
     batch_max = Scheduler.default_config.Scheduler.batch_max;
     max_inflight = Admission.default.Admission.max_inflight;
     max_queue = Admission.default.Admission.max_queue;
-    backpressure = Admission.default.Admission.backpressure;
     log_size = 4 * 1024 * 1024;
     background_truncation = true;
     elr = true;
@@ -67,7 +65,6 @@ type result = {
   aborts : int;
   abort_rate : float;
   batches : int;
-  backpressure_deferrals : int;
   duration_us : float;
   throughput_tps : float;
   mean_latency_us : float;
@@ -241,11 +238,7 @@ let scheduler cfg w ~gen ~steps =
   in
   let admission =
     Admission.create ~obs:w.obs
-      {
-        Admission.max_inflight = cfg.max_inflight;
-        max_queue = cfg.max_queue;
-        backpressure = cfg.backpressure;
-      }
+      { Admission.max_inflight = cfg.max_inflight; max_queue = cfg.max_queue }
   in
   let scfg =
     {
@@ -380,7 +373,6 @@ let default_window_us = 500_000.
 let monitor_of ?(window_us = default_window_us) w =
   let eng = w.engine in
   let ts = Timeseries.create ~window_us w.obs in
-  Timeseries.gauge ts "spool.pressure" eng.Engine.spool_pressure;
   Timeseries.gauge ts "log.occupancy" eng.Engine.log_occupancy;
   Timeseries.gauge ts "lsn.commit" (fun () ->
       float_of_int (eng.Engine.commit_lsn ()));
@@ -440,7 +432,6 @@ let reduce cfg w (tally, log_writes, log_syncs) =
        if total = 0 then 0.
        else float_of_int tally.Scheduler.aborts /. float_of_int total);
     batches = tally.Scheduler.batches;
-    backpressure_deferrals = tally.Scheduler.backpressure_deferrals;
     duration_us = tally.Scheduler.end_us;
     throughput_tps =
       (if tally.Scheduler.end_us > 0. then
@@ -514,7 +505,6 @@ let result_to_json r =
       ("aborts", Json.Int r.aborts);
       ("abort_rate", Json.Float r.abort_rate);
       ("batches", Json.Int r.batches);
-      ("backpressure_deferrals", Json.Int r.backpressure_deferrals);
       ("duration_us", Json.Float r.duration_us);
       ("throughput_tps", Json.Float r.throughput_tps);
       ("mean_latency_us", Json.Float r.mean_latency_us);
@@ -534,17 +524,16 @@ let result_to_json r =
 
 let pp_table fmt results =
   Format.fprintf fmt
-    "%-18s %6s %5s | %9s %9s %6s %6s %7s | %9s %9s %9s | %9s %5s@\n" "load"
-    "shards" "batch" "committed" "tps" "shed" "abort" "defer" "p50(ms)"
-    "p95(ms)" "p99(ms)" "syncs/txn" "cross";
-  Format.fprintf fmt "%s@\n" (String.make 124 '-');
+    "%-18s %6s %5s | %9s %9s %6s %6s | %9s %9s %9s | %9s %5s@\n" "load"
+    "shards" "batch" "committed" "tps" "shed" "abort" "p50(ms)" "p95(ms)"
+    "p99(ms)" "syncs/txn" "cross";
+  Format.fprintf fmt "%s@\n" (String.make 116 '-');
   List.iter
     (fun r ->
       Format.fprintf fmt
-        "%-18s %6d %5d | %9d %9.1f %6d %6d %7d | %9.2f %9.2f %9.2f | %9.3f \
-         %5d@\n"
+        "%-18s %6d %5d | %9d %9.1f %6d %6d | %9.2f %9.2f %9.2f | %9.3f %5d@\n"
         (load_name r.cfg.load) r.cfg.shards r.cfg.batch_max r.committed
-        r.throughput_tps r.shed r.aborts r.backpressure_deferrals
+        r.throughput_tps r.shed r.aborts
         (r.p50_latency_us /. 1e3)
         (r.p95_latency_us /. 1e3)
         (r.p99_latency_us /. 1e3)

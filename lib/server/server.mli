@@ -34,7 +34,6 @@ type config = {
   batch_max : int;  (** 1 = unbatched: every commit forces the log *)
   max_inflight : int;
   max_queue : int;
-  backpressure : float;  (** spool-pressure admission threshold *)
   log_size : int;
   background_truncation : bool;
       (** true (default): the engine's inline commit-path truncation
@@ -54,7 +53,7 @@ type config = {
 
 val default_config : config
 (** 1000 accounts, Zipf s=0.8, 25% transfers, 400 requests, open loop at
-    40 tps, batch 8, admission 8/16 with backpressure at 0.9. *)
+    40 tps, batch 8, admission 8 in flight and 16 queued. *)
 
 type result = {
   cfg : config;
@@ -66,7 +65,6 @@ type result = {
   aborts : int;
   abort_rate : float;  (** aborts / (aborts + committed), 0 if none *)
   batches : int;  (** commit forces ({!Scheduler.tally}) *)
-  backpressure_deferrals : int;
   duration_us : float;
   throughput_tps : float;  (** committed transactions per second *)
   mean_latency_us : float;
@@ -90,9 +88,9 @@ val run : config -> result
 
     Same world, same scheduler, plus windowed telemetry and SLO
     monitoring: a {!Rvm_obs.Timeseries} over the world's registry
-    (window default 500ms simulated), gauges for spool pressure, log
-    occupancy, the commit/durable LSN horizons and truncation-due, and
-    an {!Rvm_obs.Monitor} ticked from the scheduler's quantum hook. The
+    (window default 500ms simulated), gauges for log occupancy, the
+    commit/durable LSN horizons and truncation-due, and an
+    {!Rvm_obs.Monitor} ticked from the scheduler's quantum hook. The
     monitoring path only reads the clock, so a monitored run's {!result}
     is byte-identical to a bare {!run} of the same config. *)
 

@@ -532,10 +532,6 @@ let truncation_step t =
 let truncation_due t = Array.exists Rvm.truncation_due t.shards
 let truncation_urgent t = Array.exists Rvm.truncation_urgent t.shards
 
-let spool_pressure t =
-  Array.fold_left (fun acc r -> Float.max acc (Rvm.spool_pressure r)) 0.
-    t.shards
-
 let log_occupancy t =
   Array.fold_left (fun acc r -> Float.max acc (Rvm.log_occupancy r)) 0.
     t.shards

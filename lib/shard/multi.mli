@@ -125,9 +125,6 @@ val store : t -> addr:int -> Bytes.t -> unit
 val get_i64 : t -> addr:int -> int64
 val set_i64 : t -> addr:int -> int64 -> unit
 
-val spool_pressure : t -> float
-(** Max over shards — admission control throttles on the hottest shard. *)
-
 val log_occupancy : t -> float
 (** Max log fill fraction over shards — the monitoring gauge. *)
 

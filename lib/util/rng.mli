@@ -20,9 +20,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

@@ -2,9 +2,12 @@
    and has historically gone stale as subcommands and flags were added.
    These tests read bin/rvmutl.ml itself and assert the header block
    mentions every cmdliner subcommand actually registered, plus the
-   flags each subcommand's docs promise. *)
+   flags each subcommand's docs promise, and that the --monitor doc names
+   the monitor's real rules. One more runs the built binary: a bad
+   numeric flag is a usage error (exit 2), not an uncaught exception. *)
 
 let rvmutl_src = "../bin/rvmutl.ml"
+let rvmutl_exe = "../bin/rvmutl.exe"
 
 let read_source () =
   let ic = open_in_bin rvmutl_src in
@@ -94,10 +97,50 @@ let test_header_documents_flags () =
       "rvmutl benchdiff";
     ]
 
+(* The --monitor doc lists the SLO rules by the names incidents carry,
+   the names the CI overload smoke greps for. *)
+let test_monitor_doc_names_rules () =
+  let src = read_source () in
+  List.iter
+    (fun (r : Rvm_obs.Monitor.rule) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rvmutl.ml names rule %s" r.Rvm_obs.Monitor.name)
+        true
+        (contains ~needle:r.Rvm_obs.Monitor.name src))
+    (Rvm_obs.Monitor.default_rules ~shards:2 ())
+
+let run_rvmutl args =
+  Sys.command
+    (Filename.quote_command rvmutl_exe ~stdout:Filename.null
+       ~stderr:Filename.null args)
+
+let test_bad_numbers_exit_2 () =
+  let log = Filename.temp_file "rvmutl-cli" ".log" in
+  Sys.remove log;
+  Alcotest.(check int) "create-log" 0
+    (run_rvmutl [ "create-log"; log; "--size"; "65536" ]);
+  List.iter
+    (fun args ->
+      Alcotest.(check int) (String.concat " " args) 2 (run_rvmutl args))
+    [
+      [ "serve"; "--requests"; "20"; "--batch"; "0" ];
+      [ "serve"; "--requests"; "20"; "--sessions"; "0" ];
+      [ "serve"; "--requests"; "20"; "--load=0" ];
+      [ "serve"; "--requests"; "20"; "--accounts"; "0" ];
+      [ "serve"; "--requests"; "20"; "--zipf-s=-1" ];
+      [ "serve"; "--requests"; "20"; "--sessions"; "2"; "--think-ms=-1" ];
+      [ "trace"; log; "--out"; Filename.null; "--accounts"; "0" ];
+    ];
+  Sys.remove log
+
 let suite =
   [
     Alcotest.test_case "usage header lists every subcommand" `Quick
       test_header_lists_every_subcommand;
     Alcotest.test_case "usage header documents the flags" `Quick
       test_header_documents_flags;
+    Alcotest.test_case "--monitor doc names every default rule" `Quick
+      test_monitor_doc_names_rules;
+    Alcotest.test_case "serve and trace reject bad numbers with exit 2" `Quick
+      test_bad_numbers_exit_2;
   ]

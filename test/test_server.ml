@@ -25,11 +25,8 @@ let check_bool = Alcotest.(check bool)
 (* --- unit: admission state machine --- *)
 
 let test_admission_caps () =
-  let adm =
-    Admission.create
-      { Admission.max_inflight = 2; max_queue = 2; backpressure = 0.9 }
-  in
-  let submit x = Admission.submit adm ~pressure:0. x in
+  let adm = Admission.create { Admission.max_inflight = 2; max_queue = 2 } in
+  let submit x = Admission.submit adm x in
   check_bool "1st admitted" true (submit 1 = `Admitted);
   check_bool "2nd admitted" true (submit 2 = `Admitted);
   check_bool "3rd queued" true (submit 3 = `Queued);
@@ -37,31 +34,16 @@ let test_admission_caps () =
   check_bool "5th overload" true (submit 5 = `Overload);
   check_int "inflight" 2 (Admission.inflight adm);
   check_int "queued" 2 (Admission.queued adm);
-  check_bool "at capacity" true
-    (Admission.pop_ready adm ~pressure:0. = `At_capacity);
+  check_bool "at capacity" true (Admission.pop_ready adm = `At_capacity);
   Admission.release adm;
-  (* high pressure holds queued work back even with a free slot *)
-  check_bool "backpressure" true
-    (Admission.pop_ready adm ~pressure:0.95 = `Backpressure);
-  check_bool "fifo admit" true (Admission.pop_ready adm ~pressure:0. = `Admit 3);
+  check_bool "fifo admit" true (Admission.pop_ready adm = `Admit 3);
   Admission.release adm;
-  check_bool "fifo order" true (Admission.pop_ready adm ~pressure:0. = `Admit 4);
+  check_bool "fifo order" true (Admission.pop_ready adm = `Admit 4);
   Admission.release adm;
   Admission.release adm;
-  check_bool "empty queue" true (Admission.pop_ready adm ~pressure:0. = `Empty);
+  check_bool "empty queue" true (Admission.pop_ready adm = `Empty);
   (* a queued request means arrivals never bypass the FIFO *)
   check_bool "queue first" true (submit 6 = `Admitted)
-
-let test_admission_pressure_sheds_nothing_below_cap () =
-  (* pressure defers queued work but never sheds an arrival the queue can
-     hold *)
-  let adm =
-    Admission.create
-      { Admission.max_inflight = 1; max_queue = 4; backpressure = 0.5 }
-  in
-  check_bool "admitted" true (Admission.submit adm ~pressure:0.99 1 = `Queued || Admission.submit adm ~pressure:0.99 1 = `Admitted);
-  check_bool "queued under pressure" true
-    (Admission.submit adm ~pressure:0.99 2 <> `Overload)
 
 (* Releasing a drained pipeline (no inflight work) must be a counted
    no-op, not an underflow: the ELR scheduler can observe a request's
@@ -69,8 +51,7 @@ let test_admission_pressure_sheds_nothing_below_cap () =
 let test_admission_double_release () =
   let obs = Registry.create () in
   let adm =
-    Admission.create ~obs
-      { Admission.max_inflight = 2; max_queue = 2; backpressure = 0.9 }
+    Admission.create ~obs { Admission.max_inflight = 2; max_queue = 2 }
   in
   check_int "fresh pipeline" 0 (Admission.double_releases adm);
   Admission.release adm;
@@ -78,7 +59,7 @@ let test_admission_double_release () =
     (Admission.double_releases adm);
   check_int "inflight never negative" 0 (Admission.inflight adm);
   check_bool "submit still works after a spurious release" true
-    (Admission.submit adm ~pressure:0. 1 = `Admitted);
+    (Admission.submit adm 1 = `Admitted);
   Admission.release adm;
   check_int "matched release not counted" 1 (Admission.double_releases adm);
   Admission.release adm;
@@ -199,26 +180,6 @@ let test_shed_only_beyond_limit () =
       { base with S.load = S.Open_loop 160.; S.max_inflight = 8; S.max_queue = 400 }
   in
   check_int "no shed below the admission limit" 0 deep.S.shed
-
-(* --- end-to-end: backpressure defers admission off the spool watermark --- *)
-
-let bp_cfg =
-  {
-    S.default_config with
-    S.requests = 200;
-    S.load = S.Open_loop 400.;
-    S.batch_max = 32;
-    S.max_inflight = 4;
-    S.max_queue = 48;
-    S.backpressure = 0.01;
-  }
-
-let test_backpressure_defers () =
-  let r = S.run bp_cfg in
-  check_bool "low threshold defers admission" true
-    (r.S.backpressure_deferrals > 0);
-  let r' = S.run { bp_cfg with S.backpressure = 1.0 } in
-  check_int "threshold 1.0 never defers" 0 r'.S.backpressure_deferrals
 
 (* --- end-to-end: the deadlock abort-and-retry path runs --- *)
 
@@ -541,6 +502,63 @@ let test_readonly_batch_rule () =
       !worst batch_max;
   S.release_world w
 
+(* The batcher is the one bound on unforced work: it forces the log every
+   [batch_max] commits, so between quanta no shard engine ever holds more
+   than one batch of no-flush records in its spool. TPC-A worlds with 64
+   in flight and 20% lookups, at batch sizes up to the deepest a caller
+   sets (64, here under saturation), on one, two and four shards, with
+   ELR on and off. [peak] is the deepest spool each world reaches:
+   unbatched commits never spool, one shard fills its batch, several
+   shards split it. *)
+let test_spool_bounded_by_batch () =
+  List.iter
+    (fun (shards, batch_max, load, elr, peak) ->
+      let cfg =
+        {
+          S.default_config with
+          S.shards;
+          batch_max;
+          load;
+          elr;
+          requests = 3_000;
+          max_inflight = 64;
+          read_pct = 20;
+        }
+      in
+      let name =
+        Printf.sprintf "%d shard(s), batch %d, %s, elr %b: " shards batch_max
+          (S.load_name load) elr
+      in
+      let w = S.build_world cfg in
+      let engines =
+        match w.S.backend with
+        | S.Single r -> [ r ]
+        | S.Sharded m -> List.init (Multi.shard_count m) (Multi.shard m)
+      in
+      let sched = S.scheduler_of cfg w in
+      let deepest = ref 0 in
+      Scheduler.set_on_quantum sched (fun () ->
+          List.iter
+            (fun r ->
+              deepest :=
+                max !deepest (Rvm_core.Rvm.query r).Rvm_core.Rvm.spool_records)
+            engines);
+      ignore (Scheduler.run sched);
+      S.release_world w;
+      if !deepest > batch_max then
+        Alcotest.failf "%sa spool held %d records (batch_max %d)" name
+          !deepest batch_max;
+      check_int (name ^ "deepest spool") peak !deepest)
+    [
+      (1, 1, S.Open_loop 160., true, 0);
+      (1, 8, S.Open_loop 160., true, 8);
+      (1, 64, S.Open_loop 2000., true, 64);
+      (2, 64, S.Open_loop 2000., true, 12);
+      (4, 64, S.Open_loop 2000., true, 20);
+      (1, 16, S.Closed_loop { sessions = 64; think_us = 0. }, false, 16);
+      (2, 16, S.Closed_loop { sessions = 64; think_us = 0. }, true, 12);
+    ]
+
 (* The allocation budget of one scheduler quantum: minor words per
    [Scheduler.run] iteration over a whole read-heavy run on the counter
    world, engine commits and forces included. 182 words over 1,752
@@ -858,9 +876,6 @@ let test_release_world () =
 let suite =
   [
     ("admission.caps", `Quick, test_admission_caps);
-    ( "admission.pressure-never-sheds-queueable",
-      `Quick,
-      test_admission_pressure_sheds_nothing_below_cap );
     ("admission.double-release-idempotent", `Quick, test_admission_double_release);
     ("batcher.fifo", `Quick, test_batcher_fifo);
     ("arrivals.open-loop-deterministic", `Quick, test_arrivals_deterministic);
@@ -868,12 +883,12 @@ let suite =
     ("server.run-deterministic", `Quick, test_run_deterministic);
     ("server.batched-fewer-syncs", `Quick, test_batched_fewer_syncs);
     ("server.shed-only-beyond-limit", `Quick, test_shed_only_beyond_limit);
-    ("server.backpressure-defers", `Quick, test_backpressure_defers);
     ("server.deadlock-abort-retry", `Quick, test_deadlock_abort_retry);
     ("server.snapshot-reads", `Quick, test_snapshot_reads);
     ("server.custom-steps", `Quick, test_custom_steps);
     ("server.readonly-commits", `Quick, test_readonly_commits);
     ("server.readonly-batch-rule", `Quick, test_readonly_batch_rule);
+    ("server.spool-bounded-by-batch", `Quick, test_spool_bounded_by_batch);
     ("server.quantum-allocation", `Quick, test_quantum_allocation);
     ( "server.balances-match-serial-reference",
       `Quick,
