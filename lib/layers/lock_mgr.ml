@@ -1,4 +1,4 @@
-type mode = Shared | Exclusive
+type mode = Shared | Update | Exclusive
 
 type t = {
   locks : (string, (int * mode) list ref) Hashtbl.t;
@@ -29,18 +29,22 @@ let cell t key =
     Hashtbl.add t.locks key c;
     c
 
+(* Update is compatible with Shared holders and nothing else: one
+   updater reads beside any number of readers, and two updaters queue at
+   the Update request instead of deadlocking at the upgrade. *)
 let compatible holders ~owner ~mode =
-  let others = List.filter (fun (o, _) -> o <> owner) holders in
-  match mode with
-  | Shared ->
-    let blockers =
-      List.filter_map
-        (fun (o, m) -> if m = Exclusive then Some o else None)
-        others
-    in
-    if blockers = [] then Ok () else Error blockers
-  | Exclusive ->
-    if others = [] then Ok () else Error (List.map fst others)
+  let blockers =
+    List.filter_map
+      (fun (o, m) ->
+        let ok =
+          match (mode, m) with
+          | Shared, (Shared | Update) | Update, Shared -> true
+          | _ -> false
+        in
+        if o = owner || ok then None else Some o)
+      holders
+  in
+  if blockers = [] then Ok () else Error blockers
 
 let keys_of t owner = Option.value (Hashtbl.find_opt t.held owner) ~default:[]
 
@@ -54,9 +58,9 @@ let try_acquire t ~owner ~key mode =
       Hashtbl.replace t.held owner (key :: keys_of t owner);
     let merged =
       match (mine, mode) with
-      | Some Exclusive, _ -> Exclusive
-      | _, Exclusive -> Exclusive  (* fresh X, or S->X upgrade *)
-      | Some Shared, Shared | None, Shared -> Shared
+      | Some Exclusive, _ | _, Exclusive -> Exclusive  (* fresh X, or upgrade *)
+      | Some Update, _ | _, Update -> Update
+      | (Some Shared | None), Shared -> Shared
     in
     c := (owner, merged) :: List.remove_assoc owner !c;
     `Granted

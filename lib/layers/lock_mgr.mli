@@ -5,22 +5,32 @@
     serializability is required, a layer above RVM has to enforce it. That
     layer is also responsible for coping with deadlocks, starvation and
     other unpleasant concurrency control problems." This module is such a
-    layer: named resources, shared/exclusive modes, reentrant holds,
-    upgrades, and wait-for-graph deadlock detection for callers that queue.
+    layer: named resources, shared/update/exclusive modes, reentrant
+    holds, upgrades, and wait-for-graph deadlock detection for callers
+    that queue.
+
+    [Update] is the mode of a reader that will write: it is compatible
+    with [Shared] holders and with nothing else. A read-modify-write that
+    takes its key in [Update] reads beside any number of readers, and its
+    upgrade to [Exclusive] waits for those readers to leave. Two updaters
+    of one key queue at the [Update] request, where the second simply
+    waits, instead of both holding [Shared] and deadlocking when each
+    upgrades.
 
     Locks are volatile by design — after a crash, RVM recovery restores
     committed state and no transaction survives to hold anything. *)
 
 type t
 
-type mode = Shared | Exclusive
+type mode = Shared | Update | Exclusive
 
 val create : unit -> t
 
 val try_acquire : t -> owner:int -> key:string -> mode -> [ `Granted | `Conflict of int list ]
-(** Attempt to lock [key]. Re-acquisition by a holder is granted; a sole
-    shared holder may upgrade to exclusive. On conflict, the blocking
-    owners are returned. *)
+(** Attempt to lock [key]. Re-acquisition by a holder is granted, in the
+    stronger of the held and requested modes; a holder may upgrade once
+    the new mode is compatible with every other holder. On conflict, the
+    blocking owners are returned. *)
 
 val wait_for :
   t -> owner:int -> key:string -> mode -> [ `Granted | `Wait of int list | `Deadlock ]

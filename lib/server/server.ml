@@ -314,19 +314,19 @@ let tpca_steps w (s : Request.spec) =
   match s.Request.kind with
   | Request.Payment ->
     (* TPC-A reads the teller and branch rows (the balance fetch precedes
-       the update) before writing them: those read steps take Shared mode
-       and upgrade to Exclusive only at the write — two payments on one
-       hot teller overlap their read phases instead of serializing from
-       the first touch. The upgrade is where the two-shared-holders
-       deadlock lives; the lock manager hands the second upgrader
-       [`Deadlock] and the retry path resolves it. *)
+       the update) before writing them: those read steps take Update mode
+       and upgrade to Exclusive only at the write. A second payment on a
+       hot teller queues at its Update request; had both read under
+       Shared, each would then wait for the other to leave at its upgrade
+       — a deadlock, and an abort, on every such overlap. Lookups read
+       lock-free, so no Shared holder is ever kept waiting. *)
     let tk = teller_key (Placement.teller_id pl ~anchor s.Request.teller) in
     let bk = branch_key (Placement.branch_id pl ~anchor branch) in
     [
       Scheduler.Lock (Lock_mgr.Exclusive, acct_key s.Request.account);
       account_step eng pl s s.Request.account s.Request.delta;
-      Scheduler.Lock (Lock_mgr.Shared, tk);
-      Scheduler.Lock (Lock_mgr.Shared, bk);
+      Scheduler.Lock (Lock_mgr.Update, tk);
+      Scheduler.Lock (Lock_mgr.Update, bk);
       Scheduler.Lock (Lock_mgr.Exclusive, tk);
       balance_step eng
         (Placement.teller_addr pl ~anchor s.Request.teller)

@@ -191,9 +191,10 @@ let tree_lock = "btree"
    keys proceed in parallel. Mixes D and E insert, and an insert can
    split any node on its root-to-leaf path, so structural mixes fall
    back to one tree-level lock: inserts exclusive, reads and scans
-   shared. Read-modify-write takes the leaf Shared for the read and
-   upgrades to Exclusive for the write; two RMWs on one leaf deadlock on
-   the upgrade and resolve through the scheduler's abort-retry path.
+   shared. Read-modify-write takes the leaf in Update for the read, so
+   readers still share the leaf with it, and upgrades to Exclusive for
+   the write; a second RMW on the leaf queues at its Update request
+   rather than deadlocking at the upgrade.
 
    Reads and scans declare no range, so they commit read-only: their
    Shared locks drop at the commit point, and each acknowledges as soon
@@ -233,7 +234,7 @@ let steps_of cfg (tree : Pbtree.t) =
       | Ycsb.Rmw key ->
         let k = lk key in
         [
-          Scheduler.Lock (Lock_mgr.Shared, k);
+          Scheduler.Lock (Lock_mgr.Update, k);
           Scheduler.Run
             (fun r _ ->
               Hashtbl.replace stash r.Request.spec.Request.id

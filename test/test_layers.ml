@@ -323,6 +323,64 @@ let test_locks_upgrade_with_other_sharers_waits () =
   | [ (1, Lock_mgr.Exclusive) ] -> ()
   | _ -> Alcotest.fail "upgrade did not leave a sole exclusive holder")
 
+(* --- Update mode: the read-then-write lock --- *)
+
+let test_locks_update_queues () =
+  (* Two updaters of one key: the second waits at its Update request, and
+     the first's upgrade then has no Shared holder to wait for. *)
+  let lm = Lock_mgr.create () in
+  check_bool "first update" true
+    (Lock_mgr.wait_for lm ~owner:1 ~key:"k" Lock_mgr.Update = `Granted);
+  (match Lock_mgr.wait_for lm ~owner:2 ~key:"k" Lock_mgr.Update with
+  | `Wait [ 1 ] -> ()
+  | `Deadlock -> Alcotest.fail "second updater deadlocked"
+  | _ -> Alcotest.fail "second updater should wait on the first");
+  (match Lock_mgr.wait_for lm ~owner:1 ~key:"k" Lock_mgr.Exclusive with
+  | `Granted -> ()
+  | `Deadlock -> Alcotest.fail "upgrade deadlocked against a queued updater"
+  | `Wait _ -> Alcotest.fail "upgrade waited on a queued updater");
+  Lock_mgr.release_all lm ~owner:1;
+  check_bool "queued updater proceeds" true
+    (Lock_mgr.wait_for lm ~owner:2 ~key:"k" Lock_mgr.Update = `Granted);
+  check_bool "and upgrades" true
+    (Lock_mgr.wait_for lm ~owner:2 ~key:"k" Lock_mgr.Exclusive = `Granted)
+
+let test_locks_update_shares_readers () =
+  let lm = Lock_mgr.create () in
+  check_bool "reader before" true
+    (Lock_mgr.wait_for lm ~owner:1 ~key:"k" Lock_mgr.Shared = `Granted);
+  check_bool "updater beside a reader" true
+    (Lock_mgr.wait_for lm ~owner:2 ~key:"k" Lock_mgr.Update = `Granted);
+  check_bool "reader after" true
+    (Lock_mgr.wait_for lm ~owner:3 ~key:"k" Lock_mgr.Shared = `Granted);
+  Alcotest.(check (list (pair int (list int))))
+    "nobody waits" [] (Lock_mgr.wait_edges lm);
+  match Lock_mgr.wait_for lm ~owner:4 ~key:"k" Lock_mgr.Exclusive with
+  | `Wait [ 1; 2; 3 ] -> ()
+  | _ -> Alcotest.fail "a writer should wait on readers and the updater"
+
+let test_locks_update_upgrade_waits_for_readers () =
+  let lm = Lock_mgr.create () in
+  ignore (Lock_mgr.wait_for lm ~owner:1 ~key:"k" Lock_mgr.Shared);
+  ignore (Lock_mgr.wait_for lm ~owner:2 ~key:"k" Lock_mgr.Update);
+  ignore (Lock_mgr.wait_for lm ~owner:3 ~key:"k" Lock_mgr.Shared);
+  (match Lock_mgr.wait_for lm ~owner:2 ~key:"k" Lock_mgr.Exclusive with
+  | `Wait [ 1; 3 ] -> ()
+  | _ -> Alcotest.fail "the upgrade should wait on both readers");
+  (match List.assoc_opt 2 (Lock_mgr.holders lm ~key:"k") with
+  | Some Lock_mgr.Update -> ()
+  | _ -> Alcotest.fail "a waiting upgrade must leave the Update hold");
+  Lock_mgr.release_all lm ~owner:1;
+  (match Lock_mgr.wait_for lm ~owner:2 ~key:"k" Lock_mgr.Exclusive with
+  | `Wait [ 3 ] -> ()
+  | _ -> Alcotest.fail "the upgrade should still wait on the last reader");
+  Lock_mgr.release_all lm ~owner:3;
+  check_bool "granted once the readers left" true
+    (Lock_mgr.wait_for lm ~owner:2 ~key:"k" Lock_mgr.Exclusive = `Granted);
+  match Lock_mgr.holders lm ~key:"k" with
+  | [ (2, Lock_mgr.Exclusive) ] -> ()
+  | _ -> Alcotest.fail "the upgrade did not leave a sole exclusive holder"
+
 let test_locks_release_during_many_waiters () =
   (* Many waiters all blocked on one owner: the bulk reverse-edge cleanup
      path (a Hashtbl mutated while being traversed, before the fix). *)
@@ -458,5 +516,10 @@ let suite =
       `Quick,
       test_locks_release_during_many_waiters );
     ("locks.early-release-stamps", `Quick, test_locks_stamps);
+    ("locks.update-queues-not-deadlocks", `Quick, test_locks_update_queues);
+    ("locks.update-shares-readers", `Quick, test_locks_update_shares_readers);
+    ( "locks.update-upgrade-waits-for-readers",
+      `Quick,
+      test_locks_update_upgrade_waits_for_readers );
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_upgrade_deadlock ]

@@ -780,19 +780,31 @@ module Lock_ref = struct
   let wait_for t ~owner ~key mode =
     let hs = holders t key in
     let others = List.filter (fun (o, _) -> o <> owner) hs in
+    (* The textbook compatibility matrix: S-S, S-U and U-S share; every
+       pair with X, and U-U, conflict. Modes rank S < U < X. *)
+    let shares a b =
+      match (a, b) with
+      | Lock_mgr.Shared, Lock_mgr.Shared
+      | Lock_mgr.Shared, Lock_mgr.Update
+      | Lock_mgr.Update, Lock_mgr.Shared ->
+        true
+      | _ -> false
+    in
+    let rank = function
+      | Lock_mgr.Shared -> 0
+      | Lock_mgr.Update -> 1
+      | Lock_mgr.Exclusive -> 2
+    in
     let blockers =
-      match mode with
-      | Lock_mgr.Shared ->
-        List.filter_map
-          (fun (o, m) -> if m = Lock_mgr.Exclusive then Some o else None)
-          others
-      | Lock_mgr.Exclusive -> List.map fst others
+      List.filter_map
+        (fun (o, m) -> if shares mode m then None else Some o)
+        others
     in
     if blockers = [] then begin
       let merged =
-        match (List.assoc_opt owner hs, mode) with
-        | Some Lock_mgr.Exclusive, _ | _, Lock_mgr.Exclusive -> Lock_mgr.Exclusive
-        | _ -> Lock_mgr.Shared
+        match List.assoc_opt owner hs with
+        | Some held when rank held > rank mode -> held
+        | _ -> mode
       in
       Hashtbl.replace t.locks key ((owner, merged) :: List.remove_assoc owner hs);
       Hashtbl.remove t.waits owner;
@@ -1104,9 +1116,10 @@ let prop_lock_mgr_index =
            [
              ( 6,
                map3
-                 (fun o k x ->
-                   Wait_for (o, k, if x then Lock_mgr.Exclusive else Lock_mgr.Shared))
-                 (int_range 1 owners) (int_bound (keys - 1)) bool );
+                 (fun o k m -> Wait_for (o, k, m))
+                 (int_range 1 owners) (int_bound (keys - 1))
+                 (oneofl [ Lock_mgr.Shared; Lock_mgr.Update; Lock_mgr.Exclusive ])
+             );
              (1, map (fun o -> Release o) (int_range 1 owners));
              (1, map (fun o -> Release_stamped o) (int_range 1 owners));
            ]))
@@ -1117,7 +1130,10 @@ let prop_lock_mgr_index =
          (function
            | Wait_for (o, k, m) ->
              Printf.sprintf "wait(%d,%s,%s)" o (key k)
-               (if m = Lock_mgr.Exclusive then "X" else "S")
+               (match m with
+               | Lock_mgr.Shared -> "S"
+               | Lock_mgr.Update -> "U"
+               | Lock_mgr.Exclusive -> "X")
            | Release o -> Printf.sprintf "release(%d)" o
            | Release_stamped o -> Printf.sprintf "stamp+release(%d)" o)
          ops)
