@@ -14,12 +14,21 @@ type t = {
   mutable dirty : Intervals.t;
   mutable ios : int;
   mutable busy : float;
+  mutable free_at : float;
+      (* when the disk finishes the access it is serving: it serves one
+         request at a time, whichever lane issues it *)
   mutable dev : Device.t;
 }
 
+(* An access issued while the disk is still serving another waits for
+   it, and the wait is I/O time of the issuer. Only the service itself
+   counts as busy. *)
 let charge t us =
+  let now = Clock.now_us t.clock in
+  if now < t.free_at then Clock.charge_io t.clock (t.free_at -. now);
   t.busy <- t.busy +. us;
-  Clock.charge_io t.clock us
+  Clock.charge_io t.clock us;
+  t.free_at <- Clock.now_us t.clock
 
 (* Run lengths, highest start first. The charge order fixes the float sums
    of [busy] and the clock, so it must not change or every simulated
@@ -40,6 +49,7 @@ let create ?(seek_fraction = 1.0) ?(sector = 1) ~base ~clock ~disk () =
       dirty = Intervals.empty;
       ios = 0;
       busy = 0.;
+      free_at = 0.;
       dev = base;
     }
   in

@@ -11,7 +11,12 @@
     is the job of the VM simulator, not the disk).
 
     Charges are I/O waits; work of a separate task, such as RVM's
-    truncation daemon, runs under {!Rvm_util.Clock.on_lane}. *)
+    truncation daemon or the server's pipelined batch force, runs under
+    {!Rvm_util.Clock.on_lane}. The disk serves one access at a time,
+    whichever lane issues it: an access issued before the previous one
+    has finished waits for it, and the wait is charged to the issuer as
+    I/O (it is not busy time). Two lanes can therefore never book one
+    disk for the same interval. *)
 
 type t
 

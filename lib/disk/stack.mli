@@ -62,4 +62,6 @@ val with_latency :
   disk:Rvm_util.Cost_model.disk ->
   unit ->
   layer
-(** [Sim_device.create] as a layer. *)
+(** [Sim_device.create] as a layer: a simulated 1993 disk that serves one
+    access at a time, so an access issued while another (on any clock
+    lane) is still in service waits for it. *)

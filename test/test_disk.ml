@@ -255,6 +255,33 @@ let test_sim_write_buffering () =
   dev.Device.sync ();
   Alcotest.(check (float 1e-6)) "clean sync free" t1 (Clock.now_us clock)
 
+let test_sim_one_request_at_a_time () =
+  (* A sync issued on a lane and one issued by the dispatcher right after
+     share one disk: the second starts when the first ends, and its
+     issuer is charged the wait as I/O. Busy time counts service only. *)
+  let base = Mem_device.create ~size:65536 () in
+  let clock = Clock.simulated () in
+  let disk = Cost_model.dec5000.Cost_model.log_disk in
+  let sim = Sim_device.create ~base ~clock ~disk () in
+  let dev = Sim_device.device sim in
+  let service = Cost_model.disk_service_us disk ~bytes:300 () in
+  let lane = Clock.lane () in
+  Device.write_string dev ~off:0 (String.make 300 'a');
+  Clock.on_lane clock lane (fun () -> dev.Device.sync ());
+  Alcotest.(check (float 0.)) "the dispatcher did not wait" 0.
+    (Clock.now_us clock);
+  Alcotest.(check (float 1e-6)) "the lane's sync ends" service !lane;
+  Device.write_string dev ~off:300 (String.make 300 'b');
+  dev.Device.sync ();
+  Alcotest.(check (float 1e-6)) "the later sync runs after it"
+    (2. *. service) (Clock.now_us clock);
+  (* I/O: the lane's service, then the dispatcher's wait and service. *)
+  Alcotest.(check (float 1e-6)) "the wait is charged as I/O"
+    (3. *. service) (Clock.io_us clock);
+  Alcotest.(check (float 1e-6)) "busy counts service only" (2. *. service)
+    (Sim_device.busy_us sim);
+  check_int "two ios" 2 (Sim_device.io_count sim)
+
 let test_mem_snapshot () =
   let dev = Mem_device.create ~size:32 () in
   Device.write_string dev ~off:0 "snapshot";
@@ -366,6 +393,7 @@ let suite =
     ("crash.fail-stop", `Quick, test_fail_stop);
     ("sim.charges-reads", `Quick, test_sim_charges_reads);
     ("sim.write-buffering", `Quick, test_sim_write_buffering);
+    ("sim.one-request-at-a-time", `Quick, test_sim_one_request_at_a_time);
     ("mem.snapshot", `Quick, test_mem_snapshot);
     ("crash.forwards-close", `Quick, test_crash_forwards_close);
     ("stack.composition", `Quick, test_stack_composition);
