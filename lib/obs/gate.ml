@@ -20,7 +20,8 @@ let directions =
   @ all Lower
       [
         "device_writes_per_txn"; "device_syncs_per_txn"; "shed"; "aborts";
-        "abort_rate"; "batches"; "duration_us"; "mean_latency_us";
+        "abort_rate"; "elr_abort_rate"; "elr_off_abort_rate"; "batches";
+        "duration_us"; "mean_latency_us";
         "p50_latency_us"; "p95_latency_us"; "p99_latency_us";
         "read_p99_latency_us"; "log_writes"; "log_syncs";
         "syncs_per_commit"; "writes_per_commit"; "cross_aborted";
@@ -152,6 +153,25 @@ let bounds =
       (at_hot_skews (fun ~off ~on ->
            let a = num "abort_rate" on and b = num "abort_rate" off in
            unless (a < b) "ELR abort_rate %.4g is not below ELR-off %.4g" a b));
+    (* One seed can flip the comparison above by luck; the means of each
+       skew's [seed_sweep] rows cannot. *)
+    contention "elr_fewer_aborts_across_seeds" (fun doc ->
+        let sweep = rows "seed_sweep" doc in
+        if sweep = [] then raise (Missing "a seed_sweep row");
+        List.concat_map
+          (fun s ->
+            let cells = List.filter (fun r -> num "zipf_s" r = s) sweep in
+            let n = List.length cells in
+            let mean key =
+              List.fold_left (fun acc r -> acc +. num key r) 0. cells
+              /. float_of_int n
+            in
+            let a = mean "elr_abort_rate" and b = mean "elr_off_abort_rate" in
+            unless (a < b)
+              "at zipf_s %g over %d seeds: ELR mean abort_rate %.4g is not \
+               below ELR-off %.4g"
+              s n a b)
+          (List.sort_uniq compare (List.map (num "zipf_s") sweep)));
     contention "elr_speedup_1.5x"
       (at_hot_skews (fun ~off ~on ->
            let r = num "throughput_tps" on /. num "throughput_tps" off in

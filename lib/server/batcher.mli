@@ -9,7 +9,8 @@
     traffic passed in between. The scheduler fires a batch when it
     fills, or as soon as no other request can make progress (partial
     batches never wait on a timer, so an idle server commits a lone
-    transaction immediately). With [max = 1] the server degenerates to
+    transaction immediately); a batch holding a writer fires only once
+    the force in flight, if any, has completed. With [max = 1] the server degenerates to
     the unbatched configuration: every commit that wrote forces the log
     itself. *)
 

@@ -67,6 +67,13 @@ let[@inline] push s x =
 
 let to_array s = Array.sub s.data 0 s.n
 
+(* A batch force issued on the log disk's lane and not yet completed. *)
+type flight = {
+  acks : Request.t list;  (* the writers it makes durable, ready order *)
+  riding : int list;  (* those of them whose locks ride to it *)
+  horizon : int;  (* the engine's durable LSN once it completes *)
+}
+
 type t = {
   cfg : config;
   eng : Engine.t;
@@ -90,6 +97,13 @@ type t = {
   mutable riding : int list;
       (* ids in the open batch whose locks ride to its force under ELR:
          the cross-shard commits *)
+  disk : Clock.lane;
+      (* the log disk: batch forces run here while the dispatcher goes on
+         executing and spooling the next batch *)
+  mutable flight : flight option;  (* at most one force is in flight *)
+  mutable durable : int;
+      (* the durable horizon acks are checked against: it advances only
+         when a force completes *)
   steps : (int, step list) Hashtbl.t;
   mutable on_spool : Request.t -> unit;
       (* fired at a transaction's commit point: its record reaches the
@@ -155,6 +169,9 @@ let create ~cfg ~steps ~engine ~clock ~obs ~lock_mgr ~admission ~arrivals ~gen
     pending = [];
     batch = Batcher.create ~max:cfg.batch_max;
     riding = [];
+    disk = Clock.lane ();
+    flight = None;
+    durable = engine.Engine.durable_lsn ();
     steps = Hashtbl.create 64;
     on_spool = ignore;
     on_ack = ignore;
@@ -242,7 +259,7 @@ let finish t outcome (r : Request.t) =
    lost: it finishes now if the durable horizon covers [dep_lsn], else at
    the force that does. *)
 let await t outcome (r : Request.t) =
-  if r.Request.dep_lsn <= t.eng.Engine.durable_lsn () then finish t outcome r
+  if r.Request.dep_lsn <= t.durable then finish t outcome r
   else begin
     r.Request.status <- Request.Ready;
     t.pending <- (outcome, r) :: t.pending
@@ -250,7 +267,7 @@ let await t outcome (r : Request.t) =
 
 let complete_pending t =
   if t.pending <> [] then begin
-    let d = t.eng.Engine.durable_lsn () in
+    let d = t.durable in
     let ready, waiting =
       List.partition
         (fun (_, (r : Request.t)) -> r.Request.dep_lsn <= d)
@@ -262,7 +279,7 @@ let complete_pending t =
 
 (* Commit a request whose steps are exhausted. Batched configurations
    commit no-flush immediately and park the request in the batcher until
-   the closing force; unbatched ones force the log right here.
+   its batch's force completes; unbatched ones force the log right here.
 
    Either way the commit record now fixes the request's place in commit
    order, so every key it holds is stamped with its commit LSN while the
@@ -280,8 +297,8 @@ let complete_pending t =
    crash between two of them aborts it while a single-shard successor's
    record on a forced shard survives, carrying what it read. Such a
    commit keeps its locks until the batch force, its implicit-commit
-   point. With [elr = false] every commit's locks ride until
-   {!flush_batch} — the contention the optimization removes.
+   point. With [elr = false] every commit's locks ride until its force
+   completes ({!land_force}) — the contention the optimization removes.
 
    A transaction that declared no range wrote nothing: the engine spools
    no record and its commit LSN does not move. There is then nothing to
@@ -318,6 +335,7 @@ let commit_ready t (r : Request.t) =
     r.Request.commit_lsn <- lsn;
     Lock_mgr.stamp_held t.lm ~owner:id (lsn, id);
     if unbatched then begin
+      t.durable <- t.eng.Engine.durable_lsn ();
       t.on_spool r;
       Lock_mgr.release_all t.lm ~owner:id;
       Admission.release t.adm;
@@ -341,42 +359,66 @@ let commit_ready t (r : Request.t) =
     end
   end
 
+(* Issue a force on the log disk's lane: it runs from when the disk is
+   free, and the dispatcher goes on at once. The engine's spool is empty
+   after the call, so the next batch fills behind it; [reqs] ack, and
+   their riding locks drop, when it lands. With no writers it is the
+   force that releases parked read-only requests. Every commit spooled so
+   far — each of [reqs], and every dependency any request has inherited
+   — is under the horizon it establishes, or the ack rule could hold a
+   request forever. *)
+let start_force t reqs =
+  let spooled = t.eng.Engine.commit_lsn () in
+  Clock.on_lane t.clock t.disk (fun () ->
+      match reqs with
+      | [] -> t.eng.Engine.flush ()
+      | _ ->
+        Registry.span t.obs "server.batch.flush"
+          ~attrs:[ ("size", Trace.Int (List.length reqs)) ]
+          (fun () -> t.eng.Engine.flush ()));
+  let horizon = t.eng.Engine.durable_lsn () in
+  if horizon < spooled then
+    raise
+      (Stuck
+         (Printf.sprintf "a force left lsn %d above the durable horizon %d"
+            spooled horizon));
+  t.flight <- Some { acks = reqs; riding = t.riding; horizon };
+  t.riding <- []
+
 (* Close the open batch: one force makes every no-flush commit in it
-   durable, then the requests finish together. The force is also the ack
-   barrier: nothing in the batch (nor any pending read-only request) is
-   released to its client before the durable horizon covers its commit
-   and every dependency it inherited through an early-released lock.
-   Locks that rode to the force drop here. A batch that counted only
-   read-only commits closes without a force. *)
+   durable. A batch that counted only read-only commits closes without
+   one. *)
 let flush_batch t =
-  let reqs = Batcher.take t.batch in
-  if reqs <> [] then begin
-    let size = List.length reqs in
+  match Batcher.take t.batch with
+  | [] -> ()
+  | reqs ->
     t.batches <- t.batches + 1;
-    Histogram.observe t.h_batch_size (float_of_int size);
-    Registry.span t.obs "server.batch.flush"
-      ~attrs:[ ("size", Trace.Int size) ]
-      (fun () -> t.eng.Engine.flush ());
-    let d = t.eng.Engine.durable_lsn () in
-    let held = (not t.cfg.elr) || t.riding <> [] in
+    Histogram.observe t.h_batch_size (float_of_int (List.length reqs));
+    start_force t reqs
+
+(* The force in flight has completed: the durable horizon advances, and
+   this is the ack barrier — nothing in its batch (nor any pending
+   read-only request) is released to its client before the horizon
+   covers its commit and every dependency it inherited through an
+   early-released lock. Locks that rode to the force drop here. Called
+   at the top of every quantum, so it must allocate nothing until the
+   clock has reached the force's end. *)
+let land_force t =
+  match t.flight with
+  | Some f when now t >= !(t.disk) ->
+    t.flight <- None;
+    t.durable <- f.horizon;
     List.iter
       (fun (r : Request.t) ->
         let id = r.Request.spec.Request.id in
-        if (not t.cfg.elr) || List.mem id t.riding then
+        if (not t.cfg.elr) || List.mem id f.riding then
           Lock_mgr.release_all t.lm ~owner:id;
-        if r.Request.commit_lsn > d || r.Request.dep_lsn > d then
-          raise
-            (Stuck
-               (Printf.sprintf
-                  "ack-dependency violated: req %d (lsn %d dep %d) past \
-                   durable horizon %d"
-                  id r.Request.commit_lsn r.Request.dep_lsn d));
         finish t Commit r)
-      reqs;
-    t.riding <- [];
-    if held then wake_parked t
-  end;
-  complete_pending t
+      f.acks;
+    if f.acks <> [] && ((not t.cfg.elr) || f.riding <> []) then
+      wake_parked t;
+    complete_pending t
+  | _ -> ()
 
 let insert_retry t due (r : Request.t) =
   let key = (due, r.Request.spec.Request.id) in
@@ -571,8 +613,11 @@ let background_truncation t =
       | None -> false
     in
     let gap_open = now t -. t.trunc_last_pause_us >= truncation_min_gap_us in
+    (* A burst starts only while no force is in flight: its own log forces
+       would queue behind the batch force on the log disk. *)
     if
-      (not blocked_fresh) && gap_open && t.eng.Engine.truncation_due ()
+      Option.is_none t.flight && (not blocked_fresh) && gap_open
+      && t.eng.Engine.truncation_due ()
     then begin
       (* The quantum ends at the first *device-pausing* step — one that
          advanced the simulated clock (a log force, a page-in). Steps
@@ -617,14 +662,15 @@ let background_truncation t =
 let diagnose t reason =
   Format.asprintf
     "scheduler stuck (%s): iter=%d now=%.0fus runnable=%d parked=%d \
-     retries=%d pending=%d batch=%d inflight=%d queued=%d \
+     retries=%d pending=%d batch=%d forcing=%b inflight=%d queued=%d \
      committed=%d reads=%d shed=%d aborts=%d wait_edges=%s"
     reason t.iterations (now t)
     (Queue.length t.runnable)
     (List.length t.parked)
     (List.length t.retries)
     (List.length t.pending)
-    (Batcher.size t.batch) (Admission.inflight t.adm) (Admission.queued t.adm)
+    (Batcher.size t.batch) (Option.is_some t.flight) (Admission.inflight t.adm)
+    (Admission.queued t.adm)
     t.committed t.reads t.shed t.aborts
     (String.concat ";"
        (List.map
@@ -646,11 +692,17 @@ let run t =
     if t.iterations > max_iterations then
       raise (Stuck (diagnose t "iteration budget exhausted"));
     t.on_quantum ();
+    land_force t;
     process_due t;
     admit_from_queue t;
     background_truncation t;
     if Batcher.full t.batch then begin
-      flush_batch t;
+      (* A full batch waits for the force in flight: the log disk forces
+         one batch at a time, so no commit waits for more than its own
+         batch's force and the one in flight ahead of it. *)
+      if Option.is_some t.flight && Batcher.size t.batch > 0 then
+        Clock.advance_to t.clock !(t.disk)
+      else flush_batch t;
       loop ()
     end
     else if not (Queue.is_empty t.runnable) then begin
@@ -658,6 +710,15 @@ let run t =
       (match r.Request.status with
       | Request.Running -> exec t r
       | _ -> raise (Stuck (diagnose t "non-running request in run queue")));
+      loop ()
+    end
+    else if Option.is_some t.flight then begin
+      (* Nothing can run before the force lands or the next timed event
+         fires: a partial batch, parked read-only requests and the end of
+         the run all wait for the landing. *)
+      (match next_event_at t with
+      | Some at when at < !(t.disk) -> Clock.advance_to t.clock at
+      | _ -> Clock.advance_to t.clock !(t.disk));
       loop ()
     end
     else if not (Batcher.is_empty t.batch) then begin
@@ -670,11 +731,8 @@ let run t =
     else if t.pending <> [] then begin
       (* Only parked read-only requests remain: their dependencies are
          spooled commits with no batch left to close, so force the engine
-         and release them. *)
-      t.eng.Engine.flush ();
-      complete_pending t;
-      if t.pending <> [] then
-        raise (Stuck (diagnose t "pending reads survived a force"));
+         and release them when the force lands. *)
+      start_force t [];
       loop ()
     end
     else

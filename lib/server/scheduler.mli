@@ -11,11 +11,29 @@
     seeded run schedules identically every time.
 
     Commits route through the {!Batcher}: with [batch_max = 1] each
-    commit forces the log itself; otherwise ready transactions commit
-    [No_flush] immediately and the closing {!Engine.t.flush} fires after
-    [batch_max] commits or as soon as no other request can make progress.
-    Each request's life is wrapped in a [req.root] span, so the engine's
-    [txn.commit] spans nest under the request that caused them.
+    commit forces the log itself, inside [end_txn]; otherwise ready
+    transactions commit [No_flush] immediately and the closing
+    {!Engine.t.flush} fires after [batch_max] commits or as soon as no
+    other request can make progress. Each request's life is wrapped in a
+    [req.root] span, so the engine's [txn.commit] spans nest under the
+    request that caused them.
+
+    {b Pipelined force}: the batch force runs on the log disk's
+    {!Rvm_util.Clock.lane}, which the scheduler owns, and the dispatcher
+    goes on executing requests and spooling the next batch while the disk
+    works. At most one force is in flight. The first quantum at or after
+    its end acknowledges its writers, drops the locks that rode to it and
+    re-checks the pending read-only requests, against a durable horizon
+    that advances only there. Four rules keep the disk to one force and
+    keep backpressure: a full batch waits for the force in flight; on
+    idle, a partial batch closes only when no force is in flight; so does
+    the idle force that releases parked read-only requests; and the
+    background slot starts a truncation burst only when no force is in
+    flight. Any other log access issued meanwhile — truncation's forces,
+    the emergency truncation, a status-block write — waits for the disk
+    in {!Rvm_disk.Sim_device}, which serves one request at a time. The
+    [server.batch.flush] span opens on the lane, so its interval is the
+    force's disk time.
 
     {b Read-only commits}: a transaction that declared no range leaves
     the engine's commit LSN where it was — no record spooled. It stamps
@@ -47,8 +65,8 @@
     wait-for graph: in one quantum it resolves each key through the lock
     manager's commit stamps, takes the max observed LSN as its ack
     dependency, and completes immediately if the durable horizon covers
-    it — otherwise it parks in the pending list that drains at every
-    force. Read-only commits wait in the same list; the two differ only
+    it — otherwise it parks in the pending list that drains whenever a
+    force completes. Read-only commits wait in the same list; the two differ only
     in the tally they land in.
 
     Everything advances the simulated clock: every step charges 25 µs of
@@ -60,8 +78,9 @@
     truncation due, resumable truncator steps run between scheduling
     decisions until one of them has charged device time or 16 have run
     (CPU rides the clock's background lane), with at least 200 ms of
-    simulated time between bursts that charged it; when the engine reports
-    it urgent the slot falls back to one synchronous truncation. Segment
+    simulated time between bursts that charged it and never while a batch
+    force is in flight; when the engine reports it urgent the slot falls
+    back to one synchronous truncation. Segment
     syncs run on the truncator's own disk lane and charge no pause.
     Pauses land in the [truncation.pause.us] and
     [truncation.steps.per.quantum] histograms.

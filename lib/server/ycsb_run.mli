@@ -13,9 +13,9 @@
 
     Locking is node-granular where the tree's shape is stable (mixes
     A/B/C/F lock the key's leaf) and tree-granular where inserts can
-    split nodes (D/E); read-modify-write upgrades Shared to Exclusive on
-    its leaf, and upgrade deadlocks resolve through the scheduler's
-    abort-retry path. Reads and scans write nothing, so they commit
+    split nodes (D/E); read-modify-write takes its leaf in Update mode and
+    upgrades to Exclusive, so a second read-modify-write on the leaf
+    queues instead of deadlocking. Reads and scans write nothing, so they commit
     read-only: no log force, no batch slot, and an ack as soon as the
     writers they observed are durable. *)
 

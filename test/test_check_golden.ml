@@ -92,10 +92,10 @@ let goldens =
       (fun () ->
         engine ~mid:true ~incremental:true ~shards:2 ~ops:12 ~seed:3 ()),
       [ 16; 8; 8; 17; 21; 38; 14; 0 ] );
-    ("--elr", (fun () -> elr ()), [ 26; 13; 13; 27; 44; 71; 19; 0 ]);
+    ("--elr", (fun () -> elr ()), [ 28; 14; 14; 29; 48; 77; 19; 0 ]);
     ( "--elr --shards 2",
       (fun () -> elr ~shards:2 ()),
-      [ 38; 19; 19; 39; 56; 95; 19; 0 ] );
+      [ 40; 20; 20; 41; 60; 101; 19; 0 ] );
     ( "--elr --seed 3 --exhaustive",
       (fun () -> elr ~seed:3 ~exhaustive:true ()),
       [ 34; 17; 17; 35; 75; 110; 19; 0 ] );
@@ -105,7 +105,7 @@ let goldens =
       [ 22; 13; 9; 23; 237; 260; 9; 0 ] );
     ( "--elr --shards 2 --seed 11",
       (fun () -> elr ~shards:2 ~seed:11 ()),
-      [ 48; 24; 24; 49; 72; 121; 20; 0 ] );
+      [ 50; 25; 25; 51; 72; 123; 20; 0 ] );
     ( "--shards 4 --ops 16 --seed 5",
       (fun () -> engine ~shards:4 ~ops:16 ~seed:5 ()),
       [ 91; 54; 37; 92; 56; 148; 20; 0 ] );

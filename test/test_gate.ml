@@ -127,6 +127,13 @@ let bound_cases =
         map_rows "results" ~where:(hot ~elr:true)
           (set "abort_rate" (J.Float (off "abort_rate" doc)))
           doc );
+    ( "contention.elr_fewer_aborts_across_seeds", "contention",
+      map_rows "seed_sweep"
+        ~where:(fun _ r -> J.member "zipf_s" r = Some (J.Float 0.99))
+        (fun r ->
+          set "elr_abort_rate"
+            (Option.get (J.member "elr_off_abort_rate" r))
+            r) );
     ( "contention.elr_speedup_1.5x", "contention",
       fun doc ->
         map_rows "results" ~where:(hot ~elr:true)
