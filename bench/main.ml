@@ -795,8 +795,8 @@ let truncation () =
    row carries its serial-reference verdict: whether the mix's final tree
    equals a replay of its committed operations in commit order. A false
    verdict fails the artifact's bound in Rvm_obs.Gate. The default
-   population is the paper-scale 10^6 keys (several minutes of bulk load
-   per mix); BENCH_YCSB_RECORDS=20000 gives a quick run. *)
+   population is the paper-scale 10^6 keys, bulk-loaded bottom-up for
+   each mix; BENCH_YCSB_RECORDS=20000 gives a quick run. *)
 
 let ycsb () =
   let module Y = Rvm_server.Ycsb_run in

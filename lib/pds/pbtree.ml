@@ -4,35 +4,44 @@ module Rds = Rvm_alloc.Rds
 
 (* Layout.
    Header (32 bytes, rds-allocated):
-     +0  magic          "RVMBTRE1"
+     +0  magic          "RVMBTRE2"
      +8  root node address
      +16 key count
      +24 minimum degree d (fixed at create time)
-   Node (40 + 16*(2d-1) bytes, rds-allocated; M = 2d-1 max keys):
+   Node (32 + 16M + 8(M+1) bytes, rds-allocated; M = 2d-1 max keys):
      +0  kind: 1 = leaf, 2 = internal
      +8  key count
      +16 next-leaf address (leaves only; 0 = rightmost)
      +24 reserved
-     +32            .. +32+8M       key cell pointers
-     +32+8M         .. +40+16M      leaf: value cell pointers (M slots)
+     +32            .. +32+16M      key slots, 16 bytes each
+     +32+16M        .. +40+24M      leaf: value cell pointers (M slots)
                                     internal: child pointers (M+1 slots)
+   Key slot: a key of at most 15 bytes sits inline, its length in byte 0
+   and its bytes from byte 1, zero-padded. A longer key lives in an
+   overflow cell: byte 0 is 0xFF and bytes 8..15 hold the cell's address.
+   Each overflow cell belongs to exactly one live slot: a slot move takes
+   the cell with it, and a separator copied from a leaf key gets a cell of
+   its own.
    Cell (rds-allocated): +0 byte length, +8 the bytes. Cells are immutable;
    replacing a value allocates the new cell before freeing the old, so an
    abort leaves the original reachable.
 
-   Every mutation goes through [setw]/[alloc_cell], which declare exactly
-   the touched bytes with set_range — a slot move is one 8-byte range, a
-   node split is the handful of slots it shifts — so the intra- and
+   Every mutation declares exactly the touched bytes with set_range — a
+   key-slot move is one 16-byte range, a pointer move one 8-byte range, a
+   node split the handful of slots it shifts — so the intra- and
    inter-transaction optimizers see mergeable ranges, never whole nodes. *)
 
 type stats = { mutable splits : int; mutable merges : int; mutable borrows : int }
 
 type t = { rvm : Rvm.t; heap : Rds.t; addr : int; deg : int; stats : stats }
 
-let magic = 0x52564D4254524531L (* "RVMBTRE1" *)
+let magic = 0x52564D4254524532L (* "RVMBTRE2" *)
 let header_size = 32
 let leaf_kind = 1
 let internal_kind = 2
+let slot_size = 16
+let inline_max = slot_size - 1
+let overflow_tag = 0xFF
 
 let getw t addr = Int64.to_int (Rvm.get_i64 t.rvm ~addr)
 
@@ -42,11 +51,12 @@ let setw t tid addr v =
 
 let max_keys t = (2 * t.deg) - 1
 let min_keys t = t.deg - 1
-let node_size t = 32 + (8 * max_keys t) + (8 * (max_keys t + 1))
+let node_size t = 32 + (slot_size * max_keys t) + (8 * (max_keys t + 1))
 let root t = getw t (t.addr + 8)
 let set_root t tid n = setw t tid (t.addr + 8) n
 let length t = getw t (t.addr + 16)
-let bump_count t tid d = setw t tid (t.addr + 16) (length t + d)
+let set_length t tid k = setw t tid (t.addr + 16) k
+let bump_count t tid d = set_length t tid (length t + d)
 let degree t = t.deg
 let address t = t.addr
 let stats t = t.stats
@@ -56,10 +66,8 @@ let nkeys t n = getw t (n + 8)
 let set_nkeys t tid n k = setw t tid (n + 8) k
 let next_leaf t n = getw t (n + 16)
 let set_next_leaf t tid n v = setw t tid (n + 16) v
-let key_slot _t n i = n + 32 + (8 * i)
-let ptr_slot t n i = n + 32 + (8 * max_keys t) + (8 * i)
-let key_cell t n i = getw t (key_slot t n i)
-let set_key t tid n i c = setw t tid (key_slot t n i) c
+let key_slot _t n i = n + 32 + (slot_size * i)
+let ptr_slot t n i = n + 32 + (slot_size * max_keys t) + (8 * i)
 let ptr t n i = getw t (ptr_slot t n i)
 let set_ptr t tid n i c = setw t tid (ptr_slot t n i) c
 
@@ -78,7 +86,54 @@ let alloc_cell t tid s =
   c
 
 let free_cell t tid c = Rds.free t.heap tid c
-let node_key t n i = cell_string t (key_cell t n i)
+
+(* --- key slots --- *)
+
+let node_key t n i =
+  let b = Rvm.load t.rvm ~addr:(key_slot t n i) ~len:slot_size in
+  let len = Bytes.get_uint8 b 0 in
+  if len = overflow_tag then
+    cell_string t (Int64.to_int (Bytes.get_int64_le b 8))
+  else Bytes.sub_string b 1 len
+
+let overflow_cell t n i =
+  let a = key_slot t n i in
+  if Rvm.get_u8 t.rvm ~addr:a = overflow_tag then Some (getw t (a + 8))
+  else None
+
+(* Write [key] into key slot [i] of [n]; a long key gets a fresh overflow
+   cell. *)
+let write_key t tid n i key =
+  let b = Bytes.make slot_size '\000' in
+  let len = String.length key in
+  if len <= inline_max then begin
+    Bytes.set_uint8 b 0 len;
+    Bytes.blit_string key 0 b 1 len
+  end
+  else begin
+    Bytes.set_uint8 b 0 overflow_tag;
+    Bytes.set_int64_le b 8 (Int64.of_int (alloc_cell t tid key))
+  end;
+  Rvm.modify t.rvm tid ~addr:(key_slot t n i) b
+
+(* Move key [i] of [src] to key [j] of [dst] as the slot's two words, the
+   way pointers move. An overflow cell goes with it, so the source slot
+   must stop being live. *)
+let move_key t tid src i dst j =
+  let s = key_slot t src i and d = key_slot t dst j in
+  let w0 = Rvm.get_i64 t.rvm ~addr:s and w1 = Rvm.get_i64 t.rvm ~addr:(s + 8) in
+  Rvm.set_range t.rvm tid ~addr:d ~len:slot_size;
+  Rvm.set_i64 t.rvm ~addr:d w0;
+  Rvm.set_i64 t.rvm ~addr:(d + 8) w1
+
+(* Copy key [i] of [src] to key [j] of [dst], giving the copy an overflow
+   cell of its own: both slots stay live. *)
+let copy_key t tid src i dst j =
+  match overflow_cell t src i with
+  | None -> move_key t tid src i dst j
+  | Some _ -> write_key t tid dst j (node_key t src i)
+
+let free_key t tid n i = Option.iter (free_cell t tid) (overflow_cell t n i)
 
 let alloc_node t tid ~leaf =
   let n = Rds.alloc t.heap tid ~size:(node_size t) in
@@ -96,8 +151,8 @@ let create rvm heap tid ~degree =
   setw t tid addr (Int64.to_int magic);
   setw t tid (addr + 24) degree;
   let r = alloc_node t tid ~leaf:true in
-  setw t tid (addr + 8) r;
-  setw t tid (addr + 16) 0;
+  set_root t tid r;
+  set_length t tid 0;
   t
 
 let attach rvm heap ~addr =
@@ -107,9 +162,9 @@ let attach rvm heap ~addr =
   { t with deg = getw t (addr + 24) }
 
 (* First index in [0, nkeys) whose key is >= [key], flagging an exact hit. *)
-(* Both searches are binary — at 10^6 keys the YCSB load phase does tens
-   of millions of in-node comparisons, and each comparison reads a key
-   cell through the engine. *)
+(* Both searches are binary: each comparison reads a key slot through the
+   engine (address-space lookup, paging-simulator touch), so the cost of a
+   probe is an engine round-trip, not a string compare. *)
 let leaf_find t n ~key =
   let lo = ref 0 and hi = ref (nkeys t n) in
   while !lo < !hi do
@@ -142,17 +197,16 @@ let mem t ~key = get t ~key <> None
 
 (* --- insertion (preemptive split on the way down) --- *)
 
-(* Wire separator [sep] and new child [right] into [parent] at separator
-   position [ci]; [right] becomes child ci+1. The parent must not be full. *)
-let insert_child_slot t tid parent ci ~sep ~right =
+(* Open separator position [ci] in [parent] and wire [right] in as child
+   ci+1. The parent must not be full; the caller fills key [ci]. *)
+let open_child_slot t tid parent ci ~right =
   let k = nkeys t parent in
   for j = k downto ci + 1 do
-    set_key t tid parent j (key_cell t parent (j - 1))
+    move_key t tid parent (j - 1) parent j
   done;
   for j = k + 1 downto ci + 2 do
     set_ptr t tid parent j (ptr t parent (j - 1))
   done;
-  set_key t tid parent ci sep;
   set_ptr t tid parent (ci + 1) right;
   set_nkeys t tid parent (k + 1)
 
@@ -161,58 +215,49 @@ let split_child t tid parent ci =
   let d = t.deg in
   (if is_leaf t child then begin
      (* Leaf split: left keeps d entries, right takes d-1. The separator is
-        a fresh copy of the right node's first key (leaf entries never move
-        up; a separator cell is owned by its internal node alone). *)
+        a copy of the right node's first key (leaf entries never move up;
+        a separator's overflow cell is owned by its internal node alone). *)
      let right = alloc_node t tid ~leaf:true in
      for i = 0 to d - 2 do
-       set_key t tid right i (key_cell t child (d + i));
+       move_key t tid child (d + i) right i;
        set_ptr t tid right i (ptr t child (d + i))
      done;
      set_nkeys t tid right (d - 1);
      set_nkeys t tid child d;
      set_next_leaf t tid right (next_leaf t child);
      set_next_leaf t tid child right;
-     let sep = alloc_cell t tid (node_key t right 0) in
-     insert_child_slot t tid parent ci ~sep ~right
+     open_child_slot t tid parent ci ~right;
+     copy_key t tid right 0 parent ci
    end
    else begin
-     (* Internal split: the median key's cell migrates up — pure pointer
-        moves, no copies. *)
+     (* Internal split: the median key's slot moves up. *)
      let right = alloc_node t tid ~leaf:false in
      for i = 0 to d - 2 do
-       set_key t tid right i (key_cell t child (d + i))
+       move_key t tid child (d + i) right i
      done;
      for i = 0 to d - 1 do
        set_ptr t tid right i (ptr t child (d + i))
      done;
      set_nkeys t tid right (d - 1);
-     let sep = key_cell t child (d - 1) in
      set_nkeys t tid child (d - 1);
-     insert_child_slot t tid parent ci ~sep ~right
+     open_child_slot t tid parent ci ~right;
+     move_key t tid child (d - 1) parent ci
    end);
   t.stats.splits <- t.stats.splits + 1
 
+(* Insert a key the tree does not hold. *)
 let rec insert_nonfull t tid n ~key ~value =
   if is_leaf t n then begin
-    let i, exact = leaf_find t n ~key in
-    if exact then begin
-      (* Replace: allocate the new cell before freeing the old one, so an
-         abort finds the original still reachable from the restored slot. *)
-      let old = ptr t n i in
-      set_ptr t tid n i (alloc_cell t tid value);
-      free_cell t tid old
-    end
-    else begin
-      let k = nkeys t n in
-      for j = k downto i + 1 do
-        set_key t tid n j (key_cell t n (j - 1));
-        set_ptr t tid n j (ptr t n (j - 1))
-      done;
-      set_key t tid n i (alloc_cell t tid key);
-      set_ptr t tid n i (alloc_cell t tid value);
-      set_nkeys t tid n (k + 1);
-      bump_count t tid 1
-    end
+    let i, _ = leaf_find t n ~key in
+    let k = nkeys t n in
+    for j = k downto i + 1 do
+      move_key t tid n (j - 1) n j;
+      set_ptr t tid n j (ptr t n (j - 1))
+    done;
+    write_key t tid n i key;
+    set_ptr t tid n i (alloc_cell t tid value);
+    set_nkeys t tid n (k + 1);
+    bump_count t tid 1
   end
   else begin
     let ci = child_index t n ~key in
@@ -227,51 +272,69 @@ let rec insert_nonfull t tid n ~key ~value =
   end
 
 let put t tid ~key ~value =
-  let r = root t in
-  let r =
-    if nkeys t r = max_keys t then begin
-      let nr = alloc_node t tid ~leaf:false in
-      set_ptr t tid nr 0 r;
-      set_root t tid nr;
-      split_child t tid nr 0;
-      nr
-    end
-    else r
-  in
-  insert_nonfull t tid r ~key ~value
+  let n = leaf_of t (root t) ~key in
+  let i, exact = leaf_find t n ~key in
+  if exact then begin
+    (* Replace in place, before any split: a present key's leaf never
+       moves. The new cell is allocated before the old one is freed, so
+       an abort finds the original still reachable from the restored
+       slot. *)
+    let old = ptr t n i in
+    set_ptr t tid n i (alloc_cell t tid value);
+    free_cell t tid old
+  end
+  else begin
+    let r = root t in
+    let r =
+      if nkeys t r = max_keys t then begin
+        let nr = alloc_node t tid ~leaf:false in
+        set_ptr t tid nr 0 r;
+        set_root t tid nr;
+        split_child t tid nr 0;
+        nr
+      end
+      else r
+    in
+    insert_nonfull t tid r ~key ~value
+  end
 
 (* --- deletion (rebalance on the way down, CLRS style: never descend into
    a child at minimum occupancy) --- *)
+
+(* Make separator [si] of [parent] a copy of key [i] of [src]: the fresh
+   copy goes in, then the old separator's overflow cell is freed. *)
+let reset_separator t tid parent si src i =
+  let old = overflow_cell t parent si in
+  copy_key t tid src i parent si;
+  Option.iter (free_cell t tid) old
 
 let borrow_left t tid parent ci =
   let child = ptr t parent ci and left = ptr t parent (ci - 1) in
   let lk = nkeys t left and ck = nkeys t child in
   (if is_leaf t child then begin
      for j = ck downto 1 do
-       set_key t tid child j (key_cell t child (j - 1));
+       move_key t tid child (j - 1) child j;
        set_ptr t tid child j (ptr t child (j - 1))
      done;
-     set_key t tid child 0 (key_cell t left (lk - 1));
+     move_key t tid left (lk - 1) child 0;
      set_ptr t tid child 0 (ptr t left (lk - 1));
      set_nkeys t tid child (ck + 1);
      set_nkeys t tid left (lk - 1);
-     (* The separator must become the moved key: fresh copy in, old out. *)
-     let old_sep = key_cell t parent (ci - 1) in
-     set_key t tid parent (ci - 1) (alloc_cell t tid (node_key t child 0));
-     free_cell t tid old_sep
+     (* The separator must become the moved key. *)
+     reset_separator t tid parent (ci - 1) child 0
    end
    else begin
-     (* Rotate through the parent: separator drops into the child, the
-        left sibling's last key rises — cell pointers move, no copies. *)
+     (* Rotate through the parent: the separator drops into the child and
+        the left sibling's last key rises, slots moving whole. *)
      for j = ck downto 1 do
-       set_key t tid child j (key_cell t child (j - 1))
+       move_key t tid child (j - 1) child j
      done;
      for j = ck + 1 downto 1 do
        set_ptr t tid child j (ptr t child (j - 1))
      done;
-     set_key t tid child 0 (key_cell t parent (ci - 1));
+     move_key t tid parent (ci - 1) child 0;
      set_ptr t tid child 0 (ptr t left lk);
-     set_key t tid parent (ci - 1) (key_cell t left (lk - 1));
+     move_key t tid left (lk - 1) parent (ci - 1);
      set_nkeys t tid child (ck + 1);
      set_nkeys t tid left (lk - 1)
    end);
@@ -281,24 +344,22 @@ let borrow_right t tid parent ci =
   let child = ptr t parent ci and right = ptr t parent (ci + 1) in
   let rk = nkeys t right and ck = nkeys t child in
   (if is_leaf t child then begin
-     set_key t tid child ck (key_cell t right 0);
+     move_key t tid right 0 child ck;
      set_ptr t tid child ck (ptr t right 0);
      set_nkeys t tid child (ck + 1);
      for j = 0 to rk - 2 do
-       set_key t tid right j (key_cell t right (j + 1));
+       move_key t tid right (j + 1) right j;
        set_ptr t tid right j (ptr t right (j + 1))
      done;
      set_nkeys t tid right (rk - 1);
-     let old_sep = key_cell t parent ci in
-     set_key t tid parent ci (alloc_cell t tid (node_key t right 0));
-     free_cell t tid old_sep
+     reset_separator t tid parent ci right 0
    end
    else begin
-     set_key t tid child ck (key_cell t parent ci);
+     move_key t tid parent ci child ck;
      set_ptr t tid child (ck + 1) (ptr t right 0);
-     set_key t tid parent ci (key_cell t right 0);
+     move_key t tid right 0 parent ci;
      for j = 0 to rk - 2 do
-       set_key t tid right j (key_cell t right (j + 1))
+       move_key t tid right (j + 1) right j
      done;
      for j = 0 to rk - 1 do
        set_ptr t tid right j (ptr t right (j + 1))
@@ -314,20 +375,19 @@ let borrow_right t tid parent ci =
 let merge_children t tid parent ci =
   let child = ptr t parent ci and right = ptr t parent (ci + 1) in
   let ck = nkeys t child and rk = nkeys t right in
-  let sep = key_cell t parent ci in
   (if is_leaf t child then begin
      for i = 0 to rk - 1 do
-       set_key t tid child (ck + i) (key_cell t right i);
+       move_key t tid right i child (ck + i);
        set_ptr t tid child (ck + i) (ptr t right i)
      done;
      set_nkeys t tid child (ck + rk);
      set_next_leaf t tid child (next_leaf t right);
-     free_cell t tid sep
+     free_key t tid parent ci
    end
    else begin
-     set_key t tid child ck sep;
+     move_key t tid parent ci child ck;
      for i = 0 to rk - 1 do
-       set_key t tid child (ck + 1 + i) (key_cell t right i)
+       move_key t tid right i child (ck + 1 + i)
      done;
      for i = 0 to rk do
        set_ptr t tid child (ck + 1 + i) (ptr t right i)
@@ -337,7 +397,7 @@ let merge_children t tid parent ci =
   Rds.free t.heap tid right;
   let pk = nkeys t parent in
   for j = ci to pk - 2 do
-    set_key t tid parent j (key_cell t parent (j + 1))
+    move_key t tid parent (j + 1) parent j
   done;
   for j = ci + 1 to pk - 1 do
     set_ptr t tid parent j (ptr t parent (j + 1))
@@ -367,10 +427,10 @@ let rec delete_from t tid n ~key =
     if not exact then false
     else begin
       let k = nkeys t n in
-      free_cell t tid (key_cell t n i);
+      free_key t tid n i;
       free_cell t tid (ptr t n i);
       for j = i to k - 2 do
-        set_key t tid n j (key_cell t n (j + 1));
+        move_key t tid n (j + 1) n j;
         set_ptr t tid n j (ptr t n (j + 1))
       done;
       set_nkeys t tid n (k - 1);
@@ -394,6 +454,114 @@ let remove t tid ~key =
     Rds.free t.heap tid r
   end;
   found
+
+(* --- bottom-up bulk load --- *)
+
+(* A load transaction commits once it has written this many entries (leaf
+   entries and child pointers), at the next node boundary. *)
+let load_batch = 2_000
+
+(* Node sizes for [n] items, [cap] to a node: every node full but the
+   last, and when the last would hold fewer than [least] it shares with
+   the one before, so that both hold at least [least]. *)
+let partition ~n ~cap ~least =
+  let nodes = (n + cap - 1) / cap in
+  let sizes = Array.make nodes cap in
+  let last = n - ((nodes - 1) * cap) in
+  sizes.(nodes - 1) <- last;
+  if nodes > 1 && last < least then begin
+    let both = cap + last in
+    sizes.(nodes - 2) <- both - (both / 2);
+    sizes.(nodes - 1) <- both / 2
+  end;
+  sizes
+
+(* [Array.map], with [f] applied from the first element to the last. *)
+let in_order a f = Array.init (Array.length a) (fun j -> f a.(j))
+
+let load t ~count entry =
+  if length t <> 0 then
+    Types.error "pbtree: load into a tree of %d keys" (length t);
+  if count > 0 then begin
+    let tid = ref (Rvm.begin_transaction t.rvm ~mode:Types.No_restore) in
+    let written = ref 0 in
+    let wrote k =
+      written := !written + k;
+      if !written >= load_batch then begin
+        Rvm.end_transaction t.rvm !tid ~mode:Types.No_flush;
+        tid := Rvm.begin_transaction t.rvm ~mode:Types.No_restore;
+        written := 0
+      end
+    in
+    Fun.protect ~finally:(fun () ->
+        Rvm.end_transaction t.rvm !tid ~mode:Types.No_flush)
+    @@ fun () ->
+    (* The empty root leaf becomes the first leaf. While it is the root the
+       load writes only its unused slots: its key count and next-leaf link
+       are written last, with the new root. Every other leaf is allocated
+       and then its value cells, so a leaf shares pages with its values.
+       A level pairs each node with its least key. *)
+    let first = root t and prev = ref 0 in
+    let next = ref 0 and last = ref "" in
+    let leaf k =
+      let n =
+        if !prev = 0 then first
+        else begin
+          let n = alloc_node t !tid ~leaf:true in
+          set_nkeys t !tid n k;
+          if !prev <> first then set_next_leaf t !tid !prev n;
+          n
+        end
+      in
+      prev := n;
+      let least = ref "" in
+      for i = 0 to k - 1 do
+        let key, value = entry !next in
+        if !next > 0 && compare !last key >= 0 then
+          Types.error "pbtree: load keys not ascending at entry %d" !next;
+        last := key;
+        if i = 0 then least := key;
+        write_key t !tid n i key;
+        set_ptr t !tid n i (alloc_cell t !tid value);
+        incr next
+      done;
+      wrote k;
+      (n, !least)
+    in
+    (* Separator i-1 of an internal node is a copy of child i's least key. *)
+    let internal level at k =
+      let n = alloc_node t !tid ~leaf:false in
+      set_nkeys t !tid n (k - 1);
+      for i = 0 to k - 1 do
+        let child, least = level.(at + i) in
+        if i > 0 then write_key t !tid n (i - 1) least;
+        set_ptr t !tid n i child
+      done;
+      wrote k;
+      (n, snd level.(at))
+    in
+    let rec up level =
+      if Array.length level = 1 then fst level.(0)
+      else begin
+        let sizes =
+          partition ~n:(Array.length level) ~cap:(max_keys t + 1) ~least:t.deg
+        in
+        let at = ref 0 in
+        up
+          (in_order sizes (fun k ->
+               let node = internal level !at k in
+               at := !at + k;
+               node))
+      end
+    in
+    let sizes = partition ~n:count ~cap:(max_keys t) ~least:(min_keys t) in
+    let leaves = in_order sizes leaf in
+    let r = up leaves in
+    set_nkeys t !tid first sizes.(0);
+    if Array.length leaves > 1 then set_next_leaf t !tid first (fst leaves.(1));
+    set_root t !tid r;
+    set_length t !tid count
+  end
 
 (* --- ordered iteration over the leaf chain --- *)
 
@@ -456,6 +624,7 @@ let check t =
   if getw t (t.addr + 24) <> t.deg || t.deg < 2 then
     Types.error "pbtree-check: bad degree %d" (getw t (t.addr + 24));
   let leaves = ref [] in
+  let cells = Hashtbl.create 16 in
   let count = ref 0 in
   let leaf_depth = ref (-1) in
   let in_bounds ~lo ~hi key =
@@ -476,6 +645,18 @@ let check t =
       Types.error "pbtree-check: keyless internal root %#x" n;
     let prev = ref None in
     for i = 0 to k - 1 do
+      let tag = Rvm.get_u8 t.rvm ~addr:(key_slot t n i) in
+      if tag > inline_max && tag <> overflow_tag then
+        Types.error "pbtree-check: bad key length %d in %#x" tag n;
+      Option.iter
+        (fun c ->
+          if Hashtbl.mem cells c then
+            Types.error "pbtree-check: overflow cell %#x in two slots" c;
+          Hashtbl.add cells c ();
+          let len = getw t c in
+          if len <= inline_max || Rds.usable_size t.heap c < 8 + len then
+            Types.error "pbtree-check: bad overflow cell %#x" c)
+        (overflow_cell t n i);
       let key = node_key t n i in
       if not (in_bounds ~lo ~hi key) then
         Types.error "pbtree-check: key out of bounds in %#x" n;

@@ -6,11 +6,13 @@
 
     Keys and values are arbitrary strings ordered by [String.compare].
     Leaves hold the entries and are threaded into a next-leaf chain for
-    ordered scans; internal nodes hold separator copies that never alias
-    leaf cells. All [set_range] declarations are scoped to the exact slots
-    touched (8-byte pointer moves, freshly allocated cells), never whole
-    nodes, so the intra/inter-transaction optimizers see mergeable small
-    ranges.
+    ordered scans; internal nodes hold separator copies. A key of up to 15
+    bytes sits inline in its node's 16-byte key slot, so a descent reads
+    no cell but the value; a longer key spills into an overflow cell that
+    its slot alone owns. All [set_range] declarations are scoped to the
+    exact slots touched (16-byte key-slot moves, 8-byte pointer moves,
+    freshly allocated cells), never whole nodes, so the
+    intra/inter-transaction optimizers see mergeable small ranges.
 
     Reads ([get]/[range]/[scan]/[iter]/[fold]/[check]) need no transaction.
     Mutations take the caller's [tid]; callers serialize access per tree
@@ -43,9 +45,28 @@ val get : t -> key:string -> string option
 val mem : t -> key:string -> bool
 
 val put : t -> Rvm_core.Rvm.tid -> key:string -> value:string -> unit
-(** Insert or replace. Replacement allocates the new value cell before
-    freeing the old, so an aborted transaction leaves the original value
-    reachable. *)
+(** Insert or replace. A replacement changes only the value pointer: it
+    splits nothing, so {!leaf_addr} stays put. It allocates the new value
+    cell before freeing the old, so an aborted transaction leaves the
+    original value reachable. *)
+
+val load : t -> count:int -> (int -> string * string) -> unit
+(** [load t ~count entry] fills an empty tree bottom-up with the entries
+    [entry 0], ..., [entry (count - 1)], whose keys must strictly ascend.
+    Leaves are packed to [2d-1] entries: the first fills the empty root
+    leaf, and each later one is allocated just before its value cells. At
+    every level the last two nodes share their entries so that both hold
+    the minimum.
+
+    The load runs in its own [No_restore] transactions, each committed
+    [No_flush] once it has written about 2 000 entries; call
+    {!Rvm_core.Rvm.flush} to make it durable. The last commit sets the
+    root, so a crash before it recovers the tree as it was; the blocks
+    that the interrupted load allocated stay allocated and unreachable.
+    If [entry] raises, or a key does not ascend, the load commits what it
+    wrote and re-raises, with the same outcome: the tree is unchanged and
+    those blocks leak. Raises {!Rvm_core.Types.Rvm_error} if the tree is
+    not empty. *)
 
 val remove : t -> Rvm_core.Rvm.tid -> key:string -> bool
 (** Delete [key]; returns whether it was present. Rebalances on the way
@@ -67,15 +88,16 @@ val fold : t -> init:'a -> f:('a -> key:string -> value:string -> 'a) -> 'a
 
 val leaf_addr : t -> key:string -> int
 (** Heap address of the leaf node that holds (or would hold) [key] — the
-    server's lock-granularity unit. Stable across updates of resident keys;
-    invalidated by splits/merges, which is why workloads that insert lock
-    conservatively. *)
+    server's lock-granularity unit. Stable across updates of resident keys
+    ({!put} on a present key never splits); invalidated by splits/merges,
+    which is why workloads that insert lock conservatively. *)
 
 val check : t -> unit
 (** Walk the whole tree verifying structural invariants: magic, node kinds,
-    occupancy bounds, separator bounds ([lo <= key < hi] per subtree),
-    strict in-node key order, uniform leaf depth, key count, and that the
-    next-leaf chain threads the leaves exactly in key order. Raises
+    occupancy bounds, key-slot encoding (every overflow cell a live heap
+    block owned by one slot), separator bounds ([lo <= key < hi] per
+    subtree), strict in-node key order, uniform leaf depth, key count, and
+    that the next-leaf chain threads the leaves exactly in key order. Raises
     {!Rvm_core.Types.Rvm_error} on any violation. *)
 
 val stats : t -> stats

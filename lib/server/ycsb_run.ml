@@ -91,30 +91,22 @@ type world = {
 let page_size = 4096
 let heap_base = 16 * page_size
 
-(* Rds footprint per record: key cell (~40B for "user%010d"), value cell
-   (header + length word + padded payload), plus the record's share of
-   leaf/internal node slots and separator copies at ~2/3 occupancy. The
-   3/2 slack covers fragmentation and the D/E insert tail. *)
+(* Heap length, and through [mem_fraction] the paging frame budget:
+   (176 + value_len) * 3/2 bytes per record plus 1 MiB. It sizes the
+   budget, not the tree: with 64-byte values the tree allocates about
+   100 bytes per record, so most of the heap is headroom for inserts. *)
 let heap_len_of cfg =
   let per_record = (176 + cfg.value_len) * 3 / 2 in
   let raw = (cfg.records * per_record) + (1 lsl 20) in
   ((raw / page_size) + 1) * page_size
 
-(* Bulk-load [records] keys in ascending order, batched [No_flush] with a
-   single force at the end — the tree is built before the clock starts,
-   so the sweep measures steady-state serving over a warm store. *)
+(* Bulk-load [records] keys bottom-up into packed leaves
+   ({!Pbtree.load}: 2 000-entry [No_flush] transactions), then one force
+   — the tree is built before the clock starts, so the sweep measures
+   steady-state serving over a warm store. *)
 let load_tree cfg rvm tree =
-  let i = ref 0 in
-  while !i < cfg.records do
-    let stop = min cfg.records (!i + 2_000) in
-    let tid = Rvm.begin_transaction rvm ~mode:Types.No_restore in
-    while !i < stop do
-      Pbtree.put tree tid ~key:(Ycsb.key_of !i)
-        ~value:(Ycsb.value ~len:cfg.value_len ~ver:1);
-      incr i
-    done;
-    Rvm.end_transaction rvm tid ~mode:Types.No_flush
-  done;
+  let value = Ycsb.value ~len:cfg.value_len ~ver:1 in
+  Pbtree.load tree ~count:cfg.records (fun i -> (Ycsb.key_of i, value));
   Rvm.flush rvm;
   Rvm.truncate rvm
 

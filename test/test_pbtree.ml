@@ -1,8 +1,9 @@
 (* Tests for the recoverable ordered map (Rvm_pds.Pbtree): B+-tree
    semantics at the smallest legal degree (so splits, borrows and merges
    all fire), abort rollback across structural changes, crash recovery,
-   ordered scans, and a qcheck model check against Stdlib.Map with
-   mid-sequence crash-recover-reattach. *)
+   ordered scans, updates that never restructure, the bottom-up loader,
+   and a qcheck model check against Stdlib.Map, over inline and overflow
+   keys, with mid-sequence crash-recover-reattach. *)
 
 open Rvm_core
 module Mem_device = Rvm_disk.Mem_device
@@ -18,7 +19,7 @@ let check_opt = Alcotest.(check (option string))
 let ps = 4096
 let heap_len = 64 * ps
 
-let make_world () =
+let make_world ?(heap_len = heap_len) () =
   let log_dev = Mem_device.create ~name:"log" ~size:(4 * 1024 * 1024) () in
   Rvm.create_log log_dev;
   let seg_dev = Mem_device.create ~name:"seg" ~size:(1024 * 1024) () in
@@ -35,8 +36,8 @@ let in_txn rvm f =
   Rvm.end_transaction rvm tid ~mode:Types.Flush;
   v
 
-let make_tree ?(degree = 2) () =
-  let rvm, heap = make_world () in
+let make_tree ?(degree = 2) ?heap_len () =
+  let rvm, heap = make_world ?heap_len () in
   let t = in_txn rvm (fun tid -> Pbtree.create rvm heap tid ~degree) in
   (rvm, heap, t)
 
@@ -90,12 +91,15 @@ let test_splits () =
   Pbtree.check t;
   Rds.check heap
 
-let test_merges () =
+(* Fill, then remove everything in shuffled order so borrows and merges
+   both fire; every cell must go back to the heap. *)
+let drain ~key () =
   let rvm, heap, t = make_tree () in
+  let empty = Rds.allocated_bytes heap in
   let n = 300 in
   in_txn rvm (fun tid ->
       for i = 0 to n - 1 do
-        Pbtree.put t tid ~key:(key_of i) ~value:(string_of_int i)
+        Pbtree.put t tid ~key:(key i) ~value:(string_of_int i)
       done);
   (* Remove in shuffled order so borrows and merges both fire. *)
   let rng = Rng.create ~seed:11L in
@@ -109,7 +113,7 @@ let test_merges () =
   Array.iteri
     (fun at i ->
       check_bool "removed" true
-        (in_txn rvm (fun tid -> Pbtree.remove t tid ~key:(key_of i)));
+        (in_txn rvm (fun tid -> Pbtree.remove t tid ~key:(key i)));
       if at mod 37 = 0 then Pbtree.check t)
     order;
   check_int "empty" 0 (Pbtree.length t);
@@ -120,7 +124,16 @@ let test_merges () =
   Pbtree.check t;
   Rds.check heap;
   (* Everything freed except the header and the one remaining root leaf. *)
-  check_bool "heap drained" true (Rds.free_list_length heap <= 2)
+  check_bool "heap drained" true (Rds.free_list_length heap <= 2);
+  check_int "every cell freed" empty (Rds.allocated_bytes heap)
+
+let test_merges = drain ~key:key_of
+
+(* Every other key overflows its slot. Each separator owns its own cell,
+   so the drain frees every overflow cell exactly once. *)
+let test_overflow_keys_drain =
+  drain ~key:(fun i ->
+      if i mod 2 = 1 then key_of i ^ String.make 16 '+' else key_of i)
 
 let test_replace () =
   let rvm, heap, t = make_tree () in
@@ -243,6 +256,166 @@ let test_empty_and_attach_errors () =
   | exception Types.Rvm_error _ -> ()
   | _ -> Alcotest.fail "degree 1 should be rejected"
 
+(* A put on a present key replaces its value pointer and nothing else:
+   no split, and every key's leaf stays where it was, even in a full leaf
+   or under a full root. The server's leaf locks rely on it. *)
+let updates_in_place what (rvm, heap, t) keys =
+  let s = Pbtree.stats t in
+  s.Pbtree.splits <- 0;
+  let leaves = List.map (fun key -> Pbtree.leaf_addr t ~key) keys in
+  in_txn rvm (fun tid ->
+      List.iter (fun key -> Pbtree.put t tid ~key ~value:("new " ^ key)) keys);
+  check_int (what ^ ": splits") 0 s.Pbtree.splits;
+  List.iter2
+    (fun key leaf ->
+      check_int (what ^ ": leaf of " ^ key) leaf (Pbtree.leaf_addr t ~key);
+      check_opt (what ^ ": value of " ^ key) (Some ("new " ^ key))
+        (Pbtree.get t ~key))
+    keys leaves;
+  Pbtree.check t;
+  Rds.check heap
+
+let distinct_leaves t keys =
+  List.length
+    (List.sort_uniq compare (List.map (fun key -> Pbtree.leaf_addr t ~key) keys))
+
+let test_update_never_splits () =
+  (* Degree 2: three keys fill the root leaf. *)
+  let ((rvm, _, t) as w) = make_tree () in
+  in_txn rvm (fun tid ->
+      List.iter (fun key -> Pbtree.put t tid ~key ~value:"0") [ "a"; "b"; "c" ]);
+  updates_in_place "full root leaf" w [ "c"; "a"; "b" ];
+  (* Ascending inserts of eight keys leave a root of three separators (full
+     at degree 2) over four leaves. *)
+  let ((rvm, _, t) as w) = make_tree () in
+  let keys = List.init 8 key_of in
+  in_txn rvm (fun tid ->
+      List.iter (fun key -> Pbtree.put t tid ~key ~value:"0") keys);
+  check_int "four leaves under the root" 4 (distinct_leaves t keys);
+  updates_in_place "under a full root" w keys
+
+(* --- the bottom-up loader --- *)
+
+(* Every third key is 25 bytes long, so loaded leaves and separators hold
+   overflow keys too. *)
+let load_key i = if i mod 3 = 0 then key_of i ^ String.make 20 '-' else key_of i
+let load_entries n = Array.init n (fun i -> (load_key i, "v" ^ string_of_int i))
+
+(* Entries per leaf, in key order. *)
+let leaf_sizes t =
+  let sizes = ref [] and leaf = ref 0 in
+  Pbtree.iter t ~f:(fun ~key ~value:_ ->
+      let a = Pbtree.leaf_addr t ~key in
+      match !sizes with
+      | k :: rest when a = !leaf -> sizes := (k + 1) :: rest
+      | l ->
+        leaf := a;
+        sizes := 1 :: l);
+  List.rev !sizes
+
+let test_load_packed () =
+  List.iter
+    (fun (degree, n) ->
+      let what = Printf.sprintf "degree %d, %d entries" degree n in
+      let rvm, heap, t = make_tree ~degree () in
+      let entries = load_entries n in
+      Pbtree.load t ~count:n (Array.get entries);
+      Alcotest.(check (list (pair string string)))
+        (what ^ ": contents") (Array.to_list entries) (contents t);
+      check_int (what ^ ": length") n (Pbtree.length t);
+      Pbtree.check t;
+      Rds.check heap;
+      (* Every leaf is full but the last two, which share their entries so
+         that each holds at least d-1. *)
+      let sizes = leaf_sizes t in
+      let leaves = List.length sizes in
+      List.iteri
+        (fun i k ->
+          if i < leaves - 2 then check_int (what ^ ": packed leaf") ((2 * degree) - 1) k
+          else if leaves > 1 then
+            check_bool (what ^ ": last leaves hold d-1") true (k >= degree - 1))
+        sizes;
+      (* A loaded tree takes inserts, updates and removes like any other. *)
+      in_txn rvm (fun tid ->
+          Pbtree.put t tid ~key:(key_of 1 ^ "x") ~value:"inserted";
+          Pbtree.put t tid ~key:(load_key 0) ~value:"updated";
+          ignore (Pbtree.remove t tid ~key:(load_key (max 1 (n - 1)))));
+      check_opt (what ^ ": updated") (Some "updated") (Pbtree.get t ~key:(load_key 0));
+      Pbtree.check t;
+      Rds.check heap)
+    [ (2, 1); (2, 3); (2, 4); (2, 7); (2, 100); (3, 6); (3, 11); (3, 333); (8, 2000) ]
+
+let committed rvm = (Rvm.stats rvm).Statistics.txns_committed
+
+let test_load_batched () =
+  let rvm, heap, t = make_tree ~degree:8 ~heap_len:(192 * ps) () in
+  let n = 6_000 in
+  let before = committed rvm in
+  Pbtree.load t ~count:n (fun i -> (key_of i, ""));
+  check_bool "several transactions" true (committed rvm - before >= 3);
+  check_int "length" n (Pbtree.length t);
+  check_opt "last" (Some "") (Pbtree.get t ~key:(key_of (n - 1)));
+  Pbtree.check t;
+  Rds.check heap
+
+(* A load that dies after its first commit, then a crash: the tree
+   recovers as it was, and only the blocks the load allocated remain. *)
+let test_load_crash () =
+  let log_crash = Crash_device.create ~name:"log" ~size:(4 * 1024 * 1024) () in
+  let seg_crash = Crash_device.create ~name:"seg" ~size:(1024 * 1024) () in
+  Rvm.create_log (Crash_device.device log_crash);
+  let resolve _ = Crash_device.device seg_crash in
+  let rvm = Rvm.initialize ~log:(Crash_device.device log_crash) ~resolve () in
+  let base = (Rvm.map rvm ~seg:1 ~seg_off:0 ~len:heap_len ()).Region.vaddr in
+  let heap, t =
+    in_txn rvm (fun tid ->
+        let heap = Rds.init rvm tid ~base ~len:heap_len in
+        (heap, Pbtree.create rvm heap tid ~degree:2))
+  in
+  let allocated = Rds.allocated_bytes heap in
+  let before = committed rvm in
+  (match
+     Pbtree.load t ~count:3_000 (fun i ->
+         if i = 2_500 then raise Exit;
+         (key_of i, "v"))
+   with
+  | () -> Alcotest.fail "the load should have stopped"
+  | exception Exit -> ());
+  check_bool "a load transaction committed" true (committed rvm - before >= 2);
+  check_int "unchanged after the stopped load" 0 (Pbtree.length t);
+  Pbtree.check t;
+  (* Make the load's commits durable, then crash. *)
+  Rvm.flush rvm;
+  Crash_device.crash log_crash;
+  Crash_device.crash seg_crash;
+  let rvm2 = Rvm.initialize ~log:(Crash_device.device log_crash) ~resolve () in
+  ignore (Rvm.map rvm2 ~vaddr:base ~seg:1 ~seg_off:0 ~len:heap_len ());
+  let heap2 = Rds.attach rvm2 ~base in
+  let t2 = Pbtree.attach rvm2 heap2 ~addr:(Pbtree.address t) in
+  Pbtree.check t2;
+  Rds.check heap2;
+  check_int "recovered as it was" 0 (Pbtree.length t2);
+  check_opt "no loaded key" None (Pbtree.get t2 ~key:(key_of 0));
+  check_bool "the load's blocks leaked" true (Rds.allocated_bytes heap2 > allocated);
+  (* The recovered tree loads again. *)
+  Pbtree.load t2 ~count:50 (fun i -> (key_of i, "again"));
+  check_int "reloaded" 50 (Pbtree.length t2);
+  Pbtree.check t2;
+  Rds.check heap2
+
+let test_load_rejects () =
+  let rvm, heap, t = make_tree () in
+  (match Pbtree.load t ~count:10 (fun i -> (key_of (i mod 5), "v")) with
+  | () -> Alcotest.fail "a repeated key was accepted"
+  | exception Types.Rvm_error _ -> ());
+  check_int "unchanged" 0 (Pbtree.length t);
+  Pbtree.check t;
+  Rds.check heap;
+  in_txn rvm (fun tid -> Pbtree.put t tid ~key:"a" ~value:"1");
+  match Pbtree.load t ~count:1 (fun _ -> ("b", "2")) with
+  | () -> Alcotest.fail "a load into a non-empty tree was accepted"
+  | exception Types.Rvm_error _ -> ()
+
 (* --- qcheck model check (with crash-recover-reattach mid-sequence) ---
 
    Random interleaved put/remove/range/abort sequences against
@@ -255,6 +428,13 @@ type mop =
   | Remove of int
   | Range of int * int
   | Abort of int * int
+
+(* Keys are drawn by index: an even index is a 5-byte key, and an odd one
+   carries a suffix that makes it 15 to 21 bytes long. So the longest
+   inline key and overflow keys interleave with short ones, and overflow
+   cells run through splits, merges, borrows, aborts and the crash. *)
+let model_key k =
+  if k land 1 = 0 then key_of k else key_of k ^ String.make (10 + (k mod 7)) '.'
 
 let mop_gen =
   QCheck.Gen.(
@@ -305,7 +485,7 @@ let run_model_sequence ops =
   in
   let model = ref SMap.empty in
   let total = List.length ops in
-  let kof i = key_of i and vof v = Printf.sprintf "v%d" v in
+  let kof = model_key and vof v = Printf.sprintf "v%d" v in
   List.iteri
     (fun at op ->
       (match op with
@@ -362,5 +542,11 @@ let suite =
     ("btree.abort", `Quick, test_abort_rollback);
     ("btree.crash", `Quick, test_crash_recovery);
     ("btree.empty-attach", `Quick, test_empty_and_attach_errors);
+    ("btree.update-never-splits", `Quick, test_update_never_splits);
+    ("btree.overflow-keys-drain", `Quick, test_overflow_keys_drain);
+    ("btree.load-packed", `Quick, test_load_packed);
+    ("btree.load-batched", `Quick, test_load_batched);
+    ("btree.load-crash", `Quick, test_load_crash);
+    ("btree.load-rejects", `Quick, test_load_rejects);
     QCheck_alcotest.to_alcotest prop_model;
   ]
