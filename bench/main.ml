@@ -112,14 +112,14 @@ let micro () =
     Test.make ~name:"record-decode-256B"
       (Staged.stage (fun () -> ignore (Rvm_log.Record.decode encoded ~pos:0)))
   in
-  let iv = ref Rvm_util.Intervals.empty in
+  let iv = Rvm_util.Intervals.create () in
   let counter4 = ref 0 in
   let test_intervals =
     Test.make ~name:"intervals-add"
       (Staged.stage (fun () ->
            incr counter4;
-           if !counter4 mod 4096 = 0 then iv := Rvm_util.Intervals.empty;
-           iv := Rvm_util.Intervals.add !iv ~lo:(!counter4 * 7 mod 100_000) ~len:64))
+           if !counter4 mod 4096 = 0 then Rvm_util.Intervals.clear iv;
+           Rvm_util.Intervals.add iv ~lo:(!counter4 * 7 mod 100_000) ~len:64))
   in
   (* A 64-record drain of ~352 B records, forced: byte-granular dirty
      tracking (sector 1), as on every log stack. *)

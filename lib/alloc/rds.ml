@@ -1,7 +1,9 @@
 module Rvm = Rvm_core.Rvm
 module Types = Rvm_core.Types
 
-type t = { rvm : Rvm.t; base : int; len : int }
+(* [word] is scratch for word reads: each read copies into it and decodes
+   there, so no [int64] is boxed. *)
+type t = { rvm : Rvm.t; base : int; len : int; word : Bytes.t }
 
 let magic = 0x52564D52445348L (* "RVMRDSH" *)
 let hdr_magic = 0
@@ -12,7 +14,9 @@ let heap_header = 32
 let overhead = 16 (* block header + footer *)
 let min_block = 32
 
-let getw t addr = Int64.to_int (Rvm.get_i64 t.rvm ~addr)
+let getw t addr =
+  Rvm.read_into t.rvm ~addr ~len:8 t.word ~pos:0;
+  Int64.to_int (Bytes.get_int64_le t.word 0)
 
 let setw t tid addr v =
   Rvm.set_range t.rvm tid ~addr ~len:8;
@@ -68,7 +72,7 @@ let init rvm tid ~base ~len =
   if len < heap_header + min_block then
     Types.error "rds: heap of %d bytes is too small" len;
   let len = len land lnot 7 in
-  let t = { rvm; base; len } in
+  let t = { rvm; base; len; word = Bytes.create 8 } in
   setw t tid (base + hdr_magic) (Int64.to_int magic);
   setw t tid (base + hdr_len) len;
   setw t tid (base + hdr_free) 0;
@@ -79,7 +83,7 @@ let init rvm tid ~base ~len =
   t
 
 let attach rvm ~base =
-  let t = { rvm; base; len = 0 } in
+  let t = { rvm; base; len = 0; word = Bytes.create 8 } in
   if getw t (base + hdr_magic) <> Int64.to_int magic then
     Types.error "rds: no heap at %#x" base;
   { t with len = getw t (base + hdr_len) }

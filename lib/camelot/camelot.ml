@@ -152,17 +152,16 @@ let find_txn t tid =
   | Some txn -> txn
   | None -> Types.error "camelot: unknown transaction %d" tid
 
-let covered_of txn region =
+(* The transaction's covered set for [region], created on first use. *)
+let covered_of txn (region : Region.t) =
   match
     List.find_opt (fun (r, _) -> r.Region.vaddr = region.Region.vaddr) txn.covered
   with
   | Some (_, iv) -> iv
-  | None -> Intervals.empty
-
-let set_covered txn (region : Region.t) iv =
-  txn.covered <-
-    (region, iv)
-    :: List.filter (fun (r, _) -> r.Region.vaddr <> region.Region.vaddr) txn.covered
+  | None ->
+    let iv = Intervals.create () in
+    txn.covered <- (region, iv) :: txn.covered;
+    iv
 
 let set_range t tid ~addr ~len =
   let txn = find_txn t tid in
@@ -182,16 +181,11 @@ let set_range t tid ~addr ~len =
         | None -> ()
       end);
   (* Old values for abort, first coverage only. *)
-  let gaps, covered =
-    Intervals.add_uncovered (covered_of txn region) ~lo:region_off ~len
-  in
-  set_covered txn region covered;
-  List.iter
-    (fun (lo, glen) ->
-      txn.saved <- (region, lo, Bytes.sub region.Region.buf lo glen) :: txn.saved;
+  Intervals.add_uncovered (covered_of txn region) ~lo:region_off ~len
+    ~f:(fun ~lo ~len ->
+      txn.saved <- (region, lo, Bytes.sub region.Region.buf lo len) :: txn.saved;
       Clock.charge_cpu t.clock
-        (float_of_int glen *. t.model.Cost_model.cpu_per_byte_copy_us))
-    gaps;
+        (float_of_int len *. t.model.Cost_model.cpu_per_byte_copy_us));
   txn.calls <- (region, region_off, len) :: txn.calls
 
 let load t ~addr ~len =

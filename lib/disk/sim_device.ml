@@ -11,7 +11,7 @@ type t = {
      runs. A write is one interval insertion, so a streak of sequential
      appends stays a single run (one force) while scattered page writes
      cost one positioning delay per run of pages. *)
-  mutable dirty : Intervals.t;
+  dirty : Intervals.t;
   mutable ios : int;
   mutable busy : float;
   mutable free_at : float;
@@ -30,11 +30,17 @@ let charge t us =
   Clock.charge_io t.clock us;
   t.free_at <- Clock.now_us t.clock
 
-(* Run lengths, highest start first. The charge order fixes the float sums
-   of [busy] and the clock, so it must not change or every simulated
-   artifact moves in its last bits. *)
-let sweep_lengths t =
-  Intervals.fold t.dirty ~init:[] ~f:(fun acc ~lo:_ ~len -> len :: acc)
+(* One disk access per dirty run, highest start first. The charge order
+   fixes the float sums of [busy] and the clock, so it must not change or
+   every simulated artifact moves in its last bits. *)
+let sweep t =
+  for i = Intervals.interval_count t.dirty - 1 downto 0 do
+    t.ios <- t.ios + 1;
+    charge t
+      (Cost_model.disk_service_us t.disk ~seek_fraction:t.seek_fraction
+         ~bytes:(Intervals.len_at t.dirty i * t.sector) ())
+  done;
+  Intervals.clear t.dirty
 
 (* A latency-charging combinator instance over [base]: forwards every
    operation, then charges the simulated clock what a 1993 disk would
@@ -46,7 +52,7 @@ let create ?(seek_fraction = 1.0) ?(sector = 1) ~base ~clock ~disk () =
       disk;
       seek_fraction;
       sector;
-      dirty = Intervals.empty;
+      dirty = Intervals.create ();
       ios = 0;
       busy = 0.;
       free_at = 0.;
@@ -67,19 +73,11 @@ let create ?(seek_fraction = 1.0) ?(sector = 1) ~base ~clock ~disk () =
         if len > 0 then begin
           let first = off / t.sector in
           let last = (off + len - 1) / t.sector in
-          t.dirty <- Intervals.add t.dirty ~lo:first ~len:(last - first + 1)
+          Intervals.add t.dirty ~lo:first ~len:(last - first + 1)
         end)
       ~sync:(fun b ->
         b.Device.sync ();
-        List.iter
-          (fun slen ->
-            t.ios <- t.ios + 1;
-            charge t
-              (Cost_model.disk_service_us t.disk
-                 ~seek_fraction:t.seek_fraction
-                 ~bytes:(slen * t.sector) ()))
-          (sweep_lengths t);
-        t.dirty <- Intervals.empty)
+        sweep t)
       base;
   t
 

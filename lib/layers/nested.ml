@@ -9,7 +9,7 @@ type level = {
   parent : ntid option;
   rvm_tid : Rvm.tid;  (* the top-level RVM transaction this belongs to *)
   depth : int;
-  mutable covered : Intervals.t;  (* vaddr intervals declared at this level *)
+  covered : Intervals.t;  (* vaddr intervals declared at this level *)
   mutable undo : (int * Bytes.t) list;  (* (addr, old value), newest first *)
   mutable child : ntid option;
   mutable alive : bool;
@@ -43,7 +43,7 @@ let begin_top t =
       parent = None;
       rvm_tid;
       depth = 0;
-      covered = Intervals.empty;
+      covered = Intervals.create ();
       undo = [];
       child = None;
       alive = true;
@@ -62,7 +62,7 @@ let begin_nested t ~parent =
       parent = Some parent;
       rvm_tid = p.rvm_tid;
       depth = p.depth + 1;
-      covered = Intervals.empty;
+      covered = Intervals.create ();
       undo = [];
       child = None;
       alive = true;
@@ -81,12 +81,8 @@ let set_range t id ~addr ~len =
   require_leaf l;
   (* Save this level's undo data for the newly covered bytes only, then
      forward to RVM so the eventual top-level commit logs them. *)
-  let gaps, covered = Intervals.add_uncovered l.covered ~lo:addr ~len in
-  l.covered <- covered;
-  List.iter
-    (fun (lo, glen) ->
-      l.undo <- (lo, Rvm.load t.rvm ~addr:lo ~len:glen) :: l.undo)
-    gaps;
+  Intervals.add_uncovered l.covered ~lo:addr ~len ~f:(fun ~lo ~len ->
+      l.undo <- (lo, Rvm.load t.rvm ~addr:lo ~len) :: l.undo);
   Rvm.set_range t.rvm l.rvm_tid ~addr ~len
 
 let modify t id ~addr bytes =
@@ -112,15 +108,10 @@ let commit t id ?(mode = Types.Flush) () =
     List.iter
       (fun (addr, old_value) ->
         let len = Bytes.length old_value in
-        let gaps, covered =
-          Intervals.add_uncovered parent.covered ~lo:addr ~len
-        in
-        parent.covered <- covered;
-        List.iter
-          (fun (lo, glen) ->
+        Intervals.add_uncovered parent.covered ~lo:addr ~len
+          ~f:(fun ~lo ~len ->
             parent.undo <-
-              (lo, Bytes.sub old_value (lo - addr) glen) :: parent.undo)
-          gaps)
+              (lo, Bytes.sub old_value (lo - addr) len) :: parent.undo))
       (List.rev l.undo));
   finish t l
 

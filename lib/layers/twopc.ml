@@ -11,7 +11,7 @@ type branch_state = Active | Prepared
 
 type branch = {
   mutable tid : Rvm.tid;
-  mutable covered : Intervals.t;
+  covered : Intervals.t;
   mutable compensation : (int * Bytes.t) list;  (* (addr, old value) *)
   mutable state : branch_state;
 }
@@ -45,7 +45,7 @@ let sub_begin s gid =
     Types.error "2pc[%s]: branch %S already active" s.s_name gid;
   let tid = Rvm.begin_transaction s.s_rvm ~mode:Types.Restore in
   Hashtbl.add s.branches gid
-    { tid; covered = Intervals.empty; compensation = []; state = Active }
+    { tid; covered = Intervals.create (); compensation = []; state = Active }
 
 let sub_modify s gid ~addr bytes =
   let b = branch s gid in
@@ -54,12 +54,8 @@ let sub_modify s gid ~addr bytes =
   let len = Bytes.length bytes in
   (* Compensation data: the old value of each newly covered byte — the
      old-value records the paper proposes end_transaction should return. *)
-  let gaps, covered = Intervals.add_uncovered b.covered ~lo:addr ~len in
-  b.covered <- covered;
-  List.iter
-    (fun (lo, glen) ->
-      b.compensation <- (lo, Rvm.load s.s_rvm ~addr:lo ~len:glen) :: b.compensation)
-    gaps;
+  Intervals.add_uncovered b.covered ~lo:addr ~len ~f:(fun ~lo ~len ->
+      b.compensation <- (lo, Rvm.load s.s_rvm ~addr:lo ~len) :: b.compensation);
   Rvm.modify s.s_rvm b.tid ~addr bytes
 
 let sub_prepare s gid =

@@ -60,6 +60,24 @@ let encoded_size t =
 let wrap_size = header_size + trailer_size
 let data_bytes t = List.fold_left (fun a r -> a + Bytes.length r.data) 0 t.ranges
 
+(* The range headers and data, each header's rev field pointing back to
+   [prev_start], the previous header (0: the record header). *)
+let rec encode_ranges b ~rec_start ~prev_start = function
+  | [] -> ()
+  | r :: rest ->
+    let start = B.length b - rec_start in
+    let len = Bytes.length r.data in
+    B.u32 b range_magic;
+    B.u32 b (range_header_size + len);
+    (* fwd: to next range header (or trailer) *)
+    B.u32 b (start - prev_start);
+    (* rev: back to previous range header (record header for the first) *)
+    B.int b r.seg;
+    B.int b r.off;
+    B.u32 b len;
+    B.bytes b r.data ~pos:0 ~len;
+    encode_ranges b ~rec_start ~prev_start:start rest
+
 (* Vectored encoding: append the wire image directly onto [b] (after
    whatever it already holds), so a spooled append copies each range
    exactly once — region buffer into the spool — with no intermediate
@@ -71,28 +89,13 @@ let encode_into ?seqno b t =
   let total = encoded_size t in
   B.u32 b record_magic;
   B.u8 b (kind_code t.kind);
-  B.u64 b (Int64.of_int seqno);
-  B.u64 b (Int64.of_int t.tid);
-  B.u64 b (Int64.of_int t.timestamp_us);
+  B.int b seqno;
+  B.int b t.tid;
+  B.int b t.timestamp_us;
   B.u16 b t.flags;
   B.u32 b (List.length t.ranges);
   B.u32 b t.pad;
-  let prev_start = ref 0 in
-  List.iter
-    (fun r ->
-      let start = B.length b - rec_start in
-      let len = Bytes.length r.data in
-      B.u32 b range_magic;
-      B.u32 b (range_header_size + len);
-      (* fwd: to next range header (or trailer) *)
-      B.u32 b (start - !prev_start);
-      (* rev: back to previous range header (record header for the first) *)
-      B.u64 b (Int64.of_int r.seg);
-      B.u64 b (Int64.of_int r.off);
-      B.u32 b len;
-      B.bytes b r.data ~pos:0 ~len;
-      prev_start := start)
-    t.ranges;
+  encode_ranges b ~rec_start ~prev_start:0 t.ranges;
   for _ = 1 to t.pad do
     B.u8 b 0
   done;
@@ -100,7 +103,7 @@ let encode_into ?seqno b t =
   let crc = B.checksum b ~pos:rec_start ~len:body_len in
   B.i32 b crc;
   B.u32 b total;
-  B.u64 b (Int64.of_int seqno);
+  B.int b seqno;
   B.u32 b end_magic;
   assert (B.length b - rec_start = total)
 

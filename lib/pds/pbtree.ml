@@ -33,7 +33,17 @@ module Rds = Rvm_alloc.Rds
 
 type stats = { mutable splits : int; mutable merges : int; mutable borrows : int }
 
-type t = { rvm : Rvm.t; heap : Rds.t; addr : int; deg : int; stats : stats }
+(* [buf] is scratch for word and key-slot reads: each read copies into it
+   and decodes or compares there, so a read boxes no [int64] and a probe
+   builds no key string. *)
+type t = {
+  rvm : Rvm.t;
+  heap : Rds.t;
+  addr : int;
+  deg : int;
+  stats : stats;
+  buf : Bytes.t;
+}
 
 let magic = 0x52564D4254524532L (* "RVMBTRE2" *)
 let header_size = 32
@@ -43,7 +53,9 @@ let slot_size = 16
 let inline_max = slot_size - 1
 let overflow_tag = 0xFF
 
-let getw t addr = Int64.to_int (Rvm.get_i64 t.rvm ~addr)
+let getw t addr =
+  Rvm.read_into t.rvm ~addr ~len:8 t.buf ~pos:0;
+  Int64.to_int (Bytes.get_int64_le t.buf 0)
 
 let setw t tid addr v =
   Rvm.set_range t.rvm tid ~addr ~len:8;
@@ -73,7 +85,12 @@ let set_ptr t tid n i c = setw t tid (ptr_slot t n i) c
 
 let cell_string t c =
   let len = getw t c in
-  if len = 0 then "" else Bytes.to_string (Rvm.load t.rvm ~addr:(c + 8) ~len)
+  if len = 0 then ""
+  else begin
+    let b = Bytes.create len in
+    Rvm.read_into t.rvm ~addr:(c + 8) ~len b ~pos:0;
+    Bytes.unsafe_to_string b
+  end
 
 let alloc_cell t tid s =
   let len = String.length s in
@@ -89,12 +106,36 @@ let free_cell t tid c = Rds.free t.heap tid c
 
 (* --- key slots --- *)
 
+(* Read key slot [i] of [n] into [t.buf]; its byte 0, the key length or
+   [overflow_tag], is returned. *)
+let read_slot t n i =
+  Rvm.read_into t.rvm ~addr:(key_slot t n i) ~len:slot_size t.buf ~pos:0;
+  Bytes.get_uint8 t.buf 0
+
+(* The overflow cell of the slot just read. *)
+let read_cell t = Int64.to_int (Bytes.get_int64_le t.buf 8)
+
 let node_key t n i =
-  let b = Rvm.load t.rvm ~addr:(key_slot t n i) ~len:slot_size in
-  let len = Bytes.get_uint8 b 0 in
-  if len = overflow_tag then
-    cell_string t (Int64.to_int (Bytes.get_int64_le b 8))
-  else Bytes.sub_string b 1 len
+  let len = read_slot t n i in
+  if len = overflow_tag then cell_string t (read_cell t)
+  else Bytes.sub_string t.buf 1 len
+
+(* [String.compare (node_key t n i) key], comparing an inline key in place:
+   bytes in order, then length. It makes the same reads as [node_key]. *)
+let compare_key t n i key =
+  let len = read_slot t n i in
+  if len = overflow_tag then String.compare (cell_string t (read_cell t)) key
+  else begin
+    let klen = String.length key in
+    let m = if len < klen then len else klen in
+    let j = ref 0 in
+    while !j < m && Bytes.get t.buf (1 + !j) = String.unsafe_get key !j do
+      incr j
+    done;
+    if !j < m then
+      Char.code (Bytes.get t.buf (1 + !j)) - Char.code (String.unsafe_get key !j)
+    else len - klen
+  end
 
 let overflow_cell t n i =
   let a = key_slot t n i in
@@ -121,10 +162,11 @@ let write_key t tid n i key =
    must stop being live. *)
 let move_key t tid src i dst j =
   let s = key_slot t src i and d = key_slot t dst j in
-  let w0 = Rvm.get_i64 t.rvm ~addr:s and w1 = Rvm.get_i64 t.rvm ~addr:(s + 8) in
+  Rvm.read_into t.rvm ~addr:s ~len:8 t.buf ~pos:0;
+  Rvm.read_into t.rvm ~addr:(s + 8) ~len:8 t.buf ~pos:8;
   Rvm.set_range t.rvm tid ~addr:d ~len:slot_size;
-  Rvm.set_i64 t.rvm ~addr:d w0;
-  Rvm.set_i64 t.rvm ~addr:(d + 8) w1
+  Rvm.set_i64 t.rvm ~addr:d (Bytes.get_int64_le t.buf 0);
+  Rvm.set_i64 t.rvm ~addr:(d + 8) (Bytes.get_int64_le t.buf 8)
 
 (* Copy key [i] of [src] to key [j] of [dst], giving the copy an overflow
    cell of its own: both slots stay live. *)
@@ -147,7 +189,10 @@ let fresh_stats () = { splits = 0; merges = 0; borrows = 0 }
 let create rvm heap tid ~degree =
   if degree < 2 then Types.error "pbtree: minimum degree %d < 2" degree;
   let addr = Rds.alloc heap tid ~size:header_size in
-  let t = { rvm; heap; addr; deg = degree; stats = fresh_stats () } in
+  let t =
+    { rvm; heap; addr; deg = degree; stats = fresh_stats ();
+      buf = Bytes.create slot_size }
+  in
   setw t tid addr (Int64.to_int magic);
   setw t tid (addr + 24) degree;
   let r = alloc_node t tid ~leaf:true in
@@ -156,22 +201,27 @@ let create rvm heap tid ~degree =
   t
 
 let attach rvm heap ~addr =
-  let t = { rvm; heap; addr; deg = 2; stats = fresh_stats () } in
+  let t =
+    { rvm; heap; addr; deg = 2; stats = fresh_stats ();
+      buf = Bytes.create slot_size }
+  in
   if getw t addr <> Int64.to_int magic then
     Types.error "pbtree: no tree at %#x" addr;
   { t with deg = getw t (addr + 24) }
 
 (* First index in [0, nkeys) whose key is >= [key], flagging an exact hit. *)
-(* Both searches are binary: each comparison reads a key slot through the
-   engine (address-space lookup, paging-simulator touch), so the cost of a
-   probe is an engine round-trip, not a string compare. *)
+(* Both searches are binary. Each comparison reads a key slot through the
+   engine (address-space lookup, paging-simulator touch) into the handle's
+   scratch buffer and compares an inline key there, so a probe costs an
+   engine round trip and allocates nothing; only an overflow key is
+   built as a string. *)
 let leaf_find t n ~key =
   let lo = ref 0 and hi = ref (nkeys t n) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if compare (node_key t n mid) key < 0 then lo := mid + 1 else hi := mid
+    if compare_key t n mid key < 0 then lo := mid + 1 else hi := mid
   done;
-  (!lo, !lo < nkeys t n && node_key t n !lo = key)
+  (!lo, !lo < nkeys t n && compare_key t n !lo key = 0)
 
 (* Child to descend into: separator i is the least key of child i+1's
    subtree, so keys >= separator route right. *)
@@ -179,7 +229,7 @@ let child_index t n ~key =
   let lo = ref 0 and hi = ref (nkeys t n) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if compare key (node_key t n mid) < 0 then hi := mid else lo := mid + 1
+    if compare_key t n mid key > 0 then hi := mid else lo := mid + 1
   done;
   !lo
 
@@ -264,7 +314,7 @@ let rec insert_nonfull t tid n ~key ~value =
     let ci =
       if nkeys t (ptr t n ci) = max_keys t then begin
         split_child t tid n ci;
-        if compare key (node_key t n ci) >= 0 then ci + 1 else ci
+        if compare_key t n ci key <= 0 then ci + 1 else ci
       end
       else ci
     in

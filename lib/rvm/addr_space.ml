@@ -5,16 +5,22 @@ type t = {
   mutable by_vaddr : Region.t M.t;
   mutable ordered : Region.t list;
       (* [by_vaddr]'s regions in order, rebuilt on map and unmap so every
-         drained record's page bookkeeping reads it without allocating *)
+         drained record's page bookkeeping and every lookup miss reads it
+         without allocating *)
+  mutable last : Region.t option;
+      (* the region the last lookup found, checked first by the next; reset
+         on map and unmap, so it is always a mapped region *)
 }
 
-let create ~page_size = { page_size; by_vaddr = M.empty; ordered = [] }
+let create ~page_size =
+  { page_size; by_vaddr = M.empty; ordered = []; last = None }
 
 let page_size t = t.page_size
 
 let set t by_vaddr =
   t.by_vaddr <- by_vaddr;
-  t.ordered <- List.map snd (M.bindings by_vaddr)
+  t.ordered <- List.map snd (M.bindings by_vaddr);
+  t.last <- None
 
 let overlaps a_lo a_len b_lo b_len = a_lo < b_lo + b_len && b_lo < a_lo + a_len
 
@@ -53,10 +59,24 @@ let add t (r : Region.t) =
 
 let remove t (r : Region.t) = set t (M.remove r.Region.vaddr t.by_vaddr)
 
+let holds (r : Region.t) addr = r.Region.vaddr <= addr && addr < Region.end_vaddr r
+
+(* The region holding [addr] among [regions], which ascend by vaddr. *)
+let rec walk t addr = function
+  | [] -> None
+  | (r : Region.t) :: rest ->
+    if addr < r.Region.vaddr then None
+    else if addr < Region.end_vaddr r then begin
+      let hit = Some r in
+      t.last <- hit;
+      hit
+    end
+    else walk t addr rest
+
 let find_opt t ~addr =
-  match M.find_last_opt (fun v -> v <= addr) t.by_vaddr with
-  | Some (_, r) when addr < Region.end_vaddr r -> Some r
-  | _ -> None
+  match t.last with
+  | Some r as hit when holds r addr -> hit
+  | _ -> walk t addr t.ordered
 
 let find t ~addr ~len =
   match find_opt t ~addr with

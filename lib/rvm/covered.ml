@@ -21,11 +21,13 @@ let of_parts parts =
   let k = ref 0 in
   List.iter
     (fun (seg, base, iv) ->
-      Intervals.iter iv ~f:(fun ~lo ~len ->
-          a.(!k) <- seg;
-          a.(!k + 1) <- base + lo;
-          a.(!k + 2) <- base + lo + len;
-          k := !k + 3))
+      for i = 0 to Intervals.interval_count iv - 1 do
+        let lo = base + Intervals.lo_at iv i in
+        a.(!k) <- seg;
+        a.(!k + 1) <- lo;
+        a.(!k + 2) <- lo + Intervals.len_at iv i;
+        k := !k + 3
+      done)
     parts;
   (* Insertion sort: the parts usually arrive in order already, and a
      transaction touches a handful of intervals. *)

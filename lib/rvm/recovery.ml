@@ -67,23 +67,19 @@ let plan_live ?before_seqno ?(intent_decision = fun _ -> `Abort) log =
     List.iter
       (fun (range : Record.range) ->
         if not (Pcommit.is_control range) then begin
-          let len = Bytes.length range.Record.data in
-          let cur =
-            Option.value
-              (Hashtbl.find_opt covered range.Record.seg)
-              ~default:Intervals.empty
+          let seg = range.Record.seg and off = range.Record.off in
+          let cov =
+            match Hashtbl.find_opt covered seg with
+            | Some cov -> cov
+            | None ->
+              let cov = Intervals.create () in
+              Hashtbl.add covered seg cov;
+              cov
           in
-          let gaps, cov =
-            Intervals.add_uncovered cur ~lo:range.Record.off ~len
-          in
-          Hashtbl.replace covered range.Record.seg cov;
-          List.iter
-            (fun (lo, glen) ->
-              let data =
-                Bytes.sub range.Record.data (lo - range.Record.off) glen
-              in
-              writes := (range.Record.seg, lo, data) :: !writes)
-            gaps
+          Intervals.add_uncovered cov ~lo:off
+            ~len:(Bytes.length range.Record.data) ~f:(fun ~lo ~len ->
+              let data = Bytes.sub range.Record.data (lo - off) len in
+              writes := (seg, lo, data) :: !writes)
         end)
       ranges
   in

@@ -6,7 +6,6 @@ module Pcommit = Rvm_log.Pcommit
 module Intervals = Rvm_util.Intervals
 module Clock = Rvm_util.Clock
 module Cost_model = Rvm_util.Cost_model
-module Page = Rvm_vm.Page
 module Page_table = Rvm_vm.Page_table
 module Vm_sim = Rvm_vm.Vm_sim
 module Registry = Rvm_obs.Registry
@@ -116,26 +115,30 @@ let find_txn t tid =
 
 let vm_touch t (region : Region.t) ~region_off ~len ~write =
   match t.vm with
-  | None -> ()
-  | Some vm ->
-    Page.iter_pages ~page_size:region.Region.page_size ~off:region_off ~len
-      ~f:(fun p ->
-        Vm_sim.touch vm ~page:(Region.vm_page region ~region_page:p) ~write)
+  | Some vm when len > 0 ->
+    let ps = region.Region.page_size in
+    for p = region_off / ps to (region_off + len - 1) / ps do
+      Vm_sim.touch vm ~page:(Region.vm_page region ~region_page:p) ~write
+    done
+  | _ -> ()
 
 (* A transaction holds one uncommitted reference on every page its covered
    intervals reach, however many of them a page holds. *)
-let release_page_refs regions =
-  List.iter
-    (fun (pr : Txn.per_region) ->
-      let region = pr.Txn.region in
-      let ps = region.Region.page_size in
-      let next = ref 0 in
-      Intervals.iter pr.Txn.covered ~f:(fun ~lo ~len ->
-          for p = max (lo / ps) !next to (lo + len - 1) / ps do
-            Page_table.decr_uncommitted region.Region.pages p
-          done;
-          next := ((lo + len - 1) / ps) + 1))
-    regions
+let rec release_page_refs = function
+  | [] -> ()
+  | (pr : Txn.per_region) :: rest ->
+    let region = pr.Txn.region and iv = pr.Txn.covered in
+    let ps = region.Region.page_size in
+    let next = ref 0 in
+    for i = 0 to Intervals.interval_count iv - 1 do
+      let lo = Intervals.lo_at iv i in
+      let last = (lo + Intervals.len_at iv i - 1) / ps in
+      for p = max (lo / ps) !next to last do
+        Page_table.decr_uncommitted region.Region.pages p
+      done;
+      next := last + 1
+    done;
+    release_page_refs rest
 
 let truncator t =
   match t.trunc with Some tr -> tr | None -> assert false
@@ -146,22 +149,22 @@ let truncator t =
    (no force): append, charge the record's CPU, count its bytes and queue
    the pages its data ranges cover for incremental truncation (control
    ranges cover none). Returns the record's sequence number. *)
+let rec append_record t record ~retried =
+  try Log_manager.append_record t.log record
+  with Log_manager.Log_full ->
+    if retried then
+      Types.error
+        "log full: a single transaction exceeds the log capacity (%d bytes)"
+        (Log_manager.capacity t.log)
+    else begin
+      (* Reclaim space synchronously and retry once — completing any
+         suspended background run first, then a full epoch. *)
+      Truncator.sync_epoch (truncator t);
+      append_record t record ~retried:true
+    end
+
 let log_record t (record : Record.t) ~size =
-  let rec append retried =
-    try Log_manager.append_record t.log record
-    with Log_manager.Log_full ->
-      if retried then
-        Types.error
-          "log full: a single transaction exceeds the log capacity (%d bytes)"
-          (Log_manager.capacity t.log)
-      else begin
-        (* Reclaim space synchronously and retry once — completing any
-           suspended background run first, then a full epoch. *)
-        Truncator.sync_epoch (truncator t);
-        append true
-      end
-  in
-  let log_off, seqno = append false in
+  let log_off, seqno = append_record t record ~retried:false in
   cpu t (t.model.Cost_model.log_record_us +. checksum_cost t size);
   C.add t.live.Lv.bytes_logged size;
   Truncator.note_logged_ranges (truncator t) ~log_off ~seqno
@@ -394,9 +397,16 @@ let unmap t (region : Region.t) =
 
 (* --- transactions --- *)
 
-let mode_name = function
-  | Types.Restore -> "restore"
-  | Types.No_restore -> "no-restore"
+(* Span attribute values for the modes, built once. *)
+let restore_attr = Trace.String "restore"
+let no_restore_attr = Trace.String "no-restore"
+
+let mode_attr = function
+  | Types.Restore -> restore_attr
+  | Types.No_restore -> no_restore_attr
+
+let flush_attr = Trace.String "flush"
+let no_flush_attr = Trace.String "no-flush"
 
 let begin_transaction t ~mode =
   check_live t;
@@ -407,8 +417,7 @@ let begin_transaction t ~mode =
      causal root for everything a transaction does is the [txn.commit]
      span around [end_transaction]. *)
   Registry.instant t.obs "txn.begin"
-    ~attrs:
-      [ ("txn_id", Trace.Int tid); ("mode", Trace.String (mode_name mode)) ];
+    ~attrs:[ ("txn_id", Trace.Int tid); ("mode", mode_attr mode) ];
   tid
 
 let set_range t tid ~addr ~len =
@@ -420,38 +429,31 @@ let set_range t tid ~addr ~len =
   if len > 0 then begin
     let region = Addr_space.find t.space ~addr ~len in
     let pr = Txn.per_region txn region in
-    let old = pr.Txn.covered in
-    if Intervals.is_empty old then
+    let covered = pr.Txn.covered in
+    if Intervals.is_empty covered then
       region.Region.active_txns <- region.Region.active_txns + 1;
     let region_off = Region.to_region_off region ~addr in
-    pr.Txn.raw_calls <- (region_off, len) :: pr.Txn.raw_calls;
-    (* What an unoptimized implementation would log for this call: one
-       range header plus the full payload. *)
-    pr.Txn.naive_bytes <- pr.Txn.naive_bytes + 32 + len;
+    Txn.add_call pr ~region_off ~len;
     (* Uncommitted reference counts (incremental truncation must not write
        these pages until the transaction resolves): one per page the
-       covered set reaches, so a page gains a reference when the old set
-       had no byte in it. *)
+       covered set reaches, so a page gains a reference when the set had
+       no byte in it before this call. *)
     let ps = region.Region.page_size in
     for p = region_off / ps to (region_off + len - 1) / ps do
-      if
-        Intervals.is_empty old
-        || not (Intervals.inter_nonempty old ~lo:(p * ps) ~len:ps)
-      then Page_table.incr_uncommitted region.Region.pages p
+      if not (Intervals.inter_nonempty covered ~lo:(p * ps) ~len:ps) then
+        Page_table.incr_uncommitted region.Region.pages p
     done;
-    let gaps, covered = Intervals.add_uncovered old ~lo:region_off ~len in
-    pr.Txn.covered <- covered;
     (* Old values are saved only for newly covered bytes: a duplicate
        set_range is harmless (section 5.2). Skipped entirely in no-restore
        mode — "RVM does not have to copy data on a set-range". *)
-    if txn.Txn.mode = Types.Restore then
-      List.iter
-        (fun (lo, glen) ->
-          let old_value = Bytes.sub region.Region.buf lo glen in
+    (match txn.Txn.mode with
+    | Types.No_restore -> Intervals.add covered ~lo:region_off ~len
+    | Types.Restore ->
+      Intervals.add_uncovered covered ~lo:region_off ~len ~f:(fun ~lo ~len ->
+          let old_value = Bytes.sub region.Region.buf lo len in
           txn.Txn.saved <-
             { Txn.region; region_off = lo; old_value } :: txn.Txn.saved;
-          cpu t (copy_cost t glen))
-        gaps;
+          cpu t (copy_cost t len)));
     vm_touch t region ~region_off ~len ~write:true
   end
 
@@ -460,34 +462,37 @@ let set_range t tid ~addr ~len =
    ablation), one range per set_range call as declared. Data is read from
    the region at commit time either way, so every range carries final
    values and multiple updates to one range cost one record. *)
-let build_ranges t txn =
-  let ranges = ref [] in
-  let logged_bytes = ref 0 in
-  let naive_bytes = ref 0 in
-  let emit region ~lo ~len =
-    let data = Bytes.sub region.Region.buf lo len in
-    logged_bytes := !logged_bytes + 32 + len;
-    cpu t (copy_cost t len);
-    ranges :=
-      {
-        Record.seg = Segment.id region.Region.seg;
-        off = Region.to_seg_off region ~region_off:lo;
-        data;
-      }
-      :: !ranges
-  in
-  List.iter
-    (fun (pr : Txn.per_region) ->
+let rec build_ranges t ~intra (prs : Txn.per_region list) i =
+  match prs with
+  | [] -> []
+  | pr :: rest ->
+    let iv = pr.Txn.covered in
+    if i = if intra then Intervals.interval_count iv else pr.Txn.call_count
+    then build_ranges t ~intra rest 0
+    else begin
+      (* Span [i] of [pr]: its [i]-th covered interval, or with the
+         optimization off its [i]-th set_range call. *)
+      let lo = if intra then Intervals.lo_at iv i else pr.Txn.calls.(2 * i) in
+      let len =
+        if intra then Intervals.len_at iv i else pr.Txn.calls.((2 * i) + 1)
+      in
       let region = pr.Txn.region in
-      naive_bytes := !naive_bytes + pr.Txn.naive_bytes;
-      if t.opts.Options.intra_optimization then
-        Intervals.iter pr.Txn.covered ~f:(fun ~lo ~len -> emit region ~lo ~len)
-      else
-        List.iter
-          (fun (lo, len) -> emit region ~lo ~len)
-          (List.rev pr.Txn.raw_calls))
-    (Txn.regions txn);
-  (List.rev !ranges, !logged_bytes, !naive_bytes)
+      let data = Bytes.sub region.Region.buf lo len in
+      cpu t (copy_cost t len);
+      let range =
+        {
+          Record.seg = Segment.id region.Region.seg;
+          off = Region.to_seg_off region ~region_off:lo;
+          data;
+        }
+      in
+      (* Consed on the way out of the recursion: the ranges come out in
+         order, and so do the copy charges. *)
+      range :: build_ranges t ~intra prs (i + 1)
+    end
+
+let logged_bytes acc (r : Record.range) = acc + 32 + Bytes.length r.Record.data
+let naive_bytes acc pr = acc + Txn.naive_bytes pr
 
 let covered txn =
   Covered.of_parts
@@ -520,14 +525,18 @@ let finish_txn t (txn : Txn.t) status =
    moving past the intent) while the transaction's fate is open. *)
 let commit t tid txn ~mode ~intent =
   cpu t t.model.Cost_model.txn_overhead_us;
-  let ranges, logged_bytes, naive_bytes =
+  let regions = Txn.regions txn in
+  let ranges, logged_bytes =
     Registry.span t.obs "commit.encode" (fun () ->
-        let ((ranges, logged_bytes, _) as r) = build_ranges t txn in
+        let ranges =
+          build_ranges t ~intra:t.opts.Options.intra_optimization regions 0
+        in
+        let logged_bytes = List.fold_left logged_bytes 0 ranges in
         Registry.add_attr t.obs "ranges" (Trace.Int (List.length ranges));
         Registry.add_attr t.obs "bytes" (Trace.Int logged_bytes);
-        r)
+        (ranges, logged_bytes))
   in
-  let regions = Txn.regions txn in
+  let naive_bytes = List.fold_left naive_bytes 0 regions in
   let flags =
     (match mode with Types.No_flush -> Record.Flags.no_flush | Types.Flush -> 0)
     lor
@@ -625,12 +634,11 @@ let end_transaction t tid ~mode =
     ~attrs:
       [
         ("txn_id", Trace.Int tid);
-        ("mode", Trace.String (mode_name txn.Txn.mode));
+        ("mode", mode_attr txn.Txn.mode);
         ( "commit",
-          Trace.String
-            (match mode with
-            | Types.Flush -> "flush"
-            | Types.No_flush -> "no-flush") );
+          match mode with
+          | Types.Flush -> flush_attr
+          | Types.No_flush -> no_flush_attr );
       ]
     (fun () ->
       commit t tid txn ~mode ~intent:None;
@@ -716,18 +724,28 @@ let abort_transaction t tid =
 
 (* --- memory access --- *)
 
-let load t ~addr ~len =
+(* The region holding [addr, addr+len), its pages touched: every access
+   below starts here. *)
+let access t ~addr ~len ~write =
   let region = Addr_space.find t.space ~addr ~len in
-  let region_off = Region.to_region_off region ~addr in
-  vm_touch t region ~region_off ~len ~write:false;
-  Bytes.sub region.Region.buf region_off len
+  vm_touch t region ~region_off:(Region.to_region_off region ~addr) ~len ~write;
+  region
+
+let read_into t ~addr ~len buf ~pos =
+  let region = access t ~addr ~len ~write:false in
+  Bytes.blit region.Region.buf (Region.to_region_off region ~addr) buf pos len
+
+(* [max len 0]: a negative length fails in [read_into], after the address
+   check, as it always has. *)
+let load t ~addr ~len =
+  let buf = Bytes.create (max len 0) in
+  read_into t ~addr ~len buf ~pos:0;
+  buf
 
 let store t ~addr bytes =
   let len = Bytes.length bytes in
-  let region = Addr_space.find t.space ~addr ~len in
-  let region_off = Region.to_region_off region ~addr in
-  vm_touch t region ~region_off ~len ~write:true;
-  Bytes.blit bytes 0 region.Region.buf region_off len;
+  let region = access t ~addr ~len ~write:true in
+  Bytes.blit bytes 0 region.Region.buf (Region.to_region_off region ~addr) len;
   cpu t (copy_cost t len)
 
 let store_string t ~addr s = store t ~addr (Bytes.unsafe_of_string s)
@@ -737,40 +755,28 @@ let modify t tid ~addr bytes =
   store t ~addr bytes
 
 let get_u8 t ~addr =
-  let region = Addr_space.find t.space ~addr ~len:1 in
-  let region_off = Region.to_region_off region ~addr in
-  vm_touch t region ~region_off ~len:1 ~write:false;
-  Char.code (Bytes.get region.Region.buf region_off)
+  let r = access t ~addr ~len:1 ~write:false in
+  Bytes.get_uint8 r.Region.buf (Region.to_region_off r ~addr)
 
 let set_u8 t ~addr v =
-  let region = Addr_space.find t.space ~addr ~len:1 in
-  let region_off = Region.to_region_off region ~addr in
-  vm_touch t region ~region_off ~len:1 ~write:true;
-  Bytes.set region.Region.buf region_off (Char.chr (v land 0xff))
+  let r = access t ~addr ~len:1 ~write:true in
+  Bytes.set_uint8 r.Region.buf (Region.to_region_off r ~addr) (v land 0xff)
 
 let get_i32 t ~addr =
-  let region = Addr_space.find t.space ~addr ~len:4 in
-  let region_off = Region.to_region_off region ~addr in
-  vm_touch t region ~region_off ~len:4 ~write:false;
-  Bytes.get_int32_le region.Region.buf region_off
+  let r = access t ~addr ~len:4 ~write:false in
+  Bytes.get_int32_le r.Region.buf (Region.to_region_off r ~addr)
 
 let set_i32 t ~addr v =
-  let region = Addr_space.find t.space ~addr ~len:4 in
-  let region_off = Region.to_region_off region ~addr in
-  vm_touch t region ~region_off ~len:4 ~write:true;
-  Bytes.set_int32_le region.Region.buf region_off v
+  let r = access t ~addr ~len:4 ~write:true in
+  Bytes.set_int32_le r.Region.buf (Region.to_region_off r ~addr) v
 
 let get_i64 t ~addr =
-  let region = Addr_space.find t.space ~addr ~len:8 in
-  let region_off = Region.to_region_off region ~addr in
-  vm_touch t region ~region_off ~len:8 ~write:false;
-  Bytes.get_int64_le region.Region.buf region_off
+  let r = access t ~addr ~len:8 ~write:false in
+  Bytes.get_int64_le r.Region.buf (Region.to_region_off r ~addr)
 
 let set_i64 t ~addr v =
-  let region = Addr_space.find t.space ~addr ~len:8 in
-  let region_off = Region.to_region_off region ~addr in
-  vm_touch t region ~region_off ~len:8 ~write:true;
-  Bytes.set_int64_le region.Region.buf region_off v
+  let r = access t ~addr ~len:8 ~write:true in
+  Bytes.set_int64_le r.Region.buf (Region.to_region_off r ~addr) v
 
 let region_of_addr t ~addr = Addr_space.find_opt t.space ~addr
 

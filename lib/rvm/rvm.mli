@@ -271,7 +271,17 @@ val durable_lsn : t -> int
     attached. Writing without a prior [set_range] is the classic RVM bug
     (section 6) — the write succeeds but will not survive a crash. *)
 
+val read_into : t -> addr:int -> len:int -> Bytes.t -> pos:int -> unit
+(** [read_into t ~addr ~len buf ~pos] copies [addr, addr+len) into [buf]
+    at [pos]: the one read path. It makes the same page touches as any
+    access and allocates nothing, so a caller that reads words or keys
+    through a buffer of its own reads recoverable memory for free. Raises
+    {!Types.Rvm_error} if the range is unmapped or straddles two regions,
+    and [Invalid_argument] if it does not fit in [buf]. *)
+
 val load : t -> addr:int -> len:int -> Bytes.t
+(** A fresh copy of [addr, addr+len): {!read_into} a new buffer. *)
+
 val store : t -> addr:int -> Bytes.t -> unit
 val store_string : t -> addr:int -> string -> unit
 val get_u8 : t -> addr:int -> int

@@ -136,41 +136,47 @@ let due t =
 
 let urgent t = occupancy t >= (t.env.options ()).Options.truncation_critical
 
+(* Queue the pages of each of [regions] that segment range
+   [off, off+len) reaches and no queued descriptor names yet. *)
+let rec note_range t ~log_off ~seqno ~seg ~off ~len = function
+  | [] -> ()
+  | (r : Region.t) :: rest ->
+    if
+      len > 0
+      && Segment.id r.Region.seg = seg
+      && off < r.Region.seg_off + r.Region.length
+      && off + len > r.Region.seg_off
+    then begin
+      let lo = max off r.Region.seg_off - r.Region.seg_off in
+      let hi =
+        min (off + len) (r.Region.seg_off + r.Region.length) - r.Region.seg_off
+      in
+      let ps = r.Region.page_size in
+      for p = lo / ps to (hi - 1) / ps do
+        let key = Region.vm_page r ~region_page:p in
+        if not (Hashtbl.mem t.queued key) then begin
+          Hashtbl.add t.queued key ();
+          Queue.add
+            { d_region = r; d_page = p; d_log_off = log_off; d_seqno = seqno }
+            t.queue
+        end
+      done
+    end;
+    note_range t ~log_off ~seqno ~seg ~off ~len rest
+
+let rec note_ranges t ~log_off ~seqno regions = function
+  | [] -> ()
+  | (range : Record.range) :: rest ->
+    note_range t ~log_off ~seqno ~seg:range.Record.seg ~off:range.Record.off
+      ~len:(Bytes.length range.Record.data) regions;
+    note_ranges t ~log_off ~seqno regions rest
+
 (* Enqueue the pages covered by freshly logged ranges for incremental
    truncation, each at the earliest record that references it (Figure 7's
    "no duplicate page references" rule). Ranges are segment-relative; each
    is projected onto the mapped regions it intersects. *)
 let note_logged_ranges t ~log_off ~seqno ranges =
-  let regions = t.env.regions () in
-  List.iter
-    (fun (range : Record.range) ->
-      let len = Bytes.length range.Record.data in
-      if len > 0 then
-        List.iter
-          (fun (r : Region.t) ->
-            if
-              Segment.id r.Region.seg = range.Record.seg
-              && range.Record.off < r.Region.seg_off + r.Region.length
-              && range.Record.off + len > r.Region.seg_off
-            then begin
-              let lo = max range.Record.off r.Region.seg_off in
-              let hi =
-                min (range.Record.off + len)
-                  (r.Region.seg_off + r.Region.length)
-              in
-              Rvm_vm.Page.iter_pages ~page_size:r.Region.page_size
-                ~off:(lo - r.Region.seg_off) ~len:(hi - lo) ~f:(fun p ->
-                  let key = Region.vm_page r ~region_page:p in
-                  if not (Hashtbl.mem t.queued key) then begin
-                    Hashtbl.add t.queued key ();
-                    Queue.add
-                      { d_region = r; d_page = p; d_log_off = log_off;
-                        d_seqno = seqno }
-                      t.queue
-                  end)
-            end)
-          regions)
-    ranges
+  note_ranges t ~log_off ~seqno (t.env.regions ()) ranges
 
 (* Evidence a head move would reclaim must stay continuously durable, so
    fresh copies go to the tail — past the new head, where the move keeps

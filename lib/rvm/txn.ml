@@ -4,9 +4,9 @@ type saved = { region : Region.t; region_off : int; old_value : Bytes.t }
 
 type per_region = {
   region : Region.t;
-  mutable covered : Rvm_util.Intervals.t;
-  mutable raw_calls : (int * int) list;  (* newest first *)
-  mutable naive_bytes : int;
+  covered : Rvm_util.Intervals.t;
+  mutable calls : int array;
+  mutable call_count : int;
 }
 
 type t = {
@@ -21,26 +21,42 @@ type t = {
 let create ~tid ~mode ~started_us =
   { tid; mode; started_us; status = Active; regions = []; saved = [] }
 
-let rec find vaddr = function
-  | [] -> None
-  | pr :: rest ->
-    if pr.region.Region.vaddr = vaddr then Some pr else find vaddr rest
-
 let rec insert pr = function
   | p :: rest when p.region.Region.vaddr < pr.region.Region.vaddr ->
     p :: insert pr rest
   | l -> pr :: l
 
-let per_region t (region : Region.t) =
-  match find region.Region.vaddr t.regions with
-  | Some pr -> pr
-  | None ->
+let rec per_region_in t (region : Region.t) = function
+  | pr :: rest ->
+    if pr.region.Region.vaddr = region.Region.vaddr then pr
+    else per_region_in t region rest
+  | [] ->
     let pr =
-      { region; covered = Rvm_util.Intervals.empty; raw_calls = [];
-        naive_bytes = 0 }
+      { region; covered = Rvm_util.Intervals.create (); calls = [||];
+        call_count = 0 }
     in
     t.regions <- insert pr t.regions;
     pr
+
+let per_region t region = per_region_in t region t.regions
+
+let add_call pr ~region_off ~len =
+  let k = pr.call_count in
+  if 2 * (k + 1) > Array.length pr.calls then begin
+    let calls = Array.make (max 8 (2 * Array.length pr.calls)) 0 in
+    Array.blit pr.calls 0 calls 0 (2 * k);
+    pr.calls <- calls
+  end;
+  pr.calls.(2 * k) <- region_off;
+  pr.calls.((2 * k) + 1) <- len;
+  pr.call_count <- k + 1
+
+let naive_bytes pr =
+  let sum = ref (32 * pr.call_count) in
+  for i = 0 to pr.call_count - 1 do
+    sum := !sum + pr.calls.((2 * i) + 1)
+  done;
+  !sum
 
 let regions t = t.regions
 let is_active t = t.status = Active

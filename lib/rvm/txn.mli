@@ -18,14 +18,13 @@ type saved = {
 
 type per_region = {
   region : Region.t;
-  mutable covered : Rvm_util.Intervals.t;  (** region-offset intervals *)
-  mutable raw_calls : (int * int) list;
-      (** every set_range call as declared, [(region_off, len)], newest
-          first — what is logged when the intra-transaction optimization is
-          disabled for ablation *)
-  mutable naive_bytes : int;
-      (** record bytes an unoptimized implementation would log: one range
-          header plus the full length per set_range call *)
+  covered : Rvm_util.Intervals.t;  (** region-offset intervals *)
+  mutable calls : int array;
+      (** every set_range call as declared, [(region_off, len)] pairs in
+          call order, the first [call_count] of them used — what is logged
+          when the intra-transaction optimization is disabled for
+          ablation *)
+  mutable call_count : int;
 }
 
 type t = {
@@ -41,6 +40,13 @@ type t = {
 val create : tid:int -> mode:Types.restore_mode -> started_us:int -> t
 val per_region : t -> Region.t -> per_region
 (** Find or create the per-region state. *)
+
+val add_call : per_region -> region_off:int -> len:int -> unit
+(** Append one set_range call to [calls]. *)
+
+val naive_bytes : per_region -> int
+(** Record bytes an unoptimized implementation would log for the region:
+    one range header plus the full length per set_range call. *)
 
 val regions : t -> per_region list
 (** In increasing vaddr order (deterministic log layout). *)

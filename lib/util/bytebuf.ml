@@ -48,9 +48,14 @@ let u64 t v =
   Bytes.set_int64_le t.data t.len v;
   t.len <- t.len + 8
 
+let int t v =
+  ensure t 8;
+  Bytes.set_int64_le t.data t.len (Int64.of_int v);
+  t.len <- t.len + 8
+
 let uint t v =
   if v < 0 then invalid_arg "Bytebuf.uint";
-  u64 t (Int64.of_int v)
+  int t v
 
 let bytes t b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then

@@ -22,6 +22,10 @@ val u32 : t -> int -> unit
 val i32 : t -> int32 -> unit
 val u64 : t -> int64 -> unit
 
+val int : t -> int -> unit
+(** Append an OCaml int as 8 bytes, two's complement: the bytes {!u64}
+    writes for [Int64.of_int v], with no [int64] boxed on the way. *)
+
 val uint : t -> int -> unit
 (** Append a non-negative OCaml int as 8 bytes. *)
 

@@ -1,100 +1,144 @@
-module M = Map.Make (Int)
+(* Invariant: run [i < n] is [lo i, hi i); runs are non-empty, in
+   increasing order, and separated by at least one gap integer (adjacent
+   runs merge on insertion). So both the starts and the ends ascend
+   strictly.
 
-(* Invariant: keys are interval starts, values are interval ends (exclusive);
-   intervals are non-empty, disjoint, and separated by at least one gap
-   integer (adjacent intervals are merged on insertion). *)
-type t = int M.t
+   The runs are 64-bit words in a growable [Bytes.t], run [i]'s bounds at
+   words [2i] and [2i + 1]. Opening or closing a gap in the middle is then
+   one [Bytes.blit], a memmove. An [int array] in the major heap blits
+   through the write barrier one word at a time instead: 20k random
+   insertions into 16k 256-byte slots, the shape of crash-recover's
+   recovery, took 0.27 s that way and 0.02 s here. *)
+type t = { mutable words : Bytes.t; mutable n : int }
 
-let empty = M.empty
-let is_empty = M.is_empty
+let word t k = Int64.to_int (Bytes.get_int64_ne t.words (8 * k))
+let set_word t k v = Bytes.set_int64_ne t.words (8 * k) (Int64.of_int v)
+let lo t i = word t (2 * i)
+let hi t i = word t ((2 * i) + 1)
 
-(* Intervals with start <= x that might reach x: only the immediate
-   predecessor, because intervals are disjoint. *)
-let pred_interval t x = M.find_last_opt (fun lo -> lo <= x) t
+(* Move runs [src, n) to start at run [dst]. *)
+let shift t ~src ~dst =
+  Bytes.blit t.words (16 * src) t.words (16 * dst) (16 * (t.n - src))
 
-let add t ~lo ~len =
+let create () = { words = Bytes.empty; n = 0 }
+let clear t = t.n <- 0
+let is_empty t = t.n = 0
+let interval_count t = t.n
+
+let check_index t i =
+  if i < 0 || i >= t.n then invalid_arg "Intervals: interval index"
+
+let lo_at t i =
+  check_index t i;
+  lo t i
+
+let len_at t i =
+  check_index t i;
+  hi t i - lo t i
+
+(* Index of the first run ending at or after [x] ([t.n] if none): a binary
+   search on the ends. *)
+let first_ending_from t x =
+  let l = ref 0 and h = ref t.n in
+  while !l < !h do
+    let mid = (!l + !h) lsr 1 in
+    if hi t mid < x then l := mid + 1 else h := mid
+  done;
+  !l
+
+let reserve_one t =
+  if 16 * (t.n + 1) > Bytes.length t.words then begin
+    let words = Bytes.create (max 64 (2 * Bytes.length t.words)) in
+    Bytes.blit t.words 0 words 0 (16 * t.n);
+    t.words <- words
+  end
+
+let add t ~lo:l ~len =
   if len < 0 then invalid_arg "Intervals.add";
-  if len = 0 then t
-  else begin
-    let hi = lo + len in
-    (* Extend left if the predecessor overlaps or is adjacent — keeping its
-       right edge, which may already reach past the new interval. *)
-    let lo', hi, t =
-      match pred_interval t lo with
-      | Some (plo, phi) when phi >= lo -> (plo, max hi phi, M.remove plo t)
-      | _ -> (lo, hi, t)
-    in
-    (* Absorb every interval starting within [lo', hi], tracking the
-       furthest right edge. *)
-    let rec absorb t hi' =
-      match M.find_first_opt (fun k -> k >= lo') t with
-      | Some (klo, khi) when klo <= hi' ->
-        absorb (M.remove klo t) (max hi' khi)
-      | _ -> (t, hi')
-    in
-    let t, hi' = absorb t hi in
-    M.add lo' hi' t
+  if len > 0 then begin
+    let h = l + len in
+    (* Runs [i, j) overlap or meet [l, h]: they end at or after [l] and
+       start at or before [h]. *)
+    let i = first_ending_from t l in
+    let j = ref i in
+    while !j < t.n && lo t !j <= h do
+      incr j
+    done;
+    let j = !j in
+    if i = j then begin
+      reserve_one t;
+      shift t ~src:i ~dst:(i + 1);
+      set_word t (2 * i) l;
+      set_word t ((2 * i) + 1) h;
+      t.n <- t.n + 1
+    end
+    else begin
+      (* Run [i] absorbs runs [i+1, j), keeping the furthest right edge. *)
+      if lo t i > l then set_word t (2 * i) l;
+      let last_hi = hi t (j - 1) in
+      set_word t ((2 * i) + 1) (if last_hi > h then last_hi else h);
+      if j > i + 1 then begin
+        shift t ~src:j ~dst:(i + 1);
+        t.n <- t.n - (j - i - 1)
+      end
+    end
   end
 
-let gaps t ~lo ~len =
-  (* Sub-intervals of [lo, lo+len) not covered by [t]. *)
-  if len <= 0 then []
-  else begin
-    let hi = lo + len in
-    let rec walk acc cur =
-      if cur >= hi then List.rev acc
-      else
-        match pred_interval t cur with
-        | Some (_, phi) when phi > cur ->
-          (* cur is inside an interval; jump to its end. *)
-          walk acc phi
-        | _ -> (
-          (* cur is uncovered; the gap runs to the next interval start. *)
-          match M.find_first_opt (fun k -> k > cur) t with
-          | Some (nlo, _) when nlo < hi -> walk ((cur, nlo - cur) :: acc) nlo
-          | _ -> List.rev ((cur, hi - cur) :: acc))
-    in
-    walk [] lo
-  end
-
-let add_uncovered t ~lo ~len =
+let add_uncovered t ~lo:l ~len ~f =
   if len < 0 then invalid_arg "Intervals.add_uncovered";
-  (gaps t ~lo ~len, add t ~lo ~len)
+  if len > 0 then begin
+    let h = l + len in
+    (* Walk the runs that end past [l] and start before [h]; [cur] is the
+       first integer not yet known covered. *)
+    let cur = ref l and k = ref (first_ending_from t (l + 1)) in
+    while !cur < h && !k < t.n && lo t !k < h do
+      let rlo = lo t !k and rhi = hi t !k in
+      if rlo > !cur then f ~lo:!cur ~len:(rlo - !cur);
+      if rhi > !cur then cur := rhi;
+      incr k
+    done;
+    if !cur < h then f ~lo:!cur ~len:(h - !cur);
+    add t ~lo:l ~len
+  end
 
-let covers t ~lo ~len =
-  if len <= 0 then true
-  else
-    match pred_interval t lo with
-    | Some (_, phi) -> phi >= lo + len
-    | None -> false
+(* Only the first run ending past [l] can hold [l]. *)
+let covers t ~lo:l ~len =
+  len <= 0
+  ||
+  let i = first_ending_from t (l + 1) in
+  i < t.n && lo t i <= l && hi t i >= l + len
 
 let mem t x = covers t ~lo:x ~len:1
 
-(* Only the last interval starting before [lo + len] can reach [lo]: every
-   earlier one ends before that one starts. *)
-let inter_nonempty t ~lo ~len =
+let inter_nonempty t ~lo:l ~len =
   len > 0
   &&
-  match M.find_last_opt (fun k -> k < lo + len) t with
-  | Some (_, khi) -> khi > lo
-  | None -> false
+  let i = first_ending_from t (l + 1) in
+  i < t.n && lo t i < l + len
 
-let to_list t = M.fold (fun lo hi acc -> (lo, hi - lo) :: acc) t [] |> List.rev
+let subsumes a b =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < b.n do
+    ok := covers a ~lo:(lo b !i) ~len:(hi b !i - lo b !i);
+    incr i
+  done;
+  !ok
 
-let iter t ~f = M.iter (fun lo hi -> f ~lo ~len:(hi - lo)) t
+let iter t ~f =
+  for i = 0 to t.n - 1 do
+    f ~lo:(lo t i) ~len:(hi t i - lo t i)
+  done
 
-let fold t ~init ~f =
-  M.fold (fun lo hi acc -> f acc ~lo ~len:(hi - lo)) t init
+let to_list t =
+  let acc = ref [] in
+  for i = t.n - 1 downto 0 do
+    acc := (lo t i, hi t i - lo t i) :: !acc
+  done;
+  !acc
 
-let subsumes a b = M.for_all (fun lo hi -> covers a ~lo ~len:(hi - lo)) b
-let byte_count t = fold t ~init:0 ~f:(fun acc ~lo:_ ~len -> acc + len)
-let interval_count t = M.cardinal t
-
-let pp ppf t =
-  Format.fprintf ppf "{";
-  let first = ref true in
-  iter t ~f:(fun ~lo ~len ->
-      if not !first then Format.fprintf ppf "; ";
-      first := false;
-      Format.fprintf ppf "[%d,%d)" lo (lo + len));
-  Format.fprintf ppf "}"
+let byte_count t =
+  let sum = ref 0 in
+  for i = 0 to t.n - 1 do
+    sum := !sum + hi t i - lo t i
+  done;
+  !sum

@@ -1,57 +1,61 @@
-type node = { key : int; mutable prev : node option; mutable next : node option }
+(* A circular doubly linked list through a sentinel: [sentinel.next] is
+   the most recently used node and [sentinel.prev] the least, so moving a
+   node to the front rewires four fields and allocates nothing. *)
+type node = { key : int; mutable prev : node; mutable next : node }
 
-type t = {
-  table : (int, node) Hashtbl.t;
-  mutable head : node option;  (* most recently used *)
-  mutable tail : node option;  (* least recently used *)
-}
+type t = { table : (int, node) Hashtbl.t; sentinel : node }
 
-let create () = { table = Hashtbl.create 1024; head = None; tail = None }
+let create () =
+  let rec sentinel = { key = min_int; prev = sentinel; next = sentinel } in
+  { table = Hashtbl.create 1024; sentinel }
+
 let mem t k = Hashtbl.mem t.table k
 let size t = Hashtbl.length t.table
 
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
+let unlink n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev
 
 let push_front t n =
-  n.next <- t.head;
-  n.prev <- None;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
+  let s = t.sentinel in
+  n.prev <- s;
+  n.next <- s.next;
+  s.next.prev <- n;
+  s.next <- n
 
 let touch t k =
-  match Hashtbl.find_opt t.table k with
-  | Some n ->
-    unlink t n;
+  match Hashtbl.find t.table k with
+  | n ->
+    unlink n;
     push_front t n
-  | None ->
-    let n = { key = k; prev = None; next = None } in
+  | exception Not_found ->
+    let s = t.sentinel in
+    let n = { key = k; prev = s; next = s } in
     Hashtbl.add t.table k n;
     push_front t n
 
 let remove t k =
-  match Hashtbl.find_opt t.table k with
-  | Some n ->
-    unlink t n;
+  match Hashtbl.find t.table k with
+  | n ->
+    unlink n;
     Hashtbl.remove t.table k
-  | None -> ()
+  | exception Not_found -> ()
 
 let evict_lru t =
-  match t.tail with
-  | Some n ->
-    unlink t n;
+  let n = t.sentinel.prev in
+  if n == t.sentinel then None
+  else begin
+    unlink n;
     Hashtbl.remove t.table n.key;
     Some n.key
-  | None -> None
+  end
 
-let peek_lru t = match t.tail with Some n -> Some n.key | None -> None
+let peek_lru t =
+  let n = t.sentinel.prev in
+  if n == t.sentinel then None else Some n.key
 
 let to_list_mru_first t =
-  let rec walk acc = function
-    | Some n -> walk (n.key :: acc) n.next
-    | None -> List.rev acc
+  let rec walk acc n =
+    if n == t.sentinel then List.rev acc else walk (n.key :: acc) n.next
   in
-  walk [] t.head
+  walk [] t.sentinel.next

@@ -1,4 +1,5 @@
-(** O(1) least-recently-used ordering over integer keys (page numbers). *)
+(** O(1) least-recently-used ordering over integer keys (page numbers).
+    Touching a present key allocates nothing. *)
 
 type t
 

@@ -32,4 +32,5 @@ let () =
       ("cli", Test_cli.suite);
       ("gate", Test_gate.suite);
       ("bench-artifacts", Test_bench_artifacts.suite);
+      ("budget", Test_budget.suite);
     ]

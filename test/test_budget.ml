@@ -1,0 +1,234 @@
+(* Allocation budgets per call on the engine's access and commit paths.
+
+   Allocation is the deterministic half of host cost: the same calls on the
+   same data allocate the same minor words on every run. Each test states
+   the words per call it measured (OCaml 5.1.1) and fails above a bound
+   with headroom for other compiler versions. The engine worlds carry a
+   paging simulator with every page resident, so each access also runs
+   the page touch. *)
+
+open Rvm_core
+module Mem_device = Rvm_disk.Mem_device
+module Clock = Rvm_util.Clock
+module Cost_model = Rvm_util.Cost_model
+module Vm_sim = Rvm_vm.Vm_sim
+module Rds = Rvm_alloc.Rds
+module Pbtree = Rvm_pds.Pbtree
+
+let ps = 4096
+
+(* Fail when [words] per call exceed [bound]. *)
+let within what ~bound words =
+  if words > bound then
+    Alcotest.failf "%.1f minor words per %s (bound %.0f)" words what bound
+
+(* Minor words per call of [f i] over [n] calls, after [n] warm-up calls
+   (which grow whatever the calls grow once). *)
+let words_per_call ~n f =
+  for i = 0 to n - 1 do
+    f i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* An engine on a simulated clock with a paging simulator large enough to
+   hold every page, and one mapped region of [pages] pages (all resident
+   after the map's sequential load). *)
+let make_engine ?(pages = 128) () =
+  let clock = Clock.simulated () in
+  let model = Cost_model.dec5000 in
+  let vm =
+    Vm_sim.create ~clock ~model
+      {
+        Vm_sim.physical_pages = 4 * pages;
+        page_size = ps;
+        fault_disk = model.Cost_model.data_disk;
+        evict_disk = model.Cost_model.data_disk;
+        evict_in_background = true;
+      }
+  in
+  let log = Mem_device.create ~name:"log" ~size:(4 * 1024 * 1024) () in
+  Rvm.create_log log;
+  let seg = Mem_device.create ~name:"seg" ~size:(pages * ps) () in
+  let rvm =
+    Rvm.initialize ~clock ~model ~vm ~log ~resolve:(fun _ -> seg) ()
+  in
+  let r = Rvm.map rvm ~seg:1 ~seg_off:0 ~len:(pages * ps) () in
+  (rvm, r.Region.vaddr, vm)
+
+(* Sixteen set_range calls per transaction, 64 to 192 bytes each on its
+   own 256-byte slot, committed No_flush with a Flush every 64
+   transactions: the crash-recover loop's declarations. Words are counted
+   around the set_range calls alone. *)
+let set_range_words mode =
+  let rvm, base, _ = make_engine () in
+  let words = ref 0. and calls = ref 0 in
+  let txn k =
+    let tid = Rvm.begin_transaction rvm ~mode in
+    for j = 0 to 15 do
+      let addr = base + (256 * ((16 * (k mod 64)) + j)) in
+      let len = 64 + (8 * ((k + j) mod 17)) in
+      let w0 = Gc.minor_words () in
+      Rvm.set_range rvm tid ~addr ~len;
+      words := !words +. (Gc.minor_words () -. w0);
+      incr calls
+    done;
+    Rvm.end_transaction rvm tid ~mode:Types.No_flush;
+    if k mod 64 = 63 then Rvm.flush rvm
+  in
+  for k = 0 to 255 do
+    txn k
+  done;
+  words := 0.;
+  calls := 0;
+  for k = 256 to 1279 do
+    txn k
+  done;
+  !words /. float_of_int !calls
+
+(* 14.2 words measured: the per-transaction state a region's first call
+   creates, and the interval and call arrays growing, spread over the
+   calls. *)
+let test_set_range_no_restore () =
+  within "No_restore set_range" ~bound:20.
+    (set_range_words Types.No_restore)
+
+(* Restore mode also saves each call's old bytes (the 64-192 byte copy,
+   the saved-value record and its list cell): 52.3 words measured. *)
+let test_set_range_restore () =
+  within "Restore set_range" ~bound:70. (set_range_words Types.Restore)
+
+(* A 128-byte store: 6.0 words measured. *)
+let test_store () =
+  let rvm, base, _ = make_engine () in
+  let data = Bytes.make 128 's' in
+  within "store" ~bound:10.
+    (words_per_call ~n:4096 (fun i ->
+         Rvm.store rvm ~addr:(base + (128 * (i mod 1024))) data))
+
+(* A 128-byte load allocates its result, 18 words, and nothing else. *)
+let test_load () =
+  let rvm, base, _ = make_engine () in
+  within "load" ~bound:24.
+    (words_per_call ~n:4096 (fun i ->
+         ignore (Rvm.load rvm ~addr:(base + (128 * (i mod 1024))) ~len:128)))
+
+(* read_into a caller's buffer: 0 words measured. *)
+let test_read_into () =
+  let rvm, base, _ = make_engine () in
+  let buf = Bytes.create 128 in
+  within "read_into" ~bound:1.
+    (words_per_call ~n:4096 (fun i ->
+         Rvm.read_into rvm ~addr:(base + (128 * (i mod 1024))) ~len:128 buf
+           ~pos:0))
+
+(* A touch of a resident page moves it to the front of the LRU list: 0
+   words measured. *)
+let test_vm_touch () =
+  let _, base, vm = make_engine () in
+  let first = base / ps in
+  within "resident Vm_sim.touch" ~bound:1.
+    (words_per_call ~n:4096 (fun i ->
+         Vm_sim.touch vm ~page:(first + (i * 7 mod 128)) ~write:(i land 1 = 0)))
+
+(* Cycles of 64 No_flush commits of two 128-byte ranges, each cycle
+   drained by a Flush: words per drained record. 29.1 measured. *)
+let test_flush () =
+  let options = { Options.default with Options.auto_truncate = false } in
+  let clock = Clock.simulated () in
+  let log = Mem_device.create ~name:"log" ~size:(4 * 1024 * 1024) () in
+  Rvm.create_log log;
+  let seg = Mem_device.create ~name:"seg" ~size:(16 * ps) () in
+  let rvm = Rvm.initialize ~options ~clock ~log ~resolve:(fun _ -> seg) () in
+  let base = (Rvm.map rvm ~seg:1 ~seg_off:0 ~len:(16 * ps) ()).Region.vaddr in
+  let data = Bytes.make 128 'f' in
+  let flush_words = ref 0. in
+  let cycle () =
+    for i = 0 to 63 do
+      let addr = base + (i * 1024) in
+      let tid = Rvm.begin_transaction rvm ~mode:Types.No_restore in
+      Rvm.modify rvm tid ~addr data;
+      Rvm.modify rvm tid ~addr:(addr + 512) data;
+      Rvm.end_transaction rvm tid ~mode:Types.No_flush
+    done;
+    let w0 = Gc.minor_words () in
+    Rvm.flush rvm;
+    flush_words := !flush_words +. (Gc.minor_words () -. w0)
+  in
+  for _ = 1 to 4 do
+    cycle ()
+  done;
+  flush_words := 0.;
+  for _ = 1 to 16 do
+    cycle ()
+  done;
+  within "drained record" ~bound:40. (!flush_words /. float_of_int (16 * 64))
+
+(* --- the recoverable B-tree, resident --- *)
+
+let tree_keys = 2_000
+let tree_key i = Printf.sprintf "user%010d" (i * 7919 mod 100_000)
+
+(* A 2 000-key tree at degree 8 (14-byte keys, inline; 64-byte values),
+   bulk-loaded in key order into a heap every page of which is resident. *)
+let make_tree () =
+  let rvm, base, _ = make_engine ~pages:192 () in
+  let tid = Rvm.begin_transaction rvm ~mode:Types.No_restore in
+  let heap = Rds.init rvm tid ~base ~len:(192 * ps) in
+  let tree = Pbtree.create rvm heap tid ~degree:8 in
+  Rvm.end_transaction rvm tid ~mode:Types.Flush;
+  let keys = Array.init tree_keys tree_key in
+  Array.sort compare keys;
+  Pbtree.load tree ~count:tree_keys (fun i -> (keys.(i), String.make 64 'v'));
+  Rvm.flush rvm;
+  (rvm, tree)
+
+(* Probe keys, built before any measurement: present ones, in an order
+   unrelated to the key order. *)
+let probes = Array.init tree_keys (fun i -> tree_key (i * 31 mod tree_keys))
+let probe i = probes.(i)
+
+(* A point lookup allocates its result: the value string, its option and
+   the leaf search's (index, hit) pair. 15 words measured. *)
+let test_btree_get () =
+  let _, tree = make_tree () in
+  within "Pbtree.get" ~bound:20.
+    (words_per_call ~n:tree_keys (fun i -> ignore (Pbtree.get tree ~key:(probe i))))
+
+(* The descent YCSB makes to name a request's leaf lock: 0 words
+   measured. *)
+let test_btree_leaf_addr () =
+  let _, tree = make_tree () in
+  within "Pbtree.leaf_addr" ~bound:1.
+    (words_per_call ~n:tree_keys (fun i ->
+         ignore (Pbtree.leaf_addr tree ~key:(probe i))))
+
+(* A YCSB update as the server runs it: a Restore transaction, one put
+   replacing a present key's value, a No_flush commit; a Flush every 64
+   keeps the spool short. 892 words measured. *)
+let test_btree_update () =
+  let rvm, tree = make_tree () in
+  let value = String.make 64 'u' in
+  within "update transaction" ~bound:1200.
+    (words_per_call ~n:tree_keys (fun i ->
+         let tid = Rvm.begin_transaction rvm ~mode:Types.Restore in
+         Pbtree.put tree tid ~key:(probe i) ~value;
+         Rvm.end_transaction rvm tid ~mode:Types.No_flush;
+         if i mod 64 = 63 then Rvm.flush rvm))
+
+let suite =
+  [
+    ("set-range-no-restore", `Quick, test_set_range_no_restore);
+    ("set-range-restore", `Quick, test_set_range_restore);
+    ("store", `Quick, test_store);
+    ("load", `Quick, test_load);
+    ("read-into", `Quick, test_read_into);
+    ("vm-touch-resident", `Quick, test_vm_touch);
+    ("flush-per-record", `Quick, test_flush);
+    ("btree-get", `Quick, test_btree_get);
+    ("btree-leaf-addr", `Quick, test_btree_leaf_addr);
+    ("btree-update", `Quick, test_btree_update);
+  ]

@@ -70,6 +70,33 @@ let test_basic () =
   Pbtree.check t;
   Rds.check heap
 
+(* Keys are ordered as [String.compare] orders them: unsigned bytes in
+   order, then length. The probes compare inline keys in place, so keys
+   with bytes past 0x7f, the empty key, and keys that are prefixes of one
+   another must all land where a string comparison puts them, inline or
+   in overflow cells. *)
+let test_key_order () =
+  let rvm, _, t = make_tree () in
+  let rng = Rng.create ~seed:7L in
+  let random_key () =
+    String.init (Rng.int rng 20) (fun _ ->
+        Char.chr (if Rng.int rng 2 = 0 then 0x7e + Rng.int rng 4 else Rng.int rng 256))
+  in
+  let keys =
+    [ ""; "\x7f"; "\x80"; "\xff"; "a"; "a\x00"; "a\xff"; "ab"; String.make 15 '\xff';
+      String.make 16 '\xff' ]
+    @ List.init 200 (fun _ -> random_key ())
+  in
+  let keys = List.sort_uniq String.compare keys in
+  in_txn rvm (fun tid ->
+      List.iter (fun k -> Pbtree.put t tid ~key:k ~value:(String.escaped k)) keys);
+  Alcotest.(check (list string)) "iteration order" keys (List.map fst (contents t));
+  List.iter
+    (fun k -> check_opt "found" (Some (String.escaped k)) (Pbtree.get t ~key:k))
+    keys;
+  check_opt "absent between" None (Pbtree.get t ~key:"a\x01");
+  Pbtree.check t
+
 let test_splits () =
   let rvm, heap, t = make_tree () in
   let n = 300 in
@@ -535,6 +562,7 @@ let prop_model =
 let suite =
   [
     ("btree.basic", `Quick, test_basic);
+    ("btree.key-order", `Quick, test_key_order);
     ("btree.splits", `Quick, test_splits);
     ("btree.merges", `Quick, test_merges);
     ("btree.replace", `Quick, test_replace);

@@ -182,7 +182,10 @@ let prop_intervals =
     (QCheck.make gen) (fun ops ->
       let n = 300 in
       let bitmap = Array.make n false in
-      let iv = ref Intervals.empty in
+      let iv = Intervals.create () in
+      (* A second set fed the same ranges shifted past [n]: sets made by
+         [create] share no state, so neither ever holds the other's. *)
+      let twin = Intervals.create () in
       List.for_all
         (fun (lo, len) ->
           let len = min len (n - lo) in
@@ -207,8 +210,12 @@ let prop_intervals =
               | None -> ()
           done;
           (match !cur with Some g -> model_gaps := g :: !model_gaps | None -> ());
-          let gaps, iv' = Intervals.add_uncovered !iv ~lo ~len in
-          iv := iv';
+          (* Reported gaps, in the order reported: the model's are
+             ascending, so the comparison checks the order too. *)
+          let gaps = ref [] in
+          Intervals.add_uncovered iv ~lo ~len ~f:(fun ~lo ~len ->
+              gaps := (lo, len) :: !gaps);
+          Intervals.add twin ~lo:(lo + n) ~len;
           let model_inter q qlen =
             let hit = ref false in
             for x = max q 0 to min (q + qlen) n - 1 do
@@ -216,12 +223,14 @@ let prop_intervals =
             done;
             !hit
           in
-          gaps = List.rev !model_gaps
-          && Intervals.byte_count !iv
+          List.rev !gaps = List.rev !model_gaps
+          && Intervals.byte_count iv
              = Array.fold_left (fun a b -> if b then a + 1 else a) 0 bitmap
+          && Intervals.to_list twin
+             = List.map (fun (lo, len) -> (lo + n, len)) (Intervals.to_list iv)
           && List.for_all
                (fun (q, qlen) ->
-                 Intervals.inter_nonempty !iv ~lo:q ~len:qlen = model_inter q qlen)
+                 Intervals.inter_nonempty iv ~lo:q ~len:qlen = model_inter q qlen)
                [ (lo - 3, 3); (lo + len, 7); (lo, 1); (0, 16); (150, 40); (260, 0) ])
         ops)
 
@@ -855,11 +864,14 @@ module Subsumption_ref = struct
     List.iter
       (fun (seg, iv) ->
         let cur =
-          Option.value (Hashtbl.find_opt tbl seg) ~default:Intervals.empty
+          match Hashtbl.find_opt tbl seg with
+          | Some cur -> cur
+          | None ->
+            let cur = Intervals.create () in
+            Hashtbl.replace tbl seg cur;
+            cur
         in
-        Hashtbl.replace tbl seg
-          (Intervals.fold iv ~init:cur ~f:(fun acc ~lo ~len ->
-               Intervals.add acc ~lo ~len)))
+        Intervals.iter iv ~f:(fun ~lo ~len -> Intervals.add cur ~lo ~len))
       l;
     Hashtbl.fold (fun seg iv acc -> (seg, iv) :: acc) tbl []
 
@@ -875,9 +887,10 @@ module Subsumption_ref = struct
     merge_covered
       (List.map
          (fun (seg, base, iv) ->
-           ( seg,
-             Intervals.fold iv ~init:Intervals.empty ~f:(fun acc ~lo ~len ->
-                 Intervals.add acc ~lo:(base + lo) ~len) ))
+           let shifted = Intervals.create () in
+           Intervals.iter iv ~f:(fun ~lo ~len ->
+               Intervals.add shifted ~lo:(base + lo) ~len);
+           (seg, shifted))
          parts)
 end
 
@@ -931,10 +944,9 @@ let gen_covered_pair =
 
 let prop_covered_subsumption =
   let to_iv (seg, base, ivs) =
-    ( seg,
-      base,
-      List.fold_left (fun acc (lo, len) -> Intervals.add acc ~lo ~len)
-        Intervals.empty ivs )
+    let iv = Intervals.create () in
+    List.iter (fun (lo, len) -> Intervals.add iv ~lo ~len) ivs;
+    (seg, base, iv)
   in
   let print (newer, older) =
     let side parts =

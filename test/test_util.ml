@@ -31,6 +31,8 @@ let test_bytebuf_roundtrip () =
   Bytebuf.i32 b (-42l);
   Bytebuf.u64 b 0x0123456789ABCDEFL;
   Bytebuf.uint b max_int;
+  Bytebuf.int b (-1);
+  Bytebuf.int b min_int;
   Bytebuf.lstring b "payload";
   let c = Bytebuf.Cursor.of_buf b in
   check_int "u8" 0xAB (Bytebuf.Cursor.u8 c);
@@ -39,6 +41,10 @@ let test_bytebuf_roundtrip () =
   Alcotest.(check int32) "i32" (-42l) (Bytebuf.Cursor.i32 c);
   Alcotest.(check int64) "u64" 0x0123456789ABCDEFL (Bytebuf.Cursor.u64 c);
   check_int "uint" max_int (Bytebuf.Cursor.uint c);
+  (* [int] writes what [u64] writes for [Int64.of_int]: negative values
+     (a control range's segment is -1) sign-extend. *)
+  Alcotest.(check int64) "int -1" (-1L) (Bytebuf.Cursor.u64 c);
+  Alcotest.(check int64) "int min_int" (Int64.of_int min_int) (Bytebuf.Cursor.u64 c);
   Alcotest.(check string) "lstring" "payload" (Bytebuf.Cursor.lstring c);
   check_int "exhausted" 0 (Bytebuf.Cursor.remaining c)
 
@@ -110,73 +116,86 @@ let test_bytebuf_boundaries () =
 
 let intervals_list t = Intervals.to_list t
 
+(* A fresh set holding [(lo, len)] pairs, added in order. *)
+let intervals_of l =
+  let t = Intervals.create () in
+  List.iter (fun (lo, len) -> Intervals.add t ~lo ~len) l;
+  t
+
+(* [Intervals.add_uncovered], its gaps collected in the order reported. *)
+let add_uncovered t ~lo ~len =
+  let gaps = ref [] in
+  Intervals.add_uncovered t ~lo ~len ~f:(fun ~lo ~len ->
+      gaps := (lo, len) :: !gaps);
+  List.rev !gaps
+
 let test_intervals_coalesce () =
-  let t = Intervals.empty in
-  let t = Intervals.add t ~lo:10 ~len:5 in
-  let t = Intervals.add t ~lo:20 ~len:5 in
+  let t = Intervals.create () in
+  Intervals.add t ~lo:10 ~len:5;
+  Intervals.add t ~lo:20 ~len:5;
   Alcotest.(check (list (pair int int)))
     "disjoint" [ (10, 5); (20, 5) ] (intervals_list t);
   (* Adjacent on the left coalesces. *)
-  let t = Intervals.add t ~lo:15 ~len:5 in
+  Intervals.add t ~lo:15 ~len:5;
   Alcotest.(check (list (pair int int))) "merged" [ (10, 15) ] (intervals_list t)
 
 let test_intervals_overlap_merge () =
-  let t = Intervals.add Intervals.empty ~lo:0 ~len:10 in
-  let t = Intervals.add t ~lo:5 ~len:20 in
+  let t = intervals_of [ (0, 10) ] in
+  Intervals.add t ~lo:5 ~len:20;
   Alcotest.(check (list (pair int int))) "overlap" [ (0, 25) ] (intervals_list t);
-  let t = Intervals.add t ~lo:100 ~len:1 in
-  let t = Intervals.add t ~lo:0 ~len:200 in
+  Intervals.add t ~lo:100 ~len:1;
+  Intervals.add t ~lo:0 ~len:200;
   Alcotest.(check (list (pair int int))) "swallow" [ (0, 200) ] (intervals_list t)
 
 let test_intervals_uncovered () =
-  let t = Intervals.add Intervals.empty ~lo:10 ~len:10 in
-  let t = Intervals.add t ~lo:30 ~len:10 in
-  let gaps, t' = Intervals.add_uncovered t ~lo:5 ~len:40 in
+  let t = intervals_of [ (10, 10); (30, 10) ] in
+  let gaps = add_uncovered t ~lo:5 ~len:40 in
   Alcotest.(check (list (pair int int)))
     "gaps" [ (5, 5); (20, 10); (40, 5) ] gaps;
-  Alcotest.(check (list (pair int int))) "merged" [ (5, 40) ] (intervals_list t');
+  Alcotest.(check (list (pair int int))) "merged" [ (5, 40) ] (intervals_list t);
   (* Fully covered: no gaps. *)
-  let gaps, _ = Intervals.add_uncovered t' ~lo:10 ~len:20 in
+  let gaps = add_uncovered t ~lo:10 ~len:20 in
   Alcotest.(check (list (pair int int))) "no gaps" [] gaps
 
 (* Adversarial add_uncovered sequences: duplicate, nested, adjacent and
    overlapping ranges — the exact shapes the intra-transaction optimization
    feeds it when set_range calls repeat and overlap. *)
 let test_intervals_uncovered_adversarial () =
-  let t = Intervals.empty in
-  let gaps, t = Intervals.add_uncovered t ~lo:10 ~len:10 in
+  let t = Intervals.create () in
+  let gaps = add_uncovered t ~lo:10 ~len:10 in
   Alcotest.(check (list (pair int int))) "fresh is all gap" [ (10, 10) ] gaps;
   (* Exact duplicate: nothing new. *)
-  let gaps, t = Intervals.add_uncovered t ~lo:10 ~len:10 in
+  let gaps = add_uncovered t ~lo:10 ~len:10 in
   Alcotest.(check (list (pair int int))) "duplicate" [] gaps;
   (* Nested strictly inside: nothing new. *)
-  let gaps, t = Intervals.add_uncovered t ~lo:13 ~len:4 in
+  let gaps = add_uncovered t ~lo:13 ~len:4 in
   Alcotest.(check (list (pair int int))) "nested" [] gaps;
   (* Adjacent on the right: entirely new, and coalesces. *)
-  let gaps, t = Intervals.add_uncovered t ~lo:20 ~len:5 in
+  let gaps = add_uncovered t ~lo:20 ~len:5 in
   Alcotest.(check (list (pair int int))) "adjacent right" [ (20, 5) ] gaps;
   Alcotest.(check (list (pair int int)))
     "coalesced" [ (10, 15) ] (intervals_list t);
   (* Adjacent on the left. *)
-  let gaps, t = Intervals.add_uncovered t ~lo:5 ~len:5 in
+  let gaps = add_uncovered t ~lo:5 ~len:5 in
   Alcotest.(check (list (pair int int))) "adjacent left" [ (5, 5) ] gaps;
   (* Overlapping both ends of the covered block. *)
-  let gaps, t = Intervals.add_uncovered t ~lo:0 ~len:40 in
+  let gaps = add_uncovered t ~lo:0 ~len:40 in
   Alcotest.(check (list (pair int int)))
     "overhangs both sides" [ (0, 5); (25, 15) ] gaps;
   Alcotest.(check (list (pair int int))) "one block" [ (0, 40) ] (intervals_list t);
   (* Spanning several disjoint blocks at once. *)
-  let t = Intervals.add t ~lo:50 ~len:10 in
-  let t = Intervals.add t ~lo:70 ~len:10 in
-  let gaps, t = Intervals.add_uncovered t ~lo:35 ~len:55 in
+  Intervals.add t ~lo:50 ~len:10;
+  Intervals.add t ~lo:70 ~len:10;
+  let gaps = add_uncovered t ~lo:35 ~len:55 in
   Alcotest.(check (list (pair int int)))
     "multi-gap" [ (40, 10); (60, 10); (80, 10) ] gaps;
   Alcotest.(check (list (pair int int))) "all merged" [ (0, 90) ] (intervals_list t);
   (* Zero-length is a no-op with no gaps. *)
-  let gaps, t' = Intervals.add_uncovered t ~lo:1000 ~len:0 in
+  let before = intervals_list t in
+  let gaps = add_uncovered t ~lo:1000 ~len:0 in
   Alcotest.(check (list (pair int int))) "empty range" [] gaps;
   Alcotest.(check (list (pair int int)))
-    "set unchanged" (intervals_list t) (intervals_list t')
+    "set unchanged" before (intervals_list t)
 
 (* Randomized cross-check of add/add_uncovered/covers/byte_count against a
    naive bitmap model. *)
@@ -184,11 +203,11 @@ let test_intervals_vs_bitmap () =
   let universe = 256 in
   let bitmap = Array.make universe false in
   let rng = Rng.create ~seed:2026L in
-  let t = ref Intervals.empty in
+  let t = Intervals.create () in
   for _ = 1 to 500 do
     let lo = Rng.int rng universe in
     let len = Rng.int rng (universe - lo + 1) in
-    let gaps, t' = Intervals.add_uncovered !t ~lo ~len in
+    let gaps = add_uncovered t ~lo ~len in
     (* Gaps are disjoint, in-range, sorted, and exactly the uncovered bytes. *)
     let gap_bytes = List.fold_left (fun a (_, l) -> a + l) 0 gaps in
     let expect_gap_bytes = ref 0 in
@@ -206,9 +225,8 @@ let test_intervals_vs_bitmap () =
     for i = lo to lo + len - 1 do
       bitmap.(i) <- true
     done;
-    t := t';
     check_int "byte_count" (Array.fold_left (fun a b -> if b then a + 1 else a) 0 bitmap)
-      (Intervals.byte_count !t)
+      (Intervals.byte_count t)
   done;
   (* Final structural check: to_list intervals are disjoint, sorted, non-adjacent. *)
   let rec well_formed = function
@@ -219,10 +237,10 @@ let test_intervals_vs_bitmap () =
     | [ (_, len) ] -> check_bool "positive" true (len > 0)
     | [] -> ()
   in
-  well_formed (intervals_list !t)
+  well_formed (intervals_list t)
 
 let test_intervals_covers () =
-  let t = Intervals.add Intervals.empty ~lo:10 ~len:10 in
+  let t = intervals_of [ (10, 10) ] in
   check_bool "inside" true (Intervals.covers t ~lo:12 ~len:5);
   check_bool "exact" true (Intervals.covers t ~lo:10 ~len:10);
   check_bool "past end" false (Intervals.covers t ~lo:12 ~len:10);
@@ -232,22 +250,22 @@ let test_intervals_covers () =
   check_bool "not mem" false (Intervals.mem t 20)
 
 let test_intervals_subsumes () =
-  let a = Intervals.add (Intervals.add Intervals.empty ~lo:0 ~len:50) ~lo:100 ~len:50 in
-  let b = Intervals.add (Intervals.add Intervals.empty ~lo:10 ~len:10) ~lo:120 ~len:5 in
+  let a = intervals_of [ (0, 50); (100, 50) ] in
+  let b = intervals_of [ (10, 10); (120, 5) ] in
   check_bool "a subsumes b" true (Intervals.subsumes a b);
   check_bool "b does not subsume a" false (Intervals.subsumes b a);
-  let c = Intervals.add Intervals.empty ~lo:40 ~len:20 in
+  let c = intervals_of [ (40, 20) ] in
   check_bool "straddles gap" false (Intervals.subsumes a c)
 
 let test_intervals_intersect () =
-  let t = Intervals.add Intervals.empty ~lo:10 ~len:10 in
+  let t = intervals_of [ (10, 10) ] in
   check_bool "overlap" true (Intervals.inter_nonempty t ~lo:15 ~len:10);
   check_bool "adjacent is empty" false (Intervals.inter_nonempty t ~lo:20 ~len:5);
   check_bool "before" false (Intervals.inter_nonempty t ~lo:0 ~len:10);
   check_bool "spanning" true (Intervals.inter_nonempty t ~lo:0 ~len:100)
 
 let test_intervals_counts () =
-  let t = Intervals.add (Intervals.add Intervals.empty ~lo:0 ~len:3) ~lo:10 ~len:4 in
+  let t = intervals_of [ (0, 3); (10, 4) ] in
   check_int "bytes" 7 (Intervals.byte_count t);
   check_int "intervals" 2 (Intervals.interval_count t)
 

@@ -70,6 +70,59 @@ let test_lru_remove () =
   Lru.remove l 99 (* absent: no-op *);
   Alcotest.(check (list int)) "order kept" [ 3; 1 ] (Lru.to_list_mru_first l)
 
+(* Random touches, removes and evictions against a list model, most
+   recently used first: the same order after every step, and the same
+   victims. *)
+type lru_op = Touch of int | Remove of int | Evict
+
+let prop_lru_model =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 200)
+        (frequency
+           [
+             (5, map (fun k -> Touch k) (int_bound 15));
+             (2, map (fun k -> Remove k) (int_bound 15));
+             (2, return Evict);
+           ]))
+  in
+  let print =
+    QCheck.Print.list (function
+      | Touch k -> Printf.sprintf "touch %d" k
+      | Remove k -> Printf.sprintf "remove %d" k
+      | Evict -> "evict")
+  in
+  QCheck.Test.make ~name:"lru agrees with a list model" ~count:300
+    (QCheck.make ~print gen) (fun ops ->
+      let l = Lru.create () in
+      let model = ref [] in
+      let last = function [] -> None | m -> Some (List.nth m (List.length m - 1)) in
+      List.for_all
+        (fun op ->
+          let victim_ok =
+            match op with
+            | Touch k ->
+              Lru.touch l k;
+              model := k :: List.filter (( <> ) k) !model;
+              true
+            | Remove k ->
+              Lru.remove l k;
+              model := List.filter (( <> ) k) !model;
+              true
+            | Evict ->
+              let expect = last !model in
+              (match expect with
+              | Some k -> model := List.filter (( <> ) k) !model
+              | None -> ());
+              Lru.evict_lru l = expect
+          in
+          victim_ok
+          && Lru.to_list_mru_first l = !model
+          && Lru.size l = List.length !model
+          && Lru.peek_lru l = last !model
+          && List.for_all (Lru.mem l) !model)
+        ops)
+
 let mk_vm ?(frames = 4) () =
   let clock = Clock.simulated () in
   let model = Cost_model.dec5000 in
@@ -178,6 +231,7 @@ let suite =
     ("page-table.reserve", `Quick, test_page_table_reserve);
     ("lru.order", `Quick, test_lru_order);
     ("lru.remove", `Quick, test_lru_remove);
+    QCheck_alcotest.to_alcotest prop_lru_model;
     ("vm.fault-once", `Quick, test_vm_fault_once);
     ("vm.eviction-lru", `Quick, test_vm_eviction_lru);
     ("vm.dirty-pageout", `Quick, test_vm_dirty_pageout);
