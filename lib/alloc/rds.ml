@@ -18,9 +18,14 @@ let getw t addr =
   Rvm.read_into t.rvm ~addr ~len:8 t.word ~pos:0;
   Int64.to_int (Bytes.get_int64_le t.word 0)
 
+(* Every edit declares its words before writing them: [declare] covers [n]
+   adjacent words with one set_range, and [putw] writes one of them. *)
+let declare t tid addr n = Rvm.set_range t.rvm tid ~addr ~len:(8 * n)
+let putw t addr v = Rvm.set_i64 t.rvm ~addr (Int64.of_int v)
+
 let setw t tid addr v =
-  Rvm.set_range t.rvm tid ~addr ~len:8;
-  Rvm.set_i64 t.rvm ~addr (Int64.of_int v)
+  declare t tid addr 1;
+  putw t addr v
 
 (* Block accessors. A block [b] spans [b, b + size); header and footer both
    hold size lor allocated-bit. *)
@@ -51,22 +56,34 @@ let heap_end t = t.base + t.len
 
 let round8 n = (n + 7) land lnot 7
 
+(* The two links that point into a list position: [prev]'s next link (the
+   list head when [prev] is 0) and [next]'s prev link (none when [next] is
+   0). *)
+let set_next_of t tid prev v =
+  if prev = 0 then set_free_head t tid v else set_next_free t tid prev v
+
+let set_prev_of t tid next v = if next <> 0 then set_prev_free t tid next v
+
+(* Format [b, b + size) as a free block in the position [prev] < b < [next]
+   of the address-ordered list: its header and links are adjacent, one
+   range. *)
+let put_free t tid b ~size ~prev ~next =
+  declare t tid b 3;
+  putw t b size;
+  putw t (b + 8) next;
+  putw t (b + 16) prev;
+  setw t tid (footer_addr b size) size;
+  set_next_of t tid prev b;
+  set_prev_of t tid next b
+
 (* Address-ordered free-list insertion keeps first-fit deterministic and
    helps coalescing locality. *)
-let insert_free t tid b =
+let insert_free t tid b ~size =
   let rec find prev cur =
     if cur = 0 || cur > b then (prev, cur) else find cur (next_free t cur)
   in
   let prev, next = find 0 (free_head t) in
-  set_next_free t tid b next;
-  set_prev_free t tid b prev;
-  if prev = 0 then set_free_head t tid b else set_next_free t tid prev b;
-  if next <> 0 then set_prev_free t tid next b
-
-let remove_free t tid b =
-  let prev = prev_free t b and next = next_free t b in
-  if prev = 0 then set_free_head t tid next else set_next_free t tid prev next;
-  if next <> 0 then set_prev_free t tid next prev
+  put_free t tid b ~size ~prev ~next
 
 let init rvm tid ~base ~len =
   if len < heap_header + min_block then
@@ -77,9 +94,7 @@ let init rvm tid ~base ~len =
   setw t tid (base + hdr_len) len;
   setw t tid (base + hdr_free) 0;
   setw t tid (base + hdr_allocated) 0;
-  let b = first_block t in
-  write_tags t tid b ~size:(len - heap_header) ~allocated:false;
-  insert_free t tid b;
+  insert_free t tid (first_block t) ~size:(len - heap_header);
   t
 
 let attach rvm ~base =
@@ -101,18 +116,32 @@ let alloc t tid ~size =
   in
   let b = fit (free_head t) in
   let bsize = size_of_tag (block_size_tag t b) in
-  remove_free t tid b;
+  let prev = prev_free t b and next = next_free t b in
   let used =
     if bsize - need >= min_block then begin
-      (* Split: the tail stays free. *)
-      let rest = b + need in
-      write_tags t tid rest ~size:(bsize - need) ~allocated:false;
-      insert_free t tid rest;
+      (* Split: the tail stays free, in the block's place on the list. The
+         block's new footer and the tail's header and links are four
+         adjacent words, one range. *)
+      let rest = b + need and rsize = bsize - need in
+      declare t tid (rest - 8) 4;
+      putw t (rest - 8) (need lor 1);
+      putw t rest rsize;
+      putw t (rest + 8) next;
+      putw t (rest + 16) prev;
+      setw t tid (footer_addr rest rsize) rsize;
+      set_next_of t tid prev rest;
+      set_prev_of t tid next rest;
+      setw t tid b (need lor 1);
       need
     end
-    else bsize
+    else begin
+      (* The whole block goes: its neighbours on the list close up. *)
+      set_next_of t tid prev next;
+      set_prev_of t tid next prev;
+      write_tags t tid b ~size:bsize ~allocated:true;
+      bsize
+    end
   in
-  write_tags t tid b ~size:used ~allocated:true;
   add_allocated t tid (used - overhead);
   b + 8
 
@@ -133,32 +162,38 @@ let usable_size t p =
   let _, size, _ = payload_block t p in
   size - overhead
 
+(* Coalescing with free neighbours edits the list in place: a free block
+   before [b] grows where it sits, and a free block after [b] alone is
+   replaced on the list by [b]. *)
 let free t tid p =
   let b, size, allocated = payload_block t p in
   if not allocated then Types.error "rds: double free of %#x" p;
   add_allocated t tid (overhead - size);
-  (* Coalesce with the next block. *)
-  let b, size =
-    let nb = b + size in
-    if nb < heap_end t && not (allocated_tag (block_size_tag t nb)) then begin
-      remove_free t tid nb;
-      (b, size + size_of_tag (block_size_tag t nb))
-    end
-    else (b, size)
+  let nb = b + size in
+  let nsize =
+    if nb < heap_end t && not (allocated_tag (block_size_tag t nb)) then
+      size_of_tag (block_size_tag t nb)
+    else 0
   in
-  (* Coalesce with the previous block (via its footer). *)
-  let b, size =
-    if b > first_block t && not (allocated_tag (block_size_tag t (b - 8)))
-    then begin
-      let psize = size_of_tag (block_size_tag t (b - 8)) in
-      let pb = b - psize in
-      remove_free t tid pb;
-      (pb, size + psize)
+  if b > first_block t && not (allocated_tag (block_size_tag t (b - 8))) then begin
+    let psize = size_of_tag (block_size_tag t (b - 8)) in
+    let pb = b - psize and total = psize + size + nsize in
+    if nsize > 0 then begin
+      (* [nb] follows [pb] on the list, nothing being free between them:
+         it leaves, and [pb] links to its successor. *)
+      let after = next_free t nb in
+      declare t tid pb 2;
+      putw t pb total;
+      putw t (pb + 8) after;
+      set_prev_of t tid after pb
     end
-    else (b, size)
-  in
-  write_tags t tid b ~size ~allocated:false;
-  insert_free t tid b
+    else setw t tid pb total;
+    setw t tid (footer_addr pb total) total
+  end
+  else if nsize > 0 then
+    put_free t tid b ~size:(size + nsize) ~prev:(prev_free t nb)
+      ~next:(next_free t nb)
+  else insert_free t tid b ~size
 
 let base t = t.base
 let heap_len t = t.len

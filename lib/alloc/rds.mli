@@ -12,7 +12,14 @@
     Block layout: an 8-byte header and an 8-byte footer both hold the block
     size with the low bit as the allocated flag; free blocks keep next/prev
     free-list pointers in their first 16 payload bytes. The minimum block
-    is 32 bytes; requests are rounded up to 8-byte multiples. *)
+    is 32 bytes; requests are rounded up to 8-byte multiples.
+
+    Every edit declares the words it writes once, and adjacent words as one
+    range: a split leaves the tail free in the block's place on the list,
+    a free that coalesces grows the free block before it where it sits, or
+    takes the place of the free block after it. So {!alloc} makes at most
+    6 [set_range] calls and {!free} at most 5, and the intra-transaction
+    optimizer logs no byte that nothing wrote. *)
 
 type t
 
@@ -26,8 +33,9 @@ val attach : Rvm_core.Rvm.t -> base:int -> t
     Raises {!Rvm_core.Types.Rvm_error} if no heap signature is present. *)
 
 val alloc : t -> Rvm_core.Rvm.tid -> size:int -> int
-(** Allocate [size] bytes; returns the payload address. The caller needs no
-    set_range for the returned payload until it writes into it. Raises
+(** Allocate [size] bytes from the first free block that fits, in address
+    order; returns the payload address. The caller needs no set_range for
+    the returned payload until it writes into it. Raises
     {!Rvm_core.Types.Rvm_error} ([Out_of_memory]-style message) when no
     block fits. *)
 

@@ -34,9 +34,9 @@ let key_of i = Printf.sprintf "k%03d" i
 
 (* The scripted workload: grow through repeated splits (batched and
    single-key commits, both commit modes), abort a structural insert,
-   overwrite values (cell replace), truncate mid-history so segment
-   write-back is in the crash sweep too, then drain the tree through
-   borrows and merges down to a near-empty root. *)
+   overwrite values (in place, and into a new cell), truncate mid-history
+   so segment write-back is in the crash sweep too, then drain the tree
+   through borrows and merges down to a near-empty root. *)
 let default_ops =
   let puts lo hi =
     List.init
@@ -57,9 +57,15 @@ let default_ops =
     Abort (puts 40 49);
     Commit (puts 14 17, Types.No_flush);
     Flush;
-    (* Replaces: new cell allocated, old freed, under load. *)
+    (* Replaces, both paths: the 25-byte values sit in cells with room
+       for 32 bytes, so the first two are rewritten in place and the third
+       outgrows its cell (new cell allocated, old freed). *)
     Commit
-      ( [ Put (key_of 3, "replaced-longer-value-3"); Put (key_of 11, "r11") ],
+      ( [
+          Put (key_of 3, "replaced-longer-value-3");
+          Put (key_of 11, "r11");
+          Put (key_of 12, "replaced-by-a-value-that-outgrows-its-cell-12");
+        ],
         Types.No_flush );
     Truncate;
     Commit (puts 18 23, Types.Flush);

@@ -123,7 +123,6 @@ val counter : outcome -> string -> int
 
 (** {2 Reporting} *)
 
-val pp_crash_point : Format.formatter -> crash_point -> unit
 val pp_violation : Format.formatter -> violation -> unit
 
 val pp_outcome : Format.formatter -> outcome -> unit

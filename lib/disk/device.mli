@@ -30,9 +30,6 @@ type t = {
 
 val fresh_stats : unit -> stats
 
-val check_range : t -> off:int -> len:int -> unit
-(** Raise [Io_error] if [off, off+len) is outside the device. *)
-
 val read_bytes : t -> off:int -> len:int -> Bytes.t
 (** Convenience wrapper allocating the destination. *)
 

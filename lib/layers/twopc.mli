@@ -142,5 +142,4 @@ module Parallel : sig
       [All_durable] and [Resolve Aborted] after it are both illegal. *)
 
   val state_name : state -> string
-  val event_name : event -> string
 end

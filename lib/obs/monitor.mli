@@ -106,8 +106,6 @@ val health_line : t -> string option
     first close): window index, simulated time, commit rate, window
     p99, aborts, sheds, log occupancy, LSN lag and open incident count. *)
 
-val incident_json : incident -> Json.t
-
 val postmortem : ?run:(string * Json.t) list -> t -> Json.t
 (** The end-of-run report: run metadata, health verdict, every incident
     with its triggering windows and flight-recorder tail, and the

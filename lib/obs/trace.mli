@@ -80,7 +80,5 @@ val events_since : t -> int -> span list * int
 val clear : t -> unit
 (** Drop retained spans. Ids, the cursor and open spans are untouched. *)
 
-val pp_value : Format.formatter -> value -> unit
-
 val pp_span : Format.formatter -> span -> unit
 (** One line: [#id<#parent scope @start +dur attrs...]. *)

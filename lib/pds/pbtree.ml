@@ -22,14 +22,18 @@ module Rds = Rvm_alloc.Rds
    Each overflow cell belongs to exactly one live slot: a slot move takes
    the cell with it, and a separator copied from a leaf key gets a cell of
    its own.
-   Cell (rds-allocated): +0 byte length, +8 the bytes. Cells are immutable;
-   replacing a value allocates the new cell before freeing the old, so an
-   abort leaves the original reachable.
+   Cell (rds-allocated): +0 byte length, +8 the bytes. A value that fits
+   its cell is rewritten there; one that outgrows it gets a new cell, and
+   the old one is freed. An abort puts the old bytes back because the
+   caller's Restore-mode transaction saved them at set_range.
 
-   Every mutation declares exactly the touched bytes with set_range — a
-   key-slot move is one 16-byte range, a pointer move one 8-byte range, a
-   node split the handful of slots it shifts — so the intra- and
-   inter-transaction optimizers see mergeable ranges, never whole nodes. *)
+   Every mutation declares each change once, as exactly the bytes it
+   writes: a rewritten cell, a fresh cell or a fresh node's header is one
+   range, a run of key or pointer slots that shifts or moves to another
+   node is one range, and so is a single slot. The declared bytes are the
+   ones a slot-at-a-time move would declare, so the logged bytes are the
+   same and only the set_range calls are fewer; no declaration widens to a
+   whole node. *)
 
 type stats = { mutable splits : int; mutable merges : int; mutable borrows : int }
 
@@ -57,9 +61,11 @@ let getw t addr =
   Rvm.read_into t.rvm ~addr ~len:8 t.buf ~pos:0;
   Int64.to_int (Bytes.get_int64_le t.buf 0)
 
+let putw t addr v = Rvm.set_i64 t.rvm ~addr (Int64.of_int v)
+
 let setw t tid addr v =
   Rvm.set_range t.rvm tid ~addr ~len:8;
-  Rvm.set_i64 t.rvm ~addr (Int64.of_int v)
+  putw t addr v
 
 let max_keys t = (2 * t.deg) - 1
 let min_keys t = t.deg - 1
@@ -92,14 +98,16 @@ let cell_string t c =
     Bytes.unsafe_to_string b
   end
 
-let alloc_cell t tid s =
+(* Write [s] into cell [c]: its length word and bytes, one range. *)
+let write_cell t tid c s =
   let len = String.length s in
-  let c = Rds.alloc t.heap tid ~size:(8 + len) in
-  setw t tid c len;
-  if len > 0 then begin
-    Rvm.set_range t.rvm tid ~addr:(c + 8) ~len;
-    Rvm.store_string t.rvm ~addr:(c + 8) s
-  end;
+  Rvm.set_range t.rvm tid ~addr:c ~len:(8 + len);
+  putw t c len;
+  if len > 0 then Rvm.store_string t.rvm ~addr:(c + 8) s
+
+let alloc_cell t tid s =
+  let c = Rds.alloc t.heap tid ~size:(8 + String.length s) in
+  write_cell t tid c s;
   c
 
 let free_cell t tid c = Rds.free t.heap tid c
@@ -168,6 +176,23 @@ let move_key t tid src i dst j =
   Rvm.set_i64 t.rvm ~addr:d (Bytes.get_int64_le t.buf 0);
   Rvm.set_i64 t.rvm ~addr:(d + 8) (Bytes.get_int64_le t.buf 8)
 
+(* Move [len] bytes from [src] to [dst] under one set_range: a run of slots
+   shifting within a node or moving to another, read whole before any of
+   it is written. Slots move whole, so overflow cells go with them, as
+   with [move_key]. *)
+let move_block t tid ~src ~dst ~len =
+  if len > 0 then Rvm.modify t.rvm tid ~addr:dst (Rvm.load t.rvm ~addr:src ~len)
+
+(* Move [count] key slots, or pointer slots, from slot [i] of [src] to slot
+   [j] of [dst]. *)
+let move_keys t tid src i dst j count =
+  move_block t tid ~src:(key_slot t src i) ~dst:(key_slot t dst j)
+    ~len:(slot_size * count)
+
+let move_ptrs t tid src i dst j count =
+  move_block t tid ~src:(ptr_slot t src i) ~dst:(ptr_slot t dst j)
+    ~len:(8 * count)
+
 (* Copy key [i] of [src] to key [j] of [dst], giving the copy an overflow
    cell of its own: both slots stay live. *)
 let copy_key t tid src i dst j =
@@ -177,11 +202,13 @@ let copy_key t tid src i dst j =
 
 let free_key t tid n i = Option.iter (free_cell t tid) (overflow_cell t n i)
 
-let alloc_node t tid ~leaf =
+(* A fresh node's header (kind, key count, next-leaf link) is one range. *)
+let alloc_node t tid ~leaf ~count ~next =
   let n = Rds.alloc t.heap tid ~size:(node_size t) in
-  setw t tid n (if leaf then leaf_kind else internal_kind);
-  setw t tid (n + 8) 0;
-  setw t tid (n + 16) 0;
+  Rvm.set_range t.rvm tid ~addr:n ~len:24;
+  putw t n (if leaf then leaf_kind else internal_kind);
+  putw t (n + 8) count;
+  putw t (n + 16) next;
   n
 
 let fresh_stats () = { splits = 0; merges = 0; borrows = 0 }
@@ -195,7 +222,7 @@ let create rvm heap tid ~degree =
   in
   setw t tid addr (Int64.to_int magic);
   setw t tid (addr + 24) degree;
-  let r = alloc_node t tid ~leaf:true in
+  let r = alloc_node t tid ~leaf:true ~count:0 ~next:0 in
   set_root t tid r;
   set_length t tid 0;
   t
@@ -251,12 +278,8 @@ let mem t ~key = get t ~key <> None
    ci+1. The parent must not be full; the caller fills key [ci]. *)
 let open_child_slot t tid parent ci ~right =
   let k = nkeys t parent in
-  for j = k downto ci + 1 do
-    move_key t tid parent (j - 1) parent j
-  done;
-  for j = k + 1 downto ci + 2 do
-    set_ptr t tid parent j (ptr t parent (j - 1))
-  done;
+  move_keys t tid parent ci parent (ci + 1) (k - ci);
+  move_ptrs t tid parent (ci + 1) parent (ci + 2) (k - ci);
   set_ptr t tid parent (ci + 1) right;
   set_nkeys t tid parent (k + 1)
 
@@ -267,28 +290,21 @@ let split_child t tid parent ci =
      (* Leaf split: left keeps d entries, right takes d-1. The separator is
         a copy of the right node's first key (leaf entries never move up;
         a separator's overflow cell is owned by its internal node alone). *)
-     let right = alloc_node t tid ~leaf:true in
-     for i = 0 to d - 2 do
-       move_key t tid child (d + i) right i;
-       set_ptr t tid right i (ptr t child (d + i))
-     done;
-     set_nkeys t tid right (d - 1);
+     let right =
+       alloc_node t tid ~leaf:true ~count:(d - 1) ~next:(next_leaf t child)
+     in
+     move_keys t tid child d right 0 (d - 1);
+     move_ptrs t tid child d right 0 (d - 1);
      set_nkeys t tid child d;
-     set_next_leaf t tid right (next_leaf t child);
      set_next_leaf t tid child right;
      open_child_slot t tid parent ci ~right;
      copy_key t tid right 0 parent ci
    end
    else begin
      (* Internal split: the median key's slot moves up. *)
-     let right = alloc_node t tid ~leaf:false in
-     for i = 0 to d - 2 do
-       move_key t tid child (d + i) right i
-     done;
-     for i = 0 to d - 1 do
-       set_ptr t tid right i (ptr t child (d + i))
-     done;
-     set_nkeys t tid right (d - 1);
+     let right = alloc_node t tid ~leaf:false ~count:(d - 1) ~next:0 in
+     move_keys t tid child d right 0 (d - 1);
+     move_ptrs t tid child d right 0 d;
      set_nkeys t tid child (d - 1);
      open_child_slot t tid parent ci ~right;
      move_key t tid child (d - 1) parent ci
@@ -300,10 +316,8 @@ let rec insert_nonfull t tid n ~key ~value =
   if is_leaf t n then begin
     let i, _ = leaf_find t n ~key in
     let k = nkeys t n in
-    for j = k downto i + 1 do
-      move_key t tid n (j - 1) n j;
-      set_ptr t tid n j (ptr t n (j - 1))
-    done;
+    move_keys t tid n i n (i + 1) (k - i);
+    move_ptrs t tid n i n (i + 1) (k - i);
     write_key t tid n i key;
     set_ptr t tid n i (alloc_cell t tid value);
     set_nkeys t tid n (k + 1);
@@ -325,19 +339,23 @@ let put t tid ~key ~value =
   let n = leaf_of t (root t) ~key in
   let i, exact = leaf_find t n ~key in
   if exact then begin
-    (* Replace in place, before any split: a present key's leaf never
-       moves. The new cell is allocated before the old one is freed, so
-       an abort finds the original still reachable from the restored
-       slot. *)
-    let old = ptr t n i in
-    set_ptr t tid n i (alloc_cell t tid value);
-    free_cell t tid old
+    (* Replace before any split: a present key's leaf never moves. A value
+       that fits its cell is rewritten there under one range, whose old
+       bytes a Restore-mode transaction saves for an abort; one that
+       outgrows its cell gets a new cell, and the old one is freed. *)
+    let c = ptr t n i in
+    if 8 + String.length value <= Rds.usable_size t.heap c then
+      write_cell t tid c value
+    else begin
+      set_ptr t tid n i (alloc_cell t tid value);
+      free_cell t tid c
+    end
   end
   else begin
     let r = root t in
     let r =
       if nkeys t r = max_keys t then begin
-        let nr = alloc_node t tid ~leaf:false in
+        let nr = alloc_node t tid ~leaf:false ~count:0 ~next:0 in
         set_ptr t tid nr 0 r;
         set_root t tid nr;
         split_child t tid nr 0;
@@ -362,10 +380,8 @@ let borrow_left t tid parent ci =
   let child = ptr t parent ci and left = ptr t parent (ci - 1) in
   let lk = nkeys t left and ck = nkeys t child in
   (if is_leaf t child then begin
-     for j = ck downto 1 do
-       move_key t tid child (j - 1) child j;
-       set_ptr t tid child j (ptr t child (j - 1))
-     done;
+     move_keys t tid child 0 child 1 ck;
+     move_ptrs t tid child 0 child 1 ck;
      move_key t tid left (lk - 1) child 0;
      set_ptr t tid child 0 (ptr t left (lk - 1));
      set_nkeys t tid child (ck + 1);
@@ -376,12 +392,8 @@ let borrow_left t tid parent ci =
    else begin
      (* Rotate through the parent: the separator drops into the child and
         the left sibling's last key rises, slots moving whole. *)
-     for j = ck downto 1 do
-       move_key t tid child (j - 1) child j
-     done;
-     for j = ck + 1 downto 1 do
-       set_ptr t tid child j (ptr t child (j - 1))
-     done;
+     move_keys t tid child 0 child 1 ck;
+     move_ptrs t tid child 0 child 1 (ck + 1);
      move_key t tid parent (ci - 1) child 0;
      set_ptr t tid child 0 (ptr t left lk);
      move_key t tid left (lk - 1) parent (ci - 1);
@@ -397,10 +409,8 @@ let borrow_right t tid parent ci =
      move_key t tid right 0 child ck;
      set_ptr t tid child ck (ptr t right 0);
      set_nkeys t tid child (ck + 1);
-     for j = 0 to rk - 2 do
-       move_key t tid right (j + 1) right j;
-       set_ptr t tid right j (ptr t right (j + 1))
-     done;
+     move_keys t tid right 1 right 0 (rk - 1);
+     move_ptrs t tid right 1 right 0 (rk - 1);
      set_nkeys t tid right (rk - 1);
      reset_separator t tid parent ci right 0
    end
@@ -408,12 +418,8 @@ let borrow_right t tid parent ci =
      move_key t tid parent ci child ck;
      set_ptr t tid child (ck + 1) (ptr t right 0);
      move_key t tid right 0 parent ci;
-     for j = 0 to rk - 2 do
-       move_key t tid right (j + 1) right j
-     done;
-     for j = 0 to rk - 1 do
-       set_ptr t tid right j (ptr t right (j + 1))
-     done;
+     move_keys t tid right 1 right 0 (rk - 1);
+     move_ptrs t tid right 1 right 0 rk;
      set_nkeys t tid child (ck + 1);
      set_nkeys t tid right (rk - 1)
    end);
@@ -426,32 +432,22 @@ let merge_children t tid parent ci =
   let child = ptr t parent ci and right = ptr t parent (ci + 1) in
   let ck = nkeys t child and rk = nkeys t right in
   (if is_leaf t child then begin
-     for i = 0 to rk - 1 do
-       move_key t tid right i child (ck + i);
-       set_ptr t tid child (ck + i) (ptr t right i)
-     done;
+     move_keys t tid right 0 child ck rk;
+     move_ptrs t tid right 0 child ck rk;
      set_nkeys t tid child (ck + rk);
      set_next_leaf t tid child (next_leaf t right);
      free_key t tid parent ci
    end
    else begin
      move_key t tid parent ci child ck;
-     for i = 0 to rk - 1 do
-       move_key t tid right i child (ck + 1 + i)
-     done;
-     for i = 0 to rk do
-       set_ptr t tid child (ck + 1 + i) (ptr t right i)
-     done;
+     move_keys t tid right 0 child (ck + 1) rk;
+     move_ptrs t tid right 0 child (ck + 1) (rk + 1);
      set_nkeys t tid child (ck + 1 + rk)
    end);
   Rds.free t.heap tid right;
   let pk = nkeys t parent in
-  for j = ci to pk - 2 do
-    move_key t tid parent (j + 1) parent j
-  done;
-  for j = ci + 1 to pk - 1 do
-    set_ptr t tid parent j (ptr t parent (j + 1))
-  done;
+  move_keys t tid parent (ci + 1) parent ci (pk - 1 - ci);
+  move_ptrs t tid parent (ci + 2) parent (ci + 1) (pk - 1 - ci);
   set_nkeys t tid parent (pk - 1);
   t.stats.merges <- t.stats.merges + 1;
   child
@@ -479,10 +475,8 @@ let rec delete_from t tid n ~key =
       let k = nkeys t n in
       free_key t tid n i;
       free_cell t tid (ptr t n i);
-      for j = i to k - 2 do
-        move_key t tid n (j + 1) n j;
-        set_ptr t tid n j (ptr t n (j + 1))
-      done;
+      move_keys t tid n (i + 1) n i (k - 1 - i);
+      move_ptrs t tid n (i + 1) n i (k - 1 - i);
       set_nkeys t tid n (k - 1);
       bump_count t tid (-1);
       true
@@ -557,8 +551,7 @@ let load t ~count entry =
       let n =
         if !prev = 0 then first
         else begin
-          let n = alloc_node t !tid ~leaf:true in
-          set_nkeys t !tid n k;
+          let n = alloc_node t !tid ~leaf:true ~count:k ~next:0 in
           if !prev <> first then set_next_leaf t !tid !prev n;
           n
         end
@@ -580,8 +573,7 @@ let load t ~count entry =
     in
     (* Separator i-1 of an internal node is a copy of child i's least key. *)
     let internal level at k =
-      let n = alloc_node t !tid ~leaf:false in
-      set_nkeys t !tid n (k - 1);
+      let n = alloc_node t !tid ~leaf:false ~count:(k - 1) ~next:0 in
       for i = 0 to k - 1 do
         let child, least = level.(at + i) in
         if i > 0 then write_key t !tid n (i - 1) least;
@@ -717,6 +709,18 @@ let check t =
       prev := Some key
     done;
     if kind = leaf_kind then begin
+      (* Every value cell is a live block of its own whose length word fits
+         it: a rewrite in place must never run past its cell. *)
+      for i = 0 to k - 1 do
+        let c = ptr t n i in
+        if Hashtbl.mem cells c then
+          Types.error "pbtree-check: value cell %#x in two slots" c;
+        Hashtbl.add cells c ();
+        let len = getw t c in
+        if len < 0 || Rds.usable_size t.heap c < 8 + len then
+          Types.error "pbtree-check: value cell %#x holds %d bytes, past its \
+                       block" c len
+      done;
       if !leaf_depth = -1 then leaf_depth := depth
       else if !leaf_depth <> depth then
         Types.error "pbtree-check: leaf %#x at depth %d, expected %d" n depth

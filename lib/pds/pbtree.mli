@@ -9,10 +9,15 @@
     ordered scans; internal nodes hold separator copies. A key of up to 15
     bytes sits inline in its node's 16-byte key slot, so a descent reads
     no cell but the value; a longer key spills into an overflow cell that
-    its slot alone owns. All [set_range] declarations are scoped to the
-    exact slots touched (16-byte key-slot moves, 8-byte pointer moves,
-    freshly allocated cells), never whole nodes, so the
-    intra/inter-transaction optimizers see mergeable small ranges.
+    its slot alone owns. Each write declares each change once, as exactly
+    the bytes it writes: a value rewritten in its cell, a fresh cell, a
+    fresh node's header, and a run of key or pointer slots that moves are
+    one [set_range] each, never a whole node. A value cell's length word
+    always fits its block.
+
+    Aborting a mutation needs the transaction to have begun in
+    [Restore] mode, which saves the old bytes at each [set_range]: a value
+    rewritten in place gets its old bytes back from there.
 
     Reads ([get]/[range]/[scan]/[iter]/[fold]/[check]) need no transaction.
     Mutations take the caller's [tid]; callers serialize access per tree
@@ -45,10 +50,11 @@ val get : t -> key:string -> string option
 val mem : t -> key:string -> bool
 
 val put : t -> Rvm_core.Rvm.tid -> key:string -> value:string -> unit
-(** Insert or replace. A replacement changes only the value pointer: it
-    splits nothing, so {!leaf_addr} stays put. It allocates the new value
-    cell before freeing the old, so an aborted transaction leaves the
-    original value reachable. *)
+(** Insert or replace. A replacement splits nothing, so {!leaf_addr}
+    stays put. A new value that fits the old one's cell is rewritten there
+    under one [set_range], and the value's address stays put too; one that
+    outgrows its cell moves to a new cell, allocated before the old one is
+    freed. *)
 
 val load : t -> count:int -> (int -> string * string) -> unit
 (** [load t ~count entry] fills an empty tree bottom-up with the entries
@@ -95,7 +101,8 @@ val leaf_addr : t -> key:string -> int
 val check : t -> unit
 (** Walk the whole tree verifying structural invariants: magic, node kinds,
     occupancy bounds, key-slot encoding (every overflow cell a live heap
-    block owned by one slot), separator bounds ([lo <= key < hi] per
+    block owned by one slot), value cells (each a live heap block owned by
+    one slot, its length word fitting the block), separator bounds ([lo <= key < hi] per
     subtree), strict in-node key order, uniform leaf depth, key count, and
     that the next-leaf chain threads the leaves exactly in key order. Raises
     {!Rvm_core.Types.Rvm_error} on any violation. *)

@@ -17,7 +17,6 @@ val make : layouts:Rvm_workload.Tpca.layout array -> t
 val shards : t -> int
 val layout : t -> int -> Rvm_workload.Tpca.layout
 
-val account_shard : t -> int -> int
 val account_addr : t -> int -> int
 
 val teller_addr : t -> anchor:int -> int -> int

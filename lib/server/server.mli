@@ -94,8 +94,6 @@ val run : config -> result
     monitoring path only reads the clock, so a monitored run's {!result}
     is byte-identical to a bare {!run} of the same config. *)
 
-val default_window_us : float
-
 val run_monitored :
   ?window_us:float ->
   ?on_window:(Rvm_obs.Monitor.t -> Rvm_obs.Timeseries.window -> unit) ->

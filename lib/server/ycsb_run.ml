@@ -12,6 +12,7 @@ module Lock_mgr = Rvm_layers.Lock_mgr
 module Registry = Rvm_obs.Registry
 module Counter = Rvm_obs.Counter
 module Json = Rvm_obs.Json
+module Statistics = Rvm_core.Statistics
 
 type config = {
   mix : Ycsb.mix;
@@ -64,6 +65,8 @@ type result = {
   log_writes : int;
   log_syncs : int;
   syncs_per_commit : float;
+  set_ranges_per_commit : float;
+  log_bytes_per_commit : float;
   vm_faults : int;
   vm_evictions : int;
   vm_pageouts : int;
@@ -326,6 +329,9 @@ let serve_with ?monitor cfg w =
     Server.scheduler scfg sw ~gen:(gen cfg) ~steps:(steps_of cfg w.tree)
   in
   let ops = ref [] in
+  (* The write path's economy, over the serving phase alone: set_range
+     calls and logged bytes per committed request. *)
+  let before = Rvm.stats w.rvm in
   Scheduler.set_hooks sched
     ~on_spool:(fun r ->
       match r.Request.spec.Request.kind with
@@ -333,6 +339,11 @@ let serve_with ?monitor cfg w =
       | _ -> ())
     ~on_ack:ignore;
   let s = Server.reduce scfg sw (Server.serve ?monitor sw sched) in
+  let after = Rvm.stats w.rvm in
+  let per_commit f =
+    if s.Server.committed = 0 then 0.
+    else float_of_int (f after - f before) /. float_of_int s.Server.committed
+  in
   (* Paging counters are sampled first: the gauge pass below walks every
      heap block and the serial-reference replay walks every leaf — both
      would otherwise be charged to the run. *)
@@ -359,6 +370,8 @@ let serve_with ?monitor cfg w =
     log_writes = s.Server.log_writes;
     log_syncs = s.Server.log_syncs;
     syncs_per_commit = s.Server.syncs_per_commit;
+    set_ranges_per_commit = per_commit (fun st -> st.Statistics.set_ranges);
+    log_bytes_per_commit = per_commit (fun st -> st.Statistics.bytes_logged);
     vm_faults;
     vm_evictions;
     vm_pageouts;
@@ -420,6 +433,8 @@ let result_to_json r =
       ("log_writes", Json.Int r.log_writes);
       ("log_syncs", Json.Int r.log_syncs);
       ("syncs_per_commit", Json.Float r.syncs_per_commit);
+      ("set_ranges_per_commit", Json.Float r.set_ranges_per_commit);
+      ("log_bytes_per_commit", Json.Float r.log_bytes_per_commit);
       ("vm_faults", Json.Int r.vm_faults);
       ("vm_evictions", Json.Int r.vm_evictions);
       ("vm_pageouts", Json.Int r.vm_pageouts);
@@ -434,20 +449,23 @@ let result_to_json r =
 
 let pp_table fmt results =
   Format.fprintf fmt
-    "%-7s %8s %-18s %5s | %9s %9s %6s %6s | %9s %9s %9s | %9s %8s %6s %6s@\n"
+    "%-7s %8s %-18s %5s | %9s %9s %6s %6s | %9s %9s %9s | %9s %8s %8s | %8s \
+     %6s %6s@\n"
     "mix" "records" "load" "batch" "committed" "tps" "shed" "abort" "p50(ms)"
-    "p95(ms)" "p99(ms)" "syncs/txn" "faults" "splits" "serial";
-  Format.fprintf fmt "%s@\n" (String.make 143 '-');
+    "p95(ms)" "p99(ms)" "syncs/txn" "sr/txn" "logB/txn" "faults" "splits"
+    "serial";
+  Format.fprintf fmt "%s@\n" (String.make 163 '-');
   List.iter
     (fun r ->
       Format.fprintf fmt
         "%-7s %8d %-18s %5d | %9d %9.1f %6d %6d | %9.2f %9.2f %9.2f | %9.3f \
-         %8d %6d %6s@\n"
+         %8.2f %8.1f | %8d %6d %6s@\n"
         (Ycsb.mix_name r.cfg.mix) r.cfg.records (Server.load_name r.cfg.load)
         r.cfg.batch_max r.committed r.throughput_tps r.shed r.aborts
         (r.p50_latency_us /. 1e3)
         (r.p95_latency_us /. 1e3)
         (r.p99_latency_us /. 1e3)
-        r.syncs_per_commit r.vm_faults r.splits
+        r.syncs_per_commit r.set_ranges_per_commit r.log_bytes_per_commit
+        r.vm_faults r.splits
         (if r.serial_equal then "ok" else "FAIL"))
     results

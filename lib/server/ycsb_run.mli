@@ -56,6 +56,12 @@ type result = {
   log_writes : int;
   log_syncs : int;
   syncs_per_commit : float;
+  set_ranges_per_commit : float;
+      (** the engine's [txn.set_range] calls over the serving phase, per
+          committed request *)
+  log_bytes_per_commit : float;
+      (** the engine's [log.bytes_logged] over the serving phase, per
+          committed request *)
   vm_faults : int;
   vm_evictions : int;
   vm_pageouts : int;

@@ -536,8 +536,6 @@ let log_occupancy t =
   Array.fold_left (fun acc r -> Float.max acc (Rvm.log_occupancy r)) 0.
     t.shards
 
-let shard_committed t = Array.map Rvm_obs.Counter.get t.shard_committed
-
 let active_transactions t = Hashtbl.length t.txns
 
 let terminate t =

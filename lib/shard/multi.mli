@@ -66,7 +66,6 @@ val shard : t -> int -> Rvm_core.Rvm.t
 (** The underlying per-shard engine (tests and benchmarks only). *)
 
 val routing : t -> Routing.t
-val shard_of_seg : t -> int -> int
 val shard_of_addr : t -> addr:int -> int
 
 val map :
@@ -127,11 +126,6 @@ val set_i64 : t -> addr:int -> int64 -> unit
 
 val log_occupancy : t -> float
 (** Max log fill fraction over shards — the monitoring gauge. *)
-
-val shard_committed : t -> int array
-(** Per-shard committed-transaction counts (a cross-shard commit counts
-    on every participant), also exported as [shard.<i>.committed]
-    registry counters for windowed telemetry. *)
 
 val stats : t -> Rvm_core.Statistics.t
 (** Merged engine totals (all shards share one registry). *)

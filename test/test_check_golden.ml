@@ -99,10 +99,10 @@ let goldens =
     ( "--elr --seed 3 --exhaustive",
       (fun () -> elr ~seed:3 ~exhaustive:true ()),
       [ 34; 17; 17; 35; 75; 110; 19; 0 ] );
-    ("--btree", (fun () -> btree ()), [ 21; 12; 9; 22; 47; 69; 9; 0 ]);
+    ("--btree", (fun () -> btree ()), [ 21; 12; 9; 22; 46; 68; 9; 0 ]);
     ( "--btree --exhaustive --sector 128",
       (fun () -> btree ~exhaustive:true ~sector:128 ()),
-      [ 21; 12; 9; 22; 190; 212; 9; 0 ] );
+      [ 21; 12; 9; 22; 188; 210; 9; 0 ] );
     ( "--elr --shards 2 --seed 11",
       (fun () -> elr ~shards:2 ~seed:11 ()),
       [ 50; 25; 25; 51; 72; 123; 20; 0 ] );

@@ -210,6 +210,11 @@ let test_trajectory () =
   Alcotest.check names "heap growth +11% fails"
     [ "results[0].heap_allocated_bytes" ]
     (failure_names ~old:ycsb (row0 "heap_allocated_bytes" 1.11 ycsb));
+  Alcotest.check names "declaring word by word again fails"
+    [ "results[0].set_ranges_per_commit"; "results[0].log_bytes_per_commit" ]
+    (failure_names ~old:ycsb
+       (row0 "log_bytes_per_commit" 2.
+          (row0 "set_ranges_per_commit" 15. ycsb)));
   let reseeded = set "seed" (J.Int 7) server in
   let r = Gate.check ~old:server ~new_:reseeded in
   Alcotest.check names "seed drift does not fail" []

@@ -1,9 +1,11 @@
 (* Tests for the recoverable ordered map (Rvm_pds.Pbtree): B+-tree
    semantics at the smallest legal degree (so splits, borrows and merges
    all fire), abort rollback across structural changes, crash recovery,
-   ordered scans, updates that never restructure, the bottom-up loader,
-   and a qcheck model check against Stdlib.Map, over inline and overflow
-   keys, with mid-sequence crash-recover-reattach. *)
+   ordered scans, updates that never restructure and rewrite values in
+   place, the set_range calls each write makes, the bottom-up loader, and
+   a qcheck model check against Stdlib.Map, over inline and overflow keys
+   and values that fit their cells or outgrow them, with mid-sequence
+   crash-recover-reattach. *)
 
 open Rvm_core
 module Mem_device = Rvm_disk.Mem_device
@@ -321,6 +323,165 @@ let test_update_never_splits () =
   check_int "four leaves under the root" 4 (distinct_leaves t keys);
   updates_in_place "under a full root" w keys
 
+(* --- the write path's set_range economy --- *)
+
+let set_ranges rvm = (Rvm.stats rvm).Statistics.set_ranges
+let spooled rvm = (Rvm.stats rvm).Statistics.bytes_spooled
+
+(* set_range calls made by [f]. *)
+let calls rvm f =
+  let c0 = set_ranges rvm in
+  let v = f () in
+  (set_ranges rvm - c0, v)
+
+(* A record's size: a 39-byte header and a 20-byte trailer around its
+   ranges, each a 32-byte range header and its data. *)
+let record_bytes ~ranges ~data = 39 + 20 + (32 * ranges) + data
+
+(* Node bytes at degree [d]: header, key slots, pointer slots. *)
+let node_bytes d = 32 + (16 * ((2 * d) - 1)) + (8 * 2 * d)
+
+(* A 25-byte value sits in a cell with room for 32 bytes: a value of up to
+   32 bytes is rewritten in its cell under one set_range, leaving the leaf
+   (so the value pointer) and the heap as they were; a longer one gets a
+   new cell and the old one is freed. A Restore abort puts a rewritten
+   value back, and a flushed rewrite survives a crash. *)
+let test_update_in_place () =
+  let log_crash = Crash_device.create ~name:"log" ~size:(4 * 1024 * 1024) () in
+  let seg_crash = Crash_device.create ~name:"seg" ~size:(1024 * 1024) () in
+  Rvm.create_log (Crash_device.device log_crash);
+  let resolve _ = Crash_device.device seg_crash in
+  let rvm = Rvm.initialize ~log:(Crash_device.device log_crash) ~resolve () in
+  let base = (Rvm.map rvm ~seg:1 ~seg_off:0 ~len:heap_len ()).Region.vaddr in
+  let heap, t =
+    in_txn rvm (fun tid ->
+        let heap = Rds.init rvm tid ~base ~len:heap_len in
+        (heap, Pbtree.create rvm heap tid ~degree:2))
+  in
+  in_txn rvm (fun tid ->
+      for i = 0 to 9 do
+        Pbtree.put t tid ~key:(key_of i) ~value:(String.make 25 'o')
+      done);
+  let key = key_of 4 in
+  let leaf = Pbtree.leaf_addr t ~key in
+  let node () = Rvm.load rvm ~addr:leaf ~len:(node_bytes 2) in
+  let rewrite what value =
+    let before = node () and allocated = Rds.allocated_bytes heap in
+    let s0 = spooled rvm in
+    let n, () =
+      calls rvm (fun () ->
+          let tid = Rvm.begin_transaction rvm ~mode:Types.Restore in
+          Pbtree.put t tid ~key ~value;
+          Rvm.end_transaction rvm tid ~mode:Types.No_flush)
+    in
+    check_int (what ^ ": one set_range") 1 n;
+    check_int (what ^ ": one range, the cell")
+      (record_bytes ~ranges:1 ~data:(8 + String.length value))
+      (spooled rvm - s0);
+    check_bool (what ^ ": leaf unchanged") true (Bytes.equal before (node ()));
+    check_int (what ^ ": heap unchanged") allocated (Rds.allocated_bytes heap);
+    check_opt (what ^ ": value") (Some value) (Pbtree.get t ~key)
+  in
+  rewrite "equal length" (String.make 25 'e');
+  rewrite "shorter" "short";
+  rewrite "fills the cell" (String.make 32 'f');
+  let tid = Rvm.begin_transaction rvm ~mode:Types.Restore in
+  Pbtree.put t tid ~key ~value:"doomed";
+  Rvm.abort_transaction rvm tid;
+  check_opt "abort restores the value" (Some (String.make 32 'f'))
+    (Pbtree.get t ~key);
+  (* 33 bytes outgrow the 40-byte cell: a 48-byte cell replaces it. *)
+  let allocated = Rds.allocated_bytes heap in
+  let longer = String.make 33 'l' in
+  in_txn rvm (fun tid -> Pbtree.put t tid ~key ~value:longer);
+  check_opt "longer value" (Some longer) (Pbtree.get t ~key);
+  check_int "old cell freed, new one allocated" (allocated - 40 + 48)
+    (Rds.allocated_bytes heap);
+  Pbtree.check t;
+  Rds.check heap;
+  rewrite "after the move" "rewritten";
+  Rvm.flush rvm;
+  Crash_device.crash log_crash;
+  Crash_device.crash seg_crash;
+  let rvm2 = Rvm.initialize ~log:(Crash_device.device log_crash) ~resolve () in
+  ignore (Rvm.map rvm2 ~vaddr:base ~seg:1 ~seg_off:0 ~len:heap_len ());
+  let heap2 = Rds.attach rvm2 ~base in
+  let t2 = Pbtree.attach rvm2 heap2 ~addr:(Pbtree.address t) in
+  check_opt "rewritten value recovered" (Some "rewritten") (Pbtree.get t2 ~key);
+  check_opt "neighbour intact" (Some (String.make 25 'o'))
+    (Pbtree.get t2 ~key:(key_of 5));
+  check_int "heap as before the crash" (Rds.allocated_bytes heap)
+    (Rds.allocated_bytes heap2);
+  Pbtree.check t2;
+  Rds.check heap2
+
+(* set_range calls per write, each declaring every change once. The
+   degree-8 tree is the allocation budget's: 2 000 keys of 14 bytes with
+   64-byte values, bulk-loaded, so every leaf and internal node is full.
+   A key with a suffix sorts right after the key it extends. Declaring
+   slot by slot and word by word, the same writes made 29 (the non-full
+   leaf insert), 60 (the leaf split), 19 (the update), 32 (the merge) and
+   19 (the borrow) calls. *)
+let test_set_range_calls () =
+  let rvm, heap, t = make_tree ~degree:8 ~heap_len:(192 * ps) () in
+  let keys =
+    Array.init 2_000 (fun i -> Printf.sprintf "user%010d" (i * 7919 mod 100_000))
+  in
+  Array.sort compare keys;
+  Pbtree.load t ~count:2_000 (fun i -> (keys.(i), String.make 64 'v'));
+  let value = String.make 64 'n' in
+  let insert key =
+    calls rvm (fun () -> in_txn rvm (fun tid -> Pbtree.put t tid ~key ~value))
+  in
+  let splits () = (Pbtree.stats t).Pbtree.splits in
+  (* Into leaf 10: it splits, and so does every full node above it. *)
+  let s0 = splits () in
+  ignore (insert (keys.(153) ^ "a"));
+  check_int "first insert splits the leaf and its parent" 2 (splits () - s0);
+  (* The same leaf again, now half full: no split. *)
+  let s0 = splits () in
+  let n, () = insert (keys.(151) ^ "a") in
+  check_int "no split" 0 (splits () - s0);
+  check_bool (Printf.sprintf "non-full leaf insert: %d calls <= 13" n) true
+    (n <= 13);
+  (* Leaf 11, full, under the parent's half that now has room. *)
+  let s0 = splits () in
+  let n, () = insert (keys.(170) ^ "a") in
+  check_int "a leaf split alone" 1 (splits () - s0);
+  check_int "leaf-split insert calls" 27 n;
+  (* A value of the same length, rewritten in its cell. *)
+  let n, () =
+    calls rvm (fun () ->
+        in_txn rvm (fun tid -> Pbtree.put t tid ~key:keys.(500) ~value))
+  in
+  check_int "update calls" 1 n;
+  Pbtree.check t;
+  Rds.check heap;
+  (* Degree 2, twenty keys inserted in ascending order. Removing the last
+     key merges its leaf with its minimal sibling; removing k0009 then
+     borrows from a sibling with a key to spare. *)
+  let rvm, heap, t = make_tree () in
+  in_txn rvm (fun tid ->
+      for i = 0 to 19 do
+        Pbtree.put t tid ~key:(key_of i) ~value:"v"
+      done);
+  let remove what i ~borrows ~merges =
+    let s = Pbtree.stats t in
+    let b0 = s.Pbtree.borrows and m0 = s.Pbtree.merges in
+    let n, found =
+      calls rvm (fun () ->
+          in_txn rvm (fun tid -> Pbtree.remove t tid ~key:(key_of i)))
+    in
+    check_bool (what ^ ": removed") true found;
+    check_int (what ^ ": borrows") borrows (s.Pbtree.borrows - b0);
+    check_int (what ^ ": merges") merges (s.Pbtree.merges - m0);
+    n
+  in
+  check_int "merging remove calls" 22 (remove "merge" 19 ~borrows:0 ~merges:1);
+  check_int "borrowing remove calls" 14 (remove "borrow" 9 ~borrows:1 ~merges:0);
+  Pbtree.check t;
+  Rds.check heap
+
 (* --- the bottom-up loader --- *)
 
 (* Every third key is 25 bytes long, so loaded leaves and separators hold
@@ -463,6 +624,12 @@ type mop =
 let model_key k =
   if k land 1 = 0 then key_of k else key_of k ^ String.make (10 + (k mod 7)) '.'
 
+(* A value index names a value of 0 to 40 bytes, so a replace may fit its
+   cell (rewritten in place) or outgrow it (a new cell, the old freed),
+   and both paths run through splits, merges, aborts and the crash. *)
+let model_value v =
+  String.sub (Printf.sprintf "v%03d%s" v (String.make 40 '=')) 0 (v mod 41)
+
 let mop_gen =
   QCheck.Gen.(
     frequency
@@ -512,7 +679,7 @@ let run_model_sequence ops =
   in
   let model = ref SMap.empty in
   let total = List.length ops in
-  let kof = model_key and vof v = Printf.sprintf "v%d" v in
+  let kof = model_key and vof = model_value in
   List.iteri
     (fun at op ->
       (match op with
@@ -571,6 +738,8 @@ let suite =
     ("btree.crash", `Quick, test_crash_recovery);
     ("btree.empty-attach", `Quick, test_empty_and_attach_errors);
     ("btree.update-never-splits", `Quick, test_update_never_splits);
+    ("btree.update-in-place", `Quick, test_update_in_place);
+    ("btree.set-range-calls", `Quick, test_set_range_calls);
     ("btree.overflow-keys-drain", `Quick, test_overflow_keys_drain);
     ("btree.load-packed", `Quick, test_load_packed);
     ("btree.load-batched", `Quick, test_load_batched);
