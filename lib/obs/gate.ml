@@ -25,7 +25,7 @@ let directions =
         "p50_latency_us"; "p95_latency_us"; "p99_latency_us";
         "read_p99_latency_us"; "log_writes"; "log_syncs";
         "syncs_per_commit"; "writes_per_commit"; "set_ranges_per_commit";
-        "log_bytes_per_commit"; "cross_aborted";
+        "log_bytes_per_commit"; "engine_txns_per_commit"; "cross_aborted";
         "cross_abort_rate"; "log_wraps"; "truncation_pauses";
         "truncation_pause_max_us"; "truncation_pause_p99_us";
         "truncation_steps"; "p99_ratio_background_over_disabled"; "vm_faults";

@@ -150,19 +150,23 @@ let overflow_cell t n i =
   if Rvm.get_u8 t.rvm ~addr:a = overflow_tag then Some (getw t (a + 8))
   else None
 
-(* Write [key] into key slot [i] of [n]; a long key gets a fresh overflow
-   cell. *)
-let write_key t tid n i key =
-  let b = Bytes.make slot_size '\000' in
+(* Encode [key] as a key slot at [pos] of the zeroed [b]; a long key gets
+   a fresh overflow cell. *)
+let encode_key t tid b pos key =
   let len = String.length key in
   if len <= inline_max then begin
-    Bytes.set_uint8 b 0 len;
-    Bytes.blit_string key 0 b 1 len
+    Bytes.set_uint8 b pos len;
+    Bytes.blit_string key 0 b (pos + 1) len
   end
   else begin
-    Bytes.set_uint8 b 0 overflow_tag;
-    Bytes.set_int64_le b 8 (Int64.of_int (alloc_cell t tid key))
-  end;
+    Bytes.set_uint8 b pos overflow_tag;
+    Bytes.set_int64_le b (pos + 8) (Int64.of_int (alloc_cell t tid key))
+  end
+
+(* Write [key] into key slot [i] of [n]. *)
+let write_key t tid n i key =
+  let b = Bytes.make slot_size '\000' in
+  encode_key t tid b 0 key;
   Rvm.modify t.rvm tid ~addr:(key_slot t n i) b
 
 (* Move key [i] of [src] to key [j] of [dst] as the slot's two words, the
@@ -520,6 +524,12 @@ let partition ~n ~cap ~least =
   end;
   sizes
 
+(* A loaded node's key slots and pointer slots from slot 0, each run one
+   range, written once the cells they point to exist. *)
+let slot_runs t tid n ~keys ~ptrs =
+  Rvm.modify t.rvm tid ~addr:(key_slot t n 0) keys;
+  Rvm.modify t.rvm tid ~addr:(ptr_slot t n 0) ptrs
+
 (* [Array.map], with [f] applied from the first element to the last. *)
 let in_order a f = Array.init (Array.length a) (fun j -> f a.(j))
 
@@ -544,7 +554,9 @@ let load t ~count entry =
        load writes only its unused slots: its key count and next-leaf link
        are written last, with the new root. Every other leaf is allocated
        and then its value cells, so a leaf shares pages with its values.
-       A level pairs each node with its least key. *)
+       For each entry a long key's overflow cell comes first, then its
+       value cell; the node's key slots and pointer slots are written after
+       them, as two runs. A level pairs each node with its least key. *)
     let first = root t and prev = ref 0 in
     let next = ref 0 and last = ref "" in
     let leaf k =
@@ -557,6 +569,8 @@ let load t ~count entry =
         end
       in
       prev := n;
+      let keys = Bytes.make (slot_size * k) '\000' in
+      let ptrs = Bytes.create (8 * k) in
       let least = ref "" in
       for i = 0 to k - 1 do
         let key, value = entry !next in
@@ -564,21 +578,26 @@ let load t ~count entry =
           Types.error "pbtree: load keys not ascending at entry %d" !next;
         last := key;
         if i = 0 then least := key;
-        write_key t !tid n i key;
-        set_ptr t !tid n i (alloc_cell t !tid value);
+        encode_key t !tid keys (slot_size * i) key;
+        let c = alloc_cell t !tid value in
+        Bytes.set_int64_le ptrs (8 * i) (Int64.of_int c);
         incr next
       done;
+      slot_runs t !tid n ~keys ~ptrs;
       wrote k;
       (n, !least)
     in
     (* Separator i-1 of an internal node is a copy of child i's least key. *)
     let internal level at k =
       let n = alloc_node t !tid ~leaf:false ~count:(k - 1) ~next:0 in
+      let keys = Bytes.make (slot_size * (k - 1)) '\000' in
+      let ptrs = Bytes.create (8 * k) in
       for i = 0 to k - 1 do
         let child, least = level.(at + i) in
-        if i > 0 then write_key t !tid n (i - 1) least;
-        set_ptr t !tid n i child
+        if i > 0 then encode_key t !tid keys (slot_size * (i - 1)) least;
+        Bytes.set_int64_le ptrs (8 * i) (Int64.of_int child)
       done;
+      slot_runs t !tid n ~keys ~ptrs;
       wrote k;
       (n, snd level.(at))
     in

@@ -66,7 +66,10 @@ type status =
 type t = {
   spec : spec;
   mutable status : status;
-  mutable tid : int option;  (** live engine transaction, when running *)
+  mutable tid : int option;
+      (** the live engine transaction: begun at the first step of a plan
+          that holds a [Run] step, gone at its commit or abort. A plan
+          with no [Run] step runs and commits with [None] throughout. *)
   mutable attempts : int;  (** deadlock aborts suffered so far *)
   arrival_us : float;
   mutable admitted_us : float;

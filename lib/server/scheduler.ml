@@ -27,11 +27,13 @@ let truncation_min_gap_us = 200_000.
 
 (* The executable form of a request, compiled by its workload and consumed
    front to back: lock acquisitions, work run under the locks taken so
-   far, and lock-free reads that resolve keys through their commit
-   stamps. *)
+   far — inside the engine transaction if it writes, outside any if it
+   only reads — and lock-free reads that resolve keys through their
+   commit stamps. *)
 type step =
   | Lock of Lock_mgr.mode * string
   | Run of (Request.t -> int -> unit)
+  | Query of (Request.t -> unit)
   | Read of string list
 
 (* Which tally an acknowledged request lands in: a committed transaction,
@@ -106,8 +108,8 @@ type t = {
          when a force completes *)
   steps : (int, step list) Hashtbl.t;
   mutable on_spool : Request.t -> unit;
-      (* fired at a transaction's commit point: its record reaches the
-         spool, or a read-only commit returns without one; the crash
+      (* fired at a request's commit point: its record reaches the
+         spool, or a read-only commit completes without one; the crash
          explorer hangs its commit-order recorder here *)
   mutable on_ack : Request.t -> unit;
       (* fired when a request's outcome is released to the client — after
@@ -277,9 +279,28 @@ let complete_pending t =
     List.iter (fun (outcome, r) -> finish t outcome r) (List.rev ready)
   end
 
-(* Commit a request whose steps are exhausted. Batched configurations
-   commit no-flush immediately and park the request in the batcher until
-   its batch's force completes; unbatched ones force the log right here.
+(* A commit that spooled no record wrote nothing: there is nothing to
+   stamp, force or hold a lock for, in any configuration. This is the
+   commit point of a request that never began an engine transaction — its
+   plan held no [Run] step — and of one whose transaction declared no
+   range, which the engine ends without a record. Its locks and admission
+   slot drop at once and it waits only for what it observed, like a
+   lock-free read; it still counts toward closing the batch, so writers
+   behind a stream of read-only commits wait no longer than [batch_max]
+   commits. *)
+let commit_read_only t (r : Request.t) =
+  t.on_spool r;
+  Lock_mgr.release_all t.lm ~owner:r.Request.spec.Request.id;
+  Admission.release t.adm;
+  if t.cfg.batch_max > 1 then Batcher.note t.batch;
+  wake_parked t;
+  await t Commit r
+
+(* Commit a request whose steps are exhausted. A request with no engine
+   transaction commits read-only without calling the engine. Otherwise
+   batched configurations commit no-flush immediately and park the
+   request in the batcher until its batch's force completes; unbatched
+   ones force the log right here.
 
    Either way the commit record now fixes the request's place in commit
    order, so every key it holds is stamped with its commit LSN while the
@@ -300,64 +321,53 @@ let complete_pending t =
    point. With [elr = false] every commit's locks ride until its force
    completes ({!land_force}) — the contention the optimization removes.
 
-   A transaction that declared no range wrote nothing: the engine spools
-   no record and its commit LSN does not move. There is then nothing to
-   stamp, force or hold a lock for, in any configuration. Its locks drop
-   at once and it waits only for what it observed, like a lock-free
-   read; it still counts toward closing the batch, so writers behind a
-   stream of read-only commits wait no longer than [batch_max] commits. *)
+   A transaction that declared no range leaves the engine's commit LSN
+   where it was, and commits read-only. *)
 let commit_ready t (r : Request.t) =
-  let tid =
-    match r.Request.tid with
-    | Some tid -> tid
-    | None -> invalid_arg "commit_ready: no live transaction"
-  in
   let id = r.Request.spec.Request.id in
-  let unbatched = t.cfg.batch_max = 1 in
-  (* Asked before [end_txn]: the engine forgets the transaction there. *)
-  let early = t.cfg.elr && (not unbatched) && not (t.eng.Engine.crosses tid) in
-  let before = t.eng.Engine.commit_lsn () in
-  Registry.span t.obs "req.root" ~attrs:(req_attrs r) (fun () ->
-      t.eng.Engine.end_txn tid
-        ~mode:(if unbatched then Types.Flush else Types.No_flush));
-  r.Request.tid <- None;
   Hashtbl.remove t.steps id;
-  let lsn = t.eng.Engine.commit_lsn () in
-  if lsn = before then begin
-    t.on_spool r;
-    Lock_mgr.release_all t.lm ~owner:id;
-    Admission.release t.adm;
-    if not unbatched then Batcher.note t.batch;
-    wake_parked t;
-    await t Commit r
-  end
-  else begin
-    r.Request.commit_lsn <- lsn;
-    Lock_mgr.stamp_held t.lm ~owner:id (lsn, id);
-    if unbatched then begin
-      t.durable <- t.eng.Engine.durable_lsn ();
-      t.on_spool r;
-      Lock_mgr.release_all t.lm ~owner:id;
-      Admission.release t.adm;
-      t.batches <- t.batches + 1;
-      Histogram.observe t.h_batch_size 1.;
-      finish t Commit r;
-      wake_parked t;
-      complete_pending t
-    end
+  match r.Request.tid with
+  | None -> commit_read_only t r
+  | Some tid ->
+    let unbatched = t.cfg.batch_max = 1 in
+    (* Asked before [end_txn]: the engine forgets the transaction there. *)
+    let early =
+      t.cfg.elr && (not unbatched) && not (t.eng.Engine.crosses tid)
+    in
+    let before = t.eng.Engine.commit_lsn () in
+    Registry.span t.obs "req.root" ~attrs:(req_attrs r) (fun () ->
+        t.eng.Engine.end_txn tid
+          ~mode:(if unbatched then Types.Flush else Types.No_flush));
+    r.Request.tid <- None;
+    let lsn = t.eng.Engine.commit_lsn () in
+    if lsn = before then commit_read_only t r
     else begin
-      r.Request.status <- Request.Ready;
-      t.on_spool r;
-      if early then begin
-        Counter.incr t.c_elr;
-        Lock_mgr.release_all t.lm ~owner:id
+      r.Request.commit_lsn <- lsn;
+      Lock_mgr.stamp_held t.lm ~owner:id (lsn, id);
+      if unbatched then begin
+        t.durable <- t.eng.Engine.durable_lsn ();
+        t.on_spool r;
+        Lock_mgr.release_all t.lm ~owner:id;
+        Admission.release t.adm;
+        t.batches <- t.batches + 1;
+        Histogram.observe t.h_batch_size 1.;
+        finish t Commit r;
+        wake_parked t;
+        complete_pending t
       end
-      else if t.cfg.elr then t.riding <- id :: t.riding;
-      Admission.release t.adm;
-      Batcher.add t.batch r;
-      if early then wake_parked t
+      else begin
+        r.Request.status <- Request.Ready;
+        t.on_spool r;
+        if early then begin
+          Counter.incr t.c_elr;
+          Lock_mgr.release_all t.lm ~owner:id
+        end
+        else if t.cfg.elr then t.riding <- id :: t.riding;
+        Admission.release t.adm;
+        Batcher.add t.batch r;
+        if early then wake_parked t
+      end
     end
-  end
 
 (* Issue a force on the log disk's lane: it runs from when the disk is
    free, and the dispatcher goes on at once. The engine's spool is empty
@@ -487,50 +497,55 @@ let advance t (r : Request.t) rest =
   Hashtbl.replace t.steps r.Request.spec.Request.id rest;
   Queue.push r t.runnable
 
+(* Whether a plan still writes: only a [Run] step declares ranges. *)
+let writes = List.exists (function Run _ -> true | _ -> false)
+
 (* One cooperative scheduling quantum: a single step. Requests that can
    continue go back to the tail of the run queue, so in-flight
    transactions interleave round-robin — which is what makes lock
    conflicts (and transfer-order deadlocks) reachable at all. A
    transaction that ran to commit in one quantum could never be caught
-   holding a lock. A plan that is one [Read] and nothing else is
-   read-only and never begins an engine transaction. *)
+   holding a lock.
+
+   The engine transaction begins at the first step of a plan that holds a
+   [Run] step, before its first lock, so the begin order is the order in
+   which requests start. A plan with no [Run] step never begins one: its
+   [Query] steps read under their locks outside any transaction, and it
+   commits read-only. A plan that is one [Read] and nothing else takes no
+   lock either. *)
 let exec t (r : Request.t) =
   let id = r.Request.spec.Request.id in
   match Hashtbl.find_opt t.steps id with
   | Some [ Read keys ] when Option.is_none r.Request.tid -> exec_read t r keys
-  | plan -> (
-    let tid =
-      match r.Request.tid with
-      | Some tid -> tid
-      | None ->
-        let tid = t.eng.Engine.begin_txn ~mode:Types.Restore in
-        r.Request.tid <- Some tid;
-        tid
-    in
-    match plan with
-    | None | Some [] -> commit_ready t r
-    | Some (step :: rest) -> (
-      charge t;
-      match step with
-      | Lock (mode, key) -> (
-        match Lock_mgr.wait_for t.lm ~owner:id ~key mode with
-        | `Granted ->
-          inherit_stamp t r key;
-          advance t r rest
-        | `Wait _ ->
-          r.Request.status <- Request.Parked key;
-          t.parked <- r :: t.parked;
-          Registry.instant t.obs "server.park"
-            ~attrs:[ ("req", Trace.Int id); ("key", Trace.String key) ]
-        | `Deadlock -> abort_retry t r)
-      | Run f ->
-        (* Runs with every lock of the preceding [Lock] steps held,
-           inside the request's engine transaction. *)
-        f r tid;
+  | None | Some [] -> commit_ready t r
+  | Some (step :: rest as plan) -> (
+    if Option.is_none r.Request.tid && writes plan then
+      r.Request.tid <- Some (t.eng.Engine.begin_txn ~mode:Types.Restore);
+    charge t;
+    match step with
+    | Lock (mode, key) -> (
+      match Lock_mgr.wait_for t.lm ~owner:id ~key mode with
+      | `Granted ->
+        inherit_stamp t r key;
         advance t r rest
-      | Read keys ->
-        List.iter (inherit_stamp t r) keys;
-        advance t r rest))
+      | `Wait _ ->
+        r.Request.status <- Request.Parked key;
+        t.parked <- r :: t.parked;
+        Registry.instant t.obs "server.park"
+          ~attrs:[ ("req", Trace.Int id); ("key", Trace.String key) ]
+      | `Deadlock -> abort_retry t r)
+    | Run f ->
+      (* Runs with every lock of the preceding [Lock] steps held, inside
+         the request's engine transaction. *)
+      f r (Option.get r.Request.tid);
+      advance t r rest
+    | Query f ->
+      (* Runs with the same locks held, outside any engine transaction. *)
+      f r;
+      advance t r rest
+    | Read keys ->
+      List.iter (inherit_stamp t r) keys;
+      advance t r rest)
 
 (* --- arrivals, admission, retries --- *)
 

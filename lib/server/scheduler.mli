@@ -2,8 +2,8 @@
 
     The scheduler knows no workload. Each request executes as the step
     list its workload compiles for it ({!step}: lock acquisitions
-    interleaved with the work they protect) under the engine's
-    [Restore]-mode transactions. A request runs until it commits, parks
+    interleaved with the work they protect); a request whose plan writes
+    runs it under an engine [Restore]-mode transaction. A request runs until it commits, parks
     on a lock ({!Rvm_layers.Lock_mgr.wait_for} returning [`Wait]), or
     loses a deadlock ([`Deadlock] → abort, release all locks, retry
     after seeded jittered exponential backoff). Parked requests wake
@@ -14,7 +14,7 @@
     commit forces the log itself, inside [end_txn]; otherwise ready
     transactions commit [No_flush] immediately and the closing
     {!Engine.t.flush} fires after [batch_max] commits or as soon as no
-    other request can make progress. Each request's life is wrapped in a
+    other request can make progress. Each engine commit is wrapped in a
     [req.root] span, so the engine's [txn.commit] spans nest under the
     request that caused them.
 
@@ -35,14 +35,19 @@
     [server.batch.flush] span opens on the lane, so its interval is the
     force's disk time.
 
-    {b Read-only commits}: a transaction that declared no range leaves
-    the engine's commit LSN where it was — no record spooled. It stamps
-    no key, takes no batch slot and causes no force, in every
-    configuration; its locks drop at once and it acknowledges through
-    the snapshot reads' dependency check below. It still counts toward
-    the [batch_max] commits that close a batch, so a saturated server,
-    which never idles, keeps each writer's wait for its force bounded by
-    [batch_max] commits however much read traffic runs beside it.
+    {b Read-only commits}: a request whose plan held no [Run] step
+    reaches its commit point with no engine transaction, and a
+    transaction that declared no range leaves the engine's commit LSN
+    where it was — no record spooled. Both commit through one read-only
+    branch: the first without calling the engine at all (no [end_txn],
+    no [req.root] span). Such a commit stamps no key, takes no batch
+    slot and causes no force, in every configuration; its locks and its
+    admission slot drop at once and it acknowledges through the snapshot
+    reads' dependency check below, once the commits it observed at its
+    [Lock] steps are durable. It still counts toward the [batch_max]
+    commits that close a batch, so a saturated server, which never
+    idles, keeps each writer's wait for its force bounded by [batch_max]
+    commits however much read traffic runs beside it.
 
     {b Early lock release} ([elr], on by default): a batched commit drops
     its locks the moment its record reaches the log spool — redo-only
@@ -110,8 +115,9 @@ val default_config : config
 
 type tally = {
   committed : int;
-      (** transactions committed, read-only ones included (YCSB's reads
-          and scans count here); [Read]-plan requests are not *)
+      (** requests committed, read-only ones included (YCSB's reads and
+          scans, which begin no engine transaction, count here);
+          [Read]-plan requests are not *)
   reads : int;  (** [Read]-plan requests answered *)
   shed : int;
   aborts : int;  (** deadlock aborts (every one is retried) *)
@@ -133,10 +139,19 @@ type t
     The executable form of a request, consumed one step per scheduler
     quantum. Each workload supplies a step function to {!create}: [Lock]
     steps at whatever key granularity the workload chooses (TPC-A locks
-    balance records, the YCSB layer B-tree leaf nodes), and [Run]
-    closures that execute against the workload's own recoverable state
-    with all previously acquired locks held, inside the request's engine
-    transaction. A [`Deadlock] on any [Lock] step aborts the transaction
+    balance records, the YCSB layer B-tree leaf nodes), then the work
+    those locks protect, run against the workload's own recoverable state
+    with all previously acquired locks held — a [Run] closure for work
+    that writes, inside the request's engine transaction, and a [Query]
+    closure for work that only reads, outside any transaction. As in RVM,
+    only a modification needs a transaction.
+
+    The engine transaction begins at the first step of a plan that holds
+    a [Run] step, before the plan's first lock, so transactions begin in
+    the order their requests start. A plan with no [Run] step never
+    begins one, and at its commit point it takes the read-only branch
+    without calling the engine (see {e Read-only commits} above). A
+    [`Deadlock] on any [Lock] step aborts the transaction, if one began,
     and re-enters the full step list after backoff, so every workload
     inherits the abort-retry path unchanged. *)
 
@@ -144,6 +159,10 @@ type step =
   | Lock of Rvm_layers.Lock_mgr.mode * string
   | Run of (Request.t -> int -> unit)
       (** [Run f] calls [f request engine_tid] in one quantum *)
+  | Query of (Request.t -> unit)
+      (** [Query f] calls [f request] in one quantum, with no engine
+          transaction: it may read recoverable memory, and has no tid to
+          declare a range with. It costs a step's CPU like any other. *)
   | Read of string list
       (** fold each key's commit stamp into the request's ack
           dependency, taking no lock; a plan that is exactly one [Read]
@@ -173,8 +192,8 @@ val set_hooks :
 (** Instrumentation taps for the crash explorer. [on_spool] fires at a
     transaction's commit point: when its commit record reaches the spool
     (logical commit; under ELR a single-shard commit's locks release
-    right after), or, for a read-only commit, when [end_txn] returns
-    without one. [on_ack] fires when a request's outcome is released to
+    right after), or, for a read-only commit, when its plan runs out with
+    no transaction or [end_txn] returns without a record. [on_ack] fires when a request's outcome is released to
     the client — after durability for writes, after the dependency check
     for read-only commits and [Read]-plan requests. Only writers are
     stamped, so a request's [dep_writers] name writers alone. Defaults

@@ -67,6 +67,7 @@ type result = {
   syncs_per_commit : float;
   set_ranges_per_commit : float;
   log_bytes_per_commit : float;
+  engine_txns_per_commit : float;
   vm_faults : int;
   vm_evictions : int;
   vm_pageouts : int;
@@ -191,10 +192,13 @@ let tree_lock = "btree"
    the write; a second RMW on the leaf queues at its Update request
    rather than deadlocking at the upgrade.
 
-   Reads and scans declare no range, so they commit read-only: their
-   Shared locks drop at the commit point, and each acknowledges as soon
-   as the writers it observed through its lock's commit stamp are
-   durable, with no force and no batch slot of its own. *)
+   Reads and scans write nothing, so they are [Query] steps and begin no
+   engine transaction: each commits read-only without calling the
+   engine, its Shared lock drops at the commit point, and it acknowledges
+   as soon as the writers it observed through its lock's commit stamp
+   are durable, with no force and no batch slot of its own. The read
+   half of a read-modify-write is a [Query] too; its plan still holds the
+   write's [Run], so its transaction begins at its first step. *)
 let steps_of cfg (tree : Pbtree.t) =
   let structural = match cfg.mix with Ycsb.D | Ycsb.E -> true | _ -> false in
   let stash : (int, string option) Hashtbl.t = Hashtbl.create 64 in
@@ -209,7 +213,7 @@ let steps_of cfg (tree : Pbtree.t) =
       | Ycsb.Read key ->
         [
           Scheduler.Lock (Lock_mgr.Shared, lk key);
-          Scheduler.Run (fun _ _ -> ignore (Pbtree.get tree ~key));
+          Scheduler.Query (fun _ -> ignore (Pbtree.get tree ~key));
         ]
       | Ycsb.Update (key, value) ->
         [
@@ -224,14 +228,14 @@ let steps_of cfg (tree : Pbtree.t) =
       | Ycsb.Scan (lo, n) ->
         [
           Scheduler.Lock (Lock_mgr.Shared, lk lo);
-          Scheduler.Run (fun _ _ -> ignore (Pbtree.scan tree ~lo ~n ()));
+          Scheduler.Query (fun _ -> ignore (Pbtree.scan tree ~lo ~n ()));
         ]
       | Ycsb.Rmw key ->
         let k = lk key in
         [
           Scheduler.Lock (Lock_mgr.Update, k);
-          Scheduler.Run
-            (fun r _ ->
+          Scheduler.Query
+            (fun r ->
               Hashtbl.replace stash r.Request.spec.Request.id
                 (Pbtree.get tree ~key));
           Scheduler.Lock (Lock_mgr.Exclusive, k);
@@ -330,7 +334,7 @@ let serve_with ?monitor cfg w =
   in
   let ops = ref [] in
   (* The write path's economy, over the serving phase alone: set_range
-     calls and logged bytes per committed request. *)
+     calls, logged bytes and engine transactions per committed request. *)
   let before = Rvm.stats w.rvm in
   Scheduler.set_hooks sched
     ~on_spool:(fun r ->
@@ -372,6 +376,8 @@ let serve_with ?monitor cfg w =
     syncs_per_commit = s.Server.syncs_per_commit;
     set_ranges_per_commit = per_commit (fun st -> st.Statistics.set_ranges);
     log_bytes_per_commit = per_commit (fun st -> st.Statistics.bytes_logged);
+    engine_txns_per_commit =
+      per_commit (fun st -> st.Statistics.txns_committed);
     vm_faults;
     vm_evictions;
     vm_pageouts;
@@ -435,6 +441,7 @@ let result_to_json r =
       ("syncs_per_commit", Json.Float r.syncs_per_commit);
       ("set_ranges_per_commit", Json.Float r.set_ranges_per_commit);
       ("log_bytes_per_commit", Json.Float r.log_bytes_per_commit);
+      ("engine_txns_per_commit", Json.Float r.engine_txns_per_commit);
       ("vm_faults", Json.Int r.vm_faults);
       ("vm_evictions", Json.Int r.vm_evictions);
       ("vm_pageouts", Json.Int r.vm_pageouts);
@@ -449,23 +456,23 @@ let result_to_json r =
 
 let pp_table fmt results =
   Format.fprintf fmt
-    "%-7s %8s %-18s %5s | %9s %9s %6s %6s | %9s %9s %9s | %9s %8s %8s | %8s \
-     %6s %6s@\n"
+    "%-7s %8s %-18s %5s | %9s %9s %6s %6s | %9s %9s %9s | %9s %8s %8s %8s | \
+     %8s %6s %6s@\n"
     "mix" "records" "load" "batch" "committed" "tps" "shed" "abort" "p50(ms)"
-    "p95(ms)" "p99(ms)" "syncs/txn" "sr/txn" "logB/txn" "faults" "splits"
-    "serial";
-  Format.fprintf fmt "%s@\n" (String.make 163 '-');
+    "p95(ms)" "p99(ms)" "syncs/txn" "sr/txn" "logB/txn" "etxn/txn" "faults"
+    "splits" "serial";
+  Format.fprintf fmt "%s@\n" (String.make 172 '-');
   List.iter
     (fun r ->
       Format.fprintf fmt
         "%-7s %8d %-18s %5d | %9d %9.1f %6d %6d | %9.2f %9.2f %9.2f | %9.3f \
-         %8.2f %8.1f | %8d %6d %6s@\n"
+         %8.2f %8.1f %8.3f | %8d %6d %6s@\n"
         (Ycsb.mix_name r.cfg.mix) r.cfg.records (Server.load_name r.cfg.load)
         r.cfg.batch_max r.committed r.throughput_tps r.shed r.aborts
         (r.p50_latency_us /. 1e3)
         (r.p95_latency_us /. 1e3)
         (r.p99_latency_us /. 1e3)
         r.syncs_per_commit r.set_ranges_per_commit r.log_bytes_per_commit
-        r.vm_faults r.splits
+        r.engine_txns_per_commit r.vm_faults r.splits
         (if r.serial_equal then "ok" else "FAIL"))
     results

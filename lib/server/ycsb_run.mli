@@ -15,9 +15,10 @@
     A/B/C/F lock the key's leaf) and tree-granular where inserts can
     split nodes (D/E); read-modify-write takes its leaf in Update mode and
     upgrades to Exclusive, so a second read-modify-write on the leaf
-    queues instead of deadlocking. Reads and scans write nothing, so they commit
-    read-only: no log force, no batch slot, and an ack as soon as the
-    writers they observed are durable. *)
+    queues instead of deadlocking. Reads and scans write nothing, so they
+    begin no engine transaction and commit read-only: no engine call, no
+    log force, no batch slot, and an ack as soon as the writers they
+    observed are durable. *)
 
 type config = {
   mix : Rvm_workload.Ycsb.mix;
@@ -62,6 +63,10 @@ type result = {
   log_bytes_per_commit : float;
       (** the engine's [log.bytes_logged] over the serving phase, per
           committed request *)
+  engine_txns_per_commit : float;
+      (** the engine's [txn.committed] over the serving phase, per
+          committed request: 0 for a mix that only reads, since reads and
+          scans begin no engine transaction *)
   vm_faults : int;
   vm_evictions : int;
   vm_pageouts : int;

@@ -215,6 +215,15 @@ let test_trajectory () =
     (failure_names ~old:ycsb
        (row0 "log_bytes_per_commit" 2.
           (row0 "set_ranges_per_commit" 15. ycsb)));
+  (* Row 2 is mix C, whose reads begin no engine transaction; row 0 is
+     mix A, whose updates alone do. *)
+  Alcotest.check names "reads opening engine transactions again fails"
+    [ "results[0].engine_txns_per_commit"; "results[2].engine_txns_per_commit" ]
+    (failure_names ~old:ycsb
+       (map_rows "results"
+          ~where:(fun i _ -> i = 0 || i = 2)
+          (set "engine_txns_per_commit" (J.Float 1.))
+          ycsb));
   let reseeded = set "seed" (J.Int 7) server in
   let r = Gate.check ~old:server ~new_:reseeded in
   Alcotest.check names "seed drift does not fail" []

@@ -421,14 +421,20 @@ let test_update_in_place () =
    A key with a suffix sorts right after the key it extends. Declaring
    slot by slot and word by word, the same writes made 29 (the non-full
    leaf insert), 60 (the leaf split), 19 (the update), 32 (the merge) and
-   19 (the borrow) calls. *)
+   19 (the borrow) calls. The load writes each node's key slots and
+   pointer slots as two runs; declaring each slot alone, it made 17 270
+   calls. *)
 let test_set_range_calls () =
   let rvm, heap, t = make_tree ~degree:8 ~heap_len:(192 * ps) () in
   let keys =
     Array.init 2_000 (fun i -> Printf.sprintf "user%010d" (i * 7919 mod 100_000))
   in
   Array.sort compare keys;
-  Pbtree.load t ~count:2_000 (fun i -> (keys.(i), String.make 64 'v'));
+  let n, () =
+    calls rvm (fun () ->
+        Pbtree.load t ~count:2_000 (fun i -> (keys.(i), String.make 64 'v')))
+  in
+  check_int "bulk load calls" 13_282 n;
   let value = String.make 64 'n' in
   let insert key =
     calls rvm (fun () -> in_txn rvm (fun tid -> Pbtree.put t tid ~key ~value))

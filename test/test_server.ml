@@ -361,12 +361,14 @@ let test_snapshot_reads () =
 
 (* A caller's step function over a TPC-A world: every write request
    takes one counter key Exclusive and increments an 8-byte cell. With
-   [read_lookups] a lookup takes the key Shared and only reads the cell,
-   so its transaction declares no range and commits read-only; without,
-   it increments like every other request. [wrap] rewraps the world's
-   engine before the scheduler sees it. Returns the world, the
-   scheduler, the ids compiled as lookups and a reader of the cell. *)
-let counter_server ?(wrap = Fun.id) ~read_lookups cfg =
+   [read_lookups] a lookup takes the key Shared and only reads the cell:
+   as a [Run] step its transaction declares no range and commits
+   read-only, and with [query] it is a [Query] step that begins no
+   transaction at all. Without [read_lookups] it increments like every
+   other request. [wrap] rewraps the world's engine before the scheduler
+   sees it. Returns the world, the scheduler, the ids compiled as lookups
+   and a reader of the cell. *)
+let counter_server ?(wrap = Fun.id) ?(query = false) ~read_lookups cfg =
   let w = S.build_world cfg in
   let w = { w with S.engine = wrap w.S.engine } in
   let eng = w.S.engine in
@@ -381,7 +383,8 @@ let counter_server ?(wrap = Fun.id) ~read_lookups cfg =
     if lookup && read_lookups then
       [
         Scheduler.Lock (Lock_mgr.Shared, "counter");
-        Scheduler.Run (fun _ _ -> ignore (counter ()));
+        (if query then Scheduler.Query (fun _ -> ignore (counter ()))
+         else Scheduler.Run (fun _ _ -> ignore (counter ())));
       ]
     else
       [
@@ -426,20 +429,45 @@ let readonly_cfg =
     S.max_queue = 1000;
   }
 
-(* A transaction that declared no range commits read-only: it stamps no
-   key, takes no batch slot and forces nothing, but its ack still waits
-   for every commit it observed. Every ack is checked as it leaves: no
-   commit it vouches for may sit above the durable horizon, and no
-   read-only request may be named as a writer. Only writers land in the
-   batch-size histogram, so its samples sum to the writer count. *)
+(* Engine transactions begun and ended through [e], counted. *)
+let counting_txns begins ends (e : Engine.t) =
+  {
+    e with
+    Engine.begin_txn =
+      (fun ~mode ->
+        incr begins;
+        e.Engine.begin_txn ~mode);
+    end_txn =
+      (fun tid ~mode ->
+        incr ends;
+        e.Engine.end_txn tid ~mode);
+  }
+
+(* A lookup that writes nothing commits read-only, whether it ran as a
+   [Run] step whose transaction declared no range or as a [Query] step
+   that never began one: it stamps no key, takes no batch slot and forces
+   nothing, but its ack still waits for every commit it observed. Every
+   ack is checked as it leaves: no commit it vouches for may sit above
+   the durable horizon, and no read-only request may be named as a
+   writer. Only writers land in the batch-size histogram, so its samples
+   sum to the writer count. A [Query] lookup calls the engine for no
+   transaction, so only the writers begin and end one. *)
 let test_readonly_commits () =
   List.iter
-    (fun (elr, batch_max, tps) ->
+    (fun ((elr, batch_max, tps), query) ->
       let cfg =
         { readonly_cfg with S.elr; batch_max; load = S.Open_loop tps }
       in
-      let name = Printf.sprintf "elr=%b batch=%d %.0f tps: " elr batch_max tps in
-      let w, sched, lookups, counter = counter_server ~read_lookups:true cfg in
+      let name =
+        Printf.sprintf "elr=%b batch=%d %.0f tps, %s lookups: " elr batch_max
+          tps
+          (if query then "Query" else "Run")
+      in
+      let begins = ref 0 and ends = ref 0 in
+      let w, sched, lookups, counter =
+        counter_server ~wrap:(counting_txns begins ends) ~query
+          ~read_lookups:true cfg
+      in
       let durable = w.S.engine.Engine.durable_lsn in
       let late = ref 0 and vouching = ref 0 in
       Scheduler.set_hooks sched ~on_spool:ignore ~on_ack:(fun r ->
@@ -462,14 +490,68 @@ let test_readonly_commits () =
       check_int (name ^ "counter = writers") writers (counter ());
       check_int (name ^ "every request committed") cfg.S.requests
         tally.Scheduler.committed;
+      let txns = if query then writers else cfg.S.requests in
+      check_int (name ^ "engine transactions begun") txns !begins;
+      check_int (name ^ "engine transactions ended") txns !ends;
       S.release_world w)
+    (List.concat_map
+       (fun c -> [ (c, false); (c, true) ])
+       [
+         (true, 8, 60.);
+         (false, 8, 60.);
+         (true, 1, 60.);
+         (false, 1, 60.);
+         (true, 8, 200.);
+       ])
+
+(* A deadlock victim that never began a transaction: plans that only
+   read, taking Exclusive on two keys in orders that alternate with the
+   request id, under closed-loop sessions with no think time. Victims
+   abort without calling the engine, back off and retry, and every
+   request commits; the engine begins, ends and aborts nothing. *)
+let test_query_deadlock_victim () =
+  let cfg =
+    {
+      quick_cfg with
+      S.requests = 60;
+      load = S.Closed_loop { sessions = 4; think_us = 0. };
+    }
+  in
+  let begins = ref 0 and ends = ref 0 and aborts = ref 0 in
+  let w = S.build_world cfg in
+  let e = counting_txns begins ends w.S.engine in
+  let e =
+    {
+      e with
+      Engine.abort =
+        (fun tid ->
+          incr aborts;
+          e.Engine.abort tid);
+    }
+  in
+  let w = { w with S.engine = e } in
+  let addr = Placement.account_addr w.S.placement 0 in
+  let read _ = ignore (e.Engine.load ~addr ~len:8) in
+  let steps (s : Request.spec) =
+    let a, b = if s.Request.id mod 2 = 0 then ("a", "b") else ("b", "a") in
     [
-      (true, 8, 60.);
-      (false, 8, 60.);
-      (true, 1, 60.);
-      (false, 1, 60.);
-      (true, 8, 200.);
+      Scheduler.Lock (Lock_mgr.Exclusive, a);
+      Scheduler.Query read;
+      Scheduler.Lock (Lock_mgr.Exclusive, b);
+      Scheduler.Query read;
     ]
+  in
+  let gen rng =
+    Request.make_gen ~accounts:cfg.S.accounts ~zipf_s:cfg.S.zipf_s
+      ~transfer_pct:cfg.S.transfer_pct ~rng ()
+  in
+  let tally = Scheduler.run (S.scheduler cfg w ~gen ~steps) in
+  S.release_world w;
+  check_bool "some request lost a deadlock" true (tally.Scheduler.aborts > 0);
+  check_int "every request committed" cfg.S.requests tally.Scheduler.committed;
+  check_int "engine transactions begun" 0 !begins;
+  check_int "engine transactions ended" 0 !ends;
+  check_int "engine aborts" 0 !aborts
 
 (* Read-only commits force nothing but count toward closing the batch:
    under saturation (closed-loop sessions, no think time, so the
@@ -985,6 +1067,7 @@ let suite =
     ("server.snapshot-reads", `Quick, test_snapshot_reads);
     ("server.custom-steps", `Quick, test_custom_steps);
     ("server.readonly-commits", `Quick, test_readonly_commits);
+    ("server.query-deadlock-victim", `Quick, test_query_deadlock_victim);
     ("server.readonly-batch-rule", `Quick, test_readonly_batch_rule);
     ("server.ack-waits-for-its-force", `Quick, test_ack_waits_for_force);
     ("server.spool-bounded-by-batch", `Quick, test_spool_bounded_by_batch);

@@ -91,16 +91,27 @@ let test_paging_pressure () =
   check_bool "faults charged" true (r.Ycsb_run.vm_faults > 0);
   check_bool "serial equal" true r.Ycsb_run.serial_equal
 
-(* Mix C only reads: no transaction declares a range, so serving spools
-   no commit record and never forces the log, and every read still
-   commits and replays serially. *)
+(* Mix C only reads: no request begins an engine transaction, so the
+   engine commits none while serving, spools no commit record and never
+   forces the log, and every read still commits and replays serially. *)
 let test_read_only_mix_forces_nothing () =
-  let r = Ycsb_run.run { base with Ycsb_run.mix = Ycsb.C } in
+  let cfg = { base with Ycsb_run.mix = Ycsb.C } in
+  let w = Ycsb_run.build_world cfg in
+  let txns () =
+    (Rvm_core.Rvm.stats w.Ycsb_run.rvm).Rvm_core.Statistics.txns_committed
+  in
+  let before = txns () in
+  let r = Ycsb_run.serve cfg w in
+  check_int "engine transactions committed while serving" 0
+    (txns () - before);
+  check_bool "none per committed request" true
+    (r.Ycsb_run.engine_txns_per_commit = 0.);
   check_int "log syncs while serving" 0 r.Ycsb_run.log_syncs;
   check_int "force batches" 0 r.Ycsb_run.batches;
   check_int "every request committed" base.Ycsb_run.requests
     r.Ycsb_run.committed;
-  check_bool "serial equal" true r.Ycsb_run.serial_equal
+  check_bool "serial equal" true r.Ycsb_run.serial_equal;
+  Ycsb_run.release_world w
 
 let test_world_gauges () =
   let r, w = Ycsb_run.run_with_world { base with Ycsb_run.mix = Ycsb.A } in
