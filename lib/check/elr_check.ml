@@ -4,7 +4,6 @@ module Cost_model = Rvm_util.Cost_model
 module Registry = Rvm_obs.Registry
 module Multi = Rvm_shard.Multi
 module Tpca = Rvm_workload.Tpca
-module Request = Rvm_server.Request
 module Placement = Rvm_server.Placement
 module Engine = Rvm_server.Engine
 module Scheduler = Rvm_server.Scheduler
@@ -42,7 +41,7 @@ let log_size = 256 * 1024
 type spooled = {
   sp_id : int;
   sp_shards : int list;  (* participant shards, sorted *)
-  sp_spec : Request.spec;
+  sp_spec : Tpca.spec;
 }
 
 type ack =
@@ -122,7 +121,7 @@ let expected_balances cfg (survivors : spooled list) =
   let branches = Array.make (n * Tpca.branches) 0L in
   List.iter
     (fun e ->
-      Request.apply_model ~shards:n e.sp_spec ~accounts ~tellers ~branches)
+      Tpca.apply_model ~shards:n e.sp_spec ~accounts ~tellers ~branches)
     survivors;
   (accounts, tellers, branches)
 
@@ -297,23 +296,22 @@ let world cfg rig =
   let acks = ref [] in
   Scheduler.set_hooks sched
     ~on_spool:(fun r ->
-      let s = r.Request.spec in
+      let s = r.Scheduler.spec in
       let shards_touched =
-        List.sort_uniq compare
-          [ s.Request.account mod n; s.Request.account2 mod n ]
+        List.sort_uniq compare [ s.Tpca.account mod n; s.Tpca.account2 mod n ]
       in
       spool_order :=
-        { sp_id = s.Request.id; sp_shards = shards_touched; sp_spec = s }
+        { sp_id = s.Tpca.id; sp_shards = shards_touched; sp_spec = s }
         :: !spool_order)
     ~on_ack:(fun r ->
       let e = Crash.events_so_far rig in
-      let id = r.Request.spec.Request.id in
-      match r.Request.spec.Request.kind with
-      | Request.Lookup ->
+      let id = r.Scheduler.id in
+      match r.Scheduler.spec.Tpca.kind with
+      | Tpca.Lookup ->
         acks :=
-          Ack_read { a_id = id; a_deps = r.Request.dep_writers; a_event = e }
+          Ack_read { a_id = id; a_deps = r.Scheduler.dep_writers; a_event = e }
           :: !acks
-      | Request.Payment | Request.Transfer | Request.Ycsb _ ->
+      | Tpca.Payment | Tpca.Transfer ->
         acks := Ack_write { a_id = id; a_event = e } :: !acks);
   let tally = Scheduler.run sched in
   let spool_order = List.rev !spool_order in
@@ -323,7 +321,7 @@ let world cfg rig =
   let draws = Array.make n 0 in
   List.iter
     (fun e ->
-      let s = e.sp_spec.Request.account mod n in
+      let s = e.sp_spec.Tpca.account mod n in
       draws.(s) <- draws.(s) + 1)
     spool_order;
   Array.iteri

@@ -32,9 +32,33 @@ let truncation_min_gap_us = 200_000.
    commit stamps. *)
 type step =
   | Lock of Lock_mgr.mode * string
-  | Run of (Request.t -> int -> unit)
-  | Query of (Request.t -> unit)
+  | Run of (int -> unit)
+  | Query of (unit -> unit)
   | Read of string list
+
+type 's gen = id:int -> 's
+
+type status =
+  | Queued
+  | Running
+  | Parked of string
+  | Backoff
+  | Ready
+  | Committed
+  | Shed
+
+type 's request = {
+  id : int;
+  spec : 's;
+  mutable plan : step list;  (* the steps still to run *)
+  mutable status : status;
+  mutable tid : int option;
+  mutable attempts : int;
+  arrival_us : float;
+  mutable commit_lsn : int;
+  mutable dep_lsn : int;
+  mutable dep_writers : int list;
+}
 
 (* Which tally an acknowledged request lands in: a committed transaction,
    writer or read-only, or a lock-free read answered from the stamps. *)
@@ -70,48 +94,49 @@ let[@inline] push s x =
 let to_array s = Array.sub s.data 0 s.n
 
 (* A batch force issued on the log disk's lane and not yet completed. *)
-type flight = {
-  acks : Request.t list;  (* the writers it makes durable, ready order *)
+type 's flight = {
+  acks : 's request list;  (* the writers it makes durable, ready order *)
   riding : int list;  (* those of them whose locks ride to it *)
   horizon : int;  (* the engine's durable LSN once it completes *)
 }
 
-type t = {
+type 's t = {
   cfg : config;
   eng : Engine.t;
   clock : Clock.t;
   obs : Registry.t;
   lm : Lock_mgr.t;
-  steps_of : Request.spec -> step list;  (* the workload's compiler *)
-  adm : Request.t Admission.t;
+  steps_of : 's -> step list;  (* the workload's compiler *)
+  label : 's -> string;  (* the [kind] of a request's [req.root] span *)
+  adm : 's request Admission.t;
   arr : Arrivals.t;
-  gen : Request.gen;
+  gen : 's gen;
+  mutable next_id : int;
   rng : Rng.t;  (* backoff jitter stream *)
-  runnable : Request.t Queue.t;
-  mutable parked : Request.t list;
-  mutable retries : (float * Request.t) list;  (* sorted by (due, id) *)
-  mutable pending : (outcome * Request.t) list;
+  runnable : 's request Queue.t;
+  mutable parked : 's request list;
+  mutable retries : (float * 's request) list;  (* sorted by (due, id) *)
+  mutable pending : (outcome * 's request) list;
       (* read-only requests — lock-free reads and commits that wrote
          nothing — that observed a spooled-but-unforced commit: the
          ack-dependency rule holds their completion until the engine's
          durable horizon covers [dep_lsn] (newest first) *)
-  batch : Request.t Batcher.t;
+  batch : 's request Batcher.t;
   mutable riding : int list;
       (* ids in the open batch whose locks ride to its force under ELR:
          the cross-shard commits *)
   disk : Clock.lane;
       (* the log disk: batch forces run here while the dispatcher goes on
          executing and spooling the next batch *)
-  mutable flight : flight option;  (* at most one force is in flight *)
+  mutable flight : 's flight option;  (* at most one force is in flight *)
   mutable durable : int;
       (* the durable horizon acks are checked against: it advances only
          when a force completes *)
-  steps : (int, step list) Hashtbl.t;
-  mutable on_spool : Request.t -> unit;
+  mutable on_spool : 's request -> unit;
       (* fired at a request's commit point: its record reaches the
          spool, or a read-only commit completes without one; the crash
          explorer hangs its commit-order recorder here *)
-  mutable on_ack : Request.t -> unit;
+  mutable on_ack : 's request -> unit;
       (* fired when a request's outcome is released to the client — after
          durability for writes, after the dependency check for read-only
          requests *)
@@ -151,8 +176,8 @@ type t = {
   h_trunc_steps : Histogram.t;
 }
 
-let create ~cfg ~steps ~engine ~clock ~obs ~lock_mgr ~admission ~arrivals ~gen
-    ~rng =
+let create ~cfg ~steps ~label ~engine ~clock ~obs ~lock_mgr ~admission
+    ~arrivals ~gen ~rng =
   if cfg.batch_max <= 0 then invalid_arg "Scheduler: batch_max";
   {
     cfg;
@@ -161,9 +186,11 @@ let create ~cfg ~steps ~engine ~clock ~obs ~lock_mgr ~admission ~arrivals ~gen
     obs;
     lm = lock_mgr;
     steps_of = steps;
+    label;
     adm = admission;
     arr = arrivals;
     gen;
+    next_id = 0;
     rng;
     runnable = Queue.create ();
     parked = [];
@@ -174,7 +201,6 @@ let create ~cfg ~steps ~engine ~clock ~obs ~lock_mgr ~admission ~arrivals ~gen
     disk = Clock.lane ();
     flight = None;
     durable = engine.Engine.durable_lsn ();
-    steps = Hashtbl.create 64;
     on_spool = ignore;
     on_ack = ignore;
     on_quantum = ignore;
@@ -214,24 +240,19 @@ let charge t = Clock.charge_cpu t.clock cpu_per_op_us
 (* --- lifecycle --- *)
 
 let wake_parked t =
-  let ps =
-    List.sort
-      (fun (a : Request.t) (b : Request.t) ->
-        compare a.Request.spec.Request.id b.Request.spec.Request.id)
-      t.parked
-  in
+  let ps = List.sort (fun a b -> compare a.id b.id) t.parked in
   t.parked <- [];
   List.iter
-    (fun (r : Request.t) ->
-      r.Request.status <- Request.Running;
+    (fun r ->
+      r.status <- Running;
       Queue.push r t.runnable)
     ps
 
-let req_attrs (r : Request.t) =
+let req_attrs t r =
   [
-    ("req", Trace.Int r.Request.spec.Request.id);
-    ("kind", Trace.String (Request.kind_name r.Request.spec.Request.kind));
-    ("attempts", Trace.Int r.Request.attempts);
+    ("req", Trace.Int r.id);
+    ("kind", Trace.String (t.label r.spec));
+    ("attempts", Trace.Int r.attempts);
   ]
 
 (* A request's outcome is durable — its own commit, if it wrote, and
@@ -239,12 +260,11 @@ let req_attrs (r : Request.t) =
    session move on. The admission slot was already freed at the commit
    point — in-flight counts transactions that are executing, not ones
    parked in the batcher awaiting the force. *)
-let finish t outcome (r : Request.t) =
+let finish t outcome r =
   let tnow = now t in
-  r.Request.status <- Request.Committed;
-  r.Request.done_us <- tnow;
+  r.status <- Committed;
   Arrivals.complete t.arr ~now:tnow;
-  let lat = tnow -. r.Request.arrival_us in
+  let lat = tnow -. r.arrival_us in
   (match outcome with
   | Commit ->
     t.committed <- t.committed + 1;
@@ -260,10 +280,10 @@ let finish t outcome (r : Request.t) =
 (* A read-only request wrote nothing, so only what it observed can be
    lost: it finishes now if the durable horizon covers [dep_lsn], else at
    the force that does. *)
-let await t outcome (r : Request.t) =
-  if r.Request.dep_lsn <= t.durable then finish t outcome r
+let await t outcome r =
+  if r.dep_lsn <= t.durable then finish t outcome r
   else begin
-    r.Request.status <- Request.Ready;
+    r.status <- Ready;
     t.pending <- (outcome, r) :: t.pending
   end
 
@@ -271,9 +291,7 @@ let complete_pending t =
   if t.pending <> [] then begin
     let d = t.durable in
     let ready, waiting =
-      List.partition
-        (fun (_, (r : Request.t)) -> r.Request.dep_lsn <= d)
-        t.pending
+      List.partition (fun (_, r) -> r.dep_lsn <= d) t.pending
     in
     t.pending <- waiting;
     List.iter (fun (outcome, r) -> finish t outcome r) (List.rev ready)
@@ -288,9 +306,9 @@ let complete_pending t =
    lock-free read; it still counts toward closing the batch, so writers
    behind a stream of read-only commits wait no longer than [batch_max]
    commits. *)
-let commit_read_only t (r : Request.t) =
+let commit_read_only t r =
   t.on_spool r;
-  Lock_mgr.release_all t.lm ~owner:r.Request.spec.Request.id;
+  Lock_mgr.release_all t.lm ~owner:r.id;
   Admission.release t.adm;
   if t.cfg.batch_max > 1 then Batcher.note t.batch;
   wake_parked t;
@@ -323,10 +341,9 @@ let commit_read_only t (r : Request.t) =
 
    A transaction that declared no range leaves the engine's commit LSN
    where it was, and commits read-only. *)
-let commit_ready t (r : Request.t) =
-  let id = r.Request.spec.Request.id in
-  Hashtbl.remove t.steps id;
-  match r.Request.tid with
+let commit_ready t r =
+  let id = r.id in
+  match r.tid with
   | None -> commit_read_only t r
   | Some tid ->
     let unbatched = t.cfg.batch_max = 1 in
@@ -335,14 +352,14 @@ let commit_ready t (r : Request.t) =
       t.cfg.elr && (not unbatched) && not (t.eng.Engine.crosses tid)
     in
     let before = t.eng.Engine.commit_lsn () in
-    Registry.span t.obs "req.root" ~attrs:(req_attrs r) (fun () ->
+    Registry.span t.obs "req.root" ~attrs:(req_attrs t r) (fun () ->
         t.eng.Engine.end_txn tid
           ~mode:(if unbatched then Types.Flush else Types.No_flush));
-    r.Request.tid <- None;
+    r.tid <- None;
     let lsn = t.eng.Engine.commit_lsn () in
     if lsn = before then commit_read_only t r
     else begin
-      r.Request.commit_lsn <- lsn;
+      r.commit_lsn <- lsn;
       Lock_mgr.stamp_held t.lm ~owner:id (lsn, id);
       if unbatched then begin
         t.durable <- t.eng.Engine.durable_lsn ();
@@ -356,7 +373,7 @@ let commit_ready t (r : Request.t) =
         complete_pending t
       end
       else begin
-        r.Request.status <- Request.Ready;
+        r.status <- Ready;
         t.on_spool r;
         if early then begin
           Counter.incr t.c_elr;
@@ -419,10 +436,9 @@ let land_force t =
     t.flight <- None;
     t.durable <- f.horizon;
     List.iter
-      (fun (r : Request.t) ->
-        let id = r.Request.spec.Request.id in
-        if (not t.cfg.elr) || List.mem id f.riding then
-          Lock_mgr.release_all t.lm ~owner:id;
+      (fun r ->
+        if (not t.cfg.elr) || List.mem r.id f.riding then
+          Lock_mgr.release_all t.lm ~owner:r.id;
         finish t Commit r)
       f.acks;
     if f.acks <> [] && ((not t.cfg.elr) || f.riding <> []) then
@@ -430,51 +446,48 @@ let land_force t =
     complete_pending t
   | _ -> ()
 
-let insert_retry t due (r : Request.t) =
-  let key = (due, r.Request.spec.Request.id) in
+let insert_retry t due r =
+  let key = (due, r.id) in
   let rec ins = function
     | [] -> [ (due, r) ]
-    | ((d, (x : Request.t)) :: _) as rest
-      when compare key (d, x.Request.spec.Request.id) < 0 ->
-      (due, r) :: rest
+    | ((d, x) :: _) as rest when compare key (d, x.id) < 0 -> (due, r) :: rest
     | e :: rest -> e :: ins rest
   in
   t.retries <- ins t.retries
 
 (* Deadlock victim: roll the engine transaction back, drop every lock,
    and come back after a seeded, jittered exponential backoff. *)
-let abort_retry t (r : Request.t) =
-  (match r.Request.tid with
+let abort_retry t r =
+  (match r.tid with
   | Some tid -> t.eng.Engine.abort tid
   | None -> ());
-  r.Request.tid <- None;
+  r.tid <- None;
   (* No stamp: an aborted transaction committed nothing, so its keys keep
      their last committer's stamps. Deps inherited during the attempt die
      with it. *)
-  Lock_mgr.release_all t.lm ~owner:r.Request.spec.Request.id;
-  r.Request.dep_lsn <- 0;
-  r.Request.dep_writers <- [];
-  r.Request.attempts <- r.Request.attempts + 1;
+  Lock_mgr.release_all t.lm ~owner:r.id;
+  r.dep_lsn <- 0;
+  r.dep_writers <- [];
+  r.attempts <- r.attempts + 1;
   t.aborts <- t.aborts + 1;
   Counter.incr t.c_retry;
-  Hashtbl.replace t.steps r.Request.spec.Request.id
-    (t.steps_of r.Request.spec);
-  let exp = min (r.Request.attempts - 1) backoff_cap in
+  r.plan <- t.steps_of r.spec;
+  let exp = min (r.attempts - 1) backoff_cap in
   let jitter = 0.5 +. Rng.float t.rng 1.0 in
   let delay = backoff_base_us *. float_of_int (1 lsl exp) *. jitter in
-  r.Request.status <- Request.Backoff;
+  r.status <- Backoff;
   insert_retry t (now t +. delay) r;
   wake_parked t
 
 (* The commit-LSN dependency rule, for lock grants and lock-free reads
    alike: a key's stamp names its last committed holder, so a request that
    observes the key must not acknowledge before that commit is durable. *)
-let inherit_stamp t (r : Request.t) key =
+let inherit_stamp t r key =
   match Lock_mgr.stamp t.lm ~key with
   | Some (lsn, writer) ->
-    if lsn > r.Request.dep_lsn then r.Request.dep_lsn <- lsn;
-    if not (List.mem writer r.Request.dep_writers) then
-      r.Request.dep_writers <- writer :: r.Request.dep_writers
+    if lsn > r.dep_lsn then r.dep_lsn <- lsn;
+    if not (List.mem writer r.dep_writers) then
+      r.dep_writers <- writer :: r.dep_writers
   | None -> ()
 
 (* The lock-free read-only fast path: one quantum, no engine transaction,
@@ -484,17 +497,16 @@ let inherit_stamp t (r : Request.t) key =
    dependency is the max of the observed commit LSNs: if any of them sits
    above the durable horizon (an early-released, not-yet-forced commit),
    the answer parks in [pending] until a force covers it. *)
-let exec_read t (r : Request.t) keys =
+let exec_read t r keys =
   charge t;
-  Hashtbl.remove t.steps r.Request.spec.Request.id;
   List.iter (inherit_stamp t r) keys;
   Counter.incr t.c_snapshot;
   Admission.release t.adm;
   await t Answer r
 
 (* The step ran: the rest of the plan waits for the request's next turn. *)
-let advance t (r : Request.t) rest =
-  Hashtbl.replace t.steps r.Request.spec.Request.id rest;
+let advance t r rest =
+  r.plan <- rest;
   Queue.push r t.runnable
 
 (* Whether a plan still writes: only a [Run] step declares ranges. *)
@@ -513,35 +525,34 @@ let writes = List.exists (function Run _ -> true | _ -> false)
    [Query] steps read under their locks outside any transaction, and it
    commits read-only. A plan that is one [Read] and nothing else takes no
    lock either. *)
-let exec t (r : Request.t) =
-  let id = r.Request.spec.Request.id in
-  match Hashtbl.find_opt t.steps id with
-  | Some [ Read keys ] when Option.is_none r.Request.tid -> exec_read t r keys
-  | None | Some [] -> commit_ready t r
-  | Some (step :: rest as plan) -> (
-    if Option.is_none r.Request.tid && writes plan then
-      r.Request.tid <- Some (t.eng.Engine.begin_txn ~mode:Types.Restore);
+let exec t r =
+  match r.plan with
+  | [ Read keys ] when Option.is_none r.tid -> exec_read t r keys
+  | [] -> commit_ready t r
+  | step :: rest as plan -> (
+    if Option.is_none r.tid && writes plan then
+      r.tid <- Some (t.eng.Engine.begin_txn ~mode:Types.Restore);
     charge t;
     match step with
     | Lock (mode, key) -> (
-      match Lock_mgr.wait_for t.lm ~owner:id ~key mode with
+      match Lock_mgr.wait_for t.lm ~owner:r.id ~key mode with
       | `Granted ->
         inherit_stamp t r key;
         advance t r rest
       | `Wait _ ->
-        r.Request.status <- Request.Parked key;
+        r.status <- Parked key;
         t.parked <- r :: t.parked;
         Registry.instant t.obs "server.park"
-          ~attrs:[ ("req", Trace.Int id); ("key", Trace.String key) ]
+          ~attrs:[ ("req", Trace.Int r.id); ("key", Trace.String key) ]
       | `Deadlock -> abort_retry t r)
     | Run f ->
       (* Runs with every lock of the preceding [Lock] steps held, inside
          the request's engine transaction. *)
-      f r (Option.get r.Request.tid);
+      f (Option.get r.tid);
       advance t r rest
     | Query f ->
       (* Runs with the same locks held, outside any engine transaction. *)
-      f r;
+      f ();
       advance t r rest
     | Read keys ->
       List.iter (inherit_stamp t r) keys;
@@ -549,32 +560,44 @@ let exec t (r : Request.t) =
 
 (* --- arrivals, admission, retries --- *)
 
-let start t (r : Request.t) =
-  r.Request.status <- Request.Running;
-  r.Request.admitted_us <- now t;
-  Histogram.observe t.h_queue_wait
-    (r.Request.admitted_us -. r.Request.arrival_us);
+let start t r =
+  r.status <- Running;
+  Histogram.observe t.h_queue_wait (now t -. r.arrival_us);
   Counter.incr t.c_admitted;
-  Hashtbl.replace t.steps r.Request.spec.Request.id
-    (t.steps_of r.Request.spec);
+  r.plan <- t.steps_of r.spec;
   Queue.push r t.runnable
 
-let shed t (r : Request.t) =
-  r.Request.status <- Request.Shed;
-  r.Request.done_us <- now t;
+let shed t r =
+  r.status <- Shed;
   t.shed <- t.shed + 1;
   Counter.incr t.c_shed;
-  Registry.instant t.obs "server.overload"
-    ~attrs:[ ("req", Trace.Int r.Request.spec.Request.id) ];
+  Registry.instant t.obs "server.overload" ~attrs:[ ("req", Trace.Int r.id) ];
   Arrivals.complete t.arr ~now:(now t)
+
+(* A request that has just arrived: the next id, and its spec drawn from
+   the workload's generator. *)
+let arrive t ~arrival_us =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  {
+    id;
+    spec = t.gen ~id;
+    plan = [];
+    status = Queued;
+    tid = None;
+    attempts = 0;
+    arrival_us;
+    commit_lsn = 0;
+    dep_lsn = 0;
+    dep_writers = [];
+  }
 
 let process_due t =
   let rec arrivals () =
     match Arrivals.next_at t.arr with
     | Some at when at <= now t ->
       ignore (Arrivals.pop t.arr);
-      let spec = Request.fresh t.gen in
-      let r = Request.make spec ~arrival_us:at in
+      let r = arrive t ~arrival_us:at in
       (match Admission.submit t.adm r with
       | `Admitted -> start t r
       | `Queued -> ()
@@ -587,7 +610,7 @@ let process_due t =
     match t.retries with
     | (due, r) :: rest when due <= now t ->
       t.retries <- rest;
-      r.Request.status <- Request.Running;
+      r.status <- Running;
       Queue.push r t.runnable;
       retries ()
     | _ -> ()
@@ -722,8 +745,8 @@ let run t =
     end
     else if not (Queue.is_empty t.runnable) then begin
       let r = Queue.pop t.runnable in
-      (match r.Request.status with
-      | Request.Running -> exec t r
+      (match r.status with
+      | Running -> exec t r
       | _ -> raise (Stuck (diagnose t "non-running request in run queue")));
       loop ()
     end

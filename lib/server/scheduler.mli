@@ -1,7 +1,8 @@
 (** The cooperative transaction scheduler — the server's core loop.
 
-    The scheduler knows no workload. Each request executes as the step
-    list its workload compiles for it ({!step}: lock acquisitions
+    The scheduler knows no workload. A request carries its workload's
+    spec (['s]), which the scheduler never inspects, and executes as the
+    step list its workload compiles for it ({!step}: lock acquisitions
     interleaved with the work they protect); a request whose plan writes
     runs it under an engine [Restore]-mode transaction. A request runs until it commits, parks
     on a lock ({!Rvm_layers.Lock_mgr.wait_for} returning [`Wait]), or
@@ -132,8 +133,6 @@ type tally = {
   iterations : int;
 }
 
-type t
-
 (** {1 Workload steps}
 
     The executable form of a request, consumed one step per scheduler
@@ -157,10 +156,10 @@ type t
 
 type step =
   | Lock of Rvm_layers.Lock_mgr.mode * string
-  | Run of (Request.t -> int -> unit)
-      (** [Run f] calls [f request engine_tid] in one quantum *)
-  | Query of (Request.t -> unit)
-      (** [Query f] calls [f request] in one quantum, with no engine
+  | Run of (int -> unit)
+      (** [Run f] calls [f engine_tid] in one quantum *)
+  | Query of (unit -> unit)
+      (** [Query f] calls [f ()] in one quantum, with no engine
           transaction: it may read recoverable memory, and has no tid to
           declare a range with. It costs a step's CPU like any other. *)
   | Read of string list
@@ -168,27 +167,77 @@ type step =
           dependency, taking no lock; a plan that is exactly one [Read]
           is a read-only request *)
 
+(** {1 Requests} *)
+
+type 's gen = id:int -> 's
+(** A workload's deterministic request source: applied to the ids
+    0, 1, 2, ... in arrival order, it draws each request's spec. *)
+
+type status =
+  | Queued  (** in the admission queue *)
+  | Running  (** scheduled, executing steps *)
+  | Parked of string  (** waiting for a lock key *)
+  | Backoff  (** aborted on deadlock, retry timer pending *)
+  | Ready  (** executed, waiting in the commit batch *)
+  | Committed
+  | Shed  (** refused by admission control: the [`Overload] outcome *)
+
+type 's request = {
+  id : int;  (** arrival order; doubles as the lock-manager owner *)
+  spec : 's;  (** the workload's request, opaque to the scheduler *)
+  mutable plan : step list;
+      (** the steps still to run: compiled when the request starts and
+          again after every deadlock abort *)
+  mutable status : status;
+  mutable tid : int option;
+      (** the live engine transaction: begun at the first step of a plan
+          that holds a [Run] step, gone at its commit or abort. A plan
+          with no [Run] step runs and commits with [None] throughout. *)
+  mutable attempts : int;  (** deadlock aborts suffered so far *)
+  arrival_us : float;
+  mutable commit_lsn : int;
+      (** logical commit LSN assigned when this request's commit record
+          spooled; 0 until then *)
+  mutable dep_lsn : int;
+      (** ack dependency: the highest commit LSN this request observed
+          through a key's commit stamp (a lock it acquired or a key it
+          read) — the ack must wait until the engine's durable horizon
+          covers it *)
+  mutable dep_writers : int list;
+      (** request ids behind [dep_lsn] — the writers whose durability this
+          request's ack vouches for (what the crash explorer checks) *)
+}
+
+type 's t
+
 val create :
   cfg:config ->
-  steps:(Request.spec -> step list) ->
+  steps:('s -> step list) ->
+  label:('s -> string) ->
   engine:Engine.t ->
   clock:Rvm_util.Clock.t ->
   obs:Rvm_obs.Registry.t ->
   lock_mgr:Rvm_layers.Lock_mgr.t ->
-  admission:Request.t Admission.t ->
+  admission:'s request Admission.t ->
   arrivals:Arrivals.t ->
-  gen:Request.gen ->
+  gen:'s gen ->
   rng:Rvm_util.Rng.t ->
-  t
-(** [steps] compiles a request into its plan; it is called when the
-    request starts and again after every deadlock abort, so anything a
-    plan must draw only once (TPC-A's audit slot) is drawn inside a
-    [Run] closure. [rng] is the backoff-jitter stream; keep it distinct
-    from the request-generator and arrival streams so the three draws
-    never interleave nondeterministically. *)
+  's t
+(** [steps] compiles a request's spec into its plan; it is called when
+    the request starts and again after every deadlock abort, so anything
+    a plan must draw only once (TPC-A's audit slot) is drawn inside a
+    [Run] closure, and anything one attempt's steps share (a read a
+    later write uses) lives in state made with the plan. [label] names a
+    spec's kind: the [kind] attribute of its [req.root] span. [rng] is
+    the backoff-jitter stream; keep it distinct from the
+    request-generator and arrival streams so the three draws never
+    interleave nondeterministically. *)
 
 val set_hooks :
-  t -> on_spool:(Request.t -> unit) -> on_ack:(Request.t -> unit) -> unit
+  's t ->
+  on_spool:('s request -> unit) ->
+  on_ack:('s request -> unit) ->
+  unit
 (** Instrumentation taps for the crash explorer. [on_spool] fires at a
     transaction's commit point: when its commit record reaches the spool
     (logical commit; under ELR a single-shard commit's locks release
@@ -199,14 +248,14 @@ val set_hooks :
     stamped, so a request's [dep_writers] name writers alone. Defaults
     are no-ops. *)
 
-val set_on_quantum : t -> (unit -> unit) -> unit
+val set_on_quantum : _ t -> (unit -> unit) -> unit
 (** Hook fired once at the top of every scheduler quantum — the
     monitoring tick ({!Rvm_obs.Monitor.tick}), so windowed telemetry
     samples server, shards and truncator on the scheduler's own
     timeline. The hook must read the clock, never charge it: observation
     may not perturb the run it observes. Default is a no-op. *)
 
-val run : t -> tally
+val run : _ t -> tally
 (** Drive the loop until the arrival process is exhausted and every
     request has committed or been shed. Raises {!Stuck} if the loop
     wedges. *)

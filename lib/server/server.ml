@@ -221,7 +221,7 @@ let build_world cfg =
 
 (* {2 The serving half, shared by every workload} *)
 
-let scheduler cfg w ~gen ~steps =
+let scheduler cfg w ~gen ~steps ~label =
   let rng = Rng.create ~seed:cfg.seed in
   let gen_rng = Rng.split rng in
   let arrival_rng = Rng.split rng in
@@ -247,9 +247,9 @@ let scheduler cfg w ~gen ~steps =
       elr = cfg.elr;
     }
   in
-  Scheduler.create ~cfg:scfg ~steps ~engine:w.engine ~clock:w.clock ~obs:w.obs
-    ~lock_mgr:(Lock_mgr.create ()) ~admission ~arrivals ~gen:(gen gen_rng)
-    ~rng:backoff_rng
+  Scheduler.create ~cfg:scfg ~steps ~label ~engine:w.engine ~clock:w.clock
+    ~obs:w.obs ~lock_mgr:(Lock_mgr.create ()) ~admission ~arrivals
+    ~gen:(gen gen_rng) ~rng:backoff_rng
 
 (* {2 TPC-A as scheduler steps} *)
 
@@ -269,34 +269,34 @@ let add (eng : Engine.t) tid ~addr ~len d =
   store_i64 eng ~addr (Int64.add v d)
 
 (* An account update also records the request that made it. *)
-let account_step eng pl (s : Request.spec) i d =
+let account_step eng pl (s : Tpca.spec) i d =
   let addr = Placement.account_addr pl i in
   Scheduler.Run
-    (fun _ tid ->
+    (fun tid ->
       add eng tid ~addr ~len:Tpca.account_size d;
-      store_i64 eng ~addr:(addr + 8) (Int64.of_int s.Request.id))
+      store_i64 eng ~addr:(addr + 8) (Int64.of_int s.Tpca.id))
 
 let balance_step eng addr d =
-  Scheduler.Run (fun _ tid -> add eng tid ~addr ~len:Tpca.balance_size d)
+  Scheduler.Run (fun tid -> add eng tid ~addr ~len:Tpca.balance_size d)
 
-let audit_step (eng : Engine.t) pl (s : Request.spec) =
+let audit_step (eng : Engine.t) pl (s : Tpca.spec) =
   Scheduler.Run
-    (fun _ tid ->
+    (fun tid ->
       (* The slot is drawn at write time, never when the steps are built
          (they are rebuilt after every abort), and the write is followed
          by the commit within the same scheduler turn, so no two live
          transactions ever hold set_ranges over one slot, even after
          wrap-around. *)
-      let addr = Placement.audit_next pl ~anchor:s.Request.account in
+      let addr = Placement.audit_next pl ~anchor:s.Tpca.account in
       eng.Engine.set_range tid ~addr ~len:Tpca.audit_size;
       let e = Bytes.create Tpca.audit_size in
-      Bytes.set_int64_le e 0 (Int64.of_int s.Request.account);
-      Bytes.set_int64_le e 8 (Int64.of_int s.Request.teller);
-      Bytes.set_int64_le e 16 s.Request.delta;
+      Bytes.set_int64_le e 0 (Int64.of_int s.Tpca.account);
+      Bytes.set_int64_le e 8 (Int64.of_int s.Tpca.teller);
+      Bytes.set_int64_le e 16 s.Tpca.delta;
       (* id + 1, so a zeroed (never-written) slot is distinguishable from
          request 0's entry — the crash explorer reads recovered membership
          back from these words *)
-      Bytes.set_int64_le e 24 (Int64.of_int (s.Request.id + 1));
+      Bytes.set_int64_le e 24 (Int64.of_int (s.Tpca.id + 1));
       eng.Engine.store ~addr e)
 
 (* TPC-A's requests as lock acquisitions interleaved with the balance
@@ -307,12 +307,12 @@ let audit_step (eng : Engine.t) pl (s : Request.spec) =
    identities come from the placement too: on a sharded world teller 3 of
    shard 0 and teller 3 of shard 1 are distinct records and must not
    serialize against each other. *)
-let tpca_steps w (s : Request.spec) =
+let tpca_steps w (s : Tpca.spec) =
   let eng = w.engine and pl = w.placement in
-  let anchor = s.Request.account in
-  let branch = s.Request.teller mod Tpca.branches in
-  match s.Request.kind with
-  | Request.Payment ->
+  let anchor = s.Tpca.account in
+  let branch = s.Tpca.teller mod Tpca.branches in
+  match s.Tpca.kind with
+  | Tpca.Payment ->
     (* TPC-A reads the teller and branch rows (the balance fetch precedes
        the update) before writing them: those read steps take Update mode
        and upgrade to Exclusive only at the write. A second payment on a
@@ -320,44 +320,43 @@ let tpca_steps w (s : Request.spec) =
        Shared, each would then wait for the other to leave at its upgrade
        — a deadlock, and an abort, on every such overlap. Lookups read
        lock-free, so no Shared holder is ever kept waiting. *)
-    let tk = teller_key (Placement.teller_id pl ~anchor s.Request.teller) in
+    let tk = teller_key (Placement.teller_id pl ~anchor s.Tpca.teller) in
     let bk = branch_key (Placement.branch_id pl ~anchor branch) in
     [
-      Scheduler.Lock (Lock_mgr.Exclusive, acct_key s.Request.account);
-      account_step eng pl s s.Request.account s.Request.delta;
+      Scheduler.Lock (Lock_mgr.Exclusive, acct_key s.Tpca.account);
+      account_step eng pl s s.Tpca.account s.Tpca.delta;
       Scheduler.Lock (Lock_mgr.Update, tk);
       Scheduler.Lock (Lock_mgr.Update, bk);
       Scheduler.Lock (Lock_mgr.Exclusive, tk);
       balance_step eng
-        (Placement.teller_addr pl ~anchor s.Request.teller)
-        s.Request.delta;
+        (Placement.teller_addr pl ~anchor s.Tpca.teller)
+        s.Tpca.delta;
       Scheduler.Lock (Lock_mgr.Exclusive, bk);
-      balance_step eng
-        (Placement.branch_addr pl ~anchor branch)
-        s.Request.delta;
+      balance_step eng (Placement.branch_addr pl ~anchor branch) s.Tpca.delta;
       audit_step eng pl s;
     ]
-  | Request.Transfer ->
+  | Tpca.Transfer ->
     [
-      Scheduler.Lock (Lock_mgr.Exclusive, acct_key s.Request.account);
-      account_step eng pl s s.Request.account s.Request.delta;
-      Scheduler.Lock (Lock_mgr.Exclusive, acct_key s.Request.account2);
-      account_step eng pl s s.Request.account2 (Int64.neg s.Request.delta);
+      Scheduler.Lock (Lock_mgr.Exclusive, acct_key s.Tpca.account);
+      account_step eng pl s s.Tpca.account s.Tpca.delta;
+      Scheduler.Lock (Lock_mgr.Exclusive, acct_key s.Tpca.account2);
+      account_step eng pl s s.Tpca.account2 (Int64.neg s.Tpca.delta);
       audit_step eng pl s;
     ]
-  | Request.Lookup ->
+  | Tpca.Lookup ->
     [
       Scheduler.Read
         [
-          acct_key s.Request.account;
+          acct_key s.Tpca.account;
           branch_key (Placement.branch_id pl ~anchor branch);
         ];
     ]
-  | Request.Ycsb _ -> invalid_arg "Server: a YCSB request in a TPC-A world"
 
 let scheduler_of cfg w =
-  scheduler cfg w ~steps:(tpca_steps w) ~gen:(fun rng ->
-      Request.make_gen ~read_pct:cfg.read_pct ~accounts:cfg.accounts
+  scheduler cfg w ~steps:(tpca_steps w)
+    ~label:(fun (s : Tpca.spec) -> Tpca.kind_name s.Tpca.kind)
+    ~gen:(fun rng ->
+      Tpca.make_gen ~read_pct:cfg.read_pct ~accounts:cfg.accounts
         ~zipf_s:cfg.zipf_s ~transfer_pct:cfg.transfer_pct ~rng ())
 
 (* {2 Monitoring}

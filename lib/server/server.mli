@@ -126,12 +126,15 @@ type world = {
 
 val build_world : config -> world
 
-val scheduler_of : config -> world -> Scheduler.t
+val scheduler_of :
+  config -> world -> Rvm_workload.Tpca.spec Scheduler.t
 (** The TPC-A scheduler over [w]: {!scheduler} with TPC-A's request
-    generator and its step function, which compiles payments and
-    transfers into lock and balance-update steps and lookups into one
-    lock-free [Read] of the account and branch keys. The steps update
-    balances through [w.engine] at the addresses [w.placement] gives. *)
+    generator ({!Rvm_workload.Tpca.make_gen}), its step function, which
+    compiles payments and transfers into lock and balance-update steps
+    and lookups into one lock-free [Read] of the account and branch
+    keys, and {!Rvm_workload.Tpca.kind_name} as the label. The steps
+    update balances through [w.engine] at the addresses [w.placement]
+    gives. *)
 
 val run_with_world : config -> world * Scheduler.tally
 (** {!run} without the reduction: build, run, hand everything back. The
@@ -157,18 +160,19 @@ val devices :
 
 (** {1 The serving half}
 
-    Every workload runs through these. It brings a world, a request
-    generator and a step function that compiles each of its requests
-    into scheduler steps; only the serving fields of the {!config} are
-    read (seed, load, requests and the admission, scheduler and ELR
-    knobs). *)
+    Every workload runs through these. It brings a world, its own spec
+    type ['s], a request generator, a step function that compiles each
+    spec into scheduler steps and a label naming a spec's kind; only the
+    serving fields of the {!config} are read (seed, load, requests and
+    the admission, scheduler and ELR knobs). *)
 
 val scheduler :
   config ->
   world ->
-  gen:(Rvm_util.Rng.t -> Request.gen) ->
-  steps:(Request.spec -> Scheduler.step list) ->
-  Scheduler.t
+  gen:(Rvm_util.Rng.t -> 's Scheduler.gen) ->
+  steps:('s -> Scheduler.step list) ->
+  label:('s -> string) ->
+  's Scheduler.t
 (** Splits [seed] into the request, arrival and backoff streams, then
     builds arrivals, admission and the scheduler over the world. *)
 
@@ -179,7 +183,7 @@ val monitor_of : ?window_us:float -> world -> Rvm_obs.Monitor.t
 val serve :
   ?monitor:Rvm_obs.Monitor.t * (Rvm_obs.Timeseries.window -> unit) ->
   world ->
-  Scheduler.t ->
+  _ Scheduler.t ->
   Scheduler.tally * int * int
 (** Run to completion: the tally and the log devices' write and sync
     deltas. [monitor] ticks from the quantum hook and every window it

@@ -198,56 +198,50 @@ let tree_lock = "btree"
    as soon as the writers it observed through its lock's commit stamp
    are durable, with no force and no batch slot of its own. The read
    half of a read-modify-write is a [Query] too; its plan still holds the
-   write's [Run], so its transaction begins at its first step. *)
+   write's [Run], so its transaction begins at its first step. The read
+   reaches the write through a ref made with the plan, and a plan is
+   rebuilt after every abort, so each attempt reads afresh. *)
 let steps_of cfg (tree : Pbtree.t) =
   let structural = match cfg.mix with Ycsb.D | Ycsb.E -> true | _ -> false in
-  let stash : (int, string option) Hashtbl.t = Hashtbl.create 64 in
   let lk key =
     if structural then tree_lock
     else "n:" ^ string_of_int (Pbtree.leaf_addr tree ~key)
   in
-  fun (s : Request.spec) ->
-    match s.Request.kind with
-    | Request.Ycsb op -> (
-      match op with
-      | Ycsb.Read key ->
-        [
-          Scheduler.Lock (Lock_mgr.Shared, lk key);
-          Scheduler.Query (fun _ -> ignore (Pbtree.get tree ~key));
-        ]
-      | Ycsb.Update (key, value) ->
-        [
-          Scheduler.Lock (Lock_mgr.Exclusive, lk key);
-          Scheduler.Run (fun _ tid -> Pbtree.put tree tid ~key ~value);
-        ]
-      | Ycsb.Insert (key, value) ->
-        [
-          Scheduler.Lock (Lock_mgr.Exclusive, tree_lock);
-          Scheduler.Run (fun _ tid -> Pbtree.put tree tid ~key ~value);
-        ]
-      | Ycsb.Scan (lo, n) ->
-        [
-          Scheduler.Lock (Lock_mgr.Shared, lk lo);
-          Scheduler.Query (fun _ -> ignore (Pbtree.scan tree ~lo ~n ()));
-        ]
-      | Ycsb.Rmw key ->
-        let k = lk key in
-        [
-          Scheduler.Lock (Lock_mgr.Update, k);
-          Scheduler.Query
-            (fun r ->
-              Hashtbl.replace stash r.Request.spec.Request.id
-                (Pbtree.get tree ~key));
-          Scheduler.Lock (Lock_mgr.Exclusive, k);
-          Scheduler.Run
-            (fun r tid ->
-              let id = r.Request.spec.Request.id in
-              let old = Option.join (Hashtbl.find_opt stash id) in
-              Hashtbl.remove stash id;
-              Pbtree.put tree tid ~key
-                ~value:(Ycsb.rmw_next ~value_len:cfg.value_len old));
-        ])
-    | _ -> []
+  function
+  | Ycsb.Read key ->
+    [
+      Scheduler.Lock (Lock_mgr.Shared, lk key);
+      Scheduler.Query (fun () -> ignore (Pbtree.get tree ~key));
+    ]
+  | Ycsb.Update (key, value) ->
+    [
+      Scheduler.Lock (Lock_mgr.Exclusive, lk key);
+      Scheduler.Run (fun tid -> Pbtree.put tree tid ~key ~value);
+    ]
+  | Ycsb.Insert (key, value) ->
+    [
+      Scheduler.Lock (Lock_mgr.Exclusive, tree_lock);
+      Scheduler.Run (fun tid -> Pbtree.put tree tid ~key ~value);
+    ]
+  | Ycsb.Scan (lo, n) ->
+    [
+      Scheduler.Lock (Lock_mgr.Shared, lk lo);
+      Scheduler.Query (fun () -> ignore (Pbtree.scan tree ~lo ~n ()));
+    ]
+  | Ycsb.Rmw key ->
+    let k = lk key in
+    let old = ref None in
+    [
+      Scheduler.Lock (Lock_mgr.Update, k);
+      Scheduler.Query (fun () -> old := Pbtree.get tree ~key);
+      Scheduler.Lock (Lock_mgr.Exclusive, k);
+      Scheduler.Run
+        (fun tid ->
+          Pbtree.put tree tid ~key
+            ~value:(Ycsb.rmw_next ~value_len:cfg.value_len !old));
+    ]
+
+let label op = "ycsb-" ^ Ycsb.op_name op
 
 (* The harness's view of the world. The placement is TPC-A machinery the
    steps never touch; a one-account layout fills [Server.world]. *)
@@ -283,15 +277,7 @@ let gen cfg rng =
     Ycsb.create ~rng ~mix:cfg.mix ~records:cfg.records
       ~value_len:cfg.value_len ~scan_max:cfg.scan_max
   in
-  Request.of_fn (fun ~id ->
-      {
-        Request.id;
-        kind = Request.Ycsb (Ycsb.next g);
-        account = 0;
-        account2 = 0;
-        teller = 0;
-        delta = 0L;
-      })
+  fun ~id:_ -> Ycsb.next g
 
 (* Serial reference: replay the committed ops in commit (spool/LSN)
    order against the plain hash-table model and demand the recoverable
@@ -331,16 +317,14 @@ let serve_with ?monitor cfg w =
   let scfg = serving cfg in
   let sched =
     Server.scheduler scfg sw ~gen:(gen cfg) ~steps:(steps_of cfg w.tree)
+      ~label
   in
   let ops = ref [] in
   (* The write path's economy, over the serving phase alone: set_range
      calls, logged bytes and engine transactions per committed request. *)
   let before = Rvm.stats w.rvm in
   Scheduler.set_hooks sched
-    ~on_spool:(fun r ->
-      match r.Request.spec.Request.kind with
-      | Request.Ycsb op -> ops := op :: !ops
-      | _ -> ())
+    ~on_spool:(fun r -> ops := r.Scheduler.spec :: !ops)
     ~on_ack:ignore;
   let s = Server.reduce scfg sw (Server.serve ?monitor sw sched) in
   let after = Rvm.stats w.rvm in

@@ -9,7 +9,9 @@
     through the scheduler with its own step function, and reduces to a
     {!result} row that includes a serial-reference verdict: the committed
     operations replayed in commit order against a plain hash table must
-    reproduce the tree's final contents byte-for-byte.
+    reproduce the tree's final contents byte-for-byte. A request's spec
+    is its {!Rvm_workload.Ycsb.op}, and its [req.root] span is labelled
+    [ycsb-<op>] ([ycsb-update], [ycsb-rmw], ...).
 
     Locking is node-granular where the tree's shape is stable (mixes
     A/B/C/F lock the key's leaf) and tree-granular where inserts can

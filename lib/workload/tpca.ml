@@ -143,3 +143,76 @@ let transaction t (e : Driver.engine) =
 
 let transactions_run t = t.count
 let account_pages_touched t = Hashtbl.length t.pages_touched
+
+(* --- server requests --- *)
+
+type kind = Payment | Transfer | Lookup
+
+let kind_name = function
+  | Payment -> "payment"
+  | Transfer -> "transfer"
+  | Lookup -> "lookup"
+
+type spec = {
+  id : int;
+  kind : kind;
+  account : int;
+  account2 : int;
+  teller : int;
+  delta : int64;
+}
+
+let draw_spec ~accounts ~zipf ~rng ~transfer_pct ~read_pct ~id =
+  let account = Rng.zipf rng zipf in
+  (* Draw order is fixed (account, read roll, kind roll, ...) so a stream
+     with [read_pct = 0] is byte-identical to one generated before lookups
+     existed — the serial-reference replay in the tests depends on it. *)
+  let kind =
+    if read_pct > 0 && Rng.int rng 100 < read_pct then Lookup
+    else if accounts > 1 && Rng.int rng 100 < transfer_pct then Transfer
+    else Payment
+  in
+  (* Transfers keep the two accounts in draw order — NOT sorted — so two
+     concurrent transfers over the same hot pair can lock in opposite
+     orders and deadlock; that is the scheduler path under test. *)
+  let account2 =
+    match kind with
+    | Payment | Lookup -> account
+    | Transfer ->
+      let rec draw () =
+        let a = Rng.zipf rng zipf in
+        if a = account then draw () else a
+      in
+      draw ()
+  in
+  let teller = Rng.int rng tellers in
+  let delta = Int64.of_int (Rng.int rng 1000 - 500) in
+  { id; kind; account; account2; teller; delta }
+
+let make_gen ?(read_pct = 0) ~accounts ~zipf_s ~transfer_pct ~rng () =
+  if accounts <= 0 then invalid_arg "Tpca.make_gen: accounts";
+  if transfer_pct < 0 || transfer_pct > 100 then
+    invalid_arg "Tpca.make_gen: transfer_pct";
+  if read_pct < 0 || read_pct > 100 then
+    invalid_arg "Tpca.make_gen: read_pct";
+  let zipf = Rng.zipf_make ~n:accounts ~s:zipf_s in
+  fun ~id -> draw_spec ~accounts ~zipf ~rng ~transfer_pct ~read_pct ~id
+
+(* Serial reference model: the ops are per-cell additions, so any
+   serializable execution of a request set lands on the same balances as
+   applying the specs in any order — what the interleaving property
+   checks the server against. A payment's teller and branch live on its
+   account's shard. *)
+let apply_model ~shards spec ~accounts ~tellers:teller_bal ~branches:branch_bal
+    =
+  let add arr i d = arr.(i) <- Int64.add arr.(i) d in
+  match spec.kind with
+  | Payment ->
+    let s = spec.account mod shards in
+    add accounts spec.account spec.delta;
+    add teller_bal ((s * tellers) + spec.teller) spec.delta;
+    add branch_bal ((s * branches) + (spec.teller mod branches)) spec.delta
+  | Transfer ->
+    add accounts spec.account spec.delta;
+    add accounts spec.account2 (Int64.neg spec.delta)
+  | Lookup -> ()

@@ -67,3 +67,63 @@ val transaction : state -> Driver.engine -> unit
 
 val transactions_run : state -> int
 val account_pages_touched : state -> int
+
+(** {1 Server requests}
+
+    TPC-A as the transaction server serves it, over Zipf-skewed account
+    keys. A {e payment} is the classic profile above (account, teller,
+    branch, audit record); a {e transfer} moves a delta between two
+    skew-drawn accounts, locking them in draw order — the deliberate
+    source of lock-order inversions that exercises the scheduler's
+    deadlock abort-and-retry path. All updates are per-cell additions, so
+    any serializable schedule produces the balances of the serial
+    reference ({!apply_model}). A {e lookup} is the read-only class
+    (balance lookup on the skew-drawn account plus its teller's branch):
+    it writes nothing, takes no locks (the server compiles it into one
+    lock-free [Read] of the commit stamps), and is a no-op in the serial
+    reference. *)
+
+type kind = Payment | Transfer | Lookup
+
+val kind_name : kind -> string
+
+type spec = {
+  id : int;
+      (** request id; the steps write it into the account record and the
+          audit trail *)
+  kind : kind;
+  account : int;
+  account2 : int;  (** transfer credit side; [= account] otherwise *)
+  teller : int;
+  delta : int64;
+}
+
+val make_gen :
+  ?read_pct:int ->
+  accounts:int ->
+  zipf_s:float ->
+  transfer_pct:int ->
+  rng:Rvm_util.Rng.t ->
+  unit ->
+  id:int ->
+  spec
+(** A deterministic request source (Zipf account sampler + uniform
+    teller/delta draws) over one {!Rvm_util.Rng.t} stream: applied to
+    the ids in order, it draws each request's spec. [read_pct] (default
+    0) is the percentage of requests drawn as lookups; the read roll
+    happens before the transfer roll, and with [read_pct = 0] the
+    generated stream is identical to the pre-lookup generator on the
+    same seed. *)
+
+val apply_model :
+  shards:int ->
+  spec ->
+  accounts:int64 array ->
+  tellers:int64 array ->
+  branches:int64 array ->
+  unit
+(** Apply the request to plain in-memory balance arrays — the serial
+    reference execution the server's results are checked against.
+    Tellers and branches are shard-major: a payment updates teller
+    [shard * tellers + teller] (likewise its branch) on its account's
+    shard [account mod shards]. *)

@@ -18,6 +18,7 @@ module Pbtree = Rvm_pds.Pbtree
 module Ycsb = Rvm_workload.Ycsb
 module Ycsb_run = Rvm_server.Ycsb_run
 module Server = Rvm_server.Server
+module Scheduler = Rvm_server.Scheduler
 
 let ps = 4096
 
@@ -304,7 +305,7 @@ let test_btree_insert () =
    leaf's Shared lock, on a resident 2 000-record tree at 60 tps. The
    words are a request's marginal cost: a 4 000-request serve minus a
    2 000-request one, over the 2 000 requests between, so the serve's
-   fixed costs (the scheduler, the serial-reference replay) cancel. 412.0
+   fixed costs (the scheduler, the serial-reference replay) cancel. 393.0
    words measured; run as a [Run] step inside an engine transaction that
    commits empty, the same read measured 577.7. *)
 let test_read_request () =
@@ -331,6 +332,28 @@ let test_read_request () =
   let short = serve 2_000 in
   within "read-only request" ~bound:520. ((serve 4_000 -. short) /. 2_000.)
 
+(* A TPC-A request as the server serves it: payments and transfers, no
+   lookups, on the default world at 40 tps. Each locks its accounts (and
+   a payment its teller and branch), updates them in an engine
+   transaction, appends its audit record and commits in a batch; the log
+   wraps, so truncation's steps are in the cost too. The marginal cost of
+   2 000 more requests, as for [read-request]: 1292.8 words measured. *)
+let test_write_request () =
+  let serve requests =
+    let cfg = { Server.default_config with Server.requests; read_pct = 0 } in
+    let w = Server.build_world cfg in
+    let w0 = Gc.minor_words () in
+    let tally = Scheduler.run (Server.scheduler_of cfg w) in
+    let words = Gc.minor_words () -. w0 in
+    Server.release_world w;
+    if tally.Scheduler.committed <> requests then
+      Alcotest.failf "%d of %d writes committed" tally.Scheduler.committed
+        requests;
+    words
+  in
+  let short = serve 2_000 in
+  within "writing request" ~bound:1600. ((serve 4_000 -. short) /. 2_000.)
+
 let suite =
   [
     ("set-range-no-restore", `Quick, test_set_range_no_restore);
@@ -347,4 +370,5 @@ let suite =
     ("btree-update", `Quick, test_btree_update);
     ("btree-insert", `Quick, test_btree_insert);
     ("read-request", `Quick, test_read_request);
+    ("write-request", `Quick, test_write_request);
   ]

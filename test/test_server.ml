@@ -7,7 +7,6 @@
 
 module S = Rvm_server.Server
 module Scheduler = Rvm_server.Scheduler
-module Request = Rvm_server.Request
 module Admission = Rvm_server.Admission
 module Batcher = Rvm_server.Batcher
 module Arrivals = Rvm_server.Arrivals
@@ -210,17 +209,17 @@ let test_deadlock_abort_retry () =
 
 (* Regenerate the request stream exactly as [S.scheduler_of] draws it:
    the master seed splits into (gen, arrival, backoff) streams in that
-   order, and each arrival consumes one [Request.fresh]. *)
+   order, and each arrival draws the spec of the next id. *)
 let replay_specs cfg =
   let rng = Rng.create ~seed:cfg.S.seed in
   let gen_rng = Rng.split rng in
   let _arrival = Rng.split rng in
   let _backoff = Rng.split rng in
   let gen =
-    Request.make_gen ~read_pct:cfg.S.read_pct ~accounts:cfg.S.accounts
+    Tpca.make_gen ~read_pct:cfg.S.read_pct ~accounts:cfg.S.accounts
       ~zipf_s:cfg.S.zipf_s ~transfer_pct:cfg.S.transfer_pct ~rng:gen_rng ()
   in
-  List.init cfg.S.requests (fun _ -> Request.fresh gen)
+  List.init cfg.S.requests (fun id -> gen ~id)
 
 let check_balances cfg (w : S.world) =
   let pl = w.S.placement in
@@ -233,7 +232,7 @@ let check_balances cfg (w : S.world) =
   let branches = Array.make (n * Tpca.branches) 0L in
   List.iter
     (fun spec ->
-      Request.apply_model ~shards:n spec ~accounts ~tellers ~branches)
+      Tpca.apply_model ~shards:n spec ~accounts ~tellers ~branches)
     (replay_specs cfg);
   Array.iteri
     (fun i expected ->
@@ -298,16 +297,15 @@ let serve_checking_acks cfg =
   let late = ref None and dependent_reads = ref 0 in
   Scheduler.set_hooks sched ~on_spool:ignore ~on_ack:(fun r ->
       let d = w.S.engine.Engine.durable_lsn () in
-      if (r.Request.commit_lsn > d || r.Request.dep_lsn > d) && !late = None
+      if (r.Scheduler.commit_lsn > d || r.Scheduler.dep_lsn > d) && !late = None
       then
         late :=
           Some
             (Printf.sprintf "request %d acked at lsn %d dep %d, durable %d"
-               r.Request.spec.Request.id r.Request.commit_lsn
-               r.Request.dep_lsn d);
+               r.Scheduler.id r.Scheduler.commit_lsn r.Scheduler.dep_lsn d);
       if
-        r.Request.spec.Request.kind = Request.Lookup
-        && r.Request.dep_writers <> []
+        r.Scheduler.spec.Tpca.kind = Tpca.Lookup
+        && r.Scheduler.dep_writers <> []
       then incr dependent_reads);
   let tally = Scheduler.run sched in
   (w, tally, !late, !dependent_reads)
@@ -359,6 +357,8 @@ let test_snapshot_reads () =
 
 (* --- end-to-end: the scheduler runs whatever steps a workload compiles --- *)
 
+let tpca_label (s : Tpca.spec) = Tpca.kind_name s.Tpca.kind
+
 (* A caller's step function over a TPC-A world: every write request
    takes one counter key Exclusive and increments an 8-byte cell. With
    [read_lookups] a lookup takes the key Shared and only reads the cell:
@@ -377,20 +377,20 @@ let counter_server ?(wrap = Fun.id) ?(query = false) ~read_lookups cfg =
     Int64.to_int (Bytes.get_int64_le (eng.Engine.load ~addr ~len:8) 0)
   in
   let lookups = Hashtbl.create 64 in
-  let steps (s : Request.spec) =
-    let lookup = s.Request.kind = Request.Lookup in
-    if lookup then Hashtbl.replace lookups s.Request.id ();
+  let steps (s : Tpca.spec) =
+    let lookup = s.Tpca.kind = Tpca.Lookup in
+    if lookup then Hashtbl.replace lookups s.Tpca.id ();
     if lookup && read_lookups then
       [
         Scheduler.Lock (Lock_mgr.Shared, "counter");
-        (if query then Scheduler.Query (fun _ -> ignore (counter ()))
-         else Scheduler.Run (fun _ _ -> ignore (counter ())));
+        (if query then Scheduler.Query (fun () -> ignore (counter ()))
+         else Scheduler.Run (fun _ -> ignore (counter ())));
       ]
     else
       [
         Scheduler.Lock (Lock_mgr.Exclusive, "counter");
         Scheduler.Run
-          (fun _ tid ->
+          (fun tid ->
             eng.Engine.set_range tid ~addr ~len:8;
             let b = Bytes.create 8 in
             Bytes.set_int64_le b 0 (Int64.of_int (counter () + 1));
@@ -398,10 +398,10 @@ let counter_server ?(wrap = Fun.id) ?(query = false) ~read_lookups cfg =
       ]
   in
   let gen rng =
-    Request.make_gen ~read_pct:cfg.S.read_pct ~accounts:cfg.S.accounts
+    Tpca.make_gen ~read_pct:cfg.S.read_pct ~accounts:cfg.S.accounts
       ~zipf_s:cfg.S.zipf_s ~transfer_pct:cfg.S.transfer_pct ~rng ()
   in
-  (w, S.scheduler cfg w ~gen ~steps, lookups, counter)
+  (w, S.scheduler cfg w ~gen ~steps ~label:tpca_label, lookups, counter)
 
 (* The scheduler interprets no request kind, so the generator's lookups
    compiled as increments commit as writes and none is answered as a
@@ -472,8 +472,9 @@ let test_readonly_commits () =
       let late = ref 0 and vouching = ref 0 in
       Scheduler.set_hooks sched ~on_spool:ignore ~on_ack:(fun r ->
           let d = durable () in
-          if r.Request.commit_lsn > d || r.Request.dep_lsn > d then incr late;
-          if List.exists (Hashtbl.mem lookups) r.Request.dep_writers then
+          if r.Scheduler.commit_lsn > d || r.Scheduler.dep_lsn > d then
+            incr late;
+          if List.exists (Hashtbl.mem lookups) r.Scheduler.dep_writers then
             incr vouching);
       let tally = Scheduler.run sched in
       let writers = cfg.S.requests - Hashtbl.length lookups in
@@ -531,9 +532,9 @@ let test_query_deadlock_victim () =
   in
   let w = { w with S.engine = e } in
   let addr = Placement.account_addr w.S.placement 0 in
-  let read _ = ignore (e.Engine.load ~addr ~len:8) in
-  let steps (s : Request.spec) =
-    let a, b = if s.Request.id mod 2 = 0 then ("a", "b") else ("b", "a") in
+  let read () = ignore (e.Engine.load ~addr ~len:8) in
+  let steps (s : Tpca.spec) =
+    let a, b = if s.Tpca.id mod 2 = 0 then ("a", "b") else ("b", "a") in
     [
       Scheduler.Lock (Lock_mgr.Exclusive, a);
       Scheduler.Query read;
@@ -542,10 +543,12 @@ let test_query_deadlock_victim () =
     ]
   in
   let gen rng =
-    Request.make_gen ~accounts:cfg.S.accounts ~zipf_s:cfg.S.zipf_s
+    Tpca.make_gen ~accounts:cfg.S.accounts ~zipf_s:cfg.S.zipf_s
       ~transfer_pct:cfg.S.transfer_pct ~rng ()
   in
-  let tally = Scheduler.run (S.scheduler cfg w ~gen ~steps) in
+  let tally =
+    Scheduler.run (S.scheduler cfg w ~gen ~steps ~label:tpca_label)
+  in
   S.release_world w;
   check_bool "some request lost a deadlock" true (tally.Scheduler.aborts > 0);
   check_int "every request committed" cfg.S.requests tally.Scheduler.committed;
@@ -595,13 +598,13 @@ let test_readonly_batch_rule () =
       Scheduler.set_hooks sched
         ~on_spool:(fun r ->
           incr spooled;
-          let id = r.Request.spec.Request.id in
+          let id = r.Scheduler.id in
           if not (Hashtbl.mem lookups id) then begin
             Hashtbl.replace spooled_at id !spooled;
             unforced := !spooled :: !unforced
           end)
         ~on_ack:(fun r ->
-          match Hashtbl.find_opt spooled_at r.Request.spec.Request.id with
+          match Hashtbl.find_opt spooled_at r.Scheduler.id with
           | Some k -> at_ack := max !at_ack (!spooled - k + 1)
           | None -> ());
       let tally = Scheduler.run sched in
@@ -669,11 +672,11 @@ let test_ack_waits_for_force () =
                         (Printf.sprintf
                            "%sreq %d acked at %.0f us, before its %s %d was \
                             forced (%s)"
-                           name r.Request.spec.Request.id now what lsn
+                           name r.Scheduler.id now what lsn
                            (match found with
                            | Some end_us -> Printf.sprintf "at %.0f us" end_us
                            | None -> "by no force yet")))
-            [ ("commit", r.Request.commit_lsn); ("dependency", r.Request.dep_lsn) ]);
+            [ ("commit", r.Scheduler.commit_lsn); ("dependency", r.Scheduler.dep_lsn) ]);
       let tally = Scheduler.run sched in
       S.release_world w;
       Option.iter Alcotest.fail !early;
@@ -926,6 +929,18 @@ let test_trace_parenting () =
   in
   check_int "one req.root per request" 40 (List.length roots);
   check_int "one txn.commit per request" 40 (List.length commits);
+  (* Each req.root names its request's kind through TPC-A's label. *)
+  let specs = Array.of_list (replay_specs cfg) in
+  List.iter
+    (fun (e : Registry.span_event) ->
+      match (List.assoc_opt "req" e.attrs, List.assoc_opt "kind" e.attrs) with
+      | Some (Rvm_obs.Trace.Int id), Some (Rvm_obs.Trace.String kind) ->
+        Alcotest.(check string)
+          (Printf.sprintf "kind of request %d" id)
+          (Tpca.kind_name specs.(id).Tpca.kind)
+          kind
+      | _ -> Alcotest.fail "req.root lacks its req or kind attribute")
+    roots;
   List.iter
     (fun (c : Registry.span_event) ->
       match c.parent with

@@ -113,6 +113,37 @@ let test_read_only_mix_forces_nothing () =
   check_bool "serial equal" true r.Ycsb_run.serial_equal;
   Ycsb_run.release_world w
 
+(* An engine commit's [req.root] span names its request through YCSB's
+   label. On mix F only the read-modify-writes write: the reads begin no
+   engine transaction, so every span is a read-modify-write's, one per
+   engine commit. *)
+let test_trace_labels () =
+  let cfg = { base with Ycsb_run.mix = Ycsb.F } in
+  let w = Ycsb_run.build_world cfg in
+  Rvm_obs.Registry.set_trace_capacity w.Ycsb_run.obs 65536;
+  let txns () =
+    (Rvm_core.Rvm.stats w.Ycsb_run.rvm).Rvm_core.Statistics.txns_committed
+  in
+  let before = txns () in
+  let r = Ycsb_run.serve cfg w in
+  let kinds =
+    List.filter_map
+      (fun (e : Rvm_obs.Registry.span_event) ->
+        if e.scope = "req.root" then Some (List.assoc_opt "kind" e.attrs)
+        else None)
+      (Rvm_obs.Registry.events w.Ycsb_run.obs)
+  in
+  check_bool "read-modify-writes committed" true (kinds <> []);
+  check_int "one req.root per engine commit" (txns () - before)
+    (List.length kinds);
+  List.iter
+    (fun kind ->
+      check_bool "kind is ycsb-rmw" true
+        (kind = Some (Rvm_obs.Trace.String "ycsb-rmw")))
+    kinds;
+  check_bool "serial equal" true r.Ycsb_run.serial_equal;
+  Ycsb_run.release_world w
+
 let test_world_gauges () =
   let r, w = Ycsb_run.run_with_world { base with Ycsb_run.mix = Ycsb.A } in
   check_bool "run ok" true r.Ycsb_run.serial_equal;
@@ -155,6 +186,7 @@ let suite =
     ( "ycsb_run.read-only-mix-forces-nothing",
       `Quick,
       test_read_only_mix_forces_nothing );
+    ("ycsb_run.trace-labels", `Quick, test_trace_labels);
     ("ycsb_run.world-gauges", `Quick, test_world_gauges);
     ("ycsb_run.release-world", `Quick, test_release_world);
   ]
