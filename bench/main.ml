@@ -7,8 +7,8 @@
      dune exec bench/main.exe -- full    — paper-scale trial counts
 
    Artifacts: table1, fig8, fig9, table2, ablation-truncation,
-   ablation-opt, ablation-modes, ablation-startup, groupcommit, server,
-   shards, contention, truncation, ycsb, micro, baseline. Each only writes
+   ablation-opt, ablation-modes, ablation-startup, server, shards,
+   contention, truncation, ycsb, micro, baseline. Each only writes
    its artifact: `rvmutl benchdiff` (the table in Rvm_obs.Gate) is the one
    gate that decides whether a BENCH_*.json passes. *)
 
@@ -244,17 +244,12 @@ let micro () =
 (* [txns] 256-byte commits through a fresh engine on [log_dev]: every one
    flushed when [batch] is 1, else no-flush commits with every [batch]th
    flushing the group. Returns the engine, not yet terminated (shutdown's
-   final force is not per-transaction cost), the log's device writes and
-   syncs during the loop, and its host seconds. *)
-let commit_loop ~group_commit ~log_dev
-    ?(seg_dev = Rvm_disk.Mem_device.create ~size:(1024 * 1024) ()) ~txns
-    ~batch () =
+   final force is not per-transaction cost), and the log's device writes
+   and syncs during the loop. *)
+let commit_loop ~log_dev ~seg_dev ~txns ~batch =
   Rvm_core.Rvm.create_log log_dev;
-  let options =
-    { Rvm_core.Options.default with Rvm_core.Options.group_commit }
-  in
   let rvm =
-    Rvm_core.Rvm.initialize ~options ~log:log_dev ~resolve:(fun _ -> seg_dev) ()
+    Rvm_core.Rvm.initialize ~log:log_dev ~resolve:(fun _ -> seg_dev) ()
   in
   let base = 16 * 4096 in
   ignore
@@ -262,7 +257,6 @@ let commit_loop ~group_commit ~log_dev
   let payload = Bytes.make 256 'g' in
   let st = log_dev.Rvm_disk.Device.stats in
   let w0 = st.Rvm_disk.Device.writes and s0 = st.Rvm_disk.Device.syncs in
-  let t0 = Unix.gettimeofday () in
   for i = 1 to txns do
     let tid =
       Rvm_core.Rvm.begin_transaction rvm ~mode:Rvm_core.Types.No_restore
@@ -275,178 +269,7 @@ let commit_loop ~group_commit ~log_dev
         (if batch > 1 && i mod batch <> 0 then Rvm_core.Types.No_flush
          else Rvm_core.Types.Flush)
   done;
-  ( rvm,
-    st.Rvm_disk.Device.writes - w0,
-    st.Rvm_disk.Device.syncs - s0,
-    Unix.gettimeofday () -. t0 )
-
-(* --- group commit: the buffered log tail on and off, host time ---
-
-   Two commit patterns over two device kinds. "grouped" is the pattern the
-   spool exists for: batches of no-flush commits closed by one flush, so a
-   force covers the whole batch (write-through pays one device write per
-   record; the spool pays at most two per drain). "flush" is the worst
-   case for absorption — every commit forces — where the spool must at
-   least not lose. Measured in host time because the simulated clock
-   already coalesces sync extents and so cannot see syscall batching. *)
-
-let groupcommit () =
-  let txns = 2000 in
-  let run ~mklog ~group_commit ~batch =
-    let log_dev, finish = mklog () in
-    let rvm, writes, syncs, dt =
-      commit_loop ~group_commit ~log_dev ~txns ~batch ()
-    in
-    let count name =
-      Rvm_obs.Counter.get (Rvm_obs.Registry.counter (Rvm_core.Rvm.obs rvm) name)
-    in
-    let absorbed = count "log.force.absorbed"
-    and drains = count "log.drain.count"
-    and drain_writes = count "log.spool.drain.writes" in
-    Rvm_core.Rvm.terminate rvm;
-    finish ();
-    (float_of_int txns /. dt, writes, syncs, absorbed, drains, drain_writes)
-  in
-  let mk_file () =
-    let path = Filename.temp_file "rvm_bench_log" ".img" in
-    let dev =
-      Rvm_disk.File_device.create ~truncate:true ~path ~size:(8 * 1024 * 1024)
-        ()
-    in
-    (dev, fun () -> dev.Rvm_disk.Device.close (); Sys.remove path)
-  in
-  let mk_sim () =
-    let base = Rvm_disk.Mem_device.create ~size:(8 * 1024 * 1024) () in
-    let clock = Rvm_util.Clock.simulated () in
-    let sim =
-      Rvm_disk.Sim_device.create ~seek_fraction:0.05 ~sector:512 ~base ~clock
-        ~disk:Rvm_util.Cost_model.dec5000.Rvm_util.Cost_model.log_disk ()
-    in
-    (Rvm_disk.Sim_device.device sim, fun () -> ())
-  in
-  (* The log layer in isolation: append [batch] records, force, repeat.
-     This is the path the tail buffer rebuilds — per-record [encode]
-     allocation plus one device write each, against vectored encoding into
-     the spool plus at most two writes per force. Engine-level numbers
-     above it include transaction bookkeeping that dilutes the same win. *)
-  let run_log ~mklog ~group_commit ~batch ~records =
-    let dev, finish = mklog () in
-    let module LM = Rvm_log.Log_manager in
-    LM.format dev;
-    let lm = Result.get_ok (LM.open_log ~group_commit dev) in
-    let data = Bytes.make 256 'g' in
-    let ranges = [ { Rvm_log.Record.seg = 1; off = 0; data } ] in
-    let st = dev.Rvm_disk.Device.stats in
-    let w0 = st.Rvm_disk.Device.writes and s0 = st.Rvm_disk.Device.syncs in
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to records do
-      (try ignore (LM.append lm ~tid:i ranges)
-       with LM.Log_full ->
-         LM.reset_empty lm;
-         ignore (LM.append lm ~tid:i ranges));
-      if i mod batch = 0 then LM.force lm
-    done;
-    LM.force lm;
-    let dt = Unix.gettimeofday () -. t0 in
-    let writes = st.Rvm_disk.Device.writes - w0
-    and syncs = st.Rvm_disk.Device.syncs - s0 in
-    finish ();
-    (float_of_int records /. dt, writes, syncs)
-  in
-  let module J = Rvm_obs.Json in
-  print_endline "\n== Group commit (buffered log tail) ==";
-  let cases =
-    List.concat_map
-      (fun (dev_name, mklog) ->
-        List.concat_map
-          (fun (pattern, batch) ->
-            List.map
-              (fun group_commit ->
-                let tps, writes, syncs, absorbed, drains, drain_writes =
-                  run ~mklog ~group_commit ~batch
-                in
-                Printf.printf
-                  "  %-4s %-7s spool=%-3s %9.0f txn/s  %5d writes %4d \
-                   syncs  absorbed %4d\n%!"
-                  dev_name pattern
-                  (if group_commit then "on" else "off")
-                  tps writes syncs absorbed;
-                ( (dev_name, pattern, group_commit),
-                  ( tps,
-                    J.Obj
-                      [
-                        ("device", J.String dev_name);
-                        ("pattern", J.String pattern);
-                        ("group_commit", J.Bool group_commit);
-                        ("txns", J.Int txns);
-                        ("txns_per_sec", J.Float tps);
-                        ("device_writes", J.Int writes);
-                        ("device_syncs", J.Int syncs);
-                        ("forces_absorbed", J.Int absorbed);
-                        ("drains", J.Int drains);
-                        ("drain_writes", J.Int drain_writes);
-                      ] ) ))
-              [ true; false ])
-          [ ("flush", 1); ("grouped", 64) ])
-      [ ("file", mk_file); ("sim", mk_sim) ]
-  in
-  let log_cases =
-    List.concat_map
-      (fun (dev_name, mklog) ->
-        List.map
-          (fun group_commit ->
-            let rps, writes, syncs =
-              run_log ~mklog ~group_commit ~batch:512 ~records:20_000
-            in
-            Printf.printf
-              "  %-4s log-512 spool=%-3s %9.0f rec/s  %5d writes %4d syncs\n%!"
-              dev_name
-              (if group_commit then "on" else "off")
-              rps writes syncs;
-            ( (dev_name, "log-512", group_commit),
-              ( rps,
-                J.Obj
-                  [
-                    ("device", J.String dev_name);
-                    ("pattern", J.String "log-append-512");
-                    ("group_commit", J.Bool group_commit);
-                    ("records", J.Int 20_000);
-                    ("records_per_sec", J.Float rps);
-                    ("device_writes", J.Int writes);
-                    ("device_syncs", J.Int syncs);
-                  ] ) ))
-          [ true; false ])
-      [ ("file", mk_file); ("sim", mk_sim) ]
-  in
-  let cases = cases @ log_cases in
-  let speedup dev pattern =
-    let rate gc = fst (List.assoc (dev, pattern, gc) cases) in
-    rate true /. rate false
-  in
-  List.iter
-    (fun (dev, pattern) ->
-      Printf.printf "  %-4s %-7s speedup %.2fx\n%!" dev pattern
-        (speedup dev pattern))
-    [ ("file", "grouped"); ("file", "flush"); ("sim", "grouped");
-      ("sim", "flush"); ("file", "log-512"); ("sim", "log-512") ];
-  let path = "BENCH_groupcommit.json" in
-  J.write_file ~path
-    (J.Obj
-       [
-         ("artifact", J.String "groupcommit");
-         ("results", J.List (List.map (fun (_, (_, j)) -> j) cases));
-         ( "speedup",
-           J.Obj
-             [
-               ("file_grouped", J.Float (speedup "file" "grouped"));
-               ("file_flush", J.Float (speedup "file" "flush"));
-               ("sim_grouped", J.Float (speedup "sim" "grouped"));
-               ("sim_flush", J.Float (speedup "sim" "flush"));
-               ("file_log_append", J.Float (speedup "file" "log-512"));
-               ("sim_log_append", J.Float (speedup "sim" "log-512"));
-             ] );
-       ]);
-  Printf.printf "wrote %s\n%!" path
+  (rvm, st.Rvm_disk.Device.writes - w0, st.Rvm_disk.Device.syncs - s0)
 
 (* --- server: the transaction-server saturation sweep ---
 
@@ -993,9 +816,7 @@ let baseline () =
       (fun (name, batch) ->
         let log_dev = Rvm_disk.Mem_device.create ~size:(8 * 1024 * 1024) () in
         let seg_dev = Rvm_disk.Mem_device.create ~size:(1024 * 1024) () in
-        let rvm, writes, syncs, _ =
-          commit_loop ~group_commit:true ~log_dev ~seg_dev ~txns ~batch ()
-        in
+        let rvm, writes, syncs = commit_loop ~log_dev ~seg_dev ~txns ~batch in
         Rvm_core.Rvm.terminate rvm;
         if batch > 1 then grouped := Some (log_dev, seg_dev);
         let per n = float_of_int n /. float_of_int txns in
@@ -1038,7 +859,6 @@ let () =
   | "ablation-modes" -> Harness.Ablation.commit_modes ()
   | "ablation-startup" -> Harness.Ablation.startup_latency ()
   | "micro" -> micro ()
-  | "groupcommit" -> groupcommit ()
   | "server" -> server ()
   | "shards" -> shards ()
   | "contention" -> contention ()
@@ -1053,7 +873,6 @@ let () =
     Harness.Ablation.optimizations ();
     Harness.Ablation.commit_modes ();
     Harness.Ablation.startup_latency ();
-    groupcommit ();
     server ();
     shards ();
     contention ();
@@ -1062,7 +881,6 @@ let () =
     Printf.eprintf
       "unknown artifact %S (try: all, full, table1, fig8, fig9, table2, \
        ablation-truncation, ablation-opt, ablation-modes, ablation-startup, \
-       groupcommit, server, shards, contention, truncation, ycsb, micro, \
-       baseline)\n"
+       server, shards, contention, truncation, ycsb, micro, baseline)\n"
       other;
     exit 2

@@ -8,7 +8,6 @@ type config = {
   log_size : int;
   core : Crash.config;
   truncation_mode : Types.truncation_mode;
-  group_commit : bool;
   mid_truncation : bool;
 }
 
@@ -23,7 +22,6 @@ let for_shards shards =
         max_torn_per_write = (if shards = 1 then 12 else 8);
       };
     truncation_mode = Types.Epoch;
-    group_commit = true;
     mid_truncation = false;
   }
 
@@ -36,7 +34,6 @@ let options config =
     (* Mid-truncation exploration needs the truncator due after the
        first couple of commits so [Step] ops actually advance a run. *)
     truncation_threshold = (if config.mid_truncation then 0.05 else 0.4);
-    group_commit = config.group_commit;
     (* Mid-truncation exploration drives the truncator from [Step] ops
        and needs the run left suspended between them, so the inline
        commit-path trigger (which would run it to completion) is off. *)

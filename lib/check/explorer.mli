@@ -26,9 +26,6 @@ type config = {
   log_size : int;  (** per shard *)
   core : Crash.config;  (** sector, torn-variant sampling *)
   truncation_mode : Rvm_core.Types.truncation_mode;
-  group_commit : bool;
-      (** run the workload with the buffered log tail (the default engine
-          configuration) or with per-record write-through *)
   mid_truncation : bool;
       (** disable the inline commit-path truncation trigger so [Step] ops
           leave the background truncators suspended between bounded steps;
@@ -39,9 +36,9 @@ type config = {
 
 val for_shards : int -> config
 (** The configuration [rvmutl check --shards N] starts from: a 64 KiB log
-    per shard, 512-byte sectors, epoch truncation, group commit on, and at
-    most 12 torn variants per write on one shard, 8 on more (a sharded
-    trace is several logs long). *)
+    per shard, 512-byte sectors, epoch truncation, and at most 12 torn
+    variants per write on one shard, 8 on more (a sharded trace is
+    several logs long). *)
 
 val default_config : config
 (** [for_shards 1]. *)

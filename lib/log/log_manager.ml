@@ -14,14 +14,13 @@ type t = {
   mutable used : int;  (* live bytes (records + wrap filler), spool included *)
   mutable records : int;  (* live record count *)
   (* The buffered tail (group commit): appends spool here and reach the
-     device as at most two sequential writes per drain. [None] = write
-     through per record (the ablation / group_commit:false path). *)
-  spool : Tail_buffer.t option;
+     device as at most two sequential writes per drain. *)
+  spool : Tail_buffer.t;
   max_spool_bytes : int;  (* watermark: drain early past this *)
   mutable scratch : Bytes.t;  (* cached live-window image, sized on demand *)
   mutable image : bool;
       (* [scratch] is the open scan's image, live window included, until
-         a write-through append or a head move; drains overlay it *)
+         a head move; drains overlay it *)
   mutable dirty : bool;  (* device writes issued since the last sync *)
   mutable unforced_records : int;  (* appends since the last sync *)
   mutable forced_seqno : int;
@@ -53,8 +52,7 @@ let next_seqno t = t.next_seqno
 let record_count t = t.records
 let forced_seqno t = t.forced_seqno
 
-let spooled_bytes t =
-  match t.spool with None -> 0 | Some sp -> Tail_buffer.bytes sp
+let spooled_bytes t = Tail_buffer.bytes t.spool
 
 let unflushed t = t.dirty || spooled_bytes t > 0
 
@@ -64,17 +62,13 @@ let format dev =
     invalid_arg "Log_manager.format: device too small for a log";
   Status.write dev (Status.initial ~log_size:size)
 
-(* A head move or a write-through append makes the image stale; a log
-   must not hold a device-sized buffer for its lifetime anyway. *)
+(* A head move makes the image stale; a log must not hold a device-sized
+   buffer for its lifetime anyway. *)
 let drop_image t =
   if t.image then begin
     t.image <- false;
     t.scratch <- Bytes.empty
   end
-
-let note_write t =
-  t.dirty <- true;
-  drop_image t
 
 (* The live window [head, tail) in a device-sized buffer indexed by device
    offset, spooled records overlaid so scans see appends not yet on the
@@ -100,9 +94,7 @@ let read_live t =
       end
     end
   end;
-  (match t.spool with
-  | Some sp -> Tail_buffer.overlay sp t.scratch
-  | None -> ());
+  Tail_buffer.overlay t.spool t.scratch;
   t.scratch
 
 (* Walk live records from [head] expecting consecutive sequence numbers
@@ -167,7 +159,7 @@ let chunked_fill (dev : Device.t) (st : Status.t) area =
     in
     loop ()
 
-let open_log ?obs ?(group_commit = true) ?(max_spool_bytes = 256 * 1024) dev =
+let open_log ?obs ?(max_spool_bytes = 256 * 1024) dev =
   let obs =
     match obs with Some o -> o | None -> Rvm_obs.Registry.create ()
   in
@@ -193,11 +185,8 @@ let open_log ?obs ?(group_commit = true) ?(max_spool_bytes = 256 * 1024) dev =
           used;
           records;
           spool =
-            (if group_commit then
-               Some
-                 (Tail_buffer.create ~data_start:st.Status.data_start
-                    ~log_size:st.Status.log_size)
-             else None);
+            Tail_buffer.create ~data_start:st.Status.data_start
+              ~log_size:st.Status.log_size;
           max_spool_bytes;
           scratch = (if used > 0 then area else Bytes.empty);
           image = used > 0;
@@ -219,26 +208,24 @@ let open_log ?obs ?(group_commit = true) ?(max_spool_bytes = 256 * 1024) dev =
     end
 
 let drain t =
-  match t.spool with
-  | None -> ()
-  | Some sp ->
-    if not (Tail_buffer.is_empty sp) then begin
-      (* The open-time image stays valid: the drained bytes land in it at
-         the offsets they land on the device. *)
-      if t.image then Tail_buffer.overlay sp t.scratch;
-      let bytes = Tail_buffer.bytes sp in
-      Rvm_obs.Registry.span t.obs "log.drain"
-        ~attrs:[ ("bytes", Rvm_obs.Trace.Int bytes) ]
-        (fun () ->
-          let writes =
-            Tail_buffer.drain sp ~write:(fun ~off ~buf ~pos ~len ->
-                t.dev.Device.write ~off ~buf ~pos ~len)
-          in
-          Rvm_obs.Registry.add_attr t.obs "writes" (Rvm_obs.Trace.Int writes);
-          Rvm_obs.Counter.add t.c_drain_writes writes);
-      Rvm_obs.Histogram.observe t.h_drain_bytes (float_of_int bytes);
-      t.dirty <- true
-    end
+  let sp = t.spool in
+  if not (Tail_buffer.is_empty sp) then begin
+    (* The open-time image stays valid: the drained bytes land in it at
+       the offsets they land on the device. *)
+    if t.image then Tail_buffer.overlay sp t.scratch;
+    let bytes = Tail_buffer.bytes sp in
+    Rvm_obs.Registry.span t.obs "log.drain"
+      ~attrs:[ ("bytes", Rvm_obs.Trace.Int bytes) ]
+      (fun () ->
+        let writes =
+          Tail_buffer.drain sp ~write:(fun ~off ~buf ~pos ~len ->
+              t.dev.Device.write ~off ~buf ~pos ~len)
+        in
+        Rvm_obs.Registry.add_attr t.obs "writes" (Rvm_obs.Trace.Int writes);
+        Rvm_obs.Counter.add t.c_drain_writes writes);
+    Rvm_obs.Histogram.observe t.h_drain_bytes (float_of_int bytes);
+    t.dirty <- true
+  end
 
 let append_record t record =
   let size = Record.encoded_size record in
@@ -258,9 +245,8 @@ let append_record t record =
   in
   let needed = if fits_in_place then size else room_to_end + size in
   if t.used + needed > capacity t then raise Log_full;
-  (match t.spool with
-  | Some sp -> Tail_buffer.begin_at sp ~off:t.tail
-  | None -> ());
+  let sp = t.spool in
+  Tail_buffer.begin_at sp ~off:t.tail;
   if not fits_in_place then begin
     (* Mark the jump explicitly when a marker fits; otherwise the reader
        wraps implicitly because the space cannot hold any record. *)
@@ -268,16 +254,12 @@ let append_record t record =
       let marker =
         Record.wrap ~seqno:t.next_seqno ~pad:(room_to_end - Record.wrap_size)
       in
-      (match t.spool with
-      | Some sp -> Record.encode_into (Tail_buffer.buf sp) marker
-      | None ->
-        Device.write_bytes t.dev ~off:t.tail (Record.encode marker);
-        note_write t);
+      Record.encode_into (Tail_buffer.buf sp) marker;
       t.next_seqno <- t.next_seqno + 1;
       t.records <- t.records + 1;
       t.unforced_records <- t.unforced_records + 1
     end;
-    (match t.spool with Some sp -> Tail_buffer.note_wrap sp | None -> ());
+    Tail_buffer.note_wrap sp;
     t.used <- t.used + room_to_end;
     t.tail <- data_start
   end;
@@ -285,13 +267,8 @@ let append_record t record =
      has consumed its own. *)
   let seqno = t.next_seqno in
   let off = t.tail in
-  (match t.spool with
-  | Some sp ->
-    Record.encode_into ~seqno (Tail_buffer.buf sp) record;
-    Rvm_obs.Counter.add t.c_spool_bytes size
-  | None ->
-    Device.write_bytes t.dev ~off (Record.encode ~seqno record);
-    note_write t);
+  Record.encode_into ~seqno (Tail_buffer.buf sp) record;
+  Rvm_obs.Counter.add t.c_spool_bytes size;
   t.tail <- t.tail + size;
   t.used <- t.used + size;
   t.next_seqno <- t.next_seqno + 1;

@@ -23,7 +23,6 @@ val format : Rvm_disk.Device.t -> unit
 
 val open_log :
   ?obs:Rvm_obs.Registry.t ->
-  ?group_commit:bool ->
   ?max_spool_bytes:int ->
   Rvm_disk.Device.t ->
   (t, string) result
@@ -33,22 +32,20 @@ val open_log :
     {!open_chunk} reads and decodes a record only once every byte it
     claims is in, so it stops where a scan of the whole device would,
     at most one chunk past the tail. A non-empty log keeps what it read
-    as the image its {!view}s use without I/O, until the first head move
-    or write-through append. The log's own drains keep it: they write
-    the drained bytes into the image too, so records appended after the
-    open cost no read either.
+    as the image its {!view}s use without I/O, until the first head
+    move. The log's own drains keep it: they write the drained bytes
+    into the image too, so records appended after the open cost no read
+    either.
 
-    With [group_commit] (the default), appends encode into an in-memory
-    spool at the log tail instead of writing the device per record; the
-    spool reaches the device as at most two large sequential writes (one
-    per side of the circular area's wrap point) when the log is forced,
-    when the head moves, or when spooled bytes exceed [max_spool_bytes]
-    (default 256 KiB). A force then costs one drain plus one sync no
-    matter how many records accumulated — the group-commit absorption the
-    paper's no-flush commits exist to exploit. [~group_commit:false]
-    restores the write-through path (each append is one device write).
-    Durability is identical either way: records are guaranteed on the
-    device only after {!force} (or {!move_head}).
+    Appends encode into an in-memory spool at the log tail, never
+    writing the device per record; the spool reaches the device as at
+    most two large sequential writes (one per side of the circular
+    area's wrap point) when the log is forced, when the head moves, or
+    when spooled bytes exceed [max_spool_bytes] (default 256 KiB). A
+    force then costs one drain plus one sync no matter how many records
+    accumulated — the group-commit absorption the paper's no-flush
+    commits exist to exploit. Records are guaranteed on the device only
+    after {!force} (or {!move_head}).
 
     With [obs], appends publish [log.append.records] / [log.append.bytes]
     (plus the [log.append.bytes.hist] size histogram) and
@@ -78,7 +75,7 @@ val forced_seqno : t -> int
 (** Highest sequence number known durable: every record with
     [seqno <= forced_seqno] survives any crash. Advances at {!force} and
     at {!move_head} (whose status write syncs the drained tail). The gap
-    [forced_seqno + 1 .. next_seqno - 1] is the spooled-or-written but
+    [forced_seqno + 1 .. next_seqno - 1] is the spooled-or-drained but
     unforced window — logically committed, not yet durable. *)
 
 val record_count : t -> int
@@ -107,7 +104,7 @@ val spooled_bytes : t -> int
 
 val unflushed : t -> bool
 (** Whether any appended record might not yet be durable — spooled bytes
-    exist or device writes were issued since the last sync. Truncation
+    exist or a drain wrote the device since the last sync. Truncation
     uses this to force the log before applying records to segments,
     preserving write-ahead ordering. *)
 

@@ -38,8 +38,8 @@ val begin_at : t -> off:int -> unit
 val note_wrap : t -> unit
 (** Declare that subsequent bytes land at [data_start]. Bytes between the
     current spool end and [log_size] (the implicit-wrap sliver too small
-    for any record) are left unwritten, exactly as the unbuffered writer
-    leaves them. Raises if a wrap is already pending. *)
+    for any record) are left unwritten: the reader wraps there without a
+    marker. Raises if a wrap is already pending. *)
 
 val overlay : t -> Bytes.t -> unit
 (** Blit the spooled spans into a device-sized image at their device

@@ -7,7 +7,6 @@ type t = {
   truncation_mode : Types.truncation_mode;
   auto_truncate : bool;
   spool_max_bytes : int;
-  group_commit : bool;
   intra_optimization : bool;
   inter_optimization : bool;
   map_mode : map_mode;
@@ -21,7 +20,6 @@ let default =
     truncation_mode = Types.Epoch;
     auto_truncate = true;
     spool_max_bytes = 1 lsl 20;
-    group_commit = true;
     intra_optimization = true;
     inter_optimization = true;
     map_mode = Copy;

@@ -25,14 +25,6 @@ type t = {
       (** truncate transparently when the threshold is crossed *)
   spool_max_bytes : int;
       (** no-flush records buffered in memory before an implicit flush *)
-  group_commit : bool;
-      (** buffer the log tail in memory and reach the device as at most two
-          sequential writes per force, absorbing intervening forces into
-          one sync (section 5.1's "one sequential write plus one
-          synchronous I/O"); off = one device write per appended record.
-          The buffered tail drains early past the log's own 256 KiB
-          watermark ({!Rvm_log.Log_manager.open_log}'s
-          [max_spool_bytes]). *)
   intra_optimization : bool;
       (** coalesce duplicate/overlapping/adjacent set_ranges (section 5.2);
           disabled only for the ablation benchmarks *)

@@ -240,9 +240,7 @@ let attach ?(options = Options.default) ?(clock = Clock.null)
   let log = Stack.with_stats ~obs ~prefix:"disk.log" () log in
   let resolve id = Stack.with_stats ~obs ~prefix:"disk.seg" () (resolve id) in
   let lm =
-    match
-      Log_manager.open_log ~obs ~group_commit:options.Options.group_commit log
-    with
+    match Log_manager.open_log ~obs log with
     | Ok lm -> lm
     | Error e -> Types.error "initialize: %s" e
   in

@@ -38,20 +38,10 @@ type step =
 
 type 's gen = id:int -> 's
 
-type status =
-  | Queued
-  | Running
-  | Parked of string
-  | Backoff
-  | Ready
-  | Committed
-  | Shed
-
 type 's request = {
   id : int;
   spec : 's;
   mutable plan : step list;  (* the steps still to run *)
-  mutable status : status;
   mutable tid : int option;
   mutable attempts : int;
   arrival_us : float;
@@ -242,11 +232,7 @@ let charge t = Clock.charge_cpu t.clock cpu_per_op_us
 let wake_parked t =
   let ps = List.sort (fun a b -> compare a.id b.id) t.parked in
   t.parked <- [];
-  List.iter
-    (fun r ->
-      r.status <- Running;
-      Queue.push r t.runnable)
-    ps
+  List.iter (fun r -> Queue.push r t.runnable) ps
 
 let req_attrs t r =
   [
@@ -262,7 +248,6 @@ let req_attrs t r =
    parked in the batcher awaiting the force. *)
 let finish t outcome r =
   let tnow = now t in
-  r.status <- Committed;
   Arrivals.complete t.arr ~now:tnow;
   let lat = tnow -. r.arrival_us in
   (match outcome with
@@ -282,10 +267,7 @@ let finish t outcome r =
    the force that does. *)
 let await t outcome r =
   if r.dep_lsn <= t.durable then finish t outcome r
-  else begin
-    r.status <- Ready;
-    t.pending <- (outcome, r) :: t.pending
-  end
+  else t.pending <- (outcome, r) :: t.pending
 
 let complete_pending t =
   if t.pending <> [] then begin
@@ -373,7 +355,6 @@ let commit_ready t r =
         complete_pending t
       end
       else begin
-        r.status <- Ready;
         t.on_spool r;
         if early then begin
           Counter.incr t.c_elr;
@@ -475,7 +456,6 @@ let abort_retry t r =
   let exp = min (r.attempts - 1) backoff_cap in
   let jitter = 0.5 +. Rng.float t.rng 1.0 in
   let delay = backoff_base_us *. float_of_int (1 lsl exp) *. jitter in
-  r.status <- Backoff;
   insert_retry t (now t +. delay) r;
   wake_parked t
 
@@ -540,7 +520,6 @@ let exec t r =
         inherit_stamp t r key;
         advance t r rest
       | `Wait _ ->
-        r.status <- Parked key;
         t.parked <- r :: t.parked;
         Registry.instant t.obs "server.park"
           ~attrs:[ ("req", Trace.Int r.id); ("key", Trace.String key) ]
@@ -561,14 +540,12 @@ let exec t r =
 (* --- arrivals, admission, retries --- *)
 
 let start t r =
-  r.status <- Running;
   Histogram.observe t.h_queue_wait (now t -. r.arrival_us);
   Counter.incr t.c_admitted;
   r.plan <- t.steps_of r.spec;
   Queue.push r t.runnable
 
 let shed t r =
-  r.status <- Shed;
   t.shed <- t.shed + 1;
   Counter.incr t.c_shed;
   Registry.instant t.obs "server.overload" ~attrs:[ ("req", Trace.Int r.id) ];
@@ -583,7 +560,6 @@ let arrive t ~arrival_us =
     id;
     spec = t.gen ~id;
     plan = [];
-    status = Queued;
     tid = None;
     attempts = 0;
     arrival_us;
@@ -610,7 +586,6 @@ let process_due t =
     match t.retries with
     | (due, r) :: rest when due <= now t ->
       t.retries <- rest;
-      r.status <- Running;
       Queue.push r t.runnable;
       retries ()
     | _ -> ()
@@ -744,10 +719,7 @@ let run t =
       loop ()
     end
     else if not (Queue.is_empty t.runnable) then begin
-      let r = Queue.pop t.runnable in
-      (match r.status with
-      | Running -> exec t r
-      | _ -> raise (Stuck (diagnose t "non-running request in run queue")));
+      exec t (Queue.pop t.runnable);
       loop ()
     end
     else if Option.is_some t.flight then begin

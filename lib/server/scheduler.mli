@@ -173,22 +173,12 @@ type 's gen = id:int -> 's
 (** A workload's deterministic request source: applied to the ids
     0, 1, 2, ... in arrival order, it draws each request's spec. *)
 
-type status =
-  | Queued  (** in the admission queue *)
-  | Running  (** scheduled, executing steps *)
-  | Parked of string  (** waiting for a lock key *)
-  | Backoff  (** aborted on deadlock, retry timer pending *)
-  | Ready  (** executed, waiting in the commit batch *)
-  | Committed
-  | Shed  (** refused by admission control: the [`Overload] outcome *)
-
 type 's request = {
   id : int;  (** arrival order; doubles as the lock-manager owner *)
   spec : 's;  (** the workload's request, opaque to the scheduler *)
   mutable plan : step list;
       (** the steps still to run: compiled when the request starts and
           again after every deadlock abort *)
-  mutable status : status;
   mutable tid : int option;
       (** the live engine transaction: begun at the first step of a plan
           that holds a [Run] step, gone at its commit or abort. A plan

@@ -573,10 +573,11 @@ let prop_bounded_open =
 (* --- buffered log tail: the spool must be invisible in the bytes that
    reach the device. Any append/force/reclaim history — including wraps,
    pad-to-end records, the unwritten implicit-wrap sliver and watermark
-   drains mid-stream — leaves a byte-identical image with group commit on
-   and off once the log is forced. --- *)
+   drains mid-stream — leaves the same image once the log is forced as
+   the same history forced after every append, where each record is its
+   own drain and lands at its own offset. --- *)
 
-let prop_group_commit_image =
+let prop_spool_image =
   let gen =
     QCheck.Gen.(
       list_size (int_range 1 60)
@@ -591,13 +592,11 @@ let prop_group_commit_image =
     ~name:"buffered tail leaves a byte-identical device image" ~count:80
     (QCheck.make gen) (fun ops ->
       let module LM = Rvm_log.Log_manager in
-      let drive ~group_commit =
+      let drive ~force_each =
         let dev = Mem_device.create ~name:"gclog" ~size:8192 () in
         LM.format dev;
         (* A small watermark so long runs also exercise early drains. *)
-        let lm =
-          Result.get_ok (LM.open_log ~group_commit ~max_spool_bytes:1024 dev)
-        in
+        let lm = Result.get_ok (LM.open_log ~max_spool_bytes:1024 dev) in
         let live = ref [] in
         let next_tid = ref 1 in
         let reclaim k =
@@ -629,7 +628,9 @@ let prop_group_commit_image =
                   match
                     LM.append lm ~tid [ { Record.seg = 1; off = 0; data } ]
                   with
-                  | _, seqno -> live := !live @ [ seqno ]
+                  | _, seqno ->
+                    live := !live @ [ seqno ];
+                    if force_each then LM.force lm
                   | exception LM.Log_full ->
                     if !live = [] then ()
                     else begin
@@ -644,7 +645,7 @@ let prop_group_commit_image =
         LM.force lm;
         Mem_device.snapshot dev
       in
-      Bytes.equal (drive ~group_commit:true) (drive ~group_commit:false))
+      Bytes.equal (drive ~force_each:false) (drive ~force_each:true))
 
 (* --- simulated disk: extent tracking vs a per-sector reference --- *)
 
@@ -1200,7 +1201,7 @@ let suite =
       prop_allocator;
       prop_log_manager;
       prop_bounded_open;
-      prop_group_commit_image;
+      prop_spool_image;
       prop_sim_device_extents;
       prop_lock_mgr_index;
       prop_covered_subsumption;
