@@ -6,6 +6,11 @@
      dune exec bench/main.exe -- table1  — one artifact
      dune exec bench/main.exe -- full    — paper-scale trial counts
 
+   Both [all] and [full] regenerate every tracked BENCH_*.json, each
+   artifact but the table1 family in a child process; the table1 family
+   and [ycsb] (10^6 records unless BENCH_YCSB_RECORDS says otherwise)
+   are most of their time and memory.
+
    Artifacts: table1, fig8, fig9, table2, ablation-truncation,
    ablation-opt, ablation-modes, ablation-startup, server, shards,
    contention, truncation, ycsb, micro, baseline. Each only writes
@@ -866,17 +871,25 @@ let () =
   | "ycsb" -> ycsb ()
   | "baseline" -> baseline ()
   | ("full" | "all") as what ->
+    (* Every artifact but the table1 family runs first, each in a process
+       of its own: OCaml's heap does not shrink, so in one process ycsb's
+       10^6-record worlds (2.3 GB) would sit on top of the table1
+       family's peak, past 6 GB together. *)
+    List.iter
+      (fun a ->
+        flush_all ();
+        match Sys.command (Filename.quote_command Sys.executable_name [ a ]) with
+        | 0 -> ()
+        | code ->
+          Printf.eprintf "bench %s exited %d\n" a code;
+          exit code)
+      [
+        "table2"; "ablation-truncation"; "ablation-opt"; "ablation-modes";
+        "ablation-startup"; "server"; "shards"; "contention"; "truncation";
+        "ycsb"; "baseline"; "micro";
+      ];
     if what = "full" then run_table1_family ~trials:5 ~measure:8000
-    else run_table1_family ~trials:2 ~measure:2500;
-    run_table2 ();
-    Harness.Ablation.truncation_modes ();
-    Harness.Ablation.optimizations ();
-    Harness.Ablation.commit_modes ();
-    Harness.Ablation.startup_latency ();
-    server ();
-    shards ();
-    contention ();
-    micro ()
+    else run_table1_family ~trials:2 ~measure:2500
   | other ->
     Printf.eprintf
       "unknown artifact %S (try: all, full, table1, fig8, fig9, table2, \

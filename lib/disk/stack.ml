@@ -47,22 +47,32 @@ let with_stats ?obs ?(prefix = "disk") () base =
     let write_sizes = R.histogram reg (prefix ^ ".write.bytes") in
     (* Device ops are also spans, so a trace shows each write/sync under
        the transaction (or truncation, or recovery) that issued it. *)
-    let write_scope = prefix ^ ".write" in
-    let sync_scope = prefix ^ ".sync" in
+    let write_scope = R.scope reg (prefix ^ ".write") in
+    let sync_scope = R.scope reg (prefix ^ ".sync") in
     Device.layer
       ~read:(fun b ~off ~buf ~pos ~len ->
         b.Device.read ~off ~buf ~pos ~len;
         C.incr reads;
         C.add bytes_read len)
       ~write:(fun b ~off ~buf ~pos ~len ->
-        R.span reg write_scope
-          ~attrs:[ ("off", Rvm_obs.Trace.Int off); ("bytes", Rvm_obs.Trace.Int len) ]
-          (fun () -> b.Device.write ~off ~buf ~pos ~len);
+        R.open_span reg write_scope;
+        R.add_int reg "off" off;
+        R.add_int reg "bytes" len;
+        (match b.Device.write ~off ~buf ~pos ~len with
+        | () -> R.close_span reg write_scope
+        | exception e ->
+          R.close_span reg write_scope;
+          raise e);
         C.incr writes;
         C.add bytes_written len;
         Rvm_obs.Histogram.observe write_sizes (float_of_int len))
       ~sync:(fun b ->
-        R.span reg sync_scope (fun () -> b.Device.sync ());
+        R.open_span reg sync_scope;
+        (match b.Device.sync () with
+        | () -> R.close_span reg sync_scope
+        | exception e ->
+          R.close_span reg sync_scope;
+          raise e);
         C.incr syncs)
       base
 

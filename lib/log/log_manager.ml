@@ -29,10 +29,12 @@ type t = {
          open time was read from the device, so it starts at
          [next_seqno - 1] and advances at each sync ([force], and
          [move_head]'s status write). *)
+  mutable last_off : int;  (* device offset of the newest appended record *)
   obs : Rvm_obs.Registry.t;
   (* Pre-resolved handles: appends, drains and forces are the hot path. *)
+  s_drain : Rvm_obs.Registry.scope;
+  s_force : Rvm_obs.Registry.scope;
   c_appends : Rvm_obs.Counter.t;
-  c_append_bytes : Rvm_obs.Counter.t;
   c_truncations : Rvm_obs.Counter.t;
   h_append_bytes : Rvm_obs.Histogram.t;
   c_spool_bytes : Rvm_obs.Counter.t;
@@ -193,9 +195,11 @@ let open_log ?obs ?(max_spool_bytes = 256 * 1024) dev =
           dirty = false;
           unforced_records = 0;
           forced_seqno = next_seqno - 1;
+          last_off = tail;
           obs;
+          s_drain = Rvm_obs.Registry.scope obs "log.drain";
+          s_force = Rvm_obs.Registry.scope obs "log.force";
           c_appends = Rvm_obs.Registry.counter obs "log.append.records";
-          c_append_bytes = Rvm_obs.Registry.counter obs "log.append.bytes";
           c_truncations = Rvm_obs.Registry.counter obs "log.truncations";
           h_append_bytes = Rvm_obs.Registry.histogram obs "log.append.bytes.hist";
           c_spool_bytes = Rvm_obs.Registry.counter obs "log.spool.bytes";
@@ -214,15 +218,17 @@ let drain t =
        the offsets they land on the device. *)
     if t.image then Tail_buffer.overlay sp t.scratch;
     let bytes = Tail_buffer.bytes sp in
-    Rvm_obs.Registry.span t.obs "log.drain"
-      ~attrs:[ ("bytes", Rvm_obs.Trace.Int bytes) ]
-      (fun () ->
-        let writes =
-          Tail_buffer.drain sp ~write:(fun ~off ~buf ~pos ~len ->
-              t.dev.Device.write ~off ~buf ~pos ~len)
-        in
-        Rvm_obs.Registry.add_attr t.obs "writes" (Rvm_obs.Trace.Int writes);
-        Rvm_obs.Counter.add t.c_drain_writes writes);
+    let obs = t.obs in
+    Rvm_obs.Registry.open_span obs t.s_drain;
+    Rvm_obs.Registry.add_int obs "bytes" bytes;
+    (match Tail_buffer.drain sp t.dev with
+    | writes ->
+      Rvm_obs.Registry.add_int obs "writes" writes;
+      Rvm_obs.Counter.add t.c_drain_writes writes;
+      Rvm_obs.Registry.close_span obs t.s_drain
+    | exception e ->
+      Rvm_obs.Registry.close_span obs t.s_drain;
+      raise e);
     Rvm_obs.Histogram.observe t.h_drain_bytes (float_of_int bytes);
     t.dirty <- true
   end
@@ -237,12 +243,16 @@ let append_record t record =
      area: the sliver could hold no wrap marker, and a backward scan coming
      from [data_start] expects a trailer at the wrap point. Pad such a
      record so it ends exactly at the end of the area. *)
-  let record, size =
+  let pad =
     if fits_in_place && room_to_end - size < Record.wrap_size then
-      ({ record with Record.pad = record.Record.pad + (room_to_end - size) },
-       room_to_end)
-    else (record, size)
+      room_to_end - size
+    else 0
   in
+  let record =
+    if pad = 0 then record
+    else { record with Record.pad = record.Record.pad + pad }
+  in
+  let size = size + pad in
   let needed = if fits_in_place then size else room_to_end + size in
   if t.used + needed > capacity t then raise Log_full;
   let sp = t.spool in
@@ -254,7 +264,7 @@ let append_record t record =
       let marker =
         Record.wrap ~seqno:t.next_seqno ~pad:(room_to_end - Record.wrap_size)
       in
-      Record.encode_into (Tail_buffer.buf sp) marker;
+      Record.encode_into ~seqno:t.next_seqno (Tail_buffer.buf sp) marker;
       t.next_seqno <- t.next_seqno + 1;
       t.records <- t.records + 1;
       t.unforced_records <- t.unforced_records + 1
@@ -266,7 +276,7 @@ let append_record t record =
   (* The sequence number is assigned exactly once, after any wrap marker
      has consumed its own. *)
   let seqno = t.next_seqno in
-  let off = t.tail in
+  t.last_off <- t.tail;
   Record.encode_into ~seqno (Tail_buffer.buf sp) record;
   Rvm_obs.Counter.add t.c_spool_bytes size;
   t.tail <- t.tail + size;
@@ -275,19 +285,28 @@ let append_record t record =
   t.records <- t.records + 1;
   t.unforced_records <- t.unforced_records + 1;
   Rvm_obs.Counter.incr t.c_appends;
-  Rvm_obs.Counter.add t.c_append_bytes size;
   Rvm_obs.Histogram.observe t.h_append_bytes (float_of_int size);
   if spooled_bytes t > t.max_spool_bytes then drain t;
-  (off, seqno)
+  seqno
+
+let last_offset t = t.last_off
 
 let append t ~tid ?timestamp_us ?flags ranges =
-  append_record t (Record.commit ~seqno:0 ~tid ?timestamp_us ?flags ranges)
+  let seqno =
+    append_record t (Record.commit ~seqno:0 ~tid ?timestamp_us ?flags ranges)
+  in
+  (t.last_off, seqno)
 
 let force t =
   drain t;
-  Rvm_obs.Registry.span t.obs "log.force"
-    ~attrs:[ ("records", Rvm_obs.Trace.Int t.unforced_records) ]
-    (fun () -> t.dev.Device.sync ());
+  let obs = t.obs in
+  Rvm_obs.Registry.open_span obs t.s_force;
+  Rvm_obs.Registry.add_int obs "records" t.unforced_records;
+  (match t.dev.Device.sync () with
+  | () -> Rvm_obs.Registry.close_span obs t.s_force
+  | exception e ->
+    Rvm_obs.Registry.close_span obs t.s_force;
+    raise e);
   (* Every record beyond the first made durable by this sync absorbed a
      force it would have paid on its own (the group-commit win). *)
   if t.unforced_records > 1 then

@@ -47,14 +47,13 @@ val open_log :
     commits exist to exploit. Records are guaranteed on the device only
     after {!force} (or {!move_head}).
 
-    With [obs], appends publish [log.append.records] / [log.append.bytes]
-    (plus the [log.append.bytes.hist] size histogram) and
-    [log.spool.bytes]; drains run under a [log.drain] span and publish
-    [log.spool.drain.writes] and the [log.drain.bytes.hist] size
-    histogram; {!force} runs under a [log.force] span and counts
-    [log.force.absorbed] (records made durable beyond the first per sync);
-    {!move_head} bumps [log.truncations]. Without it a private registry is
-    created. *)
+    With [obs], appends publish [log.append.records], the
+    [log.append.bytes.hist] size histogram and [log.spool.bytes]; drains
+    run under a [log.drain] span and publish [log.spool.drain.writes] and
+    the [log.drain.bytes.hist] size histogram; {!force} runs under a
+    [log.force] span and counts [log.force.absorbed] (records made durable
+    beyond the first per sync); {!move_head} bumps [log.truncations].
+    Without it a private registry is created. *)
 
 val open_chunk : int
 (** Bytes per device read of the open scan (256 KiB). *)
@@ -91,9 +90,13 @@ val append :
 (** Append a commit record, returning its [(offset, sequence number)].
     Does not force. Raises {!Log_full}. *)
 
-val append_record : t -> Record.t -> int * int
+val append_record : t -> Record.t -> int
 (** Lower-level append of a pre-built record; its [seqno] field is replaced
-    with the next sequence number. Returns [(offset, seqno)]. *)
+    with the next sequence number, which is returned. {!last_offset} then
+    gives its offset. *)
+
+val last_offset : t -> int
+(** Device offset of the record most recently appended. *)
 
 val force : t -> unit
 (** Drain the spool and synchronously flush everything appended so far

@@ -83,8 +83,7 @@ let rec encode_ranges b ~rec_start ~prev_start = function
    exactly once — region buffer into the spool — with no intermediate
    per-record [Bytes]. Positions in the record format are record-relative,
    hence the [rec_start] rebasing. *)
-let encode_into ?seqno b t =
-  let seqno = Option.value seqno ~default:t.seqno in
+let encode_into ~seqno b t =
   let rec_start = B.length b in
   let total = encoded_size t in
   B.u32 b record_magic;
@@ -109,7 +108,7 @@ let encode_into ?seqno b t =
 
 let encode ?seqno t =
   let b = B.create ~capacity:(encoded_size t) () in
-  encode_into ?seqno b t;
+  encode_into ~seqno:(Option.value seqno ~default:t.seqno) b t;
   B.contents b
 
 let decode bytes ~pos =

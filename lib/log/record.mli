@@ -77,12 +77,12 @@ val data_bytes : t -> int
 val encode : ?seqno:int -> t -> Bytes.t
 (** Freshly allocated wire image (a thin wrapper over {!encode_into}). *)
 
-val encode_into : ?seqno:int -> Rvm_util.Bytebuf.t -> t -> unit
+val encode_into : seqno:int -> Rvm_util.Bytebuf.t -> t -> unit
 (** Append the wire image onto the buffer after whatever it already holds —
     the vectored path the buffered log tail spools through, copying each
     range exactly once with no intermediate per-record [Bytes]. [seqno]
-    (default [t.seqno]) is the sequence number written: the log stamps it
-    at append without copying the record. *)
+    is the sequence number written in place of [t.seqno]: the log stamps
+    it at append without copying the record. *)
 
 val with_unverified : (unit -> 'a) -> 'a
 (** Test-only fault injection: run the thunk with {!decode} accepting any

@@ -1,4 +1,5 @@
 module B = Rvm_util.Bytebuf
+module Device = Rvm_disk.Device
 
 type t = {
   spool : B.t;
@@ -42,35 +43,29 @@ let note_wrap t =
     assert (t.base + t.split <= t.log_size)
   end
 
-(* The two contiguous device spans the spool currently covers. *)
-let spans t =
-  let len = B.length t.spool in
-  if not t.wrapped then [ (t.base, 0, len) ]
-  else [ (t.base, 0, t.split); (t.data_start, t.split, len - t.split) ]
+(* The spool covers at most two contiguous device spans: [first t]
+   bytes at [base], then, after a wrap, the rest at [data_start]. *)
+let first t = if t.wrapped then t.split else B.length t.spool
 
 let overlay t dst =
-  List.iter
-    (fun (off, pos, len) ->
-      if len > 0 then B.blit_range t.spool ~src_pos:pos dst ~dst_pos:off ~len)
-    (spans t)
+  let len = B.length t.spool and first = first t in
+  if first > 0 then
+    B.blit_range t.spool ~src_pos:0 dst ~dst_pos:t.base ~len:first;
+  if len > first then
+    B.blit_range t.spool ~src_pos:first dst ~dst_pos:t.data_start
+      ~len:(len - first)
 
 let clear t =
   B.clear t.spool;
   t.split <- 0;
   t.wrapped <- false
 
-let drain t ~write =
+let drain t (dev : Device.t) =
   let data = B.unsafe_buffer t.spool in
-  let writes =
-    List.fold_left
-      (fun n (off, pos, len) ->
-        if len > 0 then begin
-          write ~off ~buf:data ~pos ~len;
-          n + 1
-        end
-        else n)
-      0 (spans t)
-  in
+  let len = B.length t.spool and first = first t in
+  if first > 0 then dev.Device.write ~off:t.base ~buf:data ~pos:0 ~len:first;
+  if len > first then
+    dev.Device.write ~off:t.data_start ~buf:data ~pos:first ~len:(len - first);
   (* The next append re-establishes [base] via [begin_at]. *)
   clear t;
-  writes
+  Bool.to_int (first > 0) + Bool.to_int (len > first)

@@ -46,8 +46,7 @@ val overlay : t -> Bytes.t -> unit
     offsets, so live-window scans observe spooled records without any
     device I/O. *)
 
-val drain :
-  t -> write:(off:int -> buf:Bytes.t -> pos:int -> len:int -> unit) -> int
-(** Write the spooled spans through [write] — at most two calls, one per
+val drain : t -> Rvm_disk.Device.t -> int
+(** Write the spooled spans to the device — at most two writes, one per
     side of the wrap — and empty the spool. Returns the number of writes
     issued (0 when already empty). *)

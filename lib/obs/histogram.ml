@@ -8,12 +8,15 @@ let sub_count = 1 lsl sub_bits (* 32 *)
 let max_k = 62
 let bucket_count = sub_count + ((max_k - sub_bits + 1) * sub_count)
 
+(* The running float statistics sit in a record of floats only, which
+   OCaml stores unboxed: an observation updates them in place rather than
+   allocating a box for each field it changes. *)
+type floats = { mutable sum : float; mutable mn : float; mutable mx : float }
+
 type t = {
   name : string;
   mutable count : int;
-  mutable sum : float;
-  mutable mn : float;
-  mutable mx : float;
+  f : floats;
   buckets : int array;
 }
 
@@ -27,9 +30,7 @@ let v name =
   {
     name;
     count = 0;
-    sum = 0.;
-    mn = infinity;
-    mx = neg_infinity;
+    f = { sum = 0.; mn = infinity; mx = neg_infinity };
     buckets = Array.make bucket_count 0;
   }
 
@@ -72,19 +73,20 @@ let upper_bound i =
 let observe t v =
   let v = if v < 0. then 0. else v in
   t.count <- t.count + 1;
-  t.sum <- t.sum +. v;
-  if v < t.mn then t.mn <- v;
-  if v > t.mx then t.mx <- v;
+  let f = t.f in
+  f.sum <- f.sum +. v;
+  if v < f.mn then f.mn <- v;
+  if v > f.mx then f.mx <- v;
   let i = bucket_index v in
   t.buckets.(i) <- t.buckets.(i) + 1
 
 let count t = t.count
-let sum t = t.sum
-let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
-let min_value t = t.mn
-let max_value t = t.mx
-let min_opt t = if t.count = 0 then None else Some t.mn
-let max_opt t = if t.count = 0 then None else Some t.mx
+let sum t = t.f.sum
+let mean t = if t.count = 0 then 0. else t.f.sum /. float_of_int t.count
+let min_value t = t.f.mn
+let max_value t = t.f.mx
+let min_opt t = if t.count = 0 then None else Some t.f.mn
+let max_opt t = if t.count = 0 then None else Some t.f.mx
 
 let quantile t q =
   if t.count = 0 then 0.
@@ -102,7 +104,7 @@ let quantile t q =
        done
      with Exit -> ());
     (* Never report a quantile beyond the observed maximum. *)
-    Float.min !result t.mx
+    Float.min !result t.f.mx
   end
 
 let percentile t p =
@@ -118,9 +120,9 @@ let buckets t =
 
 let reset t =
   t.count <- 0;
-  t.sum <- 0.;
-  t.mn <- infinity;
-  t.mx <- neg_infinity;
+  t.f.sum <- 0.;
+  t.f.mn <- infinity;
+  t.f.mx <- neg_infinity;
   Array.fill t.buckets 0 bucket_count 0
 
 (* Window deltas: a snapshot is a cursor over the cumulative buckets;
@@ -137,7 +139,7 @@ type window_stats = {
 }
 
 let snapshot t =
-  { s_count = t.count; s_sum = t.sum; s_buckets = Array.copy t.buckets }
+  { s_count = t.count; s_sum = t.f.sum; s_buckets = Array.copy t.buckets }
 
 let zero_snapshot () =
   { s_count = 0; s_sum = 0.; s_buckets = Array.make bucket_count 0 }
@@ -163,14 +165,14 @@ let advance t s =
     if d_count <= 0 then
       { w_count = 0; w_sum = 0.; w_p50 = 0.; w_p95 = 0.; w_p99 = 0.; w_max = 0. }
     else begin
-      let d_sum = t.sum -. s.s_sum in
+      let d_sum = t.f.sum -. s.s_sum in
       let hi = ref 0 in
       for i = 0 to bucket_count - 1 do
         if t.buckets.(i) - s.s_buckets.(i) > 0 then hi := i
       done;
       (* Bucket upper edges bound the window maximum from above (the exact
          per-window max is not retained); quantiles cannot exceed it. *)
-      let w_max = Float.min (upper_bound !hi) t.mx in
+      let w_max = Float.min (upper_bound !hi) t.f.mx in
       let q x = Float.min (delta_quantile t s ~d_count x) w_max in
       {
         w_count = d_count;
@@ -183,6 +185,6 @@ let advance t s =
     end
   in
   s.s_count <- t.count;
-  s.s_sum <- t.sum;
+  s.s_sum <- t.f.sum;
   Array.blit t.buckets 0 s.s_buckets 0 bucket_count;
   stats

@@ -7,13 +7,22 @@ type span_event = Trace.span = {
   attrs : (string * Trace.value) list;
 }
 
+(* A span name with its handles resolved once: [.count], and for a span
+   (not an instant) [.us]. The handles join the registry on the scope's
+   first use, so resolving one early changes nothing a snapshot shows. *)
+type scope = {
+  name : string;
+  instant : bool;
+  mutable count : Counter.t;
+  mutable us : Histogram.t;
+  mutable bound : bool;
+}
+
 type t = {
   counters : (string, Counter.t) Hashtbl.t;
   histograms : (string, Histogram.t) Hashtbl.t;
-  (* One lookup per span instead of two concats + two lookups: a span
-     scope resolves its [.count] / [.us] handles once. *)
-  span_handles : (string, Counter.t * Histogram.t) Hashtbl.t;
-  instant_handles : (string, Counter.t) Hashtbl.t;
+  spans : (string, scope) Hashtbl.t;
+  instants : (string, scope) Hashtbl.t;
   mutable now_us : unit -> float;
   trace : Trace.t;
 }
@@ -24,8 +33,8 @@ let create ?(trace_capacity = 0) () =
   {
     counters = Hashtbl.create 32;
     histograms = Hashtbl.create 16;
-    span_handles = Hashtbl.create 16;
-    instant_handles = Hashtbl.create 8;
+    spans = Hashtbl.create 16;
+    instants = Hashtbl.create 8;
     now_us = default_now;
     trace = Trace.create ~capacity:trace_capacity ();
   }
@@ -50,43 +59,55 @@ let histogram t name =
     Hashtbl.add t.histograms name h;
     h
 
-let span_handles t name =
-  match Hashtbl.find_opt t.span_handles name with
-  | Some ch -> ch
-  | None ->
-    let ch = (counter t (name ^ ".count"), histogram t (name ^ ".us")) in
-    Hashtbl.add t.span_handles name ch;
-    ch
+let unbound = Histogram.v ""
 
-let finish_span t c h =
-  Histogram.observe h (Trace.close t.trace ~now:(t.now_us ()));
-  Counter.incr c
+let scope_in tbl ~instant name =
+  match Hashtbl.find tbl name with
+  | sc -> sc
+  | exception Not_found ->
+    let sc =
+      { name; instant; count = Counter.v ""; us = unbound; bound = false }
+    in
+    Hashtbl.add tbl name sc;
+    sc
+
+let scope t name = scope_in t.spans ~instant:false name
+let instant_scope t name = scope_in t.instants ~instant:true name
+
+let bind t sc =
+  sc.count <- counter t (sc.name ^ ".count");
+  (* An instant owns only the counter: no [.us] histogram appears for it. *)
+  if not sc.instant then sc.us <- histogram t (sc.name ^ ".us");
+  sc.bound <- true
+
+let open_span ?attrs t sc =
+  if not sc.bound then bind t sc;
+  Trace.enter t.trace ~now:(t.now_us ()) ?attrs sc.name
+
+let close_span t sc =
+  if sc.instant then Trace.close_instant t.trace
+  else Histogram.observe sc.us (Trace.close t.trace ~now:(t.now_us ()));
+  Counter.incr sc.count
 
 let span ?attrs t name f =
-  let c, h = span_handles t name in
-  Trace.enter t.trace ~now:(t.now_us ()) ?attrs name;
+  let sc = scope t name in
+  open_span ?attrs t sc;
   match f () with
   | x ->
-    finish_span t c h;
+    close_span t sc;
     x
   | exception e ->
-    finish_span t c h;
+    close_span t sc;
     raise e
 
 let add_attr t key v = Trace.add_attr t.trace key v
+let add_int t key n = Trace.add_int t.trace key n
+let add_string t key s = Trace.add_string t.trace key s
 
-(* An instant owns only the counter: no [.us] histogram appears for it. *)
 let instant ?attrs t name =
-  let c =
-    match Hashtbl.find_opt t.instant_handles name with
-    | Some c -> c
-    | None ->
-      let c = counter t (name ^ ".count") in
-      Hashtbl.add t.instant_handles name c;
-      c
-  in
-  Counter.incr c;
-  Trace.instant t.trace ~now:(t.now_us ()) ?attrs name
+  let sc = instant_scope t name in
+  open_span ?attrs t sc;
+  close_span t sc
 
 let events t = Trace.events t.trace
 let events_since t cursor = Trace.events_since t.trace cursor

@@ -54,6 +54,39 @@ val add_attr : t -> string -> Trace.value -> unit
 (** Attach an attribute to the innermost open span; no-op when none is
     open (so callers never need to know whether they are being traced). *)
 
+val add_int : t -> string -> int -> unit
+(** {!add_attr} of an int, allocating nothing. *)
+
+val add_string : t -> string -> string -> unit
+(** {!add_attr} of a string, allocating nothing. *)
+
+(** {2 Spans without a closure}
+
+    The hot paths resolve a {!scope} once and bracket their work with
+    {!open_span} and {!close_span}, setting attributes with {!add_int},
+    {!add_string} and {!add_attr} in between: a span then allocates
+    nothing. A caller that must close the span on an exception does so
+    itself, as {!span} does. *)
+
+type scope
+(** A span name with its [.count] counter and [.us] histogram resolved.
+    They join the registry on the scope's first {!open_span}, so a scope
+    resolved early and never used changes no snapshot. *)
+
+val scope : t -> string -> scope
+(** The scope {!span} uses for [name]. *)
+
+val instant_scope : t -> string -> scope
+(** The scope {!instant} uses for [name]: {!close_span} records a
+    zero-duration span and no [.us] histogram exists. *)
+
+val open_span : ?attrs:(string * Trace.value) list -> t -> scope -> unit
+(** Open a span of the scope under the current one. *)
+
+val close_span : t -> scope -> unit
+(** Close the innermost open span, which must be the scope's: record its
+    duration in [.us] and bump [.count]. *)
+
 val instant : ?attrs:(string * Trace.value) list -> t -> string -> unit
 (** Record a zero-duration point event under the current span and bump
     [name ^ ".count"]. *)

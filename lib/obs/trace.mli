@@ -23,7 +23,9 @@ type span = {
   scope : string;  (** dot-separated, layer first: [log.drain] *)
   start_us : float;
   dur_us : float;
-  attrs : (string * value) list;  (** in [add_attr] call order *)
+  attrs : (string * value) list;
+      (** [enter]'s, then those added, in call order; stored in typed
+          columns and rebuilt as a list only when a span is read *)
 }
 
 type t
@@ -55,7 +57,15 @@ val enter : t -> now:float -> ?attrs:(string * value) list -> string -> unit
 
 val add_attr : t -> string -> value -> unit
 (** Attach an attribute to the innermost open span; no-op when none is
-    open. *)
+    open. The span keeps a pointer to [v]. *)
+
+val add_int : t -> string -> int -> unit
+(** {!add_attr} of [Int n], storing the int itself: nothing is
+    allocated. *)
+
+val add_string : t -> string -> string -> unit
+(** {!add_attr} of [String s], storing a pointer to [s]: nothing is
+    allocated. *)
 
 val exit : t -> now:float -> span
 (** Close the innermost open span, record it, and return it. Raises
@@ -64,6 +74,10 @@ val exit : t -> now:float -> span
 val close : t -> now:float -> float
 (** {!exit} returning only the span's duration: nothing is allocated for
     a span record. *)
+
+val close_instant : t -> unit
+(** Close the innermost open span with a zero duration, as {!instant}
+    records it. Raises [Invalid_argument] when no span is open. *)
 
 val instant : t -> now:float -> ?attrs:(string * value) list -> string -> unit
 (** Record a zero-duration span (a point event) under {!current}. *)

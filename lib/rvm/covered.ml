@@ -13,22 +13,21 @@ let swap a i j =
     a.(j + k) <- x
   done
 
-let of_parts parts =
-  let n =
-    List.fold_left (fun n (_, _, iv) -> n + Intervals.interval_count iv) 0 parts
-  in
-  let a = Array.make (3 * n) 0 in
-  let k = ref 0 in
-  List.iter
-    (fun (seg, base, iv) ->
-      for i = 0 to Intervals.interval_count iv - 1 do
-        let lo = base + Intervals.lo_at iv i in
-        a.(!k) <- seg;
-        a.(!k + 1) <- lo;
-        a.(!k + 2) <- lo + Intervals.len_at iv i;
-        k := !k + 3
-      done)
-    parts;
+(* Write [iv]'s intervals, offset by [base], as triples of segment [seg]
+   from triple index [k] on; returns the next free index. *)
+let fill a k ~seg ~base iv =
+  let n = Intervals.interval_count iv in
+  for i = 0 to n - 1 do
+    let lo = base + Intervals.lo_at iv i in
+    a.(k + (3 * i)) <- seg;
+    a.(k + (3 * i) + 1) <- lo;
+    a.(k + (3 * i) + 2) <- lo + Intervals.len_at iv i
+  done;
+  k + (3 * n)
+
+(* Sort the filled triples and coalesce them. *)
+let finish a =
+  let n = Array.length a / 3 in
   (* Insertion sort: the parts usually arrive in order already, and a
      transaction touches a handful of intervals. *)
   for i = 1 to n - 1 do
@@ -53,6 +52,34 @@ let of_parts parts =
     end
   done;
   if !w = Array.length a then a else Array.sub a 0 !w
+
+let of_parts parts =
+  let n =
+    List.fold_left (fun n (_, _, iv) -> n + Intervals.interval_count iv) 0 parts
+  in
+  let a = Array.make (3 * n) 0 in
+  ignore
+    (List.fold_left (fun k (seg, base, iv) -> fill a k ~seg ~base iv) 0 parts);
+  finish a
+
+let rec count n = function
+  | [] -> n
+  | (pr : Txn.per_region) :: rest ->
+    count (n + Intervals.interval_count pr.Txn.covered) rest
+
+let rec fill_regions a k = function
+  | [] -> ()
+  | (pr : Txn.per_region) :: rest ->
+    let r = pr.Txn.region in
+    fill_regions a
+      (fill a k ~seg:(Segment.id r.Region.seg) ~base:r.Region.seg_off
+         pr.Txn.covered)
+      rest
+
+let of_regions prs =
+  let a = Array.make (3 * count 0 prs) 0 in
+  fill_regions a 0 prs;
+  finish a
 
 (* Both sides are coalesced, so an older interval is covered only if it
    lies inside a single newer one: the first newer triple of its segment

@@ -15,6 +15,10 @@ val of_parts : (int * int * Rvm_util.Intervals.t) list -> t
     covered set, region-relative, with [base] the region's offset in
     segment [seg]. Parts of one segment merge into one interval set. *)
 
+val of_regions : Txn.per_region list -> t
+(** {!of_parts} of a transaction's covered sets, allocating only the
+    result. *)
+
 val subsumes : newer:t -> older:t -> bool
 (** Is every byte of [older] also in [newer]? *)
 

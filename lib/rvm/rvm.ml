@@ -42,7 +42,9 @@ type t = {
   space : Addr_space.t;
   txns : (int, Txn.t) Hashtbl.t;
   mutable next_tid : int;
-  mutable spool : spool_entry list;  (* newest first *)
+  mutable spool : spool_entry array;
+      (* commit order, the first [spool_len] live; the rest [no_entry] *)
+  mutable spool_len : int;
   mutable spool_bytes : int;
   mutable commit_lsn : int;
       (* Logical commit counter: one per committed transaction that wrote
@@ -51,20 +53,24 @@ type t = {
          release keys on. *)
   mutable durable_lsn : int;
       (* Horizon below which every assigned LSN's record is known forced.
-         Maintained lazily by {!durable_lsn} off [lsn_pending] and the
-         log's forced seqno. *)
-  lsn_pending : (int * int) Queue.t;
-      (* (lsn, record seqno) in commit order for every commit record that
-         has reached the log manager but may not be forced yet. Spooled
-         entries enter when the spool drains assigns their seqno; a
-         subsumption-dropped entry never enters (its effects ride the
-         newer record that subsumed it). *)
+         Maintained lazily by {!durable_lsn} and {!note_logged} off
+         [logged_lsn] and the log's forced seqno. *)
+  mutable logged_lsn : int;
+  mutable logged_seqno : int;
+      (* The LSN and record seqno of the newest commit record that has
+         reached the log manager. Spooled entries reach it when the spool
+         drains and assigns their seqno; a subsumption-dropped entry never
+         does (its effects ride the newer record that subsumed it). *)
   mutable trunc : Truncator.t option;
       (* The truncation state machine ({!Truncator}) — owns the
          incremental page queue and all epoch/incremental dispatch.
          [Some] from construction on; an option only because it closes
          over [t]. *)
   obs : Registry.t;
+  s_begin : Registry.scope;
+  s_commit : Registry.scope;
+  s_encode : Registry.scope;
+  s_no_flush : Registry.scope;
   live : Lv.live;
   mutable terminated : bool;
   pending_pages : (string, Txn.per_region list) Hashtbl.t;
@@ -108,10 +114,10 @@ let segment t seg_id =
     s
 
 let find_txn t tid =
-  match Hashtbl.find_opt t.txns tid with
-  | Some txn when Txn.is_active txn -> txn
-  | Some _ -> Types.error "transaction %d is no longer active" tid
-  | None -> Types.error "unknown transaction %d" tid
+  match Hashtbl.find t.txns tid with
+  | txn when Txn.is_active txn -> txn
+  | _ -> Types.error "transaction %d is no longer active" tid
+  | exception Not_found -> Types.error "unknown transaction %d" tid
 
 let vm_touch t (region : Region.t) ~region_off ~len ~write =
   match t.vm with
@@ -143,6 +149,46 @@ let rec release_page_refs = function
 let truncator t =
   match t.trunc with Some tr -> tr | None -> assert false
 
+(* --- commits awaiting the log --- *)
+
+(* What a drained or dropped spool slot holds, so the spool array keeps no
+   written record alive. *)
+let no_entry =
+  {
+    sp_lsn = 0;
+    sp_record = Record.wrap ~seqno:0 ~pad:0;
+    sp_size = 0;
+    sp_covered = Covered.of_regions [];
+    sp_regions = [];
+  }
+
+let push_spool t e =
+  if t.spool_len = Array.length t.spool then begin
+    let a = Array.make (max 16 (2 * t.spool_len)) no_entry in
+    Array.blit t.spool 0 a 0 t.spool_len;
+    t.spool <- a
+  end;
+  t.spool.(t.spool_len) <- e;
+  t.spool_len <- t.spool_len + 1
+
+(* Commit records reach the log in LSN order, and a force makes every
+   record appended before it durable. So when the newest commit record is
+   forced, every older one is; and an older one forced while a newer one
+   is not was forced before the newer one reached the log. Advancing the
+   horizon whenever the newest record is forced — before each new one
+   arrives, and on every query — therefore finds the newest forced LSN.
+   LSNs that never reached the log (subsumption-dropped spool entries)
+   are strictly older than the record that subsumed them and are covered
+   by its durability. *)
+let advance_durable t =
+  if t.logged_seqno <= Log_manager.forced_seqno t.log then
+    t.durable_lsn <- t.logged_lsn
+
+let note_logged t ~lsn ~seqno =
+  advance_durable t;
+  t.logged_lsn <- lsn;
+  t.logged_seqno <- seqno
+
 (* --- log writing --- *)
 
 (* The one way a record of [size] encoded bytes reaches this engine's log
@@ -164,11 +210,11 @@ let rec append_record t record ~retried =
     end
 
 let log_record t (record : Record.t) ~size =
-  let log_off, seqno = append_record t record ~retried:false in
+  let seqno = append_record t record ~retried:false in
   cpu t (t.model.Cost_model.log_record_us +. checksum_cost t size);
   C.add t.live.Lv.bytes_logged size;
-  Truncator.note_logged_ranges (truncator t) ~log_off ~seqno
-    record.Record.ranges;
+  Truncator.note_logged_ranges (truncator t)
+    ~log_off:(Log_manager.last_offset t.log) ~seqno record.Record.ranges;
   seqno
 
 (* Write one commit record and release its transaction's page refs. *)
@@ -179,16 +225,17 @@ let write_commit_record t record ~size ~regions =
 
 (* Write every spooled record (commit order) without forcing. *)
 let drain_spool t =
-  let entries = List.rev t.spool in
-  t.spool <- [];
+  let spool = t.spool and n = t.spool_len in
+  t.spool_len <- 0;
   t.spool_bytes <- 0;
-  List.iter
-    (fun e ->
-      let seqno =
-        write_commit_record t e.sp_record ~size:e.sp_size ~regions:e.sp_regions
-      in
-      Queue.push (e.sp_lsn, seqno) t.lsn_pending)
-    entries
+  for i = 0 to n - 1 do
+    let e = spool.(i) in
+    spool.(i) <- no_entry;
+    let seqno =
+      write_commit_record t e.sp_record ~size:e.sp_size ~regions:e.sp_regions
+    in
+    note_logged t ~lsn:e.sp_lsn ~seqno
+  done
 
 let force_log t =
   (* [Log_manager.force] runs under a [log.force] span on the shared
@@ -256,13 +303,19 @@ let attach ?(options = Options.default) ?(clock = Clock.null)
       space = Addr_space.create ~page_size:options.Options.page_size;
       txns = Hashtbl.create 16;
       next_tid = 1;
-      spool = [];
+      spool = [||];
+      spool_len = 0;
       spool_bytes = 0;
       commit_lsn = 0;
       durable_lsn = 0;
-      lsn_pending = Queue.create ();
+      logged_lsn = 0;
+      logged_seqno = 0;
       trunc = None;
       obs;
+      s_begin = Registry.instant_scope obs "txn.begin";
+      s_commit = Registry.scope obs "txn.commit";
+      s_encode = Registry.scope obs "commit.encode";
+      s_no_flush = Registry.scope obs "commit.no_flush";
       live = Lv.create obs;
       terminated = false;
       pending_pages = Hashtbl.create 4;
@@ -410,12 +463,16 @@ let begin_transaction t ~mode =
   check_live t;
   let tid = t.next_tid in
   t.next_tid <- t.next_tid + 1;
-  Hashtbl.add t.txns tid (Txn.create ~tid ~mode ~started_us:(now_us t));
+  Hashtbl.add t.txns tid
+    (Txn.create ~tid ~mode ~started_us:(now_us t)
+       ~per_call:(not t.opts.Options.intra_optimization));
   (* A point event, not a span: begin/end are separate API calls, so the
      causal root for everything a transaction does is the [txn.commit]
      span around [end_transaction]. *)
-  Registry.instant t.obs "txn.begin"
-    ~attrs:[ ("txn_id", Trace.Int tid); ("mode", mode_attr mode) ];
+  Registry.open_span t.obs t.s_begin;
+  Registry.add_int t.obs "txn_id" tid;
+  Registry.add_attr t.obs "mode" (mode_attr mode);
+  Registry.close_span t.obs t.s_begin;
   tid
 
 let set_range t tid ~addr ~len =
@@ -431,7 +488,7 @@ let set_range t tid ~addr ~len =
     if Intervals.is_empty covered then
       region.Region.active_txns <- region.Region.active_txns + 1;
     let region_off = Region.to_region_off region ~addr in
-    Txn.add_call pr ~region_off ~len;
+    Txn.add_call txn pr ~region_off ~len;
     (* Uncommitted reference counts (incremental truncation must not write
        these pages until the transaction resolves): one per page the
        covered set reaches, so a page gains a reference when the set had
@@ -457,9 +514,10 @@ let set_range t tid ~addr ~len =
 
 (* Ranges logged by a transaction. With the intra-transaction optimization
    on (the default), these are the coalesced intervals; with it off (the
-   ablation), one range per set_range call as declared. Data is read from
-   the region at commit time either way, so every range carries final
-   values and multiple updates to one range cost one record. *)
+   ablation, [Txn.per_call]), one range per set_range call as declared.
+   Data is read from the region at commit time either way, so every range
+   carries final values and multiple updates to one range cost one
+   record. *)
 let rec build_ranges t ~intra (prs : Txn.per_region list) i =
   match prs with
   | [] -> []
@@ -489,16 +547,14 @@ let rec build_ranges t ~intra (prs : Txn.per_region list) i =
       range :: build_ranges t ~intra prs (i + 1)
     end
 
+(* [Record.commit] without its optional arguments, each of which would
+   allocate an option. *)
+let commit_record ~tid ~timestamp_us ~flags ranges =
+  { Record.kind = Record.Commit; seqno = 0; tid; timestamp_us; flags; ranges;
+    pad = 0 }
+
 let logged_bytes acc (r : Record.range) = acc + 32 + Bytes.length r.Record.data
 let naive_bytes acc pr = acc + Txn.naive_bytes pr
-
-let covered txn =
-  Covered.of_parts
-    (List.map
-       (fun (pr : Txn.per_region) ->
-         let region = pr.Txn.region in
-         (Segment.id region.Region.seg, region.Region.seg_off, pr.Txn.covered))
-       (Txn.regions txn))
 
 let finish_txn t (txn : Txn.t) status =
   txn.Txn.status <- status;
@@ -509,6 +565,53 @@ let finish_txn t (txn : Txn.t) status =
         pr.Txn.region.Region.active_txns <-
           pr.Txn.region.Region.active_txns - 1)
     (Txn.regions txn)
+
+(* Inter-transaction optimization (section 5.2): a no-flush commit whose
+   modifications subsume an earlier unflushed transaction's makes the
+   older spooled records redundant — recovery applies newest-first. The
+   spool is compacted in place. *)
+let drop_subsumed t covered =
+  let kept = ref 0 in
+  for i = 0 to t.spool_len - 1 do
+    let old = t.spool.(i) in
+    if Covered.subsumes ~newer:covered ~older:old.sp_covered then begin
+      t.spool_bytes <- t.spool_bytes - old.sp_size;
+      C.add t.live.Lv.inter_saved old.sp_size;
+      C.incr t.live.Lv.records_dropped;
+      release_page_refs old.sp_regions
+    end
+    else begin
+      if !kept < i then t.spool.(!kept) <- old;
+      incr kept
+    end
+  done;
+  if !kept < t.spool_len then begin
+    Array.fill t.spool !kept (t.spool_len - !kept) no_entry;
+    t.spool_len <- !kept
+  end
+
+(* A No_flush commit: its record waits in the spool until a flush, a
+   Flush commit or spool overflow writes it (section 5.1.1). *)
+let spool_commit t ~lsn ~tid ~flags ~regions ranges =
+  let record = commit_record ~tid ~timestamp_us:(now_us t) ~flags ranges in
+  let entry =
+    {
+      sp_lsn = lsn;
+      sp_record = record;
+      sp_size = Record.encoded_size record;
+      sp_covered = Covered.of_regions regions;
+      sp_regions = regions;
+    }
+  in
+  if t.opts.Options.inter_optimization then drop_subsumed t entry.sp_covered;
+  push_spool t entry;
+  t.spool_bytes <- t.spool_bytes + entry.sp_size;
+  C.add t.live.Lv.bytes_spooled entry.sp_size;
+  if t.spool_bytes > t.opts.Options.spool_max_bytes then begin
+    drain_spool t;
+    force_log t;
+    C.incr t.live.Lv.flushes
+  end
 
 (* The commit body, for a local commit ([intent = None]) or for this
    shard's branch of a cross-shard transaction ([Some (gid, shard)],
@@ -524,16 +627,19 @@ let finish_txn t (txn : Txn.t) status =
 let commit t tid txn ~mode ~intent =
   cpu t t.model.Cost_model.txn_overhead_us;
   let regions = Txn.regions txn in
-  let ranges, logged_bytes =
-    Registry.span t.obs "commit.encode" (fun () ->
-        let ranges =
-          build_ranges t ~intra:t.opts.Options.intra_optimization regions 0
-        in
-        let logged_bytes = List.fold_left logged_bytes 0 ranges in
-        Registry.add_attr t.obs "ranges" (Trace.Int (List.length ranges));
-        Registry.add_attr t.obs "bytes" (Trace.Int logged_bytes);
-        (ranges, logged_bytes))
+  let obs = t.obs in
+  Registry.open_span obs t.s_encode;
+  let ranges =
+    match build_ranges t ~intra:(not txn.Txn.per_call) regions 0 with
+    | ranges -> ranges
+    | exception e ->
+      Registry.close_span obs t.s_encode;
+      raise e
   in
+  let logged_bytes = List.fold_left logged_bytes 0 ranges in
+  Registry.add_int obs "ranges" (List.length ranges);
+  Registry.add_int obs "bytes" logged_bytes;
+  Registry.close_span obs t.s_encode;
   let naive_bytes = List.fold_left naive_bytes 0 regions in
   let flags =
     (match mode with Types.No_flush -> Record.Flags.no_flush | Types.Flush -> 0)
@@ -557,12 +663,12 @@ let commit t tid txn ~mode ~intent =
       let timestamp_us = now_us t in
       match intent with
       | None ->
-        let record = Record.commit ~seqno:0 ~tid ~timestamp_us ~flags ranges in
+        let record = commit_record ~tid ~timestamp_us ~flags ranges in
         let seqno =
           write_commit_record t record ~size:(Record.encoded_size record)
             ~regions
         in
-        Queue.push (lsn, seqno) t.lsn_pending;
+        note_logged t ~lsn ~seqno;
         force_log t
       | Some (gid, shard) ->
         let record =
@@ -570,53 +676,18 @@ let commit t tid txn ~mode ~intent =
             (Pcommit.Intent { gid; shard })
         in
         let seqno = log_record t record ~size:(Record.encoded_size record) in
-        Queue.push (lsn, seqno) t.lsn_pending;
+        note_logged t ~lsn ~seqno;
         if regions <> [] then
           Hashtbl.replace t.pending_pages gid
             (regions
             @ Option.value (Hashtbl.find_opt t.pending_pages gid) ~default:[]))
-    | Types.No_flush ->
-      Registry.span t.obs "commit.no_flush" (fun () ->
-          let record =
-            Record.commit ~seqno:0 ~tid ~timestamp_us:(now_us t) ~flags ranges
-          in
-          let entry =
-            {
-              sp_lsn = lsn;
-              sp_record = record;
-              sp_size = Record.encoded_size record;
-              sp_covered = covered txn;
-              sp_regions = regions;
-            }
-          in
-          (* Inter-transaction optimization (section 5.2): a no-flush commit
-             whose modifications subsume an earlier unflushed transaction's
-             makes the older spooled records redundant — recovery applies
-             newest-first. The scan allocates nothing; the spool is rebuilt
-             only when something is dropped. *)
-          let subsumed old =
-            Covered.subsumes ~newer:entry.sp_covered ~older:old.sp_covered
-          in
-          if t.opts.Options.inter_optimization && List.exists subsumed t.spool
-          then begin
-            let dropped, kept = List.partition subsumed t.spool in
-            List.iter
-              (fun old ->
-                t.spool_bytes <- t.spool_bytes - old.sp_size;
-                C.add t.live.Lv.inter_saved old.sp_size;
-                C.incr t.live.Lv.records_dropped;
-                release_page_refs old.sp_regions)
-              dropped;
-            t.spool <- kept
-          end;
-          t.spool <- entry :: t.spool;
-          t.spool_bytes <- t.spool_bytes + entry.sp_size;
-          C.add t.live.Lv.bytes_spooled entry.sp_size;
-          if t.spool_bytes > t.opts.Options.spool_max_bytes then begin
-            drain_spool t;
-            force_log t;
-            C.incr t.live.Lv.flushes
-          end)
+    | Types.No_flush -> (
+      Registry.open_span obs t.s_no_flush;
+      match spool_commit t ~lsn ~tid ~flags ~regions ranges with
+      | () -> Registry.close_span obs t.s_no_flush
+      | exception e ->
+        Registry.close_span obs t.s_no_flush;
+        raise e)
   end);
   finish_txn t txn Txn.Committed;
   C.incr t.live.Lv.txns_committed
@@ -628,19 +699,22 @@ let end_transaction t tid ~mode =
      spooling, log writes, forces, even truncation triggered by this
      commit filling the log — happens inside it, so every device-level
      span in a trace chains up to exactly one [txn.commit]. *)
-  Registry.span t.obs "txn.commit"
-    ~attrs:
-      [
-        ("txn_id", Trace.Int tid);
-        ("mode", mode_attr txn.Txn.mode);
-        ( "commit",
-          match mode with
-          | Types.Flush -> flush_attr
-          | Types.No_flush -> no_flush_attr );
-      ]
-    (fun () ->
-      commit t tid txn ~mode ~intent:None;
-      maybe_truncate t)
+  let obs = t.obs in
+  Registry.open_span obs t.s_commit;
+  Registry.add_int obs "txn_id" tid;
+  Registry.add_attr obs "mode" (mode_attr txn.Txn.mode);
+  Registry.add_attr obs "commit"
+    (match mode with
+    | Types.Flush -> flush_attr
+    | Types.No_flush -> no_flush_attr);
+  match
+    commit t tid txn ~mode ~intent:None;
+    maybe_truncate t
+  with
+  | () -> Registry.close_span obs t.s_commit
+  | exception e ->
+    Registry.close_span obs t.s_commit;
+    raise e
 
 (* --- parallel commit (DESIGN.md section 10) --- *)
 
@@ -788,7 +862,7 @@ let query t =
     log_used_bytes = Log_manager.used_bytes t.log;
     log_free_bytes = Log_manager.free_bytes t.log;
     spool_bytes = t.spool_bytes;
-    spool_records = List.length t.spool;
+    spool_records = t.spool_len;
   }
 
 let set_options t f =
@@ -802,21 +876,7 @@ let unflushed (t : t) =
 let commit_lsn (t : t) = t.commit_lsn
 
 let durable_lsn (t : t) =
-  (* Advance the horizon over every pending record the log has since
-     forced. The queue is in commit order and LSNs are monotone, so the
-     scan stops at the first unforced record; LSNs that never entered the
-     queue (subsumption-dropped spool entries) are strictly older than
-     the record that subsumed them and are covered by its durability. *)
-  let forced = Log_manager.forced_seqno t.log in
-  let rec drain () =
-    match Queue.peek_opt t.lsn_pending with
-    | Some (lsn, seqno) when seqno <= forced ->
-      ignore (Queue.pop t.lsn_pending);
-      t.durable_lsn <- lsn;
-      drain ()
-    | _ -> ()
-  in
-  drain ();
+  advance_durable t;
   t.durable_lsn
 
 let stats t = Lv.snapshot t.live

@@ -204,8 +204,9 @@ let reappend_evidence t pending =
     t.resolutions;
   List.iter
     (fun (r : Record.t) ->
-      let log_off, seqno = Log_manager.append_record log r in
-      note_logged_ranges t ~log_off ~seqno r.Record.ranges)
+      let seqno = Log_manager.append_record log r in
+      note_logged_ranges t ~log_off:(Log_manager.last_offset log) ~seqno
+        r.Record.ranges)
     pending;
   let appended = Hashtbl.length t.resolutions > 0 || pending <> [] in
   if appended then Log_manager.force log;

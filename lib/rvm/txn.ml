@@ -7,19 +7,21 @@ type per_region = {
   covered : Rvm_util.Intervals.t;
   mutable calls : int array;
   mutable call_count : int;
+  mutable call_bytes : int;
 }
 
 type t = {
   tid : int;
   mode : Types.restore_mode;
   started_us : int;
+  per_call : bool;
   mutable status : status;
   mutable regions : per_region list;
   mutable saved : saved list;
 }
 
-let create ~tid ~mode ~started_us =
-  { tid; mode; started_us; status = Active; regions = []; saved = [] }
+let create ~tid ~mode ~started_us ~per_call =
+  { tid; mode; started_us; per_call; status = Active; regions = []; saved = [] }
 
 let rec insert pr = function
   | p :: rest when p.region.Region.vaddr < pr.region.Region.vaddr ->
@@ -33,30 +35,28 @@ let rec per_region_in t (region : Region.t) = function
   | [] ->
     let pr =
       { region; covered = Rvm_util.Intervals.create (); calls = [||];
-        call_count = 0 }
+        call_count = 0; call_bytes = 0 }
     in
     t.regions <- insert pr t.regions;
     pr
 
 let per_region t region = per_region_in t region t.regions
 
-let add_call pr ~region_off ~len =
+let add_call t pr ~region_off ~len =
   let k = pr.call_count in
-  if 2 * (k + 1) > Array.length pr.calls then begin
-    let calls = Array.make (max 8 (2 * Array.length pr.calls)) 0 in
-    Array.blit pr.calls 0 calls 0 (2 * k);
-    pr.calls <- calls
+  if t.per_call then begin
+    if 2 * (k + 1) > Array.length pr.calls then begin
+      let calls = Array.make (max 8 (2 * Array.length pr.calls)) 0 in
+      Array.blit pr.calls 0 calls 0 (2 * k);
+      pr.calls <- calls
+    end;
+    pr.calls.(2 * k) <- region_off;
+    pr.calls.((2 * k) + 1) <- len
   end;
-  pr.calls.(2 * k) <- region_off;
-  pr.calls.((2 * k) + 1) <- len;
-  pr.call_count <- k + 1
+  pr.call_count <- k + 1;
+  pr.call_bytes <- pr.call_bytes + len
 
-let naive_bytes pr =
-  let sum = ref (32 * pr.call_count) in
-  for i = 0 to pr.call_count - 1 do
-    sum := !sum + pr.calls.((2 * i) + 1)
-  done;
-  !sum
+let naive_bytes pr = (32 * pr.call_count) + pr.call_bytes
 
 let regions t = t.regions
 let is_active t = t.status = Active

@@ -20,29 +20,35 @@ type per_region = {
   region : Region.t;
   covered : Rvm_util.Intervals.t;  (** region-offset intervals *)
   mutable calls : int array;
-      (** every set_range call as declared, [(region_off, len)] pairs in
-          call order, the first [call_count] of them used — what is logged
-          when the intra-transaction optimization is disabled for
-          ablation *)
-  mutable call_count : int;
+      (** with [per_call], every set_range call as declared,
+          [(region_off, len)] pairs in call order, the first [call_count]
+          of them used — what is logged when the intra-transaction
+          optimization is disabled for ablation; empty otherwise *)
+  mutable call_count : int;  (** set_range calls on the region *)
+  mutable call_bytes : int;  (** bytes they declared, overlaps counted *)
 }
 
 type t = {
   tid : int;
   mode : Types.restore_mode;
   started_us : int;
+  per_call : bool;
+      (** log one range per set_range call (the intra-transaction
+          optimization off), fixed when the transaction begins *)
   mutable status : status;
   mutable regions : per_region list;
       (** increasing vaddr; a transaction touches a handful of regions *)
   mutable saved : saved list;  (** newest first *)
 }
 
-val create : tid:int -> mode:Types.restore_mode -> started_us:int -> t
+val create :
+  tid:int -> mode:Types.restore_mode -> started_us:int -> per_call:bool -> t
 val per_region : t -> Region.t -> per_region
 (** Find or create the per-region state. *)
 
-val add_call : per_region -> region_off:int -> len:int -> unit
-(** Append one set_range call to [calls]. *)
+val add_call : t -> per_region -> region_off:int -> len:int -> unit
+(** Count one set_range call, and with [per_call] append it to
+    [calls]. *)
 
 val naive_bytes : per_region -> int
 (** Record bytes an unoptimized implementation would log for the region:

@@ -164,6 +164,8 @@ type 's t = {
   h_batch_size : Histogram.t;
   h_trunc_pause : Histogram.t;
   h_trunc_steps : Histogram.t;
+  s_root : Registry.scope;  (* a commit's [req.root] span *)
+  s_batch_flush : Registry.scope;
 }
 
 let create ~cfg ~steps ~label ~engine ~clock ~obs ~lock_mgr ~admission
@@ -216,6 +218,8 @@ let create ~cfg ~steps ~label ~engine ~clock ~obs ~lock_mgr ~admission
     h_batch_size = Registry.histogram obs "server.batch.size";
     h_trunc_pause = Registry.histogram obs "truncation.pause.us";
     h_trunc_steps = Registry.histogram obs "truncation.steps.per.quantum";
+    s_root = Registry.scope obs "req.root";
+    s_batch_flush = Registry.scope obs "server.batch.flush";
   }
 
 let set_hooks t ~on_spool ~on_ack =
@@ -233,13 +237,6 @@ let wake_parked t =
   let ps = List.sort (fun a b -> compare a.id b.id) t.parked in
   t.parked <- [];
   List.iter (fun r -> Queue.push r t.runnable) ps
-
-let req_attrs t r =
-  [
-    ("req", Trace.Int r.id);
-    ("kind", Trace.String (t.label r.spec));
-    ("attempts", Trace.Int r.attempts);
-  ]
 
 (* A request's outcome is durable — its own commit, if it wrote, and
    every commit it observed: account its latency, let a closed-loop
@@ -334,9 +331,19 @@ let commit_ready t r =
       t.cfg.elr && (not unbatched) && not (t.eng.Engine.crosses tid)
     in
     let before = t.eng.Engine.commit_lsn () in
-    Registry.span t.obs "req.root" ~attrs:(req_attrs t r) (fun () ->
-        t.eng.Engine.end_txn tid
-          ~mode:(if unbatched then Types.Flush else Types.No_flush));
+    let obs = t.obs in
+    Registry.open_span obs t.s_root;
+    Registry.add_int obs "req" r.id;
+    Registry.add_string obs "kind" (t.label r.spec);
+    Registry.add_int obs "attempts" r.attempts;
+    (match
+       t.eng.Engine.end_txn tid
+         ~mode:(if unbatched then Types.Flush else Types.No_flush)
+     with
+    | () -> Registry.close_span obs t.s_root
+    | exception e ->
+      Registry.close_span obs t.s_root;
+      raise e);
     r.tid <- None;
     let lsn = t.eng.Engine.commit_lsn () in
     if lsn = before then commit_read_only t r
@@ -380,10 +387,15 @@ let start_force t reqs =
   Clock.on_lane t.clock t.disk (fun () ->
       match reqs with
       | [] -> t.eng.Engine.flush ()
-      | _ ->
-        Registry.span t.obs "server.batch.flush"
-          ~attrs:[ ("size", Trace.Int (List.length reqs)) ]
-          (fun () -> t.eng.Engine.flush ()));
+      | _ -> (
+        let obs = t.obs in
+        Registry.open_span obs t.s_batch_flush;
+        Registry.add_int obs "size" (List.length reqs);
+        match t.eng.Engine.flush () with
+        | () -> Registry.close_span obs t.s_batch_flush
+        | exception e ->
+          Registry.close_span obs t.s_batch_flush;
+          raise e));
   let horizon = t.eng.Engine.durable_lsn () in
   if horizon < spooled then
     raise

@@ -64,6 +64,28 @@ let make_engine ?(pages = 128) () =
   let r = Rvm.map rvm ~seg:1 ~seg_off:0 ~len:(pages * ps) () in
   (rvm, r.Region.vaddr, vm)
 
+(* begin_transaction alone, each transaction then committed empty: the
+   transaction's record and its table entry, with the [txn.begin] event's
+   attributes stored in the flight recorder's columns. 12.0 words
+   measured; 35.0 when the event built a fresh attribute list. *)
+let test_begin () =
+  let rvm, _, _ = make_engine () in
+  let words = ref 0. in
+  let txn () =
+    let w0 = Gc.minor_words () in
+    let tid = Rvm.begin_transaction rvm ~mode:Types.No_restore in
+    words := !words +. (Gc.minor_words () -. w0);
+    Rvm.end_transaction rvm tid ~mode:Types.No_flush
+  in
+  for _ = 1 to 1024 do
+    txn ()
+  done;
+  words := 0.;
+  for _ = 1 to 4096 do
+    txn ()
+  done;
+  within "begin_transaction" ~bound:15. (!words /. 4096.)
+
 (* Sixteen set_range calls per transaction, 64 to 192 bytes each on its
    own 256-byte slot, committed No_flush with a Flush every 64
    transactions: the crash-recover loop's declarations. Words are counted
@@ -94,17 +116,18 @@ let set_range_words mode =
   done;
   !words /. float_of_int !calls
 
-(* 14.2 words measured: the per-transaction state a region's first call
-   creates, and the interval and call arrays growing, spread over the
-   calls. *)
+(* 8.6 words measured: the per-transaction state a region's first call
+   creates and the interval array growing, spread over the calls; 14.2
+   when every call was also recorded for the intra-optimization
+   ablation. *)
 let test_set_range_no_restore () =
-  within "No_restore set_range" ~bound:20.
+  within "No_restore set_range" ~bound:11.
     (set_range_words Types.No_restore)
 
 (* Restore mode also saves each call's old bytes (the 64-192 byte copy,
-   the saved-value record and its list cell): 52.3 words measured. *)
+   the saved-value record and its list cell): 46.6 words measured. *)
 let test_set_range_restore () =
-  within "Restore set_range" ~bound:70. (set_range_words Types.Restore)
+  within "Restore set_range" ~bound:58. (set_range_words Types.Restore)
 
 (* A 128-byte store: 6.0 words measured. *)
 let test_store () =
@@ -140,7 +163,9 @@ let test_vm_touch () =
          Vm_sim.touch vm ~page:(first + (i * 7 mod 128)) ~write:(i land 1 = 0)))
 
 (* Cycles of 64 No_flush commits of two 128-byte ranges, each cycle
-   drained by a Flush: words per drained record. 29.1 measured. *)
+   drained by a Flush: words per drained record. 11.2 measured; 29.1 with
+   the spool reversed into a list, a tuple per pending LSN and per append,
+   and the drain's spans built from lists and closures. *)
 let test_flush () =
   let options = { Options.default with Options.auto_truncate = false } in
   let clock = Clock.simulated () in
@@ -170,11 +195,12 @@ let test_flush () =
   for _ = 1 to 16 do
     cycle ()
   done;
-  within "drained record" ~bound:40. (!flush_words /. float_of_int (16 * 64))
+  within "drained record" ~bound:14. (!flush_words /. float_of_int (16 * 64))
 
 (* A Flush-mode commit of two 128-byte ranges: the record built, written
    and forced at once. Words are counted around [end_transaction] alone.
-   315.0 words measured. *)
+   105.0 words measured; 315.0 when each span of the commit, its drain,
+   write, force and sync built its attributes as a fresh list. *)
 let test_end_flush () =
   let options = { Options.default with Options.auto_truncate = false } in
   let clock = Clock.simulated () in
@@ -201,11 +227,11 @@ let test_end_flush () =
   for i = 256 to 1279 do
     commit i
   done;
-  within "Flush end_transaction" ~bound:400. (!words /. 1024.)
+  within "Flush end_transaction" ~bound:130. (!words /. 1024.)
 
 (* Recovery of 1 024 committed records of two 128-byte ranges each, read
    from the log and applied to the segment: words per applied record,
-   counted around [recover] alone. 369.7 words measured. *)
+   counted around [recover] alone. 364.9 words measured. *)
 let test_recovery () =
   let options = { Options.default with Options.auto_truncate = false } in
   let log = Mem_device.create ~name:"log" ~size:(4 * 1024 * 1024) () in
@@ -228,7 +254,7 @@ let test_recovery () =
   let w0 = Gc.minor_words () in
   Rvm.recover again;
   let words = Gc.minor_words () -. w0 in
-  within "recovered record" ~bound:470. (words /. float_of_int records)
+  within "recovered record" ~bound:460. (words /. float_of_int records)
 
 (* --- the recoverable B-tree, resident --- *)
 
@@ -271,12 +297,13 @@ let test_btree_leaf_addr () =
 
 (* A YCSB update as the server runs it: a Restore transaction, one put
    rewriting a present key's value in its cell, a No_flush commit; a Flush
-   every 64 keeps the spool short. 313.1 words measured; replacing the
-   value through a new cell and freeing the old measured 892.2. *)
+   every 64 keeps the spool short. 150.4 words measured (313.1 before the
+   commit path stopped allocating bookkeeping); replacing the value
+   through a new cell and freeing the old measured 892.2. *)
 let test_btree_update () =
   let rvm, tree = make_tree () in
   let value = String.make 64 'u' in
-  within "update transaction" ~bound:400.
+  within "update transaction" ~bound:190.
     (words_per_call ~n:tree_keys (fun i ->
          let tid = Rvm.begin_transaction rvm ~mode:Types.Restore in
          Pbtree.put tree tid ~key:(probe i) ~value;
@@ -286,12 +313,12 @@ let test_btree_update () =
 (* A YCSB insert as the server runs it: a Restore transaction, one put
    of a new key, a No_flush commit, a Flush every 64. The bulk-loaded
    nodes are full, so the inserts split leaves and internal nodes as they
-   go. 1014.9 words measured. *)
+   go. 774.3 words measured. *)
 let test_btree_insert () =
   let rvm, tree = make_tree () in
   let value = String.make 64 'i' in
   let next = ref tree_keys in
-  within "insert transaction" ~bound:1300.
+  within "insert transaction" ~bound:970.
     (words_per_call ~n:1000 (fun i ->
          let tid = Rvm.begin_transaction rvm ~mode:Types.Restore in
          Pbtree.put tree tid ~key:(tree_key !next) ~value;
@@ -305,7 +332,7 @@ let test_btree_insert () =
    leaf's Shared lock, on a resident 2 000-record tree at 60 tps. The
    words are a request's marginal cost: a 4 000-request serve minus a
    2 000-request one, over the 2 000 requests between, so the serve's
-   fixed costs (the scheduler, the serial-reference replay) cancel. 393.0
+   fixed costs (the scheduler, the serial-reference replay) cancel. 388.0
    words measured; run as a [Run] step inside an engine transaction that
    commits empty, the same read measured 577.7. *)
 let test_read_request () =
@@ -330,14 +357,16 @@ let test_read_request () =
     words
   in
   let short = serve 2_000 in
-  within "read-only request" ~bound:520. ((serve 4_000 -. short) /. 2_000.)
+  within "read-only request" ~bound:485. ((serve 4_000 -. short) /. 2_000.)
 
 (* A TPC-A request as the server serves it: payments and transfers, no
    lookups, on the default world at 40 tps. Each locks its accounts (and
    a payment its teller and branch), updates them in an engine
    transaction, appends its audit record and commits in a batch; the log
    wraps, so truncation's steps are in the cost too. The marginal cost of
-   2 000 more requests, as for [read-request]: 1292.8 words measured. *)
+   2 000 more requests, as for [read-request]: 952.7 words measured;
+   1292.8 before the engine's commit path and the scheduler's commit and
+   batch-force spans stopped allocating bookkeeping. *)
 let test_write_request () =
   let serve requests =
     let cfg = { Server.default_config with Server.requests; read_pct = 0 } in
@@ -352,10 +381,11 @@ let test_write_request () =
     words
   in
   let short = serve 2_000 in
-  within "writing request" ~bound:1600. ((serve 4_000 -. short) /. 2_000.)
+  within "writing request" ~bound:1190. ((serve 4_000 -. short) /. 2_000.)
 
 let suite =
   [
+    ("begin-transaction", `Quick, test_begin);
     ("set-range-no-restore", `Quick, test_set_range_no_restore);
     ("set-range-restore", `Quick, test_set_range_restore);
     ("store", `Quick, test_store);

@@ -258,7 +258,7 @@ let test_record_encode_into_offset () =
   in
   let b = B.create ~capacity:8 () in
   B.u32 b 0xabcdef01;
-  Record.encode_into b r;
+  Record.encode_into ~seqno:r.Record.seqno b r;
   let all = B.contents b in
   let suffix = Bytes.sub all 4 (Bytes.length all - 4) in
   Alcotest.(check string)

@@ -249,6 +249,96 @@ let test_sim_clock_across_drain () =
     (sync.Trace.start_us >= drain.Trace.start_us +. drain.Trace.dur_us);
   Rvm.terminate rvm
 
+(* --- the attributes the engine's hot spans carry --- *)
+
+let pp_value ppf = function
+  | Trace.Bool b -> Format.fprintf ppf "Bool %b" b
+  | Trace.Int i -> Format.fprintf ppf "Int %d" i
+  | Trace.Float f -> Format.fprintf ppf "Float %g" f
+  | Trace.String s -> Format.fprintf ppf "String %S" s
+
+let attr_list = Alcotest.(list (pair string (testable pp_value ( = ))))
+
+(* One No_flush commit of two 128-byte ranges and the Flush that writes
+   it, on an engine with the default 512-span flight recorder: each hot
+   span of the cycle reads back its attributes, keys, values and order
+   intact. The cycle repeats until the ring has wrapped many times, and
+   every cycle is checked. *)
+let test_engine_attrs () =
+  let log = Mem_device.create ~size:(1024 * 1024) () in
+  Rvm.create_log log;
+  let seg = Mem_device.create ~size:(64 * 1024) () in
+  let rvm = Rvm.initialize ~log ~resolve:(fun _ -> seg) () in
+  let obs = Rvm.obs rvm in
+  check_int "default recorder" 512 (Registry.trace_capacity obs);
+  let base = (Rvm.map rvm ~seg:1 ~seg_off:0 ~len:(64 * 1024) ()).Region.vaddr in
+  let data = Bytes.make 128 'a' in
+  let record_bytes = 39 + (2 * (32 + 128)) + 20 in
+  let cycle i =
+    let addr = base + (i mod 32 * 2048) in
+    let tid = Rvm.begin_transaction rvm ~mode:Types.No_restore in
+    Rvm.modify rvm tid ~addr data;
+    Rvm.modify rvm tid ~addr:(addr + 1024) data;
+    Rvm.end_transaction rvm tid ~mode:Types.No_flush;
+    (* The record is spooled in the engine: the drain writes it at the
+       log's tail. *)
+    let off = Rvm_log.Log_manager.tail (Rvm.log_manager rvm) in
+    Rvm.flush rvm;
+    let newest scope =
+      match
+        List.rev
+          (List.filter (fun s -> s.Trace.scope = scope) (Registry.events obs))
+      with
+      | s :: _ -> s.Trace.attrs
+      | [] -> Alcotest.failf "cycle %d: no %s span retained" i scope
+    in
+    let check scope expected =
+      Alcotest.check attr_list (Printf.sprintf "cycle %d: %s" i scope) expected
+        (newest scope)
+    in
+    check "txn.begin"
+      [ ("txn_id", Trace.Int tid); ("mode", Trace.String "no-restore") ];
+    check "txn.commit"
+      [
+        ("txn_id", Trace.Int tid);
+        ("mode", Trace.String "no-restore");
+        ("commit", Trace.String "no-flush");
+      ];
+    check "commit.encode"
+      [ ("ranges", Trace.Int 2); ("bytes", Trace.Int (2 * (32 + 128))) ];
+    check "log.drain"
+      [ ("bytes", Trace.Int record_bytes); ("writes", Trace.Int 1) ];
+    check "log.force" [ ("records", Trace.Int 1) ];
+    check "disk.log.write"
+      [ ("off", Trace.Int off); ("bytes", Trace.Int record_bytes) ]
+  in
+  for i = 0 to 399 do
+    cycle i
+  done;
+  check_bool "the ring wrapped" true
+    (Registry.trace_seq obs > 4 * Registry.trace_capacity obs);
+  (* Every retained span, not only the newest of each scope, reads back
+     its keys in order. *)
+  let keys =
+    [
+      ("txn.begin", [ "txn_id"; "mode" ]);
+      ("txn.commit", [ "txn_id"; "mode"; "commit" ]);
+      ("commit.encode", [ "ranges"; "bytes" ]);
+      ("log.drain", [ "bytes"; "writes" ]);
+      ("log.force", [ "records" ]);
+      ("disk.log.write", [ "off"; "bytes" ]);
+    ]
+  in
+  List.iter
+    (fun s ->
+      match List.assoc_opt s.Trace.scope keys with
+      | Some expected ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "span #%d %s keys" s.Trace.id s.Trace.scope)
+          expected (List.map fst s.Trace.attrs)
+      | None -> ())
+    (Registry.events obs)
+
 (* --- engine causality + the Chrome exporter --- *)
 
 (* Run a no-flush/flush batched workload plus an abort, snapshot the spans
@@ -434,6 +524,7 @@ let suite =
     ("trace.ring-resize", `Quick, test_ring_resize);
     ("trace.ring-readback", `Quick, test_ring_readback);
     ("trace.ring-allocation", `Quick, test_ring_allocation);
+    ("trace.engine-attrs", `Quick, test_engine_attrs);
     ("trace.sim-clock-nested", `Quick, test_sim_clock_nested_spans);
     ("trace.sim-clock-across-drain", `Quick, test_sim_clock_across_drain);
     ("trace.engine-causality", `Quick, test_engine_causality);
