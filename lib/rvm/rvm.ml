@@ -72,6 +72,7 @@ type t = {
   s_encode : Registry.scope;
   s_no_flush : Registry.scope;
   live : Lv.live;
+  undo : Undo.pool;  (* the arenas of finished Restore transactions *)
   mutable terminated : bool;
   pending_pages : (string, Txn.per_region list) Hashtbl.t;
       (* gid -> covered sets of that transaction's intent on this shard,
@@ -317,6 +318,7 @@ let attach ?(options = Options.default) ?(clock = Clock.null)
       s_encode = Registry.scope obs "commit.encode";
       s_no_flush = Registry.scope obs "commit.no_flush";
       live = Lv.create obs;
+      undo = Undo.pool ();
       terminated = false;
       pending_pages = Hashtbl.create 4;
     }
@@ -444,6 +446,7 @@ let unmap t (region : Region.t) =
     done
   | None -> ());
   Addr_space.remove t.space region;
+  Undo.drain t.undo;
   region.Region.mapped <- false
 
 (* --- transactions --- *)
@@ -463,9 +466,14 @@ let begin_transaction t ~mode =
   check_live t;
   let tid = t.next_tid in
   t.next_tid <- t.next_tid + 1;
+  let undo =
+    match mode with
+    | Types.Restore -> Undo.take t.undo
+    | Types.No_restore -> Undo.empty
+  in
   Hashtbl.add t.txns tid
     (Txn.create ~tid ~mode ~started_us:(now_us t)
-       ~per_call:(not t.opts.Options.intra_optimization));
+       ~per_call:(not t.opts.Options.intra_optimization) ~undo);
   (* A point event, not a span: begin/end are separate API calls, so the
      causal root for everything a transaction does is the [txn.commit]
      span around [end_transaction]. *)
@@ -474,6 +482,17 @@ let begin_transaction t ~mode =
   Registry.add_attr t.obs "mode" (mode_attr mode);
   Registry.close_span t.obs t.s_begin;
   tid
+
+(* Save the old values of the gaps of [lo, hi) that [covered] does not
+   cover yet, in increasing order. *)
+let rec save_gaps t undo region covered ~lo ~hi =
+  let lo = Intervals.first_uncovered covered ~lo ~hi in
+  if lo < hi then begin
+    let next = Intervals.first_covered covered ~lo ~hi in
+    Undo.save undo region ~region_off:lo ~len:(next - lo);
+    cpu t (copy_cost t (next - lo));
+    save_gaps t undo region covered ~lo:next ~hi
+  end
 
 let set_range t tid ~addr ~len =
   check_live t;
@@ -502,13 +521,11 @@ let set_range t tid ~addr ~len =
        set_range is harmless (section 5.2). Skipped entirely in no-restore
        mode — "RVM does not have to copy data on a set-range". *)
     (match txn.Txn.mode with
-    | Types.No_restore -> Intervals.add covered ~lo:region_off ~len
+    | Types.No_restore -> ()
     | Types.Restore ->
-      Intervals.add_uncovered covered ~lo:region_off ~len ~f:(fun ~lo ~len ->
-          let old_value = Bytes.sub region.Region.buf lo len in
-          txn.Txn.saved <-
-            { Txn.region; region_off = lo; old_value } :: txn.Txn.saved;
-          cpu t (copy_cost t len)));
+      save_gaps t txn.Txn.undo region covered ~lo:region_off
+        ~hi:(region_off + len));
+    Intervals.add covered ~lo:region_off ~len;
     vm_touch t region ~region_off ~len ~write:true
   end
 
@@ -559,6 +576,7 @@ let naive_bytes acc pr = acc + Txn.naive_bytes pr
 let finish_txn t (txn : Txn.t) status =
   txn.Txn.status <- status;
   Hashtbl.remove t.txns txn.Txn.tid;
+  if txn.Txn.mode = Types.Restore then Undo.give t.undo txn.Txn.undo;
   List.iter
     (fun (pr : Txn.per_region) ->
       if not (Intervals.is_empty pr.Txn.covered) then
@@ -779,13 +797,13 @@ let abort_transaction t tid =
   Registry.span t.obs "txn.abort" ~attrs:[ ("txn_id", Trace.Int tid) ]
     (fun () ->
       (* Each byte was saved exactly once, at first coverage, so restoring
-         in any order yields the pre-transaction image. *)
-      List.iter
-        (fun { Txn.region; region_off; old_value } ->
-          Bytes.blit old_value 0 region.Region.buf region_off
-            (Bytes.length old_value);
-          cpu t (copy_cost t (Bytes.length old_value)))
-        txn.Txn.saved;
+         in any order yields the pre-transaction image; newest first keeps
+         the copy charges in the order they have always been summed. *)
+      let undo = txn.Txn.undo in
+      for i = Undo.count undo - 1 downto 0 do
+        Undo.restore undo i;
+        cpu t (copy_cost t (Undo.length undo i))
+      done;
       release_page_refs (Txn.regions txn);
       finish_txn t txn Txn.Aborted;
       C.incr t.live.Lv.txns_aborted);

@@ -127,7 +127,9 @@ let create env =
 
 let active t = Option.is_some t.run
 
-let occupancy t =
+(* Inlined, so the polls below compare an unboxed float: the scheduler
+   asks [due] and [urgent] on every quantum. *)
+let[@inline] occupancy t =
   float_of_int (Log_manager.used_bytes t.env.log)
   /. float_of_int (Log_manager.capacity t.env.log)
 

@@ -1,7 +1,5 @@
 type status = Active | Committed | Aborted
 
-type saved = { region : Region.t; region_off : int; old_value : Bytes.t }
-
 type per_region = {
   region : Region.t;
   covered : Rvm_util.Intervals.t;
@@ -17,11 +15,11 @@ type t = {
   per_call : bool;
   mutable status : status;
   mutable regions : per_region list;
-  mutable saved : saved list;
+  undo : Undo.t;
 }
 
-let create ~tid ~mode ~started_us ~per_call =
-  { tid; mode; started_us; per_call; status = Active; regions = []; saved = [] }
+let create ~tid ~mode ~started_us ~per_call ~undo =
+  { tid; mode; started_us; per_call; status = Active; regions = []; undo }
 
 let rec insert pr = function
   | p :: rest when p.region.Region.vaddr < pr.region.Region.vaddr ->

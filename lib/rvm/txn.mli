@@ -3,18 +3,13 @@
     A transaction accumulates, per region, the set of byte ranges declared
     by [set_range] (an interval set, which is what makes the
     intra-transaction optimization automatic: duplicate, overlapping and
-    adjacent declarations collapse into coalesced intervals) and the saved
-    old values needed to undo on abort (skipped in no-restore mode). The
+    adjacent declarations collapse into coalesced intervals) and, in an
+    {!Undo} arena, the saved old values needed to undo on abort (skipped
+    in no-restore mode). The
     pages it holds an uncommitted reference on (the page vector's counts)
     are exactly the pages its covered intervals reach. *)
 
 type status = Active | Committed | Aborted
-
-type saved = {
-  region : Region.t;
-  region_off : int;
-  old_value : Bytes.t;
-}
 
 type per_region = {
   region : Region.t;
@@ -38,11 +33,18 @@ type t = {
   mutable status : status;
   mutable regions : per_region list;
       (** increasing vaddr; a transaction touches a handful of regions *)
-  mutable saved : saved list;  (** newest first *)
+  undo : Undo.t;
+      (** the old values of every byte first covered, in save order;
+          {!Undo.empty} in no-restore mode *)
 }
 
 val create :
-  tid:int -> mode:Types.restore_mode -> started_us:int -> per_call:bool -> t
+  tid:int ->
+  mode:Types.restore_mode ->
+  started_us:int ->
+  per_call:bool ->
+  undo:Undo.t ->
+  t
 val per_region : t -> Region.t -> per_region
 (** Find or create the per-region state. *)
 

@@ -43,31 +43,26 @@ let closed_loop ?(start_us = 0.) ~sessions ~think_us ~requests ~rng () =
   in
   Closed { think_us; rng; pending = first; left = requests }
 
+(* The stored boxes are returned as they are, so asking allocates
+   nothing. *)
 let next_at = function
-  | Open o -> if o.left > 0 then Some o.next_at else None
+  | Open o -> if o.left > 0 then o.next_at else infinity
   | Closed c -> (
-    if c.left <= 0 then None
-    else match c.pending with [] -> None | at :: _ -> Some at)
+    if c.left <= 0 then infinity
+    else match c.pending with [] -> infinity | at :: _ -> at)
 
-let pop t =
+let take t =
   match t with
-  | Open o ->
-    if o.left <= 0 then None
-    else begin
-      let at = o.next_at in
-      o.left <- o.left - 1;
-      o.next_at <- at +. exp_draw o.rng ~mean:o.mean_gap_us;
-      Some at
-    end
-  | Closed c -> (
-    if c.left <= 0 then None
-    else
-      match c.pending with
-      | [] -> None
-      | at :: rest ->
-        c.left <- c.left - 1;
-        c.pending <- rest;
-        Some at)
+  | Open o when o.left > 0 ->
+    let at = o.next_at in
+    o.left <- o.left - 1;
+    o.next_at <- at +. exp_draw o.rng ~mean:o.mean_gap_us;
+    at
+  | Closed ({ pending = at :: rest; _ } as c) when c.left > 0 ->
+    c.left <- c.left - 1;
+    c.pending <- rest;
+    at
+  | Open _ | Closed _ -> invalid_arg "Arrivals.take: no arrival pending"
 
 let complete t ~now =
   match t with
@@ -85,4 +80,4 @@ let complete t ~now =
       c.pending <- insert c.pending
     end
 
-let exhausted t = next_at t = None
+let exhausted t = next_at t = infinity

@@ -35,11 +35,13 @@ val closed_loop :
     [requests] total. {!complete} must be called as requests finish, or
     the process stalls. *)
 
-val next_at : t -> float option
-(** Timestamp of the next arrival, [None] when exhausted. *)
+val next_at : t -> float
+(** Timestamp of the next arrival; [infinity] when none is pending — the
+    process is exhausted, or a closed loop waits for a {!complete}. *)
 
-val pop : t -> float option
-(** Consume the next arrival, returning its timestamp. *)
+val take : t -> float
+(** Consume the next arrival, returning its timestamp. Raises
+    [Invalid_argument] when none is pending. *)
 
 val complete : t -> now:float -> unit
 (** Tell a closed-loop process a request finished (committed {e or} shed):

@@ -83,6 +83,37 @@ let[@inline] push s x =
 
 let to_array s = Array.sub s.data 0 s.n
 
+(* The run queue: a growable ring, so putting a request back after each
+   step writes a slot instead of allocating a queue cell. A slot outside
+   the live window may still name a request that has left the queue
+   until the ring reuses it. *)
+type 'a ring = {
+  mutable slots : 'a array;
+  mutable head : int;
+  mutable len : int;
+}
+
+let ring () = { slots = [||]; head = 0; len = 0 }
+
+let enqueue q x =
+  let cap = Array.length q.slots in
+  if q.len = cap then begin
+    let slots = Array.make (max 16 (2 * cap)) x in
+    for i = 0 to q.len - 1 do
+      slots.(i) <- q.slots.((q.head + i) mod cap)
+    done;
+    q.slots <- slots;
+    q.head <- 0
+  end;
+  q.slots.((q.head + q.len) mod Array.length q.slots) <- x;
+  q.len <- q.len + 1
+
+let dequeue q =
+  let x = q.slots.(q.head) in
+  q.head <- (q.head + 1) mod Array.length q.slots;
+  q.len <- q.len - 1;
+  x
+
 (* A batch force issued on the log disk's lane and not yet completed. *)
 type 's flight = {
   acks : 's request list;  (* the writers it makes durable, ready order *)
@@ -103,7 +134,7 @@ type 's t = {
   gen : 's gen;
   mutable next_id : int;
   rng : Rng.t;  (* backoff jitter stream *)
-  runnable : 's request Queue.t;
+  runnable : 's request ring;
   mutable parked : 's request list;
   mutable retries : (float * 's request) list;  (* sorted by (due, id) *)
   mutable pending : (outcome * 's request) list;
@@ -166,6 +197,7 @@ type 's t = {
   h_trunc_steps : Histogram.t;
   s_root : Registry.scope;  (* a commit's [req.root] span *)
   s_batch_flush : Registry.scope;
+  s_park : Registry.scope;  (* a [server.park] instant *)
 }
 
 let create ~cfg ~steps ~label ~engine ~clock ~obs ~lock_mgr ~admission
@@ -184,7 +216,7 @@ let create ~cfg ~steps ~label ~engine ~clock ~obs ~lock_mgr ~admission
     gen;
     next_id = 0;
     rng;
-    runnable = Queue.create ();
+    runnable = ring ();
     parked = [];
     retries = [];
     pending = [];
@@ -220,6 +252,7 @@ let create ~cfg ~steps ~label ~engine ~clock ~obs ~lock_mgr ~admission
     h_trunc_steps = Registry.histogram obs "truncation.steps.per.quantum";
     s_root = Registry.scope obs "req.root";
     s_batch_flush = Registry.scope obs "server.batch.flush";
+    s_park = Registry.instant_scope obs "server.park";
   }
 
 let set_hooks t ~on_spool ~on_ack =
@@ -236,7 +269,7 @@ let charge t = Clock.charge_cpu t.clock cpu_per_op_us
 let wake_parked t =
   let ps = List.sort (fun a b -> compare a.id b.id) t.parked in
   t.parked <- [];
-  List.iter (fun r -> Queue.push r t.runnable) ps
+  List.iter (enqueue t.runnable) ps
 
 (* A request's outcome is durable — its own commit, if it wrote, and
    every commit it observed: account its latency, let a closed-loop
@@ -482,6 +515,12 @@ let inherit_stamp t r key =
       r.dep_writers <- writer :: r.dep_writers
   | None -> ()
 
+let rec inherit_stamps t r = function
+  | [] -> ()
+  | key :: keys ->
+    inherit_stamp t r key;
+    inherit_stamps t r keys
+
 (* The lock-free read-only fast path: one quantum, no engine transaction,
    no wait-for graph. A key's stamp is set at commit-spool time while its
    committer still holds the lock, so each key resolves to its last commit
@@ -491,7 +530,7 @@ let inherit_stamp t r key =
    the answer parks in [pending] until a force covers it. *)
 let exec_read t r keys =
   charge t;
-  List.iter (inherit_stamp t r) keys;
+  inherit_stamps t r keys;
   Counter.incr t.c_snapshot;
   Admission.release t.adm;
   await t Answer r
@@ -499,7 +538,7 @@ let exec_read t r keys =
 (* The step ran: the rest of the plan waits for the request's next turn. *)
 let advance t r rest =
   r.plan <- rest;
-  Queue.push r t.runnable
+  enqueue t.runnable r
 
 (* Whether a plan still writes: only a [Run] step declares ranges. *)
 let writes = List.exists (function Run _ -> true | _ -> false)
@@ -533,8 +572,11 @@ let exec t r =
         advance t r rest
       | `Wait _ ->
         t.parked <- r :: t.parked;
-        Registry.instant t.obs "server.park"
-          ~attrs:[ ("req", Trace.Int r.id); ("key", Trace.String key) ]
+        let obs = t.obs in
+        Registry.open_span obs t.s_park;
+        Registry.add_int obs "req" r.id;
+        Registry.add_string obs "key" key;
+        Registry.close_span obs t.s_park
       | `Deadlock -> abort_retry t r)
     | Run f ->
       (* Runs with every lock of the preceding [Lock] steps held, inside
@@ -546,7 +588,7 @@ let exec t r =
       f ();
       advance t r rest
     | Read keys ->
-      List.iter (inherit_stamp t r) keys;
+      inherit_stamps t r keys;
       advance t r rest)
 
 (* --- arrivals, admission, retries --- *)
@@ -555,7 +597,7 @@ let start t r =
   Histogram.observe t.h_queue_wait (now t -. r.arrival_us);
   Counter.incr t.c_admitted;
   r.plan <- t.steps_of r.spec;
-  Queue.push r t.runnable
+  enqueue t.runnable r
 
 let shed t r =
   t.shed <- t.shed + 1;
@@ -580,29 +622,29 @@ let arrive t ~arrival_us =
     dep_writers = [];
   }
 
+(* Every arrival due by now, then every retry: top-level loops, so the
+   quantum that finds nothing due allocates nothing. *)
+let rec arrivals t =
+  if Arrivals.next_at t.arr <= now t then begin
+    let r = arrive t ~arrival_us:(Arrivals.take t.arr) in
+    (match Admission.submit t.adm r with
+    | `Admitted -> start t r
+    | `Queued -> ()
+    | `Overload -> shed t r);
+    arrivals t
+  end
+
+let rec retries t =
+  match t.retries with
+  | (due, r) :: rest when due <= now t ->
+    t.retries <- rest;
+    enqueue t.runnable r;
+    retries t
+  | _ -> ()
+
 let process_due t =
-  let rec arrivals () =
-    match Arrivals.next_at t.arr with
-    | Some at when at <= now t ->
-      ignore (Arrivals.pop t.arr);
-      let r = arrive t ~arrival_us:at in
-      (match Admission.submit t.adm r with
-      | `Admitted -> start t r
-      | `Queued -> ()
-      | `Overload -> shed t r);
-      arrivals ()
-    | _ -> ()
-  in
-  arrivals ();
-  let rec retries () =
-    match t.retries with
-    | (due, r) :: rest when due <= now t ->
-      t.retries <- rest;
-      Queue.push r t.runnable;
-      retries ()
-    | _ -> ()
-  in
-  retries ()
+  arrivals t;
+  retries t
 
 let rec admit_from_queue t =
   match Admission.pop_ready t.adm with
@@ -690,7 +732,7 @@ let diagnose t reason =
      retries=%d pending=%d batch=%d forcing=%b inflight=%d queued=%d \
      committed=%d reads=%d shed=%d aborts=%d wait_edges=%s"
     reason t.iterations (now t)
-    (Queue.length t.runnable)
+    t.runnable.len
     (List.length t.parked)
     (List.length t.retries)
     (List.length t.pending)
@@ -704,12 +746,10 @@ let diagnose t reason =
               (String.concat "," (List.map string_of_int bs)))
           (Lock_mgr.wait_edges t.lm)))
 
+(* The next arrival or retry deadline, [infinity] when neither is left. *)
 let next_event_at t =
-  match (Arrivals.next_at t.arr, t.retries) with
-  | Some a, (d, _) :: _ -> Some (Float.min a d)
-  | Some a, [] -> Some a
-  | None, (d, _) :: _ -> Some d
-  | None, [] -> None
+  let a = Arrivals.next_at t.arr in
+  match t.retries with (d, _) :: _ -> Float.min a d | [] -> a
 
 let run t =
   let rec loop () =
@@ -730,17 +770,16 @@ let run t =
       else flush_batch t;
       loop ()
     end
-    else if not (Queue.is_empty t.runnable) then begin
-      exec t (Queue.pop t.runnable);
+    else if t.runnable.len > 0 then begin
+      exec t (dequeue t.runnable);
       loop ()
     end
     else if Option.is_some t.flight then begin
       (* Nothing can run before the force lands or the next timed event
          fires: a partial batch, parked read-only requests and the end of
          the run all wait for the landing. *)
-      (match next_event_at t with
-      | Some at when at < !(t.disk) -> Clock.advance_to t.clock at
-      | _ -> Clock.advance_to t.clock !(t.disk));
+      let at = next_event_at t in
+      Clock.advance_to t.clock (if at < !(t.disk) then at else !(t.disk));
       loop ()
     end
     else if not (Batcher.is_empty t.batch) then begin
@@ -758,16 +797,14 @@ let run t =
       loop ()
     end
     else
-      match next_event_at t with
-      | Some at ->
+      let at = next_event_at t in
+      if at < infinity then begin
         if at > now t then Clock.advance_to t.clock at;
         loop ()
-      | None ->
-        if
-          Queue.is_empty t.runnable && t.parked = []
-          && Admission.queued t.adm = 0
-        then () (* drained: every request committed or shed *)
-        else raise (Stuck (diagnose t "no timed event and no runnable work"))
+      end
+      else if t.runnable.len = 0 && t.parked = [] && Admission.queued t.adm = 0
+      then () (* drained: every request committed or shed *)
+      else raise (Stuck (diagnose t "no timed event and no runnable work"))
   in
   loop ();
   {

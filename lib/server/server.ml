@@ -253,33 +253,87 @@ let scheduler cfg w ~gen ~steps ~label =
 
 (* {2 TPC-A as scheduler steps} *)
 
-let acct_key i = "a:" ^ string_of_int i
-let teller_key i = "t:" ^ string_of_int i
-let branch_key i = "b:" ^ string_of_int i
+(* One class of lock keys — accounts "a:<i>", tellers "t:<i>" or
+   branches "b:<i>" — with each key, and each [Lock] step on it, made on
+   its first use and kept for the scheduler's life: a plan names them
+   without allocating them again. *)
+type lock_class = {
+  prefix : string;
+  keys : string option array;
+  locks : Scheduler.step option array;  (* three modes per key *)
+}
 
-let store_i64 (eng : Engine.t) ~addr v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  eng.Engine.store ~addr b
+let lock_class prefix n =
+  { prefix; keys = Array.make n None; locks = Array.make (3 * n) None }
+
+let key c i =
+  match c.keys.(i) with
+  | Some k -> k
+  | None ->
+    let k = c.prefix ^ string_of_int i in
+    c.keys.(i) <- Some k;
+    k
+
+let lock c mode i =
+  let j =
+    (3 * i)
+    + match mode with Lock_mgr.Shared -> 0 | Update -> 1 | Exclusive -> 2
+  in
+  match c.locks.(j) with
+  | Some step -> step
+  | None ->
+    let step = Scheduler.Lock (mode, key c i) in
+    c.locks.(j) <- Some step;
+    step
+
+(* What TPC-A's plans share over one world: its engine and placement,
+   the lock classes, and the buffers the [Run] steps store from. The
+   engine copies what it stores, and the scheduler runs one step at a
+   time, so one buffer of each size serves every request. *)
+type tpca = {
+  eng : Engine.t;
+  pl : Placement.t;
+  account_locks : lock_class;
+  teller_locks : lock_class;
+  branch_locks : lock_class;
+  word : Bytes.t;  (* a balance or stamp *)
+  entry : Bytes.t;  (* an audit entry; its last 32 bytes stay zero *)
+}
+
+let tpca_of cfg w =
+  let shards = Placement.shards w.placement in
+  {
+    eng = w.engine;
+    pl = w.placement;
+    account_locks = lock_class "a:" cfg.accounts;
+    teller_locks = lock_class "t:" (shards * Tpca.tellers);
+    branch_locks = lock_class "b:" (shards * Tpca.branches);
+    word = Bytes.create 8;
+    entry = Bytes.make Tpca.audit_size '\000';
+  }
+
+let store_i64 p ~addr v =
+  Bytes.set_int64_le p.word 0 v;
+  p.eng.Engine.store ~addr p.word
 
 (* Add [d] to the balance leading the [len]-byte record at [addr]. *)
-let add (eng : Engine.t) tid ~addr ~len d =
-  eng.Engine.set_range tid ~addr ~len;
-  let v = Bytes.get_int64_le (eng.Engine.load ~addr ~len:8) 0 in
-  store_i64 eng ~addr (Int64.add v d)
+let add p tid ~addr ~len d =
+  p.eng.Engine.set_range tid ~addr ~len;
+  let v = Bytes.get_int64_le (p.eng.Engine.load ~addr ~len:8) 0 in
+  store_i64 p ~addr (Int64.add v d)
 
 (* An account update also records the request that made it. *)
-let account_step eng pl (s : Tpca.spec) i d =
-  let addr = Placement.account_addr pl i in
+let account_step p (s : Tpca.spec) i d =
+  let addr = Placement.account_addr p.pl i in
   Scheduler.Run
     (fun tid ->
-      add eng tid ~addr ~len:Tpca.account_size d;
-      store_i64 eng ~addr:(addr + 8) (Int64.of_int s.Tpca.id))
+      add p tid ~addr ~len:Tpca.account_size d;
+      store_i64 p ~addr:(addr + 8) (Int64.of_int s.Tpca.id))
 
-let balance_step eng addr d =
-  Scheduler.Run (fun tid -> add eng tid ~addr ~len:Tpca.balance_size d)
+let balance_step p addr d =
+  Scheduler.Run (fun tid -> add p tid ~addr ~len:Tpca.balance_size d)
 
-let audit_step (eng : Engine.t) pl (s : Tpca.spec) =
+let audit_step p (s : Tpca.spec) =
   Scheduler.Run
     (fun tid ->
       (* The slot is drawn at write time, never when the steps are built
@@ -287,9 +341,9 @@ let audit_step (eng : Engine.t) pl (s : Tpca.spec) =
          by the commit within the same scheduler turn, so no two live
          transactions ever hold set_ranges over one slot, even after
          wrap-around. *)
-      let addr = Placement.audit_next pl ~anchor:s.Tpca.account in
-      eng.Engine.set_range tid ~addr ~len:Tpca.audit_size;
-      let e = Bytes.create Tpca.audit_size in
+      let addr = Placement.audit_next p.pl ~anchor:s.Tpca.account in
+      p.eng.Engine.set_range tid ~addr ~len:Tpca.audit_size;
+      let e = p.entry in
       Bytes.set_int64_le e 0 (Int64.of_int s.Tpca.account);
       Bytes.set_int64_le e 8 (Int64.of_int s.Tpca.teller);
       Bytes.set_int64_le e 16 s.Tpca.delta;
@@ -297,7 +351,7 @@ let audit_step (eng : Engine.t) pl (s : Tpca.spec) =
          request 0's entry — the crash explorer reads recovered membership
          back from these words *)
       Bytes.set_int64_le e 24 (Int64.of_int (s.Tpca.id + 1));
-      eng.Engine.store ~addr e)
+      p.eng.Engine.store ~addr e)
 
 (* TPC-A's requests as lock acquisitions interleaved with the balance
    updates they cover, against the world's engine and placement. Teller,
@@ -307,8 +361,8 @@ let audit_step (eng : Engine.t) pl (s : Tpca.spec) =
    identities come from the placement too: on a sharded world teller 3 of
    shard 0 and teller 3 of shard 1 are distinct records and must not
    serialize against each other. *)
-let tpca_steps w (s : Tpca.spec) =
-  let eng = w.engine and pl = w.placement in
+let tpca_steps p (s : Tpca.spec) =
+  let pl = p.pl in
   let anchor = s.Tpca.account in
   let branch = s.Tpca.teller mod Tpca.branches in
   match s.Tpca.kind with
@@ -320,40 +374,40 @@ let tpca_steps w (s : Tpca.spec) =
        Shared, each would then wait for the other to leave at its upgrade
        — a deadlock, and an abort, on every such overlap. Lookups read
        lock-free, so no Shared holder is ever kept waiting. *)
-    let tk = teller_key (Placement.teller_id pl ~anchor s.Tpca.teller) in
-    let bk = branch_key (Placement.branch_id pl ~anchor branch) in
+    let ti = Placement.teller_id pl ~anchor s.Tpca.teller in
+    let bi = Placement.branch_id pl ~anchor branch in
     [
-      Scheduler.Lock (Lock_mgr.Exclusive, acct_key s.Tpca.account);
-      account_step eng pl s s.Tpca.account s.Tpca.delta;
-      Scheduler.Lock (Lock_mgr.Update, tk);
-      Scheduler.Lock (Lock_mgr.Update, bk);
-      Scheduler.Lock (Lock_mgr.Exclusive, tk);
-      balance_step eng
+      lock p.account_locks Lock_mgr.Exclusive s.Tpca.account;
+      account_step p s s.Tpca.account s.Tpca.delta;
+      lock p.teller_locks Lock_mgr.Update ti;
+      lock p.branch_locks Lock_mgr.Update bi;
+      lock p.teller_locks Lock_mgr.Exclusive ti;
+      balance_step p
         (Placement.teller_addr pl ~anchor s.Tpca.teller)
         s.Tpca.delta;
-      Scheduler.Lock (Lock_mgr.Exclusive, bk);
-      balance_step eng (Placement.branch_addr pl ~anchor branch) s.Tpca.delta;
-      audit_step eng pl s;
+      lock p.branch_locks Lock_mgr.Exclusive bi;
+      balance_step p (Placement.branch_addr pl ~anchor branch) s.Tpca.delta;
+      audit_step p s;
     ]
   | Tpca.Transfer ->
     [
-      Scheduler.Lock (Lock_mgr.Exclusive, acct_key s.Tpca.account);
-      account_step eng pl s s.Tpca.account s.Tpca.delta;
-      Scheduler.Lock (Lock_mgr.Exclusive, acct_key s.Tpca.account2);
-      account_step eng pl s s.Tpca.account2 (Int64.neg s.Tpca.delta);
-      audit_step eng pl s;
+      lock p.account_locks Lock_mgr.Exclusive s.Tpca.account;
+      account_step p s s.Tpca.account s.Tpca.delta;
+      lock p.account_locks Lock_mgr.Exclusive s.Tpca.account2;
+      account_step p s s.Tpca.account2 (Int64.neg s.Tpca.delta);
+      audit_step p s;
     ]
   | Tpca.Lookup ->
     [
       Scheduler.Read
         [
-          acct_key s.Tpca.account;
-          branch_key (Placement.branch_id pl ~anchor branch);
+          key p.account_locks s.Tpca.account;
+          key p.branch_locks (Placement.branch_id pl ~anchor branch);
         ];
     ]
 
 let scheduler_of cfg w =
-  scheduler cfg w ~steps:(tpca_steps w)
+  scheduler cfg w ~steps:(tpca_steps (tpca_of cfg w))
     ~label:(fun (s : Tpca.spec) -> Tpca.kind_name s.Tpca.kind)
     ~gen:(fun rng ->
       Tpca.make_gen ~read_pct:cfg.read_pct ~accounts:cfg.accounts

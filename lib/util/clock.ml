@@ -1,20 +1,31 @@
+(* The CPU, I/O and backlog totals sit in an all-float record, which
+   OCaml stores flat, so a charge updates them in place. [now] stays a
+   boxed field of the mixed record: a charge that moves it allocates its
+   new value, but reading it ({!now_us}, the registry's time source)
+   returns the box as it is. A flat [now] would box on every read
+   instead, since no call across modules is inlined, and time is read
+   far more often than it is charged. *)
+type totals = {
+  mutable cpu : float;
+  mutable io : float;
+  mutable backlog : float;
+}
+
 type t = {
   enabled : bool;
   mutable suspended : bool;
   mutable in_background : bool;
   mutable now : float;
-  mutable backlog : float;
-  mutable cpu : float;
-  mutable io : float;
+  totals : totals;
 }
 
 let null =
   { enabled = false; suspended = false; in_background = false; now = 0.;
-    backlog = 0.; cpu = 0.; io = 0. }
+    totals = { cpu = 0.; io = 0.; backlog = 0. } }
 
 let simulated () =
   { enabled = true; suspended = false; in_background = false; now = 0.;
-    backlog = 0.; cpu = 0.; io = 0. }
+    totals = { cpu = 0.; io = 0.; backlog = 0. } }
 
 let is_null t = not t.enabled
 let now_us t = t.now
@@ -28,20 +39,18 @@ let suspend t f =
   end
 
 let charge_cpu t us =
-  if t.enabled && (not t.suspended) && us > 0. then
-    if t.in_background then begin
-      t.backlog <- t.backlog +. us;
-      t.cpu <- t.cpu +. us
-    end
-    else begin
-      t.now <- t.now +. us;
-      t.cpu <- t.cpu +. us
-    end
+  if t.enabled && (not t.suspended) && us > 0. then begin
+    let c = t.totals in
+    if t.in_background then c.backlog <- c.backlog +. us
+    else t.now <- t.now +. us;
+    c.cpu <- c.cpu +. us
+  end
 
 let charge_background t us =
   if t.enabled && (not t.suspended) && us > 0. then begin
-    t.backlog <- t.backlog +. us;
-    t.cpu <- t.cpu +. us
+    let c = t.totals in
+    c.backlog <- c.backlog +. us;
+    c.cpu <- c.cpu +. us
   end
 
 let background t f =
@@ -54,22 +63,25 @@ let background t f =
 
 let charge_io t us =
   if t.enabled && (not t.suspended) && us > 0. then begin
+    let c = t.totals in
     t.now <- t.now +. us;
-    t.io <- t.io +. us;
-    t.backlog <- Float.max 0. (t.backlog -. us)
+    c.io <- c.io +. us;
+    c.backlog <- Float.max 0. (c.backlog -. us)
   end
 
 let advance_to t target =
   if t.enabled && (not t.suspended) && target > t.now then begin
+    let c = t.totals in
     let d = target -. t.now in
     t.now <- target;
-    t.backlog <- Float.max 0. (t.backlog -. d)
+    c.backlog <- Float.max 0. (c.backlog -. d)
   end
 
 let drain_backlog t =
   if t.enabled then begin
-    t.now <- t.now +. t.backlog;
-    t.backlog <- 0.
+    let c = t.totals in
+    t.now <- t.now +. c.backlog;
+    c.backlog <- 0.
   end
 
 type lane = float ref
@@ -99,10 +111,10 @@ let join_lanes t lanes =
     List.iter (fun l -> l := finish) lanes
   end
 
-let cpu_us t = t.cpu
-let io_us t = t.io
-let backlog_us t = t.backlog
+let cpu_us t = t.totals.cpu
+let io_us t = t.totals.io
+let backlog_us t = t.totals.backlog
 
 let reset_counters t =
-  t.cpu <- 0.;
-  t.io <- 0.
+  t.totals.cpu <- 0.;
+  t.totals.io <- 0.

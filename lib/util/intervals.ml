@@ -84,22 +84,30 @@ let add t ~lo:l ~len =
     end
   end
 
+(* The first run ending past [l] is the only one that can hold [l], and
+   the first that can start after it. *)
+let first_uncovered t ~lo:l ~hi:h =
+  if l >= h then h
+  else
+    let i = first_ending_from t (l + 1) in
+    if i < t.n && lo t i <= l then min h (hi t i) else l
+
+let first_covered t ~lo:l ~hi:h =
+  if l >= h then h
+  else
+    let i = first_ending_from t (l + 1) in
+    if i = t.n then h else if lo t i <= l then l else min h (lo t i)
+
 let add_uncovered t ~lo:l ~len ~f =
   if len < 0 then invalid_arg "Intervals.add_uncovered";
-  if len > 0 then begin
-    let h = l + len in
-    (* Walk the runs that end past [l] and start before [h]; [cur] is the
-       first integer not yet known covered. *)
-    let cur = ref l and k = ref (first_ending_from t (l + 1)) in
-    while !cur < h && !k < t.n && lo t !k < h do
-      let rlo = lo t !k and rhi = hi t !k in
-      if rlo > !cur then f ~lo:!cur ~len:(rlo - !cur);
-      if rhi > !cur then cur := rhi;
-      incr k
-    done;
-    if !cur < h then f ~lo:!cur ~len:(h - !cur);
-    add t ~lo:l ~len
-  end
+  let h = l + len in
+  let g = ref (first_uncovered t ~lo:l ~hi:h) in
+  while !g < h do
+    let e = first_covered t ~lo:!g ~hi:h in
+    f ~lo:!g ~len:(e - !g);
+    g := first_uncovered t ~lo:e ~hi:h
+  done;
+  add t ~lo:l ~len
 
 (* Only the first run ending past [l] can hold [l]. *)
 let covers t ~lo:l ~len =

@@ -32,7 +32,18 @@ val add_uncovered :
     [lo, lo+len) that is {e not} yet covered, in increasing order, then
     adds the whole interval. This is the primitive behind old-value
     capture: only newly covered bytes need their prior contents saved.
-    [f] must not modify [t]. *)
+    [f] must not modify [t]. It walks the gaps with {!first_uncovered}
+    and {!first_covered}. *)
+
+val first_uncovered : t -> lo:int -> hi:int -> int
+(** The least integer of [lo, hi) that no interval covers, or [hi] if
+    they cover all of it. With {!first_covered}, a walk over the gaps of
+    a range that needs no closure: from [g = first_uncovered], the gap
+    runs to [first_covered ~lo:g]. *)
+
+val first_covered : t -> lo:int -> hi:int -> int
+(** The least integer of [lo, hi) that an interval covers, or [hi] if
+    none does. *)
 
 val covers : t -> lo:int -> len:int -> bool
 (** Is every integer in [lo, lo+len) covered? (Empty ranges are covered.) *)

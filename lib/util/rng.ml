@@ -1,18 +1,27 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in an 8-byte buffer rather than a mutable
+   [int64] field: a field would box every new state, so each draw would
+   allocate; a buffer is written in place, and [int], [float] and [zipf]
+   draw without allocating. *)
+type t = Bytes.t
 
-let create ~seed = { state = seed }
-let copy t = { state = t.state }
+let create ~seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
+
+let copy = Bytes.copy
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int";
@@ -21,7 +30,7 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let float t bound =
+let[@inline] float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v /. 9007199254740992.0 *. bound
 
@@ -42,7 +51,7 @@ let bytes t n =
   done;
   b
 
-let split t = { state = mix (next t) }
+let split t = create ~seed:(mix (next t))
 
 (* Bounded Zipf(s) over ranks 0..n-1: P(rank i) ∝ 1/(i+1)^s. The
    normalized CDF is materialized once (the server's key universe is

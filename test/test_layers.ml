@@ -490,6 +490,184 @@ let prop_upgrade_deadlock =
       | [ (o, Lock_mgr.Exclusive) ] when o = u1 -> true
       | _ -> QCheck.Test.fail_report "survivor is not the sole exclusive holder")
 
+(* Model check: random sequences of [wait_for], [release_all] and
+   [stamp_held] over four owners, three keys and all three modes, each
+   step compared with a small reference model — the outcome (granted,
+   the blockers of a wait, deadlock), every key's holders as a set, every
+   owner's held keys, the wait-for graph and every key's stamp. *)
+type lock_op =
+  | Want of int * string * Lock_mgr.mode
+  | Release of int
+  | Stamp of int
+
+let mode_name = function
+  | Lock_mgr.Shared -> "S"
+  | Lock_mgr.Update -> "U"
+  | Lock_mgr.Exclusive -> "X"
+
+let lock_op_name = function
+  | Want (o, k, m) -> Printf.sprintf "want %d %s %s" o k (mode_name m)
+  | Release o -> Printf.sprintf "release %d" o
+  | Stamp o -> Printf.sprintf "stamp %d" o
+
+(* The reference: association lists, recomputed on every query. *)
+module Lock_model = struct
+  type t = {
+    mutable holders : (string * (int * Lock_mgr.mode)) list;
+    mutable waits : (int * int list) list;  (* waiter -> sorted blockers *)
+    mutable stamps : (string * (int * int)) list;
+  }
+
+  let create () = { holders = []; waits = []; stamps = [] }
+
+  let holders m key =
+    List.sort compare
+      (List.filter_map
+         (fun (k, h) -> if k = key then Some h else None)
+         m.holders)
+
+  let held_keys m owner =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (k, (o, _)) -> if o = owner then Some k else None)
+         m.holders)
+
+  let compatible ~req ~held =
+    match (req, held) with
+    | Lock_mgr.Shared, (Lock_mgr.Shared | Lock_mgr.Update)
+    | Lock_mgr.Update, Lock_mgr.Shared ->
+      true
+    | _ -> false
+
+  let rec reaches m ~seen src dst =
+    src = dst
+    || (not (List.mem src seen))
+       && List.exists
+            (fun b -> reaches m ~seen:(src :: seen) b dst)
+            (Option.value (List.assoc_opt src m.waits) ~default:[])
+
+  let want m owner key mode =
+    let hs = holders m key in
+    let blockers =
+      List.sort_uniq compare
+        (List.filter_map
+           (fun (o, held) ->
+             if o = owner || compatible ~req:mode ~held then None else Some o)
+           hs)
+    in
+    if blockers = [] then begin
+      let mine = List.assoc_opt owner hs in
+      let merged =
+        match (mine, mode) with
+        | Some Lock_mgr.Exclusive, _ | _, Lock_mgr.Exclusive -> Lock_mgr.Exclusive
+        | Some Lock_mgr.Update, _ | _, Lock_mgr.Update -> Lock_mgr.Update
+        | _ -> Lock_mgr.Shared
+      in
+      m.holders <-
+        (key, (owner, merged))
+        :: List.filter (fun (k, (o, _)) -> not (k = key && o = owner)) m.holders;
+      m.waits <- List.remove_assoc owner m.waits;
+      `Granted
+    end
+    else if List.exists (fun b -> reaches m ~seen:[] b owner) blockers then
+      `Deadlock
+    else begin
+      m.waits <- (owner, blockers) :: List.remove_assoc owner m.waits;
+      `Wait blockers
+    end
+
+  let release m owner =
+    m.holders <- List.filter (fun (_, (o, _)) -> o <> owner) m.holders;
+    m.waits <-
+      List.filter_map
+        (fun (o, bs) ->
+          let bs = List.filter (fun b -> b <> owner) bs in
+          if o = owner || bs = [] then None else Some (o, bs))
+        m.waits
+
+  let stamp m owner s =
+    List.iter
+      (fun k -> m.stamps <- (k, s) :: List.remove_assoc k m.stamps)
+      (held_keys m owner)
+
+  let wait_edges m = List.sort compare m.waits
+end
+
+let prop_lock_model =
+  let owners = [ 1; 2; 3; 4 ] and keys = [ "a"; "b"; "c" ] in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 60)
+        (frequency
+           [
+             ( 6,
+               map3
+                 (fun o k m -> Want (o, k, m))
+                 (oneofl owners) (oneofl keys)
+                 (oneofl [ Lock_mgr.Shared; Lock_mgr.Update; Lock_mgr.Exclusive ])
+             );
+             (2, map (fun o -> Release o) (oneofl owners));
+             (1, map (fun o -> Stamp o) (oneofl owners));
+           ]))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map lock_op_name ops))
+      gen
+  in
+  QCheck.Test.make ~name:"locks: lock manager agrees with a reference model"
+    ~count:500 arb (fun ops ->
+      let lm = Lock_mgr.create () and m = Lock_model.create () in
+      let lsn = ref 0 in
+      let outcome = function
+        | `Granted -> "granted"
+        | `Deadlock -> "deadlock"
+        | `Wait bs ->
+          Printf.sprintf "wait [%s]" (String.concat ";" (List.map string_of_int bs))
+      in
+      List.iteri
+        (fun i op ->
+          let fail what =
+            QCheck.Test.fail_reportf "step %d (%s): %s differs" i
+              (lock_op_name op) what
+          in
+          (match op with
+          | Want (o, k, mode) ->
+            let got = Lock_mgr.wait_for lm ~owner:o ~key:k mode in
+            let got =
+              match got with
+              | `Wait bs -> `Wait (List.sort compare bs)
+              | (`Granted | `Deadlock) as g -> g
+            in
+            if outcome got <> outcome (Lock_model.want m o k mode) then
+              fail "the outcome"
+          | Release o ->
+            Lock_mgr.release_all lm ~owner:o;
+            Lock_model.release m o
+          | Stamp o ->
+            incr lsn;
+            Lock_mgr.stamp_held lm ~owner:o (!lsn, o);
+            Lock_model.stamp m o (!lsn, o));
+          List.iter
+            (fun k ->
+              if List.sort compare (Lock_mgr.holders lm ~key:k)
+                 <> Lock_model.holders m k
+              then fail ("the holders of " ^ k);
+              if Lock_mgr.stamp lm ~key:k <> List.assoc_opt k m.Lock_model.stamps
+              then fail ("the stamp of " ^ k))
+            keys;
+          List.iter
+            (fun o ->
+              if Lock_mgr.held_keys lm ~owner:o <> Lock_model.held_keys m o then
+                fail (Printf.sprintf "the keys %d holds" o))
+            owners;
+          if Lock_mgr.wait_edges lm <> Lock_model.wait_edges m then
+            fail "the wait-for graph";
+          if Lock_mgr.lock_count lm <> List.length m.Lock_model.holders then
+            fail "the lock count")
+        ops;
+      true)
+
 let suite =
   [
     ("nested.commit", `Quick, test_nested_commit_commits_all);
@@ -522,4 +700,4 @@ let suite =
       `Quick,
       test_locks_update_upgrade_waits_for_readers );
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_upgrade_deadlock ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_upgrade_deadlock; prop_lock_model ]

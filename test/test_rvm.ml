@@ -146,6 +146,90 @@ let test_abort_partial_overlap () =
   check_str "all restored" "AAAABBBBCCCC"
     (Bytes.to_string (Rvm.load w.rvm ~addr:a ~len:12))
 
+(* Old values live in arenas the engine reuses: a transaction that
+   commits hands its arena to the next one, two live transactions never
+   share one, and an arena grown past its first size (entries and bytes)
+   still restores every byte. *)
+let test_abort_reused_arenas () =
+  let w = make_world () in
+  let r = Rvm.map w.rvm ~seg:1 ~seg_off:0 ~len:ps () in
+  let a = r.Region.vaddr in
+  let image = Bytes.init 2048 (fun i -> Char.chr (i mod 251)) in
+  let tid0 = Rvm.begin_transaction w.rvm ~mode:Types.Restore in
+  Rvm.modify w.rvm tid0 ~addr:a image;
+  Rvm.end_transaction w.rvm tid0 ~mode:Types.Flush;
+  (* Two live transactions on disjoint halves, 24 ranges of 40 bytes
+     each: more entries and more bytes than a fresh arena holds. *)
+  let t1 = Rvm.begin_transaction w.rvm ~mode:Types.Restore in
+  let t2 = Rvm.begin_transaction w.rvm ~mode:Types.Restore in
+  for i = 0 to 23 do
+    Rvm.set_range w.rvm t1 ~addr:(a + (i * 40)) ~len:40;
+    Rvm.set_range w.rvm t2 ~addr:(a + 1024 + (i * 40)) ~len:40
+  done;
+  Rvm.store w.rvm ~addr:a (Bytes.make 960 'x');
+  Rvm.store w.rvm ~addr:(a + 1024) (Bytes.make 960 'y');
+  Rvm.abort_transaction w.rvm t2;
+  check_str "t2's half restored" (Bytes.sub_string image 1024 960)
+    (Bytes.to_string (Rvm.load w.rvm ~addr:(a + 1024) ~len:960));
+  check_str "t1's half still written" (String.make 960 'x')
+    (Bytes.to_string (Rvm.load w.rvm ~addr:a ~len:960));
+  (* t2's arena, back in the pool, serves a new transaction while t1
+     still holds its own. *)
+  let t3 = Rvm.begin_transaction w.rvm ~mode:Types.Restore in
+  Rvm.modify w.rvm t3 ~addr:(a + 1500) (Bytes.of_string "zzzz");
+  Rvm.end_transaction w.rvm t3 ~mode:Types.Flush;
+  Rvm.abort_transaction w.rvm t1;
+  check_str "t1's half restored" (Bytes.sub_string image 0 960)
+    (Bytes.to_string (Rvm.load w.rvm ~addr:a ~len:960));
+  check_str "t3's commit kept" "zzzz"
+    (Bytes.to_string (Rvm.load w.rvm ~addr:(a + 1500) ~len:4));
+  (* A transaction on a reused arena saves only its own ranges. *)
+  let t4 = Rvm.begin_transaction w.rvm ~mode:Types.Restore in
+  Rvm.modify w.rvm t4 ~addr:(a + 8) (Bytes.of_string "abc");
+  Rvm.abort_transaction w.rvm t4;
+  check_str "whole image as committed"
+    (Bytes.to_string (Bytes.sub image 0 1500) ^ "zzzz"
+    ^ Bytes.sub_string image 1504 544)
+    (Bytes.to_string (Rvm.load w.rvm ~addr:a ~len:2048))
+
+(* An arena's entries, addressable in save order, and the pool handing
+   back an emptied arena, but not one that saved past the cap or was
+   taken before a drain. *)
+let test_undo_entries () =
+  let w = make_world () in
+  let r = Rvm.map w.rvm ~seg:1 ~seg_off:0 ~len:ps () in
+  Bytes.blit_string "0123456789" 0 r.Region.buf 0 10;
+  let pool = Undo.pool () in
+  let u = Undo.take pool in
+  Undo.save u r ~region_off:2 ~len:3;
+  Undo.save u r ~region_off:7 ~len:2;
+  check_int "entries" 2 (Undo.count u);
+  check_bool "region" true (Undo.region u 1 == r);
+  check_int "offset" 7 (Undo.region_off u 1);
+  check_int "length" 3 (Undo.length u 0);
+  Bytes.blit_string "----------" 0 r.Region.buf 0 10;
+  Undo.restore u 1;
+  Undo.restore u 0;
+  check_str "restored" "--234--78-" (Bytes.sub_string r.Region.buf 0 10);
+  Undo.give pool u;
+  let u' = Undo.take pool in
+  check_bool "reused" true (u' == u);
+  check_int "emptied" 0 (Undo.count u');
+  check_bool "a second take is fresh" true (Undo.take pool != u);
+  for _ = 1 to 17 do
+    Undo.save u' r ~region_off:0 ~len:4096
+  done;
+  Undo.give pool u';
+  check_bool "over 64 KiB: dropped" true (Undo.take pool != u');
+  let live = Undo.take pool in
+  Undo.give pool (Undo.take pool);
+  Undo.drain pool;
+  let pooled = Undo.take pool in
+  Undo.give pool live;
+  check_bool "taken before the drain: dropped" true (Undo.take pool != live);
+  Undo.give pool pooled;
+  check_bool "taken after it: kept" true (Undo.take pool == pooled)
+
 let test_no_restore_cannot_abort () =
   let w = make_world () in
   let r = Rvm.map w.rvm ~seg:1 ~seg_off:0 ~len:ps () in
@@ -552,6 +636,8 @@ let suite =
     ("txn.commit-durable", `Quick, test_commit_durable);
     ("txn.abort-restores", `Quick, test_abort_restores);
     ("txn.abort-overlap", `Quick, test_abort_partial_overlap);
+    ("txn.abort-reused-arenas", `Quick, test_abort_reused_arenas);
+    ("txn.undo-entries", `Quick, test_undo_entries);
     ("txn.no-restore", `Quick, test_no_restore_cannot_abort);
     ("txn.empty", `Quick, test_empty_transaction);
     ("txn.unknown-tid", `Quick, test_unknown_tid);

@@ -239,6 +239,39 @@ let test_intervals_vs_bitmap () =
   in
   well_formed (intervals_list t)
 
+(* The gap walk's two searches, [first_uncovered] and [first_covered],
+   against a bitmap of the same set, as random short runs fill it. *)
+let test_intervals_gap_walk () =
+  let universe = 256 in
+  let bitmap = Array.make universe false in
+  let rng = Rng.create ~seed:2027L in
+  let t = Intervals.create () in
+  let first ~covered ~lo ~hi =
+    let i = ref lo in
+    while !i < hi && bitmap.(!i) <> covered do
+      incr i
+    done;
+    !i
+  in
+  for _ = 1 to 200 do
+    let lo = Rng.int rng universe in
+    let len = Rng.int rng (min 24 (universe - lo) + 1) in
+    Intervals.add t ~lo ~len;
+    Array.fill bitmap lo len true;
+    for _ = 1 to 8 do
+      let lo = Rng.int rng universe in
+      let hi = lo + Rng.int rng (universe - lo + 1) in
+      check_int "first_uncovered"
+        (first ~covered:false ~lo ~hi)
+        (Intervals.first_uncovered t ~lo ~hi);
+      check_int "first_covered"
+        (first ~covered:true ~lo ~hi)
+        (Intervals.first_covered t ~lo ~hi)
+    done
+  done;
+  check_int "empty range" 5 (Intervals.first_uncovered t ~lo:5 ~hi:5);
+  check_int "empty range, covered" 5 (Intervals.first_covered t ~lo:5 ~hi:5)
+
 let test_intervals_covers () =
   let t = intervals_of [ (10, 10) ] in
   check_bool "inside" true (Intervals.covers t ~lo:12 ~len:5);
@@ -302,6 +335,40 @@ let test_rng_split_independent () =
   let s = Rng.split r in
   let a = Rng.next r and b = Rng.next s in
   check_bool "streams differ" true (a <> b)
+
+(* The stream itself, pinned: [rng.deterministic] only compares two
+   generators with each other, which a change of representation that
+   moved the stream would still pass. Every seeded run in the repository
+   (arrivals, workload specs, backoff jitter, crash schedules) draws
+   from this stream, so these literals are what keeps them where they
+   are. Floats are compared as [%h] strings, bit for bit. *)
+let test_rng_golden () =
+  let r = Rng.create ~seed:42L in
+  let draws n f = List.init n (fun _ -> f ()) in
+  let hex = List.map (Printf.sprintf "%h") in
+  Alcotest.(check (list int64)) "next"
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ]
+    (draws 3 (fun () -> Rng.next r));
+  Alcotest.(check (list int)) "int 1000"
+    [ 941; 812; 265; 231; 977; 501; 243; 551 ]
+    (draws 8 (fun () -> Rng.int r 1000));
+  Alcotest.(check (list string)) "float 1.0"
+    [ "0x1.f8d2283914594p-2"; "0x1.06dbdb12fe7c8p-1"; "0x1.0a3f2ee68fdadp-1" ]
+    (hex (draws 3 (fun () -> Rng.float r 1.0)));
+  let z = Rng.zipf_make ~n:1000 ~s:0.8 in
+  Alcotest.(check (list int)) "zipf n=1000 s=0.8"
+    [ 221; 7; 2; 82; 1; 250; 844; 1; 154; 173 ]
+    (draws 10 (fun () -> Rng.zipf r z));
+  (* A copy replays the original's stream; a split starts its own and
+     advances the original by one draw, the one it seeds from. *)
+  let c = Rng.copy r in
+  let s = Rng.split r in
+  Alcotest.(check int64) "split" 8945435261701645156L (Rng.next s);
+  Alcotest.(check int64) "original after split" 5120214421805786385L
+    (Rng.next r);
+  Alcotest.(check int64) "copy" 1368025501988796752L (Rng.next c);
+  Alcotest.(check int64) "copy, second draw" 5120214421805786385L
+    (Rng.next c)
 
 let test_stats () =
   let s = Stats.of_list [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ] in
@@ -429,6 +496,79 @@ let test_clock_advance_to () =
   Clock.drain_backlog c;
   Alcotest.(check (float 1e-9)) "nothing left to pay" 200. (Clock.now_us c)
 
+(* The clock's arithmetic, pinned bit for bit: a fixed script of every
+   kind of charge, with [now], [cpu], [io] and [backlog] as [%h] strings
+   after each step. Every simulated number the repository reports is a
+   sum of these charges, so a change to how the clock stores its fields
+   must leave each sum, and the order of its additions, as it was. *)
+let test_clock_charge_arithmetic () =
+  let c = Clock.simulated () in
+  let l1 = Clock.lane () and l2 = Clock.lane () in
+  let script =
+    [
+      ("charge_cpu", fun () -> Clock.charge_cpu c 25.);
+      ( "background",
+        fun () ->
+          Clock.background c (fun () ->
+              Clock.charge_cpu c 12.5;
+              Clock.charge_cpu c 0.1) );
+      ("charge_background", fun () -> Clock.charge_background c 0.7);
+      ("charge_io", fun () -> Clock.charge_io c 7.3);
+      ("advance_to", fun () -> Clock.advance_to c 1000.3);
+      ( "suspend",
+        fun () ->
+          Clock.suspend c (fun () ->
+              Clock.charge_cpu c 50.;
+              Clock.charge_io c 3.;
+              Clock.advance_to c 5000.) );
+      ( "on_lane 1",
+        fun () ->
+          Clock.on_lane c l1 (fun () ->
+              Clock.charge_io c 17.4;
+              Clock.charge_cpu c 0.3) );
+      ("on_lane 2", fun () -> Clock.on_lane c l2 (fun () -> Clock.charge_cpu c 3.3));
+      ("on_lane 1 again", fun () -> Clock.on_lane c l1 (fun () -> Clock.charge_io c 1.1));
+      ("join_lanes", fun () -> Clock.join_lanes c [ l1; l2 ]);
+      ("charge_background 2", fun () -> Clock.charge_background c 40.2);
+      ("charge_io 2", fun () -> Clock.charge_io c 11.9);
+      ("drain_backlog", fun () -> Clock.drain_backlog c);
+      ("reset_counters", fun () -> Clock.reset_counters c);
+      ("charge_cpu after reset", fun () -> Clock.charge_cpu c 0.1);
+    ]
+  in
+  (* (step, now, cpu, io, backlog) *)
+  let expected =
+    [
+      ("charge_cpu", "0x1.9p+4", "0x1.9p+4", "0x0p+0", "0x0p+0");
+      ("background", "0x1.9p+4", "0x1.2cccccccccccdp+5", "0x0p+0", "0x1.9333333333333p+3");
+      ("charge_background", "0x1.9p+4", "0x1.3266666666667p+5", "0x0p+0", "0x1.a999999999999p+3");
+      ("charge_io", "0x1.0266666666666p+5", "0x1.3266666666667p+5", "0x1.d333333333333p+2", "0x1.7ffffffffffffp+2");
+      ("advance_to", "0x1.f426666666666p+9", "0x1.3266666666667p+5", "0x1.d333333333333p+2", "0x0p+0");
+      ("suspend", "0x1.f426666666666p+9", "0x1.3266666666667p+5", "0x1.d333333333333p+2", "0x0p+0");
+      ("on_lane 1", "0x1.f426666666666p+9", "0x1.34ccccccccccdp+5", "0x1.8b33333333333p+4", "0x0p+0");
+      ("on_lane 2", "0x1.f426666666666p+9", "0x1.4f33333333333p+5", "0x1.8b33333333333p+4", "0x0p+0");
+      ("on_lane 1 again", "0x1.f426666666666p+9", "0x1.4f33333333333p+5", "0x1.9cccccccccccdp+4", "0x0p+0");
+      ("join_lanes", "0x1.fd8ccccccccccp+9", "0x1.4f33333333333p+5", "0x1.9cccccccccccdp+4", "0x0p+0");
+      ("charge_background 2", "0x1.fd8ccccccccccp+9", "0x1.4866666666666p+6", "0x1.9cccccccccccdp+4", "0x1.419999999999ap+5");
+      ("charge_io 2", "0x1.01cp+10", "0x1.4866666666666p+6", "0x1.2d9999999999ap+5", "0x1.c4ccccccccccep+4");
+      ("drain_backlog", "0x1.08d3333333333p+10", "0x1.4866666666666p+6", "0x1.2d9999999999ap+5", "0x0p+0");
+      ("reset_counters", "0x1.08d3333333333p+10", "0x0p+0", "0x0p+0", "0x0p+0");
+      ("charge_cpu after reset", "0x1.08d9999999999p+10", "0x1.999999999999ap-4", "0x0p+0", "0x0p+0");
+    ]
+  in
+  List.iter2
+    (fun (step, run) (step', now, cpu, io, backlog) ->
+      assert (step = step');
+      run ();
+      let pin what want got =
+        Alcotest.(check string) (step ^ ": " ^ what) want (Printf.sprintf "%h" got)
+      in
+      pin "now" now (Clock.now_us c);
+      pin "cpu" cpu (Clock.cpu_us c);
+      pin "io" io (Clock.io_us c);
+      pin "backlog" backlog (Clock.backlog_us c))
+    script expected
+
 let test_cost_model_force () =
   (* The paper's measured mean log force is 17.4 ms; our calibrated model
      must land within 5% for typical benchmark record sizes. *)
@@ -452,6 +592,7 @@ let suite =
     ("intervals.uncovered", `Quick, test_intervals_uncovered);
     ("intervals.uncovered-adversarial", `Quick, test_intervals_uncovered_adversarial);
     ("intervals.vs-bitmap", `Quick, test_intervals_vs_bitmap);
+    ("intervals.gap-walk", `Quick, test_intervals_gap_walk);
     ("intervals.covers", `Quick, test_intervals_covers);
     ("intervals.subsumes", `Quick, test_intervals_subsumes);
     ("intervals.intersect", `Quick, test_intervals_intersect);
@@ -460,6 +601,7 @@ let suite =
     ("rng.bounds", `Quick, test_rng_bounds);
     ("rng.distribution", `Quick, test_rng_distribution);
     ("rng.split", `Quick, test_rng_split_independent);
+    ("rng.golden", `Quick, test_rng_golden);
     ("rng.zipf-chi-square", `Quick, test_zipf_chi_square);
     ("rng.zipf-degenerate", `Quick, test_zipf_degenerate);
     ("rng.zipf-large-n", `Quick, test_zipf_large_n_bounds_and_determinism);
@@ -468,5 +610,6 @@ let suite =
     ("clock.null", `Quick, test_clock_null);
     ("clock.accounting", `Quick, test_clock_accounting);
     ("clock.advance-to", `Quick, test_clock_advance_to);
+    ("clock.charge-arithmetic", `Quick, test_clock_charge_arithmetic);
     ("cost-model.log-force", `Quick, test_cost_model_force);
   ]
