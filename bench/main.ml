@@ -6,14 +6,12 @@
      dune exec bench/main.exe -- table1  — one artifact
      dune exec bench/main.exe -- full    — paper-scale trial counts
 
-   Both [all] and [full] regenerate every tracked BENCH_*.json, each
-   artifact but the table1 family in a child process; the table1 family
-   and [ycsb] (10^6 records unless BENCH_YCSB_RECORDS says otherwise)
-   are most of their time and memory.
+   Both [all] and [full] regenerate every tracked BENCH_*.json in one
+   process: [all] takes about 90 s and peaks near 1.7 GB, most of it
+   [ycsb]'s 10^6-record worlds (BENCH_YCSB_RECORDS sets fewer). [table1]
+   alone peaks near 140 MB.
 
-   Artifacts: table1, fig8, fig9, table2, ablation-truncation,
-   ablation-opt, ablation-modes, ablation-startup, server, shards,
-   contention, truncation, ycsb, micro, baseline. Each only writes
+   The artifacts are named in [artifacts], at the end. Each only writes
    its artifact: `rvmutl benchdiff` (the table in Rvm_obs.Gate) is the one
    gate that decides whether a BENCH_*.json passes. *)
 
@@ -554,7 +552,6 @@ let truncation () =
           acc + d.Rvm_disk.Device.stats.Rvm_disk.Device.bytes_written)
         0 w.S.log_devs
     in
-    S.release_world w;
     let wraps = float_of_int bytes /. float_of_int log_size in
     let hist name =
       List.assoc_opt name (Rvm_obs.Registry.histograms w.S.obs)
@@ -675,9 +672,7 @@ let ycsb () =
    engine's own device traffic; `rvmutl benchdiff` gates
    BENCH_baseline.json like every other artifact. *)
 
-let copy (d : Rvm_disk.Device.t) =
-  Rvm_disk.Mem_device.of_bytes
-    (Rvm_disk.Device.read_bytes d ~off:0 ~len:d.Rvm_disk.Device.size)
+let copy d = Rvm_disk.Mem_device.(of_bytes (snapshot d))
 
 let live_bytes log_dev =
   match Rvm_log.Log_manager.open_log (copy log_dev) with
@@ -854,46 +849,45 @@ let baseline () =
        ]);
   Printf.printf "wrote %s\n%!" path
 
+(* Every artifact, in the order [all] and [full] run them in one
+   process, under the names that select it alone; [trials] and [measure]
+   size the table1 family. [micro] runs last, and not for tidiness:
+   Bechamel compacts the heap before every sample, and on OCaml 5.1 the
+   automatic major GC then stays idle for a long time: the table1
+   family run after [micro] peaked at 5.1 GB with no major collection,
+   against 141 MB without it (EXPERIMENTS.md). *)
+let artifacts ~trials ~measure =
+  [
+    ([ "table2" ], run_table2);
+    ( [ "ablation-truncation" ],
+      fun () -> Harness.Ablation.truncation_modes () );
+    ([ "ablation-opt" ], Harness.Ablation.optimizations);
+    ([ "ablation-modes" ], Harness.Ablation.commit_modes);
+    ([ "ablation-startup" ], Harness.Ablation.startup_latency);
+    ([ "server" ], server);
+    ([ "shards" ], shards);
+    ([ "contention" ], contention);
+    ([ "truncation" ], truncation);
+    ([ "ycsb" ], ycsb);
+    ([ "baseline" ], baseline);
+    ( [ "table1"; "fig8"; "fig9" ],
+      fun () -> run_table1_family ~trials ~measure );
+    ([ "micro" ], micro);
+  ]
+
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
+  let run_all ~trials ~measure =
+    List.iter (fun (_, run) -> run ()) (artifacts ~trials ~measure)
+  in
   match what with
-  | "table1" | "fig8" | "fig9" -> run_table1_family ~trials:3 ~measure:3000
-  | "table2" -> run_table2 ()
-  | "ablation-truncation" -> Harness.Ablation.truncation_modes ()
-  | "ablation-opt" -> Harness.Ablation.optimizations ()
-  | "ablation-modes" -> Harness.Ablation.commit_modes ()
-  | "ablation-startup" -> Harness.Ablation.startup_latency ()
-  | "micro" -> micro ()
-  | "server" -> server ()
-  | "shards" -> shards ()
-  | "contention" -> contention ()
-  | "truncation" -> truncation ()
-  | "ycsb" -> ycsb ()
-  | "baseline" -> baseline ()
-  | ("full" | "all") as what ->
-    (* Every artifact but the table1 family runs first, each in a process
-       of its own: OCaml's heap does not shrink, so in one process ycsb's
-       10^6-record worlds (2.3 GB) would sit on top of the table1
-       family's peak, past 6 GB together. *)
-    List.iter
-      (fun a ->
-        flush_all ();
-        match Sys.command (Filename.quote_command Sys.executable_name [ a ]) with
-        | 0 -> ()
-        | code ->
-          Printf.eprintf "bench %s exited %d\n" a code;
-          exit code)
-      [
-        "table2"; "ablation-truncation"; "ablation-opt"; "ablation-modes";
-        "ablation-startup"; "server"; "shards"; "contention"; "truncation";
-        "ycsb"; "baseline"; "micro";
-      ];
-    if what = "full" then run_table1_family ~trials:5 ~measure:8000
-    else run_table1_family ~trials:2 ~measure:2500
-  | other ->
-    Printf.eprintf
-      "unknown artifact %S (try: all, full, table1, fig8, fig9, table2, \
-       ablation-truncation, ablation-opt, ablation-modes, ablation-startup, \
-       server, shards, contention, truncation, ycsb, micro, baseline)\n"
-      other;
-    exit 2
+  | "all" -> run_all ~trials:2 ~measure:2500
+  | "full" -> run_all ~trials:5 ~measure:8000
+  | name -> (
+    let listed = artifacts ~trials:3 ~measure:3000 in
+    match List.find_opt (fun (names, _) -> List.mem name names) listed with
+    | Some (_, run) -> run ()
+    | None ->
+      Printf.eprintf "unknown artifact %S (try: all, full, %s)\n" name
+        (String.concat ", " (List.concat_map fst listed));
+      exit 2)

@@ -577,7 +577,6 @@ let serve requests accounts seed loads batches sessions think_ms trace_out
         ( w.S.obs,
           fun () ->
             let tally, _, _ = S.serve w (S.scheduler_of c w) in
-            S.release_world w;
             tally.Rvm_server.Scheduler.committed ))
       ~pp_table:S.pp_table ~to_json:S.result_to_json ~ok:(fun _ -> true)
   | Some mix ->
@@ -601,7 +600,6 @@ let serve requests accounts seed loads batches sessions think_ms trace_out
         ( w.Y.obs,
           fun () ->
             let r = Y.serve c w in
-            Y.release_world w;
             r.Y.committed ))
       ~pp_table:Y.pp_table ~to_json:Y.result_to_json ~ok:(fun r ->
         r.Y.serial_equal)

@@ -7,6 +7,7 @@
    record. *)
 
 open Rvm_core
+module Mem_device = Rvm_disk.Mem_device
 module Rds = Rvm_alloc.Rds
 module Pbtree = Rvm_pds.Pbtree
 
@@ -128,8 +129,10 @@ let recover tree_addr images =
    (index 0 = baseline empty tree) and checkpointing the durable snapshot
    index. *)
 let world ops rig =
-  let log_mem = Crash.device rig ~name:"btree-log" ~size:log_size in
-  let seg_mem = Crash.device rig ~name:"btree-seg" ~size:(heap_len + 4096) in
+  let log_mem = Mem_device.create ~name:"btree-log" ~size:log_size () in
+  let seg_mem =
+    Mem_device.create ~name:"btree-seg" ~size:(heap_len + 4096) ()
+  in
   let tree_addr = setup log_mem seg_mem in
   let log = Crash.trace rig ~label:"log" log_mem in
   let seg = Crash.trace rig ~label:"seg" seg_mem in

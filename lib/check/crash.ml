@@ -10,15 +10,9 @@ type rig = {
   obs : Registry.t;
   seq_at : (int, int) Hashtbl.t;
       (* device event index -> engine-span cursor when it was issued *)
-  mutable owned : Device.t list;
   mutable traced : (string * Trace_device.t) list;  (* newest first *)
   mutable checkpoints : (int * int) list;  (* (events_so_far, n) *)
 }
-
-let device rig ~name ~size =
-  let d = Mem_device.create ~name ~size () in
-  rig.owned <- d :: rig.owned;
-  d
 
 (* The traced device is wrapped once more so [seq_at] maps each device
    event to the span cursor at the moment it was issued — so a violation
@@ -206,16 +200,11 @@ let run config world =
       recorder = Trace_device.create_recorder ();
       obs = Registry.create ~trace_capacity:8192 ();
       seq_at = Hashtbl.create 256;
-      owned = [];
       traced = [];
       checkpoints = [];
     }
   in
-  (* Closing drops each store from [Mem_device]'s global table; the crash
-     images were snapshotted at wrap time and live in the recorder. *)
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun d -> d.Device.close ()) rig.owned)
-    (fun () -> explore config rig (world rig))
+  explore config rig (world rig)
 
 let counter o label = List.assoc label o.counters
 

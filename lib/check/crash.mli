@@ -17,9 +17,9 @@
     reachable disk image. Each violation carries the flight-recorder tail.
 
     A subsystem is a world builder: given a {!rig}, it makes and formats
-    its devices ({!device}), traces them ({!trace}), runs its workload on
-    the traced devices with {!obs} as the engine's registry, and returns a
-    {!recording}. *)
+    its devices ({!Rvm_disk.Mem_device.create}), traces them ({!trace}),
+    runs its workload on the traced devices with {!obs} as the engine's
+    registry, and returns a {!recording}. *)
 
 type config = {
   sector : int;  (** hardware atomicity unit; must be positive *)
@@ -31,9 +31,6 @@ type config = {
 
 type rig
 (** The recording harness one {!run} hands its world builder. *)
-
-val device : rig -> name:string -> size:int -> Rvm_disk.Device.t
-(** A fresh zeroed memory device, closed when {!run} returns. *)
 
 val trace : rig -> label:string -> Rvm_disk.Device.t -> Rvm_disk.Device.t
 (** Start recording [dev]: its current contents become its crash-point-0
@@ -115,8 +112,7 @@ val torn_positions :
 
 val run : config -> (rig -> 'state recording) -> outcome
 (** Record the world once, then recover and judge every crash point.
-    Raises [Invalid_argument] if [sector] is not positive. Every device
-    made with {!device} is closed when [run] returns or raises. *)
+    Raises [Invalid_argument] if [sector] is not positive. *)
 
 val counter : outcome -> string -> int
 (** The subsystem counter recorded under a label. Raises [Not_found]. *)

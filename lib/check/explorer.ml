@@ -58,7 +58,8 @@ let trace_shards rig ~shards ~log_size ~seg_size =
   let name kind s = if shards = 1 then kind else kind ^ string_of_int s in
   let make kind size =
     Array.init shards (fun s ->
-        Crash.device rig ~name:("check-" ^ name kind s) ~size:(size s))
+        Rvm_disk.Mem_device.create ~name:("check-" ^ name kind s)
+          ~size:(size s) ())
   in
   let logs = make "log" (fun _ -> log_size) in
   let segs = make "seg" seg_size in

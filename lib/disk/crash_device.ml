@@ -27,7 +27,7 @@ let create ?(name = "crash") ?base ~size () =
              "Crash_device.create: size %d does not match base device size %d"
              size b.Device.size);
       b
-    | None -> Mem_device.of_bytes ~name:(name ^ "-store") (Bytes.make size '\000')
+    | None -> Mem_device.create ~name:(name ^ "-store") ~size ()
   in
   let durable = Device.read_bytes base ~off:0 ~len:size in
   let t =

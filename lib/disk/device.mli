@@ -67,4 +67,4 @@ val layer :
     unchanged. The wrapper has the base's size, its own fresh {!stats},
     and — crucially — forwards [close] to the base unless overridden, so
     no layer can silently drop the base's teardown. [name] defaults to the
-    base's name (keeping name-keyed registries working through wrappers). *)
+    base's name. *)

@@ -511,25 +511,17 @@ let reduce cfg w (tally, log_writes, log_syncs) =
        else float_of_int cross_aborted /. float_of_int total);
   }
 
-(* Memory devices stay registered for snapshots until closed. *)
-let release_world w =
-  Array.iter (fun (d : Device.t) -> d.Device.close ()) w.log_devs;
-  Array.iter (fun (d : Device.t) -> d.Device.close ()) w.seg_devs
-
 (* {2 TPC-A runs} *)
 
 let run cfg =
   let w = build_world cfg in
-  let served = serve w (scheduler_of cfg w) in
-  release_world w;
-  reduce cfg w served
+  reduce cfg w (serve w (scheduler_of cfg w))
 
 let run_monitored ?window_us ?(on_window = fun _ _ -> ()) cfg =
   let w = build_world cfg in
   let sched = scheduler_of cfg w in
   let mon = monitor_of ?window_us w in
   let served = serve ~monitor:(mon, on_window mon) w sched in
-  release_world w;
   (reduce cfg w served, mon)
 
 let run_with_world cfg =

@@ -137,13 +137,7 @@ val scheduler_of :
     gives. *)
 
 val run_with_world : config -> world * Scheduler.tally
-(** {!run} without the reduction: build, run, hand everything back. The
-    world's devices stay open; {!release_world} closes them. *)
-
-val release_world : world -> unit
-(** Close the world's log and segment devices, dropping their memory
-    stores from {!Rvm_disk.Mem_device}'s snapshot registry. {!run} and
-    {!run_monitored} release the worlds they build. *)
+(** {!run} without the reduction: build, run, hand everything back. *)
 
 val shard_layouts : config -> Rvm_workload.Tpca.layout array
 (** Shard [s] holds the accounts [≡ s (mod shards)] and its own tellers,

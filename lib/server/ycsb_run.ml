@@ -380,19 +380,12 @@ let run_with_world cfg =
   let w = build_world cfg in
   (serve cfg w, w)
 
-let release_world w = Server.release_world (server_world w)
-
-let run cfg =
-  let r, w = run_with_world cfg in
-  release_world w;
-  r
+let run cfg = fst (run_with_world cfg)
 
 let run_monitored ?window_us ?(on_window = fun _ _ -> ()) cfg =
   let w = build_world cfg in
   let mon = Server.monitor_of ?window_us (server_world w) in
-  let r = serve_with ~monitor:(mon, on_window mon) cfg w in
-  release_world w;
-  (r, mon)
+  (serve_with ~monitor:(mon, on_window mon) cfg w, mon)
 
 let result_to_json r =
   let c = r.cfg in

@@ -109,13 +109,7 @@ val run : config -> result
 
 val run_with_world : config -> result * world
 (** [run], but also hands back the world for inspection (heap occupancy,
-    registry counters, the tree itself). The world's devices stay open;
-    {!release_world} closes them. *)
-
-val release_world : world -> unit
-(** Close the world's log and segment devices, dropping their memory
-    stores from {!Rvm_disk.Mem_device}'s snapshot registry. {!run} and
-    {!run_monitored} release the worlds they build. *)
+    registry counters, the tree itself). *)
 
 val run_monitored :
   ?window_us:float ->

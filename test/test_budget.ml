@@ -399,7 +399,6 @@ let test_read_request () =
     let w0 = Gc.minor_words () in
     let r = Ycsb_run.serve cfg w in
     let words = Gc.minor_words () -. w0 in
-    Ycsb_run.release_world w;
     if r.Ycsb_run.committed <> requests then
       Alcotest.failf "%d of %d reads committed" r.Ycsb_run.committed requests;
     words
@@ -425,7 +424,6 @@ let test_write_request () =
     let w0 = Gc.minor_words () in
     let tally = Scheduler.run (Server.scheduler_of cfg w) in
     let words = Gc.minor_words () -. w0 in
-    Server.release_world w;
     if tally.Scheduler.committed <> requests then
       Alcotest.failf "%d of %d writes committed" tally.Scheduler.committed
         requests;

@@ -282,13 +282,23 @@ let test_sim_one_request_at_a_time () =
     (Sim_device.busy_us sim);
   check_int "two ios" 2 (Sim_device.io_count sim)
 
+(* A snapshot is a read of the whole device through the device itself:
+   it works on any memory device, and a layer above the store sees it. *)
 let test_mem_snapshot () =
   let dev = Mem_device.create ~size:32 () in
   Device.write_string dev ~off:0 "snapshot";
   let snap = Mem_device.snapshot dev in
   Device.write_string dev ~off:0 "????????";
   check_str "snapshot is a copy" "snapshot"
-    (Bytes.to_string (Bytes.sub snap 0 8))
+    (Bytes.to_string (Bytes.sub snap 0 8));
+  let image = Mem_device.of_bytes (Bytes.of_string "an image") in
+  check_str "of_bytes device snapshots" "an image"
+    (Bytes.to_string (Mem_device.snapshot image));
+  let counted = Stack.with_stats () dev in
+  check_str "snapshot reads through a layer" "????????"
+    (Bytes.to_string (Bytes.sub (Mem_device.snapshot counted) 0 8));
+  check_int "one read in the layer's stats" 1 counted.Device.stats.Device.reads;
+  check_int "the whole device read" 32 counted.Device.stats.Device.bytes_read
 
 (* Regression for the fd leak: the old hand-rolled Crash_device dropped
    [close], so a crash layer over a File_device never released the fd. The
@@ -369,8 +379,8 @@ let test_stack_composition () =
   Device.write_string dev ~off:0 "okay";
   check_int "disarmed stack flows again" 3 (g "mid.writes")
 
-(* The layer default preserves the base name, so a Mem_device snapshot
-   keyed by name still resolves through a stack. *)
+(* The layer default preserves the base name, so an [Io_error] raised
+   anywhere in a stack names the device underneath. *)
 let test_layer_preserves_name () =
   let base = Mem_device.create ~size:64 () in
   let dev = Stack.with_stats () base in

@@ -5,6 +5,8 @@
 module Experiment = Rvm_harness.Experiment
 module Table1 = Rvm_harness.Table1
 module Tpca = Rvm_workload.Tpca
+module Server = Rvm_server.Server
+module Ycsb_run = Rvm_server.Ycsb_run
 
 let check_bool = Alcotest.(check bool)
 
@@ -120,6 +122,50 @@ let test_table2_all_rows_close () =
         < 5.0))
     results
 
+(* Nothing outside a world holds its memory devices, so a dropped world
+   is garbage like any other value and needs no release. Each builder
+   runs once to warm whatever the process caches, then [rounds] more
+   times with every world dropped; the live heap after a full major
+   collection may grow by at most [slack_words] (256 KiB) over those
+   rounds. A TPC-A run that kept its 4 MiB log would exceed it 64 times
+   over. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let test_worlds_collected () =
+  let rounds = 4 and slack_words = 32 * 1024 in
+  let collected name build =
+    build ();
+    let before = live_words () in
+    for _ = 1 to rounds do
+      build ()
+    done;
+    let grown = live_words () - before in
+    check_bool
+      (Printf.sprintf "%s: live heap grew %d words over %d worlds" name grown
+         rounds)
+      true (grown <= slack_words)
+  in
+  collected "Experiment.tpca_run" (fun () ->
+      ignore
+        (Experiment.tpca_run ~warmup:50 ~measure:200
+           ~truncation_mode:Rvm_core.Types.Incremental ~engine:Experiment.Rvm
+           ~accounts:small ~pattern:Tpca.Random ~seed:5L ()));
+  collected "Server.run_with_world" (fun () ->
+      ignore
+        (Server.run_with_world
+           { Server.default_config with Server.requests = 100 }));
+  collected "Ycsb_run.run_with_world" (fun () ->
+      ignore
+        (Ycsb_run.run_with_world
+           {
+             Ycsb_run.default_config with
+             Ycsb_run.records = 1_000;
+             requests = 100;
+           }));
+  collected "Crash.run" (fun () -> ignore (Test_check.run_tiny ()))
+
 let suite =
   [
     ("shape.sequential-bound", `Slow, test_sequential_disk_bound);
@@ -129,4 +175,5 @@ let suite =
     ("shape.cpu-ratio", `Slow, test_cpu_ratio);
     ("shape.paper-data", `Quick, test_paper_reference_data);
     ("shape.table2", `Slow, test_table2_all_rows_close);
+    ("memory.worlds-collected", `Quick, test_worlds_collected);
   ]

@@ -346,7 +346,6 @@ let test_snapshot_reads () =
           None late;
         check_bool (name ^ "lookups observe committed writers") true
           (dependent_reads > 0);
-        S.release_world w;
         tally.Scheduler.reads)
     (* the first configuration is [read_cfg] itself *)
     [ (true, 8); (false, 8); (true, 1); (false, 1) ]
@@ -412,13 +411,12 @@ let counter_server ?(wrap = Fun.id) ?(query = false) ~read_lookups cfg =
    read. *)
 let test_custom_steps () =
   let cfg = { quick_cfg with S.read_pct = 20 } in
-  let w, sched, lookups, counter = counter_server ~read_lookups:false cfg in
+  let _, sched, lookups, counter = counter_server ~read_lookups:false cfg in
   let tally = Scheduler.run sched in
   check_bool "the generator drew lookups" true (Hashtbl.length lookups > 0);
   check_int "every request committed" cfg.S.requests tally.Scheduler.committed;
   check_int "no request answered as a read" 0 tally.Scheduler.reads;
-  check_int "counter = committed" tally.Scheduler.committed (counter ());
-  S.release_world w
+  check_int "counter = committed" tally.Scheduler.committed (counter ())
 
 (* --- end-to-end: transactions that write nothing --- *)
 
@@ -497,8 +495,7 @@ let test_readonly_commits () =
         tally.Scheduler.committed;
       let txns = if query then writers else cfg.S.requests in
       check_int (name ^ "engine transactions begun") txns !begins;
-      check_int (name ^ "engine transactions ended") txns !ends;
-      S.release_world w)
+      check_int (name ^ "engine transactions ended") txns !ends)
     (List.concat_map
        (fun c -> [ (c, false); (c, true) ])
        [
@@ -553,7 +550,6 @@ let test_query_deadlock_victim () =
   let tally =
     Scheduler.run (S.scheduler cfg w ~gen ~steps ~label:tpca_label)
   in
-  S.release_world w;
   check_bool "some request lost a deadlock" true (tally.Scheduler.aborts > 0);
   check_int "every request committed" cfg.S.requests tally.Scheduler.committed;
   check_int "engine transactions begun" 0 !begins;
@@ -596,7 +592,7 @@ let test_readonly_batch_rule () =
               e.Engine.flush ());
         }
       in
-      let w, sched, lookups, counter =
+      let _, sched, lookups, counter =
         counter_server ~wrap ~read_lookups:true cfg
       in
       Scheduler.set_hooks sched
@@ -625,8 +621,7 @@ let test_readonly_batch_rule () =
           name !at_issue batch_max;
       if !at_ack > 2 * batch_max then
         Alcotest.failf "%sa writer acked %d commits into its batch (bound %d)"
-          name !at_ack (2 * batch_max);
-      S.release_world w)
+          name !at_ack (2 * batch_max))
     [ 16; 32 ]
 
 (* An ack waits for its force. The batch force runs on the log disk's
@@ -682,7 +677,6 @@ let test_ack_waits_for_force () =
                            | None -> "by no force yet")))
             [ ("commit", r.Scheduler.commit_lsn); ("dependency", r.Scheduler.dep_lsn) ]);
       let tally = Scheduler.run sched in
-      S.release_world w;
       Option.iter Alcotest.fail !early;
       check_int (name ^ "every request acked") cfg.S.requests
         (tally.Scheduler.committed + tally.Scheduler.reads);
@@ -731,7 +725,6 @@ let test_spool_bounded_by_batch () =
                 max !deepest (Rvm_core.Rvm.query r).Rvm_core.Rvm.spool_records)
             engines);
       ignore (Scheduler.run sched);
-      S.release_world w;
       if !deepest > batch_max then
         Alcotest.failf "%sa spool held %d records (batch_max %d)" name
           !deepest batch_max;
@@ -754,13 +747,12 @@ let test_spool_bounded_by_batch () =
    floats, and each lock grant built closures. The bound leaves
    headroom for allocation differences between compiler versions. *)
 let test_quantum_allocation () =
-  let w, sched, _, _ = counter_server ~read_lookups:true readonly_cfg in
+  let _, sched, _, _ = counter_server ~read_lookups:true readonly_cfg in
   let w0 = Gc.minor_words () in
   let tally = Scheduler.run sched in
   let per_iteration =
     (Gc.minor_words () -. w0) /. float_of_int tally.Scheduler.iterations
   in
-  S.release_world w;
   if per_iteration > 48. then
     Alcotest.failf "%.1f minor words per scheduler quantum (bound 48)"
       per_iteration
@@ -895,7 +887,6 @@ let test_truncation_tail () =
     in
     let w = S.build_world cfg in
     let r = S.reduce cfg w (S.serve w (S.scheduler_of cfg w)) in
-    S.release_world w;
     let steps =
       match
         List.assoc_opt "truncation.steps.per.quantum"
@@ -1053,26 +1044,7 @@ let prop_elr_serial_balances =
           tally.Scheduler.shed;
       Option.iter (QCheck.Test.fail_reportf "ack before durability: %s") late;
       check_balances cfg w;
-      S.release_world w;
       true)
-
-(* The latency layer names itself after the memory device under it, whose
-   store is what the snapshot registry holds. *)
-let backing (d : Rvm_disk.Device.t) =
-  { d with Rvm_disk.Device.name = Filename.chop_suffix d.Rvm_disk.Device.name "+sim" }
-
-let snapshot_raises d =
-  match Rvm_disk.Mem_device.snapshot d with
-  | _ -> false
-  | exception Invalid_argument _ -> true
-
-let test_release_world () =
-  let w, _ = S.run_with_world { quick_cfg with S.requests = 20 } in
-  let log = backing w.S.log_devs.(0) and seg = backing w.S.seg_devs.(0) in
-  check_bool "run_with_world leaves the log open" false (snapshot_raises log);
-  S.release_world w;
-  check_bool "released log store is gone" true (snapshot_raises log);
-  check_bool "released segment store is gone" true (snapshot_raises seg)
 
 let suite =
   [
@@ -1111,7 +1083,6 @@ let suite =
       test_background_truncation_run );
     ("server.truncation-tail", `Quick, test_truncation_tail);
     ("server.trace-parents-commits", `Quick, test_trace_parenting);
-    ("server.release-world", `Quick, test_release_world);
     QCheck_alcotest.to_alcotest prop_no_hang_and_serial_balances;
     QCheck_alcotest.to_alcotest prop_elr_serial_balances;
   ]

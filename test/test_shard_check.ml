@@ -309,11 +309,7 @@ let test_recovery_crash_points () =
   let world rig =
     let traced kind =
       Array.mapi (fun i b ->
-          let d =
-            Crash.device rig ~name:(Printf.sprintf "%s%d" kind i)
-              ~size:(Bytes.length b)
-          in
-          Rvm_disk.Device.write_bytes d ~off:0 b;
+          let d = Mem_device.of_bytes ~name:(Printf.sprintf "%s%d" kind i) b in
           Crash.trace rig ~label:(Printf.sprintf "%s%d" kind i) d)
     in
     let logs = traced "log" logs and segs = traced "seg" segs in

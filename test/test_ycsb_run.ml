@@ -110,8 +110,7 @@ let test_read_only_mix_forces_nothing () =
   check_int "force batches" 0 r.Ycsb_run.batches;
   check_int "every request committed" base.Ycsb_run.requests
     r.Ycsb_run.committed;
-  check_bool "serial equal" true r.Ycsb_run.serial_equal;
-  Ycsb_run.release_world w
+  check_bool "serial equal" true r.Ycsb_run.serial_equal
 
 (* An engine commit's [req.root] span names its request through YCSB's
    label. On mix F only the read-modify-writes write: the reads begin no
@@ -141,8 +140,7 @@ let test_trace_labels () =
       check_bool "kind is ycsb-rmw" true
         (kind = Some (Rvm_obs.Trace.String "ycsb-rmw")))
     kinds;
-  check_bool "serial equal" true r.Ycsb_run.serial_equal;
-  Ycsb_run.release_world w
+  check_bool "serial equal" true r.Ycsb_run.serial_equal
 
 let test_world_gauges () =
   let r, w = Ycsb_run.run_with_world { base with Ycsb_run.mix = Ycsb.A } in
@@ -159,23 +157,6 @@ let test_world_gauges () =
   Pbtree.check w.Ycsb_run.tree;
   Rds.check w.Ycsb_run.heap
 
-let test_release_world () =
-  let _, w = Ycsb_run.run_with_world { base with Ycsb_run.requests = 20 } in
-  (* The latency layer is named after the memory device it wraps. *)
-  let log =
-    { w.Ycsb_run.log_dev with
-      Rvm_disk.Device.name =
-        Filename.chop_suffix w.Ycsb_run.log_dev.Rvm_disk.Device.name "+sim" }
-  in
-  let raises () =
-    match Rvm_disk.Mem_device.snapshot log with
-    | _ -> false
-    | exception Invalid_argument _ -> true
-  in
-  check_bool "run_with_world leaves the log open" false (raises ());
-  Ycsb_run.release_world w;
-  check_bool "released log store is gone" true (raises ())
-
 let suite =
   [
     ("ycsb_run.mixes-serial-equal", `Quick, test_mixes_serial_equal);
@@ -188,5 +169,4 @@ let suite =
       test_read_only_mix_forces_nothing );
     ("ycsb_run.trace-labels", `Quick, test_trace_labels);
     ("ycsb_run.world-gauges", `Quick, test_world_gauges);
-    ("ycsb_run.release-world", `Quick, test_release_world);
   ]
