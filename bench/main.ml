@@ -727,37 +727,37 @@ let recovery_row ~log_dev ~seg_dev =
    2-shard engine whose every tenth commit is cross-shard, then one more
    no-flush cross-shard commit is made durable by a flushed commit on each
    shard, so recovery has resolutions to append. Copies of the crash
-   images (nothing is terminated) recover through [Multi.initialize]:
-   each log's reads against its live bytes, and the whole recovery's
-   segment bytes and simulated seconds. *)
+   images (nothing is terminated) recover through the server's engine
+   opener: each log's reads against its live bytes, and the whole
+   recovery's segment bytes and simulated seconds. *)
 let sharded_recovery_row ~txns ~batch =
   let module J = Rvm_obs.Json in
-  let module Multi = Rvm_shard.Multi in
+  let module Engine = Rvm_server.Engine in
   let module T = Rvm_core.Types in
   let mem size = Rvm_disk.Mem_device.create ~size () in
   let logs = Array.init 2 (fun _ -> mem (8 * 1024 * 1024)) in
   let segs = Array.init 2 (fun _ -> mem (1024 * 1024)) in
-  Multi.create_logs logs;
-  let routing = Rvm_shard.Routing.of_table ~shards:2 [ (1, 0); (2, 1) ] in
-  let m =
-    Multi.initialize ~routing ~logs ~resolve:(fun id -> segs.(id - 1)) ()
-  in
+  Rvm_shard.Multi.create_logs logs;
+  let eng, backend = Engine.initialize ~logs ~segs () in
   let base =
-    Array.init 2 (fun s ->
-        (Multi.map m ~seg:(s + 1) ~seg_off:0 ~len:(512 * 1024) ())
+    Array.init 2 (fun shard ->
+        (Engine.map backend ~shard ~seg_off:0 ~len:(512 * 1024) ())
           .Rvm_core.Region.vaddr)
   in
   let payload = Bytes.make 256 'g' in
   let commit i shards ~mode =
-    let g = Multi.begin_transaction m ~mode:T.No_restore in
+    let g = eng.Engine.begin_txn ~mode:T.No_restore in
     List.iter
-      (fun s -> Multi.modify m g ~addr:(base.(s) + (i mod 1000 * 320)) payload)
+      (fun s ->
+        let addr = base.(s) + (i mod 1000 * 320) in
+        eng.Engine.set_range g ~addr ~len:(Bytes.length payload);
+        eng.Engine.store ~addr payload)
       shards;
-    Multi.end_transaction m g ~mode
+    eng.Engine.end_txn g ~mode
   in
   for i = 1 to txns do
     commit i (if i mod 10 = 0 then [ 0; 1 ] else [ i mod 2 ]) ~mode:T.No_flush;
-    if i mod batch = 0 then Multi.flush m
+    if i mod batch = 0 then eng.Engine.flush ()
   done;
   commit 0 [ 0; 1 ] ~mode:T.No_flush;
   commit 1 [ 0 ] ~mode:T.Flush;
@@ -770,10 +770,8 @@ let sharded_recovery_row ~txns ~batch =
   in
   let obs = Rvm_obs.Registry.create () in
   ignore
-    (Multi.initialize ~clock ~model:Rvm_util.Cost_model.dec5000 ~obs ~routing
-       ~logs:(Array.map fst stacks)
-       ~resolve:(fun id -> snd stacks.(id - 1))
-       ());
+    (Engine.initialize ~clock ~obs ~logs:(Array.map fst stacks)
+       ~segs:(Array.map snd stacks) ());
   let read =
     Array.map
       (fun ((log : Rvm_disk.Device.t), _) ->

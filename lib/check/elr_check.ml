@@ -1,8 +1,5 @@
-module Options = Rvm_core.Options
 module Clock = Rvm_util.Clock
-module Cost_model = Rvm_util.Cost_model
 module Registry = Rvm_obs.Registry
-module Multi = Rvm_shard.Multi
 module Tpca = Rvm_workload.Tpca
 module Placement = Rvm_server.Placement
 module Engine = Rvm_server.Engine
@@ -36,6 +33,30 @@ let transfer_pct = 30
 let rate_tps = 400.
 let log_size = 256 * 1024
 
+(* The server config the recorded run serves and every recovery reopens:
+   the mix above, with a queue deep enough that nothing sheds, since
+   membership checking wants every generated write to either commit or
+   still be in flight at the crash, never refused. The log never fills
+   far enough for the background slot to truncate, so every device event
+   is commit traffic. *)
+let serving cfg =
+  {
+    Server.default_config with
+    Server.accounts = cfg.accounts;
+    shards = cfg.shards;
+    zipf_s;
+    transfer_pct;
+    read_pct;
+    requests = cfg.requests;
+    seed = cfg.seed;
+    load = Server.Open_loop rate_tps;
+    batch_max = cfg.batch_max;
+    max_inflight = 8;
+    max_queue = cfg.requests + 8;
+    log_size;
+    elr = true;
+  }
+
 (* What the recorded run logs through the scheduler hooks. *)
 
 type spooled = {
@@ -44,26 +65,34 @@ type spooled = {
   sp_spec : Tpca.spec;
 }
 
-type ack =
-  | Ack_write of { a_id : int; a_event : int }
-  | Ack_read of { a_id : int; a_deps : int list; a_event : int }
+(* An outcome released to a client, as the scheduler's request shows it:
+   whether the request wrote (its commit took a commit LSN), the writers
+   whose early-released state it observed, and the device event at which
+   the ack left the server. *)
+type ack = { a_id : int; a_wrote : bool; a_deps : int list; a_event : int }
+
+(* (a) No ack precedes durability: every request acked by the crash that
+   wrote must have been recovered, and so must every writer whose state
+   it observed. *)
+let ack_violation acks ~upto ~survived =
+  List.find_map
+    (fun a ->
+      if a.a_event > upto then None
+      else if a.a_wrote && not (survived a.a_id) then
+        Some
+          (Printf.sprintf
+             "write %d was acked at event %d but did not survive the crash"
+             a.a_id a.a_event)
+      else
+        List.find_opt (fun w -> not (survived w)) a.a_deps
+        |> Option.map
+             (Printf.sprintf
+                "request %d was acked at event %d but observed writer %d, \
+                 which did not survive the crash"
+                a.a_id a.a_event))
+    acks
 
 let page_size = 4096
-
-let make_options () =
-  (* The workloads are small enough that the log never fills; keep both
-     truncation triggers quiet so every device event is commit traffic. *)
-  { Options.default with Options.auto_truncate = false }
-
-(* Map every shard's layout at its fixed vaddr; the placement over them. *)
-let map_layouts m layouts =
-  Array.iteri
-    (fun s (l : Tpca.layout) ->
-      ignore
-        (Multi.map m ~vaddr:l.Tpca.base ~seg:(Explorer.seg_of_shard s)
-           ~seg_off:0 ~len:l.Tpca.total_len ()))
-    layouts;
-  Placement.make ~layouts
 
 (* Recover crashed images and read back every balance cell plus the
    membership the audit trails record. *)
@@ -77,38 +106,43 @@ type recovered = {
 
 (* Every written audit slot holds its writer's id + 1 at offset +24; a
    zeroed slot was never written (or its commit did not survive). *)
-let members layouts word =
+let members pl word =
   let found = Hashtbl.create 64 in
-  Array.iter
-    (fun (l : Tpca.layout) ->
-      for i = 0 to l.Tpca.audit_entries - 1 do
-        let w = word (Tpca.audit_addr l i + 24) in
-        if w <> 0L then Hashtbl.replace found (Int64.to_int w - 1) ()
-      done)
-    layouts;
+  for s = 0 to Placement.shards pl - 1 do
+    let l = Placement.layout pl s in
+    for i = 0 to l.Tpca.audit_entries - 1 do
+      let w = word (Tpca.audit_addr l i + 24) in
+      if w <> 0L then Hashtbl.replace found (Int64.to_int w - 1) ()
+    done
+  done;
   found
 
-let recover cfg layouts images =
-  let n = cfg.shards in
-  let logs, resolve = Explorer.split n images in
-  let m =
-    Multi.reinitialize ~options:(make_options ())
-      ~routing:(Explorer.make_routing n) ~logs ~resolve ()
+(* Reopen the server's world on the images, as the server would after
+   the crash, and read back through its engine and placement. *)
+let recover serving images =
+  let n = serving.Server.shards in
+  let logs, segs = Explorer.split n images in
+  let w =
+    Server.open_world serving ~clock:(Clock.simulated ())
+      ~obs:(Registry.create ()) ~logs ~segs
   in
-  let pl = map_layouts m layouts in
-  let word addr = Multi.get_i64 m ~addr in
+  let pl = w.Server.placement in
+  let word addr =
+    Bytes.get_int64_le (w.Server.engine.Engine.load ~addr ~len:8) 0
+  in
   {
     r_accounts =
-      Array.init cfg.accounts (fun i -> word (Placement.account_addr pl i));
+      Array.init serving.Server.accounts (fun i ->
+          word (Placement.account_addr pl i));
     r_tellers =
       Array.init (n * Tpca.tellers) (fun i ->
           let s = i / Tpca.tellers and t = i mod Tpca.tellers in
-          word (Tpca.teller_addr layouts.(s) t));
+          word (Tpca.teller_addr (Placement.layout pl s) t));
     r_branches =
       Array.init (n * Tpca.branches) (fun i ->
           let s = i / Tpca.branches and b = i mod Tpca.branches in
-          word (Tpca.branch_addr layouts.(s) b));
-    r_members = members layouts word;
+          word (Tpca.branch_addr (Placement.layout pl s) b));
+    r_members = members pl word;
   }
 
 (* Serial reference over the recovered-membership set: per-cell additions
@@ -152,35 +186,7 @@ let oracle cfg ~spool_order ~acks =
     | Some e -> survives e
     | None -> false
   in
-  (* (a) No ack precedes durability: every write acked before the
-     crash must have been recovered, and every lookup acked before
-     the crash must only have exposed state of recovered writers. *)
-  let ack_violation =
-    List.find_map
-      (fun a ->
-        match a with
-        | Ack_write { a_id; a_event } ->
-          if a_event <= crash.Crash.upto && not (in_s a_id) then
-            Some
-              (Printf.sprintf
-                 "write %d was acked at event %d but did not survive \
-                  the crash"
-                 a_id a_event)
-          else None
-        | Ack_read { a_id; a_deps; a_event } ->
-          if a_event > crash.Crash.upto then None
-          else (
-            match List.find_opt (fun w -> not (in_s w)) a_deps with
-            | Some w ->
-              Some
-                (Printf.sprintf
-                   "lookup %d was acked at event %d but observed \
-                    writer %d, which did not survive the crash"
-                   a_id a_event w)
-            | None -> None))
-      acks
-  in
-  match ack_violation with
+  match ack_violation acks ~upto:crash.Crash.upto ~survived:in_s with
   | Some reason -> Some reason
   | None -> (
     (* (b) Prefix closure: per shard, the survivors must be a prefix
@@ -241,57 +247,23 @@ let oracle cfg ~spool_order ~acks =
            (List.length survivors))
         mismatch)
 
-(* The recorded run: the server harness's TPC-A scheduler (DESIGN.md
-   §9, "One harness, many workloads") over a sharded engine on
-   recorder-wrapped memory devices, with the scheduler hooks logging
-   commit-spool order and the exact device-event index at which every
-   ack left the server. *)
+(* The recorded run: the server harness's TPC-A world and scheduler
+   (DESIGN.md §9, "One harness, many workloads") on recorder-wrapped
+   memory devices, with the scheduler hooks logging commit-spool order
+   and the exact device-event index at which every ack left the server. *)
 let world cfg rig =
   let n = cfg.shards in
-  let serving =
-    {
-      Server.default_config with
-      Server.accounts = cfg.accounts;
-      shards = n;
-      zipf_s;
-      transfer_pct;
-      read_pct;
-      requests = cfg.requests;
-      seed = cfg.seed;
-      load = Server.Open_loop rate_tps;
-      batch_max = cfg.batch_max;
-      (* Queue deep enough that nothing sheds: membership checking wants
-         every generated write to either commit or still be in flight at
-         the crash, never refused. *)
-      max_inflight = 8;
-      max_queue = cfg.requests + 8;
-      elr = true;
-    }
-  in
+  let serving = serving cfg in
   let layouts = Server.shard_layouts serving in
-  let logs, resolve =
-    Explorer.trace_shards rig ~shards:n ~log_size
+  let logs, segs =
+    Explorer.trace_shards rig ~shards:n ~log_size:serving.Server.log_size
       ~seg_size:(fun s -> layouts.(s).Tpca.total_len + page_size)
   in
-  let obs = Crash.obs rig in
-  let clock = Clock.simulated () in
-  let m =
-    Multi.initialize ~options:(make_options ()) ~clock
-      ~model:Cost_model.dec5000 ~obs ~routing:(Explorer.make_routing n)
-      ~logs ~resolve ()
+  let w =
+    Server.open_world serving ~clock:(Clock.simulated ()) ~obs:(Crash.obs rig)
+      ~logs ~segs
   in
-  let sched =
-    Server.scheduler_of serving
-      {
-        Server.engine = Engine.of_multi m;
-        backend = Server.Sharded m;
-        clock;
-        obs;
-        placement = map_layouts m layouts;
-        log_devs = logs;
-        seg_devs = Array.init n (fun s -> resolve (Explorer.seg_of_shard s));
-      }
-  in
+  let sched = Server.scheduler_of serving w in
   let spool_order = ref [] (* newest first *) in
   let acks = ref [] in
   Scheduler.set_hooks sched
@@ -304,15 +276,14 @@ let world cfg rig =
         { sp_id = s.Tpca.id; sp_shards = shards_touched; sp_spec = s }
         :: !spool_order)
     ~on_ack:(fun r ->
-      let e = Crash.events_so_far rig in
-      let id = r.Scheduler.id in
-      match r.Scheduler.spec.Tpca.kind with
-      | Tpca.Lookup ->
-        acks :=
-          Ack_read { a_id = id; a_deps = r.Scheduler.dep_writers; a_event = e }
-          :: !acks
-      | Tpca.Payment | Tpca.Transfer ->
-        acks := Ack_write { a_id = id; a_event = e } :: !acks);
+      acks :=
+        {
+          a_id = r.Scheduler.id;
+          a_wrote = r.Scheduler.commit_lsn > 0;
+          a_deps = r.Scheduler.dep_writers;
+          a_event = Crash.events_so_far rig;
+        }
+        :: !acks);
   let tally = Scheduler.run sched in
   let spool_order = List.rev !spool_order in
   (* Each spooled write drew one slot from its anchor account's trail. A
@@ -335,7 +306,7 @@ let world cfg rig =
              s d slots))
     draws;
   {
-    Crash.recover = recover cfg layouts;
+    Crash.recover = recover serving;
     oracle = oracle cfg ~spool_order ~acks:(List.rev !acks);
     commits = tally.Scheduler.committed;
     counters =
@@ -344,7 +315,8 @@ let world cfg rig =
           List.length
             (List.filter (fun e -> List.length e.sp_shards > 1) spool_order) );
         ( "early releases",
-          Rvm_obs.Counter.get (Registry.counter obs "elr.released_early") );
+          Rvm_obs.Counter.get
+            (Registry.counter w.Server.obs "elr.released_early") );
         ("snapshot reads", tally.Scheduler.reads);
       ];
   }

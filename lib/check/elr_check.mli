@@ -1,29 +1,30 @@
 (** Crash explorer for the early-lock-release commit pipeline.
 
-    The recorded run is a {e real server world} — the sharded engine
-    behind {!Rvm_server.Engine} and the server harness's TPC-A scheduler
-    ({!Rvm_server.Server.scheduler_of}: lock manager, admission control,
-    ELR) — driving a seeded TPC-A mix (payments, transfers, lookups)
-    over recorder-wrapped memory devices. Scheduler hooks log two orders
-    the checks need:
+    The recorded run is a {e real server world}, opened by
+    {!Rvm_server.Server.open_world} as every TPC-A server's is (the
+    single-log engine on one shard, the sharded one on more), and the
+    server harness's TPC-A scheduler ({!Rvm_server.Server.scheduler_of}:
+    lock manager, admission control, ELR), driving a seeded TPC-A mix
+    over recorder-wrapped memory devices; recovery opens it again.
+    Scheduler hooks log two orders the checks need:
 
     - {e commit-spool order}: each write request the moment its commit
       record reaches the log spool (the instant ELR drops the locks of a
       single-shard commit);
     - {e ack order}: each outcome released to a client, tagged with the
-      exact device-event index at which it left the server — for lookups,
-      together with the writer ids whose early-released state they
-      observed.
+      exact device-event index at which it left the server, whether the
+      request wrote, and the writer ids whose early-released state it
+      observed, all read off the scheduler's request.
 
     Then every crash point the {!Crash} core enumerates (DESIGN.md §6) is
     replayed through recovery and checked:
 
-    + {b No ack precedes durability} — a write acked before the crash
-      must be recovered; a lookup acked before the crash must only have
-      exposed writers that were recovered. This is exactly the
-      commit-LSN ack-dependency rule ELR introduces; a scheduler that
-      acked at spool time fails here at the first crash inside an open
-      batch.
+    + {b No ack precedes durability} ({!ack_violation}) — a request
+      acked before the crash that wrote must be recovered, and so must
+      every writer it observed, for writes and lookups alike. This is
+      exactly the commit-LSN ack-dependency rule ELR introduces; a
+      scheduler that acked at spool time fails here at the first crash
+      inside an open batch.
     + {b Prefix closure} — per shard, the surviving commits are a prefix
       of spool order; the only legal holes are cross-shard transactions
       whose intents recovery resolved to aborted.
@@ -62,6 +63,23 @@ val read_pct : int
 (** Percentage of requests drawn as lookups: 25. The rest of the mix is
     fixed too — zipf 0.99 account skew, 30% transfers, 400 tps offered
     open loop, a 256 KiB log per shard. *)
+
+type ack = {
+  a_id : int;
+  a_wrote : bool;  (** its commit took a commit LSN *)
+  a_deps : int list;  (** writers whose early-released state it observed *)
+  a_event : int;  (** device events recorded when it left the server *)
+}
+(** An outcome released to a client, as the scheduler's request shows
+    it. *)
+
+val ack_violation :
+  ack list -> upto:int -> survived:(int -> bool) -> string option
+(** Check (a) for a crash with [upto] device events on disk: the first
+    of [acks] acked by then that wrote and did not survive, or that
+    observed a writer that did not, described; [None] if there is none.
+    [survived id] reads request [id]'s membership in the recovered audit
+    trails. *)
 
 val run : ?config:config -> unit -> Crash.outcome
 (** Record the server run and explore every crash point. Counters:

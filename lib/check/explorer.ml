@@ -1,5 +1,4 @@
 open Rvm_core
-module Routing = Rvm_shard.Routing
 module Multi = Rvm_shard.Multi
 module Engine = Rvm_server.Engine
 
@@ -42,17 +41,9 @@ let options config =
 
 (* --- the devices: one log and one segment per shard --- *)
 
-let seg_of_shard s = s + 1
-
-let make_routing shards =
-  Routing.of_table ~shards (List.init shards (fun s -> (seg_of_shard s, s)))
-
 (* [2 * shards] devices in trace order — every shard's log, then every
-   shard's segment — as the engine's logs and segment resolver. *)
-let split shards devs =
-  let routing = make_routing shards in
-  ( Array.sub devs 0 shards,
-    fun seg -> devs.(shards + Routing.shard_of routing ~seg) )
+   shard's segment — as the engine's logs and segments. *)
+let split shards devs = (Array.sub devs 0 shards, Array.sub devs shards shards)
 
 let trace_shards rig ~shards ~log_size ~seg_size =
   let name kind s = if shards = 1 then kind else kind ^ string_of_int s in
@@ -76,23 +67,17 @@ let trace_shards rig ~shards ~log_size ~seg_size =
   split shards (Array.append logs (trace "seg" segs))
 
 (* Open the engine the server builds for [config.shards] on
-   [(logs, resolve)] and map every shard's region. *)
-let mount ?obs config (logs, resolve) =
-  let options = options config and len = Workload.region_len in
-  if config.shards = 1 then begin
-    let rvm = Rvm.reinitialize ~options ?obs ~log:logs.(0) ~resolve () in
-    let region = Rvm.map rvm ~seg:(seg_of_shard 0) ~seg_off:0 ~len () in
-    (Engine.of_rvm rvm, [| region.Region.vaddr |])
-  end
-  else begin
-    let m =
-      Multi.reinitialize ~options ?obs ~routing:(make_routing config.shards)
-        ~logs ~resolve ()
-    in
-    ( Engine.of_multi m,
-      Array.init config.shards (fun s ->
-          (Multi.map m ~seg:(seg_of_shard s) ~seg_off:0 ~len ()).Region.vaddr) )
-  end
+   [(logs, segs)], on a fresh simulated clock so that recovering the
+   same images is deterministic, and map every shard's region. *)
+let mount ?obs config (logs, segs) =
+  let eng, backend =
+    Engine.initialize ~options:(options config)
+      ~clock:(Rvm_util.Clock.simulated ()) ?obs ~logs ~segs ()
+  in
+  ( eng,
+    Array.init config.shards (fun shard ->
+        (Engine.map backend ~shard ~seg_off:0 ~len:Workload.region_len ())
+          .Region.vaddr) )
 
 let recover config images =
   let eng, bases = mount config (split config.shards images) in

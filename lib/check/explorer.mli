@@ -2,8 +2,9 @@
     many.
 
     Runs a scripted {!Workload} on the {!Crash} core (DESIGN.md §6)
-    against the engine the server builds: {!Rvm_core.Rvm} on one shard,
-    {!Rvm_shard.Multi} on more, driven through {!Rvm_server.Engine}. Every
+    against the engine the server builds: {!Rvm_server.Engine.initialize}
+    opens {!Rvm_core.Rvm} on one shard and {!Rvm_shard.Multi} on more,
+    and the workload drives it through {!Rvm_server.Engine}. Every
     shard has its own log device and segment device, and one recorder
     orders every write and sync across all of them, so crash points are
     boundaries in the {e global} write order: on more than one shard that
@@ -11,15 +12,16 @@
     where only some participants' intents (or the staged record) are
     durable.
 
-    Each crash image set is recovered the way the engine recovers —
-    {!Rvm_shard.Multi.reinitialize} runs the cross-shard
-    status-resolution pass before any shard replays — and the recovered
-    regions are checked against the pure {!Model}: there must exist
-    per-shard prefixes, at least as long as the last durable point before
-    the crash, and one set of decided cross-shard transactions explaining
-    every shard's bytes. One run of a workload yields hundreds of checked
-    crash scenarios, turning the randomized property of
-    [test/test_props.ml] into an exhaustive sweep. *)
+    Each crash image set is recovered the way the engine recovers, by
+    {!Rvm_server.Engine.initialize} on a fresh simulated clock (on more
+    than one shard the cross-shard status-resolution pass runs before any
+    shard replays), and the recovered regions are checked against the
+    pure {!Model}: there must exist per-shard prefixes, at least as long
+    as the last durable point before the crash, and one set of decided
+    cross-shard transactions explaining every shard's bytes. One run of a
+    workload yields hundreds of checked crash scenarios, turning the
+    randomized property of [test/test_props.ml] into an exhaustive
+    sweep. *)
 
 type config = {
   shards : int;
@@ -61,29 +63,23 @@ val edits : (Workload.op -> Workload.op list list) list
 
 (** {2 Sharded crash worlds}
 
-    Shared with {!Elr_check}, whose server world uses the same device
-    layout. *)
-
-val seg_of_shard : int -> int
-(** Segment id mapped on shard [s]: [s + 1]. *)
-
-val make_routing : int -> Rvm_shard.Routing.t
-(** Routing for [shards] shards with segment [seg_of_shard s] on shard [s]. *)
+    One log and one segment per shard, shared with {!Elr_check}, whose
+    server world uses the same device layout. *)
 
 val trace_shards :
   Crash.rig ->
   shards:int ->
   log_size:int ->
   seg_size:(int -> int) ->
-  Rvm_disk.Device.t array * (int -> Rvm_disk.Device.t)
+  Rvm_disk.Device.t array * Rvm_disk.Device.t array
 (** Make and format a log per shard and a segment per shard
     ([seg_size s] bytes), and trace them, logs first, named as the server
     names them (["log"], ["seg"] on one shard; ["log0"], ["seg1"], ... on
-    more): the traced logs and the segment resolver under
-    [make_routing shards]. *)
+    more): the traced logs and segments, shard order, ready for
+    {!Rvm_server.Engine.initialize}. *)
 
 val split :
   int -> Rvm_disk.Device.t array ->
-  Rvm_disk.Device.t array * (int -> Rvm_disk.Device.t)
-(** [split shards images] is the same logs-and-resolver view of crash
+  Rvm_disk.Device.t array * Rvm_disk.Device.t array
+(** [split shards images] is the same logs-and-segments view of crash
     images, which arrive in the order {!trace_shards} traced them. *)

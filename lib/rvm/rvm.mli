@@ -100,8 +100,8 @@ val reinitialize :
 (** Deterministic {!initialize} for replayed crash images: runs on a fresh
     simulated clock so no code path consults wall-clock time, making
     recovery of the same durable image bit-for-bit reproducible. The
-    crash-point explorer ({!Rvm_check.Explorer}) re-initializes thousands
-    of reconstructed images through this hook, passing [obs] to collect
+    B-tree crash explorer ({!Rvm_check.Btree_check}) re-initializes
+    every reconstructed image through this hook, passing [obs] to collect
     the recovery trace of a counterexample. *)
 
 val terminate : t -> unit

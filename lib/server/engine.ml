@@ -1,9 +1,9 @@
 module Rvm = Rvm_core.Rvm
 module Multi = Rvm_shard.Multi
+module Routing = Rvm_shard.Routing
 module Types = Rvm_core.Types
 
 type t = {
-  name : string;
   begin_txn : mode:Types.restore_mode -> int;
   set_range : int -> addr:int -> len:int -> unit;
   load : addr:int -> len:int -> Bytes.t;
@@ -24,7 +24,6 @@ type t = {
 
 let of_rvm rvm =
   {
-    name = "rvm";
     begin_txn = (fun ~mode -> Rvm.begin_transaction rvm ~mode);
     set_range = (fun tid ~addr ~len -> Rvm.set_range rvm tid ~addr ~len);
     load = (fun ~addr ~len -> Rvm.load rvm ~addr ~len);
@@ -49,7 +48,6 @@ let of_rvm rvm =
    plain delegation, like [of_rvm]. *)
 let of_multi m =
   {
-    name = Printf.sprintf "multi:%d" (Multi.shard_count m);
     begin_txn = (fun ~mode -> Multi.begin_transaction m ~mode);
     set_range = (fun tid ~addr ~len -> Multi.set_range m tid ~addr ~len);
     load = (fun ~addr ~len -> Multi.load m ~addr ~len);
@@ -69,3 +67,32 @@ let of_multi m =
     truncate = (fun () -> Multi.truncate m);
     shards = Multi.shard_count m;
   }
+
+type backend = Single of Rvm.t | Sharded of Multi.t
+
+(* Shard s's data is segment s + 1: segment ids start at 1. *)
+let seg_of_shard s = s + 1
+
+let initialize ?options ?clock ?obs ~logs ~segs () =
+  let n = Array.length logs in
+  if Array.length segs <> n then
+    invalid_arg
+      (Printf.sprintf "Engine.initialize: %d logs but %d segments" n
+         (Array.length segs));
+  let routing =
+    Routing.of_table ~shards:n (List.init n (fun s -> (seg_of_shard s, s)))
+  in
+  let resolve seg = segs.(Routing.shard_of routing ~seg) in
+  match logs with
+  | [| log |] ->
+    let rvm = Rvm.initialize ?options ?clock ?obs ~log ~resolve () in
+    (of_rvm rvm, Single rvm)
+  | _ ->
+    let m = Multi.initialize ?options ?clock ?obs ~routing ~logs ~resolve () in
+    (of_multi m, Sharded m)
+
+let map backend ?vaddr ~shard ~seg_off ~len () =
+  let seg = seg_of_shard shard in
+  match backend with
+  | Single rvm -> Rvm.map rvm ?vaddr ~seg ~seg_off ~len ()
+  | Sharded m -> Multi.map m ?vaddr ~seg ~seg_off ~len ()

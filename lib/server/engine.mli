@@ -1,4 +1,5 @@
-(** The scheduler's view of a transaction engine.
+(** The scheduler's view of a transaction engine, and the one opener of
+    a server world's engine.
 
     The server loop is engine-agnostic: it runs the same step lists over
     the single-log engine ({!Rvm_core.Rvm}) or the sharded multi-log
@@ -20,7 +21,6 @@
     fallback when occupancy reaches [truncation_critical]. *)
 
 type t = {
-  name : string;
   begin_txn : mode:Rvm_core.Types.restore_mode -> int;
   set_range : int -> addr:int -> len:int -> unit;
   load : addr:int -> len:int -> Bytes.t;
@@ -43,4 +43,27 @@ type t = {
 }
 
 val of_rvm : Rvm_core.Rvm.t -> t
-val of_multi : Rvm_shard.Multi.t -> t
+(** For a world that opens {!Rvm_core.Rvm} itself, as YCSB's does. *)
+
+type backend = Single of Rvm_core.Rvm.t | Sharded of Rvm_shard.Multi.t
+
+val initialize :
+  ?options:Rvm_core.Options.t ->
+  ?clock:Rvm_util.Clock.t ->
+  ?obs:Rvm_obs.Registry.t ->
+  logs:Rvm_disk.Device.t array ->
+  segs:Rvm_disk.Device.t array ->
+  unit ->
+  t * backend
+(** Open and recover the engine a server world runs on one formatted log
+    and one data segment per shard ([logs.(s)] and [segs.(s)] for shard
+    [s]): {!Rvm_core.Rvm} on one shard, {!Rvm_shard.Multi} on more.
+    Shard [s]'s data is segment [s + 1], routed to shard [s]; this is the
+    one place that rule is written. {!Server.open_world} and the engine
+    crash explorer open their engine here. Raises [Invalid_argument]
+    unless there are as many segments as logs. *)
+
+val map :
+  backend -> ?vaddr:int -> shard:int -> seg_off:int -> len:int -> unit ->
+  Rvm_core.Region.t
+(** Map [len] bytes of shard [shard]'s segment from [seg_off]. *)

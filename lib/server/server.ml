@@ -7,7 +7,6 @@ module Stack = Rvm_disk.Stack
 module Rvm = Rvm_core.Rvm
 module Options = Rvm_core.Options
 module Multi = Rvm_shard.Multi
-module Routing = Rvm_shard.Routing
 module Lock_mgr = Rvm_layers.Lock_mgr
 module Tpca = Rvm_workload.Tpca
 module Registry = Rvm_obs.Registry
@@ -94,7 +93,7 @@ let percentile sorted p =
 
 let page_size = 4096
 
-type backend = Single of Rvm.t | Sharded of Multi.t
+type backend = Engine.backend = Single of Rvm.t | Sharded of Multi.t
 
 type world = {
   engine : Engine.t;
@@ -103,7 +102,6 @@ type world = {
   obs : Registry.t;
   placement : Placement.t;
   log_devs : Device.t array;  (* stats at the physical-device layer *)
-  seg_devs : Device.t array;
 }
 
 let options_of cfg =
@@ -153,14 +151,32 @@ let devices ~clock ~suffix ~log_size ~seg_size =
   in
   (log, seg)
 
+(* Open the engine on one formatted log and one segment per shard and map
+   shard s's layout. *)
+let open_layouts cfg layouts ~clock ~obs ~logs ~segs =
+  if Array.length logs <> cfg.shards then
+    invalid_arg
+      (Printf.sprintf "Server.open_world: %d shards need %d logs, got %d"
+         cfg.shards cfg.shards (Array.length logs));
+  let engine, backend =
+    Engine.initialize ~options:(options_of cfg) ~clock ~obs ~logs ~segs ()
+  in
+  Array.iteri
+    (fun shard (l : Tpca.layout) ->
+      ignore
+        (Engine.map backend ~vaddr:l.Tpca.base ~shard ~seg_off:0
+           ~len:l.Tpca.total_len ()))
+    layouts;
+  { engine; backend; clock; obs; placement = Placement.make ~layouts;
+    log_devs = logs }
+
+let open_world cfg = open_layouts cfg (shard_layouts cfg)
+
 let build_world cfg =
   if cfg.shards < 1 then invalid_arg "Server: shards must be positive";
   if cfg.shards > cfg.accounts then
     invalid_arg "Server: more shards than accounts";
   let clock = Clock.simulated () in
-  let model = Cost_model.dec5000 in
-  let obs = Registry.create () in
-  let options = options_of cfg in
   (* World construction — formatting the logs, cold recovery scans,
      mapping the segments in — is setup, not served load: suspend the
      clock so the sweep measures steady-state serving from t=0 and the
@@ -176,48 +192,10 @@ let build_world cfg =
           ~log_size:cfg.log_size
           ~seg_size:(layouts.(s).Tpca.total_len + page_size))
   in
-  let log_devs = Array.map fst devs and seg_devs = Array.map snd devs in
-  let engine, backend =
-    if n = 1 then begin
-      Rvm.create_log log_devs.(0);
-      let rvm =
-        Rvm.initialize ~options ~clock ~model ~obs ~log:log_devs.(0)
-          ~resolve:(fun _ -> seg_devs.(0))
-          ()
-      in
-      ignore
-        (Rvm.map rvm ~vaddr:layouts.(0).Tpca.base ~seg:1 ~seg_off:0
-           ~len:layouts.(0).Tpca.total_len ());
-      (Engine.of_rvm rvm, Single rvm)
-    end
-    else begin
-      let routing =
-        Routing.of_table ~shards:n (List.init n (fun s -> (s + 1, s)))
-      in
-      Multi.create_logs log_devs;
-      let m =
-        Multi.initialize ~options ~clock ~model ~obs ~routing ~logs:log_devs
-          ~resolve:(fun seg -> seg_devs.(seg - 1))
-          ()
-      in
-      Array.iteri
-        (fun s (l : Tpca.layout) ->
-          ignore
-            (Multi.map m ~vaddr:l.Tpca.base ~seg:(s + 1) ~seg_off:0
-               ~len:l.Tpca.total_len ()))
-        layouts;
-      (Engine.of_multi m, Sharded m)
-    end
-  in
-  {
-    engine;
-    backend;
-    clock;
-    obs;
-    placement = Placement.make ~layouts;
-    log_devs;
-    seg_devs;
-  }
+  let logs = Array.map fst devs in
+  Multi.create_logs logs;
+  open_layouts cfg layouts ~clock ~obs:(Registry.create ()) ~logs
+    ~segs:(Array.map snd devs)
 
 (* {2 The serving half, shared by every workload} *)
 

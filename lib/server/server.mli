@@ -6,7 +6,8 @@
     configs are byte-identical: every stochastic choice (request mix,
     Zipf keys, arrival times, backoff jitter) flows from [seed] through
     split {!Rvm_util.Rng} streams, and all timing is simulated. TPC-A,
-    {!Ycsb_run} and the ELR crash explorer share its serving half. *)
+    {!Ycsb_run} and the ELR crash explorer share its serving half, and
+    TPC-A and the ELR crash explorer its {!open_world}. *)
 
 type load =
   | Open_loop of float  (** Poisson arrivals at this offered tps *)
@@ -110,7 +111,9 @@ val run_monitored :
     [txn.commit]), the engine and placement (to check final balances
     against the serial reference), the raw tally. *)
 
-type backend = Single of Rvm_core.Rvm.t | Sharded of Rvm_shard.Multi.t
+type backend = Engine.backend =
+  | Single of Rvm_core.Rvm.t
+  | Sharded of Rvm_shard.Multi.t
 
 type world = {
   engine : Engine.t;
@@ -121,10 +124,23 @@ type world = {
   log_devs : Rvm_disk.Device.t array;
       (** outermost log devices — their [stats] count physical
           writes/syncs; one element per shard *)
-  seg_devs : Rvm_disk.Device.t array;  (** outermost segment devices *)
 }
 
+val open_world :
+  config ->
+  clock:Rvm_util.Clock.t ->
+  obs:Rvm_obs.Registry.t ->
+  logs:Rvm_disk.Device.t array ->
+  segs:Rvm_disk.Device.t array ->
+  world
+(** {!Engine.initialize} on [logs] and [segs], one formatted log and one
+    data segment per shard, with the server's options, then map shard
+    [s]'s {!shard_layouts} entry on shard [s]. {!build_world} and the ELR
+    crash explorer (its recorded run and every recovery) open here.
+    Raises [Invalid_argument] unless there are [cfg.shards] logs. *)
+
 val build_world : config -> world
+(** {!open_world} on fresh dec5000 {!devices}, the clock suspended. *)
 
 val scheduler_of :
   config -> world -> Rvm_workload.Tpca.spec Scheduler.t

@@ -89,7 +89,6 @@ type world = {
   tree : Pbtree.t;
   vm : Vm_sim.t option;
   log_dev : Device.t;
-  seg_dev : Device.t;
 }
 
 let page_size = 4096
@@ -174,8 +173,7 @@ let build_world cfg =
   s.Pbtree.splits <- 0;
   s.Pbtree.merges <- 0;
   s.Pbtree.borrows <- 0;
-  { rvm; engine = Engine.of_rvm rvm; clock; obs; heap; tree; vm; log_dev;
-    seg_dev }
+  { rvm; engine = Engine.of_rvm rvm; clock; obs; heap; tree; vm; log_dev }
 
 let tree_lock = "btree"
 
@@ -256,7 +254,6 @@ let server_world w =
         ~layouts:
           [| Rvm_workload.Tpca.layout ~accounts:1 ~base:heap_base ~page_size |];
     log_devs = [| w.log_dev |];
-    seg_devs = [| w.seg_dev |];
   }
 
 (* The serving fields, as the harness reads them. *)

@@ -91,7 +91,6 @@ type world = {
   tree : Rvm_pds.Pbtree.t;
   vm : Rvm_vm.Vm_sim.t option;
   log_dev : Rvm_disk.Device.t;
-  seg_dev : Rvm_disk.Device.t;
 }
 
 val build_world : config -> world

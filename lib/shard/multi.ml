@@ -242,10 +242,6 @@ let initialize ?(options = Options.default) ?(clock = Clock.null)
     terminated = false;
   }
 
-let reinitialize ?options ?obs ~routing ~logs ~resolve () =
-  initialize ?options ~clock:(Clock.simulated ()) ~model:Cost_model.dec5000
-    ?obs ~routing ~logs ~resolve ()
-
 (* --- mapping and memory access --- *)
 
 let shard_of_seg t seg = Routing.shard_of t.routing ~seg

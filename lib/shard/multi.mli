@@ -48,17 +48,6 @@ val initialize :
     {!Rvm_core.Types.Rvm_error} naming its shard. All shards share [obs]
     (counters merge into engine totals) and the clock. *)
 
-val reinitialize :
-  ?options:Rvm_core.Options.t ->
-  ?obs:Rvm_obs.Registry.t ->
-  routing:Routing.t ->
-  logs:Rvm_disk.Device.t array ->
-  resolve:(int -> Rvm_disk.Device.t) ->
-  unit ->
-  t
-(** Deterministic {!initialize} on a fresh simulated clock — the crash
-    explorer's entry point, as {!Rvm_core.Rvm.reinitialize}. *)
-
 val terminate : t -> unit
 val shard_count : t -> int
 

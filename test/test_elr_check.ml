@@ -120,6 +120,42 @@ let test_mutation_detected () =
       let o = Elr_check.run ~config () in
       check_bool "mutation detected" true (o.Crash.violations <> []))
 
+(* Check (a) on its own, over hand-made acks: write 1 acked at event 5,
+   write 2 at event 9 having observed writer 1, lookup 3 at event 12
+   having observed writer 2, and lookup 4, which observed nothing. A crash
+   before an ack asks nothing of it; after, the acked write and every
+   writer an acked request observed (a write's as well as a lookup's) must
+   have survived. A lookup never survives itself and need not. *)
+let test_ack_check () =
+  let acks =
+    [
+      { Elr_check.a_id = 1; a_wrote = true; a_deps = []; a_event = 5 };
+      { Elr_check.a_id = 2; a_wrote = true; a_deps = [ 1 ]; a_event = 9 };
+      { Elr_check.a_id = 3; a_wrote = false; a_deps = [ 2 ]; a_event = 12 };
+      { Elr_check.a_id = 4; a_wrote = false; a_deps = []; a_event = 12 };
+    ]
+  in
+  let verdict ~upto survivors =
+    Elr_check.ack_violation acks ~upto ~survived:(fun id ->
+        List.mem id survivors)
+  in
+  let clean what ~upto survivors =
+    match verdict ~upto survivors with
+    | None -> ()
+    | Some reason -> Alcotest.failf "%s: %s" what reason
+  in
+  let caught what ~upto survivors =
+    check_bool what true (Option.is_some (verdict ~upto survivors))
+  in
+  clean "nothing acked yet" ~upto:4 [];
+  caught "acked write 1 lost" ~upto:5 [];
+  clean "write 1 survived" ~upto:8 [ 1 ];
+  caught "write 2 observed lost writer 1" ~upto:9 [ 2 ];
+  caught "acked write 2 lost" ~upto:9 [ 1 ];
+  clean "both writes survived" ~upto:11 [ 1; 2 ];
+  caught "lookup 3 observed lost writer 2" ~upto:12 [ 1 ];
+  clean "every write survived" ~upto:12 [ 1; 2 ]
+
 (* Each shard's audit trail holds two slots per account of that shard, so
    4 shards over 24 accounts give 12-slot trails. Seed 23 anchors 13 of
    its 24 writes on shard 0: the trail wraps, an overwritten slot no
@@ -165,6 +201,7 @@ let suite =
     ("elr-explorer.exhaustive-two-shards", `Quick, test_exhaustive_two_shards);
     ("elr-explorer.more-seeds", `Quick, test_more_seeds);
     ("elr-explorer.mutation-detected", `Quick, test_mutation_detected);
+    ("elr-explorer.ack-check", `Quick, test_ack_check);
     ("elr-explorer.deterministic", `Quick, test_deterministic);
     ("elr-explorer.three-and-four-shards", `Quick, test_three_and_four_shards);
     ("elr-explorer.trail-wrap-rejected", `Quick, test_trail_wrap_rejected);

@@ -293,8 +293,10 @@ let read_cfg =
 
 (* Serve [cfg] watching every ack leave the server: none may vouch for a
    commit, its own or an inherited one, that the durable horizon does not
-   cover yet. Returns the world, the tally, the first late ack (if any)
-   and how many lookups acked with a writer dependency. *)
+   cover yet, and every write acks with its commit LSN (the ELR
+   explorer's ack check reads it to know the request wrote). Returns the
+   world, the tally, the first late or unstamped ack (if any) and how
+   many lookups acked with a writer dependency. *)
 let serve_checking_acks cfg =
   let w = S.build_world cfg in
   let sched = S.scheduler_of cfg w in
@@ -307,6 +309,13 @@ let serve_checking_acks cfg =
           Some
             (Printf.sprintf "request %d acked at lsn %d dep %d, durable %d"
                r.Scheduler.id r.Scheduler.commit_lsn r.Scheduler.dep_lsn d);
+      if
+        r.Scheduler.spec.Tpca.kind <> Tpca.Lookup
+        && r.Scheduler.commit_lsn = 0
+        && !late = None
+      then
+        late :=
+          Some (Printf.sprintf "write %d acked with no commit lsn" r.Scheduler.id);
       if
         r.Scheduler.spec.Tpca.kind = Tpca.Lookup
         && r.Scheduler.dep_writers <> []
@@ -757,6 +766,80 @@ let test_quantum_allocation () =
     Alcotest.failf "%.1f minor words per scheduler quantum (bound 48)"
       per_iteration
 
+(* --- the one opener: Engine.initialize and S.open_world --- *)
+
+(* A formatted log and a segment per shard. *)
+let shard_devices n =
+  let mem () = Rvm_disk.Mem_device.create ~size:(64 * 1024) () in
+  let logs = Array.init n (fun _ -> mem ()) in
+  let segs = Array.init n (fun _ -> mem ()) in
+  Multi.create_logs logs;
+  (logs, segs)
+
+let test_engine_one_log () =
+  let logs, segs = shard_devices 1 in
+  let eng, backend = Engine.initialize ~logs ~segs () in
+  check_int "one shard" 1 eng.Engine.shards;
+  check_bool "the single-log engine" true
+    (match backend with Engine.Single _ -> true | Engine.Sharded _ -> false);
+  let _, two_segs = shard_devices 2 in
+  match Engine.initialize ~logs ~segs:two_segs () with
+  | _ -> Alcotest.fail "opened one log with two segments"
+  | exception Invalid_argument _ -> ()
+
+(* On two logs a region mapped on shard 1 is the sharded engine's shard 1:
+   a flushed commit to it writes log 1 alone, and recovery on the same
+   devices replays it into segment 1 alone and reads it back. *)
+let test_engine_two_logs () =
+  let logs, segs = shard_devices 2 in
+  let eng, backend = Engine.initialize ~logs ~segs () in
+  check_int "two shards" 2 eng.Engine.shards;
+  let m =
+    match backend with
+    | Engine.Sharded m -> m
+    | Engine.Single _ -> Alcotest.fail "expected the sharded engine"
+  in
+  let map backend =
+    (Engine.map backend ~shard:1 ~seg_off:0 ~len:4096 ()).Rvm_core.Region.vaddr
+  in
+  let addr = map backend in
+  check_int "mapped on shard 1" 1 (Multi.shard_of_addr m ~addr);
+  let writes devs =
+    Array.map (fun (d : Rvm_disk.Device.t) -> d.stats.Rvm_disk.Device.writes)
+      devs
+  in
+  let before = writes logs in
+  let tid = eng.Engine.begin_txn ~mode:Rvm_core.Types.No_restore in
+  eng.Engine.set_range tid ~addr ~len:5;
+  eng.Engine.store ~addr (Bytes.of_string "hello");
+  eng.Engine.end_txn tid ~mode:Rvm_core.Types.Flush;
+  let after = writes logs in
+  check_int "log 0 not written" before.(0) after.(0);
+  check_bool "log 1 written" true (after.(1) > before.(1));
+  let before = writes segs in
+  let eng, backend = Engine.initialize ~logs ~segs () in
+  let after = writes segs in
+  check_int "segment 0 not written" before.(0) after.(0);
+  check_bool "segment 1 written" true (after.(1) > before.(1));
+  Alcotest.(check string)
+    "recovered" "hello"
+    (Bytes.to_string (eng.Engine.load ~addr:(map backend) ~len:5))
+
+(* One log for two shards would map both shards' layouts onto it. *)
+let test_open_world_log_count () =
+  List.iter
+    (fun (shards, logs) ->
+      let cfg = { S.default_config with S.accounts = 8; S.shards } in
+      let logs, segs = shard_devices logs in
+      match
+        S.open_world cfg ~clock:(Rvm_util.Clock.simulated ())
+          ~obs:(Registry.create ()) ~logs ~segs
+      with
+      | _ ->
+        Alcotest.failf "opened %d shards on %d logs" shards (Array.length logs)
+      | exception Invalid_argument _ -> ())
+    [ (2, 1); (1, 2); (2, 3) ]
+
 (* --- end-to-end: the sharded server --- *)
 
 let sharded_cfg =
@@ -1065,6 +1148,9 @@ let suite =
     ("server.ack-waits-for-its-force", `Quick, test_ack_waits_for_force);
     ("server.spool-bounded-by-batch", `Quick, test_spool_bounded_by_batch);
     ("server.quantum-allocation", `Quick, test_quantum_allocation);
+    ("engine.initialize-one-log", `Quick, test_engine_one_log);
+    ("engine.initialize-two-logs", `Quick, test_engine_two_logs);
+    ("server.open-world-log-count", `Quick, test_open_world_log_count);
     ( "server.balances-match-serial-reference",
       `Quick,
       test_balances_match_serial_reference );

@@ -269,7 +269,7 @@ let make_cross_image () =
   (log_copy, resolve, routing, v)
 
 let recover_image (logs, resolve, routing) =
-  Multi.reinitialize ~routing ~logs ~resolve ()
+  Multi.initialize ~clock:(Clock.simulated ()) ~routing ~logs ~resolve ()
 
 let test_image_full_evidence_commits () =
   let logs, resolve, routing, v = make_cross_image () in
@@ -509,7 +509,8 @@ let test_wrapping_background_truncation_recovery () =
     (fun (i, log_imgs, seg_imgs, expected) ->
       let recover () =
         let m2 =
-          Multi.reinitialize ~options ~routing ~logs:log_imgs
+          Multi.initialize ~options ~clock:(Clock.simulated ()) ~routing
+            ~logs:log_imgs
             ~resolve:(fun seg -> seg_imgs.(seg - 1))
             ()
         in

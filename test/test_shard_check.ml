@@ -23,6 +23,7 @@ module Routing = Rvm_shard.Routing
 module Multi = Rvm_shard.Multi
 module Mem_device = Rvm_disk.Mem_device
 module Rng = Rvm_util.Rng
+module Clock = Rvm_util.Clock
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -280,13 +281,15 @@ let recovery_images () =
 (* Both shards' regions after recovering [logs] and [segs] (shard order). *)
 let recovered_regions routing (logs : Rvm_disk.Device.t array) segs =
   let m =
-    Multi.reinitialize ~routing ~logs ~resolve:(fun id -> segs.(id - 1)) ()
+    Multi.initialize ~clock:(Clock.simulated ()) ~routing ~logs
+      ~resolve:(fun id -> segs.(id - 1))
+      ()
   in
   Array.init 2 (fun s ->
       let r = Multi.map m ~seg:(s + 1) ~seg_off:0 ~len:8192 () in
       Bytes.to_string (Multi.load m ~addr:r.Region.vaddr ~len:8192))
 
-(* Record [Multi.reinitialize] itself on the images: every write and
+(* Record [Multi.initialize] itself on the images: every write and
    sync of the verdict round and of both shards' recoveries is a crash
    point, and recovering again from any of them must give the regions one
    uninterrupted recovery gives. *)
@@ -314,7 +317,8 @@ let test_recovery_crash_points () =
     in
     let logs = traced "log" logs and segs = traced "seg" segs in
     ignore
-      (Multi.reinitialize ~obs:(Crash.obs rig) ~routing ~logs
+      (Multi.initialize ~clock:(Clock.simulated ()) ~obs:(Crash.obs rig)
+         ~routing ~logs
          ~resolve:(fun id -> segs.(id - 1))
          ());
     {
@@ -398,7 +402,7 @@ let run_balance_scenario (shards, table, transfers, order_seed) =
   in
   Multi.create_logs logs;
   let open_engine () =
-    Multi.reinitialize ~routing ~logs
+    Multi.initialize ~clock:(Clock.simulated ()) ~routing ~logs
       ~resolve:(fun seg -> segs.(seg - 1))
       ()
   in
