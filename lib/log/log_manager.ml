@@ -138,12 +138,13 @@ let open_chunk = 256 * 1024
 
 (* The open scan's reader: [open_chunk] reads from the start of the lap
    the scan is on — the head, then [data_start] once it wraps — have
-   filled [area] up to [hi]. A decode at [off] waits until the record's
+   filled [area] up to [hi], which starts where the bytes already read
+   from the head end. A decode at [off] waits until the record's
    {!Record.extent} is in, so the scan stops exactly where a scan of the
    whole device would. *)
-let chunked_fill (dev : Device.t) (st : Status.t) area =
+let chunked_fill (dev : Device.t) (st : Status.t) area ~hi =
   let log_size = st.Status.log_size in
-  let lap = ref st.Status.head and hi = ref st.Status.head in
+  let lap = ref st.Status.head and hi = ref hi in
   fun ~off ->
     if off < !lap then begin
       lap := off;
@@ -174,9 +175,34 @@ let open_log ?obs ?(max_spool_bytes = 256 * 1024) dev =
         (Printf.sprintf "log size mismatch: formatted for %d, device is %d"
            st.Status.log_size dev.Device.size)
     else begin
-      let area = Bytes.make dev.Device.size '\000' in
-      let tail, next_seqno, used, records =
-        scan ~fill:(chunked_fill dev st area) area st ~f:(fun ~off:_ _ -> ())
+      (* The scan's first read, the chunk at the head, goes into a buffer
+         of its own: when the scan's first decode, there, already fails,
+         the log is empty and needs no device-sized image. A head too
+         near the end for a record wraps to [data_start] at once, and its
+         scan reads nothing here. *)
+      let head = st.Status.head and size = st.Status.log_size in
+      let first =
+        if size - head < Record.wrap_size then Bytes.empty
+        else begin
+          let len = min open_chunk (size - head) in
+          let b = Bytes.create len in
+          dev.Device.read ~off:head ~buf:b ~pos:0 ~len;
+          b
+        end
+      in
+      let read = Bytes.length first in
+      let area, (tail, next_seqno, used, records) =
+        if read > 0 && Record.extent first ~pos:0 ~avail:read = 0 then
+          (Bytes.empty, (head, st.Status.head_seqno, 0, 0))
+        else begin
+          let area = Bytes.make size '\000' in
+          Bytes.blit first 0 area head read;
+          ( area,
+            scan
+              ~fill:(chunked_fill dev st area ~hi:(head + read))
+              area st
+              ~f:(fun ~off:_ _ -> ()) )
+        end
       in
       Ok
         {

@@ -37,9 +37,13 @@ module Rds = Rvm_alloc.Rds
 
 type stats = { mutable splits : int; mutable merges : int; mutable borrows : int }
 
+(* The first [len] bytes of [bytes]: where the ordered walk reads an
+   entry's key or value, grown to fit and reused for every entry. *)
+type view = { mutable bytes : Bytes.t; mutable len : int }
+
 (* [buf] is scratch for word and key-slot reads: each read copies into it
    and decodes or compares there, so a read boxes no [int64] and a probe
-   builds no key string. *)
+   builds no key string. [key] and [value] are the walk's entry. *)
 type t = {
   rvm : Rvm.t;
   heap : Rds.t;
@@ -47,6 +51,8 @@ type t = {
   deg : int;
   stats : stats;
   buf : Bytes.t;
+  key : view;
+  value : view;
 }
 
 let magic = 0x52564D4254524532L (* "RVMBTRE2" *)
@@ -215,15 +221,23 @@ let alloc_node t tid ~leaf ~count ~next =
   putw t (n + 16) next;
   n
 
-let fresh_stats () = { splits = 0; merges = 0; borrows = 0 }
+let handle rvm heap ~addr ~degree =
+  let view () = { bytes = Bytes.create slot_size; len = 0 } in
+  {
+    rvm;
+    heap;
+    addr;
+    deg = degree;
+    stats = { splits = 0; merges = 0; borrows = 0 };
+    buf = Bytes.create slot_size;
+    key = view ();
+    value = view ();
+  }
 
 let create rvm heap tid ~degree =
   if degree < 2 then Types.error "pbtree: minimum degree %d < 2" degree;
   let addr = Rds.alloc heap tid ~size:header_size in
-  let t =
-    { rvm; heap; addr; deg = degree; stats = fresh_stats ();
-      buf = Bytes.create slot_size }
-  in
+  let t = handle rvm heap ~addr ~degree in
   setw t tid addr (Int64.to_int magic);
   setw t tid (addr + 24) degree;
   let r = alloc_node t tid ~leaf:true ~count:0 ~next:0 in
@@ -232,10 +246,7 @@ let create rvm heap tid ~degree =
   t
 
 let attach rvm heap ~addr =
-  let t =
-    { rvm; heap; addr; deg = 2; stats = fresh_stats ();
-      buf = Bytes.create slot_size }
-  in
+  let t = handle rvm heap ~addr ~degree:2 in
   if getw t addr <> Int64.to_int magic then
     Types.error "pbtree: no tree at %#x" addr;
   { t with deg = getw t (addr + 24) }
@@ -628,49 +639,67 @@ let load t ~count entry =
 
 let rec leftmost t n = if is_leaf t n then n else leftmost t (ptr t n 0)
 
-(* Call [f] on entries in key order starting at the first key >= [lo],
-   until it returns false or the chain ends. *)
-let iter_ge t ~lo ~f =
-  let n0, i0 =
+(* Read cell [c] into [v]: its length word, then its bytes. *)
+let read_cell_into t c v =
+  let len = getw t c in
+  if Bytes.length v.bytes < len then
+    v.bytes <- Bytes.create (Int.max len (2 * Bytes.length v.bytes));
+  if len > 0 then Rvm.read_into t.rvm ~addr:(c + 8) ~len v.bytes ~pos:0;
+  v.len <- len
+
+(* The one ordered walk: read up to [left] entries in key order from
+   entry [i] of leaf [n] into [t.key] and [t.value], and pass [f] views
+   of them until it returns false or the chain ends. Each entry is read
+   value first, in a fixed order: its pointer slot, the value's length
+   word and bytes, its key slot, then an overflow key's length word and
+   bytes. Under paging the order of the touches decides which pages are
+   evicted, so it must not depend on how arguments are evaluated. *)
+let rec walk_from t n i left f =
+  if n = 0 || left = 0 then ()
+  else if i >= nkeys t n then walk_from t (next_leaf t n) 0 left f
+  else begin
+    read_cell_into t (ptr t n i) t.value;
+    let len = read_slot t n i in
+    if len = overflow_tag then read_cell_into t (read_cell t) t.key
+    else begin
+      Bytes.blit t.buf 1 t.key.bytes 0 len;
+      t.key.len <- len
+    end;
+    if
+      f ~key:t.key.bytes ~klen:t.key.len ~value:t.value.bytes
+        ~vlen:t.value.len
+    then walk_from t n (i + 1) (left - 1) f
+  end
+
+let scan_views t ?lo ~n ~f () =
+  if n > 0 then
     match lo with
-    | None -> (leftmost t (root t), 0)
+    | None -> walk_from t (leftmost t (root t)) 0 n f
     | Some key ->
-      let n = leaf_of t (root t) ~key in
-      let i, _ = leaf_find t n ~key in
-      (n, i)
-  in
-  let rec go n i =
-    if n = 0 then ()
-    else if i >= nkeys t n then go (next_leaf t n) 0
-    else if f ~key:(node_key t n i) ~value:(cell_string t (ptr t n i)) then
-      go n (i + 1)
-  in
-  go n0 i0
+      let leaf = leaf_of t (root t) ~key in
+      walk_from t leaf (fst (leaf_find t leaf ~key)) n f
 
 let range t ?lo ?hi ~f () =
-  iter_ge t ~lo ~f:(fun ~key ~value ->
+  scan_views t ?lo ~n:max_int ~f:(fun ~key ~klen ~value ~vlen ->
+      let key = Bytes.sub_string key 0 klen in
       match hi with
       | Some h when compare key h >= 0 -> false
       | _ ->
-        f ~key ~value;
+        f ~key ~value:(Bytes.sub_string value 0 vlen);
         true)
+    ()
 
 let scan t ?lo ~n () =
-  if n <= 0 then []
-  else begin
-    let acc = ref [] in
-    let left = ref n in
-    iter_ge t ~lo ~f:(fun ~key ~value ->
-        acc := (key, value) :: !acc;
-        decr left;
-        !left > 0);
-    List.rev !acc
-  end
-
-let iter t ~f =
-  iter_ge t ~lo:None ~f:(fun ~key ~value ->
-      f ~key ~value;
+  let acc = ref [] in
+  scan_views t ?lo ~n
+    ~f:(fun ~key ~klen ~value ~vlen ->
+      acc :=
+        (Bytes.sub_string key 0 klen, Bytes.sub_string value 0 vlen) :: !acc;
       true)
+    ();
+  List.rev !acc
+
+let iter t ~f = range t ~f ()
 
 let fold t ~init ~f =
   let acc = ref init in

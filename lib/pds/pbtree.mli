@@ -19,7 +19,8 @@
     [Restore] mode, which saves the old bytes at each [set_range]: a value
     rewritten in place gets its old bytes back from there.
 
-    Reads ([get]/[range]/[scan]/[iter]/[fold]/[check]) need no transaction.
+    Reads ([get]/[range]/[scan]/[scan_views]/[iter]/[fold]/[check]) need no
+    transaction.
     Mutations take the caller's [tid]; callers serialize access per tree
     (the server layer locks at leaf-node granularity). *)
 
@@ -88,6 +89,17 @@ val range :
 val scan : t -> ?lo:string -> n:int -> unit -> (string * string) list
 (** First [n] entries with key [>= lo] (from the smallest key when [lo] is
     omitted), in order — the YCSB scan shape. *)
+
+val scan_views :
+  t -> ?lo:string -> n:int ->
+  f:(key:Bytes.t -> klen:int -> value:Bytes.t -> vlen:int -> bool) -> unit ->
+  unit
+(** The walk {!scan}, {!range}, {!iter} and {!fold} share, with nothing
+    copied: the first [n] entries with key [>= lo] are read in order into
+    scratch that the handle owns, and [f] sees each one as its key's first
+    [klen] bytes of [key] and its value's first [vlen] bytes of [value],
+    until it returns false. The views are valid only until [f] returns:
+    the next entry, and any walk of the same handle, reads over them. *)
 
 val iter : t -> f:(key:string -> value:string -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> key:string -> value:string -> 'a) -> 'a

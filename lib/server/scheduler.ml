@@ -266,10 +266,18 @@ let charge t = Clock.charge_cpu t.clock cpu_per_op_us
 
 (* --- lifecycle --- *)
 
+let rec enqueue_all q = function
+  | [] -> ()
+  | r :: rest ->
+    enqueue q r;
+    enqueue_all q rest
+
 let wake_parked t =
-  let ps = List.sort (fun a b -> compare a.id b.id) t.parked in
-  t.parked <- [];
-  List.iter (enqueue t.runnable) ps
+  match t.parked with
+  | [] -> ()
+  | parked ->
+    t.parked <- [];
+    enqueue_all t.runnable (List.sort (fun a b -> compare a.id b.id) parked)
 
 (* A request's outcome is durable — its own commit, if it wrote, and
    every commit it observed: account its latency, let a closed-loop

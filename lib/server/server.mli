@@ -19,6 +19,10 @@ val percentile : float array -> float -> float
 (** Nearest-rank percentile over a sorted sample array (shared with the
     YCSB harness so both workloads reduce latencies identically). *)
 
+val sort_floats : float array -> unit
+(** Sort ascending in place, allocating nothing. On an array with no NaN
+    the result is the one [Array.sort compare] gives. *)
+
 type config = {
   accounts : int;
   shards : int;

@@ -176,6 +176,11 @@ let build_world cfg =
   { rvm; engine = Engine.of_rvm rvm; clock; obs; heap; tree; vm; log_dev }
 
 let tree_lock = "btree"
+let tree_shared = Scheduler.Lock (Lock_mgr.Shared, tree_lock)
+let tree_exclusive = Scheduler.Lock (Lock_mgr.Exclusive, tree_lock)
+
+(* A scan keeps nothing of what it reads. *)
+let keep_nothing ~key:_ ~klen:_ ~value:_ ~vlen:_ = true
 
 (* The step function: the step list for each YCSB op.
 
@@ -188,7 +193,9 @@ let tree_lock = "btree"
    shared. Read-modify-write takes the leaf in Update for the read, so
    readers still share the leaf with it, and upgrades to Exclusive for
    the write; a second RMW on the leaf queues at its Update request
-   rather than deadlocking at the upgrade.
+   rather than deadlocking at the upgrade. Since leaves stay put, each
+   leaf's lock key is built once and kept in a table keyed by the leaf's
+   address.
 
    Reads and scans write nothing, so they are [Query] steps and begin no
    engine transaction: each commits read-only without calling the
@@ -201,30 +208,45 @@ let tree_lock = "btree"
    rebuilt after every abort, so each attempt reads afresh. *)
 let steps_of cfg (tree : Pbtree.t) =
   let structural = match cfg.mix with Ycsb.D | Ycsb.E -> true | _ -> false in
+  let leaf_keys = Hashtbl.create 64 in
   let lk key =
     if structural then tree_lock
-    else "n:" ^ string_of_int (Pbtree.leaf_addr tree ~key)
+    else
+      let leaf = Pbtree.leaf_addr tree ~key in
+      match Hashtbl.find leaf_keys leaf with
+      | k -> k
+      | exception Not_found ->
+        let k = "n:" ^ string_of_int leaf in
+        Hashtbl.add leaf_keys leaf k;
+        k
+  in
+  let lock mode key =
+    match (structural, mode) with
+    | true, Lock_mgr.Shared -> tree_shared
+    | true, Lock_mgr.Exclusive -> tree_exclusive
+    | _ -> Scheduler.Lock (mode, lk key)
   in
   function
   | Ycsb.Read key ->
     [
-      Scheduler.Lock (Lock_mgr.Shared, lk key);
+      lock Lock_mgr.Shared key;
       Scheduler.Query (fun () -> ignore (Pbtree.get tree ~key));
     ]
   | Ycsb.Update (key, value) ->
     [
-      Scheduler.Lock (Lock_mgr.Exclusive, lk key);
+      lock Lock_mgr.Exclusive key;
       Scheduler.Run (fun tid -> Pbtree.put tree tid ~key ~value);
     ]
   | Ycsb.Insert (key, value) ->
     [
-      Scheduler.Lock (Lock_mgr.Exclusive, tree_lock);
+      tree_exclusive;
       Scheduler.Run (fun tid -> Pbtree.put tree tid ~key ~value);
     ]
   | Ycsb.Scan (lo, n) ->
     [
-      Scheduler.Lock (Lock_mgr.Shared, lk lo);
-      Scheduler.Query (fun () -> ignore (Pbtree.scan tree ~lo ~n ()));
+      lock Lock_mgr.Shared lo;
+      Scheduler.Query
+        (fun () -> Pbtree.scan_views tree ~lo ~n ~f:keep_nothing ());
     ]
   | Ycsb.Rmw key ->
     let k = lk key in

@@ -36,16 +36,40 @@ let op_name = function
 let op_key = function
   | Read k | Update (k, _) | Insert (k, _) | Scan (k, _) | Rmw k -> k
 
-let key_of i = Printf.sprintf "user%010d" i
+(* The decimal digits of [n >= 0]. *)
+let digits n =
+  let rec go n d = if n < 10 then d else go (n / 10) (d + 1) in
+  go n 1
+
+(* Write [n >= 0] zero-padded into [b.[pos .. pos + width - 1]], keeping
+   only the digits that fall below [b]'s length. *)
+let put_digits b ~pos ~width n =
+  let n = ref n in
+  for p = pos + width - 1 downto pos do
+    if p < Bytes.length b then
+      Bytes.unsafe_set b p (Char.unsafe_chr (48 + (!n mod 10)));
+    n := !n / 10
+  done
+
+(* ["user%010d"], written into one buffer. *)
+let key_of i =
+  if i < 0 then invalid_arg "Ycsb.key_of: negative index";
+  let width = Int.max 10 (digits i) in
+  let b = Bytes.create (4 + width) in
+  Bytes.blit_string "user" 0 b 0 4;
+  put_digits b ~pos:4 ~width i;
+  Bytes.unsafe_to_string b
 
 (* Values are a version counter in a fixed-width prefix, padded out to
-   [len]. Deterministic renderings mean the live execution and the serial
+   [len]: ["v%012d"] then ['.'] up to [len], or the prefix cut to [len].
+   Deterministic renderings mean the live execution and the serial
    reference replay compute byte-identical read-modify-write results. *)
 let value ~len ~ver =
-  let prefix = Printf.sprintf "v%012d" ver in
-  let pl = String.length prefix in
-  if len <= pl then String.sub prefix 0 (max 0 len)
-  else prefix ^ String.make (len - pl) '.'
+  if ver < 0 then invalid_arg "Ycsb.value: negative version";
+  let b = Bytes.make (Int.max 0 len) '.' in
+  if len > 0 then Bytes.unsafe_set b 0 'v';
+  put_digits b ~pos:1 ~width:(Int.max 12 (digits ver)) ver;
+  Bytes.unsafe_to_string b
 
 let version_of v =
   if String.length v >= 13 && v.[0] = 'v' then
@@ -59,8 +83,8 @@ let rmw_next ~value_len old =
 type gen = {
   rng : Rng.t;
   mix : mix;
-  value_len : int;
   scan_max : int;
+  fresh : string;  (** version 1, the value every update and insert writes *)
   mutable records : int;  (** keys 0..records-1 exist *)
   mutable zipf : Rng.zipf;  (** rebuilt lazily as [records] grows *)
 }
@@ -71,8 +95,8 @@ let create ~rng ~mix ~records ~value_len ~scan_max =
   {
     rng;
     mix;
-    value_len;
     scan_max;
+    fresh = value ~len:value_len ~ver:1;
     records;
     zipf = Rng.zipf_make ~n:records ~s:0.99;
   }
@@ -94,7 +118,7 @@ let latest_key t =
   let d = zipf_key t in
   max 0 (t.records - 1 - d)
 
-let fresh_value t = value ~len:t.value_len ~ver:1
+let fresh_value t = t.fresh
 
 let insert_op t =
   let i = t.records in

@@ -33,11 +33,14 @@ val op_name : op -> string
 val op_key : op -> string
 
 val key_of : int -> string
-(** ["user%010d"] — fixed-width, so integer order is key order. *)
+(** ["user%010d"] — fixed-width, so integer order is key order. Raises
+    [Invalid_argument] on a negative index. *)
 
 val value : len:int -> ver:int -> string
-(** Version [ver] rendered into a fixed-width prefix, padded to [len].
-    Deterministic, so execution and serial replay agree byte-for-byte. *)
+(** Version [ver] rendered into a fixed-width prefix, padded to [len]:
+    ["v%012d"] followed by ['.'] up to [len] bytes, or cut to [len].
+    Deterministic, so execution and serial replay agree byte-for-byte.
+    Raises [Invalid_argument] on a negative version. *)
 
 val rmw_next : value_len:int -> string option -> string
 (** The read-modify-write step: parse the stored value's version (absent

@@ -208,6 +208,119 @@ let test_range_scan () =
     (List.length (Pbtree.scan t ~lo:(key_of 195) ~n:10 ()));
   check_int "scan n=0" 0 (List.length (Pbtree.scan t ~n:0 ()))
 
+(* A degree-2 tree whose entries exercise every path of the walk: inline
+   keys and overflow keys (over 15 bytes), empty values, and values that
+   outgrew their first cell and moved. Insertion order is shuffled, so
+   neighbouring entries sit in cells on different pages. *)
+let walk_entries = 120
+
+let walk_key i =
+  if i mod 3 = 0 then Printf.sprintf "key-%04d-with-an-overflow-tail" i
+  else Printf.sprintf "key-%04d" i
+
+let fill_walk_tree rvm t =
+  let order = Array.init walk_entries Fun.id in
+  Rng.shuffle (Rng.create ~seed:11L) order;
+  Array.iter
+    (fun i ->
+      in_txn rvm (fun tid ->
+          Pbtree.put t tid ~key:(walk_key i)
+            ~value:(String.make (i mod 7 * 40) (Char.chr (97 + (i mod 26))))))
+    order;
+  (* Every fifth value outgrows its cell and moves. *)
+  for i = 0 to walk_entries - 1 do
+    if i mod 5 = 0 then
+      in_txn rvm (fun tid ->
+          Pbtree.put t tid ~key:(walk_key i) ~value:(String.make 500 'm'))
+  done
+
+(* [scan_views] sees exactly the pairs [scan] returns, for every count up
+   to 25 from every start: each present key, a key between two, and no
+   lower bound. It stops as soon as [f] returns false. *)
+let test_scan_views () =
+  let rvm, _, t = make_tree () in
+  fill_walk_tree rvm t;
+  Pbtree.check t;
+  let views ?lo n =
+    let acc = ref [] in
+    Pbtree.scan_views t ?lo ~n
+      ~f:(fun ~key ~klen ~value ~vlen ->
+        acc := (Bytes.sub_string key 0 klen, Bytes.sub_string value 0 vlen) :: !acc;
+        true)
+      ();
+    List.rev !acc
+  in
+  let starts =
+    None :: Some "" :: Some "zzz"
+    :: List.concat_map
+         (fun i -> [ Some (walk_key i); Some (walk_key i ^ "!") ])
+         (List.init walk_entries Fun.id)
+  in
+  List.iter
+    (fun lo ->
+      for n = 0 to 25 do
+        Alcotest.(check (list (pair string string)))
+          (Printf.sprintf "from %s, n %d" (Option.value lo ~default:"the start") n)
+          (Pbtree.scan t ?lo ~n ()) (views ?lo n)
+      done)
+    starts;
+  let seen = ref 0 in
+  Pbtree.scan_views t ~n:25
+    ~f:(fun ~key:_ ~klen:_ ~value:_ ~vlen:_ ->
+      incr seen;
+      !seen < 3)
+    ();
+  check_int "stops when f returns false" 3 !seen
+
+(* The walk's reads under paging: the same tree on a heap of 64 pages
+   with 3 frames, then a seeded sequence of 150 scans of 1 to 20
+   entries. The order of an entry's reads (pointer slot, value, key slot,
+   overflow key) decides which pages the frames hold, so the fault and
+   eviction counts pin it; both scans read through the one walk. *)
+let paged_scan_counts scan =
+  let clock = Rvm_util.Clock.simulated () in
+  let model = Rvm_util.Cost_model.dec5000 in
+  let vm =
+    Rvm_vm.Vm_sim.create ~clock ~model
+      {
+        Rvm_vm.Vm_sim.physical_pages = 3;
+        page_size = ps;
+        fault_disk = model.Rvm_util.Cost_model.paging_disk;
+        evict_disk = model.Rvm_util.Cost_model.paging_disk;
+        evict_in_background = true;
+      }
+  in
+  let log_dev = Mem_device.create ~name:"log" ~size:(4 * 1024 * 1024) () in
+  Rvm.create_log log_dev;
+  let seg_dev = Mem_device.create ~name:"seg" ~size:heap_len () in
+  let rvm =
+    Rvm.initialize ~clock ~model ~vm ~log:log_dev ~resolve:(fun _ -> seg_dev) ()
+  in
+  let r = Rvm.map rvm ~seg:1 ~seg_off:0 ~len:heap_len () in
+  let t =
+    in_txn rvm (fun tid ->
+        let heap = Rds.init rvm tid ~base:r.Region.vaddr ~len:heap_len in
+        Pbtree.create rvm heap tid ~degree:2)
+  in
+  fill_walk_tree rvm t;
+  Rvm_vm.Vm_sim.reset_counters vm;
+  let rng = Rng.create ~seed:5L in
+  for _ = 1 to 150 do
+    let lo = walk_key (Rng.int rng walk_entries) in
+    scan t ~lo ~n:(1 + Rng.int rng 20)
+  done;
+  (Rvm_vm.Vm_sim.faults vm, Rvm_vm.Vm_sim.evictions vm)
+
+let test_scan_read_order () =
+  let pinned = (2166, 2166) in
+  Alcotest.(check (pair int int)) "scan: faults, evictions" pinned
+    (paged_scan_counts (fun t ~lo ~n -> ignore (Pbtree.scan t ~lo ~n ())));
+  Alcotest.(check (pair int int)) "scan_views: faults, evictions" pinned
+    (paged_scan_counts (fun t ~lo ~n ->
+         Pbtree.scan_views t ~lo ~n
+           ~f:(fun ~key:_ ~klen:_ ~value:_ ~vlen:_ -> true)
+           ()))
+
 let test_abort_rollback () =
   let rvm, heap, t = make_tree () in
   in_txn rvm (fun tid ->
@@ -740,6 +853,8 @@ let suite =
     ("btree.merges", `Quick, test_merges);
     ("btree.replace", `Quick, test_replace);
     ("btree.range-scan", `Quick, test_range_scan);
+    ("btree.scan-views", `Quick, test_scan_views);
+    ("btree.scan-read-order", `Quick, test_scan_read_order);
     ("btree.abort", `Quick, test_abort_rollback);
     ("btree.crash", `Quick, test_crash_recovery);
     ("btree.empty-attach", `Quick, test_empty_and_attach_errors);

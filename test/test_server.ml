@@ -21,6 +21,42 @@ module Rng = Rvm_util.Rng
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* --- unit: the latency sort --- *)
+
+(* [Server.sort_floats] leaves the array [Array.sort compare] leaves, bit
+   for bit, on random, duplicated, all-zero, empty and one-element
+   samples, and on sorted and reversed ones. *)
+let test_sort_floats () =
+  let rng = Rng.create ~seed:3L in
+  let random n = Array.init n (fun _ -> float_of_int (Rng.int rng 1_000_000) /. 7.) in
+  let cases =
+    [
+      [||];
+      [| 4.5 |];
+      Array.make 100 0.;
+      Array.init 1000 (fun i -> float_of_int (i mod 13));
+      Array.init 500 float_of_int;
+      Array.init 500 (fun i -> float_of_int (500 - i));
+      random 2;
+      random 3;
+      random 1001;
+      random 20_000;
+    ]
+  in
+  List.iter
+    (fun a ->
+      let expected = Array.copy a in
+      Array.sort compare expected;
+      let got = Array.copy a in
+      S.sort_floats got;
+      check_bool
+        (Printf.sprintf "%d samples" (Array.length a))
+        true
+        (Array.for_all2
+           (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+           expected got))
+    cases
+
 (* --- unit: admission state machine --- *)
 
 let test_admission_caps () =
@@ -1131,6 +1167,7 @@ let prop_elr_serial_balances =
 
 let suite =
   [
+    ("server.sort-floats", `Quick, test_sort_floats);
     ("admission.caps", `Quick, test_admission_caps);
     ("admission.double-release-idempotent", `Quick, test_admission_double_release);
     ("batcher.fifo", `Quick, test_batcher_fifo);

@@ -122,6 +122,34 @@ let test_values_and_rmw () =
   (* key_of is order-preserving. *)
   check_bool "key order" true (Ycsb.key_of 99 < Ycsb.key_of 100)
 
+(* Keys and values are written digit by digit; they must render exactly
+   as the [Printf] formats they replace, at every width boundary, wider
+   numbers and cut prefixes included. *)
+let test_renderings () =
+  let printf_value ~len ~ver =
+    let prefix = Printf.sprintf "v%012d" ver in
+    let pl = String.length prefix in
+    if len <= pl then String.sub prefix 0 (max 0 len)
+    else prefix ^ String.make (len - pl) '.'
+  in
+  let tens = [ 0; 1; 9; 10; 11; 99; 100; 999_999_999; 1_000_000_000 ] in
+  List.iter
+    (fun i ->
+      Alcotest.(check string) "key" (Printf.sprintf "user%010d" i)
+        (Ycsb.key_of i))
+    (tens
+    @ [ 9_999_999_999; 10_000_000_000; 10_000_000_001; 123_456_789_012; max_int ]
+    );
+  List.iter
+    (fun ver ->
+      for len = 0 to 80 do
+        Alcotest.(check string)
+          (Printf.sprintf "value len %d ver %d" len ver)
+          (printf_value ~len ~ver) (Ycsb.value ~len ~ver)
+      done)
+    (tens
+    @ [ 999_999_999_999; 1_000_000_000_000; 1_000_000_000_001; max_int ])
+
 let test_model () =
   let tbl = Hashtbl.create 16 in
   let vl = 32 in
@@ -157,6 +185,7 @@ let suite =
     ("ycsb.population", `Quick, test_population_and_keys);
     ("ycsb.latest-skew", `Quick, test_latest_skew);
     ("ycsb.values-rmw", `Quick, test_values_and_rmw);
+    ("ycsb.renderings", `Quick, test_renderings);
     ("ycsb.model", `Quick, test_model);
     ("ycsb.mix-names", `Quick, test_mix_names);
   ]
